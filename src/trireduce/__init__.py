@@ -3,19 +3,14 @@ coordinates, with a well-defined Hamiltonian value at collinear shapes and
 a Cartesian-dynamics oracle for validation."""
 
 from .errors import (
-    CollinearInput,
-    CollinearShape,
     ConfigError,
     DegenerateShape,
     DomainError,
-    MisalignedFrame,
-    NotCollinear,
     NumericalBlowup,
     PotentialSyntaxError,
     SingularInertia,
     TrireduceError,
     UnknownIdentifier,
-    ZeroAngularMomentum,
 )
 from .geometry import (
     CartesianState,
@@ -37,7 +32,6 @@ from .geometry import (
 from .reduction import (
     BodyMomenta,
     BodyVelocityState,
-    ReductionTensors,
     body_angular_momentum,
     body_velocities,
     gauge_potential,
@@ -46,15 +40,11 @@ from .reduction import (
     inertia_tensor,
     kinetic_energy_body,
     mechanical_connection,
-    reduction_tensors,
     shape_momenta,
     velocities_from_momenta,
 )
 from .hamiltonian import (
     ReducedEvaluation,
-    ReducedState,
-    align_collinear_frame,
-    collinear_hamiltonian,
     evaluate_reduced,
     reduced_hamiltonian,
     singular_term,

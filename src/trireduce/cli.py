@@ -16,6 +16,7 @@ import numpy as np
 
 from . import checks
 from .dynamics import (
+    BAND_THRESHOLD,
     IntegratorConfig,
     conservation_report,
     detect_collinear_passages,
@@ -32,7 +33,7 @@ from .geometry import (
     body_jacobi_vectors,
     cartesian_from_jacobi,
 )
-from .hamiltonian import BAND_THRESHOLD, evaluate_reduced
+from .hamiltonian import evaluate_reduced
 from .potential import PotentialSpec, builtin_potential, parse_potential
 from .reduction import BodyMomenta, body_velocities, velocities_from_momenta
 
@@ -253,7 +254,6 @@ def cmd_evaluate(cfg: RunConfig, out_path):
         cfg.state,
         cfg.potential,
         collinear_threshold=cfg.thresholds["collinear"],
-        band_threshold=cfg.thresholds["band"],
     )
     E = total_energy(cfg.masses, cfg.state, cfg.potential)
     from .geometry import jacobi_from_cartesian, spatial_angular_momentum
@@ -270,9 +270,7 @@ def cmd_evaluate(cfg: RunConfig, out_path):
 
 def cmd_collinear_report(cfg: RunConfig, out_path):
     traj = integrate(cfg.masses, cfg.state, cfg.potential, cfg.integrator)
-    passages = detect_collinear_passages(
-        traj, cfg.thresholds["passage"], potential=cfg.potential
-    )
+    passages = detect_collinear_passages(traj, cfg.thresholds["passage"])
     lines = [PASSAGES_HEADER]
     for p in passages:
         lines.append(

@@ -10,11 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateShape,
-    NumericalBlowup,
-    ZeroAngularMomentum,
-)
+from .errors import DegenerateShape, NumericalBlowup
 from .geometry import (
     CartesianState,
     MassTriple,
@@ -25,6 +21,7 @@ from .hamiltonian import evaluate_reduced_jacobi
 from .potential import EvalContext, PotentialSpec, eval_potential, forces_cartesian
 
 OVERFLOW_GUARD = 1e12
+BAND_THRESHOLD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,7 @@ def _derived_sample(masses, potential, t, state):
             L=L,
             branch=ev.branch,
         )
-    except (DegenerateShape, ZeroAngularMomentum):
+    except DegenerateShape:
         r1 = float(np.linalg.norm(j.s1))
         r2 = float(np.linalg.norm(j.s2))
         nan3 = np.full(3, np.nan)
@@ -189,9 +186,12 @@ class ConservationReport:
     tracking_error_inside_band: float
 
 
-def conservation_report(traj: Trajectory, band_threshold=1e-3) -> ConservationReport:
+def conservation_report(
+    traj: Trajectory, band_threshold=BAND_THRESHOLD
+) -> ConservationReport:
     """Drifts of the conserved quantities and the H_reduced-vs-E tracking
-    error, split at the collinear conditioning band."""
+    error, split at sin(phi) = band_threshold into the samples away from and
+    near collinear shapes."""
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     E = np.array([s.E_total for s in traj.samples])
@@ -225,13 +225,13 @@ class CollinearPassage:
     delta_H: float
 
 
-def detect_collinear_passages(traj: Trajectory, threshold: float, potential=None):
+def detect_collinear_passages(traj: Trajectory, threshold: float):
     """Find local minima of sin(phi) strictly below threshold.
 
     Passage time by parabolic interpolation through the three samples
-    bracketing the minimum.  H_at is the collinear-branch Hamiltonian
-    evaluated at the minimum sample; delta_H is the largest deviation of
-    the bracketing noncollinear values from it.
+    bracketing the minimum.  H_at is the reduced Hamiltonian of the minimum
+    sample; delta_H is the largest deviation of the bracketing samples'
+    values from it.
     """
     n = len(traj)
     passages = []
@@ -252,14 +252,7 @@ def detect_collinear_passages(traj: Trajectory, threshold: float, potential=None
             offset = 0.0
         dt = times[i + 1] - times[i]
         t_star = times[i] + offset * dt
-        if potential is not None:
-            j = jacobi_from_cartesian(traj.masses, traj.states[i])
-            ev = evaluate_reduced_jacobi(
-                traj.masses, j, potential, force_collinear=True
-            )
-            H_at = ev.H
-        else:
-            H_at = traj.samples[i].H_reduced
+        H_at = traj.samples[i].H_reduced
         H_before = traj.samples[i - 1].H_reduced
         H_after = traj.samples[i + 1].H_reduced
         delta = max(abs(H_before - H_at), abs(H_after - H_at))

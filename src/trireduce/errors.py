@@ -10,33 +10,9 @@ class DegenerateShape(TrireduceError):
     angle phi is undefined."""
 
 
-class CollinearShape(TrireduceError):
-    """The configuration is (numerically) collinear; the generic body-frame
-    fit cannot pick the in-plane axis.  Callers should switch to the
-    angular-momentum-aligned frame."""
-
-
 class SingularInertia(TrireduceError):
     """The inertia tensor is singular (|sin phi| at or below threshold);
     the full inverse does not exist."""
-
-
-class CollinearInput(TrireduceError):
-    """A noncollinear-only routine was called at a collinear shape."""
-
-
-class MisalignedFrame(TrireduceError):
-    """Collinear evaluation requires the frame aligned with the angular
-    momentum (J1 = J2 = 0 within tolerance)."""
-
-
-class ZeroAngularMomentum(TrireduceError):
-    """At a collinear configuration with L = 0 the body frame is not fixed
-    by the angular momentum."""
-
-
-class NotCollinear(TrireduceError):
-    """The angular-momentum-aligned frame only applies to collinear states."""
 
 
 class NumericalBlowup(TrireduceError):

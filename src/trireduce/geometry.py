@@ -2,8 +2,10 @@
 
 Conventions: the body frame is u1 along the first mass-weighted relative
 vector, u2 the in-plane unit vector with nonnegative projection on the
-second, u3 = u1 x u2 (right-handed).  The rotation matrix R has the body
-axes as columns, so body vectors b and space vectors s satisfy s = R b.
+second, u3 = u1 x u2 (right-handed); at collinear shapes, where that plane
+is undefined, u2 follows the bending motion (see body_frame_fit).  The
+rotation matrix R has the body axes as columns, so body vectors b and space
+vectors s satisfy s = R b.
 """
 
 from dataclasses import dataclass
@@ -11,7 +13,7 @@ from math import atan2, cos, pi, sin
 
 import numpy as np
 
-from .errors import CollinearShape, DegenerateShape
+from .errors import DegenerateShape
 
 COLLINEAR_THRESHOLD = 1e-8
 
@@ -204,12 +206,15 @@ def rotation_from_euler(e: EulerAngles) -> np.ndarray:
 
 
 def body_frame_fit(j: JacobiVectors, collinear_threshold=COLLINEAR_THRESHOLD):
-    """Fit the body frame and shape coordinates of a noncollinear state.
+    """Fit the body frame and shape coordinates of a state.
 
-    Returns (R, ShapeCoordinates) with R s_body = s_space.  Raises
-    DegenerateShape when |s1| = 0 or |s2| = 0 and CollinearShape when the
-    configuration is collinear within threshold (the in-plane axis is then
-    undefined; use the angular-momentum-aligned frame instead).
+    Returns (R, ShapeCoordinates) with R s_body = s_space and u1 along s1.
+    Above collinear_threshold (on |s1 x s2|/(|s1||s2|)) u3 is the unit
+    normal of the plane of s1 and s2.  At or below it phi is 0 or pi and u2
+    points along the bending rate sdot2 - sigma (r2/r1) sdot1 (perpendicular
+    part, sigma = sign(s1 . s2)), the limit of the normal-based frame along
+    the motion; with no bending u2 is a fixed perpendicular of u1.  Raises
+    DegenerateShape when |s1| = 0 or |s2| = 0.
     """
     r1 = float(np.linalg.norm(j.s1))
     if r1 == 0.0:
@@ -217,17 +222,25 @@ def body_frame_fit(j: JacobiVectors, collinear_threshold=COLLINEAR_THRESHOLD):
     r2 = float(np.linalg.norm(j.s2))
     if r2 == 0.0:
         raise DegenerateShape("r2 = 0: phi undefined")
+    u1 = j.s1 / r1
     normal = np.cross(j.s1, j.s2)
     nn = float(np.linalg.norm(normal))
-    if nn / (r1 * r2) < collinear_threshold:
-        raise CollinearShape(
-            f"|s1 x s2|/(|s1||s2|) = {nn / (r1 * r2):.3e} below threshold"
-        )
-    u1 = j.s1 / r1
-    u3 = normal / nn
-    u2 = np.cross(u3, u1)
-    phi = atan2(float(np.dot(j.s2, u2)), float(np.dot(j.s2, u1)))
-    R = np.column_stack([u1, u2, u3])
+    dot = float(np.dot(j.s1, j.s2))
+    if nn / (r1 * r2) > collinear_threshold:
+        phi = atan2(nn, dot)
+    else:
+        sigma = 1.0 if dot >= 0.0 else -1.0
+        phi = 0.0 if sigma > 0.0 else pi
+        normal = np.cross(u1, j.sdot2 - sigma * r2 / r1 * j.sdot1)
+    # Crossing with u1 keeps u2 orthogonal to u1 to rounding, also when
+    # normal is a nearly cancelling cross product of nearly parallel vectors.
+    u2 = np.cross(normal, u1)
+    n2 = float(np.linalg.norm(u2))
+    if n2 == 0.0:
+        u2 = np.cross(np.eye(3)[np.argmin(np.abs(u1))], u1)
+        n2 = float(np.linalg.norm(u2))
+    u2 = u2 / n2
+    R = np.column_stack([u1, u2, np.cross(u1, u2)])
     return R, ShapeCoordinates(r1, r2, phi)
 
 

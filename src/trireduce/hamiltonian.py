@@ -1,25 +1,24 @@
-"""Reduced ro-vibrational Hamiltonian, its collinear-limit value, and the
-angular-momentum-aligned frame used at collinear shapes.
+"""Reduced ro-vibrational Hamiltonian in a form that is finite at every
+non-degenerate shape, collinear shapes included.
 
-The noncollinear Hamiltonian carries terms in 1/sin(phi) and is evaluated
-only away from collinearity; at (and near) collinear shapes the finite
-limit value is computed in a frame whose third body axis is aligned with
-the angular momentum, where the transverse components of J vanish.
+With a = r1^2, b = r2^2, S = a + b and T = J1 / sin(phi) (see
+singular_term),
+
+    H = [T^2/b + (J2 + cos(phi) T)^2/a + J3^2/S + p1^2 + p2^2
+         + (S/ab) (p3 - b J3/S)^2] / 2 + V.
+
+No term divides by sin(phi).  Evaluated from a Cartesian state, T, J and p
+are read off the body-frame velocities of the Jacobi vectors, and the terms
+add up |v1|^2 + |v2|^2 in any orthonormal frame with u1 along s1, so H
+equals the center-of-mass energy whenever r1 and r2 are nonzero.
 """
 
 from dataclasses import dataclass
-from math import cos, pi, sin
+from math import cos, sin
 
 import numpy as np
 
-from .errors import (
-    CollinearInput,
-    CollinearShape,
-    DegenerateShape,
-    MisalignedFrame,
-    NotCollinear,
-    ZeroAngularMomentum,
-)
+from .errors import DegenerateShape
 from .geometry import (
     COLLINEAR_THRESHOLD,
     BodyVelocityState,
@@ -29,28 +28,22 @@ from .geometry import (
     ShapeCoordinates,
     body_frame_fit,
     jacobi_from_cartesian,
-    spatial_angular_momentum,
 )
 from .potential import PotentialSpec, potential_at_shape
-from .reduction import BodyMomenta, shape_momenta
-
-BAND_THRESHOLD = 1e-3
-ALIGNMENT_TOLERANCE = 1e-9
+from .reduction import BodyMomenta
 
 BRANCH_NONCOLLINEAR = "noncollinear"
 BRANCH_COLLINEAR = "collinear"
 
 
 @dataclass(frozen=True)
-class ReducedState:
-    q: ShapeCoordinates
-    momenta: BodyMomenta
-    branch: str
-
-
-@dataclass(frozen=True)
 class ReducedEvaluation:
-    """Result of evaluating the reduced Hamiltonian on one configuration."""
+    """Result of evaluating the reduced Hamiltonian on one configuration.
+
+    branch names the body-frame rule used ("noncollinear" above the
+    collinear threshold, "collinear" at or below it); sin_phi is the
+    measured |s1 x s2| / (|s1| |s2|).
+    """
 
     H: float
     branch: str
@@ -58,57 +51,28 @@ class ReducedEvaluation:
     momenta: BodyMomenta
     singular_term: float
     sin_phi: float
-    conditioning_warning: bool = False
 
 
 def reduced_hamiltonian(
-    q: ShapeCoordinates,
-    m: BodyMomenta,
-    V: float,
-    collinear_threshold=COLLINEAR_THRESHOLD,
+    q: ShapeCoordinates, m: BodyMomenta, T: float, V: float
 ) -> float:
-    """Reduced Hamiltonian at a noncollinear shape (expanded closed form)."""
-    s, c = sin(q.phi), cos(q.phi)
-    if abs(s) <= collinear_threshold:
-        raise CollinearInput("use collinear_hamiltonian at collinear shapes")
+    """Reduced Hamiltonian from the shape, the momenta, T = J1 / sin(phi)
+    and the potential value."""
+    if q.r2 == 0.0:
+        raise DegenerateShape("reduced Hamiltonian needs r2 > 0")
+    c = cos(q.phi)
     a, b = q.r1 ** 2, q.r2 ** 2
-    J1, J2, J3 = m.J
+    _, J2, J3 = m.J
     p1, p2, p3 = m.p
     S = a + b
     quad = (
-        (a + b * c * c) / (a * b * s * s) * J1 ** 2
-        + 2.0 * c / (a * s) * J1 * J2
-        + J2 ** 2 / a
+        T ** 2 / b
+        + (J2 + c * T) ** 2 / a
         + J3 ** 2 / S
         + p1 ** 2
         + p2 ** 2
         + S / (a * b) * (p3 - b / S * J3) ** 2
     )
-    return 0.5 * quad + V
-
-
-def collinear_hamiltonian(
-    r1: float, r2: float, m: BodyMomenta, V: float, tolerance=ALIGNMENT_TOLERANCE
-) -> float:
-    """Value of the reduced Hamiltonian at a collinear shape.
-
-    Requires the aligned frame (J1 = J2 = 0 within tolerance relative to
-    |J|).  Equal to (J3 - p3)^2 / (2 r1^2) + p3^2 / (2 r2^2)
-    + (p1^2 + p2^2) / 2 + V.
-    """
-    if r1 <= 0.0 or r2 <= 0.0:
-        raise DegenerateShape("collinear Hamiltonian needs r1, r2 > 0")
-    Jnorm = float(np.linalg.norm(m.J))
-    bound = tolerance * Jnorm
-    if abs(m.J[0]) > bound or abs(m.J[1]) > bound:
-        raise MisalignedFrame(
-            f"|J1|, |J2| = {abs(m.J[0]):.3e}, {abs(m.J[1]):.3e} exceed {bound:.3e}"
-        )
-    a, b = r1 ** 2, r2 ** 2
-    S = a + b
-    J3 = m.J[2]
-    p1, p2, p3 = m.p
-    quad = J3 ** 2 / S + p1 ** 2 + p2 ** 2 + S / (a * b) * (p3 - b / S * J3) ** 2
     return 0.5 * quad + V
 
 
@@ -119,113 +83,20 @@ def singular_term(q: ShapeCoordinates, w: BodyVelocityState) -> float:
     return b * w.omega[0] * sin(q.phi) - b * w.omega[1] * cos(q.phi)
 
 
-def align_collinear_frame(
-    j: JacobiVectors, collinear_threshold=COLLINEAR_THRESHOLD
-) -> np.ndarray:
-    """Body frame of a collinear state: u1 along the molecular line, u3 along
-    the angular momentum, u2 = u3 x u1.
-
-    In this frame J = R^T L = (0, 0, |L|).  Raises NotCollinear for
-    noncollinear input and ZeroAngularMomentum when L = 0 (the frame is
-    then not determined).
-    """
-    r1 = float(np.linalg.norm(j.s1))
-    if r1 == 0.0:
-        raise DegenerateShape("|s1| = 0: body frame undefined")
-    r2 = float(np.linalg.norm(j.s2))
-    if r2 > 0.0:
-        cross = float(np.linalg.norm(np.cross(j.s1, j.s2)))
-        if cross / (r1 * r2) > collinear_threshold:
-            raise NotCollinear(
-                f"|s1 x s2|/(|s1||s2|) = {cross / (r1 * r2):.3e} above threshold"
-            )
-    L = spatial_angular_momentum(j)
-    Lnorm = float(np.linalg.norm(L))
-    if Lnorm == 0.0:
-        raise ZeroAngularMomentum("L = 0: collinear frame not determined")
-    u1 = j.s1 / r1
-    # remove any numerical component of L along the line before normalizing
-    Lperp = L - np.dot(L, u1) * u1
-    perp = float(np.linalg.norm(Lperp))
-    if perp == 0.0:
-        raise ZeroAngularMomentum("L parallel to the molecular line")
-    u3 = Lperp / perp
-    u2 = np.cross(u3, u1)
-    return np.column_stack([u1, u2, u3])
-
-
-def fit_body_state(j: JacobiVectors, collinear_threshold=COLLINEAR_THRESHOLD):
-    """Fit frame, shape and body velocity state of a noncollinear
-    configuration.
-
-    Returns (R, q, BodyVelocityState).  Propagates CollinearShape /
-    DegenerateShape from the frame fit.
-    """
-    R, q = body_frame_fit(j, collinear_threshold=collinear_threshold)
-    v1 = R.T @ j.sdot1
-    v2 = R.T @ j.sdot2
-    s, c = sin(q.phi), cos(q.phi)
-    q1dot = v1[0]
-    w3 = v1[1] / q.r1
-    w2 = -v1[2] / q.r1
-    w1 = (v2[2] + w2 * q.r2 * c) / (q.r2 * s)
-    q2dot = c * v2[0] + s * v2[1]
-    q3dot = (-s * v2[0] + c * v2[1]) / q.r2 - w3
-    return R, q, BodyVelocityState(
-        np.array([w1, w2, w3]), np.array([q1dot, q2dot, q3dot])
-    )
-
-
-def collinear_body_state(j: JacobiVectors, R: np.ndarray):
-    """Shape, body velocity state and momenta of a (near-)collinear state in
-    the aligned frame.
-
-    The angular velocity about the molecular line is unobservable at
-    collinearity and is set to zero.
-    """
-    r1 = float(np.linalg.norm(j.s1))
-    r2 = float(np.linalg.norm(j.s2))
-    if r2 == 0.0:
-        raise DegenerateShape("r2 = 0: collinear reduction undefined")
-    v1 = R.T @ j.sdot1
-    v2 = R.T @ j.sdot2
-    b2 = R.T @ j.s2
-    sign = 1.0 if b2[0] >= 0.0 else -1.0
-    phi = 0.0 if sign > 0.0 else pi
-    w3 = v1[1] / r1
-    w2 = -v1[2] / r1
-    q1dot = v1[0]
-    q2dot = sign * v2[0]
-    q3dot = sign * v2[1] / r2 - w3
-    q = ShapeCoordinates(r1, r2, phi)
-    w = BodyVelocityState(np.array([0.0, w2, w3]), np.array([q1dot, q2dot, q3dot]))
-    S = r1 ** 2 + r2 ** 2
-    J3 = S * w3 + r2 ** 2 * q3dot
-    p3 = r2 ** 2 * (w3 + q3dot)
-    momenta = BodyMomenta(np.array([0.0, 0.0, J3]), np.array([q1dot, q2dot, p3]))
-    return q, w, momenta
-
-
 def evaluate_reduced(
     masses: MassTriple,
     state: CartesianState,
     potential: PotentialSpec,
     collinear_threshold=COLLINEAR_THRESHOLD,
-    band_threshold=BAND_THRESHOLD,
 ) -> ReducedEvaluation:
-    """Evaluate the reduced Hamiltonian of a Cartesian state, dispatching
-    between the noncollinear formula and the collinear limit value.
+    """Evaluate the reduced Hamiltonian of a Cartesian state.
 
     The result is the energy in the center-of-mass frame; for states with
     zero total momentum it equals the total energy.
     """
     j = jacobi_from_cartesian(masses, state)
     return evaluate_reduced_jacobi(
-        masses,
-        j,
-        potential,
-        collinear_threshold=collinear_threshold,
-        band_threshold=band_threshold,
+        masses, j, potential, collinear_threshold=collinear_threshold
     )
 
 
@@ -234,48 +105,30 @@ def evaluate_reduced_jacobi(
     j: JacobiVectors,
     potential: PotentialSpec,
     collinear_threshold=COLLINEAR_THRESHOLD,
-    band_threshold=BAND_THRESHOLD,
-    force_collinear=False,
 ) -> ReducedEvaluation:
     """As evaluate_reduced, starting from Jacobi vectors.
 
-    force_collinear evaluates the collinear branch regardless of the
-    threshold (used by passage diagnostics on near-collinear samples).
+    With body velocities v1 = R^T sdot1, v2 = R^T sdot2:
+    T = r2 v2[2], J2 + cos(phi) T = r1^2 w2 with w2 = -v1[2] / r1, and
+    p3 = r2^2 (w3 + phidot), the in-plane rotation rate of s2 times r2^2.
     """
-    if force_collinear:
-        return _collinear_branch(masses, j, potential)
-    try:
-        R, q, w = fit_body_state(j, collinear_threshold=collinear_threshold)
-    except CollinearShape:
-        return _collinear_branch(masses, j, potential)
-    momenta = shape_momenta(q, w)
+    R, q = body_frame_fit(j, collinear_threshold=collinear_threshold)
+    v1 = R.T @ j.sdot1
+    v2 = R.T @ j.sdot2
+    s, c = sin(q.phi), cos(q.phi)
+    T = q.r2 * v2[2]
+    p3 = q.r2 * (c * v2[1] - s * v2[0])
+    J = np.array([s * T, -q.r1 * v1[2] - c * T, q.r1 * v1[1] + p3])
+    momenta = BodyMomenta(J, np.array([v1[0], c * v2[0] + s * v2[1], p3]))
     V = potential_at_shape(potential, masses, q)
-    H = reduced_hamiltonian(q, momenta, V, collinear_threshold=collinear_threshold)
+    sin_phi = float(np.linalg.norm(np.cross(j.s1, j.s2))) / (q.r1 * q.r2)
     return ReducedEvaluation(
-        H=H,
-        branch=BRANCH_NONCOLLINEAR,
-        q=q,
-        momenta=momenta,
-        singular_term=singular_term(q, w),
-        sin_phi=sin(q.phi),
-        conditioning_warning=sin(q.phi) <= band_threshold,
-    )
-
-
-def _collinear_branch(masses, j, potential):
-    R = align_collinear_frame(j, collinear_threshold=np.inf)
-    q, w, momenta = collinear_body_state(j, R)
-    V = potential_at_shape(potential, masses, q)
-    H = collinear_hamiltonian(q.r1, q.r2, momenta, V)
-    return ReducedEvaluation(
-        H=H,
-        branch=BRANCH_COLLINEAR,
-        q=q,
-        momenta=momenta,
-        singular_term=singular_term(q, w),
-        sin_phi=float(
-            np.linalg.norm(np.cross(j.s1, j.s2))
-            / (np.linalg.norm(j.s1) * np.linalg.norm(j.s2))
+        H=reduced_hamiltonian(q, momenta, T, V),
+        branch=(
+            BRANCH_NONCOLLINEAR if sin_phi > collinear_threshold else BRANCH_COLLINEAR
         ),
-        conditioning_warning=False,
+        q=q,
+        momenta=momenta,
+        singular_term=float(T),
+        sin_phi=sin_phi,
     )

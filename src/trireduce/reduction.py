@@ -16,7 +16,6 @@ from .errors import SingularInertia
 from .geometry import BodyVelocityState, ShapeCoordinates, body_jacobi_vectors
 
 SINGULAR_THRESHOLD = 1e-8
-CONDITIONING_BAND = 1e-3
 
 
 @dataclass(frozen=True)
@@ -32,16 +31,6 @@ class BodyMomenta:
             if vec.shape != (3,) or not np.all(np.isfinite(vec)):
                 raise ValueError(f"{name} must be a finite 3-vector")
             object.__setattr__(self, name, vec)
-
-
-@dataclass(frozen=True)
-class ReductionTensors:
-    inertia: np.ndarray
-    shape_metric: np.ndarray
-    gauge: np.ndarray            # rows: a_r1, a_r2, a_phi
-    connection: np.ndarray       # rows: A_r1, A_r2, A_phi
-    horizontal_metric: np.ndarray
-    horizontal_metric_inv: np.ndarray
 
 
 def inertia_tensor(q: ShapeCoordinates) -> np.ndarray:
@@ -109,18 +98,6 @@ def horizontal_metric(q: ShapeCoordinates):
     return g, g_inv
 
 
-def reduction_tensors(q: ShapeCoordinates) -> ReductionTensors:
-    g, g_inv = horizontal_metric(q)
-    return ReductionTensors(
-        inertia=inertia_tensor(q),
-        shape_metric=shape_metric(q),
-        gauge=gauge_potential(q),
-        connection=mechanical_connection(q),
-        horizontal_metric=g,
-        horizontal_metric_inv=g_inv,
-    )
-
-
 def shape_partials(q: ShapeCoordinates):
     """Partial derivatives of the body Jacobi vectors with respect to
     (r1, r2, phi); shape (2, 3, 3): [vector, coordinate, component]."""
@@ -172,8 +149,7 @@ def velocities_from_momenta(
     """Invert the Legendre map: recover (omega, qdot) from (J, p).
 
     Needs the full inertia inverse, so it raises SingularInertia near
-    collinear shapes; the collinear branch has its own 2-DOF inverse in the
-    hamiltonian module.
+    collinear shapes.
     """
     _, g_inv = horizontal_metric(q)
     A = mechanical_connection(q)

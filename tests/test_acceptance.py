@@ -80,7 +80,7 @@ def test_criterion_6_trajectory_conservation():
     traj = integrate(
         MassTriple(1.0, 1.0, 1.0), crossing, free, IntegratorConfig(dt=0.01, steps=100)
     )
-    passages = detect_collinear_passages(traj, threshold=0.5, potential=free)
+    passages = detect_collinear_passages(traj, threshold=0.5)
     delta_rel = (
         max(p.delta_H / abs(p.H_at) for p in passages) if passages else np.inf
     )

@@ -141,6 +141,35 @@ class TestEvaluate:
         assert abs(float(fields["H_reduced"]) - float(fields["E_total"])) < 1e-8
 
     def test_zero_angular_momentum_collinear_exit_3(self, tmp_path, caplog):
+        # body 2 at the midpoint of 1 and 3: r2 = 0, so phi is undefined
+        static = dict(
+            CROSSING_CONFIG,
+            initial_state={
+                "cartesian": {
+                    "positions": [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
+                    "velocities": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                }
+            },
+        )
+        cfg = write_config(tmp_path, static)
+        assert run(["evaluate", "--config", cfg]) == 3
+        assert "DegenerateShape" in caplog.text
+
+    def test_zero_angular_momentum_collinear_states(self, tmp_path):
+        # the figure-eight start (Chenciner & Montgomery 2000), body 3 at the
+        # origin between 1 and 2, and a static collinear state; both L = 0
+        x1, v3 = [0.97000436, -0.24308753, 0.0], [-0.93240737, -0.86473146, 0.0]
+        v1 = [-0.5 * v3[0], -0.5 * v3[1], 0.0]
+        figure_eight = {
+            "masses": [1.0, 1.0, 1.0],
+            "potential": {"builtin": "gravity", "params": {"G": 1.0}},
+            "initial_state": {
+                "cartesian": {
+                    "positions": [x1, [-x1[0], -x1[1], 0.0], [0.0, 0.0, 0.0]],
+                    "velocities": [v1, v1, v3],
+                }
+            },
+        }
         static = dict(
             CROSSING_CONFIG,
             initial_state={
@@ -150,9 +179,16 @@ class TestEvaluate:
                 }
             },
         )
-        cfg = write_config(tmp_path, static)
-        assert run(["evaluate", "--config", cfg]) == 3
-        assert "ZeroAngularMomentum" in caplog.text
+        for name, config in (("figure8", figure_eight), ("static", static)):
+            cfg = write_config(tmp_path, config, name=f"{name}.json")
+            out = tmp_path / f"{name}.csv"
+            assert run(["evaluate", "--config", cfg, "--out", str(out)]) == 0
+            row = out.read_text().splitlines()[1]
+            fields = dict(zip(EVALUATE_HEADER.split(","), row.split(",")))
+            assert fields["branch"] == "collinear"
+            assert float(fields["L_norm"]) < 1e-15
+            H, E = float(fields["H_reduced"]), float(fields["E_total"])
+            assert abs(H - E) <= 1e-10
 
     def test_shape_initial_state(self, tmp_path):
         shaped = dict(

@@ -154,12 +154,28 @@ class TestPassages:
     def test_constructed_crossing_found(self):
         cfg = IntegratorConfig(dt=0.01, steps=100)
         traj = integrate(MASSES, crossing_setup(), FREE, cfg)
-        passages = detect_collinear_passages(traj, threshold=0.5, potential=FREE)
+        passages = detect_collinear_passages(traj, threshold=0.5)
         assert len(passages) == 1
         (p,) = passages
         assert p.t_minus < p.t_star < p.t_plus
         assert 0.0 <= p.sin_phi_min < 0.5
         # free motion: H is constant, so the bracketing values match H_at
+        assert p.delta_H < 1e-10 * abs(p.H_at)
+
+    def test_nonplanar_collinear_passage(self):
+        # free motion through an exactly collinear shape at t = 0.5 (sample
+        # 50): body 2 bends along x while the 1-3 pair turns about x, so the
+        # bending leaves the plane normal to L
+        xc = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.3], [0.0, 0.0, -1.0]])
+        v = np.array([[-1 / 3, 0.4, 0.0], [2 / 3, 0.0, 0.0], [-1 / 3, -0.4, 0.0]])
+        x0 = xc - 0.5 * v
+        state = CartesianState(*x0, *v)
+        traj = integrate(MASSES, state, FREE, IntegratorConfig(dt=0.01, steps=100))
+        L = traj.samples[50].L
+        assert abs(L[0]) > 0.1 * np.linalg.norm(L)  # bending along x meets L
+        (p,) = detect_collinear_passages(traj, threshold=0.5)
+        assert p.sin_phi_min < 1e-8
+        assert traj.samples[50].branch == "collinear"
         assert p.delta_H < 1e-10 * abs(p.H_at)
 
     def test_no_crossing_empty(self):

@@ -2,11 +2,11 @@ from math import cos, pi, sin, sqrt
 
 import numpy as np
 import pytest
-from conftest import random_rotation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trireduce.errors import CollinearShape, DegenerateShape
+from trireduce.checks import random_rotation
+from trireduce.errors import DegenerateShape
 from trireduce.geometry import (
     CartesianState,
     EulerAngles,
@@ -220,8 +220,27 @@ class TestBodyFrameFit:
             body_frame_fit(JacobiVectors(z, [1, 0, 0], z, z))
         with pytest.raises(DegenerateShape):
             body_frame_fit(JacobiVectors([1, 0, 0], z, z, z))
-        with pytest.raises(CollinearShape):
-            body_frame_fit(JacobiVectors([1, 0, 0], [2, 1e-12, 0], z, z))
+        # below the collinear threshold phi is exactly 0 or pi; with no
+        # bending motion u2 is a fixed perpendicular of u1
+        for s2, phi in (([2, 1e-12, 0], 0.0), ([-2, 1e-12, 0], pi)):
+            R, q = body_frame_fit(JacobiVectors([1, 0, 0], s2, z, z))
+            assert q.phi == phi
+            assert np.array_equal(R[:, 0], [1.0, 0.0, 0.0])
+            assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-15
+            assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-15)
+
+    def test_collinear_u2_along_bending(self):
+        for _ in range(100):
+            s1 = RNG.normal(size=3)
+            k = RNG.uniform(-2.0, 2.0)
+            sd1, sd2 = RNG.normal(size=3), RNG.normal(size=3)
+            R, q = body_frame_fit(JacobiVectors(s1, k * s1, sd1, sd2))
+            assert q.phi == (0.0 if k > 0 else pi)
+            u1 = s1 / np.linalg.norm(s1)
+            bend = sd2 - k * sd1  # sdot2 - sigma (r2/r1) sdot1
+            bend -= np.dot(bend, u1) * u1
+            assert np.allclose(R[:, 1], bend / np.linalg.norm(bend), atol=1e-12)
+            assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-14
 
 
 class TestOmega:

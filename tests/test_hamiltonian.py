@@ -1,34 +1,30 @@
-from math import pi, sin, sqrt
+from math import cos, pi, sin
 
 import numpy as np
 import pytest
-from conftest import random_rotation
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trireduce.errors import (
-    CollinearInput,
-    DegenerateShape,
-    MisalignedFrame,
-    NotCollinear,
-    ZeroAngularMomentum,
-)
+from trireduce.checks import random_rotation
+from trireduce.dynamics import BAND_THRESHOLD, total_energy
+from trireduce.errors import DegenerateShape
 from trireduce.geometry import (
+    COLLINEAR_THRESHOLD,
     CartesianState,
     JacobiVectors,
     MassTriple,
     ShapeCoordinates,
+    body_frame_fit,
     body_jacobi_vectors,
     cartesian_from_jacobi,
-    jacobi_from_cartesian,
+    spatial_angular_momentum,
 )
 from trireduce.hamiltonian import (
-    align_collinear_frame,
-    collinear_hamiltonian,
     evaluate_reduced,
-    fit_body_state,
     reduced_hamiltonian,
     singular_term,
 )
-from trireduce.potential import builtin_potential, parse_potential, potential_at_shape
+from trireduce.potential import builtin_potential, parse_potential
 from trireduce.reduction import (
     BodyMomenta,
     BodyVelocityState,
@@ -56,18 +52,13 @@ class TestReducedHamiltonian:
     def test_zero_state(self):
         q = ShapeCoordinates(1.2, 0.8, 1.1)
         m = BodyMomenta(np.zeros(3), np.zeros(3))
-        assert reduced_hamiltonian(q, m, 0.0) == 0.0
+        assert reduced_hamiltonian(q, m, 0.0, 0.0) == 0.0
 
     def test_pure_j3_state(self):
         for r2 in (0.5, 1.0, 1.7):
             q = ShapeCoordinates(1.0, r2, pi / 2)
             m = BodyMomenta(np.array([0.0, 0.0, 3.0]), np.zeros(3))
-            assert reduced_hamiltonian(q, m, 0.0) == pytest.approx(4.5, rel=1e-14)
-
-    def test_rejects_collinear_input(self):
-        q = ShapeCoordinates(1.0, 1.0, 1e-10)
-        with pytest.raises(CollinearInput):
-            reduced_hamiltonian(q, BodyMomenta(np.zeros(3), np.zeros(3)), 0.0)
+            assert reduced_hamiltonian(q, m, 0.0, 0.0) == pytest.approx(4.5, rel=1e-14)
 
     def test_legendre_consistency(self):
         for _ in range(200):
@@ -76,30 +67,33 @@ class TestReducedHamiltonian:
             m = shape_momenta(q, w)
             K = kinetic_energy_body(q, w)
             V = RNG.normal()
-            H = reduced_hamiltonian(q, m, V)
+            H = reduced_hamiltonian(q, m, singular_term(q, w), V)
             assert H == pytest.approx(K + V, rel=1e-10, abs=1e-10)
 
     def test_adds_potential(self):
         q = ShapeCoordinates(1.0, 1.0, 1.0)
         m = BodyMomenta(np.zeros(3), np.zeros(3))
-        assert reduced_hamiltonian(q, m, 2.5) == 2.5
+        assert reduced_hamiltonian(q, m, 0.0, 2.5) == 2.5
 
 
 class TestCollinearHamiltonian:
+    """The finite form evaluated at collinear shapes (phi = 0 or pi)."""
+
     def test_zero_state(self):
         m = BodyMomenta(np.zeros(3), np.zeros(3))
-        assert collinear_hamiltonian(1.0, 1.0, m, 0.0) == 0.0
+        assert reduced_hamiltonian(ShapeCoordinates(1.0, 1.0, 0.0), m, 0.0, 0.0) == 0.0
 
     def test_documented_value(self):
         m = BodyMomenta(np.array([0.0, 0.0, 2.0]), np.zeros(3))
-        assert collinear_hamiltonian(1.0, 1.0, m, 0.0) == pytest.approx(2.0, abs=1e-14)
+        q = ShapeCoordinates(1.0, 1.0, 0.0)
+        assert reduced_hamiltonian(q, m, 0.0, 0.0) == pytest.approx(2.0, abs=1e-14)
 
     def test_two_closed_forms_agree(self):
         for _ in range(100):
             r1, r2 = RNG.uniform(0.3, 2.0, size=2)
             J3, p1, p2, p3 = RNG.normal(size=4)
             m = BodyMomenta(np.array([0.0, 0.0, J3]), np.array([p1, p2, p3]))
-            H = collinear_hamiltonian(r1, r2, m, 0.0)
+            H = reduced_hamiltonian(ShapeCoordinates(r1, r2, 0.0), m, 0.0, 0.0)
             alt = (
                 0.5 * (J3 - p3) ** 2 / r1 ** 2
                 + 0.5 * p3 ** 2 / r2 ** 2
@@ -108,30 +102,23 @@ class TestCollinearHamiltonian:
             assert H == pytest.approx(alt, rel=1e-12, abs=1e-12)
 
     def test_legendre_consistency_with_collinear_kinetic_energy(self):
-        for _ in range(100):
-            r1, r2 = RNG.uniform(0.3, 2.0, size=2)
-            w3 = RNG.normal()
-            qdot = RNG.normal(size=3)
-            S = r1 ** 2 + r2 ** 2
-            J3 = S * w3 + r2 ** 2 * qdot[2]
-            p = np.array([qdot[0], qdot[1], r2 ** 2 * (w3 + qdot[2])])
-            m = BodyMomenta(np.array([0.0, 0.0, J3]), p)
-            q0 = ShapeCoordinates(r1, r2, 0.0)
-            K0 = kinetic_energy_body(q0, BodyVelocityState(np.array([0.0, 0.0, w3]), qdot))
-            V = RNG.normal()
-            assert collinear_hamiltonian(r1, r2, m, V) == pytest.approx(
-                K0 + V, rel=1e-12, abs=1e-12
-            )
-
-    def test_misaligned_frame_rejected(self):
-        m = BodyMomenta(np.array([0.1, 0.0, 2.0]), np.zeros(3))
-        with pytest.raises(MisalignedFrame):
-            collinear_hamiltonian(1.0, 1.0, m, 0.0)
+        # every spin component, including the transverse w2 that bends the
+        # line out of any fixed plane
+        for phi in (0.0, pi):
+            for _ in range(50):
+                q0 = ShapeCoordinates(*RNG.uniform(0.3, 2.0, size=2), phi)
+                w = random_velocity()
+                K0 = kinetic_energy_body(q0, w)
+                V = RNG.normal()
+                H = reduced_hamiltonian(
+                    q0, shape_momenta(q0, w), singular_term(q0, w), V
+                )
+                assert H == pytest.approx(K0 + V, rel=1e-12, abs=1e-12)
 
     def test_degenerate_lengths_rejected(self):
         m = BodyMomenta(np.zeros(3), np.zeros(3))
         with pytest.raises(DegenerateShape):
-            collinear_hamiltonian(1.0, 0.0, m, 0.0)
+            reduced_hamiltonian(ShapeCoordinates(1.0, 0.0, 0.0), m, 0.0, 0.0)
 
 
 class TestSingularTerm:
@@ -173,47 +160,36 @@ def collinear_jacobi(transverse=1.0, axial=0.3):
 
 
 class TestAlignCollinearFrame:
+    """The body frame body_frame_fit picks at collinear shapes."""
+
     def test_documented_frame(self):
         j = collinear_jacobi()
-        # L = s2 x sd2 = (0,0,1) x (1,0,0) = (0,1,0)
-        R = align_collinear_frame(j)
+        # bending sd2 - (r2/r1) sd1 = (1,0,0) sets u2; L = (0,1,0) is along u3
+        R, _ = body_frame_fit(j)
         assert np.allclose(R[:, 0], [0, 0, 1], atol=1e-14)  # u1 = e3
         assert np.allclose(R[:, 1], [1, 0, 0], atol=1e-14)  # u2 = e1
         assert np.allclose(R[:, 2], [0, 1, 0], atol=1e-14)  # u3 = e2
 
     def test_transverse_j_components_vanish(self):
-        from trireduce.geometry import spatial_angular_momentum
-
         for _ in range(20):
             Q = random_rotation(RNG)
             j0 = collinear_jacobi(transverse=RNG.uniform(0.5, 2.0))
             j = JacobiVectors(Q @ j0.s1, Q @ j0.s2, Q @ j0.sdot1, Q @ j0.sdot2)
-            R = align_collinear_frame(j)
+            R, _ = body_frame_fit(j)
             J = R.T @ spatial_angular_momentum(j)
             assert abs(J[0]) < 1e-12 and abs(J[1]) < 1e-12
             assert J[2] > 0
 
-    def test_zero_angular_momentum_rejected(self):
-        j = JacobiVectors([0, 0, 2.0], [0, 0, 1.0], [0, 0, 0.5], [0, 0, -0.5])
-        with pytest.raises(ZeroAngularMomentum):
-            align_collinear_frame(j)
-
-    def test_noncollinear_rejected(self):
-        j = JacobiVectors([1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 1.0])
-        with pytest.raises(NotCollinear):
-            align_collinear_frame(j)
-
     def test_fitted_frames_converge_to_aligned_frame(self):
-        # free motion through a collinear configuration at t = 0; sdot1 is
-        # kept orthogonal to L so the fitted gauge matches the aligned one
-        # in the limit, but tilts the molecular line so frames move
+        # free motion through a collinear configuration at t = 0; sdot1
+        # tilts the molecular line so frames move
         j0 = JacobiVectors(
             [0.0, 0.0, 2.0],
             [0.0, 0.0, 1.0],
             [0.15, 0.0, 0.3],
             [1.0, 0.0, 0.0],
         )
-        R0 = align_collinear_frame(j0)
+        R0, _ = body_frame_fit(j0)
         half_turn = np.diag([1.0, -1.0, -1.0])
         deviations = []
         deltas = [1e-2, 1e-3, 1e-4]
@@ -223,7 +199,7 @@ class TestAlignCollinearFrame:
                 j = JacobiVectors(
                     j0.s1 + t * j0.sdot1, j0.s2 + t * j0.sdot2, j0.sdot1, j0.sdot2
                 )
-                R, _ = fit_body_state(j)[0:2]
+                R, _ = body_frame_fit(j)
                 dev = min(
                     np.max(np.abs(R - R0)), np.max(np.abs(R @ half_turn - R0))
                 )
@@ -244,8 +220,6 @@ class TestEvaluateReduced:
         return CartesianState(*pos, *vel)
 
     def test_noncollinear_matches_total_energy(self):
-        from trireduce.dynamics import total_energy
-
         masses = MassTriple(1.0, 2.0, 0.6)
         potential = builtin_potential("harmonic", k=0.4)
         for _ in range(50):
@@ -255,8 +229,6 @@ class TestEvaluateReduced:
             assert ev.H == pytest.approx(E, rel=1e-10, abs=1e-10)
 
     def test_collinear_branch_matches_total_energy(self):
-        from trireduce.dynamics import total_energy
-
         masses = MassTriple(1.0, 1.0, 1.0)
         potential = parse_potential("d12 ^ 2 + d13 ^ 2 + d23 ^ 2")
         for _ in range(20):
@@ -274,13 +246,19 @@ class TestEvaluateReduced:
 
     def test_branch_dispatch(self):
         masses = MassTriple(1.0, 1.0, 1.0)
-        q = ShapeCoordinates(1.0, 1.0, pi / 6)  # sin phi = 0.5
-        w = BodyVelocityState(RNG.normal(size=3), RNG.normal(size=3))
-        b1, b2 = body_jacobi_vectors(q)
-        v1, v2 = body_velocities(q, w)
-        state = cartesian_from_jacobi(masses, JacobiVectors(b1, b2, v1, v2))
-        ev = evaluate_reduced(masses, state, FREE)
-        assert ev.branch == "noncollinear"
+        cases = [
+            (pi / 6, RNG.normal(size=3), RNG.normal(size=3), "noncollinear"),
+            (0.0, RNG.normal(size=3), RNG.normal(size=3), "collinear"),
+        ]
+        for phi, omega, qdot, branch in cases:
+            q = ShapeCoordinates(1.0, 1.0, phi)
+            w = BodyVelocityState(omega, qdot)
+            b1, b2 = body_jacobi_vectors(q)
+            v1, v2 = body_velocities(q, w)
+            state = cartesian_from_jacobi(masses, JacobiVectors(b1, b2, v1, v2))
+            ev = evaluate_reduced(masses, state, FREE)
+            assert ev.branch == branch
+            assert ev.H == pytest.approx(kinetic_energy_body(q, w), rel=1e-12)
 
     def test_collinear_rotation_invariance(self):
         masses = MassTriple(1.0, 1.5, 0.8)
@@ -295,6 +273,8 @@ class TestEvaluateReduced:
             assert ev.H == pytest.approx(H_ref, rel=1e-10, abs=1e-10)
 
     def test_conditioning_warning_in_band(self):
+        # sin(phi) inside the conditioning band but above the collinear
+        # threshold: the noncollinear rule applies and H stays exact
         masses = MassTriple(1.0, 1.0, 1.0)
         q = ShapeCoordinates(1.0, 1.0, 1e-4)
         w = BodyVelocityState(np.array([0.0, 0.0, 0.3]), np.array([0.1, 0.2, 0.4]))
@@ -303,25 +283,74 @@ class TestEvaluateReduced:
         state = cartesian_from_jacobi(masses, JacobiVectors(b1, b2, v1, v2))
         ev = evaluate_reduced(masses, state, FREE)
         assert ev.branch == "noncollinear"
-        assert ev.conditioning_warning
+        assert COLLINEAR_THRESHOLD < ev.sin_phi < BAND_THRESHOLD
+        assert ev.H == pytest.approx(kinetic_energy_body(q, w), rel=1e-12)
 
 
 class TestCollinearLimit:
     def test_limit_is_quadratic_in_phi(self):
-        r1, r2 = 1.3, 0.8
-        omega = np.array([0.9, 0.0, 0.4])
-        qdot = np.array([0.2, -0.3, 0.6])
-        S = r1 ** 2 + r2 ** 2
-        J3 = S * omega[2] + r2 ** 2 * qdot[2]
-        p = np.array([qdot[0], qdot[1], r2 ** 2 * (omega[2] + qdot[2])])
-        H0 = collinear_hamiltonian(r1, r2, BodyMomenta(np.array([0, 0, J3]), p), 0.0)
+        w = BodyVelocityState(np.array([0.9, 0.0, 0.4]), np.array([0.2, -0.3, 0.6]))
+
+        def H(phi):
+            q = ShapeCoordinates(1.3, 0.8, phi)
+            return reduced_hamiltonian(q, shape_momenta(q, w), singular_term(q, w), 0.0)
+
+        H0 = H(0.0)
         phis = [10.0 ** (-k) for k in range(1, 7)]
-        diffs = []
-        for phi in phis:
-            q = ShapeCoordinates(r1, r2, phi)
-            w = BodyVelocityState(omega, qdot)
-            H = reduced_hamiltonian(q, shape_momenta(q, w), 0.0)
-            diffs.append(abs(H - H0))
+        diffs = [abs(H(phi) - H0) for phi in phis]
         assert all(diffs[i] > diffs[i + 1] for i in range(len(diffs) - 1))
         slope = np.polyfit(np.log(phis), np.log(diffs), 1)[0]
         assert 1.8 <= slope <= 2.2
+
+
+COLLINEAR_KINDS = ("collinear_planar", "collinear_3d", "zero_L")
+PHI_BY_KIND = {
+    "collinear_planar": st.sampled_from([0.0, pi]),
+    "collinear_3d": st.sampled_from([0.0, pi]),
+    "zero_L": st.sampled_from([0.0, pi]),
+    "sub_threshold": st.floats(1e-12, 1e-8, exclude_max=True),
+    "near_collinear": st.floats(1e-8, 1e-3),
+    "generic": st.floats(1e-3, pi - 1e-3),
+}
+
+
+@st.composite
+def rotated_states(draw):
+    """Zero-momentum Cartesian state of a given shape kind, randomly
+    rotated.  Collinear kinds have s2 exactly parallel to s1 after the
+    rotation; zero_L ones also have L = 0 (as the figure-eight start)."""
+    kind = draw(st.sampled_from(sorted(PHI_BY_KIND)))
+    phi = draw(PHI_BY_KIND[kind])
+    if kind in ("sub_threshold", "near_collinear") and draw(st.booleans()):
+        phi = pi - phi
+    r1, r2 = draw(st.floats(0.3, 2.0)), draw(st.floats(0.3, 2.0))
+    vector = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3).map(np.array)
+    sd1, sd2 = draw(vector), draw(vector)
+    k = r2 / r1 * cos(phi)
+    if kind == "collinear_planar":
+        sd1[2] = sd2[2] = 0.0
+    if kind == "zero_L":
+        # L = r1 e1 x (sd1 + k sd2) in the body frame
+        sd1[1:] = -k * sd2[1:]
+    Q = random_rotation(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    s1 = Q @ np.array([r1, 0.0, 0.0])
+    if kind in COLLINEAR_KINDS:
+        s2 = k * s1
+    else:
+        s2 = Q @ np.array([r2 * cos(phi), r2 * sin(phi), 0.0])
+    masses = MassTriple(*(draw(st.floats(0.3, 3.0)) for _ in range(3)))
+    state = cartesian_from_jacobi(masses, JacobiVectors(s1, s2, Q @ sd1, Q @ sd2))
+    return kind, masses, state
+
+
+class TestFiniteEverywhere:
+    @settings(max_examples=600, deadline=None)
+    @given(rotated_states())
+    def test_hamiltonian_equals_cm_energy(self, case):
+        kind, masses, state = case
+        potential = builtin_potential("harmonic", k=0.7)
+        ev = evaluate_reduced(masses, state, potential)
+        E = total_energy(masses, state, potential)
+        assert abs(ev.H - E) / max(1.0, abs(E)) <= 1e-10, kind
+        if kind in COLLINEAR_KINDS:
+            assert ev.branch == "collinear"

@@ -2,10 +2,10 @@ from math import pi, sqrt
 
 import numpy as np
 import pytest
-from conftest import random_rotation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trireduce.checks import random_rotation
 from trireduce.errors import DomainError, PotentialSyntaxError, UnknownIdentifier
 from trireduce.geometry import MassTriple, ShapeCoordinates
 from trireduce.potential import (

@@ -2,8 +2,8 @@ from math import pi, sin, sqrt
 
 import numpy as np
 import pytest
-from conftest import random_rotation
 
+from trireduce.checks import random_rotation
 from trireduce.errors import SingularInertia
 from trireduce.geometry import (
     JacobiVectors,

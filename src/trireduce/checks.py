@@ -296,7 +296,7 @@ def suite_trajectory_conservation(seed=DEFAULT_SEED):
     cfg = IntegratorConfig(method="leapfrog", dt=0.01, steps=2000, record_stride=10)
     traj = integrate(masses, state, potential, cfg)
     rep = conservation_report(traj)
-    L0 = np.linalg.norm(traj.samples[0].L)
+    L0 = np.linalg.norm(traj.L[0])
     L_rel = rep.L_drift_inf / L0
     ok = L_rel < _tol(1e-10) and rep.tracking_error_outside_band < _tol(1e-8)
     return ok, (

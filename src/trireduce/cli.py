@@ -48,6 +48,9 @@ EVALUATE_HEADER = (
 )
 PASSAGES_HEADER = "t_minus,t_plus,t_star,sin_phi_min,H_before,H_at,H_after,delta_H"
 
+# every trajectory column but the last (branch) is a number
+TRAJECTORY_ROW = ",".join(["{:.17g}"] * TRAJECTORY_HEADER.count(",") + ["{}"])
+
 
 def _fmt(x):
     return f"{float(x):.17g}"
@@ -221,29 +224,44 @@ def _write_lines(path, lines):
 
 
 def _trajectory_lines(traj):
-    lines = [TRAJECTORY_HEADER]
-    for t, state, s in zip(traj.times, traj.states, traj.samples):
-        values = [t]
-        values += list(state.x1) + list(state.x2) + list(state.x3)
-        values += [s.r1, s.r2, s.phi]
-        values += list(s.J) + list(s.p)
-        values += [s.H_reduced, s.E_total, float(np.linalg.norm(s.L)), s.branch]
-        lines.append(_row(values))
-    return lines
+    n = len(traj)
+    numbers = np.column_stack(
+        [
+            traj.t,
+            traj.x.reshape(n, 9),
+            traj.r1,
+            traj.r2,
+            traj.phi,
+            traj.J,
+            traj.p,
+            traj.H_reduced,
+            traj.E_total,
+            np.linalg.norm(traj.L, axis=1),
+        ]
+    )
+    rows = zip(numbers.tolist(), traj.branch.tolist())
+    return [TRAJECTORY_HEADER] + [TRAJECTORY_ROW.format(*row, b) for row, b in rows]
 
 
 def cmd_simulate(cfg: RunConfig, out_path):
-    traj = integrate(cfg.masses, cfg.state, cfg.potential, cfg.integrator)
+    traj = integrate(
+        cfg.masses,
+        cfg.state,
+        cfg.potential,
+        cfg.integrator,
+        collinear_threshold=cfg.thresholds["collinear"],
+    )
     out = out_path or cfg.output.get("trajectory")
     if not _write_lines(out, _trajectory_lines(traj)):
         return 4
     rep = conservation_report(traj, band_threshold=cfg.thresholds["band"])
-    print(
-        "conservation: "
-        f"energy_drift_rel={rep.energy_drift_rel:.3e} "
-        f"L_drift_inf={rep.L_drift_inf:.3e} "
-        f"tracking_outside_band={rep.tracking_error_outside_band:.3e} "
-        f"tracking_inside_band={rep.tracking_error_inside_band:.3e}"
+    log.info(
+        "conservation: energy_drift_rel=%.3e L_drift_inf=%.3e "
+        "tracking_outside_band=%.3e tracking_inside_band=%.3e",
+        rep.energy_drift_rel,
+        rep.L_drift_inf,
+        rep.tracking_error_outside_band,
+        rep.tracking_error_inside_band,
     )
     return 0
 
@@ -269,7 +287,13 @@ def cmd_evaluate(cfg: RunConfig, out_path):
 
 
 def cmd_collinear_report(cfg: RunConfig, out_path):
-    traj = integrate(cfg.masses, cfg.state, cfg.potential, cfg.integrator)
+    traj = integrate(
+        cfg.masses,
+        cfg.state,
+        cfg.potential,
+        cfg.integrator,
+        collinear_threshold=cfg.thresholds["collinear"],
+    )
     passages = detect_collinear_passages(traj, cfg.thresholds["passage"])
     lines = [PASSAGES_HEADER]
     for p in passages:
@@ -290,7 +314,7 @@ def cmd_collinear_report(cfg: RunConfig, out_path):
     out = out_path or cfg.output.get("passages")
     if not _write_lines(out, lines):
         return 4
-    print(f"collinear passages detected: {len(passages)}")
+    log.info("collinear passages detected: %d", len(passages))
     return 0
 
 
@@ -325,10 +349,7 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED)
     p = sub.add_parser("check")
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED)
     return parser
 

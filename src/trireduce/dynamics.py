@@ -6,18 +6,13 @@ and time-reversible, so conserved-quantity drift diagnoses formula errors
 rather than integrator artifacts.  RK4 is provided for cross-checks.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateShape, NumericalBlowup
-from .geometry import (
-    CartesianState,
-    MassTriple,
-    jacobi_from_cartesian,
-    spatial_angular_momentum,
-)
-from .hamiltonian import evaluate_reduced_jacobi
+from .errors import NumericalBlowup
+from .geometry import COLLINEAR_THRESHOLD, CartesianState, MassTriple
+from .hamiltonian import ReducedBatch, evaluate_reduced_batch
 from .potential import EvalContext, PotentialSpec, eval_potential, forces_cartesian
 
 OVERFLOW_GUARD = 1e12
@@ -44,7 +39,7 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class TrajectorySample:
-    """Derived quantities recorded alongside each stored state."""
+    """Derived quantities of one recorded state (see Trajectory.samples)."""
 
     t: float
     r1: float
@@ -60,14 +55,26 @@ class TrajectorySample:
 
 
 @dataclass
-class Trajectory:
+class Trajectory(ReducedBatch):
+    """Recorded states and their reduced quantities, one row per sample.
+
+    t is (n,); x and v are (n, 3, 3) positions and velocities, one row per
+    body; the reduced columns are those of ReducedBatch.
+    """
+
     masses: MassTriple
-    times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-    samples: list = field(default_factory=list)
+    t: np.ndarray
+    x: np.ndarray
+    v: np.ndarray
 
     def __len__(self):
-        return len(self.times)
+        return len(self.t)
+
+    @property
+    def samples(self):
+        """Read-only per-sample view of the columns, built on access."""
+        columns = [getattr(self, f.name) for f in fields(TrajectorySample)]
+        return tuple(TrajectorySample(*row) for row in zip(*columns))
 
 
 def total_energy(masses: MassTriple, state: CartesianState, potential) -> float:
@@ -81,44 +88,6 @@ def total_energy(masses: MassTriple, state: CartesianState, potential) -> float:
 def _accelerations(masses, potential, positions):
     forces = forces_cartesian(potential, masses, positions)
     return forces / masses.as_array()[:, None]
-
-
-def _derived_sample(masses, potential, t, state):
-    j = jacobi_from_cartesian(masses, state)
-    E = total_energy(masses, state, potential)
-    L = spatial_angular_momentum(j)
-    try:
-        ev = evaluate_reduced_jacobi(masses, j, potential)
-        return TrajectorySample(
-            t=t,
-            r1=ev.q.r1,
-            r2=ev.q.r2,
-            phi=ev.q.phi,
-            sin_phi=ev.sin_phi,
-            J=ev.momenta.J,
-            p=ev.momenta.p,
-            H_reduced=ev.H,
-            E_total=E,
-            L=L,
-            branch=ev.branch,
-        )
-    except DegenerateShape:
-        r1 = float(np.linalg.norm(j.s1))
-        r2 = float(np.linalg.norm(j.s2))
-        nan3 = np.full(3, np.nan)
-        return TrajectorySample(
-            t=t,
-            r1=r1,
-            r2=r2,
-            phi=np.nan,
-            sin_phi=np.nan,
-            J=nan3,
-            p=nan3,
-            H_reduced=np.nan,
-            E_total=E,
-            L=L,
-            branch="degenerate",
-        )
 
 
 def _leapfrog_steps(masses, potential, x, v, dt, n, on_step):
@@ -152,30 +121,41 @@ def integrate(
     state0: CartesianState,
     potential: PotentialSpec,
     cfg: IntegratorConfig,
+    collinear_threshold=COLLINEAR_THRESHOLD,
 ) -> Trajectory:
-    """Integrate the Cartesian equations of motion and record derived
-    reduced quantities every record_stride steps."""
-    traj = Trajectory(masses=masses)
+    """Integrate the Cartesian equations of motion, record the state every
+    record_stride steps, and reduce the recorded states in one pass
+    (evaluate_reduced_batch).
 
-    def record(t, x, v):
-        state = CartesianState(x[0], x[1], x[2], v[0], v[1], v[2])
-        traj.times.append(t)
-        traj.states.append(state)
-        traj.samples.append(_derived_sample(masses, potential, t, state))
-
-    x = state0.positions
-    v = state0.velocities
-    record(0.0, x, v)
+    Raises NumericalBlowup when a coordinate leaves [-OVERFLOW_GUARD,
+    OVERFLOW_GUARD] or is NaN.
+    """
+    stride = cfg.record_stride
+    rows = cfg.steps // stride + 1
+    xs = np.empty((rows, 3, 3))
+    vs = np.empty((rows, 3, 3))
+    xs[0] = state0.positions
+    vs[0] = state0.velocities
 
     def on_step(k, x, v):
-        if np.max(np.abs(x)) > OVERFLOW_GUARD or np.max(np.abs(v)) > OVERFLOW_GUARD:
+        if not (
+            np.max(np.abs(x)) <= OVERFLOW_GUARD and np.max(np.abs(v)) <= OVERFLOW_GUARD
+        ):
             raise NumericalBlowup(f"coordinate overflow at step {k + 1}")
-        if (k + 1) % cfg.record_stride == 0:
-            record((k + 1) * cfg.dt, x, v)
+        if (k + 1) % stride == 0:
+            xs[(k + 1) // stride] = x
+            vs[(k + 1) // stride] = v
 
     stepper = _leapfrog_steps if cfg.method == "leapfrog" else _rk4_steps
-    stepper(masses, potential, x, v, cfg.dt, cfg.steps, on_step)
-    return traj
+    stepper(masses, potential, xs[0], vs[0], cfg.dt, cfg.steps, on_step)
+    reduced = evaluate_reduced_batch(masses, xs, vs, potential, collinear_threshold)
+    return Trajectory(
+        **vars(reduced),
+        masses=masses,
+        t=np.arange(rows) * stride * cfg.dt,
+        x=xs,
+        v=vs,
+    )
 
 
 @dataclass(frozen=True)
@@ -194,10 +174,7 @@ def conservation_report(
     near collinear shapes."""
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    E = np.array([s.E_total for s in traj.samples])
-    L = np.array([s.L for s in traj.samples])
-    H = np.array([s.H_reduced for s in traj.samples])
-    sin_phi = np.array([s.sin_phi for s in traj.samples])
+    E, L, H, sin_phi = traj.E_total, traj.L, traj.H_reduced, traj.sin_phi
     E0 = E[0]
     scale = abs(E0) if E0 != 0.0 else 1.0
     energy_drift = float(np.max(np.abs(E - E0)) / scale)
@@ -233,18 +210,15 @@ def detect_collinear_passages(traj: Trajectory, threshold: float):
     sample; delta_H is the largest deviation of the bracketing samples'
     values from it.
     """
-    n = len(traj)
     passages = []
-    if n < 3:
+    if len(traj) < 3:
         return passages
-    sin_phi = np.array([s.sin_phi for s in traj.samples])
-    times = np.array(traj.times)
-    for i in range(1, n - 1):
+    sin_phi, times, H = traj.sin_phi, traj.t, traj.H_reduced
+    y0, y1, y2 = sin_phi[:-2], sin_phi[1:-1], sin_phi[2:]
+    finite = np.isfinite(y0) & np.isfinite(y1) & np.isfinite(y2)
+    minima = finite & (y1 < threshold) & (y1 <= y0) & (y1 <= y2)
+    for i in np.flatnonzero(minima) + 1:
         y0, y1, y2 = sin_phi[i - 1], sin_phi[i], sin_phi[i + 1]
-        if not (np.isfinite(y0) and np.isfinite(y1) and np.isfinite(y2)):
-            continue
-        if not (y1 < threshold and y1 <= y0 and y1 <= y2):
-            continue
         denom = y0 - 2.0 * y1 + y2
         if denom > 0.0:
             offset = 0.5 * (y0 - y2) / denom
@@ -252,9 +226,7 @@ def detect_collinear_passages(traj: Trajectory, threshold: float):
             offset = 0.0
         dt = times[i + 1] - times[i]
         t_star = times[i] + offset * dt
-        H_at = traj.samples[i].H_reduced
-        H_before = traj.samples[i - 1].H_reduced
-        H_after = traj.samples[i + 1].H_reduced
+        H_before, H_at, H_after = H[i - 1], H[i], H[i + 1]
         delta = max(abs(H_before - H_at), abs(H_after - H_at))
         passages.append(
             CollinearPassage(

@@ -9,7 +9,7 @@ vectors s satisfy s = R b.
 """
 
 from dataclasses import dataclass
-from math import atan2, cos, pi, sin
+from math import atan2, cos, pi, sin, sqrt
 
 import numpy as np
 
@@ -143,22 +143,23 @@ def reduced_masses(m: MassTriple) -> ReducedMasses:
     return ReducedMasses(mu1, mu2)
 
 
-def jacobi_from_cartesian(m: MassTriple, state: CartesianState) -> JacobiVectors:
-    """Mass-weighted Jacobi vectors of a Cartesian state.
+def jacobi_map(m: MassTriple, a1, a2, a3):
+    """Mass-weighted Jacobi vectors (s1, s2) of three body vectors.
 
     s1 spans bodies 1 and 3; s2 runs from their center of mass to body 2.
+    The arguments are the bodies' positions (or velocities, for the rates),
+    each a 3-vector or an (N, 3) array of them.
     """
     mu = reduced_masses(m)
-    w1, w2 = np.sqrt(mu.mu1), np.sqrt(mu.mu2)
-    pair = m.m1 + m.m3
+    s1 = sqrt(mu.mu1) * (a1 - a3)
+    s2 = sqrt(mu.mu2) * (a2 - (m.m1 * a1 + m.m3 * a3) / (m.m1 + m.m3))
+    return s1, s2
 
-    def _map(a1, a2, a3):
-        s1 = w1 * (a1 - a3)
-        s2 = w2 * (a2 - (m.m1 * a1 + m.m3 * a3) / pair)
-        return s1, s2
 
-    s1, s2 = _map(state.x1, state.x2, state.x3)
-    sd1, sd2 = _map(state.v1, state.v2, state.v3)
+def jacobi_from_cartesian(m: MassTriple, state: CartesianState) -> JacobiVectors:
+    """Mass-weighted Jacobi vectors of a Cartesian state (see jacobi_map)."""
+    s1, s2 = jacobi_map(m, state.x1, state.x2, state.x3)
+    sd1, sd2 = jacobi_map(m, state.v1, state.v2, state.v3)
     return JacobiVectors(s1, s2, sd1, sd2)
 
 
@@ -281,14 +282,18 @@ def body_jacobi_vectors(q: ShapeCoordinates):
     return b1, b2
 
 
-def shape_to_distances(m: MassTriple, q: ShapeCoordinates):
-    """Interparticle distances (d12, d13, d23) of a shape."""
+def shape_to_distances(m: MassTriple, r1, r2, phi):
+    """Interparticle distances (d12, d13, d23) of the shape (r1, r2, phi).
+
+    The arguments may be floats or arrays of one shape.  In the body frame
+    x1 - x3 = (r1, 0, 0) / sqrt(mu1) and body 2 sits at
+    (r2 cos phi, r2 sin phi, 0) / sqrt(mu2) from the 1-3 center of mass.
+    """
     mu = reduced_masses(m)
-    b1, b2 = body_jacobi_vectors(q)
-    rel13 = b1 / np.sqrt(mu.mu1)
-    rel2 = b2 / np.sqrt(mu.mu2)
     pair = m.m1 + m.m3
-    d13 = float(np.linalg.norm(rel13))
-    d12 = float(np.linalg.norm(rel2 - m.m3 / pair * rel13))
-    d23 = float(np.linalg.norm(rel2 + m.m1 / pair * rel13))
+    d13 = r1 / sqrt(mu.mu1)
+    x2 = r2 * np.cos(phi) / sqrt(mu.mu2)
+    y2 = r2 * np.sin(phi) / sqrt(mu.mu2)
+    d12 = np.sqrt((x2 - m.m3 / pair * d13) ** 2 + y2 ** 2)
+    d23 = np.sqrt((x2 + m.m1 / pair * d13) ** 2 + y2 ** 2)
     return d12, d13, d23

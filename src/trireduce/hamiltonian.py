@@ -14,7 +14,7 @@ equals the center-of-mass energy whenever r1 and r2 are nonzero.
 """
 
 from dataclasses import dataclass
-from math import cos, sin
+from math import cos, pi, sin
 
 import numpy as np
 
@@ -28,8 +28,10 @@ from .geometry import (
     ShapeCoordinates,
     body_frame_fit,
     jacobi_from_cartesian,
+    jacobi_map,
+    shape_to_distances,
 )
-from .potential import PotentialSpec, potential_at_shape
+from .potential import PAIRS, PotentialSpec, eval_potential_batch, potential_at_shape
 from .reduction import BodyMomenta
 
 BRANCH_NONCOLLINEAR = "noncollinear"
@@ -60,10 +62,14 @@ def reduced_hamiltonian(
     and the potential value."""
     if q.r2 == 0.0:
         raise DegenerateShape("reduced Hamiltonian needs r2 > 0")
-    c = cos(q.phi)
-    a, b = q.r1 ** 2, q.r2 ** 2
     _, J2, J3 = m.J
     p1, p2, p3 = m.p
+    return _finite_form(q.r1, q.r2, cos(q.phi), T, J2, J3, p1, p2, p3, V)
+
+
+def _finite_form(r1, r2, c, T, J2, J3, p1, p2, p3, V):
+    """The module docstring's H, for floats or arrays; c = cos(phi)."""
+    a, b = r1 ** 2, r2 ** 2
     S = a + b
     quad = (
         T ** 2 / b
@@ -132,3 +138,108 @@ def evaluate_reduced_jacobi(
         singular_term=float(T),
         sin_phi=sin_phi,
     )
+
+
+@dataclass
+class ReducedBatch:
+    """Reduced quantities of N states, one row per state.
+
+    r1, r2, phi, sin_phi, H_reduced and E_total are (N,) arrays; J, p and
+    L are (N, 3); branch is an (N,) array of branch names, "degenerate"
+    where r1 = 0 or r2 = 0 (phi, sin_phi, J, p and H_reduced are NaN there).
+    """
+
+    r1: np.ndarray
+    r2: np.ndarray
+    phi: np.ndarray
+    sin_phi: np.ndarray
+    J: np.ndarray
+    p: np.ndarray
+    H_reduced: np.ndarray
+    E_total: np.ndarray
+    L: np.ndarray
+    branch: np.ndarray
+
+
+def evaluate_reduced_batch(
+    masses: MassTriple,
+    x: np.ndarray,
+    v: np.ndarray,
+    potential: PotentialSpec,
+    collinear_threshold=COLLINEAR_THRESHOLD,
+) -> ReducedBatch:
+    """evaluate_reduced on N states at once, with each state's total
+    energy and angular momentum.
+
+    x and v are (N, 3, 3) arrays of positions and velocities, one row per
+    body.  Each row follows body_frame_fit's frame rule and
+    evaluate_reduced_jacobi's formulas.  H_reduced takes V at the fitted
+    shape and E_total at the Cartesian positions, so the two stay
+    independent checks of each other.
+    """
+    n = len(x)
+    s1, s2 = jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2])
+    sd1, sd2 = jacobi_map(masses, v[:, 0], v[:, 1], v[:, 2])
+    r1 = np.linalg.norm(s1, axis=1)
+    r2 = np.linalg.norm(s2, axis=1)
+    normal = np.cross(s1, s2)
+    nn = np.linalg.norm(normal, axis=1)
+    dot = np.einsum("ij,ij->i", s1, s2)
+
+    m = masses.as_array()
+    kinetic = 0.5 * np.sum(m[:, None] * v ** 2, axis=(1, 2))
+    d = [np.linalg.norm(x[:, i] - x[:, k], axis=1) for i, k in PAIRS.values()]
+    E = kinetic + eval_potential_batch(
+        potential, masses, r1, r2, np.arctan2(nn, dot), *d
+    )
+    L = np.cross(s1, sd1) + np.cross(s2, sd2)
+
+    phi = np.full(n, np.nan)
+    sin_phi = np.full(n, np.nan)
+    H = np.full(n, np.nan)
+    J = np.full((n, 3), np.nan)
+    p = np.full((n, 3), np.nan)
+    branch = np.full(n, "degenerate", dtype=object)
+    ok = (r1 > 0.0) & (r2 > 0.0)
+    if ok.any():
+        s1, s2, sd1, sd2, normal = s1[ok], s2[ok], sd1[ok], sd2[ok], normal[ok]
+        r1k, r2k, nn, dot = r1[ok], r2[ok], nn[ok], dot[ok]
+
+        # body frame: body_frame_fit's rule, row by row
+        sin_k = nn / (r1k * r2k)
+        planar = sin_k > collinear_threshold
+        sigma = np.where(dot >= 0.0, 1.0, -1.0)
+        phi_k = np.where(planar, np.arctan2(nn, dot), np.where(sigma > 0.0, 0.0, pi))
+        u1 = s1 / r1k[:, None]
+        bending = np.cross(u1, sd2 - (sigma * r2k / r1k)[:, None] * sd1)
+        u2 = np.cross(np.where(planar[:, None], normal, bending), u1)
+        n2 = np.linalg.norm(u2, axis=1)
+        still = n2 == 0.0
+        if still.any():
+            axis = np.eye(3)[np.argmin(np.abs(u1[still]), axis=1)]
+            u2[still] = np.cross(axis, u1[still])
+            n2[still] = np.linalg.norm(u2[still], axis=1)
+        u2 = u2 / n2[:, None]
+        axes = np.stack([u1, u2, np.cross(u1, u2)], axis=1)  # R^T, row by row
+
+        # body velocities and momenta: evaluate_reduced_jacobi's formulas
+        v1 = np.einsum("kij,kj->ki", axes, sd1)
+        v2 = np.einsum("kij,kj->ki", axes, sd2)
+        s, c = np.sin(phi_k), np.cos(phi_k)
+        T = r2k * v2[:, 2]
+        p3 = r2k * (c * v2[:, 1] - s * v2[:, 0])
+        J2 = -r1k * v1[:, 2] - c * T
+        J3 = r1k * v1[:, 1] + p3
+        p2 = c * v2[:, 0] + s * v2[:, 1]
+        V = eval_potential_batch(
+            potential, masses, r1k, r2k, phi_k,
+            *shape_to_distances(masses, r1k, r2k, phi_k),
+        )
+
+        phi[ok] = phi_k
+        sin_phi[ok] = sin_k
+        J[ok] = np.stack([s * T, J2, J3], axis=1)
+        p[ok] = np.stack([v1[:, 0], p2, p3], axis=1)
+        H[ok] = _finite_form(r1k, r2k, c, T, J2, J3, v1[:, 0], p2, p3, V)
+        branch[ok] = np.where(planar, BRANCH_NONCOLLINEAR, BRANCH_COLLINEAR)
+    return ReducedBatch(r1, r2, phi, sin_phi, J, p, H, E, L, branch)

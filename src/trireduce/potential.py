@@ -17,13 +17,7 @@ from .errors import (
     PotentialSyntaxError,
     UnknownIdentifier,
 )
-from .geometry import (
-    CartesianState,
-    MassTriple,
-    ShapeCoordinates,
-    jacobi_from_cartesian,
-    shape_to_distances,
-)
+from .geometry import MassTriple, ShapeCoordinates, jacobi_map, shape_to_distances
 
 VARIABLES = ("r1", "r2", "phi", "d12", "d13", "d23")
 CONSTANTS = {"pi": np.pi, "e": np.e}
@@ -261,7 +255,10 @@ def _eval_node(node, values):
             raise DomainError("sqrt", x)
         if node.fn == "log" and x <= 0.0:
             raise DomainError("log", x)
-        return _FN_IMPL[node.fn](x)
+        try:
+            return _FN_IMPL[node.fn](x)
+        except (OverflowError, ValueError):  # exp overflow, sin/cos of inf
+            raise DomainError(node.fn, x)
     a = _eval_node(node.left, values)
     b = _eval_node(node.right, values)
     if node.op == "+":
@@ -331,19 +328,19 @@ class EvalContext:
 
     @classmethod
     def from_shape(cls, masses: MassTriple, q: ShapeCoordinates):
-        d12, d13, d23 = shape_to_distances(masses, q)
+        # Python floats, so that the expression walk keeps Python's
+        # arithmetic (a complex power is a DomainError, not a numpy NaN)
+        d12, d13, d23 = map(float, shape_to_distances(masses, q.r1, q.r2, q.phi))
         return cls(masses, q.r1, q.r2, q.phi, d12, d13, d23)
 
     @classmethod
     def from_positions(cls, masses: MassTriple, positions):
         x1, x2, x3 = (np.asarray(p, dtype=float) for p in positions)
-        zero = np.zeros(3)
-        state = CartesianState(x1, x2, x3, zero, zero, zero)
-        j = jacobi_from_cartesian(masses, state)
-        r1 = float(np.linalg.norm(j.s1))
-        r2 = float(np.linalg.norm(j.s2))
-        cross = float(np.linalg.norm(np.cross(j.s1, j.s2)))
-        dot = float(np.dot(j.s1, j.s2))
+        s1, s2 = jacobi_map(masses, x1, x2, x3)
+        r1 = float(np.linalg.norm(s1))
+        r2 = float(np.linalg.norm(s2))
+        cross = float(np.linalg.norm(np.cross(s1, s2)))
+        dot = float(np.dot(s1, s2))
         phi = atan2(cross, dot)
         return cls(
             masses,
@@ -371,16 +368,23 @@ def _pair_masses(m: MassTriple):
     return {name: (arr[i], arr[j]) for name, (i, j) in PAIRS.items()}
 
 
+def _require_nonzero(spec, d):
+    # floats skip numpy: a numpy call per pair would cost microseconds on
+    # every force evaluation
+    if (d == 0.0) if isinstance(d, float) else not np.all(d):
+        raise DomainError(spec.builtin, 0.0)
+
+
 def _builtin_pair_energy(spec, m, name, d):
-    """Energy contribution and d(energy)/d(distance) of one pair."""
+    """Energy contribution and d(energy)/d(distance) of one pair, at a
+    distance d given as a float or as an array of distances."""
     params = spec.params
     if spec.builtin == "free":
         return 0.0, 0.0
     if spec.builtin == "gravity":
         G = params.get("G", 1.0)
         mi, mj = _pair_masses(m)[name]
-        if d == 0.0:
-            raise DomainError("gravity", d)
+        _require_nonzero(spec, d)
         return -G * mi * mj / d, G * mi * mj / d ** 2
     if spec.builtin == "harmonic":
         k = params.get("k", 1.0)
@@ -389,8 +393,7 @@ def _builtin_pair_energy(spec, m, name, d):
     if spec.builtin == "lennard_jones":
         eps = params.get("epsilon", 1.0)
         sig = params.get("sigma", 1.0)
-        if d == 0.0:
-            raise DomainError("lennard_jones", d)
+        _require_nonzero(spec, d)
         s6 = (sig / d) ** 6
         energy = 4.0 * eps * (s6 * s6 - s6)
         deriv = 4.0 * eps * (-12.0 * s6 * s6 + 6.0 * s6) / d
@@ -405,6 +408,26 @@ def eval_potential(spec: PotentialSpec, ctx: EvalContext) -> float:
     total = 0.0
     for name in PAIRS:
         energy, _ = _builtin_pair_energy(spec, ctx.masses, name, getattr(ctx, name))
+        total += energy
+    return total
+
+
+def eval_potential_batch(
+    spec: PotentialSpec, masses: MassTriple, r1, r2, phi, d12, d13, d23
+) -> np.ndarray:
+    """Potential energy at N shapes, each variable given as an (N,) array.
+
+    Built-in families are evaluated on the arrays; expressions walk the tree
+    once per shape, on Python floats, with the domain checks of
+    eval_potential.
+    """
+    if spec.ast is not None:
+        columns = (np.asarray(a, dtype=float).tolist() for a in (r1, r2, phi, d12, d13, d23))
+        values = [_eval_node(spec.ast, dict(zip(VARIABLES, row))) for row in zip(*columns)]
+        return np.array(values, dtype=float)
+    total = np.zeros(np.shape(d12))
+    for name, d in zip(PAIRS, (d12, d13, d23)):
+        energy, _ = _builtin_pair_energy(spec, masses, name, d)
         total += energy
     return total
 

@@ -62,7 +62,7 @@ def test_criterion_6_trajectory_conservation():
         rep = conservation_report(traj)
         drifts.append(rep.energy_drift_rel)
         if L_rel is None:
-            L_rel = rep.L_drift_inf / np.linalg.norm(traj.samples[0].L)
+            L_rel = rep.L_drift_inf / np.linalg.norm(traj.L[0])
             tracking = rep.tracking_error_outside_band
     ratio = drifts[0] / drifts[1]
 
@@ -114,11 +114,9 @@ def test_criterion_7_equivariance():
             Q @ state.v1, Q @ state.v2, Q @ state.v3,
         )
         other = integrate(masses, rotated, potential, cfg)
-        for a, b in zip(base.samples, other.samples):
-            worst_shape = max(
-                worst_shape, abs(a.r1 - b.r1), abs(a.r2 - b.r2), abs(a.phi - b.phi)
-            )
-            worst_H = max(worst_H, abs(a.H_reduced - b.H_reduced))
+        shape_dev = [np.abs(getattr(base, k) - getattr(other, k)) for k in ("r1", "r2", "phi")]
+        worst_shape = max(worst_shape, *(float(np.max(d)) for d in shape_dev))
+        worst_H = max(worst_H, float(np.max(np.abs(base.H_reduced - other.H_reduced))))
     ok = worst_shape < 1e-9 and worst_H < 1e-10
     report(
         "criterion 7 (rotation equivariance of reduced series)",

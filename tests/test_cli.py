@@ -1,8 +1,12 @@
 import json
-from math import sqrt
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trireduce
 from trireduce.cli import (
     EVALUATE_HEADER,
     PASSAGES_HEADER,
@@ -47,6 +51,23 @@ def run(args):
     return main(args)
 
 
+def run_process(args):
+    """The CLI in a fresh interpreter, for what it writes to each stream."""
+    env = {k: v for k, v in os.environ.items() if k != "TRIREDUCE_LOG"}
+    src = str(Path(trireduce.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "trireduce.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def trajectory_rows(text):
+    lines = text.splitlines()
+    assert lines[0] == TRAJECTORY_HEADER
+    return [dict(zip(TRAJECTORY_HEADER.split(","), ln.split(","))) for ln in lines[1:]]
+
+
 class TestSimulate:
     def test_row_count_and_header(self, tmp_path):
         cfg = write_config(tmp_path, HARMONIC_CONFIG)
@@ -63,11 +84,53 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_conservation_summary_printed(self, tmp_path, capsys):
+    def test_conservation_summary_printed(self, tmp_path):
         cfg = write_config(tmp_path, HARMONIC_CONFIG)
         out = tmp_path / "traj.csv"
-        run(["simulate", "--config", cfg, "--out", str(out)])
-        assert "energy_drift_rel" in capsys.readouterr().out
+        done = run_process(["simulate", "--config", cfg, "--out", str(out)])
+        assert done.returncode == 0
+        assert "energy_drift_rel" in done.stderr
+        assert done.stdout == ""
+
+    def test_stdout_holds_only_csv(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, HARMONIC_CONFIG)
+        assert run(["simulate", "--config", cfg, "--out", "-"]) == 0
+        rows = trajectory_rows(capsys.readouterr().out)
+        assert len(rows) == 1 + 1000 // 100  # t = 0 and strided samples, nothing else
+        cfg = write_config(tmp_path, CROSSING_CONFIG, name="crossing.json")
+        assert run(["collinear-report", "--config", cfg, "--out", "-"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == PASSAGES_HEADER
+        assert len(lines) == 2
+
+    def test_collinear_threshold_honoured(self, tmp_path):
+        # at threshold 0.999999 every shape of this run but a right angle
+        # takes the collinear rule, as evaluate reports for the initial state
+        wide = dict(HARMONIC_CONFIG, thresholds={"collinear": 0.999999})
+        cfg = write_config(tmp_path, wide)
+        out = tmp_path / "eval.csv"
+        assert run(["evaluate", "--config", cfg, "--out", str(out)]) == 0
+        fields = dict(zip(EVALUATE_HEADER.split(","), out.read_text().splitlines()[1].split(",")))
+        assert fields["branch"] == "collinear"
+        out = tmp_path / "traj.csv"
+        assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        rows = trajectory_rows(out.read_text())
+        assert [row["branch"] for row in rows] == ["collinear"] * len(rows)
+        H0 = float(fields["H_reduced"])
+        assert float(rows[0]["H_reduced"]) == pytest.approx(H0, rel=1e-12)
+
+    def test_nan_state_exit_3(self, tmp_path, caplog):
+        # inf - inf: the forces, and then the positions, are NaN
+        nan = dict(HARMONIC_CONFIG, potential={"expression": "d12*1e308*10 - d13*1e308*10"})
+        cfg = write_config(tmp_path, nan)
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
+        assert "NumericalBlowup" in caplog.text
+
+    def test_expression_overflow_exit_3(self, tmp_path, caplog):
+        big = dict(HARMONIC_CONFIG, potential={"expression": "exp(d12*1000)"})
+        cfg = write_config(tmp_path, big)
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
+        assert "DomainError" in caplog.text and "'exp'" in caplog.text
 
     def test_negative_mass_exit_2(self, tmp_path, caplog):
         bad = dict(HARMONIC_CONFIG, masses=[1.0, -1.0, 1.0])
@@ -257,6 +320,19 @@ class TestCollinearReport:
 
 
 class TestCheck:
+    def test_ignored_flags_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, HARMONIC_CONFIG)
+        for argv in (
+            ["simulate", "--config", cfg, "--seed", "3"],
+            ["evaluate", "--config", cfg, "--seed", "3"],
+            ["collinear-report", "--config", cfg, "--seed", "3"],
+            ["check", "--config", cfg],
+            ["check", "--out", str(tmp_path / "o.txt")],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2
+
     def test_default_run_passes(self, capsys):
         assert run(["check"]) == 0
         out = capsys.readouterr().out

@@ -72,16 +72,17 @@ class TestIntegrate:
         cfg = IntegratorConfig(dt=0.01, steps=100, record_stride=10)
         traj = integrate(MASSES, harmonic_setup(), HARMONIC, cfg)
         assert len(traj) == 11
-        assert traj.times[0] == 0.0
-        assert traj.times[-1] == pytest.approx(1.0)
+        assert traj.t[0] == 0.0
+        assert traj.t[-1] == pytest.approx(1.0)
+        assert traj.x.shape == traj.v.shape == (11, 3, 3)
 
     def test_free_motion_is_linear(self):
         state = crossing_setup()
         cfg = IntegratorConfig(dt=0.05, steps=20)
         traj = integrate(MASSES, state, FREE, cfg)
-        final = traj.states[-1]
-        assert np.allclose(final.x2, state.x2 + 1.0 * state.v2, atol=1e-12)
-        assert np.allclose(final.x1, state.x1, atol=1e-12)
+        final = traj.x[-1]
+        assert np.allclose(final[1], state.x2 + 1.0 * state.v2, atol=1e-12)
+        assert np.allclose(final[0], state.x1, atol=1e-12)
         rep = conservation_report(traj)
         assert rep.energy_drift_rel < 1e-14
         assert rep.L_drift_inf < 1e-14
@@ -89,17 +90,12 @@ class TestIntegrate:
     def test_leapfrog_time_reversal(self):
         cfg = IntegratorConfig(dt=0.01, steps=1000, record_stride=1000)
         fwd = integrate(MASSES, harmonic_setup(), HARMONIC, cfg)
-        end = fwd.states[-1]
         back = integrate(
-            MASSES,
-            CartesianState(end.x1, end.x2, end.x3, -end.v1, -end.v2, -end.v3),
-            HARMONIC,
-            cfg,
+            MASSES, CartesianState(*fwd.x[-1], *-fwd.v[-1]), HARMONIC, cfg
         )
         start = harmonic_setup()
-        final = back.states[-1]
-        assert np.allclose(final.positions, start.positions, atol=1e-9)
-        assert np.allclose(-final.velocities, start.velocities, atol=1e-9)
+        assert np.allclose(back.x[-1], start.positions, atol=1e-9)
+        assert np.allclose(-back.v[-1], start.velocities, atol=1e-9)
 
     def test_energy_drift_scales_as_dt_squared(self):
         drifts = []
@@ -126,8 +122,8 @@ class TestIntegrate:
         finals = []
         for method in ("leapfrog", "rk4"):
             cfg = IntegratorConfig(method=method, dt=0.001, steps=1000)
-            finals.append(integrate(MASSES, state, HARMONIC, cfg).states[-1])
-        assert np.allclose(finals[0].positions, finals[1].positions, atol=1e-5)
+            finals.append(integrate(MASSES, state, HARMONIC, cfg).x[-1])
+        assert np.allclose(finals[0], finals[1], atol=1e-5)
 
     def test_blowup_guard(self):
         z = np.zeros(3)
@@ -171,11 +167,11 @@ class TestPassages:
         x0 = xc - 0.5 * v
         state = CartesianState(*x0, *v)
         traj = integrate(MASSES, state, FREE, IntegratorConfig(dt=0.01, steps=100))
-        L = traj.samples[50].L
+        L = traj.L[50]
         assert abs(L[0]) > 0.1 * np.linalg.norm(L)  # bending along x meets L
         (p,) = detect_collinear_passages(traj, threshold=0.5)
         assert p.sin_phi_min < 1e-8
-        assert traj.samples[50].branch == "collinear"
+        assert traj.branch[50] == "collinear"
         assert p.delta_H < 1e-10 * abs(p.H_at)
 
     def test_no_crossing_empty(self):
@@ -189,7 +185,7 @@ class TestPassages:
             z,
         )
         traj = integrate(MASSES, state, FREE, IntegratorConfig(dt=0.01, steps=20))
-        assert all(s.sin_phi >= 0.5 for s in traj.samples)
+        assert np.all(traj.sin_phi >= 0.5)
         assert detect_collinear_passages(traj, threshold=0.5) == []
 
     def test_zero_threshold_empty(self):

@@ -303,7 +303,7 @@ class TestShapeToDistances:
     def test_equilateral_style_example(self):
         m = MassTriple(1, 1, 1)
         q = ShapeCoordinates(sqrt(2), sqrt(2.0 / 3.0), pi / 2)
-        d12, d13, d23 = shape_to_distances(m, q)
+        d12, d13, d23 = shape_to_distances(m, q.r1, q.r2, q.phi)
         assert d12 == pytest.approx(sqrt(2), rel=1e-14)
         assert d13 == pytest.approx(2.0, rel=1e-14)
         assert d23 == pytest.approx(sqrt(2), rel=1e-14)
@@ -311,7 +311,7 @@ class TestShapeToDistances:
     def test_midpoint_symmetry(self):
         m = MassTriple(1, 1, 1)
         q = ShapeCoordinates(sqrt(2), 0.0, 0.0)
-        d12, d13, d23 = shape_to_distances(m, q)
+        d12, d13, d23 = shape_to_distances(m, q.r1, q.r2, q.phi)
         assert d12 == pytest.approx(d13 / 2, rel=1e-12)
         assert d23 == pytest.approx(d13 / 2, rel=1e-12)
 
@@ -322,7 +322,7 @@ class TestShapeToDistances:
             s = CartesianState(*pos, *np.zeros((3, 3)))
             j = jacobi_from_cartesian(m, s)
             _, q = body_frame_fit(j)
-            d12, d13, d23 = shape_to_distances(m, q)
+            d12, d13, d23 = shape_to_distances(m, q.r1, q.r2, q.phi)
             assert d12 == pytest.approx(np.linalg.norm(pos[0] - pos[1]), rel=1e-12)
             assert d13 == pytest.approx(np.linalg.norm(pos[0] - pos[2]), rel=1e-12)
             assert d23 == pytest.approx(np.linalg.norm(pos[1] - pos[2]), rel=1e-12)

@@ -17,10 +17,13 @@ from trireduce.geometry import (
     body_frame_fit,
     body_jacobi_vectors,
     cartesian_from_jacobi,
+    jacobi_from_cartesian,
     spatial_angular_momentum,
 )
 from trireduce.hamiltonian import (
     evaluate_reduced,
+    evaluate_reduced_batch,
+    evaluate_reduced_jacobi,
     reduced_hamiltonian,
     singular_term,
 )
@@ -314,8 +317,15 @@ PHI_BY_KIND = {
 }
 
 
+MASS_TRIPLES = st.tuples(*[st.floats(0.3, 3.0)] * 3).map(lambda m: MassTriple(*m))
+VECTORS = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3).map(np.array)
+ROTATIONS = st.integers(0, 2 ** 32 - 1).map(
+    lambda seed: random_rotation(np.random.default_rng(seed))
+)
+
+
 @st.composite
-def rotated_states(draw):
+def rotated_states(draw, masses=MASS_TRIPLES):
     """Zero-momentum Cartesian state of a given shape kind, randomly
     rotated.  Collinear kinds have s2 exactly parallel to s1 after the
     rotation; zero_L ones also have L = 0 (as the figure-eight start)."""
@@ -324,21 +334,20 @@ def rotated_states(draw):
     if kind in ("sub_threshold", "near_collinear") and draw(st.booleans()):
         phi = pi - phi
     r1, r2 = draw(st.floats(0.3, 2.0)), draw(st.floats(0.3, 2.0))
-    vector = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3).map(np.array)
-    sd1, sd2 = draw(vector), draw(vector)
+    sd1, sd2 = draw(VECTORS), draw(VECTORS)
     k = r2 / r1 * cos(phi)
     if kind == "collinear_planar":
         sd1[2] = sd2[2] = 0.0
     if kind == "zero_L":
         # L = r1 e1 x (sd1 + k sd2) in the body frame
         sd1[1:] = -k * sd2[1:]
-    Q = random_rotation(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    Q = draw(ROTATIONS)
     s1 = Q @ np.array([r1, 0.0, 0.0])
     if kind in COLLINEAR_KINDS:
         s2 = k * s1
     else:
         s2 = Q @ np.array([r2 * cos(phi), r2 * sin(phi), 0.0])
-    masses = MassTriple(*(draw(st.floats(0.3, 3.0)) for _ in range(3)))
+    masses = draw(masses)
     state = cartesian_from_jacobi(masses, JacobiVectors(s1, s2, Q @ sd1, Q @ sd2))
     return kind, masses, state
 
@@ -354,3 +363,69 @@ class TestFiniteEverywhere:
         assert abs(ev.H - E) / max(1.0, abs(E)) <= 1e-10, kind
         if kind in COLLINEAR_KINDS:
             assert ev.branch == "collinear"
+
+
+@st.composite
+def degenerate_states(draw, masses):
+    """A state with r2 = 0 (body 2 at the 1-3 center of mass) or r1 = 0
+    (bodies 1 and 3 coincide), exactly, and random velocities."""
+    Q = draw(ROTATIONS)
+    x1 = Q @ np.array([draw(st.floats(0.3, 2.0)), 0.0, 0.0])
+    x3 = -x1 if draw(st.booleans()) else x1
+    x2 = (masses.m1 * x1 + masses.m3 * x3) / (masses.m1 + masses.m3)
+    if np.array_equal(x1, x3):
+        x2 = Q @ np.array([0.0, draw(st.floats(0.3, 2.0)), 0.0])
+    return CartesianState(x1, x2, x3, draw(VECTORS), draw(VECTORS), draw(VECTORS))
+
+
+@st.composite
+def state_batches(draw):
+    masses = draw(MASS_TRIPLES)
+    one = st.one_of(
+        rotated_states(st.just(masses)).map(lambda case: case[2]),
+        degenerate_states(masses),
+    )
+    return masses, draw(st.lists(one, min_size=1, max_size=6))
+
+
+BATCH_POTENTIALS = (
+    builtin_potential("harmonic", k=0.7),
+    parse_potential("0.35*(d12 - 1)^2 + 0.5*(d23 - 0.8)^2 + r2^2*cos(phi)/4 + r1/3"),
+)
+
+
+def _close(a, b):
+    """|a - b| <= 1e-12 max(1, |b|), for scalars or 3-vectors."""
+    return np.max(np.abs(a - b)) <= 1e-12 * max(1.0, float(np.linalg.norm(b)))
+
+
+class TestBatchKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        state_batches(),
+        st.sampled_from(BATCH_POTENTIALS),
+        st.sampled_from([COLLINEAR_THRESHOLD, 0.5]),
+    )
+    def test_rows_match_scalar_reference(self, batch, potential, threshold):
+        masses, states = batch
+        x = np.array([s.positions for s in states])
+        v = np.array([s.velocities for s in states])
+        out = evaluate_reduced_batch(masses, x, v, potential, threshold)
+        for i, state in enumerate(states):
+            j = jacobi_from_cartesian(masses, state)
+            assert _close(out.E_total[i], total_energy(masses, state, potential))
+            assert _close(out.L[i], spatial_angular_momentum(j))
+            try:
+                ev = evaluate_reduced_jacobi(masses, j, potential, threshold)
+            except DegenerateShape:
+                assert out.branch[i] == "degenerate"
+                nan = [out.phi[i], out.sin_phi[i], out.H_reduced[i], *out.J[i], *out.p[i]]
+                assert np.all(np.isnan(nan))
+                continue
+            assert out.branch[i] == ev.branch
+            assert _close(out.H_reduced[i], ev.H)
+            assert _close(out.J[i], ev.momenta.J)
+            assert _close(out.p[i], ev.momenta.p)
+            for name in ("r1", "r2", "phi"):
+                assert _close(getattr(out, name)[i], getattr(ev.q, name))
+            assert _close(out.sin_phi[i], ev.sin_phi)

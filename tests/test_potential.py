@@ -17,6 +17,7 @@ from trireduce.potential import (
     Var,
     builtin_potential,
     eval_potential,
+    eval_potential_batch,
     forces_cartesian,
     parse_expression,
     parse_potential,
@@ -132,6 +133,19 @@ class TestEval:
         spec = parse_potential("sqrt(r1 - 2)")
         with pytest.raises(DomainError):
             eval_potential(spec, ctx_with(r1=1.0))
+
+    def test_power_domain_on_every_path(self):
+        # a negative base to a fractional power: a plain context, a context
+        # built from a shape, and the batch evaluation all raise
+        spec = parse_potential("(d12 - 10)^0.5")
+        with pytest.raises(DomainError):
+            eval_potential(spec, ctx_with(d12=1.0))
+        q = ShapeCoordinates(1.4, 0.9, 1.2)
+        with pytest.raises(DomainError):
+            eval_potential(spec, EvalContext.from_shape(MASSES, q))
+        ones = np.ones(2)
+        with pytest.raises(DomainError):
+            eval_potential_batch(spec, MASSES, ones, ones, ones, ones, ones, ones)
 
     def test_rotation_invariance_by_construction(self):
         # the context depends only on the shape, so rotated Cartesian

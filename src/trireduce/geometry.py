@@ -3,13 +3,13 @@
 Conventions: the body frame is u1 along the first mass-weighted relative
 vector, u2 the in-plane unit vector with nonnegative projection on the
 second, u3 = u1 x u2 (right-handed); at collinear shapes, where that plane
-is undefined, u2 follows the bending motion (see body_frame_fit).  The
+is undefined, u2 follows the bending motion (see body_frames).  The
 rotation matrix R has the body axes as columns, so body vectors b and space
 vectors s satisfy s = R b.
 """
 
 from dataclasses import dataclass
-from math import atan2, cos, pi, sin, sqrt
+from math import cos, pi, sin, sqrt
 
 import numpy as np
 
@@ -206,43 +206,67 @@ def rotation_from_euler(e: EulerAngles) -> np.ndarray:
     return np.column_stack([u1, u2, u3])
 
 
-def body_frame_fit(j: JacobiVectors, collinear_threshold=COLLINEAR_THRESHOLD):
-    """Fit the body frame and shape coordinates of a state.
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
 
-    Returns (R, ShapeCoordinates) with R s_body = s_space and u1 along s1.
-    Above collinear_threshold (on |s1 x s2|/(|s1||s2|)) u3 is the unit
-    normal of the plane of s1 and s2.  At or below it phi is 0 or pi and u2
-    points along the bending rate sdot2 - sigma (r2/r1) sdot1 (perpendicular
-    part, sigma = sign(s1 . s2)), the limit of the normal-based frame along
-    the motion; with no bending u2 is a fixed perpendicular of u1.  Raises
-    DegenerateShape when |s1| = 0 or |s2| = 0.
+
+def cross(a, b):
+    """a x b for (..., 3) arrays, rounded as np.cross, without its axis
+    handling (which costs more than the product on a few rows)."""
+    return a.take(_NEXT, -1) * b.take(_LAST, -1) - a.take(_LAST, -1) * b.take(_NEXT, -1)
+
+
+def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
+    """Body frames and shape coordinates of N states, from (N, 3) arrays
+    of Jacobi vectors and their rates.
+
+    u1 lies along s1.  Above collinear_threshold (on sin_phi =
+    |s1 x s2|/(r1 r2)) u3 is the unit normal of the plane of s1 and s2.  At
+    or below it phi is 0 or pi and u2 points along the bending rate
+    sdot2 - sigma (r2/r1) sdot1 (perpendicular part, sigma = sign(s1 . s2)),
+    the limit of the normal-based frame along the motion; with no bending
+    u2 is a fixed perpendicular of u1.  Returns (axes, r1, r2, phi,
+    sin_phi, planar): axes[k] is R^T of state k (rows u1, u2, u3) and
+    planar marks the rows above the threshold.  Raises DegenerateShape
+    when a row has |s1| = 0 or |s2| = 0.
     """
-    r1 = float(np.linalg.norm(j.s1))
-    if r1 == 0.0:
+    r1, r2 = np.linalg.norm(s1, axis=1), np.linalg.norm(s2, axis=1)
+    if not r1.all():
         raise DegenerateShape("|s1| = 0: body frame undefined")
-    r2 = float(np.linalg.norm(j.s2))
-    if r2 == 0.0:
+    if not r2.all():
         raise DegenerateShape("r2 = 0: phi undefined")
-    u1 = j.s1 / r1
-    normal = np.cross(j.s1, j.s2)
-    nn = float(np.linalg.norm(normal))
-    dot = float(np.dot(j.s1, j.s2))
-    if nn / (r1 * r2) > collinear_threshold:
-        phi = atan2(nn, dot)
-    else:
-        sigma = 1.0 if dot >= 0.0 else -1.0
-        phi = 0.0 if sigma > 0.0 else pi
-        normal = np.cross(u1, j.sdot2 - sigma * r2 / r1 * j.sdot1)
+    normal = cross(s1, s2)
+    nn = np.linalg.norm(normal, axis=1)
+    dot = np.einsum("ij,ij->i", s1, s2)
+    sin_phi = nn / (r1 * r2)
+    planar = sin_phi > collinear_threshold
+    phi = np.arctan2(nn, dot)
+    u1 = s1 / r1[:, None]
+    if not planar.all():
+        sigma = np.where(dot >= 0.0, 1.0, -1.0)
+        phi = np.where(planar, phi, np.where(sigma > 0.0, 0.0, pi))
+        bending = cross(u1, sd2 - (sigma * r2 / r1)[:, None] * sd1)
+        normal = np.where(planar[:, None], normal, bending)
     # Crossing with u1 keeps u2 orthogonal to u1 to rounding, also when
     # normal is a nearly cancelling cross product of nearly parallel vectors.
-    u2 = np.cross(normal, u1)
-    n2 = float(np.linalg.norm(u2))
-    if n2 == 0.0:
-        u2 = np.cross(np.eye(3)[np.argmin(np.abs(u1))], u1)
-        n2 = float(np.linalg.norm(u2))
-    u2 = u2 / n2
-    R = np.column_stack([u1, u2, np.cross(u1, u2)])
-    return R, ShapeCoordinates(r1, r2, phi)
+    u2 = cross(normal, u1)
+    n2 = np.linalg.norm(u2, axis=1)
+    still = n2 == 0.0
+    if still.any():
+        axis = np.eye(3)[np.argmin(np.abs(u1[still]), axis=1)]
+        u2[still] = cross(axis, u1[still])
+        n2[still] = np.linalg.norm(u2[still], axis=1)
+    u2 = u2 / n2[:, None]
+    axes = np.stack([u1, u2, cross(u1, u2)], axis=1)
+    return axes, r1, r2, phi, sin_phi, planar
+
+
+def body_frame_fit(j: JacobiVectors, collinear_threshold=COLLINEAR_THRESHOLD):
+    """Fit the body frame and shape coordinates of a state by the rule of
+    body_frames; returns (R, ShapeCoordinates) with R s_body = s_space."""
+    axes, r1, r2, phi, _, _ = body_frames(
+        j.s1[None], j.s2[None], j.sdot1[None], j.sdot2[None], collinear_threshold
+    )
+    return axes[0].T, ShapeCoordinates(float(r1[0]), float(r2[0]), float(phi[0]))
 
 
 def omega_from_rotation_rate(R: np.ndarray, Rdot: np.ndarray) -> np.ndarray:

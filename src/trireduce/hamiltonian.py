@@ -14,7 +14,7 @@ equals the center-of-mass energy whenever r1 and r2 are nonzero.
 """
 
 from dataclasses import dataclass
-from math import cos, pi, sin
+from math import cos, sin
 
 import numpy as np
 
@@ -26,12 +26,13 @@ from .geometry import (
     JacobiVectors,
     MassTriple,
     ShapeCoordinates,
-    body_frame_fit,
+    body_frames,
+    cross,
     jacobi_from_cartesian,
     jacobi_map,
     shape_to_distances,
 )
-from .potential import PAIRS, PotentialSpec, eval_potential_batch, potential_at_shape
+from .potential import PAIRS, PotentialSpec, eval_potential_batch
 from .reduction import BodyMomenta
 
 BRANCH_NONCOLLINEAR = "noncollinear"
@@ -112,32 +113,47 @@ def evaluate_reduced_jacobi(
     potential: PotentialSpec,
     collinear_threshold=COLLINEAR_THRESHOLD,
 ) -> ReducedEvaluation:
-    """As evaluate_reduced, starting from Jacobi vectors.
-
-    With body velocities v1 = R^T sdot1, v2 = R^T sdot2:
-    T = r2 v2[2], J2 + cos(phi) T = r1^2 w2 with w2 = -v1[2] / r1, and
-    p3 = r2^2 (w3 + phidot), the in-plane rotation rate of s2 times r2^2.
-    """
-    R, q = body_frame_fit(j, collinear_threshold=collinear_threshold)
-    v1 = R.T @ j.sdot1
-    v2 = R.T @ j.sdot2
-    s, c = sin(q.phi), cos(q.phi)
-    T = q.r2 * v2[2]
-    p3 = q.r2 * (c * v2[1] - s * v2[0])
-    J = np.array([s * T, -q.r1 * v1[2] - c * T, q.r1 * v1[1] + p3])
-    momenta = BodyMomenta(J, np.array([v1[0], c * v2[0] + s * v2[1], p3]))
-    V = potential_at_shape(potential, masses, q)
-    sin_phi = float(np.linalg.norm(np.cross(j.s1, j.s2))) / (q.r1 * q.r2)
-    return ReducedEvaluation(
-        H=reduced_hamiltonian(q, momenta, T, V),
-        branch=(
-            BRANCH_NONCOLLINEAR if sin_phi > collinear_threshold else BRANCH_COLLINEAR
-        ),
-        q=q,
-        momenta=momenta,
-        singular_term=float(T),
-        sin_phi=sin_phi,
+    """As evaluate_reduced, from Jacobi vectors: one row of the batch kernel.
+    Raises DegenerateShape when |s1| = 0 or |s2| = 0."""
+    r1, r2, phi, sin_phi, planar, J, p, T, H = _reduce_rows(
+        masses, potential, collinear_threshold,
+        j.s1[None], j.s2[None], j.sdot1[None], j.sdot2[None],
     )
+    return ReducedEvaluation(
+        H=float(H[0]),
+        branch=BRANCH_NONCOLLINEAR if planar[0] else BRANCH_COLLINEAR,
+        q=ShapeCoordinates(float(r1[0]), float(r2[0]), float(phi[0])),
+        momenta=BodyMomenta(J[0], p[0]),
+        singular_term=float(T[0]),
+        sin_phi=float(sin_phi[0]),
+    )
+
+
+def _reduce_rows(masses, potential, collinear_threshold, s1, s2, sd1, sd2):
+    """Shape, momenta and H of N states given as (N, 3) Jacobi rows.
+
+    The frame comes from body_frames.  With body velocities v1 = R^T sdot1,
+    v2 = R^T sdot2: T = r2 v2[2], J2 + cos(phi) T = r1^2 w2 with
+    w2 = -v1[2] / r1, and p3 = r2^2 (w3 + phidot), the in-plane rotation
+    rate of s2 times r2^2.  Returns (r1, r2, phi, sin_phi, planar, J, p, T,
+    H), with J and p of shape (N, 3) and the others (N,).
+    """
+    axes, r1, r2, phi, sin_phi, planar = body_frames(s1, s2, sd1, sd2, collinear_threshold)
+    v1 = np.einsum("kij,kj->ki", axes, sd1)
+    v2 = np.einsum("kij,kj->ki", axes, sd2)
+    s, c = np.sin(phi), np.cos(phi)
+    T = r2 * v2[:, 2]
+    p3 = r2 * (c * v2[:, 1] - s * v2[:, 0])
+    J2 = -r1 * v1[:, 2] - c * T
+    J3 = r1 * v1[:, 1] + p3
+    p2 = c * v2[:, 0] + s * v2[:, 1]
+    V = eval_potential_batch(
+        potential, masses, r1, r2, phi, *shape_to_distances(masses, r1, r2, phi)
+    )
+    H = _finite_form(r1, r2, c, T, J2, J3, v1[:, 0], p2, p3, V)
+    J = np.stack([s * T, J2, J3], axis=1)
+    p = np.stack([v1[:, 0], p2, p3], axis=1)
+    return r1, r2, phi, sin_phi, planar, J, p, T, H
 
 
 @dataclass
@@ -172,8 +188,8 @@ def evaluate_reduced_batch(
     energy and angular momentum.
 
     x and v are (N, 3, 3) arrays of positions and velocities, one row per
-    body.  Each row follows body_frame_fit's frame rule and
-    evaluate_reduced_jacobi's formulas.  H_reduced takes V at the fitted
+    body.  The rows with r1, r2 > 0 go through _reduce_rows, the kernel of
+    evaluate_reduced_jacobi.  H_reduced takes V at the fitted
     shape and E_total at the Cartesian positions, so the two stay
     independent checks of each other.
     """
@@ -182,17 +198,15 @@ def evaluate_reduced_batch(
     sd1, sd2 = jacobi_map(masses, v[:, 0], v[:, 1], v[:, 2])
     r1 = np.linalg.norm(s1, axis=1)
     r2 = np.linalg.norm(s2, axis=1)
-    normal = np.cross(s1, s2)
-    nn = np.linalg.norm(normal, axis=1)
-    dot = np.einsum("ij,ij->i", s1, s2)
 
     m = masses.as_array()
     kinetic = 0.5 * np.sum(m[:, None] * v ** 2, axis=(1, 2))
     d = [np.linalg.norm(x[:, i] - x[:, k], axis=1) for i, k in PAIRS.values()]
-    E = kinetic + eval_potential_batch(
-        potential, masses, r1, r2, np.arctan2(nn, dot), *d
+    phi_x = np.arctan2(
+        np.linalg.norm(cross(s1, s2), axis=1), np.einsum("ij,ij->i", s1, s2)
     )
-    L = np.cross(s1, sd1) + np.cross(s2, sd2)
+    E = kinetic + eval_potential_batch(potential, masses, r1, r2, phi_x, *d)
+    L = cross(s1, sd1) + cross(s2, sd2)
 
     phi = np.full(n, np.nan)
     sin_phi = np.full(n, np.nan)
@@ -202,44 +216,8 @@ def evaluate_reduced_batch(
     branch = np.full(n, "degenerate", dtype=object)
     ok = (r1 > 0.0) & (r2 > 0.0)
     if ok.any():
-        s1, s2, sd1, sd2, normal = s1[ok], s2[ok], sd1[ok], sd2[ok], normal[ok]
-        r1k, r2k, nn, dot = r1[ok], r2[ok], nn[ok], dot[ok]
-
-        # body frame: body_frame_fit's rule, row by row
-        sin_k = nn / (r1k * r2k)
-        planar = sin_k > collinear_threshold
-        sigma = np.where(dot >= 0.0, 1.0, -1.0)
-        phi_k = np.where(planar, np.arctan2(nn, dot), np.where(sigma > 0.0, 0.0, pi))
-        u1 = s1 / r1k[:, None]
-        bending = np.cross(u1, sd2 - (sigma * r2k / r1k)[:, None] * sd1)
-        u2 = np.cross(np.where(planar[:, None], normal, bending), u1)
-        n2 = np.linalg.norm(u2, axis=1)
-        still = n2 == 0.0
-        if still.any():
-            axis = np.eye(3)[np.argmin(np.abs(u1[still]), axis=1)]
-            u2[still] = np.cross(axis, u1[still])
-            n2[still] = np.linalg.norm(u2[still], axis=1)
-        u2 = u2 / n2[:, None]
-        axes = np.stack([u1, u2, np.cross(u1, u2)], axis=1)  # R^T, row by row
-
-        # body velocities and momenta: evaluate_reduced_jacobi's formulas
-        v1 = np.einsum("kij,kj->ki", axes, sd1)
-        v2 = np.einsum("kij,kj->ki", axes, sd2)
-        s, c = np.sin(phi_k), np.cos(phi_k)
-        T = r2k * v2[:, 2]
-        p3 = r2k * (c * v2[:, 1] - s * v2[:, 0])
-        J2 = -r1k * v1[:, 2] - c * T
-        J3 = r1k * v1[:, 1] + p3
-        p2 = c * v2[:, 0] + s * v2[:, 1]
-        V = eval_potential_batch(
-            potential, masses, r1k, r2k, phi_k,
-            *shape_to_distances(masses, r1k, r2k, phi_k),
+        _, _, phi[ok], sin_phi[ok], planar, J[ok], p[ok], _, H[ok] = _reduce_rows(
+            masses, potential, collinear_threshold, s1[ok], s2[ok], sd1[ok], sd2[ok]
         )
-
-        phi[ok] = phi_k
-        sin_phi[ok] = sin_k
-        J[ok] = np.stack([s * T, J2, J3], axis=1)
-        p[ok] = np.stack([v1[:, 0], p2, p3], axis=1)
-        H[ok] = _finite_form(r1k, r2k, c, T, J2, J3, v1[:, 0], p2, p3, V)
         branch[ok] = np.where(planar, BRANCH_NONCOLLINEAR, BRANCH_COLLINEAR)
     return ReducedBatch(r1, r2, phi, sin_phi, J, p, H, E, L, branch)

@@ -7,7 +7,7 @@ potentials are invariant by construction because they only see the shape.
 """
 
 from dataclasses import dataclass, field
-from math import atan2, cos, exp, log, sin, sqrt
+from math import atan2, cos, exp, isfinite, log, sin, sqrt
 
 import numpy as np
 
@@ -281,6 +281,14 @@ def _eval_node(node, values):
     return value
 
 
+def _eval_finite(node, values):
+    """Value of an expression at one point; DomainError unless finite."""
+    value = float(_eval_node(node, values))
+    if not isfinite(value):
+        raise DomainError("expression", value)
+    return value
+
+
 # --------------------------------------------------------------------------
 # Potential specifications
 
@@ -404,12 +412,9 @@ def _builtin_pair_energy(spec, m, name, d):
 def eval_potential(spec: PotentialSpec, ctx: EvalContext) -> float:
     """Potential energy at the context's shape."""
     if spec.ast is not None:
-        return float(_eval_node(spec.ast, ctx.values()))
-    total = 0.0
-    for name in PAIRS:
-        energy, _ = _builtin_pair_energy(spec, ctx.masses, name, getattr(ctx, name))
-        total += energy
-    return total
+        return _eval_finite(spec.ast, ctx.values())
+    pairs = (_builtin_pair_energy(spec, ctx.masses, n, getattr(ctx, n)) for n in PAIRS)
+    return sum(energy for energy, _ in pairs)
 
 
 def eval_potential_batch(
@@ -418,22 +423,15 @@ def eval_potential_batch(
     """Potential energy at N shapes, each variable given as an (N,) array.
 
     Built-in families are evaluated on the arrays; expressions walk the tree
-    once per shape, on Python floats, with the domain checks of
-    eval_potential.
+    once per shape, on Python floats, with the domain and finiteness checks
+    of eval_potential.
     """
     if spec.ast is not None:
         columns = (np.asarray(a, dtype=float).tolist() for a in (r1, r2, phi, d12, d13, d23))
-        values = [_eval_node(spec.ast, dict(zip(VARIABLES, row))) for row in zip(*columns)]
+        values = [_eval_finite(spec.ast, dict(zip(VARIABLES, row))) for row in zip(*columns)]
         return np.array(values, dtype=float)
-    total = np.zeros(np.shape(d12))
-    for name, d in zip(PAIRS, (d12, d13, d23)):
-        energy, _ = _builtin_pair_energy(spec, masses, name, d)
-        total += energy
-    return total
-
-
-def potential_at_shape(spec: PotentialSpec, masses: MassTriple, q: ShapeCoordinates):
-    return eval_potential(spec, EvalContext.from_shape(masses, q))
+    pairs = (_builtin_pair_energy(spec, masses, n, d) for n, d in zip(PAIRS, (d12, d13, d23)))
+    return sum((energy for energy, _ in pairs), np.zeros(np.shape(d12)))
 
 
 def _potential_at_positions(spec, masses, positions):

@@ -104,27 +104,81 @@ class TestSimulate:
         assert len(lines) == 2
 
     def test_collinear_threshold_honoured(self, tmp_path):
-        # at threshold 0.999999 every shape of this run but a right angle
-        # takes the collinear rule, as evaluate reports for the initial state
-        wide = dict(HARMONIC_CONFIG, thresholds={"collinear": 0.999999})
-        cfg = write_config(tmp_path, wide)
-        out = tmp_path / "eval.csv"
-        assert run(["evaluate", "--config", cfg, "--out", str(out)]) == 0
-        fields = dict(zip(EVALUATE_HEADER.split(","), out.read_text().splitlines()[1].split(",")))
-        assert fields["branch"] == "collinear"
-        out = tmp_path / "traj.csv"
-        assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0
-        rows = trajectory_rows(out.read_text())
-        assert [row["branch"] for row in rows] == ["collinear"] * len(rows)
-        H0 = float(fields["H_reduced"])
-        assert float(rows[0]["H_reduced"]) == pytest.approx(H0, rel=1e-12)
+        # sin(phi) stays between 1e-8 and 1e-6 on this short run, so the
+        # default threshold takes the noncollinear rule and 1e-6 the
+        # collinear one; H = E_total holds under both
+        near = dict(
+            HARMONIC_CONFIG,
+            initial_state={
+                "cartesian": {
+                    "positions": [[1.0, 0.0, 0.0], [0.4, 2e-7, 0.0], [-1.0, 0.0, 0.0]],
+                    "velocities": [[0.1, -1e-7, 2e-7], [0.0, 2e-7, -4e-7], [-0.1, -1e-7, 2e-7]],
+                }
+            },
+            integrator={"dt": 0.01, "steps": 20, "record_stride": 5},
+        )
+        for thresholds, branch in (({}, "noncollinear"), ({"collinear": 1e-6}, "collinear")):
+            cfg = write_config(tmp_path, dict(near, thresholds=thresholds))
+            out = tmp_path / "eval.csv"
+            assert run(["evaluate", "--config", cfg, "--out", str(out)]) == 0
+            fields = dict(zip(EVALUATE_HEADER.split(","), out.read_text().splitlines()[1].split(",")))
+            assert fields["branch"] == branch
+            H0 = float(fields["H_reduced"])
+            assert abs(H0 - float(fields["E_total"])) <= 1e-10
+            out = tmp_path / "traj.csv"
+            assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            rows = trajectory_rows(out.read_text())
+            assert [row["branch"] for row in rows] == [branch] * len(rows)
+            for row in rows:
+                if branch == "noncollinear":
+                    assert 1e-8 < float(row["phi"]) < 1e-6
+                assert abs(float(row["H_reduced"]) - float(row["E_total"])) <= 1e-10
+            assert float(rows[0]["H_reduced"]) == pytest.approx(H0, rel=1e-12)
 
+    def test_out_of_range_thresholds_exit_2(self, tmp_path, caplog):
+        # a collinear threshold above 1e-6 snaps phi to 0 or pi on shapes
+        # far enough from collinear for H to leave E (0.999999 recorded
+        # H - E = 0.32 on this config)
+        for thresholds in (
+            {"collinear": 0.999999},
+            {"collinear": -1e-9},
+            {"collinear": float("nan")},
+            {"band": -1.0},
+            {"band": float("inf")},
+            {"passage": float("nan")},
+        ):
+            cfg = write_config(tmp_path, dict(HARMONIC_CONFIG, thresholds=thresholds))
+            for command in ("simulate", "evaluate"):
+                caplog.clear()
+                assert run([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+                assert f"thresholds.{next(iter(thresholds))}" in caplog.text
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_state_exit_3(self, tmp_path, caplog):
-        # inf - inf: the forces, and then the positions, are NaN
-        nan = dict(HARMONIC_CONFIG, potential={"expression": "d12*1e308*10 - d13*1e308*10"})
+        # an infinite force is inf * 0 = NaN in its zero components, so the
+        # positions turn NaN after the first step
+        nan = dict(
+            HARMONIC_CONFIG,
+            potential={"builtin": "harmonic", "params": {"k": 1e308}},
+            initial_state={
+                "cartesian": {
+                    "positions": [[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 4.0, 0.0]],
+                    "velocities": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                }
+            },
+        )
         cfg = write_config(tmp_path, nan)
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
         assert "NumericalBlowup" in caplog.text
+
+    def test_nan_expression_exit_3(self, tmp_path, caplog):
+        # inf - inf: the potential is NaN at every shape
+        nan = dict(HARMONIC_CONFIG, potential={"expression": "d12*1e308*10 - d13*1e308*10"})
+        cfg = write_config(tmp_path, nan)
+        for command in ("evaluate", "simulate"):
+            caplog.clear()
+            assert run([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
+            assert "DomainError" in caplog.text
 
     def test_expression_overflow_exit_3(self, tmp_path, caplog):
         big = dict(HARMONIC_CONFIG, potential={"expression": "exp(d12*1000)"})

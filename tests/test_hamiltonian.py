@@ -35,6 +35,7 @@ from trireduce.reduction import (
     body_velocities,
     kinetic_energy_body,
     shape_momenta,
+    velocities_from_momenta,
 )
 
 RNG = np.random.default_rng(23)
@@ -413,10 +414,13 @@ class TestBatchKernel:
         out = evaluate_reduced_batch(masses, x, v, potential, threshold)
         for i, state in enumerate(states):
             j = jacobi_from_cartesian(masses, state)
-            assert _close(out.E_total[i], total_energy(masses, state, potential))
-            assert _close(out.L[i], spatial_angular_momentum(j))
+            E = total_energy(masses, state, potential)
+            L = spatial_angular_momentum(j)
+            assert _close(out.E_total[i], E)
+            assert _close(out.L[i], L)
+            # row independence: the one-state evaluation of the same state
             try:
-                ev = evaluate_reduced_jacobi(masses, j, potential, threshold)
+                ev = evaluate_reduced(masses, state, potential, threshold)
             except DegenerateShape:
                 assert out.branch[i] == "degenerate"
                 nan = [out.phi[i], out.sin_phi[i], out.H_reduced[i], *out.J[i], *out.p[i]]
@@ -429,3 +433,22 @@ class TestBatchKernel:
             for name in ("r1", "r2", "phi"):
                 assert _close(getattr(out, name)[i], getattr(ev.q, name))
             assert _close(out.sin_phi[i], ev.sin_phi)
+
+            # independent oracles; the non-degenerate states have their
+            # center of mass at rest, so H equals the Cartesian energy where
+            # the fitted phi is the measured one or differs from it by at
+            # most the default threshold (H moves by ~t^2 there)
+            noncollinear = out.branch[i] == "noncollinear"
+            if noncollinear or out.sin_phi[i] <= COLLINEAR_THRESHOLD:
+                assert _close(out.H_reduced[i], E)
+            R, q = body_frame_fit(j, threshold)
+            if noncollinear or out.sin_phi[i] <= 1e-14:
+                assert _close(out.J[i], R.T @ L)
+            if out.sin_phi[i] > 1e-3 and noncollinear:
+                w = velocities_from_momenta(q, BodyMomenta(out.J[i], out.p[i]))
+                v1, v2 = body_velocities(q, w)
+                assert _close(v1, R.T @ j.sdot1)
+                assert _close(v2, R.T @ j.sdot2)
+                oracle = shape_momenta(q, w)
+                assert _close(out.J[i], oracle.J)
+                assert _close(out.p[i], oracle.p)

@@ -215,9 +215,8 @@ def evaluate_reduced_batch(
     p = np.full((n, 3), np.nan)
     branch = np.full(n, "degenerate", dtype=object)
     ok = (r1 > 0.0) & (r2 > 0.0)
-    if ok.any():
-        _, _, phi[ok], sin_phi[ok], planar, J[ok], p[ok], _, H[ok] = _reduce_rows(
-            masses, potential, collinear_threshold, s1[ok], s2[ok], sd1[ok], sd2[ok]
-        )
-        branch[ok] = np.where(planar, BRANCH_NONCOLLINEAR, BRANCH_COLLINEAR)
+    _, _, phi[ok], sin_phi[ok], planar, J[ok], p[ok], _, H[ok] = _reduce_rows(
+        masses, potential, collinear_threshold, s1[ok], s2[ok], sd1[ok], sd2[ok]
+    )
+    branch[ok] = np.where(planar, BRANCH_NONCOLLINEAR, BRANCH_COLLINEAR)
     return ReducedBatch(r1, r2, phi, sin_phi, J, p, H, E, L, branch)

@@ -31,6 +31,7 @@ from .potential import (
     eval_potential,
     forces_cartesian,
     parse_potential,
+    potential_at_positions,
     print_expression,
 )
 from .reduction import (
@@ -384,9 +385,7 @@ def suite_parser(seed=DEFAULT_SEED, n_configs=30):
                     def v_at(offset):
                         shifted = pos.copy()
                         shifted[i, k] += offset
-                        return eval_potential(
-                            spec, EvalContext.from_positions(masses, shifted)
-                        )
+                        return potential_at_positions(spec, masses, shifted[None])[0]
 
                     # fourth-order central stencil
                     fd = -(

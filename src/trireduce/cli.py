@@ -12,6 +12,7 @@ import logging
 import os
 import sys
 from dataclasses import astuple
+from math import isfinite
 
 import numpy as np
 
@@ -51,9 +52,9 @@ EVALUATE_HEADER = (
 )
 PASSAGES_HEADER = "t_minus,t_plus,t_star,sin_phi_min,H_before,H_at,H_after,delta_H"
 
-# The collinear rule takes V at phi = 0 or pi; at sin(phi) = t that moves H
-# by V's curvature in phi times t^2 / 2, below 6e-12 relative on 99 of 100
-# random states at t = 1e-6, where a threshold near 1 moves it by order 1.
+# The collinear rule reports phi as 0 or pi and J, p in the bending frame.
+# H equals the energy under either rule (V is taken at the measured phi),
+# so this bound limits how far phi, J and p are snapped, not H.
 MAX_COLLINEAR_THRESHOLD = 1e-6
 
 # every trajectory column but the last (branch) is a number
@@ -112,10 +113,20 @@ def _parse_potential(cfg) -> PotentialSpec:
         raise ConfigError("potential.expression", str(exc))
 
 
+def _number(raw, path):
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(path, f"expected a number, got {raw!r}")
+    if not isfinite(value):
+        raise ConfigError(path, f"must be finite, got {value}")
+    return value
+
+
 def _vec3(raw, path):
     if not isinstance(raw, list) or len(raw) != 3:
         raise ConfigError(path, "expected a 3-vector")
-    return np.array([float(v) for v in raw])
+    return np.array([_number(v, f"{path}[{i}]") for i, v in enumerate(raw)])
 
 
 def _parse_initial_state(cfg, masses) -> CartesianState:
@@ -141,9 +152,7 @@ def _parse_initial_state(cfg, masses) -> CartesianState:
     path = "initial_state.shape."
     try:
         q = ShapeCoordinates(
-            float(_require(s, "r1", path)),
-            float(_require(s, "r2", path)),
-            float(_require(s, "phi", path)),
+            *(_number(_require(s, name, path), path + name) for name in ("r1", "r2", "phi"))
         )
     except ValueError as exc:
         raise ConfigError("initial_state.shape", str(exc))
@@ -270,11 +279,12 @@ def cmd_simulate(cfg: RunConfig, out_path):
     rep = conservation_report(traj, band_threshold=cfg.thresholds["band"])
     log.info(
         "conservation: energy_drift_rel=%.3e L_drift_inf=%.3e "
-        "tracking_outside_band=%.3e tracking_inside_band=%.3e",
+        "tracking_outside_band=%.3e tracking_inside_band=%.3e degenerate_samples=%d",
         rep.energy_drift_rel,
         rep.L_drift_inf,
         rep.tracking_error_outside_band,
         rep.tracking_error_inside_band,
+        rep.degenerate_samples,
     )
     return 0
 

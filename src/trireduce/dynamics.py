@@ -13,7 +13,7 @@ import numpy as np
 from .errors import NumericalBlowup
 from .geometry import COLLINEAR_THRESHOLD, CartesianState, MassTriple
 from .hamiltonian import ReducedBatch, evaluate_reduced_batch
-from .potential import EvalContext, PotentialSpec, eval_potential, forces_cartesian
+from .potential import PotentialSpec, forces_cartesian, potential_at_positions
 
 OVERFLOW_GUARD = 1e12
 BAND_THRESHOLD = 1e-3
@@ -81,8 +81,7 @@ def total_energy(masses: MassTriple, state: CartesianState, potential) -> float:
     """Total Cartesian energy, kinetic plus potential."""
     m = masses.as_array()
     kinetic = 0.5 * float(np.sum(m[:, None] * state.velocities ** 2))
-    V = eval_potential(potential, EvalContext.from_positions(masses, state.positions))
-    return kinetic + V
+    return kinetic + float(potential_at_positions(potential, masses, state.positions[None])[0])
 
 
 def _accelerations(masses, potential, positions):
@@ -164,6 +163,7 @@ class ConservationReport:
     L_drift_inf: float
     tracking_error_outside_band: float
     tracking_error_inside_band: float
+    degenerate_samples: int
 
 
 def conservation_report(
@@ -171,7 +171,8 @@ def conservation_report(
 ) -> ConservationReport:
     """Drifts of the conserved quantities and the H_reduced-vs-E tracking
     error, split at sin(phi) = band_threshold into the samples away from and
-    near collinear shapes."""
+    near collinear shapes.  The tracking errors leave out the
+    degenerate_samples, where H_reduced is not finite (r1 = 0 or r2 = 0)."""
     if len(traj) == 0:
         raise ValueError("empty trajectory")
     E, L, H, sin_phi = traj.E_total, traj.L, traj.H_reduced, traj.sin_phi
@@ -179,14 +180,16 @@ def conservation_report(
     scale = abs(E0) if E0 != 0.0 else 1.0
     energy_drift = float(np.max(np.abs(E - E0)) / scale)
     L_drift = float(np.max(np.abs(L - L[0])))
-    diff = np.abs(H - E)
-    outside = diff[sin_phi > band_threshold]
-    inside = diff[~(sin_phi > band_threshold)]
+    finite = np.isfinite(H)
+    diff = np.abs(H - E)[finite]
+    near = ~(sin_phi[finite] > band_threshold)
+    outside, inside = diff[~near], diff[near]
     return ConservationReport(
         energy_drift_rel=energy_drift,
         L_drift_inf=L_drift,
         tracking_error_outside_band=float(np.max(outside)) if outside.size else 0.0,
         tracking_error_inside_band=float(np.max(inside)) if inside.size else 0.0,
+        degenerate_samples=int(np.count_nonzero(~finite)),
     )
 
 

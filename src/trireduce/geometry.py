@@ -225,9 +225,11 @@ def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
     sdot2 - sigma (r2/r1) sdot1 (perpendicular part, sigma = sign(s1 . s2)),
     the limit of the normal-based frame along the motion; with no bending
     u2 is a fixed perpendicular of u1.  Returns (axes, r1, r2, phi,
-    sin_phi, planar): axes[k] is R^T of state k (rows u1, u2, u3) and
-    planar marks the rows above the threshold.  Raises DegenerateShape
-    when a row has |s1| = 0 or |s2| = 0.
+    measured_phi, sin_phi, planar): axes[k] is R^T of state k (rows u1,
+    u2, u3), phi is the angle of that frame rule, measured_phi =
+    atan2(|s1 x s2|, s1 . s2) before it is snapped to 0 or pi, and planar
+    marks the rows above the threshold.  Raises DegenerateShape when a row
+    has |s1| = 0 or |s2| = 0.
     """
     r1, r2 = np.linalg.norm(s1, axis=1), np.linalg.norm(s2, axis=1)
     if not r1.all():
@@ -239,11 +241,11 @@ def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
     dot = np.einsum("ij,ij->i", s1, s2)
     sin_phi = nn / (r1 * r2)
     planar = sin_phi > collinear_threshold
-    phi = np.arctan2(nn, dot)
+    phi = measured_phi = np.arctan2(nn, dot)
     u1 = s1 / r1[:, None]
     if not planar.all():
         sigma = np.where(dot >= 0.0, 1.0, -1.0)
-        phi = np.where(planar, phi, np.where(sigma > 0.0, 0.0, pi))
+        phi = np.where(planar, measured_phi, np.where(sigma > 0.0, 0.0, pi))
         bending = cross(u1, sd2 - (sigma * r2 / r1)[:, None] * sd1)
         normal = np.where(planar[:, None], normal, bending)
     # Crossing with u1 keeps u2 orthogonal to u1 to rounding, also when
@@ -257,13 +259,13 @@ def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
         n2[still] = np.linalg.norm(u2[still], axis=1)
     u2 = u2 / n2[:, None]
     axes = np.stack([u1, u2, cross(u1, u2)], axis=1)
-    return axes, r1, r2, phi, sin_phi, planar
+    return axes, r1, r2, phi, measured_phi, sin_phi, planar
 
 
 def body_frame_fit(j: JacobiVectors, collinear_threshold=COLLINEAR_THRESHOLD):
     """Fit the body frame and shape coordinates of a state by the rule of
     body_frames; returns (R, ShapeCoordinates) with R s_body = s_space."""
-    axes, r1, r2, phi, _, _ = body_frames(
+    axes, r1, r2, phi, *_ = body_frames(
         j.s1[None], j.s2[None], j.sdot1[None], j.sdot2[None], collinear_threshold
     )
     return axes[0].T, ShapeCoordinates(float(r1[0]), float(r2[0]), float(phi[0]))

@@ -32,7 +32,7 @@ from .geometry import (
     jacobi_map,
     shape_to_distances,
 )
-from .potential import PAIRS, PotentialSpec, eval_potential_batch
+from .potential import PotentialSpec, eval_potential_batch, potential_at_positions
 from .reduction import BodyMomenta
 
 BRANCH_NONCOLLINEAR = "noncollinear"
@@ -135,10 +135,15 @@ def _reduce_rows(masses, potential, collinear_threshold, s1, s2, sd1, sd2):
     The frame comes from body_frames.  With body velocities v1 = R^T sdot1,
     v2 = R^T sdot2: T = r2 v2[2], J2 + cos(phi) T = r1^2 w2 with
     w2 = -v1[2] / r1, and p3 = r2^2 (w3 + phidot), the in-plane rotation
-    rate of s2 times r2^2.  Returns (r1, r2, phi, sin_phi, planar, J, p, T,
-    H), with J and p of shape (N, 3) and the others (N,).
+    rate of s2 times r2^2.  The kinetic terms add up to |v1|^2 + |v2|^2 for
+    any phi of the frame rule, so V is taken at the measured phi: snapping
+    it to 0 or pi would move V by a lot where two bodies nearly meet on
+    the line.  Returns (r1, r2, phi, sin_phi, planar, J, p, T, H), with J
+    and p of shape (N, 3) and the others (N,).
     """
-    axes, r1, r2, phi, sin_phi, planar = body_frames(s1, s2, sd1, sd2, collinear_threshold)
+    axes, r1, r2, phi, measured_phi, sin_phi, planar = body_frames(
+        s1, s2, sd1, sd2, collinear_threshold
+    )
     v1 = np.einsum("kij,kj->ki", axes, sd1)
     v2 = np.einsum("kij,kj->ki", axes, sd2)
     s, c = np.sin(phi), np.cos(phi)
@@ -148,7 +153,8 @@ def _reduce_rows(masses, potential, collinear_threshold, s1, s2, sd1, sd2):
     J3 = r1 * v1[:, 1] + p3
     p2 = c * v2[:, 0] + s * v2[:, 1]
     V = eval_potential_batch(
-        potential, masses, r1, r2, phi, *shape_to_distances(masses, r1, r2, phi)
+        potential, masses, r1, r2, measured_phi,
+        *shape_to_distances(masses, r1, r2, measured_phi),
     )
     H = _finite_form(r1, r2, c, T, J2, J3, v1[:, 0], p2, p3, V)
     J = np.stack([s * T, J2, J3], axis=1)
@@ -189,23 +195,18 @@ def evaluate_reduced_batch(
 
     x and v are (N, 3, 3) arrays of positions and velocities, one row per
     body.  The rows with r1, r2 > 0 go through _reduce_rows, the kernel of
-    evaluate_reduced_jacobi.  H_reduced takes V at the fitted
-    shape and E_total at the Cartesian positions, so the two stay
-    independent checks of each other.
+    evaluate_reduced_jacobi.  H_reduced takes V at the measured shape
+    through shape_to_distances and E_total at the Cartesian pair distances
+    (potential_at_positions), so the two stay independent checks of each
+    other.
     """
     n = len(x)
     s1, s2 = jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2])
     sd1, sd2 = jacobi_map(masses, v[:, 0], v[:, 1], v[:, 2])
     r1 = np.linalg.norm(s1, axis=1)
     r2 = np.linalg.norm(s2, axis=1)
-
-    m = masses.as_array()
-    kinetic = 0.5 * np.sum(m[:, None] * v ** 2, axis=(1, 2))
-    d = [np.linalg.norm(x[:, i] - x[:, k], axis=1) for i, k in PAIRS.values()]
-    phi_x = np.arctan2(
-        np.linalg.norm(cross(s1, s2), axis=1), np.einsum("ij,ij->i", s1, s2)
-    )
-    E = kinetic + eval_potential_batch(potential, masses, r1, r2, phi_x, *d)
+    kinetic = 0.5 * np.sum(masses.as_array()[:, None] * v ** 2, axis=(1, 2))
+    E = kinetic + potential_at_positions(potential, masses, x)
     L = cross(s1, sd1) + cross(s2, sd2)
 
     phi = np.full(n, np.nan)

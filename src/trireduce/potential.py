@@ -7,7 +7,7 @@ potentials are invariant by construction because they only see the shape.
 """
 
 from dataclasses import dataclass, field
-from math import atan2, cos, exp, isfinite, log, sin, sqrt
+from math import cos, exp, isfinite, log, sin, sqrt
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .errors import (
     PotentialSyntaxError,
     UnknownIdentifier,
 )
-from .geometry import MassTriple, ShapeCoordinates, jacobi_map, shape_to_distances
+from .geometry import MassTriple, ShapeCoordinates, cross, jacobi_map, shape_to_distances
 
 VARIABLES = ("r1", "r2", "phi", "d12", "d13", "d23")
 CONSTANTS = {"pi": np.pi, "e": np.e}
@@ -341,25 +341,6 @@ class EvalContext:
         d12, d13, d23 = map(float, shape_to_distances(masses, q.r1, q.r2, q.phi))
         return cls(masses, q.r1, q.r2, q.phi, d12, d13, d23)
 
-    @classmethod
-    def from_positions(cls, masses: MassTriple, positions):
-        x1, x2, x3 = (np.asarray(p, dtype=float) for p in positions)
-        s1, s2 = jacobi_map(masses, x1, x2, x3)
-        r1 = float(np.linalg.norm(s1))
-        r2 = float(np.linalg.norm(s2))
-        cross = float(np.linalg.norm(np.cross(s1, s2)))
-        dot = float(np.dot(s1, s2))
-        phi = atan2(cross, dot)
-        return cls(
-            masses,
-            r1,
-            r2,
-            phi,
-            float(np.linalg.norm(x1 - x2)),
-            float(np.linalg.norm(x1 - x3)),
-            float(np.linalg.norm(x2 - x3)),
-        )
-
     def values(self):
         return {
             "r1": self.r1,
@@ -371,38 +352,37 @@ class EvalContext:
         }
 
 
-def _pair_masses(m: MassTriple):
-    arr = m.as_array()
-    return {name: (arr[i], arr[j]) for name, (i, j) in PAIRS.items()}
+# first and second bodies of the pairs d12, d13, d23, and the pair-by-body
+# incidence matrix: +1 at the first body, -1 at the second
+_FIRST, _SECOND = np.array(list(PAIRS.values())).T
+_INCIDENCE = np.eye(3)[_FIRST] - np.eye(3)[_SECOND]
 
 
-def _require_nonzero(spec, d):
-    # floats skip numpy: a numpy call per pair would cost microseconds on
-    # every force evaluation
-    if (d == 0.0) if isinstance(d, float) else not np.all(d):
-        raise DomainError(spec.builtin, 0.0)
+def _pair_vectors(x):
+    """x_i - x_k of the pairs d12, d13, d23, for (..., 3, 3) positions."""
+    return x.take(_FIRST, -2) - x.take(_SECOND, -2)
 
 
-def _builtin_pair_energy(spec, m, name, d):
-    """Energy contribution and d(energy)/d(distance) of one pair, at a
-    distance d given as a float or as an array of distances."""
+def _pair_terms(spec: PotentialSpec, masses: MassTriple, d):
+    """Energies and derivatives dV/dd of the three pair terms of a built-in
+    family, at distances d = (d12, d13, d23) given as a (..., 3) array."""
     params = spec.params
     if spec.builtin == "free":
-        return 0.0, 0.0
-    if spec.builtin == "gravity":
-        G = params.get("G", 1.0)
-        mi, mj = _pair_masses(m)[name]
-        _require_nonzero(spec, d)
-        return -G * mi * mj / d, G * mi * mj / d ** 2
+        return np.zeros_like(d), np.zeros_like(d)
     if spec.builtin == "harmonic":
         k = params.get("k", 1.0)
-        rest = params.get("rest", {}).get(name, params.get("rest_length", 1.0))
-        return 0.5 * k * (d - rest) ** 2, k * (d - rest)
+        rest = [params.get("rest", {}).get(n, params.get("rest_length", 1.0)) for n in PAIRS]
+        stretch = d - rest
+        return 0.5 * k * stretch ** 2, k * stretch
+    if not np.all(d):
+        raise DomainError(spec.builtin, 0.0)
+    if spec.builtin == "gravity":
+        m = masses.as_array()
+        Gmm = params.get("G", 1.0) * m[_FIRST] * m[_SECOND]
+        return -Gmm / d, Gmm / d ** 2
     if spec.builtin == "lennard_jones":
         eps = params.get("epsilon", 1.0)
-        sig = params.get("sigma", 1.0)
-        _require_nonzero(spec, d)
-        s6 = (sig / d) ** 6
+        s6 = (params.get("sigma", 1.0) / d) ** 6
         energy = 4.0 * eps * (s6 * s6 - s6)
         deriv = 4.0 * eps * (-12.0 * s6 * s6 + 6.0 * s6) / d
         return energy, deriv
@@ -410,11 +390,9 @@ def _builtin_pair_energy(spec, m, name, d):
 
 
 def eval_potential(spec: PotentialSpec, ctx: EvalContext) -> float:
-    """Potential energy at the context's shape."""
-    if spec.ast is not None:
-        return _eval_finite(spec.ast, ctx.values())
-    pairs = (_builtin_pair_energy(spec, ctx.masses, n, getattr(ctx, n)) for n in PAIRS)
-    return sum(energy for energy, _ in pairs)
+    """Potential energy at the context's shape: eval_potential_batch on one row."""
+    values = ctx.values()
+    return float(eval_potential_batch(spec, ctx.masses, *([values[v]] for v in VARIABLES))[0])
 
 
 def eval_potential_batch(
@@ -423,52 +401,51 @@ def eval_potential_batch(
     """Potential energy at N shapes, each variable given as an (N,) array.
 
     Built-in families are evaluated on the arrays; expressions walk the tree
-    once per shape, on Python floats, with the domain and finiteness checks
-    of eval_potential.
+    once per shape, on Python floats, with the domain checks of the tree
+    walk, and raise DomainError unless the value is finite.
     """
     if spec.ast is not None:
         columns = (np.asarray(a, dtype=float).tolist() for a in (r1, r2, phi, d12, d13, d23))
         values = [_eval_finite(spec.ast, dict(zip(VARIABLES, row))) for row in zip(*columns)]
         return np.array(values, dtype=float)
-    pairs = (_builtin_pair_energy(spec, masses, n, d) for n, d in zip(PAIRS, (d12, d13, d23)))
-    return sum((energy for energy, _ in pairs), np.zeros(np.shape(d12)))
+    energy, _ = _pair_terms(spec, masses, np.stack([d12, d13, d23], axis=-1))
+    return (energy[..., 0] + energy[..., 1]) + energy[..., 2]
 
 
-def _potential_at_positions(spec, masses, positions):
-    return eval_potential(spec, EvalContext.from_positions(masses, positions))
+def potential_at_positions(spec: PotentialSpec, masses: MassTriple, x) -> np.ndarray:
+    """Potential energy of N configurations given as an (N, 3, 3) array of
+    positions, one row per body: the shape (r1, r2, phi) and the pair
+    distances are measured from the positions, with phi = atan2(|s1 x s2|,
+    s1 . s2) of the Jacobi vectors."""
+    s1, s2 = jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2])
+    phi = np.arctan2(np.linalg.norm(cross(s1, s2), axis=1), np.einsum("ij,ij->i", s1, s2))
+    d = np.linalg.norm(_pair_vectors(x), axis=2)
+    return eval_potential_batch(
+        spec, masses, np.linalg.norm(s1, axis=1), np.linalg.norm(s2, axis=1), phi, *d.T
+    )
+
+
+# central-difference probes: +e and -e for each of the nine coordinates
+_STENCIL = np.kron(np.eye(9), [[1.0], [-1.0]]).reshape(18, 3, 3)
 
 
 def forces_cartesian(spec: PotentialSpec, masses: MassTriple, positions):
     """Forces F_i = -dV/dx_i on the three bodies.
 
     Analytic for the built-in pairwise families; central finite differences
-    (step 1e-6 of the length scale, O(step^2) error) for expressions.
+    (step 1e-6 of the largest pair distance, O(step^2) error) for
+    expressions, with the 18 probes evaluated as one batch.
     """
     pos = np.asarray(positions, dtype=float).reshape(3, 3)
+    delta = _pair_vectors(pos)
+    d = np.linalg.norm(delta, axis=1)
     if spec.builtin is not None:
-        forces = np.zeros((3, 3))
-        for name, (i, k) in PAIRS.items():
-            delta = pos[i] - pos[k]
-            d = float(np.linalg.norm(delta))
-            if d == 0.0:
-                raise DomainError(spec.builtin, d)
-            _, dVdd = _builtin_pair_energy(spec, masses, name, d)
-            f = -dVdd * delta / d
-            forces[i] += f
-            forces[k] -= f
-        return forces
-    scale = max(
-        float(np.linalg.norm(pos[i] - pos[k])) for i, k in PAIRS.values()
-    )
+        if not d.all():
+            raise DomainError(spec.builtin, 0.0)
+        _, dVdd = _pair_terms(spec, masses, d)
+        # einsum rather than a matmul, whose BLAS buffers grow the process
+        return np.einsum("pb,pk->bk", _INCIDENCE, -dVdd[:, None] * delta / d[:, None])
+    scale = d.max()
     step = 1e-6 * (scale if scale > 0.0 else 1.0)
-    forces = np.zeros((3, 3))
-    for i in range(3):
-        for k in range(3):
-            plus = pos.copy()
-            minus = pos.copy()
-            plus[i, k] += step
-            minus[i, k] -= step
-            vp = _potential_at_positions(spec, masses, plus)
-            vm = _potential_at_positions(spec, masses, minus)
-            forces[i, k] = -(vp - vm) / (2.0 * step)
-    return forces
+    V = potential_at_positions(spec, masses, pos + step * _STENCIL)
+    return (-(V[0::2] - V[1::2]) / (2.0 * step)).reshape(3, 3)

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -154,9 +155,11 @@ class TestSimulate:
                 assert f"thresholds.{next(iter(thresholds))}" in caplog.text
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_nan_state_exit_3(self, tmp_path, caplog):
-        # an infinite force is inf * 0 = NaN in its zero components, so the
-        # positions turn NaN after the first step
+        # k (d - rest) overflows to an infinite force, which is inf * 0 = NaN
+        # in its zero components, so the positions turn NaN after the first
+        # step
         nan = dict(
             HARMONIC_CONFIG,
             potential={"builtin": "harmonic", "params": {"k": 1e308}},
@@ -185,6 +188,27 @@ class TestSimulate:
         cfg = write_config(tmp_path, big)
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
         assert "DomainError" in caplog.text and "'exp'" in caplog.text
+
+    def test_degenerate_first_sample_summary(self, tmp_path, caplog):
+        # body 2 starts at the 1-3 center of mass (r2 = 0, H_reduced NaN)
+        # and moves off it: the summary leaves that sample out and counts it
+        start = dict(
+            HARMONIC_CONFIG,
+            initial_state={
+                "cartesian": {
+                    "positions": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+                    "velocities": [[0.0, -0.1, 0.0], [0.0, 0.2, 0.1], [0.0, -0.1, -0.1]],
+                }
+            },
+        )
+        cfg = write_config(tmp_path, start)
+        caplog.set_level(logging.INFO, logger="trireduce")
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+        rows = trajectory_rows((tmp_path / "o.csv").read_text())
+        assert rows[0]["branch"] == "degenerate"
+        summary = next(r.getMessage() for r in caplog.records if "conservation" in r.getMessage())
+        assert "nan" not in summary
+        assert "degenerate_samples=1" in summary
 
     def test_negative_mass_exit_2(self, tmp_path, caplog):
         bad = dict(HARMONIC_CONFIG, masses=[1.0, -1.0, 1.0])
@@ -307,6 +331,35 @@ class TestEvaluate:
             H, E = float(fields["H_reduced"]), float(fields["E_total"])
             assert abs(H - E) <= 1e-10
 
+    def test_near_meeting_states(self, tmp_path):
+        # body 2 a distance eps over body 1, which lies on the 1-3 line: the
+        # collinear rule snaps phi to 0, which would move d12 from eps to
+        # about eps^2 / 2, but V is taken at the measured shape, so H = E
+        # also for a potential that is singular where bodies 1 and 2 meet
+        harmonic = {"builtin": "harmonic", "params": {"k": 1.0, "rest_length": 1.0}}
+        for eps in (1e-9, 9e-9, 5e-7):
+            for potential in (harmonic, {"expression": "1/d12"}):
+                for threshold in (1e-8, 1e-6):
+                    near = dict(
+                        HARMONIC_CONFIG,
+                        potential=potential,
+                        thresholds={"collinear": threshold},
+                        initial_state={
+                            "cartesian": {
+                                "positions": [[1.0, 0.0, 0.0], [1.0, eps, 0.0], [-1.0, 0.0, 0.0]],
+                                "velocities": [[0.1, 0.2, 0.0], [-0.2, 0.1, 0.3], [0.1, -0.3, -0.3]],
+                            }
+                        },
+                    )
+                    cfg = write_config(tmp_path, near)
+                    out = tmp_path / "eval.csv"
+                    assert run(["evaluate", "--config", cfg, "--out", str(out)]) == 0
+                    row = out.read_text().splitlines()[1]
+                    fields = dict(zip(EVALUATE_HEADER.split(","), row.split(",")))
+                    assert fields["branch"] == ("collinear" if eps < threshold else "noncollinear")
+                    H, E = float(fields["H_reduced"]), float(fields["E_total"])
+                    assert abs(H - E) <= 1e-10 * max(1.0, abs(E)), (eps, potential, threshold)
+
     def test_shape_initial_state(self, tmp_path):
         shaped = dict(
             HARMONIC_CONFIG,
@@ -329,6 +382,35 @@ class TestEvaluate:
         assert float(fields["r1"]) == pytest.approx(1.0, rel=1e-12)
         assert float(fields["J3"]) == pytest.approx(2.0, rel=1e-10)
         assert float(fields["p3"]) == pytest.approx(1.0, rel=1e-10)
+
+    def test_malformed_initial_numbers_exit_2(self, tmp_path, caplog):
+        shaped = dict(
+            HARMONIC_CONFIG,
+            initial_state={
+                "shape": {"r1": 1.0, "r2": 1.0, "phi": 1.0, "J": [0.0, 0.0, 1.0], "p": [0.0] * 3}
+            },
+        )
+        cartesian = ("initial_state", "cartesian")
+        cases = [
+            (HARMONIC_CONFIG, cartesian + ("positions", 0, 1), float("nan"),
+             "initial_state.cartesian.positions[0][1]"),
+            (HARMONIC_CONFIG, cartesian + ("positions", 2, 0), "abc",
+             "initial_state.cartesian.positions[2][0]"),
+            (HARMONIC_CONFIG, cartesian + ("velocities", 1, 2), None,
+             "initial_state.cartesian.velocities[1][2]"),
+            (shaped, ("initial_state", "shape", "J", 2), float("nan"), "initial_state.shape.J[2]"),
+            (shaped, ("initial_state", "shape", "r1"), None, "initial_state.shape.r1"),
+        ]
+        for config, path, value, field in cases:
+            bad = json.loads(json.dumps(config))
+            target = bad
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            cfg = write_config(tmp_path, bad)
+            caplog.clear()
+            assert run(["evaluate", "--config", cfg]) == 2
+            assert field in caplog.text
 
     def test_shape_state_needs_one_form(self, tmp_path, caplog):
         bad = dict(HARMONIC_CONFIG, initial_state={})

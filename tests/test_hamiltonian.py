@@ -1,4 +1,4 @@
-from math import cos, pi, sin
+from math import cos, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from trireduce.geometry import (
     body_jacobi_vectors,
     cartesian_from_jacobi,
     jacobi_from_cartesian,
+    reduced_masses,
     spatial_angular_momentum,
 )
 from trireduce.hamiltonian import (
@@ -313,6 +314,7 @@ PHI_BY_KIND = {
     "collinear_3d": st.sampled_from([0.0, pi]),
     "zero_L": st.sampled_from([0.0, pi]),
     "sub_threshold": st.floats(1e-12, 1e-8, exclude_max=True),
+    "near_meeting": st.floats(1e-12, 1e-8, exclude_max=True),
     "near_collinear": st.floats(1e-8, 1e-3),
     "generic": st.floats(1e-3, pi - 1e-3),
 }
@@ -329,12 +331,19 @@ ROTATIONS = st.integers(0, 2 ** 32 - 1).map(
 def rotated_states(draw, masses=MASS_TRIPLES):
     """Zero-momentum Cartesian state of a given shape kind, randomly
     rotated.  Collinear kinds have s2 exactly parallel to s1 after the
-    rotation; zero_L ones also have L = 0 (as the figure-eight start)."""
+    rotation; zero_L ones also have L = 0 (as the figure-eight start);
+    near_meeting ones have body 2 over body 1, at a distance of order
+    r2 sin(phi) from it."""
+    masses = draw(masses)
     kind = draw(st.sampled_from(sorted(PHI_BY_KIND)))
     phi = draw(PHI_BY_KIND[kind])
     if kind in ("sub_threshold", "near_collinear") and draw(st.booleans()):
         phi = pi - phi
     r1, r2 = draw(st.floats(0.3, 2.0)), draw(st.floats(0.3, 2.0))
+    if kind == "near_meeting":
+        # body 1 sits m3/(m1 + m3) |x1 - x3| from the 1-3 center of mass
+        mu = reduced_masses(masses)
+        r2 = sqrt(mu.mu2 / mu.mu1) * masses.m3 / (masses.m1 + masses.m3) * r1 / cos(phi)
     sd1, sd2 = draw(VECTORS), draw(VECTORS)
     k = r2 / r1 * cos(phi)
     if kind == "collinear_planar":
@@ -348,7 +357,6 @@ def rotated_states(draw, masses=MASS_TRIPLES):
         s2 = k * s1
     else:
         s2 = Q @ np.array([r2 * cos(phi), r2 * sin(phi), 0.0])
-    masses = draw(masses)
     state = cartesian_from_jacobi(masses, JacobiVectors(s1, s2, Q @ sd1, Q @ sd2))
     return kind, masses, state
 
@@ -435,12 +443,9 @@ class TestBatchKernel:
             assert _close(out.sin_phi[i], ev.sin_phi)
 
             # independent oracles; the non-degenerate states have their
-            # center of mass at rest, so H equals the Cartesian energy where
-            # the fitted phi is the measured one or differs from it by at
-            # most the default threshold (H moves by ~t^2 there)
+            # center of mass at rest, so H equals the Cartesian energy
             noncollinear = out.branch[i] == "noncollinear"
-            if noncollinear or out.sin_phi[i] <= COLLINEAR_THRESHOLD:
-                assert _close(out.H_reduced[i], E)
+            assert _close(out.H_reduced[i], E)
             R, q = body_frame_fit(j, threshold)
             if noncollinear or out.sin_phi[i] <= 1e-14:
                 assert _close(out.J[i], R.T @ L)

@@ -21,6 +21,7 @@ from trireduce.potential import (
     forces_cartesian,
     parse_expression,
     parse_potential,
+    potential_at_positions,
     print_expression,
 )
 
@@ -161,8 +162,8 @@ class TestEval:
             Q = random_rotation(RNG)
             z = np.zeros(3)
             state = cartesian_from_jacobi(masses, JacobiVectors(Q @ b1, Q @ b2, z, z))
-            ctx = EvalContext.from_positions(masses, state.positions)
-            assert eval_potential(spec, ctx) == pytest.approx(base, rel=1e-12)
+            V = potential_at_positions(spec, masses, state.positions[None])[0]
+            assert V == pytest.approx(base, rel=1e-12)
 
 
 class TestForces:
@@ -208,10 +209,31 @@ class TestForces:
                 plus, minus = pos.copy(), pos.copy()
                 plus[i, k] += step
                 minus[i, k] -= step
-                vp = eval_potential(spec, EvalContext.from_positions(masses, plus))
-                vm = eval_potential(spec, EvalContext.from_positions(masses, minus))
+                vp, vm = potential_at_positions(spec, masses, np.array([plus, minus]))
                 fd = -(vp - vm) / (2 * step)
                 assert F[i, k] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+    def test_expression_forces_match_fourth_order_stencil(self):
+        # a phi-dependent expression, so the batched probes also check the
+        # chain through phi = atan2(|s1 x s2|, s1 . s2)
+        masses = MassTriple(1.0, 2.0, 3.0)
+        spec = parse_potential("sin(phi)*d12 + r1/d23 + 0.3*cos(phi)^2*r2")
+        step = 1e-4
+        offsets = np.array([2.0, 1.0, -1.0, -2.0]) * step
+        weights = np.array([-1.0, 8.0, -8.0, 1.0]) / (12.0 * step)
+        for _ in range(10):
+            pos = self._spread_positions()
+            F = forces_cartesian(spec, masses, pos)
+            for i in range(3):
+                for k in range(3):
+                    probes = np.repeat(pos[None], 4, axis=0)
+                    probes[:, i, k] += offsets
+                    fd = -weights @ potential_at_positions(spec, masses, probes)
+                    assert abs(F[i, k] - fd) <= 1e-6 * max(abs(fd), 1.0)
+            com = masses.as_array() @ pos / masses.total
+            torque = np.sum(np.cross(pos - com, F), axis=0)
+            assert np.max(np.abs(F.sum(axis=0))) <= 1e-8
+            assert np.max(np.abs(torque)) <= 1e-8
 
     def test_expression_forces_match_equivalent_builtin(self):
         # harmonic with zero rest length has the shape-level form

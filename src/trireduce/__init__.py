@@ -50,10 +50,8 @@ from .hamiltonian import (
     singular_term,
 )
 from .potential import (
-    EvalContext,
     PotentialSpec,
     builtin_potential,
-    eval_potential,
     forces_cartesian,
     parse_potential,
 )

@@ -7,6 +7,7 @@ TRIREDUCE_CHECK_TOL_SCALE environment variable; the default scale is 1.
 """
 
 import os
+from dataclasses import astuple
 from math import cos, pi, sin
 
 import numpy as np
@@ -23,12 +24,12 @@ from .geometry import (
     cartesian_from_jacobi,
     jacobi_from_cartesian,
     rotation_from_euler,
+    shape_to_distances,
 )
 from .hamiltonian import reduced_hamiltonian, singular_term
 from .potential import (
-    EvalContext,
     builtin_potential,
-    eval_potential,
+    eval_potential_batch,
     forces_cartesian,
     parse_potential,
     potential_at_positions,
@@ -203,8 +204,8 @@ def suite_energy_identity(seed=DEFAULT_SEED, n=300):
         q = random_shape(rng)
         w = random_body_state(rng)
         m = shape_momenta(q, w)
-        ctx = EvalContext.from_shape(masses, q)
-        V = eval_potential(potential, ctx)
+        row = np.array([[q.r1, q.r2, q.phi, *shape_to_distances(masses, q.r1, q.r2, q.phi)]])
+        V = float(eval_potential_batch(potential, masses, *row.T)[0])
         H = reduced_hamiltonian(q, m, singular_term(q, w), V)
         state = cartesian_from_body_state(masses, q, w)
         E = total_energy(masses, state, potential)
@@ -403,10 +404,20 @@ def suite_parser(seed=DEFAULT_SEED, n_configs=30):
                 float(np.max(np.abs(F.sum(axis=0)))),
                 float(np.max(np.abs(torque))),
             )
+    # every expression on a batch of shapes equals it row by row, bit for bit
+    r1, r2, phi = np.array([astuple(random_shape(rng)) for _ in range(n_configs)]).T
+    columns = np.array([r1, r2, phi, *shape_to_distances(masses, r1, r2, phi)])
+    for text in GOLDEN_EXPRESSIONS:
+        spec = parse_potential(text)
+        batch = eval_potential_batch(spec, masses, *columns)
+        rows = [eval_potential_batch(spec, masses, *columns[:, i : i + 1]) for i in range(len(r1))]
+        if batch.tobytes() != np.concatenate(rows).tobytes():
+            return False, f"batch value differs from row-by-row value for {text!r}"
     ok = worst_grad < _tol(1e-6) and worst_inv < _tol(1e-10)
     return ok, (
         f"max gradient mismatch {worst_grad:.3e} (tol {_tol(1e-6):.1e}), "
-        f"max force/torque residual {worst_inv:.3e} (tol {_tol(1e-10):.1e})"
+        f"max force/torque residual {worst_inv:.3e} (tol {_tol(1e-10):.1e}), "
+        f"batch = row by row on {len(r1)} shapes"
     )
 
 

@@ -105,8 +105,8 @@ def _parse_potential(cfg) -> PotentialSpec:
             raise ConfigError("potential.params", "expected an object")
         try:
             return builtin_potential(name, **params)
-        except ValueError as exc:
-            raise ConfigError("potential.builtin", str(exc))
+        except ValueError as exc:  # an unknown family, or a parameter it cannot take
+            raise ConfigError("potential", str(exc))
     try:
         return parse_potential(raw["expression"])
     except TrireduceError as exc:
@@ -121,6 +121,13 @@ def _number(raw, path):
     if not isfinite(value):
         raise ConfigError(path, f"must be finite, got {value}")
     return value
+
+
+def _count(raw, path):
+    value = _number(raw, path)
+    if isinstance(raw, bool) or value != int(value):
+        raise ConfigError(path, f"expected a whole number, got {raw!r}")
+    return int(value)
 
 
 def _vec3(raw, path):
@@ -174,11 +181,11 @@ def _parse_integrator(cfg) -> IntegratorConfig:
     try:
         return IntegratorConfig(
             method=raw.get("method", "leapfrog"),
-            dt=float(raw.get("dt", 1e-3)),
-            steps=int(raw.get("steps", 1000)),
-            record_stride=int(raw.get("record_stride", 1)),
+            dt=_number(raw.get("dt", 1e-3), "integrator.dt"),
+            steps=_count(raw.get("steps", 1000), "integrator.steps"),
+            record_stride=_count(raw.get("record_stride", 1), "integrator.record_stride"),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError("integrator", str(exc))
 
 
@@ -186,15 +193,12 @@ def _parse_thresholds(cfg):
     raw = cfg.get("thresholds", {})
     if not isinstance(raw, dict):
         raise ConfigError("thresholds", "expected an object")
-    try:
-        band = float(raw.get("band", BAND_THRESHOLD))
-        thresholds = {
-            "collinear": float(raw.get("collinear", COLLINEAR_THRESHOLD)),
-            "band": band,
-            "passage": float(raw.get("passage", band)),
-        }
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("thresholds", str(exc))
+    band = _number(raw.get("band", BAND_THRESHOLD), "thresholds.band")
+    thresholds = {
+        "collinear": _number(raw.get("collinear", COLLINEAR_THRESHOLD), "thresholds.collinear"),
+        "band": band,
+        "passage": _number(raw.get("passage", band), "thresholds.passage"),
+    }
     for name, value in thresholds.items():
         upper = MAX_COLLINEAR_THRESHOLD if name == "collinear" else sys.float_info.max
         if not 0.0 <= value <= upper:

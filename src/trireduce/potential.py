@@ -7,7 +7,8 @@ potentials are invariant by construction because they only see the shape.
 """
 
 from dataclasses import dataclass, field
-from math import cos, exp, isfinite, log, sin, sqrt
+from numbers import Real
+from sys import float_info
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .errors import (
     PotentialSyntaxError,
     UnknownIdentifier,
 )
-from .geometry import MassTriple, ShapeCoordinates, cross, jacobi_map, shape_to_distances
+from .geometry import MassTriple, cross, jacobi_map
 
 VARIABLES = ("r1", "r2", "phi", "d12", "d13", "d23")
 CONSTANTS = {"pi": np.pi, "e": np.e}
@@ -232,67 +233,69 @@ def _print(node, parent_prec):
     return f"({text})" if parent_prec > prec else text
 
 
-_FN_IMPL = {
-    "sin": sin,
-    "cos": cos,
-    "sqrt": sqrt,
-    "exp": exp,
-    "log": log,
-    "abs": abs,
+# numpy kernels of the operators and functions
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+_UFUNCS.update((fn, getattr(np, fn)) for fn in FUNCTIONS)
+
+# Where an operation leaves its domain, given its operands; such a row also
+# has a non-finite value.  Finite operands of '^' with a non-finite value are
+# a negative base to a non-integer power, 0 to a negative power or overflow.
+_DOMAIN = {
+    "/": lambda a, b: b == 0.0,
+    "^": lambda a, b: np.isfinite(a) & np.isfinite(b),
+    "sin": np.isinf,
+    "cos": np.isinf,
+    "sqrt": lambda x: x < 0.0,
+    "exp": np.isfinite,
+    "log": lambda x: x <= 0.0,
 }
 
 
-def _eval_node(node, values):
+def _apply(name, shape, *args):
+    """One operation on the rows.  Raises DomainError(name, value) at the first
+    row outside its domain, with the argument of a function, the divisor of
+    '/' or the pair (base, exponent) of '^' as the value."""
+    value = _UFUNCS[name](*args)
+    if name in _DOMAIN and not np.isfinite(value).all():
+        bad = np.broadcast_to(_DOMAIN[name](*args) & ~np.isfinite(value), shape)
+        if bad.any():
+            row = [float(np.broadcast_to(a, shape)[bad.argmax()]) for a in args]
+            raise DomainError(name, tuple(row) if name == "^" else row[-1])
+    return value
+
+
+def _eval_node(node, values, shape):
+    """Value of a tree on the rows, `values` holding each variable's column;
+    numbers stay scalars.  Run under np.errstate: the checks are masks."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         return values[node.name]
     if isinstance(node, Neg):
-        return -_eval_node(node.arg, values)
+        return -_eval_node(node.arg, values, shape)
     if isinstance(node, Call):
-        x = _eval_node(node.arg, values)
-        if node.fn == "sqrt" and x < 0.0:
-            raise DomainError("sqrt", x)
-        if node.fn == "log" and x <= 0.0:
-            raise DomainError("log", x)
-        try:
-            return _FN_IMPL[node.fn](x)
-        except (OverflowError, ValueError):  # exp overflow, sin/cos of inf
-            raise DomainError(node.fn, x)
-    a = _eval_node(node.left, values)
-    b = _eval_node(node.right, values)
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    if node.op == "*":
-        return a * b
-    if node.op == "/":
-        if b == 0.0:
-            raise DomainError("/", b)
-        return a / b
-    # '^'
-    try:
-        value = a ** b
-    except (ZeroDivisionError, OverflowError, ValueError):
-        raise DomainError("^", (a, b))
-    if isinstance(value, complex):
-        raise DomainError("^", (a, b))
-    return value
-
-
-def _eval_finite(node, values):
-    """Value of an expression at one point; DomainError unless finite."""
-    value = float(_eval_node(node, values))
-    if not isfinite(value):
-        raise DomainError("expression", value)
-    return value
+        return _apply(node.fn, shape, _eval_node(node.arg, values, shape))
+    a = _eval_node(node.left, values, shape)
+    return _apply(node.op, shape, a, _eval_node(node.right, values, shape))
 
 
 # --------------------------------------------------------------------------
 # Potential specifications
 
-BUILTIN_NAMES = ("free", "gravity", "harmonic", "lennard_jones")
+# parameters each built-in family reads; "rest" maps pairs to rest lengths
+BUILTIN_PARAMS = {
+    "free": (),
+    "gravity": ("G",),
+    "harmonic": ("k", "rest_length", "rest"),
+    "lennard_jones": ("epsilon", "sigma"),
+}
+BUILTIN_NAMES = tuple(BUILTIN_PARAMS)
+
+
+def _check_number(path, value):
+    # abs(nan) <= max is False, and an int is compared exactly, not rounded
+    if isinstance(value, bool) or not isinstance(value, Real) or not abs(value) <= float_info.max:
+        raise ValueError(f"{path}: expected a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -310,6 +313,17 @@ class PotentialSpec:
             raise ValueError("exactly one of builtin/ast must be set")
         if self.builtin is not None and self.builtin not in BUILTIN_NAMES:
             raise ValueError(f"unknown builtin potential '{self.builtin}'")
+        reads = BUILTIN_PARAMS.get(self.builtin, ())
+        for key, value in self.params.items():
+            if key not in reads:
+                raise ValueError(f"params.{key}: {self.builtin} reads {list(reads) or 'none'}")
+            if key != "rest":
+                _check_number(f"params.{key}", value)
+            elif not isinstance(value, dict) or not set(value) <= set(PAIRS):
+                raise ValueError(f"params.rest: expected an object with keys among {tuple(PAIRS)}")
+            else:
+                for pair, length in value.items():
+                    _check_number(f"params.rest.{pair}", length)
 
 
 def builtin_potential(name, **params) -> PotentialSpec:
@@ -320,36 +334,6 @@ def parse_potential(text) -> PotentialSpec:
     """Parse an expression potential; raises PotentialSyntaxError or
     UnknownIdentifier on bad input."""
     return PotentialSpec(ast=parse_expression(text), source=text)
-
-
-@dataclass(frozen=True)
-class EvalContext:
-    """Shape-level evaluation context: coordinates, distances and masses."""
-
-    masses: MassTriple
-    r1: float
-    r2: float
-    phi: float
-    d12: float
-    d13: float
-    d23: float
-
-    @classmethod
-    def from_shape(cls, masses: MassTriple, q: ShapeCoordinates):
-        # Python floats, so that the expression walk keeps Python's
-        # arithmetic (a complex power is a DomainError, not a numpy NaN)
-        d12, d13, d23 = map(float, shape_to_distances(masses, q.r1, q.r2, q.phi))
-        return cls(masses, q.r1, q.r2, q.phi, d12, d13, d23)
-
-    def values(self):
-        return {
-            "r1": self.r1,
-            "r2": self.r2,
-            "phi": self.phi,
-            "d12": self.d12,
-            "d13": self.d13,
-            "d23": self.d23,
-        }
 
 
 # first and second bodies of the pairs d12, d13, d23, and the pair-by-body
@@ -389,25 +373,27 @@ def _pair_terms(spec: PotentialSpec, masses: MassTriple, d):
     raise ConfigError("potential.builtin", f"unknown builtin '{spec.builtin}'")
 
 
-def eval_potential(spec: PotentialSpec, ctx: EvalContext) -> float:
-    """Potential energy at the context's shape: eval_potential_batch on one row."""
-    values = ctx.values()
-    return float(eval_potential_batch(spec, ctx.masses, *([values[v]] for v in VARIABLES))[0])
-
-
 def eval_potential_batch(
     spec: PotentialSpec, masses: MassTriple, r1, r2, phi, d12, d13, d23
 ) -> np.ndarray:
     """Potential energy at N shapes, each variable given as an (N,) array.
 
-    Built-in families are evaluated on the arrays; expressions walk the tree
-    once per shape, on Python floats, with the domain checks of the tree
-    walk, and raise DomainError unless the value is finite.
+    Built-in families and expressions are both evaluated on the arrays.  An
+    expression raises DomainError where an operation leaves its domain
+    (sqrt or log of a number below or at 0, exp overflow, sin or cos of an
+    infinity, division by 0, a negative base to a non-integer power, 0 to a
+    negative power, power overflow) and, under the name "expression",
+    where its value is not finite.
     """
     if spec.ast is not None:
-        columns = (np.asarray(a, dtype=float).tolist() for a in (r1, r2, phi, d12, d13, d23))
-        values = [_eval_finite(spec.ast, dict(zip(VARIABLES, row))) for row in zip(*columns)]
-        return np.array(values, dtype=float)
+        columns = [np.asarray(a, dtype=float) for a in (r1, r2, phi, d12, d13, d23)]
+        shape = np.broadcast(*columns).shape
+        with np.errstate(all="ignore"):
+            value = _eval_node(spec.ast, dict(zip(VARIABLES, columns)), shape)
+        value = np.array(np.broadcast_to(value, shape))
+        if not np.isfinite(value).all():
+            raise DomainError("expression", float(value[~np.isfinite(value)][0]))
+        return value
     energy, _ = _pair_terms(spec, masses, np.stack([d12, d13, d23], axis=-1))
     return (energy[..., 0] + energy[..., 1]) + energy[..., 2]
 

@@ -228,6 +228,48 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg]) == 2
         assert "potential.expression" in caplog.text
 
+    @pytest.mark.parametrize(
+        "potential, field",
+        [
+            ({"builtin": "gravity", "params": {"g": 5.0}}, "params.g"),
+            ({"builtin": "free", "params": {"k": 1.0}}, "params.k"),
+            ({"builtin": "harmonic", "params": {"rest": {"d14": 1.0}}}, "params.rest"),
+            ({"builtin": "harmonic", "params": {"k": "abc"}}, "params.k"),
+            ({"builtin": "harmonic", "params": {"k": None}}, "params.k"),
+            ({"builtin": "harmonic", "params": {"k": float("inf")}}, "params.k"),
+            ({"builtin": "harmonic", "params": {"rest": {"d12": "1"}}}, "params.rest.d12"),
+            ({"builtin": "lennard_jones", "params": {"sigma": True}}, "params.sigma"),
+        ],
+    )
+    def test_bad_builtin_params_exit_2(self, tmp_path, caplog, potential, field):
+        # a parameter the family does not read, or one that is not a finite
+        # number, was silently ignored or crashed with a TypeError
+        cfg = write_config(tmp_path, dict(HARMONIC_CONFIG, potential=potential))
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "config field 'potential'" in caplog.text and field in caplog.text
+
+    def test_builtin_rest_lengths_accepted(self, tmp_path):
+        params = {"k": 2, "rest_length": 1.0, "rest": {"d12": 1.2, "d23": 0.8}}
+        good = dict(HARMONIC_CONFIG, potential={"builtin": "harmonic", "params": params})
+        cfg = write_config(tmp_path, good)
+        assert run(["evaluate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+
+    @pytest.mark.parametrize(
+        "integrator, field",
+        [
+            ({"steps": 2.7}, "integrator.steps"),
+            ({"record_stride": True}, "integrator.record_stride"),
+            ({"dt": float("inf")}, "integrator.dt"),
+        ],
+    )
+    def test_bad_integrator_numbers_exit_2(self, tmp_path, caplog, integrator, field):
+        # these ran 2 steps, ran stride 1 and exited 3 (NumericalBlowup)
+        integrator = dict(HARMONIC_CONFIG["integrator"], **integrator)
+        bad = dict(HARMONIC_CONFIG, integrator=integrator)
+        cfg = write_config(tmp_path, bad)
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert field in caplog.text
+
     def test_blowup_exit_3(self, tmp_path):
         # near-collision under 1/d gravity: the first kick is ~G/d^2 and
         # sends positions past the overflow guard within a few steps

@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 from trireduce.checks import random_rotation
 from trireduce.errors import DomainError, PotentialSyntaxError, UnknownIdentifier
-from trireduce.geometry import MassTriple, ShapeCoordinates
+from trireduce.geometry import MassTriple, ShapeCoordinates, shape_to_distances
 from trireduce.potential import (
     Bin,
     Call,
-    EvalContext,
     Neg,
     Num,
+    PotentialSpec,
+    VARIABLES,
     Var,
     builtin_potential,
-    eval_potential,
     eval_potential_batch,
     forces_cartesian,
     parse_expression,
@@ -28,11 +28,50 @@ from trireduce.potential import (
 RNG = np.random.default_rng(31)
 MASSES = MassTriple(1.0, 1.0, 1.0)
 
+# batches of rows of r1, r2, phi, d12, d13, d23 for the row-independence
+# property: plain values, and values that meet every domain check (zeros,
+# negatives, an argument whose exp overflows, infinities) beside plain ones
+_BATCH_RNG = np.random.default_rng(7)
+BATCHES = (
+    _BATCH_RNG.uniform(0.1, 3.0, size=(12, 6)),
+    _BATCH_RNG.choice(
+        [0.0, -0.0, 0.5, 1.0, 1.7, 3.0, -1.0, -2.5, 800.0, np.inf, -np.inf], size=(12, 6)
+    ),
+)
+
+
+# random expression trees over every variable, operator and function
+EXPRESSIONS = st.recursive(
+    st.one_of(
+        st.sampled_from([Var(v) for v in ("r1", "r2", "phi", "d12", "d13", "d23")]),
+        st.floats(0, 100, allow_nan=False).map(lambda x: Num(float(x))),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from("+-*/^"), inner, inner).map(lambda t: Bin(*t)),
+        inner.map(Neg),
+        st.tuples(st.sampled_from(["sin", "cos", "sqrt", "exp", "log", "abs"]), inner).map(
+            lambda t: Call(*t)
+        ),
+    ),
+    max_leaves=12,
+)
+
 
 def ctx_with(**kwargs):
+    """Columns r1, r2, phi, d12, d13, d23 of a one-row batch, 1.0 by default."""
     defaults = dict(r1=1.0, r2=1.0, phi=1.0, d12=1.0, d13=1.0, d23=1.0)
     defaults.update(kwargs)
-    return EvalContext(MASSES, **defaults)
+    return [np.array([defaults[v]]) for v in VARIABLES]
+
+
+def shape_row(masses, q):
+    """Columns of the one-row batch at the shape q, with its pair distances."""
+    d12, d13, d23 = shape_to_distances(masses, q.r1, q.r2, q.phi)
+    return [np.array([v]) for v in (q.r1, q.r2, q.phi, d12, d13, d23)]
+
+
+def eval_row(spec, row, masses=MASSES):
+    return eval_potential_batch(spec, masses, *row)[0]
 
 
 class TestParser:
@@ -87,20 +126,7 @@ class TestParser:
         assert parse_expression("2.5e-3") == Num(2.5e-3)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.recursive(
-        st.one_of(
-            st.sampled_from([Var(v) for v in ("r1", "r2", "phi", "d12", "d13", "d23")]),
-            st.floats(0, 100, allow_nan=False).map(lambda x: Num(float(x))),
-        ),
-        lambda inner: st.one_of(
-            st.tuples(st.sampled_from("+-*/^"), inner, inner).map(lambda t: Bin(*t)),
-            inner.map(Neg),
-            st.tuples(st.sampled_from(["sin", "cos", "sqrt", "exp", "log", "abs"]), inner).map(
-                lambda t: Call(*t)
-            ),
-        ),
-        max_leaves=12,
-    ))
+    @given(EXPRESSIONS)
     def test_print_parse_round_trip(self, ast):
         printed = print_expression(ast)
         assert parse_expression(printed) == ast
@@ -108,45 +134,110 @@ class TestParser:
 
 class TestEval:
     def test_free_is_zero(self):
-        assert eval_potential(builtin_potential("free"), ctx_with()) == 0.0
+        assert eval_row(builtin_potential("free"), ctx_with()) == 0.0
 
     def test_square(self):
         spec = parse_potential("r1^2")
-        assert eval_potential(spec, ctx_with(r1=3.0)) == 9.0
+        assert eval_row(spec, ctx_with(r1=3.0)) == 9.0
 
     def test_gravity_example(self):
         spec = builtin_potential("gravity", G=1.0)
         ctx = ctx_with(d12=sqrt(2), d13=2.0, d23=sqrt(2))
         expected = -(1 / sqrt(2) + 0.5 + 1 / sqrt(2))
-        assert eval_potential(spec, ctx) == pytest.approx(expected, rel=1e-14)
+        assert eval_row(spec, ctx) == pytest.approx(expected, rel=1e-14)
 
     def test_division_by_zero(self):
         spec = parse_potential("1/(r1 - 1)")
         with pytest.raises(DomainError):
-            eval_potential(spec, ctx_with(r1=1.0))
+            eval_row(spec, ctx_with(r1=1.0))
 
     def test_log_domain(self):
         spec = parse_potential("log(r1 - 2)")
         with pytest.raises(DomainError):
-            eval_potential(spec, ctx_with(r1=1.0))
+            eval_row(spec, ctx_with(r1=1.0))
 
     def test_sqrt_domain(self):
         spec = parse_potential("sqrt(r1 - 2)")
         with pytest.raises(DomainError):
-            eval_potential(spec, ctx_with(r1=1.0))
+            eval_row(spec, ctx_with(r1=1.0))
 
     def test_power_domain_on_every_path(self):
-        # a negative base to a fractional power: a plain context, a context
-        # built from a shape, and the batch evaluation all raise
+        # a negative base to a fractional power: a plain row, a row built
+        # from a shape, and a two-row batch all raise
         spec = parse_potential("(d12 - 10)^0.5")
         with pytest.raises(DomainError):
-            eval_potential(spec, ctx_with(d12=1.0))
+            eval_row(spec, ctx_with(d12=1.0))
         q = ShapeCoordinates(1.4, 0.9, 1.2)
         with pytest.raises(DomainError):
-            eval_potential(spec, EvalContext.from_shape(MASSES, q))
+            eval_row(spec, shape_row(MASSES, q))
         ones = np.ones(2)
         with pytest.raises(DomainError):
             eval_potential_batch(spec, MASSES, ones, ones, ones, ones, ones, ones)
+
+    @pytest.mark.parametrize(
+        "text, node, value",
+        [
+            ("sqrt(r1 - 2)", "sqrt", -1.0),
+            ("log(r1 - 1)", "log", 0.0),
+            ("exp(r1 * 1000)", "exp", 1000.0),
+            ("sin(r1 * 1e308 * 10)", "sin", float("inf")),
+            ("cos(-r1 * 1e308 * 10)", "cos", float("-inf")),
+            ("1 / (r1 - 1)", "/", 0.0),
+            ("(r1 - 2) ^ 0.5", "^", (-1.0, 0.5)),
+            ("(r1 - 1) ^ -1", "^", (0.0, -1.0)),
+            ("(r1 * 10) ^ 400", "^", (10.0, 400.0)),
+            ("exp(r1 * 1e308 * 10) - r1", "expression", float("inf")),
+        ],
+    )
+    def test_domain_error_names_node_and_operands(self, text, node, value):
+        with pytest.raises(DomainError) as err:
+            eval_row(parse_potential(text), ctx_with(r1=1.0))
+        assert (err.value.node, err.value.value) == (node, value)
+
+    def test_non_finite_operands_outside_the_checks(self):
+        # an infinity or NaN reaching exp, '^' or sqrt is not a domain error
+        # there; only the final value is checked
+        for text in ("exp(r1 * 1e308 * 10)", "(r1 * 1e308 * 10) ^ 2", "sqrt(r1 * 1e308 * 10)"):
+            with pytest.raises(DomainError) as err:
+                eval_row(parse_potential(text), ctx_with(r1=1.0))
+            assert err.value.node == "expression"
+        assert eval_row(parse_potential("exp(-r1 * 1e308 * 10) + (r1 - 2) ^ 2"), ctx_with()) == 1.0
+
+    def test_constant_expression_and_empty_batch(self):
+        # a constant has one value per row; no row has no value and no error
+        constant, failing = parse_potential("2 ^ 3"), parse_potential("log(0) + r1")
+        for n in (3, 1, 0):
+            value = eval_potential_batch(constant, MASSES, *[np.ones(n)] * 6)
+            assert value.shape == (n,) and np.all(value == 8.0)
+        assert eval_potential_batch(failing, MASSES, *[np.ones(0)] * 6).shape == (0,)
+        with pytest.raises(DomainError) as err:
+            eval_potential_batch(failing, MASSES, *[np.ones(2)] * 6)
+        assert (err.value.node, err.value.value) == ("log", 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(EXPRESSIONS)
+    def test_rows_are_independent(self, ast):
+        # each row of a batch is what that row gives alone, bit for bit; the
+        # batch raises exactly when some row raises alone, and then names
+        # the node and the operands that row names
+        spec = PotentialSpec(ast=ast)
+        for batch in BATCHES:
+            columns = batch.T
+            alone = []
+            for i in range(len(batch)):
+                try:
+                    alone.append(eval_potential_batch(spec, MASSES, *columns[:, i : i + 1]))
+                except DomainError as exc:
+                    alone.append(str(exc))
+            raised = [a for a in alone if isinstance(a, str)]
+            try:
+                value = eval_potential_batch(spec, MASSES, *columns)
+            except DomainError as exc:
+                assert str(exc) in raised
+            else:
+                assert not raised
+                assert value.tobytes() == np.concatenate(alone).tobytes()
+            assert eval_potential_batch(spec, MASSES, *columns[:, :0]).shape == (0,)
 
     def test_rotation_invariance_by_construction(self):
         # the context depends only on the shape, so rotated Cartesian
@@ -154,7 +245,7 @@ class TestEval:
         spec = parse_potential("sin(phi) * d12 + r1 / d23")
         masses = MassTriple(1.0, 2.0, 0.5)
         q = ShapeCoordinates(1.4, 0.9, 1.2)
-        base = eval_potential(spec, EvalContext.from_shape(masses, q))
+        base = eval_row(spec, shape_row(masses, q), masses)
         from trireduce.geometry import JacobiVectors, body_jacobi_vectors, cartesian_from_jacobi
 
         b1, b2 = body_jacobi_vectors(q)

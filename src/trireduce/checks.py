@@ -361,6 +361,16 @@ GOLDEN_EXPRESSIONS = [
 ]
 
 
+# expressions whose forces suite_parser checks: the built-ins at masses
+# (1, 2, 3) with default parameters, written as trees, and one through phi
+FORCE_EXPRESSIONS = [
+    "-2/d12 - 3/d13 - 6/d23",
+    "0.5*(d12-1)^2 + 0.5*(d13-1)^2 + 0.5*(d23-1)^2",
+    " + ".join(f"4*((1/{d})^12 - (1/{d})^6)" for d in ("d12", "d13", "d23")),
+    "sin(phi)*d12 + r1/d23 + 0.3*cos(phi)^2*r2",
+]
+
+
 def suite_parser(seed=DEFAULT_SEED, n_configs=30):
     rng = np.random.default_rng(seed)
     for text in GOLDEN_EXPRESSIONS:
@@ -371,32 +381,24 @@ def suite_parser(seed=DEFAULT_SEED, n_configs=30):
         if print_expression(parse_potential(printed).ast) != printed:
             return False, f"print not idempotent for {text!r}"
     masses = MassTriple(1.0, 2.0, 3.0)
+    # the built-ins, their twins as expressions (masses folded in) and an
+    # expression through r1, r2 and phi
+    specs = [builtin_potential(name) for name in ("gravity", "harmonic", "lennard_jones")]
+    specs += [parse_potential(text) for text in FORCE_EXPRESSIONS]
+    step = 1e-4
+    # fourth-order central stencil: offsets 2h, h, -h, -2h of each coordinate
+    offsets = np.kron(np.eye(9), [[2.0], [1.0], [-1.0], [-2.0]]).reshape(36, 3, 3) * step
+    weights = np.array([-1.0, 8.0, -8.0, 1.0]) / (12 * step)
     worst_grad, worst_inv = 0.0, 0.0
-    for builtin in ("gravity", "harmonic", "lennard_jones"):
-        spec = builtin_potential(builtin)
+    for spec in specs:
         for _ in range(n_configs):
             pos = rng.uniform(-1.5, 1.5, size=(3, 3))
             if min(np.linalg.norm(pos[i] - pos[k]) for i, k in [(0, 1), (0, 2), (1, 2)]) < 0.5:
                 continue
             F = forces_cartesian(spec, masses, pos)
-            step = 1e-4
-            for i in range(3):
-                for k in range(3):
-
-                    def v_at(offset):
-                        shifted = pos.copy()
-                        shifted[i, k] += offset
-                        return potential_at_positions(spec, masses, shifted[None])[0]
-
-                    # fourth-order central stencil
-                    fd = -(
-                        -v_at(2 * step)
-                        + 8 * v_at(step)
-                        - 8 * v_at(-step)
-                        + v_at(-2 * step)
-                    ) / (12 * step)
-                    scale = max(abs(fd), 1.0)
-                    worst_grad = max(worst_grad, abs(F[i, k] - fd) / scale)
+            fd = -(potential_at_positions(spec, masses, pos + offsets).reshape(9, 4) @ weights)
+            scale = np.maximum(np.abs(fd), 1.0)
+            worst_grad = max(worst_grad, float(np.max(np.abs(F.ravel() - fd) / scale)))
             com = (masses.as_array()[:, None] * pos).sum(axis=0) / masses.total
             torque = np.sum(np.cross(pos - com, F), axis=0)
             worst_inv = max(

@@ -12,7 +12,6 @@ import logging
 import os
 import sys
 from dataclasses import astuple
-from math import isfinite
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .geometry import (
     spatial_angular_momentum,
 )
 from .hamiltonian import evaluate_reduced
-from .potential import PotentialSpec, builtin_potential, parse_potential
+from .potential import PotentialSpec, builtin_potential, check_number, parse_potential
 from .reduction import BodyMomenta, body_velocities, velocities_from_momenta
 
 log = logging.getLogger("trireduce")
@@ -87,8 +86,8 @@ def _parse_masses(cfg):
     if len(raw) != 3:
         raise ConfigError("masses", "expected exactly 3 entries")
     try:
-        return MassTriple(*(float(v) for v in raw))
-    except (TypeError, ValueError) as exc:
+        return MassTriple(*(_number(v, f"masses[{i}]") for i, v in enumerate(raw)))
+    except ValueError as exc:
         raise ConfigError("masses", str(exc))
 
 
@@ -114,18 +113,17 @@ def _parse_potential(cfg) -> PotentialSpec:
 
 
 def _number(raw, path):
+    """A finite JSON number, not a boolean or a string, as a float."""
     try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(path, f"expected a number, got {raw!r}")
-    if not isfinite(value):
-        raise ConfigError(path, f"must be finite, got {value}")
-    return value
+        check_number(path, raw)
+    except ValueError:
+        raise ConfigError(path, f"expected a finite number, got {raw!r}")
+    return float(raw)
 
 
 def _count(raw, path):
     value = _number(raw, path)
-    if isinstance(raw, bool) or value != int(value):
+    if value != int(value):
         raise ConfigError(path, f"expected a whole number, got {raw!r}")
     return int(value)
 

@@ -1,12 +1,15 @@
 """Rotation- and translation-invariant potentials.
 
-Built-in pairwise families (gravity, harmonic, Lennard-Jones, free) with
-analytic forces, plus a small expression language over the shape variables
-r1, r2, phi and the interparticle distances d12, d13, d23.  Expression
-potentials are invariant by construction because they only see the shape.
+Built-in pairwise families (gravity, harmonic, Lennard-Jones, free) plus a
+small expression language over the shape variables r1, r2, phi and the
+interparticle distances d12, d13, d23.  Expression potentials are invariant
+by construction because they only see the shape.  Forces are exact
+gradients for both: an expression is compiled to one walk that returns its
+value and its reverse-mode pullback.
 """
 
 from dataclasses import dataclass, field
+from math import atan2, hypot
 from numbers import Real
 from sys import float_info
 
@@ -18,7 +21,7 @@ from .errors import (
     PotentialSyntaxError,
     UnknownIdentifier,
 )
-from .geometry import MassTriple, cross, jacobi_map
+from .geometry import MassTriple, cross, jacobi_map, jacobi_matrix
 
 VARIABLES = ("r1", "r2", "phi", "d12", "d13", "d23")
 CONSTANTS = {"pi": np.pi, "e": np.e}
@@ -251,32 +254,171 @@ _DOMAIN = {
 }
 
 
+def _all_finite(v):
+    """np.isfinite(v).all(), at half its cost on a few rows."""
+    return np.count_nonzero(np.isfinite(v)) == np.size(v)
+
+
+def _raise_at(name, shape, bad, args):
+    """DomainError(name, value) at the first row of the mask `bad`, with the
+    argument of a function, the divisor of '/' or the pair (base, exponent)
+    of '^' at that row as the value."""
+    row = [float(np.broadcast_to(a, shape)[bad.argmax()]) for a in args]
+    raise DomainError(name, tuple(row) if name == "^" else row[-1])
+
+
 def _apply(name, shape, *args):
-    """One operation on the rows.  Raises DomainError(name, value) at the first
-    row outside its domain, with the argument of a function, the divisor of
-    '/' or the pair (base, exponent) of '^' as the value."""
+    """One operation on the rows.  Raises DomainError (see _raise_at) at the
+    first row outside its domain."""
     value = _UFUNCS[name](*args)
-    if name in _DOMAIN and not np.isfinite(value).all():
+    if name in _DOMAIN and not _all_finite(value):
         bad = np.broadcast_to(_DOMAIN[name](*args) & ~np.isfinite(value), shape)
         if bad.any():
-            row = [float(np.broadcast_to(a, shape)[bad.argmax()]) for a in args]
-            raise DomainError(name, tuple(row) if name == "^" else row[-1])
+            _raise_at(name, shape, bad, args)
     return value
 
 
-def _eval_node(node, values, shape):
-    """Value of a tree on the rows, `values` holding each variable's column;
-    numbers stay scalars.  Run under np.errstate: the checks are masks."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return values[node.name]
-    if isinstance(node, Neg):
-        return -_eval_node(node.arg, values, shape)
-    if isinstance(node, Call):
-        return _apply(node.fn, shape, _eval_node(node.arg, values, shape))
-    a = _eval_node(node.left, values, shape)
-    return _apply(node.op, shape, a, _eval_node(node.right, values, shape))
+# The adjoint of each operand of an operation, as Python source in the
+# adjoint {g} of its value {v} and its operands {a}, {b}: a pair (left,
+# right) for the binary operators.
+_ADJOINTS = {
+    "+": ("{g}", "{g}"),
+    "-": ("{g}", "-{g}"),
+    "*": ("{g} * {b}", "{g} * {a}"),
+    "/": ("{g} / {b}", "-{g} * {v} / {b}"),
+    "^": ("{g} * {b} * {a} ** ({b} - 1.0)", "{g} * {v} * np.log({a})"),
+    "neg": "-{g}",
+    "sin": "{g} * np.cos({a})",
+    "cos": "-{g} * np.sin({a})",
+    "sqrt": "0.5 * {g} / {v}",
+    "exp": "{g} * {v}",
+    "log": "{g} / {a}",
+    "abs": "{g} * np.sign({a})",
+}
+
+
+def _check_adjoint(name, shape, adjoint, args):
+    """Raise DomainError (see _raise_at) at the first row where an adjoint
+    passed down from the operation `name` is not finite."""
+    bad = ~np.isfinite(np.broadcast_to(adjoint, shape))
+    if bad.any():
+        _raise_at(name, shape, bad, args)
+
+
+def _compile(ast):
+    """Compile a tree, once, to its walk; returns (walk, the variables read).
+
+    walk(columns, shape) takes each variable's (N,) column and returns
+    (value, back): the value on the rows, every operation going through
+    _apply, and the pullback back(g, check), which returns g times the
+    derivative of the value by each variable read, as a dict.  With
+    `check` set, back raises DomainError at the first operation that
+    passes down an adjoint that is not finite.  A constant subtree's value
+    is a number and its back is None: it is evaluated on each walk, never
+    folded, so 1/0 still raises.  Run both under np.errstate, since the
+    checks are masks.
+
+    The walk is Python source with one statement per operation, run
+    through exec: the tree costs no Python call per node.  Constants enter
+    it as K[i] and variables by name from VARIABLES, so no text of the
+    expression reaches the source.
+    """
+    constants, forward, reads = [], [], []
+
+    def visit(node):
+        # statements of the node's value; returns its name in the source
+        # and, unless it is constant, a function that emits the statements
+        # of its pullback from the name of its adjoint
+        if isinstance(node, Num):
+            constants.append(node.value)
+            return f"K[{len(constants) - 1}]", None
+        if isinstance(node, Var):
+            if node.name not in reads:
+                reads.append(node.name)
+                forward.append(f"x_{node.name} = columns[{node.name!r}]")
+
+            def pull_var(g, lines, summed):
+                d = f"d_{node.name}"
+                lines.append(f"{d} = {d} + {g}" if d in summed else f"{d} = {g}")
+                summed.add(d)
+
+            return f"x_{node.name}", pull_var
+        if isinstance(node, Neg):
+            name, operands = "neg", [visit(node.arg)]
+        elif isinstance(node, Call):
+            name, operands = node.fn, [visit(node.arg)]
+        else:
+            name, operands = node.op, [visit(node.left), visit(node.right)]
+        refs = [ref for ref, _ in operands]
+        args = ", ".join(refs)
+        value = f"v{len(forward)}"
+        if name == "neg":
+            forward.append(f"{value} = -{args}")
+        else:
+            forward.append(f"{value} = _apply({name!r}, shape, {args})")
+        if all(pull is None for _, pull in operands):
+            return value, None
+        adjoints = _ADJOINTS[name] if len(refs) == 2 else (_ADJOINTS[name],)
+
+        def pull_op(g, lines, summed):
+            for (_, pull), adjoint in zip(operands, adjoints):
+                if pull is not None:
+                    a = f"g{len(lines)}"
+                    lines.append(f"{a} = " + adjoint.format(g=g, v=value, a=refs[0], b=refs[-1]))
+                    if name != "neg":  # -g is finite where g is
+                        lines.append(f"if check: _check_adjoint({name!r}, shape, {a}, ({args},))")
+                    pull(a, lines, summed)
+
+        return value, pull_op
+
+    root, pull = visit(ast)
+    source = ["def walk(columns, shape):", *("    " + line for line in forward)]
+    if pull is None:
+        source.append(f"    return {root}, None")
+    else:
+        back = []
+        pull("g", back, set())
+        grads = ", ".join(f"{name!r}: d_{name}" for name in reads)
+        source += [
+            "    def back(g, check):",
+            *("        " + line for line in back),
+            f"        return {{{grads}}}",
+            f"    return {root}, back",
+        ]
+    namespace = dict(K=tuple(constants), _apply=_apply, _check_adjoint=_check_adjoint, np=np)
+    exec("\n".join(source), namespace)
+    return namespace["walk"], frozenset(reads)
+
+
+def _run(spec, columns, shape, gradient):
+    """V of an expression on the rows, as an array or (for a constant) a
+    number, and, if `gradient` is set, its derivatives by VARIABLES as a
+    (6, N) array, 0 for a variable it does not read.
+
+    Raises DomainError where an operation leaves its domain, under the name
+    "expression" where V is not finite, and where a derivative is not
+    finite, naming the operation that first passes one down, or else the
+    variable whose derivative overflows in the sum of its terms.
+    """
+    with np.errstate(all="ignore"):
+        value, back = spec.walk(columns, shape)
+        if not _all_finite(value):
+            bad = ~np.isfinite(np.broadcast_to(value, shape))  # no rows, no error
+            if bad.any():
+                raise DomainError("expression", float(np.broadcast_to(value, shape)[bad][0]))
+        if not gradient:
+            return value, None
+        grads = back(np.ones(shape), False) if back is not None else {}
+        zero = np.zeros(shape)
+        gradient = np.array([grads.get(name, zero) for name in VARIABLES])
+        if not _all_finite(gradient):
+            # a derivative that is not finite stays so down to the variables;
+            # walk back again, checking each operation, to name it
+            back(np.ones(shape), True)
+            row, column = np.argwhere(~np.isfinite(gradient))[0]
+            name = VARIABLES[row]
+            raise DomainError(name, float(np.broadcast_to(columns[name], shape)[column]))
+    return value, gradient
 
 
 # --------------------------------------------------------------------------
@@ -292,7 +434,8 @@ BUILTIN_PARAMS = {
 BUILTIN_NAMES = tuple(BUILTIN_PARAMS)
 
 
-def _check_number(path, value):
+def check_number(path, value):
+    """Raise ValueError unless value is a finite real number, not a bool."""
     # abs(nan) <= max is False, and an int is compared exactly, not rounded
     if isinstance(value, bool) or not isinstance(value, Real) or not abs(value) <= float_info.max:
         raise ValueError(f"{path}: expected a finite number, got {value!r}")
@@ -307,10 +450,17 @@ class PotentialSpec:
     params: dict = field(default_factory=dict)
     ast: object = None
     source: str = None
+    # an expression's compiled walk (see _compile) and the variables it reads
+    walk: object = field(default=None, init=False, repr=False, compare=False)
+    reads: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.builtin is None) == (self.ast is None):
             raise ValueError("exactly one of builtin/ast must be set")
+        if self.ast is not None:
+            walk, variables = _compile(self.ast)
+            object.__setattr__(self, "walk", walk)
+            object.__setattr__(self, "reads", variables)
         if self.builtin is not None and self.builtin not in BUILTIN_NAMES:
             raise ValueError(f"unknown builtin potential '{self.builtin}'")
         reads = BUILTIN_PARAMS.get(self.builtin, ())
@@ -318,12 +468,12 @@ class PotentialSpec:
             if key not in reads:
                 raise ValueError(f"params.{key}: {self.builtin} reads {list(reads) or 'none'}")
             if key != "rest":
-                _check_number(f"params.{key}", value)
+                check_number(f"params.{key}", value)
             elif not isinstance(value, dict) or not set(value) <= set(PAIRS):
                 raise ValueError(f"params.rest: expected an object with keys among {tuple(PAIRS)}")
             else:
                 for pair, length in value.items():
-                    _check_number(f"params.rest.{pair}", length)
+                    check_number(f"params.rest.{pair}", length)
 
 
 def builtin_potential(name, **params) -> PotentialSpec:
@@ -358,7 +508,7 @@ def _pair_terms(spec: PotentialSpec, masses: MassTriple, d):
         rest = [params.get("rest", {}).get(n, params.get("rest_length", 1.0)) for n in PAIRS]
         stretch = d - rest
         return 0.5 * k * stretch ** 2, k * stretch
-    if not np.all(d):
+    if np.count_nonzero(d) < np.size(d):
         raise DomainError(spec.builtin, 0.0)
     if spec.builtin == "gravity":
         m = masses.as_array()
@@ -388,12 +538,8 @@ def eval_potential_batch(
     if spec.ast is not None:
         columns = [np.asarray(a, dtype=float) for a in (r1, r2, phi, d12, d13, d23)]
         shape = np.broadcast(*columns).shape
-        with np.errstate(all="ignore"):
-            value = _eval_node(spec.ast, dict(zip(VARIABLES, columns)), shape)
-        value = np.array(np.broadcast_to(value, shape))
-        if not np.isfinite(value).all():
-            raise DomainError("expression", float(value[~np.isfinite(value)][0]))
-        return value
+        value, _ = _run(spec, dict(zip(VARIABLES, columns)), shape, gradient=False)
+        return np.array(np.broadcast_to(value, shape))
     energy, _ = _pair_terms(spec, masses, np.stack([d12, d13, d23], axis=-1))
     return (energy[..., 0] + energy[..., 1]) + energy[..., 2]
 
@@ -411,27 +557,102 @@ def potential_at_positions(spec: PotentialSpec, masses: MassTriple, x) -> np.nda
     )
 
 
-# central-difference probes: +e and -e for each of the nine coordinates
-_STENCIL = np.kron(np.eye(9), [[1.0], [-1.0]]).reshape(18, 3, 3)
+def _pair_forces(dVdd, delta, d):
+    """Forces F_i = -dV/dx_i on the bodies from dV/dd of the pairs d12, d13,
+    d23, given their vectors delta (3, 3) and lengths d (3,).  A pair at
+    d = 0 adds no force where dV/dd = 0, the limit, and raises DomainError
+    naming the pair otherwise."""
+    if np.count_nonzero(d) < 3:
+        for name, length, slope in zip(PAIRS, d, dVdd):
+            if length == 0.0 and slope != 0.0:
+                raise DomainError(name, 0.0)
+        d = np.where(d == 0.0, 1.0, d)  # delta is 0 there
+    # einsum rather than a matmul, whose BLAS buffers grow the process
+    return np.einsum("pb,pk->bk", _INCIDENCE, -dVdd[:, None] * delta / d[:, None])
+
+
+def _jacobi_shape(masses, x):
+    """The Jacobi vectors (s1, s2) = A x of one configuration, A being
+    jacobi_matrix, and its shape (r1, r2, |s1 x s2|, s1 . s2, phi), all as
+    floats: on three components numpy costs more than the arithmetic."""
+    rows = jacobi_matrix(masses).tolist()
+    s1, s2 = [[a * p + b * q + c * r for p, q, r in zip(*x.tolist())] for a, b, c in rows]
+    (a1, a2, a3), (b1, b2, b3) = s1, s2
+    area = hypot(a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+    dot = a1 * b1 + a2 * b2 + a3 * b3
+    return (s1, s2), (hypot(*s1), hypot(*s2), area, dot, atan2(area, dot))
+
+
+# |dV/dphi| at or below this times 1 + |V| counts as 0 at a collinear shape:
+# phi is fl(pi) there, 1.2e-16 off pi, which leaves dV/dphi of cos(phi) at
+# 1.2e-16 where its limit is 0
+_PHI_ROUNDING = 4.0 * np.finfo(float).eps
+
+
+def _shape_forces(masses, s, shape, value, slopes, reads_phi):
+    """Forces from slopes = dV/d(r1, r2, phi) at the Jacobi vectors s and
+    the shape of _jacobi_shape, V being `value`.  dV/ds = C s for s1, s2
+    stacked and a symmetric 2 x 2 matrix C, and dV/dx = A^T C s for the
+    Jacobi matrix A."""
+    r1, r2, area, dot, phi = shape
+    dr1, dr2, dphi = slopes
+    if reads_phi and area == 0.0:
+        if r1 == 0.0 or r2 == 0.0 or abs(dphi) > _PHI_ROUNDING * (1.0 + abs(value)):
+            raise DomainError("phi", phi)
+        # |dphi/ds1| = 1/r1 and |dphi/ds2| = 1/r2 in the plane of the
+        # motion, so the phi term tends to 0 with dV/dphi
+        dphi = 0.0
+    for name, r, slope in (("r1", r1, dr1), ("r2", r2, dr2)):
+        if r == 0.0 and slope != 0.0:
+            raise DomainError(name, 0.0)
+    c11 = dr1 / r1 if dr1 else 0.0
+    c22 = dr2 / r2 if dr2 else 0.0
+    c12 = 0.0
+    if dphi:
+        # dphi/ds1 = ((s1 . s2)/r1^2 s1 - s2)/|s1 x s2|, dphi/ds2 likewise
+        c11 += dphi * dot / (r1 * r1 * area)
+        c22 += dphi * dot / (r2 * r2 * area)
+        c12 = -dphi / area
+    g1, g2 = [[u * p + v * q for p, q in zip(*s)] for u, v in ((c11, c12), (c12, c22))]
+    columns = jacobi_matrix(masses).T.tolist()
+    return np.array([[-(a * p + b * q) for p, q in zip(g1, g2)] for a, b in columns])
 
 
 def forces_cartesian(spec: PotentialSpec, masses: MassTriple, positions):
-    """Forces F_i = -dV/dx_i on the three bodies.
+    """Forces F_i = -dV/dx_i on the three bodies, exact to rounding.
 
-    Analytic for the built-in pairwise families; central finite differences
-    (step 1e-6 of the largest pair distance, O(step^2) error) for
-    expressions, with the 18 probes evaluated as one batch.
+    A built-in family takes dV/dd from its pair terms.  An expression takes
+    its derivatives by the variables it reads from the pullback of its walk
+    and computes only those variables, so a pairwise expression costs the
+    pair vectors only.  dV/dd goes to the bodies through the pair vectors
+    (_pair_forces), for both; an expression's dV/d(r1, r2, phi) goes through
+    the transpose of the Jacobi map (_shape_forces).
+
+    Raises DomainError where a derivative is undefined, naming the variable:
+    at a pair distance, r1 or r2 of 0 where V's derivative by it is not 0,
+    and, for an expression that reads phi, at r1 = 0 or r2 = 0 and at an
+    exactly collinear shape where dV/dphi is not 0 (where it is 0, the limit
+    force is returned); and where a derivative of an expression is not
+    finite, naming the operation.  Gravity and Lennard-Jones raise it under
+    their own name at any pair distance of 0.
     """
-    pos = np.asarray(positions, dtype=float).reshape(3, 3)
-    delta = _pair_vectors(pos)
-    d = np.linalg.norm(delta, axis=1)
-    if spec.builtin is not None:
-        if not d.all():
-            raise DomainError(spec.builtin, 0.0)
-        _, dVdd = _pair_terms(spec, masses, d)
-        # einsum rather than a matmul, whose BLAS buffers grow the process
-        return np.einsum("pb,pk->bk", _INCIDENCE, -dVdd[:, None] * delta / d[:, None])
-    scale = d.max()
-    step = 1e-6 * (scale if scale > 0.0 else 1.0)
-    V = potential_at_positions(spec, masses, pos + step * _STENCIL)
-    return (-(V[0::2] - V[1::2]) / (2.0 * step)).reshape(3, 3)
+    x = np.asarray(positions, dtype=float).reshape(3, 3)
+    pairs = spec.builtin is not None or not spec.reads.isdisjoint(PAIRS)
+    if pairs:
+        delta = _pair_vectors(x)
+        d = np.linalg.norm(delta, axis=1)
+        if spec.builtin is not None:
+            return _pair_forces(_pair_terms(spec, masses, d)[1], delta, d)
+    columns = dict(zip(PAIRS, d[:, None])) if pairs else {}
+    jacobi = not spec.reads <= PAIRS.keys()
+    if jacobi:
+        s, shape = _jacobi_shape(masses, x)
+        r1, r2, _, _, phi = shape
+        columns.update(zip(("r1", "r2", "phi"), np.array([[r1], [r2], [phi]])))
+    value, gradient = _run(spec, columns, (1,), gradient=True)
+    forces = _pair_forces(gradient[3:, 0], delta, d) if pairs else np.zeros((3, 3))
+    if jacobi:
+        slopes = gradient[:3, 0].tolist()
+        reads_phi = "phi" in spec.reads
+        forces = forces + _shape_forces(masses, s, shape, float(value[0]), slopes, reads_phi)
+    return forces

@@ -183,6 +183,23 @@ class TestSimulate:
             assert run([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
             assert "DomainError" in caplog.text
 
+    def test_undefined_phi_force_exit_3(self, tmp_path, caplog):
+        # body 2 at the midpoint of bodies 1 and 3: r2 = 0, where phi and the
+        # force of cos(phi) are undefined
+        midpoint = dict(
+            HARMONIC_CONFIG,
+            potential={"expression": "cos(phi)"},
+            initial_state={
+                "cartesian": {
+                    "positions": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+                    "velocities": [[0.0, 0.1, 0.0], [0.0, 0.0, 0.2], [0.0, -0.1, 0.0]],
+                }
+            },
+        )
+        cfg = write_config(tmp_path, midpoint)
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
+        assert "DomainError" in caplog.text and "'phi'" in caplog.text
+
     def test_expression_overflow_exit_3(self, tmp_path, caplog):
         big = dict(HARMONIC_CONFIG, potential={"expression": "exp(d12*1000)"})
         cfg = write_config(tmp_path, big)
@@ -442,6 +459,12 @@ class TestEvaluate:
              "initial_state.cartesian.velocities[1][2]"),
             (shaped, ("initial_state", "shape", "J", 2), float("nan"), "initial_state.shape.J[2]"),
             (shaped, ("initial_state", "shape", "r1"), None, "initial_state.shape.r1"),
+            # booleans and strings are not numbers, in masses too
+            (HARMONIC_CONFIG, ("masses",), [True, 1.0, "2"], "masses[0]"),
+            (HARMONIC_CONFIG, ("masses", 2), "2", "masses[2]"),
+            (HARMONIC_CONFIG, cartesian + ("positions", 1, 1), "2",
+             "initial_state.cartesian.positions[1][1]"),
+            (shaped, ("initial_state", "shape", "phi"), True, "initial_state.shape.phi"),
         ]
         for config, path, value, field in cases:
             bad = json.loads(json.dumps(config))

@@ -39,6 +39,18 @@ BATCHES = (
     ),
 )
 
+# configurations for the forces of random trees: generic, collinear at
+# phi = 0 and at pi, r2 = 0, and bodies 1 and 2 coinciding
+FORCE_CONFIGS = [
+    np.array(p, dtype=float)
+    for p in (
+        [[0.3, -0.2, 0.9], [1.1, 0.1, -0.4], [-0.6, 0.8, 0.2]],
+        [[1.0, 0.0, 0.0], [2.5, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+        [[1.0, 0.0, 0.0], [-2.5, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+        [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+        [[0.5, 0.0, 0.0], [0.5, 0.0, 0.0], [-1.0, 0.3, 0.0]],
+    )
+]
 
 # random expression trees over every variable, operator and function
 EXPRESSIONS = st.recursive(
@@ -268,6 +280,7 @@ class TestForces:
     def test_free_forces_vanish(self):
         pos = self._spread_positions()
         assert np.allclose(forces_cartesian(builtin_potential("free"), MASSES, pos), 0)
+        assert np.array_equal(forces_cartesian(parse_potential("2 ^ 3"), MASSES, pos), np.zeros((3, 3)))
 
     def test_harmonic_equilibrium(self):
         # equilateral triangle at rest length: all forces vanish
@@ -326,13 +339,120 @@ class TestForces:
             assert np.max(np.abs(F.sum(axis=0))) <= 1e-8
             assert np.max(np.abs(torque)) <= 1e-8
 
+    def test_every_operation_has_its_derivative(self):
+        # the pullback of each operator and function, a variable exponent
+        # and a repeated variable, against the fourth-order stencil
+        masses = MassTriple(1.0, 2.0, 3.0)
+        texts = [
+            "exp(-d12) * log(d13) - sqrt(d23) + abs(r1 - 2 * r2) / d12",
+            "-(r1 ^ r2) + 2 ^ d23 - cos(phi) * sin(phi) / (d13 + phi)",
+        ]
+        step = 1e-4
+        offsets = np.array([2.0, 1.0, -1.0, -2.0]) * step
+        weights = np.array([-1.0, 8.0, -8.0, 1.0]) / (12.0 * step)
+        for text in texts:
+            spec = parse_potential(text)
+            for _ in range(5):
+                pos = self._spread_positions()
+                F = forces_cartesian(spec, masses, pos)
+                for i in range(3):
+                    for k in range(3):
+                        probes = np.repeat(pos[None], 4, axis=0)
+                        probes[:, i, k] += offsets
+                        fd = -weights @ potential_at_positions(spec, masses, probes)
+                        assert abs(F[i, k] - fd) <= 1e-6 * max(abs(fd), 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(EXPRESSIONS)
+    def test_forces_are_finite_or_raise(self, ast):
+        # no NaN or infinite force reaches the integrator, at generic,
+        # collinear and coincident configurations alike
+        spec = PotentialSpec(ast=ast)
+        for pos in FORCE_CONFIGS:
+            try:
+                F = forces_cartesian(spec, MASSES, pos)
+            except DomainError:
+                continue
+            assert F.shape == (3, 3) and np.isfinite(F).all()
+
     def test_expression_forces_match_equivalent_builtin(self):
-        # harmonic with zero rest length has the shape-level form
+        # each built-in family written as a tree, its parameters and masses
+        # folded in; harmonic with zero rest length has the shape-level form
         # k/2 (d12^2 + d13^2 + d23^2)
-        spec_expr = parse_potential("0.5 * (d12^2 + d13^2 + d23^2)")
-        spec_builtin = builtin_potential("harmonic", k=1.0, rest_length=0.0)
-        for _ in range(10):
-            pos = self._spread_positions()
-            F_expr = forces_cartesian(spec_expr, MASSES, pos)
-            F_builtin = forces_cartesian(spec_builtin, MASSES, pos)
-            assert np.allclose(F_expr, F_builtin, atol=1e-6)
+        lennard_jones = " + ".join(f"4*((1/{d})^12 - (1/{d})^6)" for d in ("d12", "d13", "d23"))
+        twins = [
+            ("0.5 * (d12^2 + d13^2 + d23^2)", builtin_potential("harmonic", k=1.0, rest_length=0.0),
+             MASSES),
+            ("-2.6/d12 - 3.9/d13 - 7.8/d23", builtin_potential("gravity", G=1.3),
+             MassTriple(1.0, 2.0, 3.0)),
+            ("0.5*(d12-1)^2 + 0.5*(d13-1)^2 + 0.5*(d23-1)^2",
+             builtin_potential("harmonic", rest_length=1.0), MASSES),
+            (lennard_jones, builtin_potential("lennard_jones"), MASSES),
+        ]
+        for text, spec_builtin, masses in twins:
+            spec_expr = parse_potential(text)
+            for _ in range(10):
+                pos = self._spread_positions()
+                F_expr = forces_cartesian(spec_expr, masses, pos)
+                F_builtin = forces_cartesian(spec_builtin, masses, pos)
+                assert np.allclose(F_expr, F_builtin, atol=1e-6)
+                assert np.max(np.abs(F_expr - F_builtin)) <= 1e-12 * np.max(np.abs(F_builtin))
+
+    def test_phi_force_undefined_raises(self):
+        # r2 = 0 (body 2 at the midpoint of 1 and 3) and r1 = 0 (1 and 3
+        # coincide): phi has no derivative; at an exactly collinear shape
+        # neither has it where dV/dphi is not 0
+        cases = [
+            ("cos(phi)", [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+            ("cos(phi)", [[0.0, 0.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, 0.0]]),
+            ("r1 * phi", [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+            ("sin(phi)", [[1.0, 0.0, 0.0], [3.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+            ("phi + d12", [[1.0, 0.0, 0.0], [-3.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+        ]
+        for text, pos in cases:
+            with pytest.raises(DomainError) as err:
+                forces_cartesian(parse_potential(text), MASSES, np.array(pos))
+            assert err.value.node == "phi"
+
+    def test_collinear_limit_force_matches_stencil(self):
+        # dV/dphi = 0 at phi = 0 and pi: the force is the limit, finite
+        masses = MassTriple(1.0, 2.0, 3.0)
+        spec = parse_potential("cos(phi) * r1 + 0.5 * d12^2 + cos(phi)")
+        step = 1e-4
+        offsets = np.array([2.0, 1.0, -1.0, -2.0]) * step
+        weights = np.array([-1.0, 8.0, -8.0, 1.0]) / (12.0 * step)
+        # body 2 beyond body 1 (phi = 0), then beyond body 3 (phi = pi)
+        for x2 in (2.5, -2.5):
+            pos = np.array([[1.0, 0.0, 0.0], [x2, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+            F = forces_cartesian(spec, masses, pos)
+            for i in range(3):
+                for k in range(3):
+                    probes = np.repeat(pos[None], 4, axis=0)
+                    probes[:, i, k] += offsets
+                    fd = -weights @ potential_at_positions(spec, masses, probes)
+                    assert abs(F[i, k] - fd) <= 1e-6 * max(abs(fd), 1.0)
+
+    def test_pair_force_at_zero_distance(self):
+        # bodies 1 and 2 coincide: d12 has no derivative there, d12^2 has 0
+        pos = np.array([[0.5, 0.0, 0.0], [0.5, 0.0, 0.0], [-1.0, 0.3, 0.0]])
+        with pytest.raises(DomainError) as err:
+            forces_cartesian(parse_potential("d12 + d13"), MASSES, pos)
+        assert (err.value.node, err.value.value) == ("d12", 0.0)
+        F = forces_cartesian(parse_potential("d12^2 + d13^2"), MASSES, pos)
+        assert np.allclose(F, -2.0 * np.array([pos[0] - pos[2], [0.0] * 3, pos[2] - pos[0]]))
+
+    @pytest.mark.parametrize(
+        "text, node, value",
+        [
+            ("sqrt(d12 - 1)", "sqrt", 0.0),
+            ("(d12 - 1) ^ 0.5", "^", (0.0, 0.5)),
+            ("exp(d13) * sqrt(abs(d12 - 1))", "sqrt", 0.0),
+        ],
+    )
+    def test_derivative_not_finite_names_node(self, text, node, value):
+        # d12 = 1: the value is finite, its derivative is not
+        pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        spec = parse_potential(text)
+        with pytest.raises(DomainError) as err:
+            forces_cartesian(spec, MASSES, pos)
+        assert (err.value.node, err.value.value) == (node, value)

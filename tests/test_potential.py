@@ -440,6 +440,17 @@ class TestForces:
         assert (err.value.node, err.value.value) == ("d12", 0.0)
         F = forces_cartesian(parse_potential("d12^2 + d13^2"), MASSES, pos)
         assert np.allclose(F, -2.0 * np.array([pos[0] - pos[2], [0.0] * 3, pos[2] - pos[0]]))
+        # the built-ins share that rule, except the families that diverge there
+        F = forces_cartesian(builtin_potential("harmonic", k=2.0, rest_length=0.0), MASSES, pos)
+        assert np.allclose(F, forces_cartesian(parse_potential("d12^2 + d13^2 + d23^2"), MASSES, pos))
+        for spec, node in [
+            (builtin_potential("harmonic", rest_length=1.0), "d12"),
+            (builtin_potential("gravity"), "gravity"),
+            (builtin_potential("lennard_jones"), "lennard_jones"),
+        ]:
+            with pytest.raises(DomainError) as err:
+                forces_cartesian(spec, MASSES, pos)
+            assert err.value.node == node
 
     @pytest.mark.parametrize(
         "text, node, value",

@@ -9,7 +9,6 @@ vectors s satisfy s = R b.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import cos, pi, sin, sqrt
 
 import numpy as np
@@ -155,19 +154,6 @@ def jacobi_map(m: MassTriple, a1, a2, a3):
     s1 = sqrt(mu.mu1) * (a1 - a3)
     s2 = sqrt(mu.mu2) * (a2 - (m.m1 * a1 + m.m3 * a3) / (m.m1 + m.m3))
     return s1, s2
-
-
-@lru_cache(maxsize=64)
-def jacobi_matrix(m: MassTriple) -> np.ndarray:
-    """The (2, 3) matrix A of jacobi_map, (s1, s2) = A (a1, a2, a3), read
-    only; its transpose takes derivatives by (s1, s2) to derivatives by the
-    bodies."""
-    mu = reduced_masses(m)
-    pair = m.m1 + m.m3
-    w1, w2 = sqrt(mu.mu1), sqrt(mu.mu2)
-    A = np.array([[w1, 0.0, -w1], [-w2 * m.m1 / pair, w2, -w2 * m.m3 / pair]])
-    A.flags.writeable = False
-    return A
 
 
 def jacobi_from_cartesian(m: MassTriple, state: CartesianState) -> JacobiVectors:

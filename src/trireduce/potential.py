@@ -9,7 +9,7 @@ value and its reverse-mode pullback.
 """
 
 from dataclasses import dataclass, field
-from math import atan2, hypot
+from functools import lru_cache
 from numbers import Real
 from sys import float_info
 
@@ -21,7 +21,7 @@ from .errors import (
     PotentialSyntaxError,
     UnknownIdentifier,
 )
-from .geometry import MassTriple, cross, jacobi_map, jacobi_matrix
+from .geometry import MassTriple, cross, jacobi_map
 
 VARIABLES = ("r1", "r2", "phi", "d12", "d13", "d23")
 CONSTANTS = {"pi": np.pi, "e": np.e}
@@ -239,6 +239,7 @@ def _print(node, parent_prec):
 # numpy kernels of the operators and functions
 _UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 _UFUNCS.update((fn, getattr(np, fn)) for fn in FUNCTIONS)
+_UFUNCS["neg"] = np.negative
 
 # Where an operation leaves its domain, given its operands; such a row also
 # has a non-finite value.  Finite operands of '^' with a non-finite value are
@@ -278,22 +279,22 @@ def _apply(name, shape, *args):
     return value
 
 
-# The adjoint of each operand of an operation, as Python source in the
-# adjoint {g} of its value {v} and its operands {a}, {b}: a pair (left,
-# right) for the binary operators.
+# The adjoint of each operand of an operation from the adjoint g of its
+# value v and its operands: one per operand, (left, right) for a binary
+# operator.
 _ADJOINTS = {
-    "+": ("{g}", "{g}"),
-    "-": ("{g}", "-{g}"),
-    "*": ("{g} * {b}", "{g} * {a}"),
-    "/": ("{g} / {b}", "-{g} * {v} / {b}"),
-    "^": ("{g} * {b} * {a} ** ({b} - 1.0)", "{g} * {v} * np.log({a})"),
-    "neg": "-{g}",
-    "sin": "{g} * np.cos({a})",
-    "cos": "-{g} * np.sin({a})",
-    "sqrt": "0.5 * {g} / {v}",
-    "exp": "{g} * {v}",
-    "log": "{g} / {a}",
-    "abs": "{g} * np.sign({a})",
+    "+": (lambda g, v, a, b: g, lambda g, v, a, b: g),
+    "-": (lambda g, v, a, b: g, lambda g, v, a, b: -g),
+    "*": (lambda g, v, a, b: g * b, lambda g, v, a, b: g * a),
+    "/": (lambda g, v, a, b: g / b, lambda g, v, a, b: -g * v / b),
+    "^": (lambda g, v, a, b: g * b * a ** (b - 1.0), lambda g, v, a, b: g * v * np.log(a)),
+    "neg": (lambda g, v, a: -g,),
+    "sin": (lambda g, v, a: g * np.cos(a),),
+    "cos": (lambda g, v, a: -g * np.sin(a),),
+    "sqrt": (lambda g, v, a: 0.5 * g / v,),
+    "exp": (lambda g, v, a: g * v,),
+    "log": (lambda g, v, a: g / a,),
+    "abs": (lambda g, v, a: g * np.sign(a),),
 }
 
 
@@ -305,89 +306,86 @@ def _check_adjoint(name, shape, adjoint, args):
         _raise_at(name, shape, bad, args)
 
 
-def _compile(ast):
-    """Compile a tree, once, to its walk; returns (walk, the variables read).
+def _compile(node, reads):
+    """Compile a tree, once, to its walk, adding the variables it reads to
+    the set `reads`.  Raises ValueError on a node that the parser does not
+    make.
 
     walk(columns, shape) takes each variable's (N,) column and returns
     (value, back): the value on the rows, every operation going through
-    _apply, and the pullback back(g, check), which returns g times the
-    derivative of the value by each variable read, as a dict.  With
-    `check` set, back raises DomainError at the first operation that
+    _apply, and the pullback back(g, check, grads), which adds g times the
+    derivative of the value by each variable read into the dict grads.
+    With `check` set, back raises DomainError at the first operation that
     passes down an adjoint that is not finite.  A constant subtree's value
     is a number and its back is None: it is evaluated on each walk, never
     folded, so 1/0 still raises.  Run both under np.errstate, since the
     checks are masks.
-
-    The walk is Python source with one statement per operation, run
-    through exec: the tree costs no Python call per node.  Constants enter
-    it as K[i] and variables by name from VARIABLES, so no text of the
-    expression reaches the source.
     """
-    constants, forward, reads = [], [], []
+    if isinstance(node, Num):
+        value = node.value
+        return lambda columns, shape: (value, None)
+    if isinstance(node, Var) and node.name in VARIABLES:
+        name = node.name
+        reads.add(name)
 
-    def visit(node):
-        # statements of the node's value; returns its name in the source
-        # and, unless it is constant, a function that emits the statements
-        # of its pullback from the name of its adjoint
-        if isinstance(node, Num):
-            constants.append(node.value)
-            return f"K[{len(constants) - 1}]", None
-        if isinstance(node, Var):
-            if node.name not in reads:
-                reads.append(node.name)
-                forward.append(f"x_{node.name} = columns[{node.name!r}]")
+        def pull_var(g, check, grads):
+            grads[name] = grads[name] + g if name in grads else g
 
-            def pull_var(g, lines, summed):
-                d = f"d_{node.name}"
-                lines.append(f"{d} = {d} + {g}" if d in summed else f"{d} = {g}")
-                summed.add(d)
+        return lambda columns, shape: (columns[name], pull_var)
+    if isinstance(node, Neg):
+        return _compile_call("neg", _compile(node.arg, reads))
+    if isinstance(node, Call) and node.fn in FUNCTIONS:
+        return _compile_call(node.fn, _compile(node.arg, reads))
+    if isinstance(node, Bin) and node.op in _BIN_PREC:
+        return _compile_bin(node.op, _compile(node.left, reads), _compile(node.right, reads))
+    raise ValueError(f"not an expression node: {node!r}")
 
-            return f"x_{node.name}", pull_var
-        if isinstance(node, Neg):
-            name, operands = "neg", [visit(node.arg)]
-        elif isinstance(node, Call):
-            name, operands = node.fn, [visit(node.arg)]
-        else:
-            name, operands = node.op, [visit(node.left), visit(node.right)]
-        refs = [ref for ref, _ in operands]
-        args = ", ".join(refs)
-        value = f"v{len(forward)}"
-        if name == "neg":
-            forward.append(f"{value} = -{args}")
-        else:
-            forward.append(f"{value} = _apply({name!r}, shape, {args})")
-        if all(pull is None for _, pull in operands):
+
+def _compile_call(fn, arg):
+    """The walk (see _compile) of a function, or of "neg", of the walk
+    `arg`."""
+    (adjoint,) = _ADJOINTS[fn]
+
+    def walk(columns, shape):
+        a, pull = arg(columns, shape)
+        value = _apply(fn, shape, a)
+        if pull is None:
             return value, None
-        adjoints = _ADJOINTS[name] if len(refs) == 2 else (_ADJOINTS[name],)
 
-        def pull_op(g, lines, summed):
-            for (_, pull), adjoint in zip(operands, adjoints):
+        def back(g, check, grads):
+            g = adjoint(g, value, a)
+            if check:
+                _check_adjoint(fn, shape, g, (a,))
+            pull(g, check, grads)
+
+        return value, back
+
+    return walk
+
+
+def _compile_bin(op, left, right):
+    """The walk (see _compile) of a binary operator on the walks `left` and
+    `right`."""
+    adjoint_a, adjoint_b = _ADJOINTS[op]
+
+    def walk(columns, shape):
+        a, pull_a = left(columns, shape)
+        b, pull_b = right(columns, shape)
+        value = _apply(op, shape, a, b)
+        if pull_a is None and pull_b is None:
+            return value, None
+
+        def back(g, check, grads):
+            for pull, adjoint in ((pull_a, adjoint_a), (pull_b, adjoint_b)):
                 if pull is not None:
-                    a = f"g{len(lines)}"
-                    lines.append(f"{a} = " + adjoint.format(g=g, v=value, a=refs[0], b=refs[-1]))
-                    if name != "neg":  # -g is finite where g is
-                        lines.append(f"if check: _check_adjoint({name!r}, shape, {a}, ({args},))")
-                    pull(a, lines, summed)
+                    g_operand = adjoint(g, value, a, b)
+                    if check:
+                        _check_adjoint(op, shape, g_operand, (a, b))
+                    pull(g_operand, check, grads)
 
-        return value, pull_op
+        return value, back
 
-    root, pull = visit(ast)
-    source = ["def walk(columns, shape):", *("    " + line for line in forward)]
-    if pull is None:
-        source.append(f"    return {root}, None")
-    else:
-        back = []
-        pull("g", back, set())
-        grads = ", ".join(f"{name!r}: d_{name}" for name in reads)
-        source += [
-            "    def back(g, check):",
-            *("        " + line for line in back),
-            f"        return {{{grads}}}",
-            f"    return {root}, back",
-        ]
-    namespace = dict(K=tuple(constants), _apply=_apply, _check_adjoint=_check_adjoint, np=np)
-    exec("\n".join(source), namespace)
-    return namespace["walk"], frozenset(reads)
+    return walk
 
 
 def _run(spec, columns, shape, gradient):
@@ -408,13 +406,15 @@ def _run(spec, columns, shape, gradient):
                 raise DomainError("expression", float(np.broadcast_to(value, shape)[bad][0]))
         if not gradient:
             return value, None
-        grads = back(np.ones(shape), False) if back is not None else {}
+        grads = {}
+        if back is not None:
+            back(np.ones(shape), False, grads)
         zero = np.zeros(shape)
         gradient = np.array([grads.get(name, zero) for name in VARIABLES])
         if not _all_finite(gradient):
             # a derivative that is not finite stays so down to the variables;
             # walk back again, checking each operation, to name it
-            back(np.ones(shape), True)
+            back(np.ones(shape), True, {})
             row, column = np.argwhere(~np.isfinite(gradient))[0]
             name = VARIABLES[row]
             raise DomainError(name, float(np.broadcast_to(columns[name], shape)[column]))
@@ -458,9 +458,9 @@ class PotentialSpec:
         if (self.builtin is None) == (self.ast is None):
             raise ValueError("exactly one of builtin/ast must be set")
         if self.ast is not None:
-            walk, variables = _compile(self.ast)
-            object.__setattr__(self, "walk", walk)
-            object.__setattr__(self, "reads", variables)
+            reads = set()
+            object.__setattr__(self, "walk", _compile(self.ast, reads))
+            object.__setattr__(self, "reads", frozenset(reads))
         if self.builtin is not None and self.builtin not in BUILTIN_NAMES:
             raise ValueError(f"unknown builtin potential '{self.builtin}'")
         reads = BUILTIN_PARAMS.get(self.builtin, ())
@@ -499,7 +499,8 @@ def _pair_vectors(x):
 
 def _pair_terms(spec: PotentialSpec, masses: MassTriple, d):
     """Energies and derivatives dV/dd of the three pair terms of a built-in
-    family, at distances d = (d12, d13, d23) given as a (..., 3) array."""
+    family, at distances d = (d12, d13, d23) given as a (..., 3) array.
+    Gravity and Lennard-Jones diverge at d = 0: both are infinite there."""
     params = spec.params
     if spec.builtin == "free":
         return np.zeros_like(d), np.zeros_like(d)
@@ -508,19 +509,23 @@ def _pair_terms(spec: PotentialSpec, masses: MassTriple, d):
         rest = [params.get("rest", {}).get(n, params.get("rest_length", 1.0)) for n in PAIRS]
         stretch = d - rest
         return 0.5 * k * stretch ** 2, k * stretch
-    if np.count_nonzero(d) < np.size(d):
-        raise DomainError(spec.builtin, 0.0)
+    at_zero = d == 0.0 if np.count_nonzero(d) < np.size(d) else None
+    if at_zero is not None:
+        d = np.where(at_zero, 1.0, d)  # a stand-in, replaced by infinity below
     if spec.builtin == "gravity":
         m = masses.as_array()
         Gmm = params.get("G", 1.0) * m[_FIRST] * m[_SECOND]
-        return -Gmm / d, Gmm / d ** 2
-    if spec.builtin == "lennard_jones":
+        energy, deriv = -Gmm / d, Gmm / d ** 2
+    elif spec.builtin == "lennard_jones":
         eps = params.get("epsilon", 1.0)
         s6 = (params.get("sigma", 1.0) / d) ** 6
         energy = 4.0 * eps * (s6 * s6 - s6)
         deriv = 4.0 * eps * (-12.0 * s6 * s6 + 6.0 * s6) / d
-        return energy, deriv
-    raise ConfigError("potential.builtin", f"unknown builtin '{spec.builtin}'")
+    else:
+        raise ConfigError("potential.builtin", f"unknown builtin '{spec.builtin}'")
+    if at_zero is not None:
+        energy, deriv = np.where(at_zero, np.inf, energy), np.where(at_zero, np.inf, deriv)
+    return energy, deriv
 
 
 def eval_potential_batch(
@@ -533,28 +538,41 @@ def eval_potential_batch(
     (sqrt or log of a number below or at 0, exp overflow, sin or cos of an
     infinity, division by 0, a negative base to a non-integer power, 0 to a
     negative power, power overflow) and, under the name "expression",
-    where its value is not finite.
+    where its value is not finite.  A built-in family raises it where a
+    pair term is not finite, naming the pair, as gravity and Lennard-Jones
+    do at a distance of 0.
     """
     if spec.ast is not None:
         columns = [np.asarray(a, dtype=float) for a in (r1, r2, phi, d12, d13, d23)]
         shape = np.broadcast(*columns).shape
         value, _ = _run(spec, dict(zip(VARIABLES, columns)), shape, gradient=False)
         return np.array(np.broadcast_to(value, shape))
-    energy, _ = _pair_terms(spec, masses, np.stack([d12, d13, d23], axis=-1))
+    d = np.stack([d12, d13, d23], axis=-1)
+    energy, _ = _pair_terms(spec, masses, d)
+    if not _all_finite(energy):
+        bad = ~np.isfinite(energy)
+        raise DomainError(list(PAIRS)[bad.nonzero()[-1][0]], float(d[bad][0]))
     return (energy[..., 0] + energy[..., 1]) + energy[..., 2]
+
+
+def _shape_at(masses: MassTriple, x):
+    """The Jacobi vectors (s1, s2) of N configurations given as an (N, 3, 3)
+    array of positions, and their shape (r1, r2, |s1 x s2|, s1 . s2, phi),
+    each (N,), with phi = atan2(|s1 x s2|, s1 . s2)."""
+    s1, s2 = jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2])
+    area = np.linalg.norm(cross(s1, s2), axis=1)
+    dot = np.einsum("ij,ij->i", s1, s2)
+    r1, r2 = np.linalg.norm(s1, axis=1), np.linalg.norm(s2, axis=1)
+    return (s1, s2), (r1, r2, area, dot, np.arctan2(area, dot))
 
 
 def potential_at_positions(spec: PotentialSpec, masses: MassTriple, x) -> np.ndarray:
     """Potential energy of N configurations given as an (N, 3, 3) array of
-    positions, one row per body: the shape (r1, r2, phi) and the pair
-    distances are measured from the positions, with phi = atan2(|s1 x s2|,
-    s1 . s2) of the Jacobi vectors."""
-    s1, s2 = jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2])
-    phi = np.arctan2(np.linalg.norm(cross(s1, s2), axis=1), np.einsum("ij,ij->i", s1, s2))
+    positions, one row per body: the shape (r1, r2, phi) of _shape_at and
+    the pair distances are measured from the positions."""
+    _, (r1, r2, _, _, phi) = _shape_at(masses, x)
     d = np.linalg.norm(_pair_vectors(x), axis=2)
-    return eval_potential_batch(
-        spec, masses, np.linalg.norm(s1, axis=1), np.linalg.norm(s2, axis=1), phi, *d.T
-    )
+    return eval_potential_batch(spec, masses, r1, r2, phi, *d.T)
 
 
 def _pair_forces(dVdd, delta, d):
@@ -571,37 +589,41 @@ def _pair_forces(dVdd, delta, d):
     return np.einsum("pb,pk->bk", _INCIDENCE, -dVdd[:, None] * delta / d[:, None])
 
 
-def _jacobi_shape(masses, x):
-    """The Jacobi vectors (s1, s2) = A x of one configuration, A being
-    jacobi_matrix, and its shape (r1, r2, |s1 x s2|, s1 . s2, phi), all as
-    floats: on three components numpy costs more than the arithmetic."""
-    rows = jacobi_matrix(masses).tolist()
-    s1, s2 = [[a * p + b * q + c * r for p, q, r in zip(*x.tolist())] for a, b, c in rows]
-    (a1, a2, a3), (b1, b2, b3) = s1, s2
-    area = hypot(a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
-    dot = a1 * b1 + a2 * b2 + a3 * b3
-    return (s1, s2), (hypot(*s1), hypot(*s2), area, dot, atan2(area, dot))
+@lru_cache(maxsize=64)
+def _jacobi_matrix(masses: MassTriple):
+    """The (2, 3) matrix A of jacobi_map, (s1, s2) = A (x1, x2, x3), read
+    only: its rows are the Jacobi vectors of the unit vectors."""
+    A = np.stack(jacobi_map(masses, *np.eye(3)))
+    A.flags.writeable = False
+    return A
 
 
-# |dV/dphi| at or below this times 1 + |V| counts as 0 at a collinear shape:
-# phi is fl(pi) there, 1.2e-16 off pi, which leaves dV/dphi of cos(phi) at
-# 1.2e-16 where its limit is 0
-_PHI_ROUNDING = 4.0 * np.finfo(float).eps
+def _phi_slope_vanishes(spec, columns, slope):
+    """Whether dV/dphi, `slope` at the phi = 0 or fl(pi) of an exactly
+    collinear shape, is 0 to the resolution of phi there: it is 0, or it
+    has the other sign at the float on the far side of the limit (0 or
+    pi, which fl(pi) falls short of by 1.2e-16), so that it changes sign
+    at the limit.  A domain error at that float counts as not 0."""
+    if slope == 0.0:
+        return True
+    phi = columns["phi"][0]
+    beyond = np.nextafter(phi, -1.0 if phi == 0.0 else 4.0)
+    try:
+        _, gradient = _run(spec, {**columns, "phi": np.array([beyond])}, (1,), gradient=True)
+    except DomainError:
+        return False
+    return np.sign(gradient[2, 0]) != np.sign(slope)
 
 
-def _shape_forces(masses, s, shape, value, slopes, reads_phi):
+def _shape_forces(masses, s, shape, slopes):
     """Forces from slopes = dV/d(r1, r2, phi) at the Jacobi vectors s and
-    the shape of _jacobi_shape, V being `value`.  dV/ds = C s for s1, s2
-    stacked and a symmetric 2 x 2 matrix C, and dV/dx = A^T C s for the
-    Jacobi matrix A."""
-    r1, r2, area, dot, phi = shape
+    the shape of _shape_at, one row each.  dV/ds = C s for s1, s2 stacked
+    and a symmetric 2 x 2 matrix C, and dV/dx = A^T C s for the Jacobi
+    matrix A.  A slope of phi at |s1 x s2| = 0 must be 0 (see
+    forces_cartesian); r1 or r2 at 0 raises DomainError unless its slope
+    is 0."""
+    r1, r2, area, dot, _ = (float(v[0]) for v in shape)
     dr1, dr2, dphi = slopes
-    if reads_phi and area == 0.0:
-        if r1 == 0.0 or r2 == 0.0 or abs(dphi) > _PHI_ROUNDING * (1.0 + abs(value)):
-            raise DomainError("phi", phi)
-        # |dphi/ds1| = 1/r1 and |dphi/ds2| = 1/r2 in the plane of the
-        # motion, so the phi term tends to 0 with dV/dphi
-        dphi = 0.0
     for name, r, slope in (("r1", r1, dr1), ("r2", r2, dr2)):
         if r == 0.0 and slope != 0.0:
             raise DomainError(name, 0.0)
@@ -613,9 +635,9 @@ def _shape_forces(masses, s, shape, value, slopes, reads_phi):
         c11 += dphi * dot / (r1 * r1 * area)
         c22 += dphi * dot / (r2 * r2 * area)
         c12 = -dphi / area
-    g1, g2 = [[u * p + v * q for p, q in zip(*s)] for u, v in ((c11, c12), (c12, c22))]
-    columns = jacobi_matrix(masses).T.tolist()
-    return np.array([[-(a * p + b * q) for p, q in zip(g1, g2)] for a, b in columns])
+    s1, s2 = s
+    g = np.concatenate([c11 * s1 + c12 * s2, c12 * s1 + c22 * s2])
+    return -np.einsum("si,sk->ik", _jacobi_matrix(masses), g)
 
 
 def forces_cartesian(spec: PotentialSpec, masses: MassTriple, positions):
@@ -628,13 +650,13 @@ def forces_cartesian(spec: PotentialSpec, masses: MassTriple, positions):
     (_pair_forces), for both; an expression's dV/d(r1, r2, phi) goes through
     the transpose of the Jacobi map (_shape_forces).
 
-    Raises DomainError where a derivative is undefined, naming the variable:
-    at a pair distance, r1 or r2 of 0 where V's derivative by it is not 0,
-    and, for an expression that reads phi, at r1 = 0 or r2 = 0 and at an
-    exactly collinear shape where dV/dphi is not 0 (where it is 0, the limit
-    force is returned); and where a derivative of an expression is not
-    finite, naming the operation.  Gravity and Lennard-Jones raise it under
-    their own name at any pair distance of 0.
+    Raises DomainError where a derivative is undefined, naming the
+    variable: at a pair distance, r1 or r2 of 0 where V's derivative by it
+    is not 0; for an expression that reads phi, at r1 = 0 or r2 = 0, and at
+    an exactly collinear shape where dV/dphi is not 0 to the resolution of
+    phi (see _phi_slope_vanishes; where it is 0, the limit force is
+    returned); and where a derivative of an expression is not finite,
+    naming the operation.
     """
     x = np.asarray(positions, dtype=float).reshape(3, 3)
     pairs = spec.builtin is not None or not spec.reads.isdisjoint(PAIRS)
@@ -646,13 +668,18 @@ def forces_cartesian(spec: PotentialSpec, masses: MassTriple, positions):
     columns = dict(zip(PAIRS, d[:, None])) if pairs else {}
     jacobi = not spec.reads <= PAIRS.keys()
     if jacobi:
-        s, shape = _jacobi_shape(masses, x)
-        r1, r2, _, _, phi = shape
-        columns.update(zip(("r1", "r2", "phi"), np.array([[r1], [r2], [phi]])))
-    value, gradient = _run(spec, columns, (1,), gradient=True)
+        s, shape = _shape_at(masses, x[None])
+        r1, r2, area, _, phi = shape
+        columns.update(r1=r1, r2=r2, phi=phi)
+    _, gradient = _run(spec, columns, (1,), gradient=True)
     forces = _pair_forces(gradient[3:, 0], delta, d) if pairs else np.zeros((3, 3))
     if jacobi:
         slopes = gradient[:3, 0].tolist()
-        reads_phi = "phi" in spec.reads
-        forces = forces + _shape_forces(masses, s, shape, float(value[0]), slopes, reads_phi)
+        if "phi" in spec.reads and area[0] == 0.0:
+            if r1[0] == 0.0 or r2[0] == 0.0 or not _phi_slope_vanishes(spec, columns, slopes[2]):
+                raise DomainError("phi", float(phi[0]))
+            # |dphi/ds1| = 1/r1 and |dphi/ds2| = 1/r2 in the plane of the
+            # motion, so the phi term tends to 0 with dV/dphi
+            slopes[2] = 0.0
+        forces = forces + _shape_forces(masses, s, shape, slopes)
     return forces

@@ -200,6 +200,22 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
         assert "DomainError" in caplog.text and "'phi'" in caplog.text
 
+    def test_collinear_bending_start_exit_0(self, tmp_path):
+        # body 2 beyond body 3 on the x axis, phi = pi: the bending term has
+        # dV/dphi = 0 there, so the force is its finite limit
+        collinear = dict(
+            HARMONIC_CONFIG,
+            potential={"expression": "10*(1+cos(phi)) + 0.5*(d13-2)^2"},
+            initial_state={
+                "cartesian": {
+                    "positions": [[1.0, 0.0, 0.0], [-2.5, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+                    "velocities": [[0.0, 0.1, 0.0], [0.0, -0.2, 0.0], [0.0, 0.1, 0.0]],
+                }
+            },
+        )
+        cfg = write_config(tmp_path, collinear)
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+
     def test_expression_overflow_exit_3(self, tmp_path, caplog):
         big = dict(HARMONIC_CONFIG, potential={"expression": "exp(d12*1000)"})
         cfg = write_config(tmp_path, big)

@@ -17,8 +17,6 @@ from trireduce.geometry import (
     body_jacobi_vectors,
     cartesian_from_jacobi,
     jacobi_from_cartesian,
-    jacobi_map,
-    jacobi_matrix,
     omega_from_euler_rates,
     omega_from_rotation_rate,
     reduced_masses,
@@ -123,16 +121,6 @@ class TestJacobiMap:
             mom = m.as_array() @ s.velocities
             assert np.allclose(com, 0, atol=1e-14)
             assert np.allclose(mom, 0, atol=1e-14)
-
-    def test_matrix_is_the_map(self):
-        # (s1, s2) = A x; its rows annihilate a common translation
-        for _ in range(10):
-            m = MassTriple(*RNG.uniform(0.5, 3.0, size=3))
-            x = RNG.normal(size=(3, 3))
-            A = jacobi_matrix(m)
-            assert np.allclose(A @ x, jacobi_map(m, *x), atol=1e-14)
-            assert np.allclose(A.sum(axis=1), 0.0, atol=1e-15)
-            assert not A.flags.writeable
 
 
 class TestAngularMomentum:

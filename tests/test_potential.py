@@ -408,16 +408,25 @@ class TestForces:
             ("r1 * phi", [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
             ("sin(phi)", [[1.0, 0.0, 0.0], [3.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
             ("phi + d12", [[1.0, 0.0, 0.0], [-3.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+            # however small dV/dphi is, and whatever else V holds
+            ("1e-200 * phi", [[1.0, 0.0, 0.0], [3.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+            ("1e-200 * phi", [[1.0, 0.0, 0.0], [-3.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+            ("10*(1+cos(phi)) + 1e-3*sin(phi)", [[1.0, 0.0, 0.0], [-3.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
         ]
         for text, pos in cases:
             with pytest.raises(DomainError) as err:
                 forces_cartesian(parse_potential(text), MASSES, np.array(pos))
             assert err.value.node == "phi"
 
-    def test_collinear_limit_force_matches_stencil(self):
-        # dV/dphi = 0 at phi = 0 and pi: the force is the limit, finite
+    @pytest.mark.parametrize(
+        "text",
+        ["cos(phi) * r1 + 0.5 * d12^2 + cos(phi)", "10*(1+cos(phi))", "4*sin(phi)^2"],
+    )
+    def test_collinear_limit_force_matches_stencil(self, text):
+        # dV/dphi = 0 at phi = 0 and pi: the force is the limit, finite,
+        # whatever the size of V and of the phi term
         masses = MassTriple(1.0, 2.0, 3.0)
-        spec = parse_potential("cos(phi) * r1 + 0.5 * d12^2 + cos(phi)")
+        spec = parse_potential(text)
         step = 1e-4
         offsets = np.array([2.0, 1.0, -1.0, -2.0]) * step
         weights = np.array([-1.0, 8.0, -8.0, 1.0]) / (12.0 * step)
@@ -432,6 +441,19 @@ class TestForces:
                     fd = -weights @ potential_at_positions(spec, masses, probes)
                     assert abs(F[i, k] - fd) <= 1e-6 * max(abs(fd), 1.0)
 
+    @pytest.mark.parametrize(
+        "ast",
+        [
+            Var("__import__('os')"),
+            Call("tan", Var("r1")),
+            Bin("%", Var("r1"), Num(2.0)),
+            Bin("+", Var("r1"), "r2"),
+        ],
+    )
+    def test_tree_the_parser_cannot_make_is_rejected(self, ast):
+        with pytest.raises(ValueError):
+            PotentialSpec(ast=ast)
+
     def test_pair_force_at_zero_distance(self):
         # bodies 1 and 2 coincide: d12 has no derivative there, d12^2 has 0
         pos = np.array([[0.5, 0.0, 0.0], [0.5, 0.0, 0.0], [-1.0, 0.3, 0.0]])
@@ -440,17 +462,18 @@ class TestForces:
         assert (err.value.node, err.value.value) == ("d12", 0.0)
         F = forces_cartesian(parse_potential("d12^2 + d13^2"), MASSES, pos)
         assert np.allclose(F, -2.0 * np.array([pos[0] - pos[2], [0.0] * 3, pos[2] - pos[0]]))
-        # the built-ins share that rule, except the families that diverge there
+        # the built-ins share that rule; gravity and Lennard-Jones diverge
+        # there, in their value too
         F = forces_cartesian(builtin_potential("harmonic", k=2.0, rest_length=0.0), MASSES, pos)
         assert np.allclose(F, forces_cartesian(parse_potential("d12^2 + d13^2 + d23^2"), MASSES, pos))
-        for spec, node in [
-            (builtin_potential("harmonic", rest_length=1.0), "d12"),
-            (builtin_potential("gravity"), "gravity"),
-            (builtin_potential("lennard_jones"), "lennard_jones"),
-        ]:
+        for name in ("harmonic", "gravity", "lennard_jones"):
             with pytest.raises(DomainError) as err:
-                forces_cartesian(spec, MASSES, pos)
-            assert err.value.node == node
+                forces_cartesian(builtin_potential(name), MASSES, pos)
+            assert (err.value.node, err.value.value) == ("d12", 0.0)
+        for name in ("gravity", "lennard_jones"):
+            with pytest.raises(DomainError) as err:
+                potential_at_positions(builtin_potential(name), MASSES, pos[None])
+            assert (err.value.node, err.value.value) == ("d12", 0.0)
 
     @pytest.mark.parametrize(
         "text, node, value",

@@ -267,14 +267,13 @@ def _trajectory_lines(traj):
     return [TRAJECTORY_HEADER] + [TRAJECTORY_ROW.format(*row, b) for row, b in rows]
 
 
+def _integrate(cfg: RunConfig):
+    collinear = cfg.thresholds["collinear"]
+    return integrate(cfg.masses, cfg.state, cfg.potential, cfg.integrator, collinear)
+
+
 def cmd_simulate(cfg: RunConfig, out_path):
-    traj = integrate(
-        cfg.masses,
-        cfg.state,
-        cfg.potential,
-        cfg.integrator,
-        collinear_threshold=cfg.thresholds["collinear"],
-    )
+    traj = _integrate(cfg)
     out = out_path or cfg.output.get("trajectory")
     if not _write_lines(out, _trajectory_lines(traj)):
         return 4
@@ -310,13 +309,7 @@ def cmd_evaluate(cfg: RunConfig, out_path):
 
 
 def cmd_collinear_report(cfg: RunConfig, out_path):
-    traj = integrate(
-        cfg.masses,
-        cfg.state,
-        cfg.potential,
-        cfg.integrator,
-        collinear_threshold=cfg.thresholds["collinear"],
-    )
+    traj = _integrate(cfg)
     passages = detect_collinear_passages(traj, cfg.thresholds["passage"])
     # CollinearPassage's fields are the columns of PASSAGES_HEADER, in order
     lines = [PASSAGES_HEADER] + [_row(astuple(p)) for p in passages]

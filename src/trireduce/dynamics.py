@@ -7,13 +7,14 @@ rather than integrator artifacts.  RK4 is provided for cross-checks.
 """
 
 from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
 from .errors import NumericalBlowup
 from .geometry import COLLINEAR_THRESHOLD, CartesianState, MassTriple
 from .hamiltonian import ReducedBatch, evaluate_reduced_batch
-from .potential import PotentialSpec, forces_cartesian, potential_at_positions
+from .potential import PotentialSpec, check_number, forces_cartesian, potential_at_positions
 
 OVERFLOW_GUARD = 1e12
 BAND_THRESHOLD = 1e-3
@@ -29,12 +30,15 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("leapfrog", "rk4"):
             raise ValueError(f"unknown method '{self.method}'")
+        check_number("dt", self.dt)
         if not (self.dt > 0.0):
             raise ValueError("dt must be > 0")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
+        for name in ("steps", "record_stride"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name}: expected a whole number, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -84,35 +88,32 @@ def total_energy(masses: MassTriple, state: CartesianState, potential) -> float:
     return kinetic + float(potential_at_positions(potential, masses, state.positions[None])[0])
 
 
-def _accelerations(masses, potential, positions):
-    forces = forces_cartesian(potential, masses, positions)
-    return forces / masses.as_array()[:, None]
-
-
-def _leapfrog_steps(masses, potential, x, v, dt, n, on_step):
-    a = _accelerations(masses, potential, x)
+def _leapfrog_steps(accelerations, y, dt, n, on_step):
+    """n leapfrog steps of the state y = (x, v), in place."""
+    x, v = y
+    h = 0.5 * dt
+    a = accelerations(x)
     for k in range(n):
-        v_half = v + 0.5 * dt * a
-        x = x + dt * v_half
-        a = _accelerations(masses, potential, x)
-        v = v_half + 0.5 * dt * a
-        on_step(k, x, v)
-    return x, v
+        v += h * a
+        x += dt * v
+        a = accelerations(x)
+        v += h * a
+        on_step(k, y)
 
 
-def _rk4_steps(masses, potential, x, v, dt, n, on_step):
-    def deriv(x, v):
-        return v, _accelerations(masses, potential, x)
+def _rk4_steps(accelerations, y, dt, n, on_step):
+    """n classical Runge-Kutta steps of y' = f(y) = (v, a(x)), in place."""
+
+    def f(y):
+        return np.array((y[1], accelerations(y[0])))
 
     for k in range(n):
-        k1x, k1v = deriv(x, v)
-        k2x, k2v = deriv(x + 0.5 * dt * k1x, v + 0.5 * dt * k1v)
-        k3x, k3v = deriv(x + 0.5 * dt * k2x, v + 0.5 * dt * k2v)
-        k4x, k4v = deriv(x + dt * k3x, v + dt * k3v)
-        x = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        v = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        on_step(k, x, v)
-    return x, v
+        k1 = f(y)
+        k2 = f(y + 0.5 * dt * k1)
+        k3 = f(y + 0.5 * dt * k2)
+        k4 = f(y + dt * k3)
+        y += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        on_step(k, y)
 
 
 def integrate(
@@ -122,39 +123,35 @@ def integrate(
     cfg: IntegratorConfig,
     collinear_threshold=COLLINEAR_THRESHOLD,
 ) -> Trajectory:
-    """Integrate the Cartesian equations of motion, record the state every
-    record_stride steps, and reduce the recorded states in one pass
-    (evaluate_reduced_batch).
+    """Integrate the Cartesian equations of motion, stepping the state
+    (x, v) in place, record it every record_stride steps, and reduce the
+    recorded states in one pass (evaluate_reduced_batch).
 
-    Raises NumericalBlowup when a coordinate leaves [-OVERFLOW_GUARD,
-    OVERFLOW_GUARD] or is NaN.
+    Raises NumericalBlowup, naming the step, when after a step a position
+    or velocity component leaves [-OVERFLOW_GUARD, OVERFLOW_GUARD] or is
+    NaN.
     """
     stride = cfg.record_stride
     rows = cfg.steps // stride + 1
-    xs = np.empty((rows, 3, 3))
-    vs = np.empty((rows, 3, 3))
-    xs[0] = state0.positions
-    vs[0] = state0.velocities
+    y = np.array((state0.positions, state0.velocities))
+    xs, vs = np.empty((2, rows, 3, 3))
+    xs[0], vs[0] = y
+    m = masses.as_array()[:, None]
 
-    def on_step(k, x, v):
-        if not (
-            np.max(np.abs(x)) <= OVERFLOW_GUARD and np.max(np.abs(v)) <= OVERFLOW_GUARD
-        ):
+    def accelerations(x):
+        return forces_cartesian(potential, masses, x) / m
+
+    def on_step(k, y):
+        if not (np.abs(y).max() <= OVERFLOW_GUARD):
             raise NumericalBlowup(f"coordinate overflow at step {k + 1}")
         if (k + 1) % stride == 0:
-            xs[(k + 1) // stride] = x
-            vs[(k + 1) // stride] = v
+            xs[(k + 1) // stride], vs[(k + 1) // stride] = y
 
     stepper = _leapfrog_steps if cfg.method == "leapfrog" else _rk4_steps
-    stepper(masses, potential, xs[0], vs[0], cfg.dt, cfg.steps, on_step)
+    stepper(accelerations, y, cfg.dt, cfg.steps, on_step)
     reduced = evaluate_reduced_batch(masses, xs, vs, potential, collinear_threshold)
-    return Trajectory(
-        **vars(reduced),
-        masses=masses,
-        t=np.arange(rows) * stride * cfg.dt,
-        x=xs,
-        v=vs,
-    )
+    t = np.arange(rows) * stride * cfg.dt
+    return Trajectory(**vars(reduced), masses=masses, t=t, x=xs, v=vs)
 
 
 @dataclass(frozen=True)
@@ -231,16 +228,6 @@ def detect_collinear_passages(traj: Trajectory, threshold: float):
         t_star = times[i] + offset * dt
         H_before, H_at, H_after = H[i - 1], H[i], H[i + 1]
         delta = max(abs(H_before - H_at), abs(H_after - H_at))
-        passages.append(
-            CollinearPassage(
-                t_minus=times[i - 1],
-                t_plus=times[i + 1],
-                t_star=float(t_star),
-                sin_phi_min=float(y1),
-                H_before=H_before,
-                H_at=H_at,
-                H_after=H_after,
-                delta_H=delta,
-            )
-        )
+        bracket = (times[i - 1], times[i + 1], float(t_star), float(y1))
+        passages.append(CollinearPassage(*bracket, H_before, H_at, H_after, delta))
     return passages

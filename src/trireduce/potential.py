@@ -15,12 +15,7 @@ from sys import float_info
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    PotentialSyntaxError,
-    UnknownIdentifier,
-)
+from .errors import DomainError, PotentialSyntaxError, UnknownIdentifier
 from .geometry import MassTriple, cross, jacobi_map
 
 VARIABLES = ("r1", "r2", "phi", "d12", "d13", "d23")
@@ -424,12 +419,13 @@ def _run(spec, columns, shape, gradient):
 # --------------------------------------------------------------------------
 # Potential specifications
 
-# parameters each built-in family reads; "rest" maps pairs to rest lengths
+# parameters each built-in family reads, with their defaults; "rest" maps
+# pairs to rest lengths, rest_length for a pair it leaves out
 BUILTIN_PARAMS = {
-    "free": (),
-    "gravity": ("G",),
-    "harmonic": ("k", "rest_length", "rest"),
-    "lennard_jones": ("epsilon", "sigma"),
+    "free": {},
+    "gravity": {"G": 1.0},
+    "harmonic": {"k": 1.0, "rest_length": 1.0, "rest": {}},
+    "lennard_jones": {"epsilon": 1.0, "sigma": 1.0},
 }
 BUILTIN_NAMES = tuple(BUILTIN_PARAMS)
 
@@ -453,6 +449,9 @@ class PotentialSpec:
     # an expression's compiled walk (see _compile) and the variables it reads
     walk: object = field(default=None, init=False, repr=False, compare=False)
     reads: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
+    # a built-in family's parameters as _pair_terms reads them: defaults
+    # filled in, the harmonic's rest lengths of d12, d13, d23 as an array
+    _bound: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.builtin is None) == (self.ast is None):
@@ -463,7 +462,7 @@ class PotentialSpec:
             object.__setattr__(self, "reads", frozenset(reads))
         if self.builtin is not None and self.builtin not in BUILTIN_NAMES:
             raise ValueError(f"unknown builtin potential '{self.builtin}'")
-        reads = BUILTIN_PARAMS.get(self.builtin, ())
+        reads = BUILTIN_PARAMS.get(self.builtin, {})
         for key, value in self.params.items():
             if key not in reads:
                 raise ValueError(f"params.{key}: {self.builtin} reads {list(reads) or 'none'}")
@@ -474,6 +473,11 @@ class PotentialSpec:
             else:
                 for pair, length in value.items():
                     check_number(f"params.rest.{pair}", length)
+        bound = {**reads, **self.params}
+        if self.builtin == "harmonic":
+            rest = [bound["rest"].get(n, bound["rest_length"]) for n in PAIRS]
+            bound["rest"] = np.array(rest, dtype=float)
+        object.__setattr__(self, "_bound", bound)
 
 
 def builtin_potential(name, **params) -> PotentialSpec:
@@ -497,32 +501,42 @@ def _pair_vectors(x):
     return x.take(_FIRST, -2) - x.take(_SECOND, -2)
 
 
+def _lengths(delta):
+    """np.linalg.norm(delta, axis=-1), to the bit, without its wrapper."""
+    return np.sqrt(np.add.reduce(delta * delta, -1))
+
+
+@lru_cache(maxsize=64)
+def _gravity_products(G, masses: MassTriple):
+    """G m_i m_k of the pairs d12, d13, d23, read only."""
+    m = masses.as_array()
+    Gmm = G * m[_FIRST] * m[_SECOND]
+    Gmm.flags.writeable = False
+    return Gmm
+
+
 def _pair_terms(spec: PotentialSpec, masses: MassTriple, d):
     """Energies and derivatives dV/dd of the three pair terms of a built-in
     family, at distances d = (d12, d13, d23) given as a (..., 3) array.
     Gravity and Lennard-Jones diverge at d = 0: both are infinite there."""
-    params = spec.params
+    p = spec._bound
     if spec.builtin == "free":
         return np.zeros_like(d), np.zeros_like(d)
     if spec.builtin == "harmonic":
-        k = params.get("k", 1.0)
-        rest = [params.get("rest", {}).get(n, params.get("rest_length", 1.0)) for n in PAIRS]
-        stretch = d - rest
+        k = p["k"]
+        stretch = d - p["rest"]
         return 0.5 * k * stretch ** 2, k * stretch
     at_zero = d == 0.0 if np.count_nonzero(d) < np.size(d) else None
     if at_zero is not None:
         d = np.where(at_zero, 1.0, d)  # a stand-in, replaced by infinity below
     if spec.builtin == "gravity":
-        m = masses.as_array()
-        Gmm = params.get("G", 1.0) * m[_FIRST] * m[_SECOND]
+        Gmm = _gravity_products(p["G"], masses)
         energy, deriv = -Gmm / d, Gmm / d ** 2
-    elif spec.builtin == "lennard_jones":
-        eps = params.get("epsilon", 1.0)
-        s6 = (params.get("sigma", 1.0) / d) ** 6
+    else:  # lennard_jones
+        eps = p["epsilon"]
+        s6 = (p["sigma"] / d) ** 6
         energy = 4.0 * eps * (s6 * s6 - s6)
         deriv = 4.0 * eps * (-12.0 * s6 * s6 + 6.0 * s6) / d
-    else:
-        raise ConfigError("potential.builtin", f"unknown builtin '{spec.builtin}'")
     if at_zero is not None:
         energy, deriv = np.where(at_zero, np.inf, energy), np.where(at_zero, np.inf, deriv)
     return energy, deriv
@@ -560,9 +574,9 @@ def _shape_at(masses: MassTriple, x):
     array of positions, and their shape (r1, r2, |s1 x s2|, s1 . s2, phi),
     each (N,), with phi = atan2(|s1 x s2|, s1 . s2)."""
     s1, s2 = jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2])
-    area = np.linalg.norm(cross(s1, s2), axis=1)
+    area = _lengths(cross(s1, s2))
     dot = np.einsum("ij,ij->i", s1, s2)
-    r1, r2 = np.linalg.norm(s1, axis=1), np.linalg.norm(s2, axis=1)
+    r1, r2 = _lengths(s1), _lengths(s2)
     return (s1, s2), (r1, r2, area, dot, np.arctan2(area, dot))
 
 
@@ -571,7 +585,7 @@ def potential_at_positions(spec: PotentialSpec, masses: MassTriple, x) -> np.nda
     positions, one row per body: the shape (r1, r2, phi) of _shape_at and
     the pair distances are measured from the positions."""
     _, (r1, r2, _, _, phi) = _shape_at(masses, x)
-    d = np.linalg.norm(_pair_vectors(x), axis=2)
+    d = _lengths(_pair_vectors(x))
     return eval_potential_batch(spec, masses, r1, r2, phi, *d.T)
 
 
@@ -662,7 +676,7 @@ def forces_cartesian(spec: PotentialSpec, masses: MassTriple, positions):
     pairs = spec.builtin is not None or not spec.reads.isdisjoint(PAIRS)
     if pairs:
         delta = _pair_vectors(x)
-        d = np.linalg.norm(delta, axis=1)
+        d = _lengths(delta)
         if spec.builtin is not None:
             return _pair_forces(_pair_terms(spec, masses, d)[1], delta, d)
     columns = dict(zip(PAIRS, d[:, None])) if pairs else {}

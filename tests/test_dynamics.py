@@ -3,6 +3,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
+import trireduce.dynamics
 from trireduce.dynamics import (
     IntegratorConfig,
     conservation_report,
@@ -12,7 +13,7 @@ from trireduce.dynamics import (
 )
 from trireduce.errors import NumericalBlowup
 from trireduce.geometry import CartesianState, MassTriple
-from trireduce.potential import builtin_potential
+from trireduce.potential import builtin_potential, forces_cartesian, parse_potential
 
 MASSES = MassTriple(1.0, 1.0, 1.0)
 FREE = builtin_potential("free")
@@ -39,6 +40,51 @@ def crossing_setup():
     v2 = np.array([1.0, 0.0, 0.0])
     z = np.zeros(3)
     return CartesianState(x1, x2, x3, z, v2, z)
+
+
+def figure_eight_setup():
+    """The L = 0 figure-eight of Chenciner and Montgomery, which starts
+    collinear."""
+    x = [[0.97000436, -0.24308753, 0.0], [-0.97000436, 0.24308753, 0.0], [0.0, 0.0, 0.0]]
+    v = [[0.466203685, 0.43236573, 0.0], [0.466203685, 0.43236573, 0.0],
+         [-0.93240737, -0.86473146, 0.0]]
+    return CartesianState(*np.array(x), *np.array(v))
+
+
+def sparse_setup():
+    """The initial state of the benchmark's expression workload."""
+    x = [[1.1, 0.0, 0.0], [-0.4, 0.9, 0.1], [-0.7, -0.6, 0.0]]
+    v = [[0.0, 0.3, 0.0], [0.1, -0.2, 0.05], [-0.1, -0.1, -0.05]]
+    return CartesianState(*np.array(x), *np.array(v))
+
+
+def reference_steps(masses, potential, state, method, dt, steps):
+    """Every state of the plain, out-of-place stepping loops: x and v as
+    separate arrays, leapfrog as v + 0.5*dt*a then x + dt*v_half, and
+    classical RK4 stage by stage."""
+
+    def accelerations(x):
+        return forces_cartesian(potential, masses, x) / masses.as_array()[:, None]
+
+    x, v = state.positions, state.velocities
+    xs, vs = [x], [v]
+    a = accelerations(x)
+    for _ in range(steps):
+        if method == "leapfrog":
+            v_half = v + 0.5 * dt * a
+            x = x + dt * v_half
+            a = accelerations(x)
+            v = v_half + 0.5 * dt * a
+        else:
+            k1x, k1v = v, accelerations(x)
+            k2x, k2v = v + 0.5 * dt * k1v, accelerations(x + 0.5 * dt * k1x)
+            k3x, k3v = v + 0.5 * dt * k2v, accelerations(x + 0.5 * dt * k2x)
+            k4x, k4v = v + dt * k3v, accelerations(x + dt * k3x)
+            x = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            v = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        xs.append(x)
+        vs.append(v)
+    return xs, vs
 
 
 class TestTotalEnergy:
@@ -125,25 +171,78 @@ class TestIntegrate:
             finals.append(integrate(MASSES, state, HARMONIC, cfg).x[-1])
         assert np.allclose(finals[0], finals[1], atol=1e-5)
 
-    def test_blowup_guard(self):
+    @pytest.mark.parametrize("method", ["leapfrog", "rk4"])
+    @pytest.mark.parametrize(
+        "potential, setup, dt",
+        [
+            (HARMONIC, harmonic_setup, 0.01),
+            (builtin_potential("gravity", G=1.0), figure_eight_setup, 1e-3),
+            (parse_potential("0.5*(d12-1)^2 + 0.5*(d13-1)^2 + 0.5*(d23-1)^2"), sparse_setup, 0.01),
+        ],
+        ids=["harmonic", "gravity", "expression"],
+    )
+    def test_steps_match_reference_bitwise(self, method, potential, setup, dt):
+        steps = 60
+        cfg = IntegratorConfig(method=method, dt=dt, steps=steps)
+        traj = integrate(MASSES, setup(), potential, cfg)
+        xs, vs = reference_steps(MASSES, potential, setup(), method, dt, steps)
+        assert len(traj) == len(xs) == steps + 1
+        for row in range(steps + 1):
+            assert np.array_equal(traj.x[row], xs[row]), row
+            assert np.array_equal(traj.v[row], vs[row]), row
+
+    def test_blowup_guard(self, monkeypatch):
         z = np.zeros(3)
-        state = CartesianState(
-            np.array([0.0, 0.0, 1.0]),
-            np.array([1.0, 0.0, 0.0]),
-            np.array([0.0, 0.0, -1.0]),
-            z,
-            np.array([5e11, 0.0, 0.0]),
-            z,
-        )
-        cfg = IntegratorConfig(dt=10.0, steps=5)
-        with pytest.raises(NumericalBlowup):
-            integrate(MASSES, state, FREE, cfg)
+        x = (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, -1.0]))
+        calls = []
+
+        def forces(*args):
+            calls.append(None)
+            f = forces_cartesian(*args)
+            if len(calls) == 9:
+                f[1, 2] = np.nan
+            return f
+
+        # NaN first appears in the ninth force evaluation: leapfrog takes it
+        # at step 8 (one evaluation comes before the first step), RK4 at
+        # step 3 (four per step)
+        for method, nan_step in (("leapfrog", 8), ("rk4", 3)):
+            # a position leaves the guard: x2 reaches 5e12 at step 1
+            state = CartesianState(*x, z, np.array([5e11, 0.0, 0.0]), z)
+            cfg = IntegratorConfig(method=method, dt=10.0, steps=5)
+            with pytest.raises(NumericalBlowup, match=r"at step 1$"):
+                integrate(MASSES, state, FREE, cfg)
+            # only a velocity is beyond it: x2 reaches 2e9 at step 1
+            state = CartesianState(*x, z, np.array([2e12, 0.0, 0.0]), z)
+            cfg = IntegratorConfig(method=method, dt=1e-3, steps=5)
+            with pytest.raises(NumericalBlowup, match=r"at step 1$"):
+                integrate(MASSES, state, FREE, cfg)
+            calls.clear()
+            cfg = IntegratorConfig(method=method, dt=0.01, steps=20)
+            with monkeypatch.context() as patch:
+                patch.setattr(trireduce.dynamics, "forces_cartesian", forces)
+                with pytest.raises(NumericalBlowup, match=rf"at step {nan_step}$"):
+                    integrate(MASSES, harmonic_setup(), HARMONIC, cfg)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             IntegratorConfig(method="euler")
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dt", float("inf")),
+            ("steps", 2.5),
+            ("record_stride", 2.5),
+            ("steps", True),
+            ("record_stride", True),
+        ],
+    )
+    def test_invalid_config_numbers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            IntegratorConfig(**{field: value})
 
 
 class TestPassages:

@@ -509,9 +509,9 @@ def _lengths(delta):
 @lru_cache(maxsize=64)
 def _gravity_products(G, masses: MassTriple):
     """G m_i m_k of the pairs d12, d13, d23, read only."""
-    m = masses.as_array()
-    Gmm = G * m[_FIRST] * m[_SECOND]
-    Gmm.flags.writeable = False
+    G, m = float(G), masses.as_array().tolist()
+    Gmm = np.array([G * m[i] * m[k] for i, k in PAIRS.values()])
+    Gmm.setflags(write=False)
     return Gmm
 
 

@@ -450,7 +450,8 @@ class PotentialSpec:
     walk: object = field(default=None, init=False, repr=False, compare=False)
     reads: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
     # a built-in family's parameters as _pair_terms reads them: defaults
-    # filled in, the harmonic's rest lengths of d12, d13, d23 as an array
+    # filled in, the harmonic's rest lengths of d12, d13, d23 as an array,
+    # and gravity's products for the last masses (see _gravity_products)
     _bound: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -506,13 +507,17 @@ def _lengths(delta):
     return np.sqrt(np.add.reduce(delta * delta, -1))
 
 
-@lru_cache(maxsize=64)
-def _gravity_products(G, masses: MassTriple):
-    """G m_i m_k of the pairs d12, d13, d23, read only."""
-    G, m = float(G), masses.as_array().tolist()
-    Gmm = np.array([G * m[i] * m[k] for i, k in PAIRS.values()])
-    Gmm.setflags(write=False)
-    return Gmm
+def _gravity_products(bound, masses: MassTriple):
+    """G m_i m_k of the pairs d12, d13, d23, read only, kept in the bound
+    parameters for the last MassTriple object asked for: an integration asks
+    with one, and evaluations of many systems, a new one each, churn a cache."""
+    last = bound.get("Gmm")
+    if last is None or last[0] is not masses:
+        m = masses.as_array()
+        Gmm = bound["G"] * m[_FIRST] * m[_SECOND]
+        Gmm.setflags(write=False)
+        last = bound["Gmm"] = (masses, Gmm)
+    return last[1]
 
 
 def _pair_terms(spec: PotentialSpec, masses: MassTriple, d):
@@ -530,7 +535,7 @@ def _pair_terms(spec: PotentialSpec, masses: MassTriple, d):
     if at_zero is not None:
         d = np.where(at_zero, 1.0, d)  # a stand-in, replaced by infinity below
     if spec.builtin == "gravity":
-        Gmm = _gravity_products(p["G"], masses)
+        Gmm = _gravity_products(p, masses)
         energy, deriv = -Gmm / d, Gmm / d ** 2
     else:  # lennard_jones
         eps = p["epsilon"]

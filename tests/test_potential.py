@@ -317,6 +317,18 @@ class TestForces:
                 fd = -(vp - vm) / (2 * step)
                 assert F[i, k] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
+    def test_gravity_follows_the_masses_it_is_given(self):
+        # one spec keeps G m_i m_k of the last masses; every call must
+        # still use the masses it is given
+        spec = builtin_potential("gravity", G=1.3)
+        pos = self._spread_positions()
+        triples = [MassTriple(1.0, 2.0, 3.0), MassTriple(0.5, 1.0, 4.0), MassTriple(1.0, 2.0, 3.0)]
+        for masses in triples + triples[::-1]:
+            fresh = builtin_potential("gravity", G=1.3)
+            assert np.array_equal(forces_cartesian(spec, masses, pos), forces_cartesian(fresh, masses, pos))
+            assert np.array_equal(potential_at_positions(spec, masses, pos[None]),
+                                  potential_at_positions(fresh, masses, pos[None]))
+
     def test_expression_forces_match_fourth_order_stencil(self):
         # a phi-dependent expression, so the batched probes also check the
         # chain through phi = atan2(|s1 x s2|, s1 . s2)

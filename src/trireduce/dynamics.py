@@ -134,7 +134,7 @@ def integrate(
     stride = cfg.record_stride
     rows = cfg.steps // stride + 1
     y = np.array((state0.positions, state0.velocities))
-    # two arrays: one (2, rows, 3, 3) block raised the peak RSS of long runs
+    # two arrays, not one (2, rows, 3, 3) block, which raises a long run's peak RSS
     xs, vs = np.empty((rows, 3, 3)), np.empty((rows, 3, 3))
     xs[0], vs[0] = y
     m = masses.as_array()[:, None]

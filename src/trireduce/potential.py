@@ -508,9 +508,9 @@ def _lengths(delta):
 
 
 def _gravity_products(bound, masses: MassTriple):
-    """G m_i m_k of the pairs d12, d13, d23, read only, kept in the bound
-    parameters for the last MassTriple object asked for: an integration asks
-    with one, and evaluations of many systems, a new one each, churn a cache."""
+    """G m_i m_k of the pairs d12, d13, d23, read only.  The bound parameters
+    keep them for the last MassTriple object asked for, the one an
+    integration asks with at every step; a larger cache would churn."""
     last = bound.get("Gmm")
     if last is None or last[0] is not masses:
         m = masses.as_array()

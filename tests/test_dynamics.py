@@ -52,7 +52,7 @@ def figure_eight_setup():
 
 
 def sparse_setup():
-    """The initial state of the benchmark's expression workload."""
+    """The initial state of perfbench/configs/expr_sparse.json."""
     x = [[1.1, 0.0, 0.0], [-0.4, 0.9, 0.1], [-0.7, -0.6, 0.0]]
     v = [[0.0, 0.3, 0.0], [0.1, -0.2, 0.05], [-0.1, -0.1, -0.05]]
     return CartesianState(*np.array(x), *np.array(v))

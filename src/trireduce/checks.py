@@ -2,11 +2,9 @@
 
 Each suite re-derives its expected values from an independent route
 (brute-force assembly, finite differences, Cartesian oracle) and compares
-against the closed forms.  Tolerances can be scaled through the
-TRIREDUCE_CHECK_TOL_SCALE environment variable; the default scale is 1.
+against the closed forms.
 """
 
-import os
 from dataclasses import astuple
 from math import cos, pi, sin
 
@@ -21,7 +19,6 @@ from .geometry import (
     ShapeCoordinates,
     body_frame_fit,
     body_jacobi_vectors,
-    cartesian_from_jacobi,
     jacobi_from_cartesian,
     rotation_from_euler,
     shape_to_distances,
@@ -38,7 +35,7 @@ from .potential import (
 from .reduction import (
     BodyVelocityState,
     body_angular_momentum,
-    body_velocities,
+    cartesian_from_body_state,
     gauge_potential,
     horizontal_metric,
     inertia_inverse,
@@ -51,10 +48,6 @@ from .reduction import (
 )
 
 DEFAULT_SEED = 20260824
-
-
-def _tol(value):
-    return value * float(os.environ.get("TRIREDUCE_CHECK_TOL_SCALE", "1"))
 
 
 def random_rotation(rng):
@@ -80,14 +73,6 @@ def random_shape(rng, phi_min=0.05):
 
 def random_body_state(rng):
     return BodyVelocityState(rng.normal(size=3), rng.normal(size=3))
-
-
-def cartesian_from_body_state(masses, q, w):
-    """Cartesian realization of a body state with the body frame taken as
-    the space frame at the evaluation instant."""
-    b1, b2 = body_jacobi_vectors(q)
-    v1, v2 = body_velocities(q, w)
-    return cartesian_from_jacobi(masses, JacobiVectors(b1, b2, v1, v2))
 
 
 def brute_inertia(q):
@@ -122,7 +107,7 @@ def matrix_form_hamiltonian(q, m, V):
 
 def suite_so3(seed=DEFAULT_SEED, n=2000):
     rng = np.random.default_rng(seed)
-    tol = _tol(1e-12)
+    tol = 1e-12
     worst = 0.0
     for _ in range(n):
         e = EulerAngles(
@@ -139,7 +124,7 @@ def suite_so3(seed=DEFAULT_SEED, n=2000):
 
 def suite_equivariance(seed=DEFAULT_SEED, n=200):
     rng = np.random.default_rng(seed)
-    tol = _tol(1e-12)
+    tol = 1e-12
     worst = 0.0
     for _ in range(n):
         j = JacobiVectors(
@@ -162,7 +147,7 @@ def suite_equivariance(seed=DEFAULT_SEED, n=200):
 
 def suite_tensor_oracle(seed=DEFAULT_SEED, n=300):
     rng = np.random.default_rng(seed)
-    tol = _tol(1e-10)
+    tol = 1e-10
     worst = 0.0
     for _ in range(n):
         q = random_shape(rng, phi_min=1.1e-3)
@@ -195,8 +180,8 @@ def suite_tensor_oracle(seed=DEFAULT_SEED, n=300):
 
 def suite_energy_identity(seed=DEFAULT_SEED, n=300):
     rng = np.random.default_rng(seed)
-    tol_rel = _tol(1e-10)
-    tol_matrix = _tol(1e-12)
+    tol_rel = 1e-10
+    tol_matrix = 1e-12
     masses = MassTriple(1.0, 1.5, 2.0)
     potential = builtin_potential("harmonic", k=0.7)
     worst_rel, worst_matrix = 0.0, 0.0
@@ -223,7 +208,7 @@ def suite_energy_identity(seed=DEFAULT_SEED, n=300):
 
 def suite_collinear_limit(seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
-    tol_h0 = _tol(1e-12)
+    tol_h0 = 1e-12
     r1, r2 = 1.3, 0.8
     w3, q3dot = rng.normal(), rng.normal()
     qdot = np.array([rng.normal(), rng.normal(), q3dot])
@@ -247,7 +232,7 @@ def suite_collinear_limit(seed=DEFAULT_SEED):
 
 def suite_singular_term(seed=DEFAULT_SEED, n=100):
     rng = np.random.default_rng(seed)
-    tol = _tol(1e-12)
+    tol = 1e-12
     worst = 0.0
     for _ in range(n):
         r2 = rng.uniform(0.2, 2.0)
@@ -264,7 +249,7 @@ def suite_singular_term(seed=DEFAULT_SEED, n=100):
 
 def suite_legendre_roundtrip(seed=DEFAULT_SEED, n=200):
     rng = np.random.default_rng(seed)
-    tol = _tol(1e-10)
+    tol = 1e-10
     worst = 0.0
     for _ in range(n):
         q = random_shape(rng)
@@ -300,10 +285,10 @@ def suite_trajectory_conservation(seed=DEFAULT_SEED):
     rep = conservation_report(traj)
     L0 = np.linalg.norm(traj.L[0])
     L_rel = rep.L_drift_inf / L0
-    ok = L_rel < _tol(1e-10) and rep.tracking_error_outside_band < _tol(1e-8)
+    ok = L_rel < 1e-10 and rep.tracking_error_outside_band < 1e-8
     return ok, (
-        f"relative L drift {L_rel:.3e} (tol {_tol(1e-10):.1e}), "
-        f"H-vs-E tracking {rep.tracking_error_outside_band:.3e} (tol {_tol(1e-8):.1e})"
+        f"relative L drift {L_rel:.3e} (tol 1.0e-10), "
+        f"H-vs-E tracking {rep.tracking_error_outside_band:.3e} (tol 1.0e-08)"
     )
 
 
@@ -415,10 +400,10 @@ def suite_parser(seed=DEFAULT_SEED, n_configs=30):
         rows = [eval_potential_batch(spec, masses, *columns[:, i : i + 1]) for i in range(len(r1))]
         if batch.tobytes() != np.concatenate(rows).tobytes():
             return False, f"batch value differs from row-by-row value for {text!r}"
-    ok = worst_grad < _tol(1e-6) and worst_inv < _tol(1e-10)
+    ok = worst_grad < 1e-6 and worst_inv < 1e-10
     return ok, (
-        f"max gradient mismatch {worst_grad:.3e} (tol {_tol(1e-6):.1e}), "
-        f"max force/torque residual {worst_inv:.3e} (tol {_tol(1e-10):.1e}), "
+        f"max gradient mismatch {worst_grad:.3e} (tol 1.0e-06), "
+        f"max force/torque residual {worst_inv:.3e} (tol 1.0e-10), "
         f"batch = row by row on {len(r1)} shapes"
     )
 

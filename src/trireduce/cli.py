@@ -28,17 +28,15 @@ from .errors import ConfigError, TrireduceError
 from .geometry import (
     COLLINEAR_THRESHOLD,
     CartesianState,
-    JacobiVectors,
     MassTriple,
     ShapeCoordinates,
-    body_jacobi_vectors,
-    cartesian_from_jacobi,
     jacobi_from_cartesian,
+    lengths,
     spatial_angular_momentum,
 )
 from .hamiltonian import evaluate_reduced
 from .potential import PotentialSpec, builtin_potential, check_number, parse_potential
-from .reduction import BodyMomenta, body_velocities, velocities_from_momenta
+from .reduction import BodyMomenta, cartesian_from_body_state, velocities_from_momenta
 
 log = logging.getLogger("trireduce")
 
@@ -72,17 +70,34 @@ def _row(values):
 # Config parsing
 
 
-def _require(cfg, field, path, types=None):
+def _require(cfg, field, path="", kind=None):
+    """cfg[field], a list or str where `kind` asks for one; raises ConfigError
+    naming the field of the object at `path` ("" for the top level)."""
+    name = f"{path}.{field}" if path else field
     if field not in cfg:
-        raise ConfigError(f"{path}{field}", "missing")
+        raise ConfigError(name, "missing")
     value = cfg[field]
-    if types is not None and not isinstance(value, types):
-        raise ConfigError(f"{path}{field}", f"expected {types}")
+    if kind is not None and not isinstance(value, kind):
+        expected = "an array" if kind is list else "a string"
+        raise ConfigError(name, f"expected {expected}, got {value!r}")
     return value
 
 
+def _object(raw, path, keys=None):
+    """raw, a JSON object whose keys are among `keys` (any keys for None);
+    raises ConfigError naming the object at `path` ("" for the top level)
+    or its first unknown field otherwise."""
+    if not isinstance(raw, dict):
+        raise ConfigError(path or "<config>", "expected an object")
+    unknown = [key for key in raw if keys is not None and key not in keys]
+    if unknown:
+        field = f"{path}.{unknown[0]}" if path else unknown[0]
+        raise ConfigError(field, f"unknown field, expected one of {', '.join(keys)}")
+    return raw
+
+
 def _parse_masses(cfg):
-    raw = _require(cfg, "masses", "", list)
+    raw = _require(cfg, "masses", kind=list)
     if len(raw) != 3:
         raise ConfigError("masses", "expected exactly 3 entries")
     try:
@@ -92,22 +107,19 @@ def _parse_masses(cfg):
 
 
 def _parse_potential(cfg) -> PotentialSpec:
-    raw = _require(cfg, "potential", "", dict)
-    has_builtin = "builtin" in raw
-    has_expr = "expression" in raw
-    if has_builtin == has_expr:
+    raw = _object(_require(cfg, "potential"), "potential", ("builtin", "params", "expression"))
+    if ("builtin" in raw) == ("expression" in raw):
         raise ConfigError("potential", "exactly one of builtin/expression required")
-    if has_builtin:
-        name = raw["builtin"]
-        params = raw.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("potential.params", "expected an object")
+    if "builtin" in raw:
+        # PotentialSpec names a parameter the family does not read
+        params = _object(raw.get("params", {}), "potential.params")
         try:
-            return builtin_potential(name, **params)
+            return builtin_potential(raw["builtin"], **params)
         except ValueError as exc:  # an unknown family, or a parameter it cannot take
             raise ConfigError("potential", str(exc))
+    text = _require(raw, "expression", "potential", str)
     try:
-        return parse_potential(raw["expression"])
+        return parse_potential(text)
     except TrireduceError as exc:
         raise ConfigError("potential.expression", str(exc))
 
@@ -135,62 +147,48 @@ def _vec3(raw, path):
 
 
 def _parse_initial_state(cfg, masses) -> CartesianState:
-    raw = _require(cfg, "initial_state", "", dict)
-    has_cart = "cartesian" in raw
-    has_shape = "shape" in raw
-    if has_cart == has_shape:
-        raise ConfigError(
-            "initial_state", "exactly one of cartesian/shape required"
-        )
-    if has_cart:
-        c = raw["cartesian"]
-        pos = _require(c, "positions", "initial_state.cartesian.", list)
-        vel = _require(c, "velocities", "initial_state.cartesian.", list)
+    raw = _object(_require(cfg, "initial_state"), "initial_state", ("cartesian", "shape"))
+    if ("cartesian" in raw) == ("shape" in raw):
+        raise ConfigError("initial_state", "exactly one of cartesian/shape required")
+    if "cartesian" in raw:
+        path = "initial_state.cartesian"
+        c = _object(raw["cartesian"], path, ("positions", "velocities"))
+        pos = _require(c, "positions", path, list)
+        vel = _require(c, "velocities", path, list)
         if len(pos) != 3 or len(vel) != 3:
-            raise ConfigError(
-                "initial_state.cartesian", "positions/velocities need 3 triples"
-            )
-        x = [_vec3(p, f"initial_state.cartesian.positions[{i}]") for i, p in enumerate(pos)]
-        v = [_vec3(p, f"initial_state.cartesian.velocities[{i}]") for i, p in enumerate(vel)]
+            raise ConfigError(path, "positions/velocities need 3 triples")
+        x = [_vec3(p, f"{path}.positions[{i}]") for i, p in enumerate(pos)]
+        v = [_vec3(p, f"{path}.velocities[{i}]") for i, p in enumerate(vel)]
         return CartesianState(x[0], x[1], x[2], v[0], v[1], v[2])
-    s = raw["shape"]
-    path = "initial_state.shape."
+    path = "initial_state.shape"
+    s = _object(raw["shape"], path, ("r1", "r2", "phi", "J", "p"))
     try:
         q = ShapeCoordinates(
-            *(_number(_require(s, name, path), path + name) for name in ("r1", "r2", "phi"))
+            *(_number(_require(s, key, path), f"{path}.{key}") for key in ("r1", "r2", "phi"))
         )
     except ValueError as exc:
-        raise ConfigError("initial_state.shape", str(exc))
-    momenta = BodyMomenta(
-        _vec3(_require(s, "J", path), path + "J"),
-        _vec3(_require(s, "p", path), path + "p"),
-    )
-    # body frame taken as the space frame (R = identity convention)
-    w = velocities_from_momenta(q, momenta)
-    b1, b2 = body_jacobi_vectors(q)
-    v1, v2 = body_velocities(q, w)
-    return cartesian_from_jacobi(masses, JacobiVectors(b1, b2, v1, v2))
+        raise ConfigError(path, str(exc))
+    momenta = BodyMomenta(*(_vec3(_require(s, key, path), f"{path}.{key}") for key in ("J", "p")))
+    return cartesian_from_body_state(masses, q, velocities_from_momenta(q, momenta))
 
 
 def _parse_integrator(cfg) -> IntegratorConfig:
-    raw = cfg.get("integrator", {})
-    if not isinstance(raw, dict):
-        raise ConfigError("integrator", "expected an object")
+    """The integrator settings the config gives; IntegratorConfig holds the
+    defaults of the others."""
+    numbers = {"dt": _number, "steps": _count, "record_stride": _count}
+    raw = _object(cfg.get("integrator", {}), "integrator", ("method", *numbers))
+    settings = {
+        key: numbers[key](value, f"integrator.{key}") if key in numbers else value
+        for key, value in raw.items()
+    }
     try:
-        return IntegratorConfig(
-            method=raw.get("method", "leapfrog"),
-            dt=_number(raw.get("dt", 1e-3), "integrator.dt"),
-            steps=_count(raw.get("steps", 1000), "integrator.steps"),
-            record_stride=_count(raw.get("record_stride", 1), "integrator.record_stride"),
-        )
+        return IntegratorConfig(**settings)
     except ValueError as exc:
         raise ConfigError("integrator", str(exc))
 
 
 def _parse_thresholds(cfg):
-    raw = cfg.get("thresholds", {})
-    if not isinstance(raw, dict):
-        raise ConfigError("thresholds", "expected an object")
+    raw = _object(cfg.get("thresholds", {}), "thresholds", ("collinear", "band", "passage"))
     band = _number(raw.get("band", BAND_THRESHOLD), "thresholds.band")
     thresholds = {
         "collinear": _number(raw.get("collinear", COLLINEAR_THRESHOLD), "thresholds.collinear"),
@@ -204,17 +202,24 @@ def _parse_thresholds(cfg):
     return thresholds
 
 
+def _parse_output(cfg):
+    out = _object(cfg.get("output", {}), "output", ("trajectory", "passages"))
+    for key in out:
+        _require(out, key, "output", str)  # a file path
+    return out
+
+
 class RunConfig:
+    FIELDS = ("masses", "potential", "initial_state", "integrator", "thresholds", "output")
+
     def __init__(self, raw):
+        _object(raw, "", self.FIELDS)
         self.masses = _parse_masses(raw)
         self.potential = _parse_potential(raw)
         self.state = _parse_initial_state(raw, self.masses)
         self.integrator = _parse_integrator(raw)
         self.thresholds = _parse_thresholds(raw)
-        out = raw.get("output", {})
-        if not isinstance(out, dict):
-            raise ConfigError("output", "expected an object")
-        self.output = out
+        self.output = _parse_output(raw)
 
 
 def load_config(path) -> RunConfig:
@@ -225,8 +230,6 @@ def load_config(path) -> RunConfig:
         raise ConfigError("<config>", f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError("<config>", f"invalid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError("<config>", "top level must be an object")
     return RunConfig(raw)
 
 
@@ -260,7 +263,7 @@ def _trajectory_lines(traj):
             traj.p,
             traj.H_reduced,
             traj.E_total,
-            np.linalg.norm(traj.L, axis=1),
+            lengths(traj.L),
         ]
     )
     rows = zip(numbers.tolist(), traj.branch.tolist())

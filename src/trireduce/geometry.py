@@ -8,7 +8,7 @@ rotation matrix R has the body axes as columns, so body vectors b and space
 vectors s satisfy s = R b.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import cos, pi, sin, sqrt
 
 import numpy as np
@@ -16,6 +16,16 @@ import numpy as np
 from .errors import DegenerateShape
 
 COLLINEAR_THRESHOLD = 1e-8
+
+
+def _finite_vectors(obj):
+    """Store every field of the frozen dataclass obj as a float array;
+    raises ValueError naming the first that is not a finite 3-vector."""
+    for f in fields(obj):
+        vec = np.asarray(getattr(obj, f.name), dtype=float)
+        if vec.shape != (3,) or not np.isfinite(vec).all():
+            raise ValueError(f"{f.name} must be a finite 3-vector")
+        object.__setattr__(obj, f.name, vec)
 
 
 @dataclass(frozen=True)
@@ -56,11 +66,7 @@ class CartesianState:
     v3: np.ndarray
 
     def __post_init__(self):
-        for name in ("x1", "x2", "x3", "v1", "v2", "v3"):
-            vec = np.asarray(getattr(self, name), dtype=float)
-            if vec.shape != (3,) or not np.all(np.isfinite(vec)):
-                raise ValueError(f"{name} must be a finite 3-vector")
-            object.__setattr__(self, name, vec)
+        _finite_vectors(self)
 
     @property
     def positions(self):
@@ -81,11 +87,7 @@ class JacobiVectors:
     sdot2: np.ndarray
 
     def __post_init__(self):
-        for name in ("s1", "s2", "sdot1", "sdot2"):
-            vec = np.asarray(getattr(self, name), dtype=float)
-            if vec.shape != (3,) or not np.all(np.isfinite(vec)):
-                raise ValueError(f"{name} must be a finite 3-vector")
-            object.__setattr__(self, name, vec)
+        _finite_vectors(self)
 
 
 @dataclass(frozen=True)
@@ -129,11 +131,7 @@ class BodyVelocityState:
     qdot: np.ndarray
 
     def __post_init__(self):
-        for name in ("omega", "qdot"):
-            vec = np.asarray(getattr(self, name), dtype=float)
-            if vec.shape != (3,) or not np.all(np.isfinite(vec)):
-                raise ValueError(f"{name} must be a finite 3-vector")
-            object.__setattr__(self, name, vec)
+        _finite_vectors(self)
 
 
 def reduced_masses(m: MassTriple) -> ReducedMasses:
@@ -188,7 +186,7 @@ def cartesian_from_jacobi(m: MassTriple, j: JacobiVectors) -> CartesianState:
 
 def spatial_angular_momentum(j: JacobiVectors) -> np.ndarray:
     """Total angular momentum about the center of mass, L = s1 x s1dot + s2 x s2dot."""
-    return np.cross(j.s1, j.sdot1) + np.cross(j.s2, j.sdot2)
+    return cross(j.s1, j.sdot1) + cross(j.s2, j.sdot2)
 
 
 def rotation_from_euler(e: EulerAngles) -> np.ndarray:
@@ -215,6 +213,22 @@ def cross(a, b):
     return a.take(_NEXT, -1) * b.take(_LAST, -1) - a.take(_LAST, -1) * b.take(_NEXT, -1)
 
 
+def lengths(a):
+    """np.linalg.norm(a, axis=-1), to the bit, without its wrapper."""
+    return np.sqrt(np.add.reduce(a * a, -1))
+
+
+def measure_shape(s1, s2):
+    """The shape of N pairs of Jacobi vectors given as (N, 3) rows:
+    (r1, r2, normal, area, dot, phi) with normal = s1 x s2 (N, 3), area =
+    |s1 x s2|, dot = s1 . s2 and phi = atan2(area, dot), the others (N,).
+    Every measurement of phi from the vectors is this one."""
+    normal = cross(s1, s2)
+    area = lengths(normal)
+    dot = np.einsum("ij,ij->i", s1, s2)
+    return lengths(s1), lengths(s2), normal, area, dot, np.arctan2(area, dot)
+
+
 def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
     """Body frames and shape coordinates of N states, from (N, 3) arrays
     of Jacobi vectors and their rates.
@@ -231,17 +245,14 @@ def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
     marks the rows above the threshold.  Raises DegenerateShape when a row
     has |s1| = 0 or |s2| = 0.
     """
-    r1, r2 = np.linalg.norm(s1, axis=1), np.linalg.norm(s2, axis=1)
+    r1, r2, normal, area, dot, measured_phi = measure_shape(s1, s2)
     if not r1.all():
         raise DegenerateShape("|s1| = 0: body frame undefined")
     if not r2.all():
         raise DegenerateShape("r2 = 0: phi undefined")
-    normal = cross(s1, s2)
-    nn = np.linalg.norm(normal, axis=1)
-    dot = np.einsum("ij,ij->i", s1, s2)
-    sin_phi = nn / (r1 * r2)
+    sin_phi = area / (r1 * r2)
     planar = sin_phi > collinear_threshold
-    phi = measured_phi = np.arctan2(nn, dot)
+    phi = measured_phi
     u1 = s1 / r1[:, None]
     if not planar.all():
         sigma = np.where(dot >= 0.0, 1.0, -1.0)
@@ -251,12 +262,12 @@ def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
     # Crossing with u1 keeps u2 orthogonal to u1 to rounding, also when
     # normal is a nearly cancelling cross product of nearly parallel vectors.
     u2 = cross(normal, u1)
-    n2 = np.linalg.norm(u2, axis=1)
+    n2 = lengths(u2)
     still = n2 == 0.0
     if still.any():
         axis = np.eye(3)[np.argmin(np.abs(u1[still]), axis=1)]
         u2[still] = cross(axis, u1[still])
-        n2[still] = np.linalg.norm(u2[still], axis=1)
+        n2[still] = lengths(u2[still])
     u2 = u2 / n2[:, None]
     axes = np.stack([u1, u2, cross(u1, u2)], axis=1)
     return axes, r1, r2, phi, measured_phi, sin_phi, planar

@@ -30,6 +30,7 @@ from .geometry import (
     cross,
     jacobi_from_cartesian,
     jacobi_map,
+    lengths,
     shape_to_distances,
 )
 from .potential import PotentialSpec, eval_potential_batch, potential_at_positions
@@ -203,8 +204,7 @@ def evaluate_reduced_batch(
     n = len(x)
     s1, s2 = jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2])
     sd1, sd2 = jacobi_map(masses, v[:, 0], v[:, 1], v[:, 2])
-    r1 = np.linalg.norm(s1, axis=1)
-    r2 = np.linalg.norm(s2, axis=1)
+    r1, r2 = lengths(s1), lengths(s2)
     kinetic = 0.5 * np.sum(masses.as_array()[:, None] * v ** 2, axis=(1, 2))
     E = kinetic + potential_at_positions(potential, masses, x)
     L = cross(s1, sd1) + cross(s2, sd2)

@@ -16,7 +16,7 @@ from sys import float_info
 import numpy as np
 
 from .errors import DomainError, PotentialSyntaxError, UnknownIdentifier
-from .geometry import MassTriple, cross, jacobi_map
+from .geometry import MassTriple, jacobi_map, lengths, measure_shape
 
 VARIABLES = ("r1", "r2", "phi", "d12", "d13", "d23")
 CONSTANTS = {"pi": np.pi, "e": np.e}
@@ -502,11 +502,6 @@ def _pair_vectors(x):
     return x.take(_FIRST, -2) - x.take(_SECOND, -2)
 
 
-def _lengths(delta):
-    """np.linalg.norm(delta, axis=-1), to the bit, without its wrapper."""
-    return np.sqrt(np.add.reduce(delta * delta, -1))
-
-
 def _gravity_products(bound, masses: MassTriple):
     """G m_i m_k of the pairs d12, d13, d23, read only.  The bound parameters
     keep them for the last MassTriple object asked for, the one an
@@ -574,23 +569,12 @@ def eval_potential_batch(
     return (energy[..., 0] + energy[..., 1]) + energy[..., 2]
 
 
-def _shape_at(masses: MassTriple, x):
-    """The Jacobi vectors (s1, s2) of N configurations given as an (N, 3, 3)
-    array of positions, and their shape (r1, r2, |s1 x s2|, s1 . s2, phi),
-    each (N,), with phi = atan2(|s1 x s2|, s1 . s2)."""
-    s1, s2 = jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2])
-    area = _lengths(cross(s1, s2))
-    dot = np.einsum("ij,ij->i", s1, s2)
-    r1, r2 = _lengths(s1), _lengths(s2)
-    return (s1, s2), (r1, r2, area, dot, np.arctan2(area, dot))
-
-
 def potential_at_positions(spec: PotentialSpec, masses: MassTriple, x) -> np.ndarray:
     """Potential energy of N configurations given as an (N, 3, 3) array of
-    positions, one row per body: the shape (r1, r2, phi) of _shape_at and
-    the pair distances are measured from the positions."""
-    _, (r1, r2, _, _, phi) = _shape_at(masses, x)
-    d = _lengths(_pair_vectors(x))
+    positions, one row per body: the shape (r1, r2, phi) of measure_shape
+    and the pair distances are measured from the positions."""
+    r1, r2, _, _, _, phi = measure_shape(*jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2]))
+    d = lengths(_pair_vectors(x))
     return eval_potential_batch(spec, masses, r1, r2, phi, *d.T)
 
 
@@ -636,12 +620,13 @@ def _phi_slope_vanishes(spec, columns, slope):
 
 def _shape_forces(masses, s, shape, slopes):
     """Forces from slopes = dV/d(r1, r2, phi) at the Jacobi vectors s and
-    the shape of _shape_at, one row each.  dV/ds = C s for s1, s2 stacked
+    their measure_shape, one row each.  dV/ds = C s for s1, s2 stacked
     and a symmetric 2 x 2 matrix C, and dV/dx = A^T C s for the Jacobi
     matrix A.  A slope of phi at |s1 x s2| = 0 must be 0 (see
     forces_cartesian); r1 or r2 at 0 raises DomainError unless its slope
     is 0."""
-    r1, r2, area, dot, _ = (float(v[0]) for v in shape)
+    r1, r2, _, area, dot, _ = shape
+    r1, r2, area, dot = (float(v[0]) for v in (r1, r2, area, dot))
     dr1, dr2, dphi = slopes
     for name, r, slope in (("r1", r1, dr1), ("r2", r2, dr2)):
         if r == 0.0 and slope != 0.0:
@@ -681,14 +666,15 @@ def forces_cartesian(spec: PotentialSpec, masses: MassTriple, positions):
     pairs = spec.builtin is not None or not spec.reads.isdisjoint(PAIRS)
     if pairs:
         delta = _pair_vectors(x)
-        d = _lengths(delta)
+        d = lengths(delta)
         if spec.builtin is not None:
             return _pair_forces(_pair_terms(spec, masses, d)[1], delta, d)
     columns = dict(zip(PAIRS, d[:, None])) if pairs else {}
     jacobi = not spec.reads <= PAIRS.keys()
     if jacobi:
-        s, shape = _shape_at(masses, x[None])
-        r1, r2, area, _, phi = shape
+        s = jacobi_map(masses, *x[:, None])  # one (1, 3) row each
+        shape = measure_shape(*s)
+        r1, r2, _, area, _, phi = shape
         columns.update(r1=r1, r2=r2, phi=phi)
     _, gradient = _run(spec, columns, (1,), gradient=True)
     forces = _pair_forces(gradient[3:, 0], delta, d) if pairs else np.zeros((3, 3))

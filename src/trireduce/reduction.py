@@ -13,7 +13,15 @@ from math import cos, sin
 import numpy as np
 
 from .errors import SingularInertia
-from .geometry import BodyVelocityState, ShapeCoordinates, body_jacobi_vectors
+from .geometry import (
+    BodyVelocityState,
+    JacobiVectors,
+    ShapeCoordinates,
+    _finite_vectors,
+    body_jacobi_vectors,
+    cartesian_from_jacobi,
+    cross,
+)
 
 SINGULAR_THRESHOLD = 1e-8
 
@@ -26,11 +34,7 @@ class BodyMomenta:
     p: np.ndarray
 
     def __post_init__(self):
-        for name in ("J", "p"):
-            vec = np.asarray(getattr(self, name), dtype=float)
-            if vec.shape != (3,) or not np.all(np.isfinite(vec)):
-                raise ValueError(f"{name} must be a finite 3-vector")
-            object.__setattr__(self, name, vec)
+        _finite_vectors(self)
 
 
 def inertia_tensor(q: ShapeCoordinates) -> np.ndarray:
@@ -113,9 +117,17 @@ def body_velocities(q: ShapeCoordinates, w: BodyVelocityState):
     """Body-frame velocities of the two Jacobi vectors."""
     b1, b2 = body_jacobi_vectors(q)
     d = shape_partials(q)
-    v1 = np.cross(w.omega, b1) + d[0].T @ w.qdot
-    v2 = np.cross(w.omega, b2) + d[1].T @ w.qdot
+    v1 = cross(w.omega, b1) + d[0].T @ w.qdot
+    v2 = cross(w.omega, b2) + d[1].T @ w.qdot
     return v1, v2
+
+
+def cartesian_from_body_state(masses, q: ShapeCoordinates, w: BodyVelocityState):
+    """Cartesian realization of a body state with the body frame taken as
+    the space frame at the evaluation instant."""
+    b1, b2 = body_jacobi_vectors(q)
+    v1, v2 = body_velocities(q, w)
+    return cartesian_from_jacobi(masses, JacobiVectors(b1, b2, v1, v2))
 
 
 def kinetic_energy_body(q: ShapeCoordinates, w: BodyVelocityState) -> float:

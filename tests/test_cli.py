@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import trireduce
+from trireduce import checks
 from trireduce.cli import (
     EVALUATE_HEADER,
     PASSAGES_HEADER,
@@ -465,6 +466,7 @@ class TestEvaluate:
                 "shape": {"r1": 1.0, "r2": 1.0, "phi": 1.0, "J": [0.0, 0.0, 1.0], "p": [0.0] * 3}
             },
         )
+        expression = dict(HARMONIC_CONFIG, potential={"expression": "0.5 * (d12 - 1) ^ 2"})
         cartesian = ("initial_state", "cartesian")
         cases = [
             (HARMONIC_CONFIG, cartesian + ("positions", 0, 1), float("nan"),
@@ -481,6 +483,18 @@ class TestEvaluate:
             (HARMONIC_CONFIG, cartesian + ("positions", 1, 1), "2",
              "initial_state.cartesian.positions[1][1]"),
             (shaped, ("initial_state", "shape", "phi"), True, "initial_state.shape.phi"),
+            # objects of the wrong type, and misspelt fields
+            (expression, ("potential", "expression"), 5, "potential.expression"),
+            (expression, ("potential", "expression"), None, "potential.expression"),
+            (shaped, ("initial_state", "shape"), 5, "initial_state.shape"),
+            (HARMONIC_CONFIG, cartesian, 5, "initial_state.cartesian"),
+            (HARMONIC_CONFIG, ("output",), {"trajectory": True}, "output.trajectory"),
+            (HARMONIC_CONFIG, ("output",), {"passages": 2}, "output.passages"),
+            (HARMONIC_CONFIG, ("integrator", "step"), 1000, "integrator.step"),
+            (HARMONIC_CONFIG, ("thresholds",), {"colinear": 1e-8}, "thresholds.colinear"),
+            (HARMONIC_CONFIG, ("potential", "param"), {"k": 2.0}, "potential.param"),
+            (HARMONIC_CONFIG, ("potential", "params"), [], "potential.params"),
+            (HARMONIC_CONFIG, ("integrator",), 5, "integrator"),
         ]
         for config, path, value, field in cases:
             bad = json.loads(json.dumps(config))
@@ -492,6 +506,7 @@ class TestEvaluate:
             caplog.clear()
             assert run(["evaluate", "--config", cfg]) == 2
             assert field in caplog.text
+            assert caplog.text.count("config field") == 1
 
     def test_shape_state_needs_one_form(self, tmp_path, caplog):
         bad = dict(HARMONIC_CONFIG, initial_state={})
@@ -557,6 +572,11 @@ class TestCheck:
         assert len(lines) >= 8
 
     def test_corrupted_tolerance_fails(self, capsys, monkeypatch):
-        monkeypatch.setenv("TRIREDUCE_CHECK_TOL_SCALE", "1e-12")
+        # a suite held to a tolerance no residual meets fails the run
+        def impossible(seed):
+            return False, "max residual 4.441e-16 (tol 0.0e+00)"
+
+        monkeypatch.setattr(checks, "SUITES", [checks.SUITES[0], ("impossible", impossible)])
         assert run(["check"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "PASS so3" in out and "FAIL impossible" in out

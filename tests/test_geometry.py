@@ -16,7 +16,9 @@ from trireduce.geometry import (
     body_frame_fit,
     body_jacobi_vectors,
     cartesian_from_jacobi,
+    cross,
     jacobi_from_cartesian,
+    lengths,
     omega_from_euler_rates,
     omega_from_rotation_rate,
     reduced_masses,
@@ -51,6 +53,23 @@ class TestReducedMasses:
             MassTriple(1, -1, 1)
         with pytest.raises(ValueError):
             MassTriple(0, 1, 1)
+
+
+class TestVectorHelpers:
+    """lengths and cross round as np.linalg.norm and np.cross do, so the
+    measurements routed through them keep numpy's bits."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-8, 1.0, 1e8, 1e150])
+    def test_bits_equal_numpy(self, scale):
+        rng = np.random.default_rng(11)
+        a, b = scale * rng.normal(size=(2, 4000, 3))
+        a[:3] = 0.0
+        b[3:6] = 0.0
+        assert np.array_equal(lengths(a), np.linalg.norm(a, axis=-1))
+        assert np.array_equal(cross(a, b), np.cross(a, b))
+        for k in range(8):  # single 3-vectors, zero ones included
+            assert np.array_equal(lengths(a[k]), np.linalg.norm(a[k], axis=-1))
+            assert np.array_equal(cross(a[k], b[k]), np.cross(a[k], b[k]))
 
 
 def _state(x1, x2, x3, v1=None, v2=None, v3=None):

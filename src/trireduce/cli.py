@@ -24,7 +24,7 @@ from .dynamics import (
     integrate,
     total_energy,
 )
-from .errors import ConfigError, TrireduceError
+from .errors import ConfigError, NumericalBlowup, TrireduceError
 from .geometry import (
     COLLINEAR_THRESHOLD,
     CartesianState,
@@ -184,7 +184,8 @@ def _parse_integrator(cfg) -> IntegratorConfig:
     try:
         return IntegratorConfig(**settings)
     except ValueError as exc:
-        raise ConfigError("integrator", str(exc))
+        name, _, message = str(exc).partition(": ")
+        raise ConfigError(f"integrator.{name}", message)
 
 
 def _parse_thresholds(cfg):
@@ -294,17 +295,24 @@ def cmd_simulate(cfg: RunConfig, out_path):
 
 
 def cmd_evaluate(cfg: RunConfig, out_path):
-    ev = evaluate_reduced(
-        cfg.masses,
-        cfg.state,
-        cfg.potential,
-        collinear_threshold=cfg.thresholds["collinear"],
-    )
-    E = total_energy(cfg.masses, cfg.state, cfg.potential)
-    L = spatial_angular_momentum(jacobi_from_cartesian(cfg.masses, cfg.state))
+    # numpy's overflow warnings would only repeat the NumericalBlowup that
+    # names the quantity
+    with np.errstate(all="ignore"):
+        ev = evaluate_reduced(
+            cfg.masses,
+            cfg.state,
+            cfg.potential,
+            collinear_threshold=cfg.thresholds["collinear"],
+        )
+        E = total_energy(cfg.masses, cfg.state, cfg.potential)
+        L = spatial_angular_momentum(jacobi_from_cartesian(cfg.masses, cfg.state))
+        L_norm = float(np.linalg.norm(L))
+    for name, value in (("E_total", E), ("L_norm", L_norm)):
+        if not np.isfinite(value):
+            raise NumericalBlowup(f"{name} overflows ({value})")
     values = [ev.q.r1, ev.q.r2, ev.q.phi]
     values += list(ev.momenta.J) + list(ev.momenta.p)
-    values += [ev.branch, ev.H, E, float(np.linalg.norm(L)), ev.singular_term]
+    values += [ev.branch, ev.H, E, L_norm, ev.singular_term]
     lines = [EVALUATE_HEADER, _row(values)]
     if not _write_lines(out_path, lines):
         return 4

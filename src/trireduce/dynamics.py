@@ -28,17 +28,18 @@ class IntegratorConfig:
     record_stride: int = 1
 
     def __post_init__(self):
+        # cli._parse_integrator reads the field's name before the first ": "
         if self.method not in ("leapfrog", "rk4"):
-            raise ValueError(f"unknown method '{self.method}'")
+            raise ValueError(f"method: expected 'leapfrog' or 'rk4', got {self.method!r}")
         check_number("dt", self.dt)
         if not (self.dt > 0.0):
-            raise ValueError("dt must be > 0")
+            raise ValueError("dt: must be > 0")
         for name in ("steps", "record_stride"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValueError(f"{name}: expected a whole number, got {value!r}")
             if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ValueError(f"{name}: must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ class SingularInertia(TrireduceError):
 
 
 class NumericalBlowup(TrireduceError):
-    """Integration produced coordinates beyond the overflow guard."""
+    """A computed quantity overflowed: coordinates beyond the overflow guard
+    during integration, or a Jacobi vector, H or an energy that is not
+    finite.  The message names the quantity."""
 
 
 class PotentialSyntaxError(TrireduceError):

@@ -23,7 +23,7 @@ def _finite_vectors(obj):
     raises ValueError naming the first that is not a finite 3-vector."""
     for f in fields(obj):
         vec = np.asarray(getattr(obj, f.name), dtype=float)
-        if vec.shape != (3,) or not np.isfinite(vec).all():
+        if vec.shape != (3,) or np.count_nonzero(np.isfinite(vec)) < 3:
             raise ValueError(f"{f.name} must be a finite 3-vector")
         object.__setattr__(obj, f.name, vec)
 
@@ -245,16 +245,19 @@ def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
     marks the rows above the threshold.  Raises DegenerateShape when a row
     has |s1| = 0 or |s2| = 0.
     """
+    # np.count_nonzero rather than ndarray.all/any, whose Python-level
+    # wrappers cost more than the test on a few rows
+    n = len(s1)
     r1, r2, normal, area, dot, measured_phi = measure_shape(s1, s2)
-    if not r1.all():
+    if np.count_nonzero(r1) < n:
         raise DegenerateShape("|s1| = 0: body frame undefined")
-    if not r2.all():
+    if np.count_nonzero(r2) < n:
         raise DegenerateShape("r2 = 0: phi undefined")
     sin_phi = area / (r1 * r2)
     planar = sin_phi > collinear_threshold
     phi = measured_phi
     u1 = s1 / r1[:, None]
-    if not planar.all():
+    if np.count_nonzero(planar) < n:
         sigma = np.where(dot >= 0.0, 1.0, -1.0)
         phi = np.where(planar, measured_phi, np.where(sigma > 0.0, 0.0, pi))
         bending = cross(u1, sd2 - (sigma * r2 / r1)[:, None] * sd1)
@@ -264,12 +267,12 @@ def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
     u2 = cross(normal, u1)
     n2 = lengths(u2)
     still = n2 == 0.0
-    if still.any():
+    if np.count_nonzero(still):
         axis = np.eye(3)[np.argmin(np.abs(u1[still]), axis=1)]
         u2[still] = cross(axis, u1[still])
         n2[still] = lengths(u2[still])
     u2 = u2 / n2[:, None]
-    axes = np.stack([u1, u2, cross(u1, u2)], axis=1)
+    axes = np.array([u1, u2, cross(u1, u2)]).transpose(1, 0, 2)
     return axes, r1, r2, phi, measured_phi, sin_phi, planar
 
 

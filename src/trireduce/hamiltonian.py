@@ -14,11 +14,11 @@ equals the center-of-mass energy whenever r1 and r2 are nonzero.
 """
 
 from dataclasses import dataclass
-from math import cos, sin
+from math import cos, isfinite, sin
 
 import numpy as np
 
-from .errors import DegenerateShape
+from .errors import DegenerateShape, NumericalBlowup
 from .geometry import (
     COLLINEAR_THRESHOLD,
     BodyVelocityState,
@@ -28,7 +28,6 @@ from .geometry import (
     ShapeCoordinates,
     body_frames,
     cross,
-    jacobi_from_cartesian,
     jacobi_map,
     lengths,
     shape_to_distances,
@@ -100,11 +99,17 @@ def evaluate_reduced(
     """Evaluate the reduced Hamiltonian of a Cartesian state.
 
     The result is the energy in the center-of-mass frame; for states with
-    zero total momentum it equals the total energy.
+    zero total momentum it equals the total energy.  Raises
+    NumericalBlowup when the Jacobi vectors or H overflow.
     """
-    j = jacobi_from_cartesian(masses, state)
-    return evaluate_reduced_jacobi(
-        masses, j, potential, collinear_threshold=collinear_threshold
+    # one map for positions (row 0) and velocities (row 1); the state was
+    # validated when it was built, so only an overflow of the map is new
+    xv = np.array([[state.x1, state.x2, state.x3], [state.v1, state.v2, state.v3]])
+    s1, s2 = jacobi_map(masses, xv[:, 0], xv[:, 1], xv[:, 2])
+    if np.count_nonzero(np.isfinite(s1)) + np.count_nonzero(np.isfinite(s2)) < 12:
+        raise NumericalBlowup("the Jacobi vectors of the state overflow")
+    return _evaluate_row(
+        masses, potential, collinear_threshold, s1[:1], s2[:1], s1[1:], s2[1:]
     )
 
 
@@ -116,12 +121,23 @@ def evaluate_reduced_jacobi(
 ) -> ReducedEvaluation:
     """As evaluate_reduced, from Jacobi vectors: one row of the batch kernel.
     Raises DegenerateShape when |s1| = 0 or |s2| = 0."""
-    r1, r2, phi, sin_phi, planar, J, p, T, H = _reduce_rows(
+    return _evaluate_row(
         masses, potential, collinear_threshold,
         j.s1[None], j.s2[None], j.sdot1[None], j.sdot2[None],
     )
+
+
+def _evaluate_row(masses, potential, collinear_threshold, s1, s2, sd1, sd2):
+    """The ReducedEvaluation of one state given as (1, 3) Jacobi rows;
+    raises NumericalBlowup when H is not finite."""
+    r1, r2, phi, sin_phi, planar, J, p, T, H = _reduce_rows(
+        masses, potential, collinear_threshold, s1, s2, sd1, sd2
+    )
+    H = float(H[0])
+    if not isfinite(H):
+        raise NumericalBlowup(f"H_reduced overflows ({H})")
     return ReducedEvaluation(
-        H=float(H[0]),
+        H=H,
         branch=BRANCH_NONCOLLINEAR if planar[0] else BRANCH_COLLINEAR,
         q=ShapeCoordinates(float(r1[0]), float(r2[0]), float(phi[0])),
         momenta=BodyMomenta(J[0], p[0]),
@@ -145,8 +161,7 @@ def _reduce_rows(masses, potential, collinear_threshold, s1, s2, sd1, sd2):
     axes, r1, r2, phi, measured_phi, sin_phi, planar = body_frames(
         s1, s2, sd1, sd2, collinear_threshold
     )
-    v1 = np.einsum("kij,kj->ki", axes, sd1)
-    v2 = np.einsum("kij,kj->ki", axes, sd2)
+    v1, v2 = np.einsum("kij,lkj->lki", axes, np.array([sd1, sd2]))
     s, c = np.sin(phi), np.cos(phi)
     T = r2 * v2[:, 2]
     p3 = r2 * (c * v2[:, 1] - s * v2[:, 0])
@@ -158,8 +173,8 @@ def _reduce_rows(masses, potential, collinear_threshold, s1, s2, sd1, sd2):
         *shape_to_distances(masses, r1, r2, measured_phi),
     )
     H = _finite_form(r1, r2, c, T, J2, J3, v1[:, 0], p2, p3, V)
-    J = np.stack([s * T, J2, J3], axis=1)
-    p = np.stack([v1[:, 0], p2, p3], axis=1)
+    J = np.array([s * T, J2, J3]).T
+    p = np.array([v1[:, 0], p2, p3]).T
     return r1, r2, phi, sin_phi, planar, J, p, T, H
 
 

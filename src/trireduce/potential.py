@@ -508,8 +508,8 @@ def _gravity_products(bound, masses: MassTriple):
     integration asks with at every step; a larger cache would churn."""
     last = bound.get("Gmm")
     if last is None or last[0] is not masses:
-        m = masses.as_array()
-        Gmm = bound["G"] * m[_FIRST] * m[_SECOND]
+        G, m1, m2, m3 = bound["G"], masses.m1, masses.m2, masses.m3
+        Gmm = np.array([G * m1 * m2, G * m1 * m3, G * m2 * m3])
         Gmm.setflags(write=False)
         last = bound["Gmm"] = (masses, Gmm)
     return last[1]
@@ -561,7 +561,8 @@ def eval_potential_batch(
         shape = np.broadcast(*columns).shape
         value, _ = _run(spec, dict(zip(VARIABLES, columns)), shape, gradient=False)
         return np.array(np.broadcast_to(value, shape))
-    d = np.stack([d12, d13, d23], axis=-1)
+    d = np.array([d12, d13, d23])
+    d = d.transpose(*range(1, d.ndim), 0)  # pairs on the last axis, for floats and arrays alike
     energy, _ = _pair_terms(spec, masses, d)
     if not _all_finite(energy):
         bad = ~np.isfinite(energy)

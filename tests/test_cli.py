@@ -42,6 +42,21 @@ CROSSING_CONFIG = {
     "thresholds": {"passage": 0.5},
 }
 
+# the figure-eight start (Chenciner & Montgomery 2000): body 3 at the
+# origin between 1 and 2, L = 0
+_X1, _V3 = [0.97000436, -0.24308753, 0.0], [-0.93240737, -0.86473146, 0.0]
+_V1 = [-0.5 * _V3[0], -0.5 * _V3[1], 0.0]
+FIGURE_EIGHT_CONFIG = {
+    "masses": [1.0, 1.0, 1.0],
+    "potential": {"builtin": "gravity", "params": {"G": 1.0}},
+    "initial_state": {
+        "cartesian": {
+            "positions": [_X1, [-_X1[0], -_X1[1], 0.0], [0.0, 0.0, 0.0]],
+            "velocities": [_V1, _V1, _V3],
+        }
+    },
+}
+
 
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
@@ -54,14 +69,15 @@ def run(args):
 
 
 def run_process(args):
-    """The CLI in a fresh interpreter, for what it writes to each stream."""
+    """The CLI in a fresh interpreter: (exit code, stdout, stderr)."""
     env = {k: v for k, v in os.environ.items() if k != "TRIREDUCE_LOG"}
     src = str(Path(trireduce.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
+    done = subprocess.run(
         [sys.executable, "-m", "trireduce.cli", *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+    return done.returncode, done.stdout, done.stderr
 
 
 def trajectory_rows(text):
@@ -89,10 +105,10 @@ class TestSimulate:
     def test_conservation_summary_printed(self, tmp_path):
         cfg = write_config(tmp_path, HARMONIC_CONFIG)
         out = tmp_path / "traj.csv"
-        done = run_process(["simulate", "--config", cfg, "--out", str(out)])
-        assert done.returncode == 0
-        assert "energy_drift_rel" in done.stderr
-        assert done.stdout == ""
+        code, stdout, stderr = run_process(["simulate", "--config", cfg, "--out", str(out)])
+        assert code == 0
+        assert "energy_drift_rel" in stderr
+        assert stdout == ""
 
     def test_stdout_holds_only_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path, HARMONIC_CONFIG)
@@ -294,6 +310,11 @@ class TestSimulate:
             ({"steps": 2.7}, "integrator.steps"),
             ({"record_stride": True}, "integrator.record_stride"),
             ({"dt": float("inf")}, "integrator.dt"),
+            # IntegratorConfig's own checks, which named only 'integrator'
+            ({"method": 5}, "integrator.method"),
+            ({"steps": 0}, "integrator.steps"),
+            ({"record_stride": 0}, "integrator.record_stride"),
+            ({"dt": 0.0}, "integrator.dt"),
         ],
     )
     def test_bad_integrator_numbers_exit_2(self, tmp_path, caplog, integrator, field):
@@ -302,7 +323,8 @@ class TestSimulate:
         bad = dict(HARMONIC_CONFIG, integrator=integrator)
         cfg = write_config(tmp_path, bad)
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
-        assert field in caplog.text
+        assert f"config field '{field}'" in caplog.text
+        assert caplog.text.count(field.split(".")[1]) == 1  # named once
 
     def test_blowup_exit_3(self, tmp_path):
         # near-collision under 1/d gravity: the first kick is ~G/d^2 and
@@ -375,18 +397,6 @@ class TestEvaluate:
     def test_zero_angular_momentum_collinear_states(self, tmp_path):
         # the figure-eight start (Chenciner & Montgomery 2000), body 3 at the
         # origin between 1 and 2, and a static collinear state; both L = 0
-        x1, v3 = [0.97000436, -0.24308753, 0.0], [-0.93240737, -0.86473146, 0.0]
-        v1 = [-0.5 * v3[0], -0.5 * v3[1], 0.0]
-        figure_eight = {
-            "masses": [1.0, 1.0, 1.0],
-            "potential": {"builtin": "gravity", "params": {"G": 1.0}},
-            "initial_state": {
-                "cartesian": {
-                    "positions": [x1, [-x1[0], -x1[1], 0.0], [0.0, 0.0, 0.0]],
-                    "velocities": [v1, v1, v3],
-                }
-            },
-        }
         static = dict(
             CROSSING_CONFIG,
             initial_state={
@@ -396,7 +406,7 @@ class TestEvaluate:
                 }
             },
         )
-        for name, config in (("figure8", figure_eight), ("static", static)):
+        for name, config in (("figure8", FIGURE_EIGHT_CONFIG), ("static", static)):
             cfg = write_config(tmp_path, config, name=f"{name}.json")
             out = tmp_path / f"{name}.csv"
             assert run(["evaluate", "--config", cfg, "--out", str(out)]) == 0
@@ -435,6 +445,24 @@ class TestEvaluate:
                     assert fields["branch"] == ("collinear" if eps < threshold else "noncollinear")
                     H, E = float(fields["H_reduced"]), float(fields["E_total"])
                     assert abs(H - E) <= 1e-10 * max(1.0, abs(E)), (eps, potential, threshold)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            # the Jacobi map overflows: this was a ValueError traceback, exit 1
+            ("positions", [[1e308, 0.0, 0.0], [0.0, 1.0, 0.0], [-1e308, 0.0, 0.0]]),
+            # the kinetic terms overflow: H, E and |L| were printed as inf, exit 0
+            ("velocities", [[1e200, 0.0, 0.0], [0.0, 0.0, 1e200], [-1e200, 0.0, -1e200]]),
+        ],
+    )
+    def test_overflow_exit_3(self, tmp_path, key, value):
+        huge = json.loads(json.dumps(FIGURE_EIGHT_CONFIG))
+        huge["initial_state"]["cartesian"][key] = value
+        code, stdout, stderr = run_process(["evaluate", "--config", write_config(tmp_path, huge)])
+        assert code == 3
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1 and "NumericalBlowup" in stderr
+        assert "Traceback" not in stderr and "RuntimeWarning" not in stderr
 
     def test_shape_initial_state(self, tmp_path):
         shaped = dict(

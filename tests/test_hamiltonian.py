@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from trireduce.checks import random_rotation
 from trireduce.dynamics import BAND_THRESHOLD, total_energy
-from trireduce.errors import DegenerateShape
+from trireduce.errors import DegenerateShape, NumericalBlowup
 from trireduce.geometry import (
     COLLINEAR_THRESHOLD,
     CartesianState,
@@ -457,3 +457,55 @@ class TestBatchKernel:
                 oracle = shape_momenta(q, w)
                 assert _close(out.J[i], oracle.J)
                 assert _close(out.p[i], oracle.p)
+
+
+def _same_evaluation(a, b):
+    """Every field of two ReducedEvaluations equal, bit for bit."""
+    return (
+        (a.H, a.branch, a.singular_term, a.sin_phi) == (b.H, b.branch, b.singular_term, b.sin_phi)
+        and (a.q.r1, a.q.r2, a.q.phi) == (b.q.r1, b.q.r2, b.q.phi)
+        and np.array_equal(a.momenta.J, b.momenta.J)
+        and np.array_equal(a.momenta.p, b.momenta.p)
+    )
+
+
+class TestOneRowPath:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rotated_states(),
+        st.sampled_from(BATCH_POTENTIALS),
+    )
+    def test_one_map_equals_the_jacobi_route(self, case, potential):
+        # evaluate_reduced maps positions and velocities in one call; the
+        # route through a validated JacobiVectors gives the same bits
+        kind, masses, state = case
+        ev = evaluate_reduced(masses, state, potential)
+        ref = evaluate_reduced_jacobi(masses, jacobi_from_cartesian(masses, state), potential)
+        assert _same_evaluation(ev, ref), kind
+
+    def test_builds_no_jacobi_vectors(self, monkeypatch):
+        masses = MassTriple(1.0, 2.0, 0.6)
+        state = CartesianState(*RNG.normal(size=(6, 3)))
+        ref = evaluate_reduced(masses, state, FREE)
+
+        def refuse(self):
+            raise AssertionError("JacobiVectors built")
+
+        monkeypatch.setattr(JacobiVectors, "__post_init__", refuse)
+        assert _same_evaluation(evaluate_reduced(masses, state, FREE), ref)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflow_raises_named(self):
+        # an overflow of the Jacobi map, or of the kinetic terms with
+        # finite Jacobi vectors, is named instead of validated or returned
+        masses = MassTriple(1.0, 1.0, 1.0)
+        gravity = builtin_potential("gravity", G=1.0)
+        x = [[0.97000436, -0.24308753, 0.0], [-0.97000436, 0.24308753, 0.0], [0.0, 0.0, 0.0]]
+        v = [[0.466203685, 0.43236573, 0.0], [0.466203685, 0.43236573, 0.0], [-0.93240737, -0.86473146, 0.0]]
+        far = CartesianState(*[[1e308, 0, 0], [0, 1, 0], [-1e308, 0, 0]], *v)
+        fast = CartesianState(*x, *[[1e200, 0, 0], [0, 0, 1e200], [-1e200, 0, -1e200]])
+        with pytest.raises(NumericalBlowup, match="Jacobi vectors"):
+            evaluate_reduced(masses, far, gravity)
+        with pytest.raises(NumericalBlowup, match="H_reduced"):
+            evaluate_reduced(masses, fast, gravity)

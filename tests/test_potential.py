@@ -226,6 +226,15 @@ class TestEval:
             eval_potential_batch(failing, MASSES, *[np.ones(2)] * 6)
         assert (err.value.node, err.value.value) == ("log", 0.0)
 
+    def test_builtin_scalars_and_empty_batch(self):
+        # the pair distances may be floats, (N,) arrays or zero rows
+        for spec in (builtin_potential("gravity", G=1.0), builtin_potential("harmonic", k=2.0)):
+            d = (1.5, 2.0, 0.5)
+            value = eval_potential_batch(spec, MASSES, 1.0, 1.0, 1.0, *d)
+            rows = eval_potential_batch(spec, MASSES, *[np.array([a, a]) for a in (1.0, 1.0, 1.0, *d)])
+            assert np.shape(value) == () and np.array_equal(rows, [value, value])
+            assert eval_potential_batch(spec, MASSES, *[np.ones(0)] * 6).shape == (0,)
+
     @settings(max_examples=300, deadline=None)
     @given(EXPRESSIONS)
     def test_rows_are_independent(self, ast):

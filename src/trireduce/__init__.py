@@ -14,7 +14,6 @@ from .errors import (
 )
 from .geometry import (
     CartesianState,
-    EulerAngles,
     JacobiVectors,
     MassTriple,
     ReducedMasses,
@@ -22,10 +21,7 @@ from .geometry import (
     body_frame_fit,
     cartesian_from_jacobi,
     jacobi_from_cartesian,
-    omega_from_euler_rates,
-    omega_from_rotation_rate,
     reduced_masses,
-    rotation_from_euler,
     shape_to_distances,
     spatial_angular_momentum,
 )

@@ -6,21 +6,19 @@ against the closed forms.
 """
 
 from dataclasses import astuple
-from math import cos, pi, sin
+from math import pi, sin
 
 import numpy as np
 
 from .dynamics import IntegratorConfig, conservation_report, integrate, total_energy
 from .geometry import (
     CartesianState,
-    EulerAngles,
     JacobiVectors,
     MassTriple,
     ShapeCoordinates,
     body_frame_fit,
+    body_frames,
     body_jacobi_vectors,
-    jacobi_from_cartesian,
-    rotation_from_euler,
     shape_to_distances,
 )
 from .hamiltonian import reduced_hamiltonian, singular_term
@@ -106,20 +104,35 @@ def matrix_form_hamiltonian(q, m, V):
 
 
 def suite_so3(seed=DEFAULT_SEED, n=2000):
+    """The body frames of n seeded, randomly rotated states are rotations
+    with u1 = s1 / r1.  Row k belongs to family k % 5: generic,
+    near-collinear (sin phi down to 1e-16), exactly collinear with bending,
+    exactly collinear at rest (the fixed-perpendicular fallback) and
+    exactly collinear with rates parallel to s1."""
     rng = np.random.default_rng(seed)
     tol = 1e-12
-    worst = 0.0
-    for _ in range(n):
-        e = EulerAngles(
-            rng.uniform(0, 2 * pi), rng.uniform(0, pi), rng.uniform(0, 2 * pi)
-        )
-        R = rotation_from_euler(e)
-        worst = max(
-            worst,
-            float(np.max(np.abs(R.T @ R - np.eye(3)))),
-            abs(float(np.linalg.det(R)) - 1.0),
-        )
-    return worst < tol, f"max residual {worst:.3e} (tol {tol:.1e})"
+    family = np.arange(n) % 5
+    r1, r2 = rng.uniform(0.1, 3.0, size=(2, n))
+    near = np.arcsin(10.0 ** rng.uniform(-16.0, -2.0, n))
+    phi = np.select([family == 0, family == 1], [rng.uniform(0.0, pi, n), near], 0.0)
+    phi = np.where((rng.integers(0, 2, n) == 1) & (family > 0), pi - phi, phi)
+    rates = rng.normal(size=(2, n, 3))
+    rates[:, family == 3] = 0.0
+    rates[:, family == 4, 1:] = 0.0
+    # the shapes in the reference frame (s2 exactly on the line from family
+    # 2 on), then rotated row by row
+    s = np.zeros((2, n, 3))
+    s[0, :, 0], s[1, :, 0] = r1, r2 * np.cos(phi)
+    s[1, :, 1] = np.where(family < 2, r2 * np.sin(phi), 0.0)
+    Q = np.array([random_rotation(rng) for _ in range(n)])
+    s1, s2, sd1, sd2 = np.einsum("kij,akj->aki", Q, np.concatenate([s, rates]))
+    axes = body_frames(s1, s2, sd1, sd2)[0]
+    worst = max(
+        float(np.max(np.abs(axes @ axes.transpose(0, 2, 1) - np.eye(3)))),
+        float(np.max(np.abs(np.linalg.det(axes) - 1.0))),
+        float(np.max(np.abs(axes[:, 0] - s1 / np.linalg.norm(s1, axis=1)[:, None]))),
+    )
+    return worst < tol, f"max residual {worst:.3e} over {n} frames (tol {tol:.1e})"
 
 
 def suite_equivariance(seed=DEFAULT_SEED, n=200):

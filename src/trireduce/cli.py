@@ -22,19 +22,10 @@ from .dynamics import (
     conservation_report,
     detect_collinear_passages,
     integrate,
-    total_energy,
 )
-from .errors import ConfigError, NumericalBlowup, TrireduceError
-from .geometry import (
-    COLLINEAR_THRESHOLD,
-    CartesianState,
-    MassTriple,
-    ShapeCoordinates,
-    jacobi_from_cartesian,
-    lengths,
-    spatial_angular_momentum,
-)
-from .hamiltonian import evaluate_reduced
+from .errors import ConfigError, DegenerateShape, TrireduceError
+from .geometry import COLLINEAR_THRESHOLD, CartesianState, MassTriple, ShapeCoordinates, lengths
+from .hamiltonian import evaluate_reduced_batch
 from .potential import PotentialSpec, builtin_potential, check_number, parse_potential
 from .reduction import BodyMomenta, cartesian_from_body_state, velocities_from_momenta
 
@@ -298,21 +289,20 @@ def cmd_evaluate(cfg: RunConfig, out_path):
     # numpy's overflow warnings would only repeat the NumericalBlowup that
     # names the quantity
     with np.errstate(all="ignore"):
-        ev = evaluate_reduced(
+        ev = evaluate_reduced_batch(
             cfg.masses,
-            cfg.state,
+            cfg.state.positions[None],
+            cfg.state.velocities[None],
             cfg.potential,
             collinear_threshold=cfg.thresholds["collinear"],
         )
-        E = total_energy(cfg.masses, cfg.state, cfg.potential)
-        L = spatial_angular_momentum(jacobi_from_cartesian(cfg.masses, cfg.state))
-        L_norm = float(np.linalg.norm(L))
-    for name, value in (("E_total", E), ("L_norm", L_norm)):
-        if not np.isfinite(value):
-            raise NumericalBlowup(f"{name} overflows ({value})")
-    values = [ev.q.r1, ev.q.r2, ev.q.phi]
-    values += list(ev.momenta.J) + list(ev.momenta.p)
-    values += [ev.branch, ev.H, E, L_norm, ev.singular_term]
+    if ev.branch[0] == "degenerate":
+        raise DegenerateShape(
+            "|s1| = 0: body frame undefined" if ev.r1[0] == 0.0 else "r2 = 0: phi undefined"
+        )
+    values = [ev.r1[0], ev.r2[0], ev.phi[0], *ev.J[0], *ev.p[0], ev.branch[0]]
+    L_norm = float(np.linalg.norm(ev.L[0]))
+    values += [ev.H_reduced[0], ev.E_total[0], L_norm, ev.singular_term[0]]
     lines = [EVALUATE_HEADER, _row(values)]
     if not _write_lines(out_path, lines):
         return 4

@@ -128,13 +128,15 @@ def integrate(
     (x, v) in place, record it every record_stride steps, and reduce the
     recorded states in one pass (evaluate_reduced_batch).
 
-    Raises NumericalBlowup, naming the step, when after a step a position
-    or velocity component leaves [-OVERFLOW_GUARD, OVERFLOW_GUARD] or is
-    NaN.
+    Raises NumericalBlowup, naming the step (0 for the start), when at the
+    start or after a step a position or velocity component leaves
+    [-OVERFLOW_GUARD, OVERFLOW_GUARD] or is NaN.
     """
     stride = cfg.record_stride
     rows = cfg.steps // stride + 1
     y = np.array((state0.positions, state0.velocities))
+    if not (np.abs(y).max() <= OVERFLOW_GUARD):
+        raise NumericalBlowup("coordinate overflow at step 0")
     # two arrays, not one (2, rows, 3, 3) block, which raises a long run's peak RSS
     xs, vs = np.empty((rows, 3, 3)), np.empty((rows, 3, 3))
     xs[0], vs[0] = y

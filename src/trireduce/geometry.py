@@ -1,4 +1,4 @@
-"""Translation reduction, body-frame fitting and angular-velocity kinematics.
+"""Translation reduction, body-frame fitting and shape coordinates.
 
 Conventions: the body frame is u1 along the first mass-weighted relative
 vector, u2 the in-plane unit vector with nonnegative projection on the
@@ -91,21 +91,6 @@ class JacobiVectors:
 
 
 @dataclass(frozen=True)
-class EulerAngles:
-    alpha: float
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.alpha < 2.0 * pi + 1e-15):
-            raise ValueError(f"alpha out of [0, 2pi): {self.alpha}")
-        if not (0.0 <= self.beta <= pi):
-            raise ValueError(f"beta out of [0, pi]: {self.beta}")
-        if not (0.0 <= self.gamma < 2.0 * pi + 1e-15):
-            raise ValueError(f"gamma out of [0, 2pi): {self.gamma}")
-
-
-@dataclass(frozen=True)
 class ShapeCoordinates:
     """Internal coordinates: Jacobi lengths r1, r2 and the angle phi between
     the Jacobi vectors."""
@@ -189,21 +174,6 @@ def spatial_angular_momentum(j: JacobiVectors) -> np.ndarray:
     return cross(j.s1, j.sdot1) + cross(j.s2, j.sdot2)
 
 
-def rotation_from_euler(e: EulerAngles) -> np.ndarray:
-    """Rotation matrix whose columns are the body axes u1, u2, u3.
-
-    The chart is orthonormalized and right-handed; at (0, 0, pi/2) it gives
-    u1 = e3, u2 = e1, u3 = e2.
-    """
-    sa, ca = sin(e.alpha), cos(e.alpha)
-    sb, cb = sin(e.beta), cos(e.beta)
-    sg, cg = sin(e.gamma), cos(e.gamma)
-    u1 = np.array([sb * ca, sb * sa, cb])
-    u2 = np.array([cb * ca * sg + sa * cg, cb * sa * sg - ca * cg, -sb * sg])
-    u3 = np.array([cb * ca * cg - sa * sg, cb * sa * cg + ca * sg, -sb * cg])
-    return np.column_stack([u1, u2, u3])
-
-
 _NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
@@ -283,36 +253,6 @@ def body_frame_fit(j: JacobiVectors, collinear_threshold=COLLINEAR_THRESHOLD):
         j.s1[None], j.s2[None], j.sdot1[None], j.sdot2[None], collinear_threshold
     )
     return axes[0].T, ShapeCoordinates(float(r1[0]), float(r2[0]), float(phi[0]))
-
-
-def omega_from_rotation_rate(R: np.ndarray, Rdot: np.ndarray) -> np.ndarray:
-    """Body angular velocity from R and its time derivative.
-
-    Antisymmetrizes R^T Rdot before reading off the components.
-    """
-    Om = R.T @ Rdot
-    Om = 0.5 * (Om - Om.T)
-    return np.array([Om[2, 1], Om[0, 2], Om[1, 0]])
-
-
-def omega_from_euler_rates(e: EulerAngles, rates) -> np.ndarray:
-    """Body angular velocity from Euler angles and their rates.
-
-    Closed form of vee(R^T Rdot) for the chart in rotation_from_euler:
-        w1 = alphadot cos(beta) + gammadot
-        w2 = -alphadot sin(beta) sin(gamma) - betadot cos(gamma)
-        w3 = -alphadot sin(beta) cos(gamma) + betadot sin(gamma)
-    """
-    ad, bd, gd = rates
-    sb, cb = sin(e.beta), cos(e.beta)
-    sg, cg = sin(e.gamma), cos(e.gamma)
-    return np.array(
-        [
-            ad * cb + gd,
-            -ad * sb * sg - bd * cg,
-            -ad * sb * cg + bd * sg,
-        ]
-    )
 
 
 def body_jacobi_vectors(q: ShapeCoordinates):

@@ -23,7 +23,6 @@ from .geometry import (
     COLLINEAR_THRESHOLD,
     BodyVelocityState,
     CartesianState,
-    JacobiVectors,
     MassTriple,
     ShapeCoordinates,
     body_frames,
@@ -100,7 +99,8 @@ def evaluate_reduced(
 
     The result is the energy in the center-of-mass frame; for states with
     zero total momentum it equals the total energy.  Raises
-    NumericalBlowup when the Jacobi vectors or H overflow.
+    DegenerateShape when r1 or r2 is 0, and NumericalBlowup when the
+    Jacobi vectors or H overflow.
     """
     # one map for positions (row 0) and velocities (row 1); the state was
     # validated when it was built, so only an overflow of the map is new
@@ -108,30 +108,8 @@ def evaluate_reduced(
     s1, s2 = jacobi_map(masses, xv[:, 0], xv[:, 1], xv[:, 2])
     if np.count_nonzero(np.isfinite(s1)) + np.count_nonzero(np.isfinite(s2)) < 12:
         raise NumericalBlowup("the Jacobi vectors of the state overflow")
-    return _evaluate_row(
-        masses, potential, collinear_threshold, s1[:1], s2[:1], s1[1:], s2[1:]
-    )
-
-
-def evaluate_reduced_jacobi(
-    masses: MassTriple,
-    j: JacobiVectors,
-    potential: PotentialSpec,
-    collinear_threshold=COLLINEAR_THRESHOLD,
-) -> ReducedEvaluation:
-    """As evaluate_reduced, from Jacobi vectors: one row of the batch kernel.
-    Raises DegenerateShape when |s1| = 0 or |s2| = 0."""
-    return _evaluate_row(
-        masses, potential, collinear_threshold,
-        j.s1[None], j.s2[None], j.sdot1[None], j.sdot2[None],
-    )
-
-
-def _evaluate_row(masses, potential, collinear_threshold, s1, s2, sd1, sd2):
-    """The ReducedEvaluation of one state given as (1, 3) Jacobi rows;
-    raises NumericalBlowup when H is not finite."""
     r1, r2, phi, sin_phi, planar, J, p, T, H = _reduce_rows(
-        masses, potential, collinear_threshold, s1, s2, sd1, sd2
+        masses, potential, collinear_threshold, s1[:1], s2[:1], s1[1:], s2[1:]
     )
     H = float(H[0])
     if not isfinite(H):
@@ -182,9 +160,9 @@ def _reduce_rows(masses, potential, collinear_threshold, s1, s2, sd1, sd2):
 class ReducedBatch:
     """Reduced quantities of N states, one row per state.
 
-    r1, r2, phi, sin_phi, H_reduced and E_total are (N,) arrays; J, p and
-    L are (N, 3); branch is an (N,) array of branch names, "degenerate"
-    where r1 = 0 or r2 = 0 (phi, sin_phi, J, p and H_reduced are NaN there).
+    r1, r2, phi, sin_phi, singular_term, H_reduced and E_total are (N,)
+    arrays; J, p and L are (N, 3); branch is an (N,) array of branch names,
+    "degenerate" where r1 = 0 or r2 = 0 (the columns phi to H_reduced are NaN).
     """
 
     r1: np.ndarray
@@ -193,10 +171,19 @@ class ReducedBatch:
     sin_phi: np.ndarray
     J: np.ndarray
     p: np.ndarray
+    singular_term: np.ndarray
     H_reduced: np.ndarray
     E_total: np.ndarray
     L: np.ndarray
     branch: np.ndarray
+
+
+def _require_finite(name, values):
+    """Raise NumericalBlowup naming the first row of values not all finite."""
+    finite = np.isfinite(values)
+    if np.count_nonzero(finite) < finite.size:
+        row = np.flatnonzero(~finite.reshape(len(finite), -1).all(axis=1))[0]
+        raise NumericalBlowup(f"{name} overflow at row {row}")
 
 
 def evaluate_reduced_batch(
@@ -211,28 +198,35 @@ def evaluate_reduced_batch(
 
     x and v are (N, 3, 3) arrays of positions and velocities, one row per
     body.  The rows with r1, r2 > 0 go through _reduce_rows, the kernel of
-    evaluate_reduced_jacobi.  H_reduced takes V at the measured shape
-    through shape_to_distances and E_total at the Cartesian pair distances
+    evaluate_reduced.  H_reduced takes V at the measured shape through
+    shape_to_distances and E_total at the Cartesian pair distances
     (potential_at_positions), so the two stay independent checks of each
-    other.
+    other.  Raises NumericalBlowup, naming the quantity and the row, where
+    the Jacobi vectors, E_total, L or (on a non-degenerate row) H_reduced
+    are not finite.
     """
     n = len(x)
     s1, s2 = jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2])
     sd1, sd2 = jacobi_map(masses, v[:, 0], v[:, 1], v[:, 2])
+    _require_finite("Jacobi vector", np.hstack((s1, s2, sd1, sd2)))
     r1, r2 = lengths(s1), lengths(s2)
     kinetic = 0.5 * np.sum(masses.as_array()[:, None] * v ** 2, axis=(1, 2))
     E = kinetic + potential_at_positions(potential, masses, x)
+    _require_finite("E_total", E)
     L = cross(s1, sd1) + cross(s2, sd2)
+    _require_finite("L", L)
 
     phi = np.full(n, np.nan)
     sin_phi = np.full(n, np.nan)
+    T = np.full(n, np.nan)
     H = np.full(n, np.nan)
     J = np.full((n, 3), np.nan)
     p = np.full((n, 3), np.nan)
     branch = np.full(n, "degenerate", dtype=object)
     ok = (r1 > 0.0) & (r2 > 0.0)
-    _, _, phi[ok], sin_phi[ok], planar, J[ok], p[ok], _, H[ok] = _reduce_rows(
+    _, _, phi[ok], sin_phi[ok], planar, J[ok], p[ok], T[ok], H[ok] = _reduce_rows(
         masses, potential, collinear_threshold, s1[ok], s2[ok], sd1[ok], sd2[ok]
     )
+    _require_finite("H_reduced", np.where(ok, H, 0.0))
     branch[ok] = np.where(planar, BRANCH_NONCOLLINEAR, BRANCH_COLLINEAR)
-    return ReducedBatch(r1, r2, phi, sin_phi, J, p, H, E, L, branch)
+    return ReducedBatch(r1, r2, phi, sin_phi, J, p, T, H, E, L, branch)

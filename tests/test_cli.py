@@ -13,8 +13,10 @@ from trireduce.cli import (
     EVALUATE_HEADER,
     PASSAGES_HEADER,
     TRAJECTORY_HEADER,
+    load_config,
     main,
 )
+from trireduce.hamiltonian import evaluate_reduced
 
 HARMONIC_CONFIG = {
     "masses": [1.0, 1.0, 1.0],
@@ -57,6 +59,9 @@ FIGURE_EIGHT_CONFIG = {
     },
 }
 
+# figure-eight velocities whose kinetic energy overflows
+OVERFLOWING_VELOCITIES = [[1e200, 0.0, 0.0], [0.0, 0.0, 1e200], [-1e200, 0.0, -1e200]]
+
 
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
@@ -66,6 +71,12 @@ def write_config(tmp_path, cfg, name="config.json"):
 
 def run(args):
     return main(args)
+
+
+def one_row_reference(path):
+    """evaluate_reduced on the state of the config file at path."""
+    cfg = load_config(path)
+    return evaluate_reduced(cfg.masses, cfg.state, cfg.potential, cfg.thresholds["collinear"])
 
 
 def run_process(args):
@@ -343,6 +354,19 @@ class TestSimulate:
         cfg = write_config(tmp_path, collision)
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
 
+    @pytest.mark.parametrize("method", ["leapfrog", "rk4"])
+    def test_overflowing_start_exit_3(self, tmp_path, method):
+        # the start is beyond the overflow guard: no step, no numpy warning
+        huge = json.loads(json.dumps(FIGURE_EIGHT_CONFIG))
+        huge["initial_state"]["cartesian"]["velocities"] = OVERFLOWING_VELOCITIES
+        huge["integrator"] = {"method": method, "steps": 5}
+        code, stdout, stderr = run_process(["simulate", "--config", write_config(tmp_path, huge)])
+        assert code == 3
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1 and "NumericalBlowup" in stderr
+        assert "at step 0" in stderr
+        assert "Traceback" not in stderr and "RuntimeWarning" not in stderr
+
     def test_unwritable_output_exit_4(self, tmp_path):
         cfg = write_config(tmp_path, HARMONIC_CONFIG)
         out = tmp_path / "no" / "such" / "dir" / "traj.csv"
@@ -360,6 +384,7 @@ class TestEvaluate:
         assert fields["branch"] == "noncollinear"
         # zero total momentum: reduced Hamiltonian equals the total energy
         assert abs(float(fields["H_reduced"]) - float(fields["E_total"])) < 1e-8
+        assert float(fields["singular_term"]) == one_row_reference(cfg).singular_term
 
     def test_collinear_branch(self, tmp_path):
         collinear = dict(
@@ -378,6 +403,7 @@ class TestEvaluate:
         fields = dict(zip(EVALUATE_HEADER.split(","), row.split(",")))
         assert fields["branch"] == "collinear"
         assert abs(float(fields["H_reduced"]) - float(fields["E_total"])) < 1e-8
+        assert float(fields["singular_term"]) == one_row_reference(cfg).singular_term
 
     def test_zero_angular_momentum_collinear_exit_3(self, tmp_path, caplog):
         # body 2 at the midpoint of 1 and 3: r2 = 0, so phi is undefined
@@ -452,7 +478,7 @@ class TestEvaluate:
             # the Jacobi map overflows: this was a ValueError traceback, exit 1
             ("positions", [[1e308, 0.0, 0.0], [0.0, 1.0, 0.0], [-1e308, 0.0, 0.0]]),
             # the kinetic terms overflow: H, E and |L| were printed as inf, exit 0
-            ("velocities", [[1e200, 0.0, 0.0], [0.0, 0.0, 1e200], [-1e200, 0.0, -1e200]]),
+            ("velocities", OVERFLOWING_VELOCITIES),
         ],
     )
     def test_overflow_exit_3(self, tmp_path, key, value):

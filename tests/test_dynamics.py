@@ -212,11 +212,23 @@ class TestIntegrate:
             cfg = IntegratorConfig(method=method, dt=10.0, steps=5)
             with pytest.raises(NumericalBlowup, match=r"at step 1$"):
                 integrate(MASSES, state, FREE, cfg)
-            # only a velocity is beyond it: x2 reaches 2e9 at step 1
+            # the start is held to the guard before any force is evaluated
             state = CartesianState(*x, z, np.array([2e12, 0.0, 0.0]), z)
             cfg = IntegratorConfig(method=method, dt=1e-3, steps=5)
-            with pytest.raises(NumericalBlowup, match=r"at step 1$"):
-                integrate(MASSES, state, FREE, cfg)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(trireduce.dynamics, "forces_cartesian", forces)
+                with pytest.raises(NumericalBlowup, match=r"at step 0$"):
+                    integrate(MASSES, state, FREE, cfg)
+            assert calls == []
+            # only a velocity leaves it: a constant force 2e15 on body 2
+            # takes v2 to 2e12 and x2 to 1e9 at step 1
+            push = np.zeros((3, 3))
+            push[1, 0] = 2e15
+            with monkeypatch.context() as patch:
+                patch.setattr(trireduce.dynamics, "forces_cartesian", lambda *args: push)
+                with pytest.raises(NumericalBlowup, match=r"at step 1$"):
+                    integrate(MASSES, CartesianState(*x, z, z, z), FREE, cfg)
             calls.clear()
             cfg = IntegratorConfig(method=method, dt=0.01, steps=20)
             with monkeypatch.context() as patch:

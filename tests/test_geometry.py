@@ -1,15 +1,12 @@
-from math import cos, pi, sin, sqrt
+from math import pi, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from trireduce.checks import random_rotation
 from trireduce.errors import DegenerateShape
 from trireduce.geometry import (
     CartesianState,
-    EulerAngles,
     JacobiVectors,
     MassTriple,
     ShapeCoordinates,
@@ -19,10 +16,7 @@ from trireduce.geometry import (
     cross,
     jacobi_from_cartesian,
     lengths,
-    omega_from_euler_rates,
-    omega_from_rotation_rate,
     reduced_masses,
-    rotation_from_euler,
     shape_to_distances,
     spatial_angular_momentum,
 )
@@ -168,30 +162,6 @@ class TestAngularMomentum:
             assert np.allclose(spatial_angular_momentum(j), L_direct, atol=1e-12)
 
 
-class TestRotationFromEuler:
-    def test_reference_frame(self):
-        R = rotation_from_euler(EulerAngles(0.0, 0.0, pi / 2))
-        assert np.allclose(R[:, 0], [0, 0, 1], atol=1e-15)  # u1 = e3
-        assert np.allclose(R[:, 1], [1, 0, 0], atol=1e-15)  # u2 = e1
-        assert np.allclose(R[:, 2], [0, 1, 0], atol=1e-15)  # u3 = e2
-
-    def test_u1_in_alpha_zero_plane(self):
-        for beta in (0.1, 0.7, 1.5, 3.0):
-            R = rotation_from_euler(EulerAngles(0.0, beta, pi / 2))
-            assert np.allclose(R[:, 0], [sin(beta), 0, cos(beta)], atol=1e-15)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        alpha=st.floats(0, 2 * pi, exclude_max=True),
-        beta=st.floats(0, pi),
-        gamma=st.floats(0, 2 * pi, exclude_max=True),
-    )
-    def test_special_orthogonal(self, alpha, beta, gamma):
-        R = rotation_from_euler(EulerAngles(alpha, beta, gamma))
-        assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-12
-        assert abs(np.linalg.det(R) - 1.0) < 1e-12
-
-
 class TestBodyFrameFit:
     def test_axis_aligned(self):
         z = np.zeros(3)
@@ -260,62 +230,6 @@ class TestBodyFrameFit:
             bend -= np.dot(bend, u1) * u1
             assert np.allclose(R[:, 1], bend / np.linalg.norm(bend), atol=1e-12)
             assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-14
-
-
-class TestOmega:
-    def test_rest(self):
-        R = rotation_from_euler(EulerAngles(0.3, 0.8, 1.1))
-        assert np.allclose(omega_from_rotation_rate(R, np.zeros((3, 3))), 0)
-
-    def test_uniform_spin_about_e3(self):
-        for t in (0.0, 0.4, 2.0):
-            c, s = cos(t), sin(t)
-            R = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
-            Rdot = np.array([[-s, -c, 0], [c, -s, 0], [0, 0, 0]])
-            assert np.allclose(omega_from_rotation_rate(R, Rdot), [0, 0, 1], atol=1e-14)
-
-    def _angle_path(self, t):
-        return EulerAngles(
-            0.9 + 0.4 * sin(t), 1.1 + 0.3 * cos(t), 2.0 + 0.5 * sin(2 * t)
-        )
-
-    def _angle_rates(self, t):
-        return (0.4 * cos(t), -0.3 * sin(t), 1.0 * cos(2 * t))
-
-    def test_finite_difference_rotation_rate(self):
-        h = 1e-5
-        for t in np.linspace(0.0, 2.0, 7):
-            R = rotation_from_euler(self._angle_path(t))
-            Rdot = (
-                rotation_from_euler(self._angle_path(t + h))
-                - rotation_from_euler(self._angle_path(t - h))
-            ) / (2 * h)
-            w_fd = omega_from_rotation_rate(R, Rdot)
-            w = omega_from_euler_rates(self._angle_path(t), self._angle_rates(t))
-            assert np.allclose(w, w_fd, atol=1e-8)
-
-    def test_zero_rates(self):
-        e = EulerAngles(0.2, 0.5, 1.7)
-        assert np.allclose(omega_from_euler_rates(e, (0, 0, 0)), 0)
-
-    def test_alpha_rate_at_beta_zero(self):
-        w = omega_from_euler_rates(EulerAngles(0.0, 0.0, 0.3), (1.0, 0.0, 0.0))
-        assert w[0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_matches_numeric_identification(self):
-        h = 1e-6
-        for _ in range(20):
-            e = EulerAngles(
-                RNG.uniform(0.1, 2 * pi - 0.1),
-                RNG.uniform(0.1, pi - 0.1),
-                RNG.uniform(0.1, 2 * pi - 0.1),
-            )
-            rates = RNG.normal(size=3)
-            plus = EulerAngles(*(np.array([e.alpha, e.beta, e.gamma]) + h * rates))
-            minus = EulerAngles(*(np.array([e.alpha, e.beta, e.gamma]) - h * rates))
-            Rdot = (rotation_from_euler(plus) - rotation_from_euler(minus)) / (2 * h)
-            w_fd = omega_from_rotation_rate(rotation_from_euler(e), Rdot)
-            assert np.allclose(omega_from_euler_rates(e, rates), w_fd, atol=1e-8)
 
 
 class TestShapeToDistances:

@@ -24,7 +24,6 @@ from trireduce.geometry import (
 from trireduce.hamiltonian import (
     evaluate_reduced,
     evaluate_reduced_batch,
-    evaluate_reduced_jacobi,
     reduced_hamiltonian,
     singular_term,
 )
@@ -431,7 +430,8 @@ class TestBatchKernel:
                 ev = evaluate_reduced(masses, state, potential, threshold)
             except DegenerateShape:
                 assert out.branch[i] == "degenerate"
-                nan = [out.phi[i], out.sin_phi[i], out.H_reduced[i], *out.J[i], *out.p[i]]
+                nan = [out.phi[i], out.sin_phi[i], out.singular_term[i], out.H_reduced[i]]
+                nan += [*out.J[i], *out.p[i]]
                 assert np.all(np.isnan(nan))
                 continue
             assert out.branch[i] == ev.branch
@@ -441,6 +441,7 @@ class TestBatchKernel:
             for name in ("r1", "r2", "phi"):
                 assert _close(getattr(out, name)[i], getattr(ev.q, name))
             assert _close(out.sin_phi[i], ev.sin_phi)
+            assert _close(out.singular_term[i], ev.singular_term)
 
             # independent oracles; the non-degenerate states have their
             # center of mass at rest, so H equals the Cartesian energy
@@ -475,13 +476,23 @@ class TestOneRowPath:
         rotated_states(),
         st.sampled_from(BATCH_POTENTIALS),
     )
-    def test_one_map_equals_the_jacobi_route(self, case, potential):
+    def test_equals_the_batch_at_one_row(self, case, potential):
         # evaluate_reduced maps positions and velocities in one call; the
-        # route through a validated JacobiVectors gives the same bits
+        # batch kernel on a one-row batch (the route of `evaluate`) gives
+        # the same bits in every field
         kind, masses, state = case
         ev = evaluate_reduced(masses, state, potential)
-        ref = evaluate_reduced_jacobi(masses, jacobi_from_cartesian(masses, state), potential)
-        assert _same_evaluation(ev, ref), kind
+        out = evaluate_reduced_batch(
+            masses, state.positions[None], state.velocities[None], potential
+        )
+        assert (ev.H, ev.q.r1, ev.q.r2, ev.q.phi) == (
+            out.H_reduced[0], out.r1[0], out.r2[0], out.phi[0]
+        ), kind
+        assert (ev.singular_term, ev.sin_phi, ev.branch) == (
+            out.singular_term[0], out.sin_phi[0], out.branch[0]
+        ), kind
+        assert np.array_equal(ev.momenta.J, out.J[0]), kind
+        assert np.array_equal(ev.momenta.p, out.p[0]), kind
 
     def test_builds_no_jacobi_vectors(self, monkeypatch):
         masses = MassTriple(1.0, 2.0, 0.6)
@@ -509,3 +520,14 @@ class TestOneRowPath:
             evaluate_reduced(masses, far, gravity)
         with pytest.raises(NumericalBlowup, match="H_reduced"):
             evaluate_reduced(masses, fast, gravity)
+        # the batch names the quantity and the row, behind a finite row
+        ok = CartesianState(*x, *v)
+        # finite Jacobi vectors and energy, but r1 |s1dot| overflows
+        spin = CartesianState(
+            *[[1e300, 0, 0], [0, 1, 0], [-1e300, 0, 0]], *[[0, 1e10, 0], [0, 0, 0], [0, -1e10, 0]]
+        )
+        for state, quantity in ((far, "Jacobi vector"), (fast, "E_total"), (spin, "L")):
+            x2 = np.array([ok.positions, state.positions])
+            v2 = np.array([ok.velocities, state.velocities])
+            with pytest.raises(NumericalBlowup, match=f"^{quantity} overflow at row 1$"):
+                evaluate_reduced_batch(masses, x2, v2, gravity)

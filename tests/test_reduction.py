@@ -1,4 +1,4 @@
-from math import pi, sin, sqrt
+from math import pi, sqrt
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from trireduce.geometry import (
     body_frame_fit,
     body_jacobi_vectors,
     cartesian_from_jacobi,
-    jacobi_from_cartesian,
     spatial_angular_momentum,
 )
 from trireduce.reduction import (

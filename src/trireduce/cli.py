@@ -41,20 +41,21 @@ EVALUATE_HEADER = (
 PASSAGES_HEADER = "t_minus,t_plus,t_star,sin_phi_min,H_before,H_at,H_after,delta_H"
 
 # The collinear rule reports phi as 0 or pi and J, p in the bending frame.
-# H equals the energy under either rule (V is taken at the measured phi),
-# so this bound limits how far phi, J and p are snapped, not H.
+# H equals the energy under either rule (its kinetic terms add up in any
+# such frame, and V is the potential of the positions), so this bound
+# limits how far phi, J and p are snapped, not H.
 MAX_COLLINEAR_THRESHOLD = 1e-6
 
-# every trajectory column but the last (branch) is a number
-TRAJECTORY_ROW = ",".join(["{:.17g}"] * TRAJECTORY_HEADER.count(",") + ["{}"])
+
+def _template(header):
+    """The %-template of a row under header: %.17g for each number column,
+    %s for branch."""
+    return ",".join("%s" if name == "branch" else "%.17g" for name in header.split(","))
 
 
-def _fmt(x):
-    return f"{float(x):.17g}"
-
-
-def _row(values):
-    return ",".join(_fmt(v) if not isinstance(v, str) else v for v in values)
+_TRAJECTORY_ROW, _EVALUATE_ROW, _PASSAGES_ROW = map(
+    _template, (TRAJECTORY_HEADER, EVALUATE_HEADER, PASSAGES_HEADER)
+)
 
 
 # --------------------------------------------------------------------------
@@ -259,7 +260,7 @@ def _trajectory_lines(traj):
         ]
     )
     rows = zip(numbers.tolist(), traj.branch.tolist())
-    return [TRAJECTORY_HEADER] + [TRAJECTORY_ROW.format(*row, b) for row, b in rows]
+    return [TRAJECTORY_HEADER] + [_TRAJECTORY_ROW % (*row, b) for row, b in rows]
 
 
 def _integrate(cfg: RunConfig):
@@ -303,7 +304,7 @@ def cmd_evaluate(cfg: RunConfig, out_path):
     values = [ev.r1[0], ev.r2[0], ev.phi[0], *ev.J[0], *ev.p[0], ev.branch[0]]
     L_norm = float(np.linalg.norm(ev.L[0]))
     values += [ev.H_reduced[0], ev.E_total[0], L_norm, ev.singular_term[0]]
-    lines = [EVALUATE_HEADER, _row(values)]
+    lines = [EVALUATE_HEADER, _EVALUATE_ROW % tuple(values)]
     if not _write_lines(out_path, lines):
         return 4
     return 0
@@ -313,7 +314,7 @@ def cmd_collinear_report(cfg: RunConfig, out_path):
     traj = _integrate(cfg)
     passages = detect_collinear_passages(traj, cfg.thresholds["passage"])
     # CollinearPassage's fields are the columns of PASSAGES_HEADER, in order
-    lines = [PASSAGES_HEADER] + [_row(astuple(p)) for p in passages]
+    lines = [PASSAGES_HEADER] + [_PASSAGES_ROW % astuple(p) for p in passages]
     out = out_path or cfg.output.get("passages")
     if not _write_lines(out, lines):
         return 4

@@ -8,9 +8,12 @@ singular_term),
          + (S/ab) (p3 - b J3/S)^2] / 2 + V.
 
 No term divides by sin(phi).  Evaluated from a Cartesian state, T, J and p
-are read off the body-frame velocities of the Jacobi vectors, and the terms
-add up |v1|^2 + |v2|^2 in any orthonormal frame with u1 along s1, so H
-equals the center-of-mass energy whenever r1 and r2 are nonzero.
+are read off the body-frame velocities v1, v2 of the Jacobi vectors, and
+the kinetic terms are written in those velocities (see _reduce_rows), where
+they add up to |v1|^2 + |v2|^2 in any orthonormal frame with u1 along s1.
+V is the potential of the positions, as E_total takes it, so H equals the
+center-of-mass energy whenever r1 and r2 are nonzero, and H - E_total
+measures the kinetic identity alone.
 """
 
 from dataclasses import dataclass
@@ -29,9 +32,8 @@ from .geometry import (
     cross,
     jacobi_map,
     lengths,
-    shape_to_distances,
 )
-from .potential import PotentialSpec, eval_potential_batch, potential_at_positions
+from .potential import PotentialSpec, _pair_vectors, eval_potential_batch, potential_at_positions
 from .reduction import BodyMomenta
 
 BRANCH_NONCOLLINEAR = "noncollinear"
@@ -55,31 +57,16 @@ class ReducedEvaluation:
     sin_phi: float
 
 
-def reduced_hamiltonian(
-    q: ShapeCoordinates, m: BodyMomenta, T: float, V: float
-) -> float:
-    """Reduced Hamiltonian from the shape, the momenta, T = J1 / sin(phi)
-    and the potential value."""
+def reduced_hamiltonian(q: ShapeCoordinates, m: BodyMomenta, T: float, V: float) -> float:
+    """The module docstring's H from the shape, the momenta,
+    T = J1 / sin(phi) and the potential value."""
     if q.r2 == 0.0:
         raise DegenerateShape("reduced Hamiltonian needs r2 > 0")
-    _, J2, J3 = m.J
-    p1, p2, p3 = m.p
-    return _finite_form(q.r1, q.r2, cos(q.phi), T, J2, J3, p1, p2, p3, V)
-
-
-def _finite_form(r1, r2, c, T, J2, J3, p1, p2, p3, V):
-    """The module docstring's H, for floats or arrays; c = cos(phi)."""
-    a, b = r1 ** 2, r2 ** 2
+    (_, J2, J3), (p1, p2, p3) = m.J, m.p
+    a, b = q.r1 ** 2, q.r2 ** 2
     S = a + b
-    quad = (
-        T ** 2 / b
-        + (J2 + c * T) ** 2 / a
-        + J3 ** 2 / S
-        + p1 ** 2
-        + p2 ** 2
-        + S / (a * b) * (p3 - b / S * J3) ** 2
-    )
-    return 0.5 * quad + V
+    quad = T ** 2 / b + (J2 + cos(q.phi) * T) ** 2 / a + J3 ** 2 / S + p1 ** 2 + p2 ** 2
+    return 0.5 * (quad + S / (a * b) * (p3 - b / S * J3) ** 2) + V
 
 
 def singular_term(q: ShapeCoordinates, w: BodyVelocityState) -> float:
@@ -108,10 +95,14 @@ def evaluate_reduced(
     s1, s2 = jacobi_map(masses, xv[:, 0], xv[:, 1], xv[:, 2])
     if np.count_nonzero(np.isfinite(s1)) + np.count_nonzero(np.isfinite(s2)) < 12:
         raise NumericalBlowup("the Jacobi vectors of the state overflow")
-    r1, r2, phi, sin_phi, planar, J, p, T, H = _reduce_rows(
-        masses, potential, collinear_threshold, s1[:1], s2[:1], s1[1:], s2[1:]
+    r1, r2, phi, measured_phi, sin_phi, planar, J, p, T, K = _reduce_rows(
+        collinear_threshold, s1[:1], s2[:1], s1[1:], s2[1:]
     )
-    H = float(H[0])
+    # V of the pair distances and the shape body_frames measured, as
+    # potential_at_positions takes it for E_total
+    d = lengths(_pair_vectors(xv[0]))
+    V = eval_potential_batch(potential, masses, r1, r2, measured_phi, *d[:, None])
+    H = float(K[0] + V[0])
     if not isfinite(H):
         raise NumericalBlowup(f"H_reduced overflows ({H})")
     return ReducedEvaluation(
@@ -124,17 +115,17 @@ def evaluate_reduced(
     )
 
 
-def _reduce_rows(masses, potential, collinear_threshold, s1, s2, sd1, sd2):
-    """Shape, momenta and H of N states given as (N, 3) Jacobi rows.
+def _reduce_rows(collinear_threshold, s1, s2, sd1, sd2):
+    """Shape, momenta and kinetic energy K of N states given as (N, 3)
+    Jacobi rows, in the frames of body_frames.
 
-    The frame comes from body_frames.  With body velocities v1 = R^T sdot1,
-    v2 = R^T sdot2: T = r2 v2[2], J2 + cos(phi) T = r1^2 w2 with
-    w2 = -v1[2] / r1, and p3 = r2^2 (w3 + phidot), the in-plane rotation
-    rate of s2 times r2^2.  The kinetic terms add up to |v1|^2 + |v2|^2 for
-    any phi of the frame rule, so V is taken at the measured phi: snapping
-    it to 0 or pi would move V by a lot where two bodies nearly meet on
-    the line.  Returns (r1, r2, phi, sin_phi, planar, J, p, T, H), with J
-    and p of shape (N, 3) and the others (N,).
+    With body velocities v1 = R^T sdot1, v2 = R^T sdot2 and
+    q = cos(phi) v2[1] - sin(phi) v2[0]: T = r2 v2[2], J2 + cos(phi) T =
+    -r1 v1[2], J3 = r1 v1[1] + r2 q and p3 = r2 q.  K is the module
+    docstring's kinetic terms in these velocities, where only S divides;
+    they add up to (|v1|^2 + |v2|^2) / 2 for any phi of the frame rule.
+    Returns (r1, r2, phi, measured_phi, sin_phi, planar, J, p, T, K), J
+    and p (N, 3), the others (N,).
     """
     axes, r1, r2, phi, measured_phi, sin_phi, planar = body_frames(
         s1, s2, sd1, sd2, collinear_threshold
@@ -142,18 +133,16 @@ def _reduce_rows(masses, potential, collinear_threshold, s1, s2, sd1, sd2):
     v1, v2 = np.einsum("kij,lkj->lki", axes, np.array([sd1, sd2]))
     s, c = np.sin(phi), np.cos(phi)
     T = r2 * v2[:, 2]
-    p3 = r2 * (c * v2[:, 1] - s * v2[:, 0])
+    q = c * v2[:, 1] - s * v2[:, 0]
+    p3 = r2 * q
     J2 = -r1 * v1[:, 2] - c * T
     J3 = r1 * v1[:, 1] + p3
     p2 = c * v2[:, 0] + s * v2[:, 1]
-    V = eval_potential_batch(
-        potential, masses, r1, r2, measured_phi,
-        *shape_to_distances(masses, r1, r2, measured_phi),
-    )
-    H = _finite_form(r1, r2, c, T, J2, J3, v1[:, 0], p2, p3, V)
+    quotients = (J3 ** 2 + (r1 * q - r2 * v1[:, 1]) ** 2) / (r1 ** 2 + r2 ** 2)
+    K = 0.5 * (v2[:, 2] ** 2 + v1[:, 2] ** 2 + quotients + v1[:, 0] ** 2 + p2 ** 2)
     J = np.array([s * T, J2, J3]).T
     p = np.array([v1[:, 0], p2, p3]).T
-    return r1, r2, phi, sin_phi, planar, J, p, T, H
+    return r1, r2, phi, measured_phi, sin_phi, planar, J, p, T, K
 
 
 @dataclass
@@ -198,10 +187,11 @@ def evaluate_reduced_batch(
 
     x and v are (N, 3, 3) arrays of positions and velocities, one row per
     body.  The rows with r1, r2 > 0 go through _reduce_rows, the kernel of
-    evaluate_reduced.  H_reduced takes V at the measured shape through
-    shape_to_distances and E_total at the Cartesian pair distances
-    (potential_at_positions), so the two stay independent checks of each
-    other.  Raises NumericalBlowup, naming the quantity and the row, where
+    evaluate_reduced.  The potential is evaluated once, at the pair
+    distances and the shape of the positions (potential_at_positions):
+    E_total adds it to the Cartesian kinetic energy and H_reduced to the
+    body-velocity one, so H_reduced - E_total measures the kinetic identity
+    alone.  Raises NumericalBlowup, naming the quantity and the row, where
     the Jacobi vectors, E_total, L or (on a non-degenerate row) H_reduced
     are not finite.
     """
@@ -211,22 +201,20 @@ def evaluate_reduced_batch(
     _require_finite("Jacobi vector", np.hstack((s1, s2, sd1, sd2)))
     r1, r2 = lengths(s1), lengths(s2)
     kinetic = 0.5 * np.sum(masses.as_array()[:, None] * v ** 2, axis=(1, 2))
-    E = kinetic + potential_at_positions(potential, masses, x)
+    V = potential_at_positions(potential, masses, x)
+    E = kinetic + V
     _require_finite("E_total", E)
     L = cross(s1, sd1) + cross(s2, sd2)
     _require_finite("L", L)
 
-    phi = np.full(n, np.nan)
-    sin_phi = np.full(n, np.nan)
-    T = np.full(n, np.nan)
-    H = np.full(n, np.nan)
-    J = np.full((n, 3), np.nan)
-    p = np.full((n, 3), np.nan)
+    phi, sin_phi, T, H = np.full((4, n), np.nan)
+    J, p = np.full((2, n, 3), np.nan)
     branch = np.full(n, "degenerate", dtype=object)
     ok = (r1 > 0.0) & (r2 > 0.0)
-    _, _, phi[ok], sin_phi[ok], planar, J[ok], p[ok], T[ok], H[ok] = _reduce_rows(
-        masses, potential, collinear_threshold, s1[ok], s2[ok], sd1[ok], sd2[ok]
+    _, _, phi[ok], _, sin_phi[ok], planar, J[ok], p[ok], T[ok], K = _reduce_rows(
+        collinear_threshold, s1[ok], s2[ok], sd1[ok], sd2[ok]
     )
+    H[ok] = K + V[ok]
     _require_finite("H_reduced", np.where(ok, H, 0.0))
     branch[ok] = np.where(planar, BRANCH_NONCOLLINEAR, BRANCH_COLLINEAR)
     return ReducedBatch(r1, r2, phi, sin_phi, J, p, T, H, E, L, branch)

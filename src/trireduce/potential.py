@@ -388,11 +388,17 @@ def _run(spec, columns, shape, gradient):
     number, and, if `gradient` is set, its derivatives by VARIABLES as a
     (6, N) array, 0 for a variable it does not read.
 
-    Raises DomainError where an operation leaves its domain, under the name
-    "expression" where V is not finite, and where a derivative is not
-    finite, naming the operation that first passes one down, or else the
-    variable whose derivative overflows in the sum of its terms.
+    Raises DomainError under the name "phi" at r1 = 0 or r2 = 0 if the
+    expression reads phi, which is undefined there; where an operation
+    leaves its domain, under the name "expression" where V is not finite,
+    and where a derivative is not finite, naming the operation that first
+    passes one down, or else the variable whose derivative overflows in
+    the sum of its terms.
     """
+    if "phi" in spec.reads:
+        undefined = np.broadcast_to((columns["r1"] == 0.0) | (columns["r2"] == 0.0), shape)
+        if undefined.any():
+            raise DomainError("phi", float(np.broadcast_to(columns["phi"], shape)[undefined][0]))
     with np.errstate(all="ignore"):
         value, back = spec.walk(columns, shape)
         if not _all_finite(value):
@@ -552,9 +558,10 @@ def eval_potential_batch(
     (sqrt or log of a number below or at 0, exp overflow, sin or cos of an
     infinity, division by 0, a negative base to a non-integer power, 0 to a
     negative power, power overflow) and, under the name "expression",
-    where its value is not finite.  A built-in family raises it where a
-    pair term is not finite, naming the pair, as gravity and Lennard-Jones
-    do at a distance of 0.
+    where its value is not finite.  An expression that reads phi raises it
+    under the name "phi" at r1 = 0 or r2 = 0, where phi is undefined.  A
+    built-in family raises it where a pair term is not finite, naming the
+    pair, as gravity and Lennard-Jones do at a distance of 0.
     """
     if spec.ast is not None:
         columns = [np.asarray(a, dtype=float) for a in (r1, r2, phi, d12, d13, d23)]
@@ -682,7 +689,7 @@ def forces_cartesian(spec: PotentialSpec, masses: MassTriple, positions):
     if jacobi:
         slopes = gradient[:3, 0].tolist()
         if "phi" in spec.reads and area[0] == 0.0:
-            if r1[0] == 0.0 or r2[0] == 0.0 or not _phi_slope_vanishes(spec, columns, slopes[2]):
+            if not _phi_slope_vanishes(spec, columns, slopes[2]):  # r1, r2 > 0 (see _run)
                 raise DomainError("phi", float(phi[0]))
             # |dphi/ds1| = 1/r1 and |dphi/ds2| = 1/r2 in the plane of the
             # motion, so the phi term tends to 0 with dV/dphi

@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trireduce
-from trireduce import checks
+from trireduce import checks, cli
 from trireduce.cli import (
     EVALUATE_HEADER,
     PASSAGES_HEADER,
@@ -95,6 +96,29 @@ def trajectory_rows(text):
     lines = text.splitlines()
     assert lines[0] == TRAJECTORY_HEADER
     return [dict(zip(TRAJECTORY_HEADER.split(","), ln.split(","))) for ln in lines[1:]]
+
+
+class TestRowTemplates:
+    # every number a column can hold, as floats and as numpy scalars
+    NUMBERS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1.7976931348623157e308]
+    NUMBERS += [np.float64(x) for x in (0.1, -2.5e-300, 1.0 / 3.0, float("nan"), float("-inf"))]
+
+    @pytest.mark.parametrize(
+        "header, template",
+        [
+            (TRAJECTORY_HEADER, cli._TRAJECTORY_ROW),
+            (EVALUATE_HEADER, cli._EVALUATE_ROW),
+            (PASSAGES_HEADER, cli._PASSAGES_ROW),
+        ],
+    )
+    def test_numbers_render_as_format(self, header, template):
+        # each number column as format(x, ".17g"), the branch as it is
+        columns = header.split(",")
+        for shift in range(len(self.NUMBERS)):
+            values = [self.NUMBERS[(shift + i) % len(self.NUMBERS)] for i in range(len(columns))]
+            values = ["collinear" if c == "branch" else x for c, x in zip(columns, values)]
+            expected = ",".join(x if c == "branch" else format(x, ".17g") for c, x in zip(columns, values))
+            assert template % tuple(values) == expected
 
 
 class TestSimulate:
@@ -212,8 +236,8 @@ class TestSimulate:
             assert "DomainError" in caplog.text
 
     def test_undefined_phi_force_exit_3(self, tmp_path, caplog):
-        # body 2 at the midpoint of bodies 1 and 3: r2 = 0, where phi and the
-        # force of cos(phi) are undefined
+        # body 2 at the midpoint of bodies 1 and 3: r2 = 0, where phi, and
+        # so the value and the force of cos(phi), are undefined
         midpoint = dict(
             HARMONIC_CONFIG,
             potential={"expression": "cos(phi)"},
@@ -225,8 +249,10 @@ class TestSimulate:
             },
         )
         cfg = write_config(tmp_path, midpoint)
-        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
-        assert "DomainError" in caplog.text and "'phi'" in caplog.text
+        for command in ("simulate", "evaluate"):
+            caplog.clear()
+            assert run([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
+            assert "DomainError" in caplog.text and "'phi'" in caplog.text
 
     def test_collinear_bending_start_exit_0(self, tmp_path):
         # body 2 beyond body 3 on the x axis, phi = pi: the bending term has
@@ -267,6 +293,9 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
         rows = trajectory_rows((tmp_path / "o.csv").read_text())
         assert rows[0]["branch"] == "degenerate"
+        # the row template writes the reduced columns of that row as nan
+        for name in ("phi", "J1", "J2", "J3", "p1", "p2", "p3", "H_reduced"):
+            assert rows[0][name] == "nan", name
         summary = next(r.getMessage() for r in caplog.records if "conservation" in r.getMessage())
         assert "nan" not in summary
         assert "degenerate_samples=1" in summary
@@ -445,9 +474,9 @@ class TestEvaluate:
 
     def test_near_meeting_states(self, tmp_path):
         # body 2 a distance eps over body 1, which lies on the 1-3 line: the
-        # collinear rule snaps phi to 0, which would move d12 from eps to
-        # about eps^2 / 2, but V is taken at the measured shape, so H = E
-        # also for a potential that is singular where bodies 1 and 2 meet
+        # collinear rule snaps phi to 0, but H takes the V of the positions'
+        # pair distances, as E does, so H = E also for a potential that is
+        # singular where bodies 1 and 2 meet
         harmonic = {"builtin": "harmonic", "params": {"k": 1.0, "rest_length": 1.0}}
         for eps in (1e-9, 9e-9, 5e-7):
             for potential in (harmonic, {"expression": "1/d12"}):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from trireduce.checks import random_rotation
 from trireduce.dynamics import BAND_THRESHOLD, total_energy
-from trireduce.errors import DegenerateShape, NumericalBlowup
+from trireduce.errors import DegenerateShape, DomainError, NumericalBlowup
 from trireduce.geometry import (
     COLLINEAR_THRESHOLD,
     CartesianState,
@@ -18,6 +18,7 @@ from trireduce.geometry import (
     body_jacobi_vectors,
     cartesian_from_jacobi,
     jacobi_from_cartesian,
+    jacobi_map,
     reduced_masses,
     spatial_angular_momentum,
 )
@@ -308,7 +309,10 @@ class TestCollinearLimit:
 
 
 COLLINEAR_KINDS = ("collinear_planar", "collinear_3d", "zero_L")
+CLOSE_KINDS = ("close_12", "close_13", "close_23")
 PHI_BY_KIND = {
+    # for a close encounter, the direction of the gap between the two bodies
+    **dict.fromkeys(CLOSE_KINDS, st.floats(0.0, 2 * pi)),
     "collinear_planar": st.sampled_from([0.0, pi]),
     "collinear_3d": st.sampled_from([0.0, pi]),
     "zero_L": st.sampled_from([0.0, pi]),
@@ -332,7 +336,8 @@ def rotated_states(draw, masses=MASS_TRIPLES):
     rotated.  Collinear kinds have s2 exactly parallel to s1 after the
     rotation; zero_L ones also have L = 0 (as the figure-eight start);
     near_meeting ones have body 2 over body 1, at a distance of order
-    r2 sin(phi) from it."""
+    r2 sin(phi) from it; close_ij ones have bodies i and j 1e-8 to 1e-5 of
+    the size of the shape apart."""
     masses = draw(masses)
     kind = draw(st.sampled_from(sorted(PHI_BY_KIND)))
     phi = draw(PHI_BY_KIND[kind])
@@ -343,6 +348,18 @@ def rotated_states(draw, masses=MASS_TRIPLES):
         # body 1 sits m3/(m1 + m3) |x1 - x3| from the 1-3 center of mass
         mu = reduced_masses(masses)
         r2 = sqrt(mu.mu2 / mu.mu1) * masses.m3 / (masses.m1 + masses.m3) * r1 / cos(phi)
+    b2 = np.array([r2 * cos(phi), r2 * sin(phi), 0.0])
+    if kind in CLOSE_KINDS:
+        gap = draw(st.floats(1e-8, 1e-5))
+        if kind == "close_13":
+            r1 = gap * r2
+        else:
+            # bodies 1 and 3 sit m3 and -m1 over (m1 + m3) of x1 - x3 from
+            # their center of mass; body 2 goes beside one of them
+            mu = reduced_masses(masses)
+            side = masses.m3 if kind == "close_12" else -masses.m1
+            beside = sqrt(mu.mu2 / mu.mu1) * side / (masses.m1 + masses.m3) * r1
+            b2 = gap * b2 + np.array([beside, 0.0, 0.0])
     sd1, sd2 = draw(VECTORS), draw(VECTORS)
     k = r2 / r1 * cos(phi)
     if kind == "collinear_planar":
@@ -355,7 +372,7 @@ def rotated_states(draw, masses=MASS_TRIPLES):
     if kind in COLLINEAR_KINDS:
         s2 = k * s1
     else:
-        s2 = Q @ np.array([r2 * cos(phi), r2 * sin(phi), 0.0])
+        s2 = Q @ b2
     state = cartesian_from_jacobi(masses, JacobiVectors(s1, s2, Q @ sd1, Q @ sd2))
     return kind, masses, state
 
@@ -418,6 +435,14 @@ class TestBatchKernel:
         masses, states = batch
         x = np.array([s.positions for s in states])
         v = np.array([s.velocities for s in states])
+        s1, s2 = jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2])
+        if "phi" in potential.reads and not (s1.any(axis=1) & s2.any(axis=1)).all():
+            # r1 = 0 or r2 = 0 on some row: phi, and so the V that E_total
+            # takes, is undefined there
+            with pytest.raises(DomainError) as err:
+                evaluate_reduced_batch(masses, x, v, potential, threshold)
+            assert err.value.node == "phi"
+            return
         out = evaluate_reduced_batch(masses, x, v, potential, threshold)
         for i, state in enumerate(states):
             j = jacobi_from_cartesian(masses, state)
@@ -450,7 +475,10 @@ class TestBatchKernel:
             R, q = body_frame_fit(j, threshold)
             if noncollinear or out.sin_phi[i] <= 1e-14:
                 assert _close(out.J[i], R.T @ L)
-            if out.sin_phi[i] > 1e-3 and noncollinear:
+            # the inverse Legendre map divides by sin(phi)^2 and by r1^2 r2^2:
+            # it is an oracle only where neither is small
+            shorter, longer = sorted((out.r1[i], out.r2[i]))
+            if out.sin_phi[i] > 1e-3 and noncollinear and shorter > 1e-3 * longer:
                 w = velocities_from_momenta(q, BodyMomenta(out.J[i], out.p[i]))
                 v1, v2 = body_velocities(q, w)
                 assert _close(v1, R.T @ j.sdot1)
@@ -531,3 +559,120 @@ class TestOneRowPath:
             v2 = np.array([ok.velocities, state.velocities])
             with pytest.raises(NumericalBlowup, match=f"^{quantity} overflow at row 1$"):
                 evaluate_reduced_batch(masses, x2, v2, gravity)
+
+
+# The north-star sweep: per family, SWEEP_TRIPLES mass triples log-uniform
+# in [1e-3, 1e3], each with SWEEP_STATES zero-momentum, randomly rotated
+# states, under every potential of SWEEP_POTENTIALS
+SWEEP_FAMILIES = (
+    "generic", "near_collinear", "collinear_planar", "collinear_3d",
+    "small_r2", "close_12", "close_13", "close_23",
+)
+SWEEP_TRIPLES, SWEEP_STATES = 50, 200
+PAIR_INDICES = ((0, 1), (0, 2), (1, 2))
+# each potential with its pair energy (distance, m_i, m_k), for the oracle
+SWEEP_POTENTIALS = (
+    (builtin_potential("gravity", G=1.0), lambda d, mi, mk: -mi * mk / d),
+    (builtin_potential("harmonic", k=1.0), lambda d, mi, mk: 0.5 * (d - 1.0) ** 2),
+    (parse_potential("-1/d12 - 1/d13 - 1/d23"), lambda d, mi, mk: -1.0 / d),
+)
+
+
+def _random_rotations(rng, n):
+    """n rotations, uniform on SO(3): the Q of the QR decomposition of a
+    Gaussian matrix, its signs fixed by R, one axis flipped where it is a
+    reflection."""
+    q, r = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    q[np.linalg.det(q) < 0.0, :, 0] *= -1.0
+    return q
+
+
+def _rotate(rotations, a):
+    """Each rotation of the (n, 3, 3) stack applied to the rows of a[n]."""
+    return np.einsum("nij,nkj->nki", rotations, a)
+
+
+def sweep_states(rng, family, m, n):
+    """n states of a family for the masses m, as (n, 3, 3) positions and
+    velocities.  Close encounters are drawn as positions, two bodies 1e-8
+    to 1e-5 of the size of the configuration apart; the other families as
+    Jacobi vectors, mapped back with the center of mass at the origin.
+    Velocities have zero total momentum, and every state is rotated."""
+    rotations = _random_rotations(rng, n)
+    if family.startswith("close"):
+        x = rng.normal(size=(n, 3, 3))
+        i, k = PAIR_INDICES[("close_12", "close_13", "close_23").index(family)]
+        gap = rng.normal(size=(n, 3))
+        size = 10.0 ** rng.uniform(-8.0, -5.0, n) * np.linalg.norm(x, axis=(1, 2))
+        x[:, k] = x[:, i] + (size / np.linalg.norm(gap, axis=1))[:, None] * gap
+        v = rng.normal(size=(n, 3, 3))
+        v -= (m @ v / m.sum())[:, None]
+        return _rotate(rotations, x), _rotate(rotations, v)
+    r1, r2 = rng.uniform(0.3, 2.0, size=(2, n))
+    phi = rng.uniform(1e-3, pi - 1e-3, n)
+    if family == "near_collinear":
+        phi = 10.0 ** rng.uniform(-16.0, -3.0, n)
+        phi = np.where(rng.random(n) < 0.5, phi, pi - phi)
+    if family == "small_r2":
+        r2 = r1 * 10.0 ** rng.uniform(-8.0, 0.0, n)
+    s = np.zeros((n, 2, 3))
+    s[:, 0, 0] = r1
+    s[:, 1, 0], s[:, 1, 1] = r2 * np.cos(phi), r2 * np.sin(phi)
+    sd = rng.normal(size=(n, 2, 3))
+    if family == "collinear_planar":
+        sd[:, :, 2] = 0.0
+    s, sd = _rotate(rotations, s), _rotate(rotations, sd)
+    if family.startswith("collinear"):
+        # s2 exactly parallel to s1, beyond body 1 or beyond body 3
+        s[:, 1] = (rng.choice([-1.0, 1.0], n) * r2 / r1)[:, None] * s[:, 0]
+    m1, m2, m3 = m
+    pair, total = m1 + m3, m1 + m2 + m3
+
+    def bodies(a):
+        rel13 = a[:, 0] / np.sqrt(m1 * m3 / pair)
+        rel2 = a[:, 1] / np.sqrt(m2 * pair / total)
+        c13 = -m2 / total * rel2
+        return np.stack([c13 + m3 / pair * rel13, c13 + rel2, c13 - m1 / pair * rel13], axis=1)
+
+    return bodies(s), bodies(sd)
+
+
+def cartesian_energy(pair_energy, m, x, v):
+    """Center-of-mass energy of (n, 3, 3) positions and velocities, from
+    plain Cartesian sums."""
+    v = v - (m @ v / m.sum())[:, None]
+    energy = 0.5 * np.sum(m[:, None] * v ** 2, axis=(1, 2))
+    for i, k in PAIR_INDICES:
+        distance = np.sqrt(np.sum((x[:, i] - x[:, k]) ** 2, axis=1))
+        energy = energy + pair_energy(distance, m[i], m[k])
+    return energy
+
+
+class TestNorthStarSweep:
+    @pytest.mark.parametrize("family", SWEEP_FAMILIES)
+    def test_hamiltonian_equals_cm_energy(self, family):
+        # |H - E_cm| / max(1, |E_cm|) <= 1e-10 on every state, through the
+        # batch and, on every 50th state, through the one-row path
+        rng = np.random.default_rng(SWEEP_FAMILIES.index(family))
+        failures = {}  # potential -> (evaluations above the bound, worst error)
+        for _ in range(SWEEP_TRIPLES):
+            m = 10.0 ** rng.uniform(-3.0, 3.0, 3)
+            masses = MassTriple(*m)
+            x, v = sweep_states(rng, family, m, SWEEP_STATES)
+            for potential, pair_energy in SWEEP_POTENTIALS:
+                E = cartesian_energy(pair_energy, m, x, v)
+                out = evaluate_reduced_batch(masses, x, v, potential)
+                if family.startswith("collinear"):
+                    assert np.all(out.branch == "collinear")
+                rows = np.arange(0, SWEEP_STATES, 50)
+                one_row = [
+                    evaluate_reduced(masses, CartesianState(*x[k], *v[k]), potential).H
+                    for k in rows
+                ]
+                H, E = np.concatenate([out.H_reduced, one_row]), np.concatenate([E, E[rows]])
+                errors = np.abs(H - E) / np.maximum(1.0, np.abs(E))
+                name = potential.builtin or potential.source
+                count, worst = failures.get(name, (0, 0.0))
+                failures[name] = (count + np.count_nonzero(errors > 1e-10), max(worst, errors.max()))
+        assert all(count == 0 for count, _ in failures.values()), failures

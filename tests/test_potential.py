@@ -438,6 +438,11 @@ class TestForces:
             with pytest.raises(DomainError) as err:
                 forces_cartesian(parse_potential(text), MASSES, np.array(pos))
             assert err.value.node == "phi"
+        # at r2 = 0 and r1 = 0 phi = atan2(0, 0) is undefined in the value too
+        for text, pos in cases[:3]:
+            with pytest.raises(DomainError) as err:
+                potential_at_positions(parse_potential(text), MASSES, np.array([pos]))
+            assert (err.value.node, err.value.value) == ("phi", 0.0)
 
     @pytest.mark.parametrize(
         "text",

@@ -2,14 +2,18 @@
 
 Subcommands: simulate, evaluate, collinear-report, check.  Configuration is
 a JSON file; outputs are CSV with a fixed 17-significant-digit format so
-repeated runs are bitwise identical.  Exit codes: 0 success, 1 check-suite
-failure, 2 config error, 3 numerical failure, 4 I/O failure.
+repeated runs are bitwise identical.  An existing output file is written in
+place and cut to length, keeping its inode, mode and links: a re-run that
+truncated it first would wait for ext4 to write back the last run's bytes.
+Nothing is fsynced.  Exit codes: 0 success, 1 check-suite failure, 2 config
+error, 3 numerical failure, 4 I/O failure.
 """
 
 import argparse
 import json
 import logging
 import os
+import stat
 import sys
 from dataclasses import astuple
 
@@ -231,12 +235,17 @@ def load_config(path) -> RunConfig:
 
 
 def _write_lines(path, lines):
+    text = "\n".join([*lines, ""])
     try:
         if path is None or path == "-":
-            sys.stdout.write("\n".join(lines) + "\n")
+            sys.stdout.write(text)
         else:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write("\n".join(lines) + "\n")
+            # no O_TRUNC: on ext4 it waits for the writeback of the last run
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+                if stat.S_ISREG(os.fstat(fd).st_mode):  # a device cannot be cut
+                    fh.truncate()
     except OSError as exc:
         log.error("cannot write %s: %s", path, exc)
         return False

@@ -58,8 +58,9 @@ class ReducedEvaluation:
 
 
 def reduced_hamiltonian(q: ShapeCoordinates, m: BodyMomenta, T: float, V: float) -> float:
-    """The module docstring's H from the shape, the momenta,
-    T = J1 / sin(phi) and the potential value."""
+    """The module docstring's H from the shape, the momenta, T = J1 / sin(phi)
+    and V, for r2 > 0: T²/b is 0/0 at r2 = 0, which raises DegenerateShape and
+    is the Cartesian routes' to cover.  ShapeCoordinates holds r1 > 0."""
     if q.r2 == 0.0:
         raise DegenerateShape("reduced Hamiltonian needs r2 > 0")
     (_, J2, J3), (p1, p2, p3) = m.J, m.p

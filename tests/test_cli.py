@@ -1,6 +1,8 @@
+import builtins
 import json
 import logging
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -663,3 +665,115 @@ class TestCheck:
         assert run(["check"]) == 1
         out = capsys.readouterr().out
         assert "PASS so3" in out and "FAIL impossible" in out
+
+
+class TestOutputFile:
+    """An existing output file is overwritten in place and cut to length:
+    the bytes are those a fresh path gets, and the inode, mode and links
+    stay."""
+
+    COMMANDS = [
+        ("simulate", HARMONIC_CONFIG),
+        ("evaluate", HARMONIC_CONFIG),
+        ("collinear-report", CROSSING_CONFIG),
+    ]
+
+    @staticmethod
+    def write(tmp_path, command, raw, out):
+        cfg = write_config(tmp_path, raw)
+        assert run([command, "--config", cfg, "--out", str(out)]) == 0
+
+    @classmethod
+    def fresh(cls, tmp_path, command, raw):
+        out = tmp_path / "fresh.csv"
+        cls.write(tmp_path, command, raw, out)
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("command, raw", COMMANDS)
+    @pytest.mark.parametrize("old_size", [1 << 20, 10], ids=["longer", "shorter"])
+    def test_rerun_leaves_fresh_bytes(self, tmp_path, command, raw, old_size):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"x" * old_size)
+        self.write(tmp_path, command, raw, out)
+        expected = self.fresh(tmp_path, command, raw)
+        assert (old_size > len(expected)) == (old_size == 1 << 20)  # as the id says
+        assert out.read_bytes() == expected
+
+    def test_inode_mode_and_hard_link_kept(self, tmp_path):
+        out, twin = tmp_path / "out.csv", tmp_path / "twin.csv"
+        out.write_bytes(b"x" * (1 << 20))
+        out.chmod(0o600)
+        os.link(out, twin)
+        inode = out.stat().st_ino
+        self.write(tmp_path, "simulate", HARMONIC_CONFIG, out)
+        assert out.stat().st_ino == inode
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert twin.read_bytes() == out.read_bytes() == self.fresh(tmp_path, "simulate", HARMONIC_CONFIG)
+
+    def test_symlink_writes_its_target(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"x" * (1 << 20))
+        link.symlink_to(target)
+        self.write(tmp_path, "simulate", HARMONIC_CONFIG, link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == self.fresh(tmp_path, "simulate", HARMONIC_CONFIG)
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    @pytest.mark.parametrize("command, raw", COMMANDS)
+    def test_null_device_exit_0(self, tmp_path, command, raw):
+        self.write(tmp_path, command, raw, os.devnull)
+
+    @pytest.mark.parametrize("command, raw", COMMANDS)
+    def test_directory_exit_4(self, tmp_path, command, raw):
+        cfg = write_config(tmp_path, raw)
+        code, stdout, stderr = run_process([command, "--config", cfg, "--out", str(tmp_path)])
+        assert code == 4 and stdout == ""
+        assert len(stderr.splitlines()) == 1 and "cannot write" in stderr
+
+    def test_output_not_truncated_or_renamed(self, tmp_path, monkeypatch):
+        # On ext4 the next O_TRUNC of a file that was truncated to zero waits
+        # for the writeback of its new bytes.  The wait depends on the
+        # filesystem, so this pins its cause instead of timing it: the output
+        # is opened without O_TRUNC and is not swapped in by a rename.
+        cfg = write_config(tmp_path, HARMONIC_CONFIG)
+        out = tmp_path / "traj.csv"
+        out.write_bytes(b"x" * 4096)
+        opened, faults = [], []
+
+        def is_out(path):
+            return not isinstance(path, int) and os.path.abspath(os.fsdecode(path)) == str(out)
+
+        def watch_os_open(real):
+            def os_open(path, flags, *args, **kwargs):
+                if is_out(path):
+                    opened.append("os.open")
+                    if flags & os.O_TRUNC:
+                        faults.append("os.open with O_TRUNC")
+                return real(path, flags, *args, **kwargs)
+            return os_open
+
+        def watch_open(real):
+            def open_(file, mode="r", *args, **kwargs):
+                if is_out(file):
+                    opened.append("open")
+                    if "w" in mode:
+                        faults.append(f"open(path, {mode!r})")
+                return real(file, mode, *args, **kwargs)
+            return open_
+
+        def watch_rename(name, real):
+            def rename(src, dst, *args, **kwargs):
+                if is_out(dst):
+                    faults.append(f"os.{name} onto the output")
+                return real(src, dst, *args, **kwargs)
+            return rename
+
+        monkeypatch.setattr(os, "open", watch_os_open(os.open))
+        monkeypatch.setattr(builtins, "open", watch_open(builtins.open))
+        for name in ("replace", "rename"):
+            monkeypatch.setattr(os, name, watch_rename(name, getattr(os, name)))
+        code = run(["simulate", "--config", cfg, "--out", str(out)])
+        monkeypatch.undo()
+        assert code == 0
+        assert opened and faults == []
+        assert out.read_text().startswith(TRAJECTORY_HEADER + "\n")

@@ -15,7 +15,6 @@ import logging
 import os
 import stat
 import sys
-from dataclasses import astuple
 
 import numpy as np
 
@@ -29,9 +28,9 @@ from .dynamics import (
 )
 from .errors import ConfigError, DegenerateShape, TrireduceError
 from .geometry import COLLINEAR_THRESHOLD, CartesianState, MassTriple, ShapeCoordinates, lengths
-from .hamiltonian import evaluate_reduced_batch
+from .hamiltonian import cartesian_from_momenta, evaluate_reduced_batch
 from .potential import PotentialSpec, builtin_potential, check_number, parse_potential
-from .reduction import BodyMomenta, cartesian_from_body_state, velocities_from_momenta
+from .reduction import BodyMomenta
 
 log = logging.getLogger("trireduce")
 
@@ -49,17 +48,6 @@ PASSAGES_HEADER = "t_minus,t_plus,t_star,sin_phi_min,H_before,H_at,H_after,delta
 # such frame, and V is the potential of the positions), so this bound
 # limits how far phi, J and p are snapped, not H.
 MAX_COLLINEAR_THRESHOLD = 1e-6
-
-
-def _template(header):
-    """The %-template of a row under header: %.17g for each number column,
-    %s for branch."""
-    return ",".join("%s" if name == "branch" else "%.17g" for name in header.split(","))
-
-
-_TRAJECTORY_ROW, _EVALUATE_ROW, _PASSAGES_ROW = map(
-    _template, (TRAJECTORY_HEADER, EVALUATE_HEADER, PASSAGES_HEADER)
-)
 
 
 # --------------------------------------------------------------------------
@@ -165,7 +153,7 @@ def _parse_initial_state(cfg, masses) -> CartesianState:
     except ValueError as exc:
         raise ConfigError(path, str(exc))
     momenta = BodyMomenta(*(_vec3(_require(s, key, path), f"{path}.{key}") for key in ("J", "p")))
-    return cartesian_from_body_state(masses, q, velocities_from_momenta(q, momenta))
+    return cartesian_from_momenta(masses, q, momenta)
 
 
 def _parse_integrator(cfg) -> IntegratorConfig:
@@ -252,24 +240,24 @@ def _write_lines(path, lines):
     return True
 
 
-def _trajectory_lines(traj):
-    n = len(traj)
-    numbers = np.column_stack(
-        [
-            traj.t,
-            traj.x.reshape(n, 9),
-            traj.r1,
-            traj.r2,
-            traj.phi,
-            traj.J,
-            traj.p,
-            traj.H_reduced,
-            traj.E_total,
-            lengths(traj.L),
-        ]
-    )
-    rows = zip(numbers.tolist(), traj.branch.tolist())
-    return [TRAJECTORY_HEADER] + [_TRAJECTORY_ROW % (*row, b) for row, b in rows]
+def _csv(header, columns):
+    """The lines of a CSV table: header, then one row per entry of the
+    columns it names, in its order; %.17g for a number, %s for branch.
+    columns maps each name to a sequence."""
+    names = header.split(",")
+    template = ",".join("%s" if name == "branch" else "%.17g" for name in names)
+    rows = zip(*(np.asarray(columns[name]).tolist() for name in names))
+    return [header] + [template % row for row in rows]
+
+
+def _columns(batch):
+    """The named columns of a ReducedBatch or a Trajectory: its fields, J1
+    to p3, and L_norm = |L| as lengths rounds it.  A column of one name
+    therefore holds the same bits in every command."""
+    columns = dict(vars(batch), L_norm=lengths(batch.L))
+    for i in range(3):
+        columns[f"J{i + 1}"], columns[f"p{i + 1}"] = batch.J[:, i], batch.p[:, i]
+    return columns
 
 
 def _integrate(cfg: RunConfig):
@@ -279,8 +267,12 @@ def _integrate(cfg: RunConfig):
 
 def cmd_simulate(cfg: RunConfig, out_path):
     traj = _integrate(cfg)
+    columns = _columns(traj)
+    for body in range(3):
+        for i, axis in enumerate("xyz"):
+            columns[f"x{body + 1}{axis}"] = traj.x[:, body, i]
     out = out_path or cfg.output.get("trajectory")
-    if not _write_lines(out, _trajectory_lines(traj)):
+    if not _write_lines(out, _csv(TRAJECTORY_HEADER, columns)):
         return 4
     rep = conservation_report(traj, band_threshold=cfg.thresholds["band"])
     log.info(
@@ -299,22 +291,13 @@ def cmd_evaluate(cfg: RunConfig, out_path):
     # numpy's overflow warnings would only repeat the NumericalBlowup that
     # names the quantity
     with np.errstate(all="ignore"):
-        ev = evaluate_reduced_batch(
-            cfg.masses,
-            cfg.state.positions[None],
-            cfg.state.velocities[None],
-            cfg.potential,
-            collinear_threshold=cfg.thresholds["collinear"],
-        )
+        x, v = cfg.state.positions[None], cfg.state.velocities[None]
+        ev = evaluate_reduced_batch(cfg.masses, x, v, cfg.potential, cfg.thresholds["collinear"])
     if ev.branch[0] == "degenerate":
         raise DegenerateShape(
             "|s1| = 0: body frame undefined" if ev.r1[0] == 0.0 else "r2 = 0: phi undefined"
         )
-    values = [ev.r1[0], ev.r2[0], ev.phi[0], *ev.J[0], *ev.p[0], ev.branch[0]]
-    L_norm = float(np.linalg.norm(ev.L[0]))
-    values += [ev.H_reduced[0], ev.E_total[0], L_norm, ev.singular_term[0]]
-    lines = [EVALUATE_HEADER, _EVALUATE_ROW % tuple(values)]
-    if not _write_lines(out_path, lines):
+    if not _write_lines(out_path, _csv(EVALUATE_HEADER, _columns(ev))):
         return 4
     return 0
 
@@ -322,23 +305,20 @@ def cmd_evaluate(cfg: RunConfig, out_path):
 def cmd_collinear_report(cfg: RunConfig, out_path):
     traj = _integrate(cfg)
     passages = detect_collinear_passages(traj, cfg.thresholds["passage"])
-    # CollinearPassage's fields are the columns of PASSAGES_HEADER, in order
-    lines = [PASSAGES_HEADER] + [_PASSAGES_ROW % astuple(p) for p in passages]
+    columns = {name: [getattr(p, name) for p in passages] for name in PASSAGES_HEADER.split(",")}
     out = out_path or cfg.output.get("passages")
-    if not _write_lines(out, lines):
+    if not _write_lines(out, _csv(PASSAGES_HEADER, columns)):
         return 4
     log.info("collinear passages detected: %d", len(passages))
     return 0
 
 
 def cmd_check(seed):
-    failures = 0
+    failed = False
     for name, ok, detail in checks.run_all(seed=seed):
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {name}: {detail}")
-        if not ok:
-            failures += 1
-    return 0 if failures == 0 else 1
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        failed = failed or not ok
+    return 1 if failed else 0
 
 
 # --------------------------------------------------------------------------
@@ -372,25 +352,19 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "check":
         return cmd_check(args.seed)
+    commands = {
+        "simulate": cmd_simulate,
+        "evaluate": cmd_evaluate,
+        "collinear-report": cmd_collinear_report,
+    }
     try:
-        cfg = load_config(args.config)
+        return commands[args.command](load_config(args.config), args.out)
     except ConfigError as exc:
         log.error("%s", exc)
         return 2
     except TrireduceError as exc:
         log.error("numerical failure: %s: %s", type(exc).__name__, exc)
         return 3
-    try:
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.out)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.out)
-        if args.command == "collinear-report":
-            return cmd_collinear_report(cfg, args.out)
-    except TrireduceError as exc:
-        log.error("numerical failure: %s: %s", type(exc).__name__, exc)
-        return 3
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -67,7 +67,6 @@ class Trajectory(ReducedBatch):
     body; the reduced columns are those of ReducedBatch.
     """
 
-    masses: MassTriple
     t: np.ndarray
     x: np.ndarray
     v: np.ndarray
@@ -155,7 +154,7 @@ def integrate(
     stepper(accelerations, y, cfg.dt, cfg.steps, on_step)
     reduced = evaluate_reduced_batch(masses, xs, vs, potential, collinear_threshold)
     t = np.arange(rows) * stride * cfg.dt
-    return Trajectory(**vars(reduced), masses=masses, t=t, x=xs, v=vs)
+    return Trajectory(**vars(reduced), t=t, x=xs, v=vs)
 
 
 @dataclass(frozen=True)

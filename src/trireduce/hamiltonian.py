@@ -21,20 +21,23 @@ from math import cos, isfinite, sin
 
 import numpy as np
 
-from .errors import DegenerateShape, NumericalBlowup
+from .errors import DegenerateShape, NumericalBlowup, SingularInertia
 from .geometry import (
     COLLINEAR_THRESHOLD,
     BodyVelocityState,
     CartesianState,
+    JacobiVectors,
     MassTriple,
     ShapeCoordinates,
     body_frames,
+    body_jacobi_vectors,
+    cartesian_from_jacobi,
     cross,
     jacobi_map,
     lengths,
 )
 from .potential import PotentialSpec, _pair_vectors, eval_potential_batch, potential_at_positions
-from .reduction import BodyMomenta
+from .reduction import SINGULAR_THRESHOLD, BodyMomenta
 
 BRANCH_NONCOLLINEAR = "noncollinear"
 BRANCH_COLLINEAR = "collinear"
@@ -144,6 +147,25 @@ def _reduce_rows(collinear_threshold, s1, s2, sd1, sd2):
     J = np.array([s * T, J2, J3]).T
     p = np.array([v1[:, 0], p2, p3]).T
     return r1, r2, phi, measured_phi, sin_phi, planar, J, p, T, K
+
+
+def cartesian_from_momenta(masses, q: ShapeCoordinates, m: BodyMomenta) -> CartesianState:
+    """The state of shape q and momenta m, its body frame the space frame, by
+    the inverse of _reduce_rows' map, which forms no omega or qdot (see
+    reduction.velocities_from_momenta).  Raises SingularInertia at r2 = 0 or
+    |sin phi| <= SINGULAR_THRESHOLD, NumericalBlowup if a velocity overflows."""
+    s, c = sin(q.phi), cos(q.phi)
+    if q.r2 == 0.0:
+        raise SingularInertia("r2 = 0: the inertia tensor is singular")
+    if abs(s) <= SINGULAR_THRESHOLD:
+        raise SingularInertia(f"|sin phi| = {abs(s):.3e} at or below {SINGULAR_THRESHOLD:.3e}")
+    (J1, J2, J3), (p1, p2, p3) = m.J.tolist(), m.p.tolist()
+    T, u = J1 / s, p3 / q.r2
+    v = [p1, (J3 - p3) / q.r1, -(J2 + c * T) / q.r1, c * p2 - s * u, s * p2 + c * u, T / q.r2]
+    if not all(map(isfinite, v)):
+        raise NumericalBlowup("the body velocities of the shape overflow")
+    v1, v2 = np.reshape(v, (2, 3))
+    return cartesian_from_jacobi(masses, JacobiVectors(*body_jacobi_vectors(q), v1, v2))
 
 
 @dataclass

@@ -336,6 +336,9 @@ def _compile(node, reads):
     raise ValueError(f"not an expression node: {node!r}")
 
 
+# Two node builders on purpose: one generic _compile_op(op, *operands) made
+# the expr_sparse harmonic's forces_cartesian about a quarter slower, 39-47
+# against 30-43 us (min of 9 x 5000 calls, 5 alternating process pairs).
 def _compile_call(fn, arg):
     """The walk (see _compile) of a function, or of "neg", of the walk
     `arg`."""

@@ -50,15 +50,15 @@ def inertia_tensor(q: ShapeCoordinates) -> np.ndarray:
     )
 
 
-def inertia_inverse(q: ShapeCoordinates, threshold=SINGULAR_THRESHOLD) -> np.ndarray:
+def inertia_inverse(q: ShapeCoordinates) -> np.ndarray:
     """Closed-form inverse of the inertia tensor.
 
     Singular at collinear shapes: raises SingularInertia when
-    |sin phi| <= threshold.
+    |sin phi| <= SINGULAR_THRESHOLD or r2 = 0.
     """
     s, c = sin(q.phi), cos(q.phi)
-    if abs(s) <= threshold or q.r2 == 0.0:
-        raise SingularInertia(f"|sin phi| = {abs(s):.3e} at or below {threshold:.3e}")
+    if abs(s) <= SINGULAR_THRESHOLD or q.r2 == 0.0:
+        raise SingularInertia(f"|sin phi| = {abs(s):.3e} at or below {SINGULAR_THRESHOLD:.3e}")
     r1sq, r2sq = q.r1 ** 2, q.r2 ** 2
     return np.array(
         [
@@ -124,7 +124,8 @@ def body_velocities(q: ShapeCoordinates, w: BodyVelocityState):
 
 def cartesian_from_body_state(masses, q: ShapeCoordinates, w: BodyVelocityState):
     """Cartesian realization of a body state with the body frame taken as
-    the space frame at the evaluation instant."""
+    the space frame at the evaluation instant.  Fed by velocities_from_momenta
+    it keeps that function's loss of digits as r1/r2 falls."""
     b1, b2 = body_jacobi_vectors(q)
     v1, v2 = body_velocities(q, w)
     return cartesian_from_jacobi(masses, JacobiVectors(b1, b2, v1, v2))
@@ -155,17 +156,17 @@ def shape_momenta(q: ShapeCoordinates, w: BodyVelocityState) -> BodyMomenta:
     return BodyMomenta(J, p)
 
 
-def velocities_from_momenta(
-    q: ShapeCoordinates, m: BodyMomenta, threshold=SINGULAR_THRESHOLD
-) -> BodyVelocityState:
+def velocities_from_momenta(q: ShapeCoordinates, m: BodyMomenta) -> BodyVelocityState:
     """Invert the Legendre map: recover (omega, qdot) from (J, p).
 
     Needs the full inertia inverse, so it raises SingularInertia near
-    collinear shapes.
+    collinear shapes.  It loses digits as r1/r2 falls, I^-1 or not:
+    omega3 = (J3 - p3)/r1^2 and qdot3 = p3/r2^2 - omega3 cancel in
+    p3 = r2^2 (qdot3 + omega3), up to 8e-2 at r1 = 1e-7, r2 = 1.
     """
     _, g_inv = horizontal_metric(q)
     A = mechanical_connection(q)
     qdot = g_inv @ (m.p - A @ m.J)
-    I_inv = inertia_inverse(q, threshold=threshold)
+    I_inv = inertia_inverse(q)
     omega = I_inv @ (m.J - gauge_potential(q).T @ qdot)
     return BodyVelocityState(omega, qdot)

@@ -105,22 +105,24 @@ class TestRowTemplates:
     NUMBERS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1.7976931348623157e308]
     NUMBERS += [np.float64(x) for x in (0.1, -2.5e-300, 1.0 / 3.0, float("nan"), float("-inf"))]
 
-    @pytest.mark.parametrize(
-        "header, template",
-        [
-            (TRAJECTORY_HEADER, cli._TRAJECTORY_ROW),
-            (EVALUATE_HEADER, cli._EVALUATE_ROW),
-            (PASSAGES_HEADER, cli._PASSAGES_ROW),
-        ],
-    )
-    def test_numbers_render_as_format(self, header, template):
-        # each number column as format(x, ".17g"), the branch as it is
-        columns = header.split(",")
+    @pytest.mark.parametrize("header", [TRAJECTORY_HEADER, EVALUATE_HEADER, PASSAGES_HEADER])
+    def test_numbers_render_as_format(self, header):
+        # each number column as format(x, ".17g"), the branch as it is; row
+        # k starts the number list at its k-th entry.  The columns go in
+        # reversed, with one the header does not name: the header alone
+        # orders the row.
+        names = header.split(",")
+        rows = []
         for shift in range(len(self.NUMBERS)):
-            values = [self.NUMBERS[(shift + i) % len(self.NUMBERS)] for i in range(len(columns))]
-            values = ["collinear" if c == "branch" else x for c, x in zip(columns, values)]
-            expected = ",".join(x if c == "branch" else format(x, ".17g") for c, x in zip(columns, values))
-            assert template % tuple(values) == expected
+            values = [self.NUMBERS[(shift + i) % len(self.NUMBERS)] for i in range(len(names))]
+            rows.append(["collinear" if c == "branch" else x for c, x in zip(names, values)])
+        columns = {c: [row[i] for row in rows] for i, c in reversed(list(enumerate(names)))}
+        columns["unnamed"] = [1.0] * len(rows)
+        expected = [
+            ",".join(x if c == "branch" else format(x, ".17g") for c, x in zip(names, row))
+            for row in rows
+        ]
+        assert cli._csv(header, columns) == [header] + expected
 
 
 class TestSimulate:
@@ -417,6 +419,25 @@ class TestEvaluate:
         assert abs(float(fields["H_reduced"]) - float(fields["E_total"])) < 1e-8
         assert float(fields["singular_term"]) == one_row_reference(cfg).singular_term
 
+    def test_row_is_simulate_first_row(self, tmp_path):
+        # one table model: on 40 seeded states, evaluate's row holds the
+        # bits of simulate's t = 0 row in every column both write, L_norm
+        # included (np.linalg.norm and geometry.lengths round |L| apart)
+        rng = np.random.default_rng(1501)
+        shared = [c for c in EVALUATE_HEADER.split(",") if c in TRAJECTORY_HEADER.split(",")]
+        evaluated, simulated = tmp_path / "eval.csv", tmp_path / "traj.csv"
+        for k in range(40):
+            x, v = rng.normal(size=(2, 3, 3)).tolist()
+            state = {"cartesian": {"positions": x, "velocities": v}}
+            config = dict(HARMONIC_CONFIG, initial_state=state, integrator={"steps": 1})
+            cfg = write_config(tmp_path, config)
+            assert run(["evaluate", "--config", cfg, "--out", str(evaluated)]) == 0
+            assert run(["simulate", "--config", cfg, "--out", str(simulated)]) == 0
+            row = evaluated.read_text().splitlines()[1].split(",")
+            row = dict(zip(EVALUATE_HEADER.split(","), row))
+            first = trajectory_rows(simulated.read_text())[0]
+            assert [row[c] for c in shared] == [first[c] for c in shared], k
+
     def test_collinear_branch(self, tmp_path):
         collinear = dict(
             CROSSING_CONFIG,
@@ -543,6 +564,21 @@ class TestEvaluate:
         assert float(fields["r1"]) == pytest.approx(1.0, rel=1e-12)
         assert float(fields["J3"]) == pytest.approx(2.0, rel=1e-10)
         assert float(fields["p3"]) == pytest.approx(1.0, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("phi", 1e-9, "SingularInertia"),
+            # r2 = 0 and an overflowing velocity were tracebacks with exit 1
+            ("r2", 0.0, "SingularInertia"),
+            ("J", [1.7e308, 0.0, 0.0], "NumericalBlowup"),
+        ],
+    )
+    def test_unrealisable_shape_exit_3(self, tmp_path, caplog, field, value, error):
+        shape = {"r1": 1.0, "r2": 1.0, "phi": 0.5, "J": [0.0, 0.0, 1.0], "p": [0.0] * 3}
+        shaped = dict(HARMONIC_CONFIG, initial_state={"shape": dict(shape, **{field: value})})
+        assert run(["evaluate", "--config", write_config(tmp_path, shaped)]) == 3
+        assert error in caplog.text
 
     def test_malformed_initial_numbers_exit_2(self, tmp_path, caplog):
         shaped = dict(

@@ -23,6 +23,7 @@ from trireduce.geometry import (
     spatial_angular_momentum,
 )
 from trireduce.hamiltonian import (
+    cartesian_from_momenta,
     evaluate_reduced,
     evaluate_reduced_batch,
     reduced_hamiltonian,
@@ -290,6 +291,27 @@ class TestEvaluateReduced:
         assert ev.branch == "noncollinear"
         assert COLLINEAR_THRESHOLD < ev.sin_phi < BAND_THRESHOLD
         assert ev.H == pytest.approx(kinetic_energy_body(q, w), rel=1e-12)
+
+
+class TestShapeStart:
+    MASSES = MassTriple(1.0, 1.5, 2.0)
+
+    # its refusals are TestEvaluate::test_unrealisable_shape_exit_3 in test_cli.py
+    @pytest.mark.parametrize("r1", [1.0, 1e-3, 1e-5, 1e-7])
+    def test_momenta_round_trip(self, r1):
+        # the body velocities are read off (J, p), so evaluate_reduced gives
+        # them back as r1 / r2 falls; through velocities_from_momenta the
+        # error was 1.0e-5 at r1 = 1e-5 and 7.6e-2 at r1 = 1e-7
+        rng = np.random.default_rng(1502)
+        potential = builtin_potential("harmonic", k=0.7)
+        worst = 0.0
+        for _ in range(200):
+            q = ShapeCoordinates(r1, 1.0, rng.uniform(0.3, 2.8))
+            m = BodyMomenta(rng.normal(size=3), rng.normal(size=3))
+            ev = evaluate_reduced(self.MASSES, cartesian_from_momenta(self.MASSES, q, m), potential)
+            errors = np.abs(np.concatenate([ev.momenta.J - m.J, ev.momenta.p - m.p]))
+            worst = max(worst, float(np.max(errors)))
+        assert worst <= 1e-8
 
 
 class TestCollinearLimit:

@@ -92,12 +92,12 @@ def _leapfrog_steps(accelerations, y, dt, n, on_step):
     """n leapfrog steps of the state y = (x, v), in place."""
     x, v = y
     h = 0.5 * dt
-    a = accelerations(x)
+    kick = h * accelerations(x)  # the half kick ends one step and starts the next
     for k in range(n):
-        v += h * a
+        v += kick
         x += dt * v
-        a = accelerations(x)
-        v += h * a
+        kick = h * accelerations(x)
+        v += kick
         on_step(k, y)
 
 
@@ -145,7 +145,7 @@ def integrate(
         return forces_cartesian(potential, masses, x) / m
 
     def on_step(k, y):
-        if not (np.abs(y).max() <= OVERFLOW_GUARD):
+        if not (np.maximum.reduce(np.abs(y), None) <= OVERFLOW_GUARD):
             raise NumericalBlowup(f"coordinate overflow at step {k + 1}")
         if (k + 1) % stride == 0:
             xs[(k + 1) // stride], vs[(k + 1) // stride] = y

@@ -36,7 +36,7 @@ from .geometry import (
     jacobi_map,
     lengths,
 )
-from .potential import PotentialSpec, _pair_vectors, eval_potential_batch, potential_at_positions
+from .potential import _INCIDENCE, PotentialSpec, eval_potential_batch, potential_at_positions
 from .reduction import SINGULAR_THRESHOLD, BodyMomenta
 
 BRANCH_NONCOLLINEAR = "noncollinear"
@@ -104,7 +104,7 @@ def evaluate_reduced(
     )
     # V of the pair distances and the shape body_frames measured, as
     # potential_at_positions takes it for E_total
-    d = lengths(_pair_vectors(xv[0]))
+    d = lengths(_INCIDENCE @ xv[0])
     V = eval_potential_batch(potential, masses, r1, r2, measured_phi, *d[:, None])
     H = float(K[0] + V[0])
     if not isfinite(H):

@@ -458,7 +458,7 @@ class PotentialSpec:
     # an expression's compiled walk (see _compile) and the variables it reads
     walk: object = field(default=None, init=False, repr=False, compare=False)
     reads: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
-    # a built-in family's parameters as _pair_terms reads them: defaults
+    # a built-in family's parameters as its pair terms read them: defaults
     # filled in, the harmonic's rest lengths of d12, d13, d23 as an array,
     # and gravity's products for the last masses (see _gravity_products)
     _bound: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -500,15 +500,12 @@ def parse_potential(text) -> PotentialSpec:
     return PotentialSpec(ast=parse_expression(text), source=text)
 
 
-# first and second bodies of the pairs d12, d13, d23, and the pair-by-body
-# incidence matrix: +1 at the first body, -1 at the second
-_FIRST, _SECOND = np.array(list(PAIRS.values())).T
-_INCIDENCE = np.eye(3)[_FIRST] - np.eye(3)[_SECOND]
-
-
-def _pair_vectors(x):
-    """x_i - x_k of the pairs d12, d13, d23, for (..., 3, 3) positions."""
-    return x.take(_FIRST, -2) - x.take(_SECOND, -2)
+# pair-by-body incidence of d12, d13, d23, +1 at the first body and -1 at the
+# second: _INCIDENCE @ x is x_i - x_k, and _TO_BODIES takes pair terms to the
+# bodies.  Each sums two exact +-terms and a 0-weighted one, so it has the bits
+# of a subtraction or a sum.  OpenBLAS's buffers add ~0.28 MB of peak RSS, once.
+_INCIDENCE = np.array([np.eye(3)[i] - np.eye(3)[k] for i, k in PAIRS.values()])
+_TO_BODIES = np.ascontiguousarray(-_INCIDENCE.T)
 
 
 def _gravity_products(bound, masses: MassTriple):
@@ -524,31 +521,47 @@ def _gravity_products(bound, masses: MassTriple):
     return last[1]
 
 
-def _pair_terms(spec: PotentialSpec, masses: MassTriple, d):
-    """Energies and derivatives dV/dd of the three pair terms of a built-in
-    family, at distances d = (d12, d13, d23) given as a (..., 3) array.
-    Gravity and Lennard-Jones diverge at d = 0: both are infinite there."""
+def _off_zero(d):
+    """The mask of d = 0 (None where no d is 0) and d with 1.0 as a stand-in
+    there, where gravity and Lennard-Jones diverge: their terms are infinite."""
+    at_zero = d == 0.0 if np.count_nonzero(d) < np.size(d) else None
+    return at_zero, d if at_zero is None else np.where(at_zero, 1.0, d)
+
+
+def _pair_energies(spec: PotentialSpec, masses: MassTriple, d):
+    """Energies of the three pair terms of a built-in family, at distances
+    d = (d12, d13, d23) given as a (..., 3) array; infinite at d = 0 for
+    gravity and Lennard-Jones."""
     p = spec._bound
     if spec.builtin == "free":
-        return np.zeros_like(d), np.zeros_like(d)
+        return np.zeros_like(d)
     if spec.builtin == "harmonic":
-        k = p["k"]
-        stretch = d - p["rest"]
-        return 0.5 * k * stretch ** 2, k * stretch
-    at_zero = d == 0.0 if np.count_nonzero(d) < np.size(d) else None
-    if at_zero is not None:
-        d = np.where(at_zero, 1.0, d)  # a stand-in, replaced by infinity below
+        return 0.5 * p["k"] * (d - p["rest"]) ** 2
+    at_zero, d = _off_zero(d)
     if spec.builtin == "gravity":
-        Gmm = _gravity_products(p, masses)
-        energy, deriv = -Gmm / d, Gmm / d ** 2
+        energy = -_gravity_products(p, masses) / d
     else:  # lennard_jones
-        eps = p["epsilon"]
         s6 = (p["sigma"] / d) ** 6
-        energy = 4.0 * eps * (s6 * s6 - s6)
-        deriv = 4.0 * eps * (-12.0 * s6 * s6 + 6.0 * s6) / d
-    if at_zero is not None:
-        energy, deriv = np.where(at_zero, np.inf, energy), np.where(at_zero, np.inf, deriv)
-    return energy, deriv
+        energy = 4.0 * p["epsilon"] * (s6 * s6 - s6)
+    return energy if at_zero is None else np.where(at_zero, np.inf, energy)
+
+
+def _pair_slopes(spec: PotentialSpec, masses: MassTriple, d):
+    """Derivatives dV/dd of the three pair terms of a built-in family, at
+    distances d given as a (..., 3) array (see _pair_energies); infinite
+    at d = 0 for gravity and Lennard-Jones."""
+    p = spec._bound
+    if spec.builtin == "free":
+        return np.zeros_like(d)
+    if spec.builtin == "harmonic":
+        return p["k"] * (d - p["rest"])
+    at_zero, d = _off_zero(d)
+    if spec.builtin == "gravity":
+        slope = _gravity_products(p, masses) / d ** 2
+    else:  # lennard_jones
+        s6 = (p["sigma"] / d) ** 6
+        slope = 4.0 * p["epsilon"] * (-12.0 * s6 * s6 + 6.0 * s6) / d
+    return slope if at_zero is None else np.where(at_zero, np.inf, slope)
 
 
 def eval_potential_batch(
@@ -564,16 +577,18 @@ def eval_potential_batch(
     where its value is not finite.  An expression that reads phi raises it
     under the name "phi" at r1 = 0 or r2 = 0, where phi is undefined.  A
     built-in family raises it where a pair term is not finite, naming the
-    pair, as gravity and Lennard-Jones do at a distance of 0.
+    pair, as gravity and Lennard-Jones do at a distance of 0.  A variable
+    the potential does not read may be None.
     """
     if spec.ast is not None:
-        columns = [np.asarray(a, dtype=float) for a in (r1, r2, phi, d12, d13, d23)]
-        shape = np.broadcast(*columns).shape
-        value, _ = _run(spec, dict(zip(VARIABLES, columns)), shape, gradient=False)
+        values = (r1, r2, phi, d12, d13, d23)
+        columns = {n: np.asarray(a, dtype=float) for n, a in zip(VARIABLES, values) if a is not None}
+        shape = np.broadcast(*columns.values()).shape
+        value, _ = _run(spec, columns, shape, gradient=False)
         return np.array(np.broadcast_to(value, shape))
     d = np.array([d12, d13, d23])
     d = d.transpose(*range(1, d.ndim), 0)  # pairs on the last axis, for floats and arrays alike
-    energy, _ = _pair_terms(spec, masses, d)
+    energy = _pair_energies(spec, masses, d)
     if not _all_finite(energy):
         bad = ~np.isfinite(energy)
         raise DomainError(list(PAIRS)[bad.nonzero()[-1][0]], float(d[bad][0]))
@@ -582,25 +597,26 @@ def eval_potential_batch(
 
 def potential_at_positions(spec: PotentialSpec, masses: MassTriple, x) -> np.ndarray:
     """Potential energy of N configurations given as an (N, 3, 3) array of
-    positions, one row per body: the shape (r1, r2, phi) of measure_shape
-    and the pair distances are measured from the positions."""
-    r1, r2, _, _, _, phi = measure_shape(*jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2]))
-    d = lengths(_pair_vectors(x))
+    positions, one row per body, from their pair distances and, where the
+    potential reads it, their shape (r1, r2, phi) of measure_shape."""
+    r1 = r2 = phi = None
+    if not spec.reads <= PAIRS.keys():
+        r1, r2, _, _, _, phi = measure_shape(*jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2]))
+    d = lengths(_INCIDENCE @ x)
     return eval_potential_batch(spec, masses, r1, r2, phi, *d.T)
 
 
 def _pair_forces(dVdd, delta, d):
     """Forces F_i = -dV/dx_i on the bodies from dV/dd of the pairs d12, d13,
-    d23, given their vectors delta (3, 3) and lengths d (3,).  A pair at
-    d = 0 adds no force where dV/dd = 0, the limit, and raises DomainError
-    naming the pair otherwise."""
-    if np.count_nonzero(d) < 3:
-        for name, length, slope in zip(PAIRS, d, dVdd):
-            if length == 0.0 and slope != 0.0:
-                raise DomainError(name, 0.0)
-        d = np.where(d == 0.0, 1.0, d)  # delta is 0 there
-    # einsum rather than a matmul, whose BLAS buffers grow the process
-    return np.einsum("pb,pk->bk", _INCIDENCE, -dVdd[:, None] * delta / d[:, None])
+    d23, given as (..., 3) slopes with their (..., 3, 3) vectors delta and
+    (..., 3) lengths d.  A pair at d = 0 adds no force where dV/dd = 0, the
+    limit, and raises DomainError naming the pair otherwise."""
+    at_zero, d = _off_zero(d)  # delta is 0 where d is
+    if at_zero is not None:
+        bad = at_zero & (dVdd != 0.0)
+        if bad.any():
+            raise DomainError(list(PAIRS)[bad.nonzero()[-1][0]], 0.0)
+    return _TO_BODIES @ (dVdd[..., None] * delta / d[..., None])
 
 
 @lru_cache(maxsize=64)
@@ -676,10 +692,10 @@ def forces_cartesian(spec: PotentialSpec, masses: MassTriple, positions):
     x = np.asarray(positions, dtype=float).reshape(3, 3)
     pairs = spec.builtin is not None or not spec.reads.isdisjoint(PAIRS)
     if pairs:
-        delta = _pair_vectors(x)
+        delta = _INCIDENCE @ x
         d = lengths(delta)
         if spec.builtin is not None:
-            return _pair_forces(_pair_terms(spec, masses, d)[1], delta, d)
+            return _pair_forces(_pair_slopes(spec, masses, d), delta, d)
     columns = dict(zip(PAIRS, d[:, None])) if pairs else {}
     jacobi = not spec.reads <= PAIRS.keys()
     if jacobi:

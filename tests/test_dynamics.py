@@ -51,6 +51,14 @@ def figure_eight_setup():
     return CartesianState(*np.array(x), *np.array(v))
 
 
+def planar_setup():
+    """Three bodies near the Lennard-Jones minimum, moving in the plane
+    z = -0.0: every z component of the start is -0.0."""
+    x = [[1.12, 0.0, -0.0], [0.0, 0.0, -0.0], [0.5, 1.0, -0.0]]
+    v = [[0.0, 0.1, -0.0], [0.05, -0.05, -0.0], [-0.05, -0.05, -0.0]]
+    return CartesianState(*np.array(x), *np.array(v))
+
+
 def sparse_setup():
     """The initial state of perfbench/configs/expr_sparse.json."""
     x = [[1.1, 0.0, 0.0], [-0.4, 0.9, 0.1], [-0.7, -0.6, 0.0]]
@@ -178,18 +186,21 @@ class TestIntegrate:
             (HARMONIC, harmonic_setup, 0.01),
             (builtin_potential("gravity", G=1.0), figure_eight_setup, 1e-3),
             (parse_potential("0.5*(d12-1)^2 + 0.5*(d13-1)^2 + 0.5*(d23-1)^2"), sparse_setup, 0.01),
+            (builtin_potential("lennard_jones"), planar_setup, 0.01),
+            (FREE, planar_setup, 0.01),
         ],
-        ids=["harmonic", "gravity", "expression"],
+        ids=["harmonic", "gravity", "expression", "lennard_jones", "free"],
     )
     def test_steps_match_reference_bitwise(self, method, potential, setup, dt):
+        # byte for byte, so the sign of every 0 is held too: the CSV prints -0
         steps = 60
         cfg = IntegratorConfig(method=method, dt=dt, steps=steps)
         traj = integrate(MASSES, setup(), potential, cfg)
         xs, vs = reference_steps(MASSES, potential, setup(), method, dt, steps)
         assert len(traj) == len(xs) == steps + 1
         for row in range(steps + 1):
-            assert np.array_equal(traj.x[row], xs[row]), row
-            assert np.array_equal(traj.v[row], vs[row]), row
+            assert traj.x[row].tobytes() == xs[row].tobytes(), row
+            assert traj.v[row].tobytes() == vs[row].tobytes(), row
 
     def test_blowup_guard(self, monkeypatch):
         z = np.zeros(3)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trireduce.potential
 from trireduce.checks import random_rotation
 from trireduce.errors import DomainError, PotentialSyntaxError, UnknownIdentifier
-from trireduce.geometry import MassTriple, ShapeCoordinates, shape_to_distances
+from trireduce.geometry import MassTriple, ShapeCoordinates, jacobi_map, measure_shape, shape_to_distances
 from trireduce.potential import (
     Bin,
     Call,
@@ -67,6 +68,58 @@ EXPRESSIONS = st.recursive(
     ),
     max_leaves=12,
 )
+
+
+def reference_pair_forces(spec, masses, x):
+    """Forces of a built-in family, or of the pairwise expression
+    0.5*(d12-1)^2 + 0.5*(d13-1)^2 + 0.5*(d23-1)^2, by the formula that the
+    incidence products replace: pair vectors by take and subtract, dV/dd
+    from the family's formula, and the bodies' forces as one einsum over
+    the pair-by-body incidence matrix of -dV/dd times the unit pair
+    vectors.  For positions with no pair at distance 0."""
+    first, second = np.array([(0, 1), (0, 2), (1, 2)]).T
+    incidence = np.eye(3)[first] - np.eye(3)[second]
+    delta = x.take(first, -2) - x.take(second, -2)
+    d = np.sqrt(np.add.reduce(delta * delta, -1))
+    params = spec.params
+    if spec.builtin == "free":
+        dVdd = np.zeros_like(d)
+    elif spec.builtin == "harmonic":
+        rest = [params.get("rest", {}).get(n, params.get("rest_length", 1.0)) for n in ("d12", "d13", "d23")]
+        dVdd = params.get("k", 1.0) * (d - np.array(rest))
+    elif spec.builtin == "gravity":
+        G, m1, m2, m3 = params.get("G", 1.0), masses.m1, masses.m2, masses.m3
+        dVdd = np.array([G * m1 * m2, G * m1 * m3, G * m2 * m3]) / d ** 2
+    elif spec.builtin == "lennard_jones":
+        s6 = (params.get("sigma", 1.0) / d) ** 6
+        dVdd = 4.0 * params.get("epsilon", 1.0) * (-12.0 * s6 * s6 + 6.0 * s6) / d
+    else:
+        # the pullback of 0.5*(d-1)^2 multiplies exactly: 0.5 * 2.0 * (d-1)^1.0
+        dVdd = d - 1.0
+    return np.einsum("pb,pk->bk", incidence, -dVdd[:, None] * delta / d[:, None])
+
+
+def bit_pin_positions():
+    """Positions for the force-bit test: seeded random; planar with z = 0.0,
+    with z = -0.0 and with zeros of both signs; exactly collinear, on an
+    axis and on a diagonal; and at the harmonic's rest lengths, where
+    dV/dd = 0."""
+    rng = np.random.default_rng(1601)
+    positions = [rng.uniform(-1.5, 1.5, size=(3, 3)) for _ in range(24)]
+    for z in ([0.0] * 3, [-0.0] * 3, [0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]):
+        for _ in range(6):
+            pos = rng.uniform(-1.5, 1.5, size=(3, 3))
+            pos[:, 2] = z
+            positions.append(pos)
+    lines = [
+        [[1.0, 0.0, 0.0], [2.5, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+        [[1.0, -0.0, 0.0], [-2.5, 0.0, -0.0], [-1.0, -0.0, -0.0]],
+        [[0.5, 1.0, -0.0], [-0.75, -1.5, 0.0], [1.25, 2.5, -0.0]],
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]],
+        [[0.0, -0.0, -0.0], [-0.0, 1.0, -0.0], [0.0, 2.0, -0.0]],
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, sqrt(3) / 2, 0.0]],
+    ]
+    return positions + [np.array(pos) for pos in lines]
 
 
 def ctx_with(**kwargs):
@@ -500,6 +553,59 @@ class TestForces:
             with pytest.raises(DomainError) as err:
                 potential_at_positions(builtin_potential(name), MASSES, pos[None])
             assert (err.value.node, err.value.value) == ("d12", 0.0)
+
+    @pytest.mark.parametrize(
+        "spec, masses",
+        [
+            (builtin_potential("gravity", G=1.3), MassTriple(1.0, 1.5, 2.0)),
+            (builtin_potential("gravity"), MASSES),
+            (builtin_potential("harmonic", k=0.7, rest_length=1.2, rest={"d13": 0.9}),
+             MassTriple(1.0, 1.5, 2.0)),
+            (builtin_potential("harmonic", k=1.0, rest_length=1.0), MASSES),
+            (builtin_potential("lennard_jones", epsilon=0.8, sigma=1.1), MASSES),
+            (builtin_potential("free"), MASSES),
+            (parse_potential("0.5*(d12-1)^2 + 0.5*(d13-1)^2 + 0.5*(d23-1)^2"), MASSES),
+        ],
+        ids=["gravity", "gravity_unit", "harmonic", "harmonic_rest", "lennard_jones", "free",
+             "expr_sparse"],
+    )
+    def test_pair_forces_keep_the_reference_bits(self, spec, masses):
+        # byte for byte, so the sign of every 0 is held too: the CSV prints -0
+        positions = bit_pin_positions()
+        for pos in positions:
+            F = forces_cartesian(spec, masses, pos)
+            assert F.tobytes() == reference_pair_forces(spec, masses, pos).tobytes(), pos
+        if spec.builtin is not None:
+            # the pair kernels take a stack of states with the same bits
+            delta = trireduce.potential._INCIDENCE @ np.array(positions)
+            d = np.sqrt(np.add.reduce(delta * delta, -1))
+            slopes = trireduce.potential._pair_slopes(spec, masses, d)
+            F = trireduce.potential._pair_forces(slopes, delta, d)
+            rows = [forces_cartesian(spec, masses, pos) for pos in positions]
+            assert F.tobytes() == np.array(rows).tobytes()
+
+    def test_pair_potentials_skip_the_shape(self, monkeypatch):
+        # V of a potential that reads only pair distances has the bits of
+        # eval_potential_batch at the measured shape, which it never measures
+        masses = MassTriple(1.0, 1.5, 2.0)
+        pos = np.array([self._spread_positions() for _ in range(5)])
+        d = np.sqrt(np.add.reduce((pos[:, [0, 0, 1]] - pos[:, [1, 2, 2]]) ** 2, -1))
+        r1, r2, _, _, _, phi = measure_shape(*jacobi_map(masses, pos[:, 0], pos[:, 1], pos[:, 2]))
+        specs = [builtin_potential(name) for name in ("free", "gravity", "harmonic", "lennard_jones")]
+        specs += [parse_potential("0.5*(d12-1)^2 + 1/d23"), parse_potential("2 ^ 3")]
+        expected = [eval_potential_batch(spec, masses, r1, r2, phi, *d.T) for spec in specs]
+        calls = []
+
+        def measure(*s):
+            calls.append(None)
+            return measure_shape(*s)
+
+        monkeypatch.setattr(trireduce.potential, "measure_shape", measure)
+        for spec, V in zip(specs, expected):
+            assert potential_at_positions(spec, masses, pos).tobytes() == V.tobytes()
+        assert calls == []
+        potential_at_positions(parse_potential("r1 + d12"), masses, pos)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "text, node, value",

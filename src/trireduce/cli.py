@@ -294,9 +294,7 @@ def cmd_evaluate(cfg: RunConfig, out_path):
         x, v = cfg.state.positions[None], cfg.state.velocities[None]
         ev = evaluate_reduced_batch(cfg.masses, x, v, cfg.potential, cfg.thresholds["collinear"])
     if ev.branch[0] == "degenerate":
-        raise DegenerateShape(
-            "|s1| = 0: body frame undefined" if ev.r1[0] == 0.0 else "r2 = 0: phi undefined"
-        )
+        raise DegenerateShape.from_r1(ev.r1[0])
     if not _write_lines(out_path, _csv(EVALUATE_HEADER, _columns(ev))):
         return 4
     return 0

@@ -9,6 +9,11 @@ class DegenerateShape(TrireduceError):
     """Shape is degenerate (|s1| = 0 or r2 = 0): the body frame or the
     angle phi is undefined."""
 
+    @classmethod
+    def from_r1(cls, r1):
+        """The error of a degenerate state of measured r1: r1 = 0, else r2 = 0."""
+        return cls("|s1| = 0: body frame undefined" if r1 == 0.0 else "r2 = 0: phi undefined")
+
 
 class SingularInertia(TrireduceError):
     """The inertia tensor is singular (|sin phi| at or below threshold);

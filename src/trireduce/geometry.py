@@ -209,20 +209,23 @@ def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
     sdot2 - sigma (r2/r1) sdot1 (perpendicular part, sigma = sign(s1 . s2)),
     the limit of the normal-based frame along the motion; with no bending
     u2 is a fixed perpendicular of u1.  Returns (axes, r1, r2, phi,
-    measured_phi, sin_phi, planar): axes[k] is R^T of state k (rows u1,
-    u2, u3), phi is the angle of that frame rule, measured_phi =
-    atan2(|s1 x s2|, s1 . s2) before it is snapped to 0 or pi, and planar
-    marks the rows above the threshold.  Raises DegenerateShape when a row
-    has |s1| = 0 or |s2| = 0.
+    measured, sin_phi, planar, degenerate): axes[k] is R^T of state k (rows
+    u1, u2, u3), phi is the angle of that frame rule, measured is (r1, r2,
+    phi) of measure_shape, phi not snapped to 0 or pi, and planar marks the
+    rows above the threshold.  degenerate marks the rows with r1 = 0 or
+    r2 = 0 (None if none has), which have no frame: they are fitted to the
+    stand-in s1 = e1, s2 = e2, so nothing divides by 0, and only their
+    measured shape means anything.
     """
     # np.count_nonzero rather than ndarray.all/any, whose Python-level
     # wrappers cost more than the test on a few rows
     n = len(s1)
     r1, r2, normal, area, dot, measured_phi = measure_shape(s1, s2)
-    if np.count_nonzero(r1) < n:
-        raise DegenerateShape("|s1| = 0: body frame undefined")
-    if np.count_nonzero(r2) < n:
-        raise DegenerateShape("r2 = 0: phi undefined")
+    measured, degenerate = (r1, r2, measured_phi), None
+    if np.count_nonzero(r1) + np.count_nonzero(r2) < 2 * n:
+        degenerate = (r1 == 0.0) | (r2 == 0.0)
+        s1, s2 = np.where(degenerate[:, None], np.eye(3)[:2, None], (s1, s2))
+        r1, r2, normal, area, dot, _ = measure_shape(s1, s2)
     sin_phi = area / (r1 * r2)
     planar = sin_phi > collinear_threshold
     phi = measured_phi
@@ -243,15 +246,18 @@ def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
         n2[still] = lengths(u2[still])
     u2 = u2 / n2[:, None]
     axes = np.array([u1, u2, cross(u1, u2)]).transpose(1, 0, 2)
-    return axes, r1, r2, phi, measured_phi, sin_phi, planar
+    return axes, r1, r2, phi, measured, sin_phi, planar, degenerate
 
 
 def body_frame_fit(j: JacobiVectors, collinear_threshold=COLLINEAR_THRESHOLD):
     """Fit the body frame and shape coordinates of a state by the rule of
-    body_frames; returns (R, ShapeCoordinates) with R s_body = s_space."""
-    axes, r1, r2, phi, *_ = body_frames(
+    body_frames; returns (R, ShapeCoordinates) with R s_body = s_space.
+    Raises DegenerateShape at r1 = 0 or r2 = 0."""
+    axes, r1, r2, phi, measured, _, _, degenerate = body_frames(
         j.s1[None], j.s2[None], j.sdot1[None], j.sdot2[None], collinear_threshold
     )
+    if degenerate is not None:
+        raise DegenerateShape.from_r1(measured[0][0])
     return axes[0].T, ShapeCoordinates(float(r1[0]), float(r2[0]), float(phi[0]))
 
 

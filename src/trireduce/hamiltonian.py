@@ -36,7 +36,7 @@ from .geometry import (
     jacobi_map,
     lengths,
 )
-from .potential import _INCIDENCE, PotentialSpec, eval_potential_batch, potential_at_positions
+from .potential import _INCIDENCE, PotentialSpec, eval_potential_batch
 from .reduction import SINGULAR_THRESHOLD, BodyMomenta
 
 BRANCH_NONCOLLINEAR = "noncollinear"
@@ -90,20 +90,19 @@ def evaluate_reduced(
 
     The result is the energy in the center-of-mass frame; for states with
     zero total momentum it equals the total energy.  Raises
-    DegenerateShape when r1 or r2 is 0, and NumericalBlowup when the
-    Jacobi vectors or H overflow.
+    DegenerateShape when r1 or r2 is 0, before V is evaluated, and
+    NumericalBlowup when the Jacobi vectors or H overflow.
     """
     # one map for positions (row 0) and velocities (row 1); the state was
     # validated when it was built, so only an overflow of the map is new
     xv = np.array([[state.x1, state.x2, state.x3], [state.v1, state.v2, state.v3]])
     s1, s2 = jacobi_map(masses, xv[:, 0], xv[:, 1], xv[:, 2])
-    if np.count_nonzero(np.isfinite(s1)) + np.count_nonzero(np.isfinite(s2)) < 12:
-        raise NumericalBlowup("the Jacobi vectors of the state overflow")
-    r1, r2, phi, measured_phi, sin_phi, planar, J, p, T, K = _reduce_rows(
+    (r1, r2, measured_phi), degenerate, phi, sin_phi, planar, J, p, T, K = _reduce_rows(
         collinear_threshold, s1[:1], s2[:1], s1[1:], s2[1:]
     )
-    # V of the pair distances and the shape body_frames measured, as
-    # potential_at_positions takes it for E_total
+    if degenerate is not None:
+        raise DegenerateShape.from_r1(r1[0])
+    # V at the measured phi, not the snapped one, as total_energy takes it
     d = lengths(_INCIDENCE @ xv[0])
     V = eval_potential_batch(potential, masses, r1, r2, measured_phi, *d[:, None])
     H = float(K[0] + V[0])
@@ -120,21 +119,24 @@ def evaluate_reduced(
 
 
 def _reduce_rows(collinear_threshold, s1, s2, sd1, sd2):
-    """Shape, momenta and kinetic energy K of N states given as (N, 3)
-    Jacobi rows, in the frames of body_frames.
+    """The kernel of evaluate_reduced and evaluate_reduced_batch: shape,
+    momenta and kinetic energy K of N states given as (N, 3) Jacobi rows,
+    in body_frames' frames.  Raises NumericalBlowup naming a row not finite.
 
     With body velocities v1 = R^T sdot1, v2 = R^T sdot2 and
     q = cos(phi) v2[1] - sin(phi) v2[0]: T = r2 v2[2], J2 + cos(phi) T =
     -r1 v1[2], J3 = r1 v1[1] + r2 q and p3 = r2 q.  K is the module
     docstring's kinetic terms in these velocities, where only S divides;
     they add up to (|v1|^2 + |v2|^2) / 2 for any phi of the frame rule.
-    Returns (r1, r2, phi, measured_phi, sin_phi, planar, J, p, T, K), J
-    and p (N, 3), the others (N,).
+    Returns (measured, degenerate, phi, sin_phi, planar, J, p, T, K):
+    measured and degenerate of body_frames, J and p (N, 3), the others (N,).
     """
-    axes, r1, r2, phi, measured_phi, sin_phi, planar = body_frames(
+    rows = np.array([s1, s2, sd1, sd2])
+    _require_finite("Jacobi vector", rows.transpose(1, 0, 2))
+    axes, r1, r2, phi, measured, sin_phi, planar, degenerate = body_frames(
         s1, s2, sd1, sd2, collinear_threshold
     )
-    v1, v2 = np.einsum("kij,lkj->lki", axes, np.array([sd1, sd2]))
+    v1, v2 = np.einsum("kij,lkj->lki", axes, rows[2:])
     s, c = np.sin(phi), np.cos(phi)
     T = r2 * v2[:, 2]
     q = c * v2[:, 1] - s * v2[:, 0]
@@ -146,7 +148,7 @@ def _reduce_rows(collinear_threshold, s1, s2, sd1, sd2):
     K = 0.5 * (v2[:, 2] ** 2 + v1[:, 2] ** 2 + quotients + v1[:, 0] ** 2 + p2 ** 2)
     J = np.array([s * T, J2, J3]).T
     p = np.array([v1[:, 0], p2, p3]).T
-    return r1, r2, phi, measured_phi, sin_phi, planar, J, p, T, K
+    return measured, degenerate, phi, sin_phi, planar, J, p, T, K
 
 
 def cartesian_from_momenta(masses, q: ShapeCoordinates, m: BodyMomenta) -> CartesianState:
@@ -174,7 +176,7 @@ class ReducedBatch:
 
     r1, r2, phi, sin_phi, singular_term, H_reduced and E_total are (N,)
     arrays; J, p and L are (N, 3); branch is an (N,) array of branch names,
-    "degenerate" where r1 = 0 or r2 = 0 (the columns phi to H_reduced are NaN).
+    "degenerate" where r1 = 0 or r2 = 0, whose columns phi to H_reduced are NaN.
     """
 
     r1: np.ndarray
@@ -209,35 +211,31 @@ def evaluate_reduced_batch(
     energy and angular momentum.
 
     x and v are (N, 3, 3) arrays of positions and velocities, one row per
-    body.  The rows with r1, r2 > 0 go through _reduce_rows, the kernel of
-    evaluate_reduced.  The potential is evaluated once, at the pair
-    distances and the shape of the positions (potential_at_positions):
-    E_total adds it to the Cartesian kinetic energy and H_reduced to the
-    body-velocity one, so H_reduced - E_total measures the kinetic identity
-    alone.  Raises NumericalBlowup, naming the quantity and the row, where
-    the Jacobi vectors, E_total, L or (on a non-degenerate row) H_reduced
-    are not finite.
+    body.  Every row goes once through _reduce_rows, the kernel of
+    evaluate_reduced, and V is taken as there: E_total adds it to the
+    Cartesian kinetic energy and H_reduced to the body-velocity one, so
+    H_reduced - E_total measures the kinetic identity alone.  Rows that
+    body_frames marks degenerate get branch "degenerate" and NaN from phi
+    to H_reduced.  Raises NumericalBlowup, naming the quantity and the row,
+    where the Jacobi vectors, E_total, L or (on a non-degenerate row)
+    H_reduced are not finite.
     """
-    n = len(x)
     s1, s2 = jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2])
     sd1, sd2 = jacobi_map(masses, v[:, 0], v[:, 1], v[:, 2])
-    _require_finite("Jacobi vector", np.hstack((s1, s2, sd1, sd2)))
-    r1, r2 = lengths(s1), lengths(s2)
-    kinetic = 0.5 * np.sum(masses.as_array()[:, None] * v ** 2, axis=(1, 2))
-    V = potential_at_positions(potential, masses, x)
-    E = kinetic + V
+    (r1, r2, measured_phi), degenerate, phi, sin_phi, planar, J, p, T, K = _reduce_rows(
+        collinear_threshold, s1, s2, sd1, sd2
+    )
+    V = eval_potential_batch(potential, masses, r1, r2, measured_phi, *lengths(_INCIDENCE @ x).T)
+    E = 0.5 * np.sum(masses.as_array()[:, None] * v ** 2, axis=(1, 2)) + V
     _require_finite("E_total", E)
     L = cross(s1, sd1) + cross(s2, sd2)
     _require_finite("L", L)
-
-    phi, sin_phi, T, H = np.full((4, n), np.nan)
-    J, p = np.full((2, n, 3), np.nan)
-    branch = np.full(n, "degenerate", dtype=object)
-    ok = (r1 > 0.0) & (r2 > 0.0)
-    _, _, phi[ok], _, sin_phi[ok], planar, J[ok], p[ok], T[ok], K = _reduce_rows(
-        collinear_threshold, s1[ok], s2[ok], sd1[ok], sd2[ok]
-    )
-    H[ok] = K + V[ok]
-    _require_finite("H_reduced", np.where(ok, H, 0.0))
-    branch[ok] = np.where(planar, BRANCH_NONCOLLINEAR, BRANCH_COLLINEAR)
+    H = K + V
+    _require_finite("H_reduced", H if degenerate is None else np.where(degenerate, 0.0, H))
+    branch = np.where(planar, BRANCH_NONCOLLINEAR, BRANCH_COLLINEAR).astype(object)
+    if degenerate is not None:
+        # NaN in place of the values of body_frames' stand-in shape
+        phi, sin_phi, T, H = np.where(degenerate, np.nan, (phi, sin_phi, T, H))
+        J, p = np.where(degenerate[:, None], np.nan, (J, p))
+        branch[degenerate] = "degenerate"
     return ReducedBatch(r1, r2, phi, sin_phi, J, p, T, H, E, L, branch)

@@ -11,6 +11,7 @@ from trireduce.geometry import (
     MassTriple,
     ShapeCoordinates,
     body_frame_fit,
+    body_frames,
     body_jacobi_vectors,
     cartesian_from_jacobi,
     cross,
@@ -217,6 +218,22 @@ class TestBodyFrameFit:
             assert np.array_equal(R[:, 0], [1.0, 0.0, 0.0])
             assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-15
             assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-15)
+
+    def test_degenerate_rows_marked(self):
+        # body_frames raises nothing at r1 = 0 or r2 = 0: it marks those
+        # rows, measures them as they are and fits them a finite stand-in
+        # frame (a RuntimeWarning is an error here)
+        z = np.zeros(3)
+        s1 = np.array([[1.0, 0.0, 0.0], z, [1.0, 2.0, 0.0], z])
+        s2 = np.array([[0.0, 2.0, 0.0], [0.0, 1.0, 0.0], z, z])
+        sd1, sd2 = RNG.normal(size=(2, 4, 3))
+        axes, r1, r2, phi, measured, sin_phi, planar, degenerate = body_frames(s1, s2, sd1, sd2)
+        assert degenerate.tolist() == [False, True, True, True]
+        assert measured[0].tolist() == [1.0, 0.0, sqrt(5.0), 0.0]
+        assert measured[1].tolist() == [2.0, 1.0, 0.0, 0.0]
+        assert np.all(np.isfinite(axes)) and np.all(np.isfinite(sin_phi))
+        assert np.all(np.abs(axes @ axes.transpose(0, 2, 1) - np.eye(3)) < 1e-15)
+        assert body_frames(s1[:1], s2[:1], sd1[:1], sd2[:1])[-1] is None
 
     def test_collinear_u2_along_bending(self):
         for _ in range(100):

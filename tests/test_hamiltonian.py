@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trireduce import geometry, hamiltonian
+from trireduce import potential as potential_module
 from trireduce.checks import random_rotation
 from trireduce.dynamics import BAND_THRESHOLD, total_energy
 from trireduce.errors import DegenerateShape, DomainError, NumericalBlowup
@@ -438,6 +440,8 @@ def state_batches(draw):
 BATCH_POTENTIALS = (
     builtin_potential("harmonic", k=0.7),
     parse_potential("0.35*(d12 - 1)^2 + 0.5*(d23 - 0.8)^2 + r2^2*cos(phi)/4 + r1/3"),
+    # reads the shape but not phi, so it has a V at r1 = 0 and r2 = 0 too
+    parse_potential("0.5*r1^2 + r2/3 + 0.35*(d12 - 1)^2"),
 )
 
 
@@ -566,7 +570,7 @@ class TestOneRowPath:
         v = [[0.466203685, 0.43236573, 0.0], [0.466203685, 0.43236573, 0.0], [-0.93240737, -0.86473146, 0.0]]
         far = CartesianState(*[[1e308, 0, 0], [0, 1, 0], [-1e308, 0, 0]], *v)
         fast = CartesianState(*x, *[[1e200, 0, 0], [0, 0, 1e200], [-1e200, 0, -1e200]])
-        with pytest.raises(NumericalBlowup, match="Jacobi vectors"):
+        with pytest.raises(NumericalBlowup, match="^Jacobi vector overflow at row 0$"):
             evaluate_reduced(masses, far, gravity)
         with pytest.raises(NumericalBlowup, match="H_reduced"):
             evaluate_reduced(masses, fast, gravity)
@@ -581,6 +585,54 @@ class TestOneRowPath:
             v2 = np.array([ok.velocities, state.velocities])
             with pytest.raises(NumericalBlowup, match=f"^{quantity} overflow at row 1$"):
                 evaluate_reduced_batch(masses, x2, v2, gravity)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("n", [1, 50])
+    @pytest.mark.parametrize("potential", BATCH_POTENTIALS, ids=["harmonic", "phi", "shape"])
+    def test_maps_and_measures_once(self, monkeypatch, n, potential):
+        # a regular batch maps its positions once and its velocities once,
+        # and its frames and its V read one measurement of the shape
+        masses = MassTriple(1.0, 2.0, 0.6)
+        rng = np.random.default_rng(n)
+        x, v = rng.normal(size=(n, 3, 3)), rng.normal(size=(n, 3, 3))
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args):
+                calls.append((name, args[1] if name == "jacobi_map" else None))
+                return fn(*args)
+
+            return counted
+
+        for module in (hamiltonian, geometry, potential_module):
+            for name in ("jacobi_map", "measure_shape"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        out = evaluate_reduced_batch(masses, x, v, potential)
+        assert not np.any(out.branch == "degenerate")
+        mapped = [np.shares_memory(a, x) for name, a in calls if name == "jacobi_map"]
+        assert sorted(mapped) == [False, True]
+        assert [name for name, _ in calls].count("measure_shape") == 1
+
+    def test_degenerate_shape_before_potential(self):
+        # evaluate_reduced checks the shape before it evaluates V, so r1 = 0
+        # under gravity (d13 = 0) and r2 = 0 under an expression that reads
+        # phi raise DegenerateShape, not V's DomainError; the batch runs V
+        masses = MassTriple(1.0, 2.0, 1.0)
+        z = np.zeros(3)
+        r1_zero = CartesianState([1.0, 0, 0], [0, 1.0, 0], [1.0, 0, 0], z, z, z)
+        r2_zero = CartesianState([1.0, 0, 0], z, [-1.0, 0, 0], z, z, z)
+        for state, potential, message in (
+            (r1_zero, builtin_potential("gravity"), "^[|]s1[|] = 0: body frame undefined$"),
+            (r2_zero, BATCH_POTENTIALS[1], "^r2 = 0: phi undefined$"),
+        ):
+            with pytest.raises(DegenerateShape, match=message):
+                evaluate_reduced(masses, state, potential)
+            with pytest.raises(DomainError):
+                evaluate_reduced_batch(
+                    masses, state.positions[None], state.velocities[None], potential
+                )
 
 
 # The north-star sweep: per family, SWEEP_TRIPLES mass triples log-uniform

@@ -4,12 +4,12 @@ Built-in pairwise families (gravity, harmonic, Lennard-Jones, free) plus a
 small expression language over the shape variables r1, r2, phi and the
 interparticle distances d12, d13, d23.  Expression potentials are invariant
 by construction because they only see the shape.  Forces are exact
-gradients for both: an expression is compiled to one walk that returns its
-value and its reverse-mode pullback.
+gradients for both: an expression is compiled, once, to one generated
+straight-line function that returns its value and its reverse-mode pullback.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from numbers import Real
 from sys import float_info
 
@@ -255,141 +255,141 @@ def _all_finite(v):
     return np.count_nonzero(np.isfinite(v)) == np.size(v)
 
 
-def _raise_at(name, shape, bad, args):
-    """DomainError(name, value) at the first row of the mask `bad`, with the
-    argument of a function, the divisor of '/' or the pair (base, exponent)
-    of '^' at that row as the value."""
-    row = [float(np.broadcast_to(a, shape)[bad.argmax()]) for a in args]
-    raise DomainError(name, tuple(row) if name == "^" else row[-1])
+def _check(name, shape, bad, args):
+    """Raise DomainError(name, value) at the first row of the mask `bad`, if
+    any, with the argument of a function, the divisor of '/' or the pair
+    (base, exponent) of '^' at that row as the value."""
+    bad = np.broadcast_to(bad, shape)
+    if bad.any():
+        row = [float(np.broadcast_to(a, shape)[bad.argmax()]) for a in args]
+        raise DomainError(name, tuple(row) if name == "^" else row[-1])
 
 
-def _apply(name, shape, *args):
-    """One operation on the rows.  Raises DomainError (see _raise_at) at the
-    first row outside its domain."""
-    value = _UFUNCS[name](*args)
-    if name in _DOMAIN and not _all_finite(value):
-        bad = np.broadcast_to(_DOMAIN[name](*args) & ~np.isfinite(value), shape)
-        if bad.any():
-            _raise_at(name, shape, bad, args)
-    return value
+def _check_value(name, shape, value, *args):
+    """_check the rows where the operation `name` on `args` left its domain."""
+    _check(name, shape, _DOMAIN[name](*args) & ~np.isfinite(value), args)
 
 
-# The adjoint of each operand of an operation from the adjoint g of its
-# value v and its operands: one per operand, (left, right) for a binary
-# operator.
+def _check_adjoint(name, shape, adjoint, *args):
+    """_check the rows where the adjoint that `name` passes down is not finite."""
+    _check(name, shape, ~np.isfinite(adjoint), args)
+
+
+# The adjoint of each operand of an operation, as source over the adjoint g
+# of its value v and its operands a and b: one per operand, (left, right)
+# for a binary operator.
 _ADJOINTS = {
-    "+": (lambda g, v, a, b: g, lambda g, v, a, b: g),
-    "-": (lambda g, v, a, b: g, lambda g, v, a, b: -g),
-    "*": (lambda g, v, a, b: g * b, lambda g, v, a, b: g * a),
-    "/": (lambda g, v, a, b: g / b, lambda g, v, a, b: -g * v / b),
-    "^": (lambda g, v, a, b: g * b * a ** (b - 1.0), lambda g, v, a, b: g * v * np.log(a)),
-    "neg": (lambda g, v, a: -g,),
-    "sin": (lambda g, v, a: g * np.cos(a),),
-    "cos": (lambda g, v, a: -g * np.sin(a),),
-    "sqrt": (lambda g, v, a: 0.5 * g / v,),
-    "exp": (lambda g, v, a: g * v,),
-    "log": (lambda g, v, a: g / a,),
-    "abs": (lambda g, v, a: g * np.sign(a),),
+    "+": ("{g}", "{g}"),
+    "-": ("{g}", "-{g}"),
+    "*": ("{g} * {b}", "{g} * {a}"),
+    "/": ("{g} / {b}", "-{g} * {v} / {b}"),
+    "^": ("{g} * {b} * {a} ** ({b} - 1.0)", "{g} * {v} * log({a})"),
+    "neg": ("-{g}",),
+    "sin": ("{g} * cos({a})",),
+    "cos": ("-{g} * sin({a})",),
+    "sqrt": ("0.5 * {g} / {v}",),
+    "exp": ("{g} * {v}",),
+    "log": ("{g} / {a}",),
+    "abs": ("{g} * sign({a})",),
 }
 
-
-def _check_adjoint(name, shape, adjoint, args):
-    """Raise DomainError (see _raise_at) at the first row where an adjoint
-    passed down from the operation `name` is not finite."""
-    bad = ~np.isfinite(np.broadcast_to(adjoint, shape))
-    if bad.any():
-        _raise_at(name, shape, bad, args)
+# the names the generated source calls: numpy's by their own, and the checks
+_NAMESPACE = {u.__name__: u for u in (*_UFUNCS.values(), np.sign, np.ones, np.zeros)}
+_NAMESPACE.update(all_finite=_all_finite, check_value=_check_value, check_adjoint=_check_adjoint)
 
 
-def _compile(node, reads):
-    """Compile a tree, once, to its walk, adding the variables it reads to
-    the set `reads`.  Raises ValueError on a node that the parser does not
-    make.
+def _emit(ast, check=False):
+    """Compile a tree to its walk, one generated straight-line function,
+    and return it with the variables the tree reads.  Raises ValueError on
+    a node that the parser does not make, before any source is built: the
+    source holds only its own names, the tables' strings and a name for
+    each constant, bound to it as a read-only 0-d array.
 
-    walk(columns, shape) takes each variable's (N,) column and returns
-    (value, back): the value on the rows, every operation going through
-    _apply, and the pullback back(g, check, grads), which adds g times the
-    derivative of the value by each variable read into the dict grads.
-    With `check` set, back raises DomainError at the first operation that
-    passes down an adjoint that is not finite.  A constant subtree's value
-    is a number and its back is None: it is evaluated on each walk, never
-    folded, so 1/0 still raises.  Run both under np.errstate, since the
-    checks are masks.
+    walk(columns, shape, gradient) takes each variable's (N,) column and
+    returns V on the rows, one numpy call per operation in post-order; an
+    operation in _DOMAIN raises DomainError (see _check) at the first row
+    outside its domain.  A constant subtree is evaluated on each walk, never
+    folded, so 1/0 still raises.  With `gradient` set, it also returns the
+    derivatives by VARIABLES, a (6, N) array: the pullback takes each
+    operand's adjoint by _ADJOINTS in pre-order and sums each variable's
+    terms in the order it meets them.  With `check` set, it raises
+    DomainError at the first operation that passes down an adjoint that is
+    not finite.  Run it under np.errstate, since the checks are masks.
     """
-    if isinstance(node, Num):
-        value = node.value
-        return lambda columns, shape: (value, None)
-    if isinstance(node, Var) and node.name in VARIABLES:
-        name = node.name
-        reads.add(name)
+    lines, back, constants, read, grads = [], [], {}, {}, {}
 
-        def pull_var(g, check, grads):
-            grads[name] = grads[name] + g if name in grads else g
+    def forward(node):
+        """Append the lines of node's value.  Return its name and, if it
+        reads a variable, its pull: (op, name, operands as (name, pull)),
+        or a variable's row of the gradient."""
+        if isinstance(node, Num) and isinstance(node.value, Real):
+            name = f"k{len(constants)}"
+            constants[name] = np.array(node.value, dtype=float)
+            constants[name].flags.writeable = False
+            return name, None
+        if isinstance(node, Var) and type(node.name) is str and node.name in VARIABLES:
+            row = VARIABLES.index(node.name)
+            if row not in read:
+                read[row] = f"t{len(lines)}"
+                lines.append(f"{read[row]} = columns[{VARIABLES[row]!r}]")
+            return read[row], row
+        if isinstance(node, Neg):
+            op, operands = "neg", [node.arg]
+        elif isinstance(node, Call) and type(node.fn) is str and node.fn in FUNCTIONS:
+            op, operands = node.fn, [node.arg]
+        elif isinstance(node, Bin) and type(node.op) is str and node.op in _BIN_PREC:
+            op, operands = node.op, [node.left, node.right]
+        else:
+            raise ValueError(f"not an expression node: {node!r}")
+        operands = [forward(operand) for operand in operands]
+        args = ", ".join(name for name, _ in operands)
+        name = f"t{len(lines)}"
+        lines.append(f"{name} = {_UFUNCS[op].__name__}({args})")
+        if op in _DOMAIN:
+            lines.append(f"if not all_finite({name}): check_value({op!r}, shape, {name}, {args})")
+        return name, None if all(pull is None for _, pull in operands) else (op, name, operands)
 
-        return lambda columns, shape: (columns[name], pull_var)
-    if isinstance(node, Neg):
-        return _compile_call("neg", _compile(node.arg, reads))
-    if isinstance(node, Call) and node.fn in FUNCTIONS:
-        return _compile_call(node.fn, _compile(node.arg, reads))
-    if isinstance(node, Bin) and node.op in _BIN_PREC:
-        return _compile_bin(node.op, _compile(node.left, reads), _compile(node.right, reads))
-    raise ValueError(f"not an expression node: {node!r}")
+    def pullback(pull, g):
+        """Append the lines that pass the adjoint named g down the pull.  An
+        adjoint that is g itself, and a variable's first term, are passed on
+        by name."""
+        if isinstance(pull, int):
+            if pull in grads:
+                back.append(f"g{len(back)} = {grads[pull]} + {g}")
+                g = f"g{len(back) - 1}"
+            grads[pull] = g
+            return
+        op, v, operands = pull
+        names = [name for name, _ in operands]
+        for adjoint, (_, operand) in zip(_ADJOINTS[op], operands):
+            if operand is not None:
+                g_operand = adjoint.format(g=g, v=v, a=names[0], b=names[-1])
+                if g_operand != g:
+                    back.append(f"g{len(back)} = {g_operand}")
+                    g_operand = f"g{len(back) - 1}"
+                if check:
+                    back.append(f"check_adjoint({op!r}, shape, {g_operand}, {', '.join(names)})")
+                pullback(operand, g_operand)
 
-
-# Two node builders on purpose: one generic _compile_op(op, *operands) made
-# the expr_sparse harmonic's forces_cartesian about a quarter slower, 39-47
-# against 30-43 us (min of 9 x 5000 calls, 5 alternating process pairs).
-def _compile_call(fn, arg):
-    """The walk (see _compile) of a function, or of "neg", of the walk
-    `arg`."""
-    (adjoint,) = _ADJOINTS[fn]
-
-    def walk(columns, shape):
-        a, pull = arg(columns, shape)
-        value = _apply(fn, shape, a)
-        if pull is None:
-            return value, None
-
-        def back(g, check, grads):
-            g = adjoint(g, value, a)
-            if check:
-                _check_adjoint(fn, shape, g, (a,))
-            pull(g, check, grads)
-
-        return value, back
-
-    return walk
-
-
-def _compile_bin(op, left, right):
-    """The walk (see _compile) of a binary operator on the walks `left` and
-    `right`."""
-    adjoint_a, adjoint_b = _ADJOINTS[op]
-
-    def walk(columns, shape):
-        a, pull_a = left(columns, shape)
-        b, pull_b = right(columns, shape)
-        value = _apply(op, shape, a, b)
-        if pull_a is None and pull_b is None:
-            return value, None
-
-        def back(g, check, grads):
-            for pull, adjoint in ((pull_a, adjoint_a), (pull_b, adjoint_b)):
-                if pull is not None:
-                    g_operand = adjoint(g, value, a, b)
-                    if check:
-                        _check_adjoint(op, shape, g_operand, (a, b))
-                    pull(g_operand, check, grads)
-
-        return value, back
-
-    return walk
+    value, pull = forward(ast)
+    if pull is not None:
+        back.append("g = ones(shape)")
+        pullback(pull, "g")
+    back.append("gradient = zeros((6, *shape))")
+    back += [f"gradient[{row}] = {grad}" for row, grad in grads.items()]
+    source = "\n    ".join(
+        ["def walk(columns, shape, gradient):", *lines, "if not gradient:",
+         f"    return {value}, None", *back, f"return {value}, gradient"]
+    )
+    namespace = {**_NAMESPACE, **constants}
+    exec(compile(source, "<expression>", "exec"), namespace)
+    return namespace["walk"], frozenset(VARIABLES[row] for row in read)
 
 
 def _run(spec, columns, shape, gradient):
     """V of an expression on the rows, as an array or (for a constant) a
-    number, and, if `gradient` is set, its derivatives by VARIABLES as a
-    (6, N) array, 0 for a variable it does not read.
+    0-d array or np.float64, and, if `gradient` is set, its derivatives by
+    VARIABLES as a (6, N) array, 0 for a variable it does not read.
 
     Raises DomainError under the name "phi" at r1 = 0 or r2 = 0 if the
     expression reads phi, which is undefined there; where an operation
@@ -403,22 +403,15 @@ def _run(spec, columns, shape, gradient):
         if undefined.any():
             raise DomainError("phi", float(np.broadcast_to(columns["phi"], shape)[undefined][0]))
     with np.errstate(all="ignore"):
-        value, back = spec.walk(columns, shape)
+        value, gradient = spec.walk(columns, shape, gradient)
         if not _all_finite(value):
             bad = ~np.isfinite(np.broadcast_to(value, shape))  # no rows, no error
             if bad.any():
                 raise DomainError("expression", float(np.broadcast_to(value, shape)[bad][0]))
-        if not gradient:
-            return value, None
-        grads = {}
-        if back is not None:
-            back(np.ones(shape), False, grads)
-        zero = np.zeros(shape)
-        gradient = np.array([grads.get(name, zero) for name in VARIABLES])
-        if not _all_finite(gradient):
+        if gradient is not None and not _all_finite(gradient):
             # a derivative that is not finite stays so down to the variables;
-            # walk back again, checking each operation, to name it
-            back(np.ones(shape), True, {})
+            # walk again, checking each operation, to name it
+            spec._checking_walk(columns, shape, True)
             row, column = np.argwhere(~np.isfinite(gradient))[0]
             name = VARIABLES[row]
             raise DomainError(name, float(np.broadcast_to(columns[name], shape)[column]))
@@ -455,7 +448,7 @@ class PotentialSpec:
     params: dict = field(default_factory=dict)
     ast: object = None
     source: str = None
-    # an expression's compiled walk (see _compile) and the variables it reads
+    # an expression's compiled walk (see _emit) and the variables it reads
     walk: object = field(default=None, init=False, repr=False, compare=False)
     reads: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
     # a built-in family's parameters as its pair terms read them: defaults
@@ -467,9 +460,9 @@ class PotentialSpec:
         if (self.builtin is None) == (self.ast is None):
             raise ValueError("exactly one of builtin/ast must be set")
         if self.ast is not None:
-            reads = set()
-            object.__setattr__(self, "walk", _compile(self.ast, reads))
-            object.__setattr__(self, "reads", frozenset(reads))
+            walk, reads = _emit(self.ast)
+            object.__setattr__(self, "walk", walk)
+            object.__setattr__(self, "reads", reads)
         if self.builtin is not None and self.builtin not in BUILTIN_NAMES:
             raise ValueError(f"unknown builtin potential '{self.builtin}'")
         reads = BUILTIN_PARAMS.get(self.builtin, {})
@@ -488,6 +481,12 @@ class PotentialSpec:
             rest = [bound["rest"].get(n, bound["rest_length"]) for n in PAIRS]
             bound["rest"] = np.array(rest, dtype=float)
         object.__setattr__(self, "_bound", bound)
+
+    @cached_property
+    def _checking_walk(self):
+        """The walk (see _emit) whose pullback checks each operation.  Only
+        a derivative that is not finite needs it, so it is compiled then."""
+        return _emit(self.ast, check=True)[0]
 
 
 def builtin_potential(name, **params) -> PotentialSpec:

@@ -79,3 +79,36 @@ def test_scan_finds_a_dead_private_name():
 
 def test_no_dead_private_names():
     assert dead_private_names([p.read_text(encoding="utf-8") for p in PACKAGE]) == []
+
+
+# names that turn text into code; only the expression emitter may use them
+CODE_FROM_TEXT = {"exec", "eval", "compile"}
+
+
+def code_from_text(source, emitter=None):
+    """The lines where source names exec, eval or compile, as a name or as
+    an attribute, outside the module-level function named `emitter`."""
+    tree = ast.parse(source)
+    allowed = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == emitter for n in ast.walk(f)}
+    return sorted(
+        n.lineno
+        for n in ast.walk(tree)
+        if id(n) not in allowed
+        and (isinstance(n, ast.Name) and n.id in CODE_FROM_TEXT
+             or isinstance(n, ast.Attribute) and n.attr in CODE_FROM_TEXT)
+    )
+
+
+def test_scan_finds_code_from_text():
+    source = (
+        "import builtins\n\ndef _emit(s):\n    return exec(compile(s, '<s>', 'exec'))\n\n"
+        "def run(s):\n    return eval(s)\n\nload = builtins.exec\n"
+    )
+    assert code_from_text(source, "_emit") == [7, 9]
+    assert code_from_text(source) == [4, 4, 7, 9]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_emitter_turns_text_into_code(path):
+    emitter = "_emit" if path.name == "potential.py" else None
+    assert code_from_text(path.read_text(encoding="utf-8"), emitter) == []

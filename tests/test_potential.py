@@ -1,4 +1,5 @@
 from math import pi, sqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -97,6 +98,138 @@ def reference_pair_forces(spec, masses, x):
         # the pullback of 0.5*(d-1)^2 multiplies exactly: 0.5 * 2.0 * (d-1)^1.0
         dVdd = d - 1.0
     return np.einsum("pb,pk->bk", incidence, -dVdd[:, None] * delta / d[:, None])
+
+
+# The closure compiler that the generated walk replaced, kept as the
+# reference for its bits and its errors: a closure per node, every
+# operation through reference_apply, and the adjoints as functions.
+REFERENCE_ADJOINTS = {
+    "+": (lambda g, v, a, b: g, lambda g, v, a, b: g),
+    "-": (lambda g, v, a, b: g, lambda g, v, a, b: -g),
+    "*": (lambda g, v, a, b: g * b, lambda g, v, a, b: g * a),
+    "/": (lambda g, v, a, b: g / b, lambda g, v, a, b: -g * v / b),
+    "^": (lambda g, v, a, b: g * b * a ** (b - 1.0), lambda g, v, a, b: g * v * np.log(a)),
+    "neg": (lambda g, v, a: -g,),
+    "sin": (lambda g, v, a: g * np.cos(a),),
+    "cos": (lambda g, v, a: -g * np.sin(a),),
+    "sqrt": (lambda g, v, a: 0.5 * g / v,),
+    "exp": (lambda g, v, a: g * v,),
+    "log": (lambda g, v, a: g / a,),
+    "abs": (lambda g, v, a: g * np.sign(a),),
+}
+
+
+def reference_raise_at(name, shape, bad, args):
+    row = [float(np.broadcast_to(a, shape)[bad.argmax()]) for a in args]
+    raise DomainError(name, tuple(row) if name == "^" else row[-1])
+
+
+def reference_apply(name, shape, *args):
+    value = trireduce.potential._UFUNCS[name](*args)
+    domain = trireduce.potential._DOMAIN
+    if name in domain and not np.isfinite(value).all():
+        bad = np.broadcast_to(domain[name](*args) & ~np.isfinite(value), shape)
+        if bad.any():
+            reference_raise_at(name, shape, bad, args)
+    return value
+
+
+def reference_check_adjoint(name, shape, adjoint, args):
+    bad = ~np.isfinite(np.broadcast_to(adjoint, shape))
+    if bad.any():
+        reference_raise_at(name, shape, bad, args)
+
+
+def reference_compile(node, reads):
+    """walk(columns, shape) -> (value, back), back(g, check, grads) adding
+    each variable's derivative to the dict grads; a constant's value is a
+    Python number and its back None."""
+    if isinstance(node, Num):
+        return lambda columns, shape: (node.value, None)
+    if isinstance(node, Var):
+        reads.add(node.name)
+
+        def pull_var(g, check, grads):
+            grads[node.name] = grads[node.name] + g if node.name in grads else g
+
+        return lambda columns, shape: (columns[node.name], pull_var)
+    if isinstance(node, (Neg, Call)):
+        name = "neg" if isinstance(node, Neg) else node.fn
+        operands = [reference_compile(node.arg, reads)]
+    else:
+        name, operands = node.op, [reference_compile(node.left, reads), reference_compile(node.right, reads)]
+
+    def walk(columns, shape):
+        args, pulls = zip(*(operand(columns, shape) for operand in operands))
+        value = reference_apply(name, shape, *args)
+        if all(pull is None for pull in pulls):
+            return value, None
+
+        def back(g, check, grads):
+            for pull, adjoint in zip(pulls, REFERENCE_ADJOINTS[name]):
+                if pull is not None:
+                    g_operand = adjoint(g, value, *args)
+                    if check:
+                        reference_check_adjoint(name, shape, g_operand, args)
+                    pull(g_operand, check, grads)
+
+        return value, back
+
+    return walk
+
+
+def reference_run(spec, columns, shape, gradient):
+    """potential._run by the reference compiler."""
+    reads = set()
+    walk = reference_compile(spec.ast, reads)
+    if "phi" in reads:
+        undefined = np.broadcast_to((columns["r1"] == 0.0) | (columns["r2"] == 0.0), shape)
+        if undefined.any():
+            raise DomainError("phi", float(np.broadcast_to(columns["phi"], shape)[undefined][0]))
+    with np.errstate(all="ignore"):
+        value, back = walk(columns, shape)
+        bad = ~np.isfinite(np.broadcast_to(value, shape))
+        if bad.any():
+            raise DomainError("expression", float(np.broadcast_to(value, shape)[bad][0]))
+        if not gradient:
+            return value, None
+        grads = {}
+        if back is not None:
+            back(np.ones(shape), False, grads)
+        gradient = np.array([grads.get(name, np.zeros(shape)) for name in VARIABLES])
+        if not np.isfinite(gradient).all():
+            back(np.ones(shape), True, {})
+            row, column = np.argwhere(~np.isfinite(gradient))[0]
+            name = VARIABLES[row]
+            raise DomainError(name, float(np.broadcast_to(columns[name], shape)[column]))
+    return value, gradient
+
+
+def outcome(call, *args):
+    """What call(*args) gives: the dtype, shape and bytes of each array in
+    its result, or the node of its DomainError and the repr of its value."""
+    try:
+        result = call(*args)
+    except DomainError as exc:
+        return exc.node, repr(exc.value)
+    arrays = [np.asarray(r) for r in (result if isinstance(result, tuple) else [result]) if r is not None]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def assert_reference_bits(spec):
+    """V and its (6, N) gradient, or the DomainError, on each batch of
+    BATCHES and on each of its rows alone, and the forces, or the
+    DomainError, at FORCE_CONFIGS, are the reference compiler's."""
+    for batch in BATCHES:
+        for rows in [batch, *batch[:, None]]:
+            columns = dict(zip(VARIABLES, rows.T))
+            for gradient in (False, True):
+                args = (spec, columns, (len(rows),), gradient)
+                assert outcome(trireduce.potential._run, *args) == outcome(reference_run, *args)
+    for pos in FORCE_CONFIGS:
+        with mock.patch.object(trireduce.potential, "_run", reference_run):
+            expected = outcome(forces_cartesian, spec, MASSES, pos)
+        assert outcome(forces_cartesian, spec, MASSES, pos) == expected
 
 
 def bit_pin_positions():
@@ -527,11 +660,22 @@ class TestForces:
             Call("tan", Var("r1")),
             Bin("%", Var("r1"), Num(2.0)),
             Bin("+", Var("r1"), "r2"),
+            # trees that would be code if their text reached the generated source
+            Var("r1'] + columns['r2"),
+            Bin("*", Num(2.0), Var('r1"]\nimport os\nx = columns["r1')),
+            Call("sin(r1)); import os; (", Var("r1")),
+            Bin("+ 0 +", Var("r1"), Num(2.0)),
+            Bin("+", Var("r1"), Num("1); import os; (1")),
+            Var(type("Name", (str,), {"__repr__": lambda self: "__import__('os')"})("r1")),
         ],
     )
-    def test_tree_the_parser_cannot_make_is_rejected(self, ast):
+    def test_tree_the_parser_cannot_make_is_rejected(self, ast, monkeypatch):
+        # the emitter raises before it builds any source
+        built = []
+        monkeypatch.setattr(trireduce.potential, "compile", lambda *args: built.append(args), raising=False)
         with pytest.raises(ValueError):
             PotentialSpec(ast=ast)
+        assert built == []
 
     def test_pair_force_at_zero_distance(self):
         # bodies 1 and 2 coincide: d12 has no derivative there, d12^2 has 0
@@ -622,3 +766,46 @@ class TestForces:
         with pytest.raises(DomainError) as err:
             forces_cartesian(spec, MASSES, pos)
         assert (err.value.node, err.value.value) == (node, value)
+
+
+class TestGeneratedWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(EXPRESSIONS)
+    def test_walk_keeps_the_reference_bits(self, ast):
+        assert_reference_bits(PotentialSpec(ast=ast))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, -0.0, 5e-324, 1e308])
+    def test_constants_keep_the_reference_bits(self, value):
+        # a constant is held as a 0-d array, never written into the source
+        c = Num(value)
+        trees = [
+            c, Neg(c), Bin("*", c, Var("r1")), Bin("+", Var("d12"), c), Bin("-", c, Var("d13")),
+            Bin("/", Var("d23"), c), Bin("/", c, Var("r2")), Bin("^", Var("d12"), c),
+            Bin("^", c, Var("phi")), Call("exp", Bin("*", c, Var("d13"))), Call("log", Bin("+", c, c)),
+        ]
+        for ast in trees:
+            assert_reference_bits(PotentialSpec(ast=ast))
+
+    def test_compiled_once(self, monkeypatch):
+        # a spec compiles its walk when it is built and never after; the
+        # checking walk, once, on the first derivative that is not finite
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return compile(*args)
+
+        monkeypatch.setattr(trireduce.potential, "compile", counting, raising=False)
+        spec = parse_potential("sqrt(d12 - 1) + 0.5*(d13 - 1)^2 + r1*cos(phi)")
+        assert len(built) == 1
+        pos = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+        for _ in range(1000):
+            forces_cartesian(spec, MASSES, pos)
+        eval_potential_batch(spec, MASSES, *[np.linspace(1.5, 2.5, 1001)] * 6)
+        assert len(built) == 1
+        pos[1, 0] = 1.0  # d12 = 1: sqrt has no derivative there
+        for _ in range(3):
+            with pytest.raises(DomainError) as err:
+                forces_cartesian(spec, MASSES, pos)
+            assert (err.value.node, err.value.value) == ("sqrt", 0.0)
+        assert len(built) == 2

@@ -13,6 +13,7 @@ from .errors import (
     UnknownIdentifier,
 )
 from .geometry import (
+    BodyMomenta,
     CartesianState,
     JacobiVectors,
     MassTriple,
@@ -26,7 +27,6 @@ from .geometry import (
     spatial_angular_momentum,
 )
 from .reduction import (
-    BodyMomenta,
     BodyVelocityState,
     body_angular_momentum,
     body_velocities,

@@ -27,10 +27,12 @@ from .dynamics import (
     integrate,
 )
 from .errors import ConfigError, DegenerateShape, TrireduceError
-from .geometry import COLLINEAR_THRESHOLD, CartesianState, MassTriple, ShapeCoordinates, lengths
+from .geometry import (
+    COLLINEAR_THRESHOLD, BodyMomenta, CartesianState, MassTriple, ShapeCoordinates, check_number,
+    lengths,
+)
 from .hamiltonian import cartesian_from_momenta, evaluate_reduced_batch
-from .potential import PotentialSpec, builtin_potential, check_number, parse_potential
-from .reduction import BodyMomenta
+from .potential import PotentialSpec, builtin_potential, parse_potential
 
 log = logging.getLogger("trireduce")
 

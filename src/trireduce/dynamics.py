@@ -12,9 +12,9 @@ from numbers import Integral
 import numpy as np
 
 from .errors import NumericalBlowup
-from .geometry import COLLINEAR_THRESHOLD, CartesianState, MassTriple
+from .geometry import COLLINEAR_THRESHOLD, CartesianState, MassTriple, check_number
 from .hamiltonian import ReducedBatch, evaluate_reduced_batch
-from .potential import PotentialSpec, check_number, forces_cartesian, potential_at_positions
+from .potential import PotentialSpec, forces_cartesian, potential_at_positions
 
 OVERFLOW_GUARD = 1e12
 BAND_THRESHOLD = 1e-3

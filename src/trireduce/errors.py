@@ -29,12 +29,10 @@ class NumericalBlowup(TrireduceError):
 class PotentialSyntaxError(TrireduceError):
     """Malformed potential expression."""
 
-    def __init__(self, position, expected, message=None):
+    def __init__(self, position, expected):
         self.position = position
         self.expected = expected
-        super().__init__(
-            message or f"syntax error at offset {position}: expected {expected}"
-        )
+        super().__init__(f"syntax error at offset {position}: expected {expected}")
 
 
 class UnknownIdentifier(TrireduceError):

@@ -10,12 +10,21 @@ vectors s satisfy s = R b.
 
 from dataclasses import dataclass, fields
 from math import cos, pi, sin, sqrt
+from numbers import Real
+from sys import float_info
 
 import numpy as np
 
 from .errors import DegenerateShape
 
 COLLINEAR_THRESHOLD = 1e-8
+
+
+def check_number(path, value):
+    """Raise ValueError unless value is a finite real number, not a bool."""
+    # abs(nan) <= max is False, and an int is compared exactly, not rounded
+    if isinstance(value, bool) or not isinstance(value, Real) or not abs(value) <= float_info.max:
+        raise ValueError(f"{path}: expected a finite number, got {value!r}")
 
 
 def _finite_vectors(obj):
@@ -37,7 +46,8 @@ class MassTriple:
     def __post_init__(self):
         for name in ("m1", "m2", "m3"):
             m = getattr(self, name)
-            if not np.isfinite(m) or m <= 0.0:
+            check_number(name, m)
+            if m <= 0.0:
                 raise ValueError(f"{name} must be finite and > 0, got {m}")
 
     @property
@@ -100,11 +110,13 @@ class ShapeCoordinates:
     phi: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.r1) and self.r1 > 0.0):
+        for name in ("r1", "r2", "phi"):
+            check_number(name, getattr(self, name))
+        if self.r1 <= 0.0:
             raise ValueError(f"r1 must be > 0, got {self.r1}")
-        if not (np.isfinite(self.r2) and self.r2 >= 0.0):
+        if self.r2 < 0.0:
             raise ValueError(f"r2 must be >= 0, got {self.r2}")
-        if not (0.0 <= self.phi <= pi):
+        if not 0.0 <= self.phi <= pi:
             raise ValueError(f"phi out of [0, pi]: {self.phi}")
 
 
@@ -114,6 +126,17 @@ class BodyVelocityState:
 
     omega: np.ndarray
     qdot: np.ndarray
+
+    def __post_init__(self):
+        _finite_vectors(self)
+
+
+@dataclass(frozen=True)
+class BodyMomenta:
+    """Body angular momentum J and shape momenta p = (p1, p2, p3)."""
+
+    J: np.ndarray
+    p: np.ndarray
 
     def __post_init__(self):
         _finite_vectors(self)

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import DegenerateShape, NumericalBlowup, SingularInertia
 from .geometry import (
     COLLINEAR_THRESHOLD,
+    BodyMomenta,
     BodyVelocityState,
     CartesianState,
     JacobiVectors,
@@ -34,10 +35,9 @@ from .geometry import (
     cartesian_from_jacobi,
     cross,
     jacobi_map,
-    lengths,
 )
-from .potential import _INCIDENCE, PotentialSpec, eval_potential_batch
-from .reduction import SINGULAR_THRESHOLD, BodyMomenta
+from .potential import PotentialSpec, potential_at_positions
+from .reduction import SINGULAR_THRESHOLD
 
 BRANCH_NONCOLLINEAR = "noncollinear"
 BRANCH_COLLINEAR = "collinear"
@@ -103,8 +103,7 @@ def evaluate_reduced(
     if degenerate is not None:
         raise DegenerateShape.from_r1(r1[0])
     # V at the measured phi, not the snapped one, as total_energy takes it
-    d = lengths(_INCIDENCE @ xv[0])
-    V = eval_potential_batch(potential, masses, r1, r2, measured_phi, *d[:, None])
+    V = potential_at_positions(potential, masses, xv[:1], (r1, r2, measured_phi))
     H = float(K[0] + V[0])
     if not isfinite(H):
         raise NumericalBlowup(f"H_reduced overflows ({H})")
@@ -225,7 +224,7 @@ def evaluate_reduced_batch(
     (r1, r2, measured_phi), degenerate, phi, sin_phi, planar, J, p, T, K = _reduce_rows(
         collinear_threshold, s1, s2, sd1, sd2
     )
-    V = eval_potential_batch(potential, masses, r1, r2, measured_phi, *lengths(_INCIDENCE @ x).T)
+    V = potential_at_positions(potential, masses, x, (r1, r2, measured_phi))
     E = 0.5 * np.sum(masses.as_array()[:, None] * v ** 2, axis=(1, 2)) + V
     _require_finite("E_total", E)
     L = cross(s1, sd1) + cross(s2, sd2)

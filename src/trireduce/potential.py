@@ -11,12 +11,11 @@ straight-line function that returns its value and its reverse-mode pullback.
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from numbers import Real
-from sys import float_info
 
 import numpy as np
 
 from .errors import DomainError, PotentialSyntaxError, UnknownIdentifier
-from .geometry import MassTriple, jacobi_map, lengths, measure_shape
+from .geometry import MassTriple, check_number, jacobi_map, lengths, measure_shape
 
 VARIABLES = ("r1", "r2", "phi", "d12", "d13", "d23")
 CONSTANTS = {"pi": np.pi, "e": np.e}
@@ -58,56 +57,46 @@ class Call:
     arg: object
 
 
-class _Tokenizer:
-    """Splits an expression string into tokens; token positions are
-    1-based character offsets into the input."""
-
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.tokens = []
-        self._run()
-
-    def _run(self):
-        text, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "+-*/^(),":
-                self.tokens.append((ch, ch, i + 1))
-                i += 1
-                continue
-            if ch.isdigit() or ch == ".":
-                j = i
-                while j < n and (text[j].isdigit() or text[j] == "."):
-                    j += 1
-                if j < n and text[j] in "eE":
-                    k = j + 1
-                    if k < n and text[k] in "+-":
-                        k += 1
-                    if k < n and text[k].isdigit():
-                        j = k
-                        while j < n and text[j].isdigit():
-                            j += 1
-                try:
-                    value = float(text[i:j])
-                except ValueError:
-                    raise PotentialSyntaxError(i + 1, "number")
-                self.tokens.append(("num", value, i + 1))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", text[i:j], i + 1))
-                i = j
-                continue
+def _tokenize(text):
+    """Split an expression string into (kind, value, position) tokens,
+    ending with an "end" token; positions are 1-based character offsets
+    into the input."""
+    tokens, i, n = [], 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "+-*/^(),":
+            tokens.append((ch, ch, i + 1))
+            i += 1
+        elif ch.isdigit() or ch == ".":
+            j = i
+            while j < n and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    j = k
+                    while j < n and text[j].isdigit():
+                        j += 1
+            try:
+                value = float(text[i:j])
+            except ValueError:
+                raise PotentialSyntaxError(i + 1, "number")
+            tokens.append(("num", value, i + 1))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], i + 1))
+            i = j
+        else:
             raise PotentialSyntaxError(i + 1, "token")
-        self.tokens.append(("end", None, n + 1))
+    tokens.append(("end", None, n + 1))
+    return tokens
 
 
 class _Parser:
@@ -115,8 +104,7 @@ class _Parser:
     with ^ right-associative."""
 
     def __init__(self, text):
-        self.text = text
-        self.tokens = _Tokenizer(text).tokens
+        self.tokens = _tokenize(text)
         self.idx = 0
 
     def peek(self):
@@ -432,13 +420,6 @@ BUILTIN_PARAMS = {
 BUILTIN_NAMES = tuple(BUILTIN_PARAMS)
 
 
-def check_number(path, value):
-    """Raise ValueError unless value is a finite real number, not a bool."""
-    # abs(nan) <= max is False, and an int is compared exactly, not rounded
-    if isinstance(value, bool) or not isinstance(value, Real) or not abs(value) <= float_info.max:
-        raise ValueError(f"{path}: expected a finite number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
     """Either a built-in pairwise family (name + parameters) or a parsed
@@ -527,27 +508,34 @@ def _off_zero(d):
     return at_zero, d if at_zero is None else np.where(at_zero, 1.0, d)
 
 
-def _pair_energies(spec: PotentialSpec, masses: MassTriple, d):
-    """Energies of the three pair terms of a built-in family, at distances
-    d = (d12, d13, d23) given as a (..., 3) array; infinite at d = 0 for
-    gravity and Lennard-Jones."""
+def _pair_potential(spec: PotentialSpec, masses: MassTriple, d):
+    """V of a built-in family, the sum of its three pair terms, at distances
+    d = (d12, d13, d23) given as a (..., 3) array.  Raises DomainError where
+    a pair term is not finite, naming the pair, as gravity and Lennard-Jones
+    do at a distance of 0."""
     p = spec._bound
     if spec.builtin == "free":
-        return np.zeros_like(d)
-    if spec.builtin == "harmonic":
-        return 0.5 * p["k"] * (d - p["rest"]) ** 2
-    at_zero, d = _off_zero(d)
-    if spec.builtin == "gravity":
-        energy = -_gravity_products(p, masses) / d
-    else:  # lennard_jones
-        s6 = (p["sigma"] / d) ** 6
-        energy = 4.0 * p["epsilon"] * (s6 * s6 - s6)
-    return energy if at_zero is None else np.where(at_zero, np.inf, energy)
+        energy = np.zeros_like(d)
+    elif spec.builtin == "harmonic":
+        energy = 0.5 * p["k"] * (d - p["rest"]) ** 2
+    else:
+        at_zero, off = _off_zero(d)
+        if spec.builtin == "gravity":
+            energy = -_gravity_products(p, masses) / off
+        else:  # lennard_jones
+            s6 = (p["sigma"] / off) ** 6
+            energy = 4.0 * p["epsilon"] * (s6 * s6 - s6)
+        if at_zero is not None:
+            energy = np.where(at_zero, np.inf, energy)
+    if not _all_finite(energy):
+        bad = ~np.isfinite(energy)
+        raise DomainError(list(PAIRS)[bad.nonzero()[-1][0]], float(d[bad][0]))
+    return (energy[..., 0] + energy[..., 1]) + energy[..., 2]
 
 
 def _pair_slopes(spec: PotentialSpec, masses: MassTriple, d):
     """Derivatives dV/dd of the three pair terms of a built-in family, at
-    distances d given as a (..., 3) array (see _pair_energies); infinite
+    distances d given as a (..., 3) array (see _pair_potential); infinite
     at d = 0 for gravity and Lennard-Jones."""
     p = spec._bound
     if spec.builtin == "free":
@@ -585,24 +573,22 @@ def eval_potential_batch(
         shape = np.broadcast(*columns.values()).shape
         value, _ = _run(spec, columns, shape, gradient=False)
         return np.array(np.broadcast_to(value, shape))
-    d = np.array([d12, d13, d23])
-    d = d.transpose(*range(1, d.ndim), 0)  # pairs on the last axis, for floats and arrays alike
-    energy = _pair_energies(spec, masses, d)
-    if not _all_finite(energy):
-        bad = ~np.isfinite(energy)
-        raise DomainError(list(PAIRS)[bad.nonzero()[-1][0]], float(d[bad][0]))
-    return (energy[..., 0] + energy[..., 1]) + energy[..., 2]
+    return _pair_potential(spec, masses, np.stack([d12, d13, d23], axis=-1))
 
 
-def potential_at_positions(spec: PotentialSpec, masses: MassTriple, x) -> np.ndarray:
+def potential_at_positions(spec: PotentialSpec, masses: MassTriple, x, shape=None) -> np.ndarray:
     """Potential energy of N configurations given as an (N, 3, 3) array of
-    positions, one row per body, from their pair distances and, where the
-    potential reads it, their shape (r1, r2, phi) of measure_shape."""
-    r1 = r2 = phi = None
-    if not spec.reads <= PAIRS.keys():
-        r1, r2, _, _, _, phi = measure_shape(*jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2]))
+    positions, one row per body: the one route from positions to V.  It
+    forms the pair distances; a potential that reads r1, r2 or phi takes
+    them from `shape`, the (N,) arrays (r1, r2, phi) of measure_shape that
+    the caller measured, or measures them itself when shape is None."""
     d = lengths(_INCIDENCE @ x)
-    return eval_potential_batch(spec, masses, r1, r2, phi, *d.T)
+    if spec.builtin is not None:
+        return _pair_potential(spec, masses, d)
+    if shape is None and not spec.reads <= PAIRS.keys():
+        r1, r2, _, _, _, phi = measure_shape(*jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2]))
+        shape = r1, r2, phi
+    return eval_potential_batch(spec, masses, *(shape or (None,) * 3), *d.T)
 
 
 def _pair_forces(dVdd, delta, d):

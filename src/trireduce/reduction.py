@@ -7,34 +7,22 @@ that stay finite at collinear shapes (the connection, the horizontal
 metric) are computed without spurious blowup.
 """
 
-from dataclasses import dataclass
 from math import cos, sin
 
 import numpy as np
 
 from .errors import SingularInertia
 from .geometry import (
+    BodyMomenta,
     BodyVelocityState,
     JacobiVectors,
     ShapeCoordinates,
-    _finite_vectors,
     body_jacobi_vectors,
     cartesian_from_jacobi,
     cross,
 )
 
 SINGULAR_THRESHOLD = 1e-8
-
-
-@dataclass(frozen=True)
-class BodyMomenta:
-    """Body angular momentum J and shape momenta p = (p1, p2, p3)."""
-
-    J: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        _finite_vectors(self)
 
 
 def inertia_tensor(q: ShapeCoordinates) -> np.ndarray:

@@ -44,10 +44,41 @@ class TestReducedMasses:
             assert scaled.mu2 == pytest.approx(k * base.mu2, rel=1e-14)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^m2 must be finite and > 0, got -1$"):
             MassTriple(1, -1, 1)
         with pytest.raises(ValueError):
             MassTriple(0, 1, 1)
+
+    @pytest.mark.parametrize("value", [True, "2", None, float("nan")])
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_rejects_what_is_not_a_finite_number(self, field, value):
+        # a bool, a string or None names the field, as the range checks do
+        masses = [1.0, 1.0, 1.0]
+        masses[field] = value
+        with pytest.raises(ValueError, match=f"^m{field + 1}: expected a finite number, got "):
+            MassTriple(*masses)
+
+
+class TestShapeCoordinates:
+    @pytest.mark.parametrize("value", [True, "2", None, float("inf")])
+    @pytest.mark.parametrize("field", ["r1", "r2", "phi"])
+    def test_rejects_what_is_not_a_finite_number(self, field, value):
+        coordinates = {"r1": 1.0, "r2": 0.5, "phi": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field}: expected a finite number, got "):
+            ShapeCoordinates(**coordinates)
+
+    @pytest.mark.parametrize(
+        "r1, r2, phi, message",
+        [
+            (0.0, 1.0, 1.0, "r1 must be > 0, got 0.0"),
+            (1.0, -1e-300, 1.0, "r2 must be >= 0, got -1e-300"),
+            (1.0, 1.0, 3.2, "phi out of [0, pi]: 3.2"),
+        ],
+    )
+    def test_range_messages_stay(self, r1, r2, phi, message):
+        with pytest.raises(ValueError) as info:
+            ShapeCoordinates(r1, r2, phi)
+        assert str(info.value) == message
 
 
 class TestVectorHelpers:

@@ -1,5 +1,6 @@
-"""Every name a module imports is used by that module, and every private
-module-level name of the package is used by some module of it."""
+"""Every name a module imports is used by that module, every private
+module-level name of the package is used by some module of it, and no
+module of the package imports another's private names."""
 
 import ast
 from pathlib import Path
@@ -35,6 +36,33 @@ def test_scan_finds_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source):
+    """The private names that source imports from another module of the
+    package, through `from .x import` or `from trireduce.x import`, sorted."""
+    return sorted(
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "trireduce")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
+
+
+def test_scan_finds_a_private_import():
+    source = (
+        "from math import _private\nfrom .geometry import _finite_vectors, cross\n"
+        "from trireduce.potential import _INCIDENCE as incidence\nfrom . import potential\n"
+        "from trireduce import __version__\nfrom ._kernels import walk\n"
+    )
+    assert private_imports(source) == ["_INCIDENCE", "_finite_vectors"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def private_definitions(source):

@@ -752,6 +752,35 @@ class TestForces:
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
+        "spec",
+        [builtin_potential("gravity"),
+         parse_potential("0.5*(d12-1)^2 + 0.5*(d13-1)^2 + 0.5*(d23-1)^2"),
+         parse_potential("sin(phi)*d12 + r1/d23 + 0.3*cos(phi)^2*r2")],
+        ids=["gravity", "expr_sparse", "phi"],
+    )
+    def test_a_given_shape_is_not_measured_again(self, monkeypatch, spec):
+        # V at the caller's measured shape has the bits of V that measures it,
+        # and with the shape given, the positions are neither mapped nor measured
+        masses = MassTriple(1.0, 1.5, 2.0)
+        x = np.array([self._spread_positions() for _ in range(7)])
+        r1, r2, _, _, _, phi = measure_shape(*jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2]))
+        expected = potential_at_positions(spec, masses, x)
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return counted
+
+        module = trireduce.potential
+        for name in ("jacobi_map", "measure_shape"):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        assert potential_at_positions(spec, masses, x, (r1, r2, phi)).tobytes() == expected.tobytes()
+        assert calls == []
+
+    @pytest.mark.parametrize(
         "text, node, value",
         [
             ("sqrt(d12 - 1)", "sqrt", 0.0),

@@ -52,7 +52,7 @@ from .potential import (
     parse_potential,
 )
 from .dynamics import (
-    CollinearPassage,
+    CollinearPassages,
     IntegratorConfig,
     Trajectory,
     conservation_report,

@@ -305,9 +305,8 @@ def cmd_evaluate(cfg: RunConfig, out_path):
 def cmd_collinear_report(cfg: RunConfig, out_path):
     traj = _integrate(cfg)
     passages = detect_collinear_passages(traj, cfg.thresholds["passage"])
-    columns = {name: [getattr(p, name) for p in passages] for name in PASSAGES_HEADER.split(",")}
     out = out_path or cfg.output.get("passages")
-    if not _write_lines(out, _csv(PASSAGES_HEADER, columns)):
+    if not _write_lines(out, _csv(PASSAGES_HEADER, vars(passages))):
         return 4
     log.info("collinear passages detected: %d", len(passages))
     return 0
@@ -326,9 +325,8 @@ def cmd_check(seed):
 
 
 def _setup_logging():
-    level = os.environ.get("TRIREDUCE_LOG", "info").lower()
-    levels = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(level=levels.get(level, logging.INFO), format="%(message)s")
+    quiet = os.environ.get("TRIREDUCE_LOG", "info").lower() == "quiet"
+    logging.basicConfig(level=logging.ERROR if quiet else logging.INFO, format="%(message)s")
 
 
 def build_parser():

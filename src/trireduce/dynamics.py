@@ -193,19 +193,25 @@ def conservation_report(
     )
 
 
-@dataclass(frozen=True)
-class CollinearPassage:
-    t_minus: float
-    t_plus: float
-    t_star: float
-    sin_phi_min: float
-    H_before: float
-    H_at: float
-    H_after: float
-    delta_H: float
+@dataclass
+class CollinearPassages:
+    """Collinear passages, one row per passage: (k,) arrays named as the
+    columns of the collinear-report CSV."""
+
+    t_minus: np.ndarray
+    t_plus: np.ndarray
+    t_star: np.ndarray
+    sin_phi_min: np.ndarray
+    H_before: np.ndarray
+    H_at: np.ndarray
+    H_after: np.ndarray
+    delta_H: np.ndarray
+
+    def __len__(self):
+        return len(self.t_star)
 
 
-def detect_collinear_passages(traj: Trajectory, threshold: float):
+def detect_collinear_passages(traj: Trajectory, threshold: float) -> CollinearPassages:
     """Find local minima of sin(phi) strictly below threshold.
 
     Passage time by parabolic interpolation through the three samples
@@ -213,24 +219,13 @@ def detect_collinear_passages(traj: Trajectory, threshold: float):
     sample; delta_H is the largest deviation of the bracketing samples'
     values from it.
     """
-    passages = []
-    if len(traj) < 3:
-        return passages
-    sin_phi, times, H = traj.sin_phi, traj.t, traj.H_reduced
+    sin_phi, t, H = traj.sin_phi, traj.t, traj.H_reduced
     y0, y1, y2 = sin_phi[:-2], sin_phi[1:-1], sin_phi[2:]
-    finite = np.isfinite(y0) & np.isfinite(y1) & np.isfinite(y2)
-    minima = finite & (y1 < threshold) & (y1 <= y0) & (y1 <= y2)
-    for i in np.flatnonzero(minima) + 1:
-        y0, y1, y2 = sin_phi[i - 1], sin_phi[i], sin_phi[i + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom > 0.0:
-            offset = 0.5 * (y0 - y2) / denom
-        else:
-            offset = 0.0
-        dt = times[i + 1] - times[i]
-        t_star = times[i] + offset * dt
-        H_before, H_at, H_after = H[i - 1], H[i], H[i + 1]
-        delta = max(abs(H_before - H_at), abs(H_after - H_at))
-        bracket = (times[i - 1], times[i + 1], float(t_star), float(y1))
-        passages.append(CollinearPassage(*bracket, H_before, H_at, H_after, delta))
-    return passages
+    # a NaN sample, of a degenerate shape, fails every comparison
+    i = np.flatnonzero((y1 < threshold) & (y1 <= y0) & (y1 <= y2)) + 1
+    y0, y1, y2 = sin_phi[i - 1], sin_phi[i], sin_phi[i + 1]
+    denom = y0 - 2.0 * y1 + y2  # <= 0 only where the three are equal, to rounding
+    offset = 0.5 * (y0 - y2) / np.where(denom > 0.0, denom, np.inf)
+    t_star = t[i] + offset * (t[i + 1] - t[i])
+    delta = np.maximum(np.abs(H[i - 1] - H[i]), np.abs(H[i + 1] - H[i]))
+    return CollinearPassages(t[i - 1], t[i + 1], t_star, y1, H[i - 1], H[i], H[i + 1], delta)

@@ -16,8 +16,8 @@ class DegenerateShape(TrireduceError):
 
 
 class SingularInertia(TrireduceError):
-    """The inertia tensor is singular (|sin phi| at or below threshold);
-    the full inverse does not exist."""
+    """The inertia tensor is singular, at r2 = 0 (where the horizontal metric
+    is too) or |sin phi| at or below threshold; no inverse exists."""
 
 
 class NumericalBlowup(TrireduceError):

@@ -9,7 +9,7 @@ vectors s satisfy s = R b.
 """
 
 from dataclasses import dataclass, fields
-from math import cos, pi, sin, sqrt
+from math import cos, nan, pi, sin, sqrt
 from numbers import Real
 from sys import float_info
 
@@ -29,9 +29,14 @@ def check_number(path, value):
 
 def _finite_vectors(obj):
     """Store every field of the frozen dataclass obj as a float array;
-    raises ValueError naming the first that is not a finite 3-vector."""
+    raises ValueError naming the first that is not a finite 3-vector of
+    real numbers (float() would take a bool or a str as a component)."""
     for f in fields(obj):
-        vec = np.asarray(getattr(obj, f.name), dtype=float)
+        vec = getattr(obj, f.name)
+        if not (type(vec) is np.ndarray and vec.dtype.char == "d"):
+            if np.iterable(vec):
+                vec = [c if isinstance(c, Real) and not isinstance(c, bool) else nan for c in vec]
+            vec = np.asarray(vec, dtype=float)
         if vec.shape != (3,) or np.count_nonzero(np.isfinite(vec)) < 3:
             raise ValueError(f"{f.name} must be a finite 3-vector")
         object.__setattr__(obj, f.name, vec)

@@ -21,7 +21,7 @@ from math import cos, isfinite, sin
 
 import numpy as np
 
-from .errors import DegenerateShape, NumericalBlowup, SingularInertia
+from .errors import DegenerateShape, NumericalBlowup
 from .geometry import (
     COLLINEAR_THRESHOLD,
     BodyMomenta,
@@ -37,7 +37,7 @@ from .geometry import (
     jacobi_map,
 )
 from .potential import PotentialSpec, potential_at_positions
-from .reduction import SINGULAR_THRESHOLD
+from .reduction import inertia_inverse
 
 BRANCH_NONCOLLINEAR = "noncollinear"
 BRANCH_COLLINEAR = "collinear"
@@ -153,13 +153,10 @@ def _reduce_rows(collinear_threshold, s1, s2, sd1, sd2):
 def cartesian_from_momenta(masses, q: ShapeCoordinates, m: BodyMomenta) -> CartesianState:
     """The state of shape q and momenta m, its body frame the space frame, by
     the inverse of _reduce_rows' map, which forms no omega or qdot (see
-    reduction.velocities_from_momenta).  Raises SingularInertia at r2 = 0 or
-    |sin phi| <= SINGULAR_THRESHOLD, NumericalBlowup if a velocity overflows."""
+    reduction.velocities_from_momenta).  Raises SingularInertia where
+    inertia_inverse does, NumericalBlowup if a velocity overflows."""
+    inertia_inverse(q)  # (J, p) fix the state only where I is invertible
     s, c = sin(q.phi), cos(q.phi)
-    if q.r2 == 0.0:
-        raise SingularInertia("r2 = 0: the inertia tensor is singular")
-    if abs(s) <= SINGULAR_THRESHOLD:
-        raise SingularInertia(f"|sin phi| = {abs(s):.3e} at or below {SINGULAR_THRESHOLD:.3e}")
     (J1, J2, J3), (p1, p2, p3) = m.J.tolist(), m.p.tolist()
     T, u = J1 / s, p3 / q.r2
     v = [p1, (J3 - p3) / q.r1, -(J2 + c * T) / q.r1, c * p2 - s * u, s * p2 + c * u, T / q.r2]

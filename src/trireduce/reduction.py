@@ -41,11 +41,13 @@ def inertia_tensor(q: ShapeCoordinates) -> np.ndarray:
 def inertia_inverse(q: ShapeCoordinates) -> np.ndarray:
     """Closed-form inverse of the inertia tensor.
 
-    Singular at collinear shapes: raises SingularInertia when
-    |sin phi| <= SINGULAR_THRESHOLD or r2 = 0.
+    Singular at collinear shapes: raises SingularInertia when r2 = 0 or
+    |sin phi| <= SINGULAR_THRESHOLD.
     """
+    if q.r2 == 0.0:
+        raise SingularInertia("r2 = 0: the inertia tensor is singular")
     s, c = sin(q.phi), cos(q.phi)
-    if abs(s) <= SINGULAR_THRESHOLD or q.r2 == 0.0:
+    if abs(s) <= SINGULAR_THRESHOLD:
         raise SingularInertia(f"|sin phi| = {abs(s):.3e} at or below {SINGULAR_THRESHOLD:.3e}")
     r1sq, r2sq = q.r1 ** 2, q.r2 ** 2
     return np.array(
@@ -82,7 +84,10 @@ def mechanical_connection(q: ShapeCoordinates) -> np.ndarray:
 
 
 def horizontal_metric(q: ShapeCoordinates):
-    """Horizontal (rotation-subtracted) shape metric g and its inverse."""
+    """Horizontal (rotation-subtracted) shape metric g and its inverse;
+    raises SingularInertia at r2 = 0, where g33 = 0."""
+    if q.r2 == 0.0:
+        raise SingularInertia("r2 = 0: the horizontal metric is singular")
     r1sq, r2sq = q.r1 ** 2, q.r2 ** 2
     g33 = r1sq * r2sq / (r1sq + r2sq)
     g = np.diag([1.0, 1.0, g33])
@@ -136,25 +141,24 @@ def body_angular_momentum(q: ShapeCoordinates, w: BodyVelocityState) -> np.ndarr
 
 def shape_momenta(q: ShapeCoordinates, w: BodyVelocityState) -> BodyMomenta:
     """Conjugate momenta p_mu = g_{mu nu} qdot^nu + J . A_mu (equivalently
-    h_{mu nu} qdot^nu + w . a_mu)."""
+    h_{mu nu} qdot^nu + w . a_mu).  Raises SingularInertia at r2 = 0."""
+    if q.r2 == 0.0:
+        raise SingularInertia("r2 = 0: the inertia tensor is singular")
     J = body_angular_momentum(q, w)
     g, _ = horizontal_metric(q)
-    A = mechanical_connection(q)
-    p = g @ w.qdot + A @ J
-    return BodyMomenta(J, p)
+    return BodyMomenta(J, g @ w.qdot + mechanical_connection(q) @ J)
 
 
 def velocities_from_momenta(q: ShapeCoordinates, m: BodyMomenta) -> BodyVelocityState:
     """Invert the Legendre map: recover (omega, qdot) from (J, p).
 
-    Needs the full inertia inverse, so it raises SingularInertia near
-    collinear shapes.  It loses digits as r1/r2 falls, I^-1 or not:
+    Needs the full inertia inverse, so it raises SingularInertia at r2 = 0
+    and near collinear shapes.  It loses digits as r1/r2 falls, I^-1 or not:
     omega3 = (J3 - p3)/r1^2 and qdot3 = p3/r2^2 - omega3 cancel in
     p3 = r2^2 (qdot3 + omega3), up to 8e-2 at r1 = 1e-7, r2 = 1.
     """
-    _, g_inv = horizontal_metric(q)
-    A = mechanical_connection(q)
-    qdot = g_inv @ (m.p - A @ m.J)
     I_inv = inertia_inverse(q)
+    _, g_inv = horizontal_metric(q)
+    qdot = g_inv @ (m.p - mechanical_connection(q) @ m.J)
     omega = I_inv @ (m.J - gauge_potential(q).T @ qdot)
     return BodyVelocityState(omega, qdot)

@@ -82,7 +82,7 @@ def test_criterion_6_trajectory_conservation():
     )
     passages = detect_collinear_passages(traj, threshold=0.5)
     delta_rel = (
-        max(p.delta_H / abs(p.H_at) for p in passages) if passages else np.inf
+        np.max(passages.delta_H / np.abs(passages.H_at)) if len(passages) else np.inf
     )
 
     ok = (

@@ -1,4 +1,5 @@
 from math import sqrt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -272,13 +273,12 @@ class TestPassages:
     def test_constructed_crossing_found(self):
         cfg = IntegratorConfig(dt=0.01, steps=100)
         traj = integrate(MASSES, crossing_setup(), FREE, cfg)
-        passages = detect_collinear_passages(traj, threshold=0.5)
-        assert len(passages) == 1
-        (p,) = passages
-        assert p.t_minus < p.t_star < p.t_plus
-        assert 0.0 <= p.sin_phi_min < 0.5
+        p = detect_collinear_passages(traj, threshold=0.5)
+        assert len(p) == 1
+        assert p.t_minus[0] < p.t_star[0] < p.t_plus[0]
+        assert 0.0 <= p.sin_phi_min[0] < 0.5
         # free motion: H is constant, so the bracketing values match H_at
-        assert p.delta_H < 1e-10 * abs(p.H_at)
+        assert p.delta_H[0] < 1e-10 * abs(p.H_at[0])
 
     def test_nonplanar_collinear_passage(self):
         # free motion through an exactly collinear shape at t = 0.5 (sample
@@ -291,10 +291,11 @@ class TestPassages:
         traj = integrate(MASSES, state, FREE, IntegratorConfig(dt=0.01, steps=100))
         L = traj.L[50]
         assert abs(L[0]) > 0.1 * np.linalg.norm(L)  # bending along x meets L
-        (p,) = detect_collinear_passages(traj, threshold=0.5)
-        assert p.sin_phi_min < 1e-8
+        p = detect_collinear_passages(traj, threshold=0.5)
+        assert len(p) == 1
+        assert p.sin_phi_min[0] < 1e-8
         assert traj.branch[50] == "collinear"
-        assert p.delta_H < 1e-10 * abs(p.H_at)
+        assert p.delta_H[0] < 1e-10 * abs(p.H_at[0])
 
     def test_no_crossing_empty(self):
         z = np.zeros(3)
@@ -308,14 +309,66 @@ class TestPassages:
         )
         traj = integrate(MASSES, state, FREE, IntegratorConfig(dt=0.01, steps=20))
         assert np.all(traj.sin_phi >= 0.5)
-        assert detect_collinear_passages(traj, threshold=0.5) == []
+        assert len(detect_collinear_passages(traj, threshold=0.5)) == 0
 
     def test_zero_threshold_empty(self):
         cfg = IntegratorConfig(dt=0.01, steps=100)
         traj = integrate(MASSES, crossing_setup(), FREE, cfg)
-        assert detect_collinear_passages(traj, threshold=0.0) == []
+        assert len(detect_collinear_passages(traj, threshold=0.0)) == 0
 
     def test_short_trajectory_empty(self):
         cfg = IntegratorConfig(dt=0.01, steps=1)
         traj = integrate(MASSES, crossing_setup(), FREE, cfg)
-        assert detect_collinear_passages(traj, threshold=1.0) == []
+        assert len(detect_collinear_passages(traj, threshold=1.0)) == 0
+
+    def test_columns_equal_the_per_passage_loop(self):
+        # the loop the array version replaced is the reference: the same
+        # arithmetic on each passage, so the same bits
+        def by_loop(traj, threshold):
+            rows = []
+            sin_phi, t, H = traj.sin_phi, traj.t, traj.H_reduced
+            for i in range(1, len(t) - 1):
+                y0, y1, y2 = sin_phi[i - 1], sin_phi[i], sin_phi[i + 1]
+                if y1 < threshold and y1 <= y0 and y1 <= y2:
+                    denom = y0 - 2.0 * y1 + y2
+                    offset = 0.5 * (y0 - y2) / denom if denom > 0.0 else 0.0
+                    t_star = t[i] + offset * (t[i + 1] - t[i])
+                    delta = max(abs(H[i - 1] - H[i]), abs(H[i + 1] - H[i]))
+                    rows.append((t[i - 1], t[i + 1], t_star, y1, H[i - 1], H[i], H[i + 1], delta))
+            return np.array(rows, dtype=float).reshape(-1, 8).T
+
+        x = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.3], [0.0, 0.0, -1.0]])
+        still = CartesianState(*x, *np.zeros((3, 3)))
+        cfg = IntegratorConfig(dt=0.01, steps=400)
+        trajectories = [
+            integrate(MASSES, harmonic_setup(), HARMONIC, cfg),
+            integrate(MASSES, crossing_setup(), FREE, cfg),
+            integrate(MASSES, still, FREE, IntegratorConfig(dt=0.01, steps=20)),
+        ]
+        # columns with ties, flat runs and NaN (degenerate) samples
+        rng = np.random.default_rng(5)
+        sin_phi = rng.integers(0, 4, 500) / 4.0
+        sin_phi[rng.random(500) < 0.05] = np.nan
+        t, H = np.cumsum(rng.uniform(0.01, 0.1, 500)), rng.normal(size=500)
+        trajectories.append(SimpleNamespace(sin_phi=sin_phi, t=t, H_reduced=H))
+        found = 0
+        for traj in trajectories:
+            for threshold in (0.0, 0.3, 0.9, 1.1):
+                passages = detect_collinear_passages(traj, threshold)
+                columns = np.array(list(vars(passages).values()))
+                assert columns.tobytes() == by_loop(traj, threshold).tobytes()
+                found += len(passages)
+        assert found > 100
+
+    def test_flat_minimum_at_middle_sample(self):
+        # a motionless collinear shape: three equal samples, sin(phi) = 0,
+        # so the parabola through them is flat and t_star is the middle time
+        x = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.3], [0.0, 0.0, -1.0]])
+        state = CartesianState(*x, *np.zeros((3, 3)))
+        traj = integrate(MASSES, state, FREE, IntegratorConfig(dt=0.01, steps=2))
+        assert np.all(traj.sin_phi == 0.0)
+        p = detect_collinear_passages(traj, threshold=0.5)
+        assert len(p) == 1
+        assert p.t_star[0] == traj.t[1]
+        assert (p.t_minus[0], p.t_plus[0]) == (traj.t[0], traj.t[2])
+        assert p.delta_H[0] == 0.0

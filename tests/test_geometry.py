@@ -1,3 +1,4 @@
+from dataclasses import fields
 from math import pi, sqrt
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from trireduce.checks import random_rotation
 from trireduce.errors import DegenerateShape
 from trireduce.geometry import (
+    BodyMomenta,
+    BodyVelocityState,
     CartesianState,
     JacobiVectors,
     MassTriple,
@@ -79,6 +82,50 @@ class TestShapeCoordinates:
         with pytest.raises(ValueError) as info:
             ShapeCoordinates(r1, r2, phi)
         assert str(info.value) == message
+
+
+VECTOR_CLASSES = [CartesianState, JacobiVectors, BodyVelocityState, BodyMomenta]
+
+
+class TestVectorFields:
+    # the second field of each class is the bad one; float() would take
+    # every component of the first three
+    @pytest.mark.parametrize(
+        "value",
+        [
+            ["1", "2", "0"],
+            [True, False, True],
+            [True, 0, 1],
+            np.array([True, False, True]),
+            np.array(["1", "2", "0"]),
+            [0.0, float("nan"), 1.0],
+            np.array([0.0, 1.0, float("inf")]),
+            [1.0, 2.0],
+            np.zeros(4),
+        ],
+        ids=["str", "bool", "mixed", "bool-array", "str-array", "nan", "inf", "short", "long"],
+    )
+    @pytest.mark.parametrize("cls", VECTOR_CLASSES)
+    def test_rejects_what_is_not_a_finite_3_vector(self, cls, value):
+        names = [f.name for f in fields(cls)]
+        vectors = {name: np.zeros(3) for name in names}
+        vectors[names[1]] = value
+        with pytest.raises(ValueError, match=f"^{names[1]} must be a finite 3-vector$"):
+            cls(**vectors)
+
+    @pytest.mark.parametrize("cls", VECTOR_CLASSES)
+    def test_numbers_are_stored_as_float_arrays(self, cls):
+        # lists of numbers and integer or float32 arrays are converted; a
+        # float array is kept as it is
+        kept = np.array([0.5, -1.0, 2.0])
+        given = [kept, [1, 2.5, np.float64(3.0)], np.arange(3), np.ones(3, np.float32)]
+        names = [f.name for f in fields(cls)]
+        obj = cls(**{name: given[k % len(given)] for k, name in enumerate(names)})
+        assert getattr(obj, names[0]) is kept
+        for k, name in enumerate(names):
+            stored = getattr(obj, name)
+            assert stored.dtype == np.float64 and stored.shape == (3,)
+            assert np.array_equal(stored, np.asarray(given[k % len(given)], dtype=float))
 
 
 class TestVectorHelpers:

@@ -630,6 +630,26 @@ class TestForces:
                 potential_at_positions(parse_potential(text), MASSES, np.array([pos]))
             assert (err.value.node, err.value.value) == ("phi", 0.0)
 
+    def test_phi_slope_with_domain_error_beyond_the_limit_raises(self):
+        # dV/dphi of sqrt(phi + 5e-324) is finite at phi = 0, but at the float
+        # beyond the limit V's derivative leaves sqrt's domain: the slope is
+        # not taken as changing sign there, so phi has no derivative
+        pos = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(DomainError) as err:
+            forces_cartesian(parse_potential("sqrt(phi + 5e-324)"), MASSES, pos)
+        assert (err.value.node, err.value.value) == ("phi", 0.0)
+
+    def test_derivative_overflowing_only_in_its_sum_names_the_variable(self):
+        # each term's derivative by r1 is finite, their sum is not: no
+        # operation passes an infinite adjoint down, so the variable is named
+        masses = MassTriple(2.0, 1.0, 2.0)  # mu1 = 1, so r1 = |x1 - x3| = 0.1
+        pos = np.array([[0.1, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        spec = parse_potential("1e308*sin(r1) + 1e308*sin(r1)")
+        assert np.isfinite(potential_at_positions(spec, masses, pos[None])[0])
+        with pytest.raises(DomainError) as err:
+            forces_cartesian(spec, masses, pos)
+        assert (err.value.node, err.value.value) == ("r1", 0.1)
+
     @pytest.mark.parametrize(
         "text",
         ["cos(phi) * r1 + 0.5 * d12^2 + cos(phi)", "10*(1+cos(phi))", "4*sin(phi)^2"],

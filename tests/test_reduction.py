@@ -317,6 +317,39 @@ class TestVelocitiesFromMomenta:
             )
 
 
+class TestZeroR2:
+    """r2 = 0 raises SingularInertia naming r2, not a false |sin phi| or a
+    ZeroDivisionError; collinear shapes with r2 > 0 stay finite."""
+
+    Q = ShapeCoordinates(1.0, 0.0, 1.0)
+    INERTIA = r"^r2 = 0: the inertia tensor is singular$"
+
+    def test_inertia_inverse(self):
+        with pytest.raises(SingularInertia, match=self.INERTIA):
+            inertia_inverse(self.Q)
+
+    def test_horizontal_metric(self):
+        with pytest.raises(SingularInertia, match=r"^r2 = 0: the horizontal metric is singular$"):
+            horizontal_metric(self.Q)
+
+    def test_shape_momenta(self):
+        with pytest.raises(SingularInertia, match=self.INERTIA):
+            shape_momenta(self.Q, random_velocity())
+
+    def test_velocities_from_momenta(self):
+        with pytest.raises(SingularInertia, match=self.INERTIA):
+            velocities_from_momenta(self.Q, BodyMomenta(np.ones(3), np.ones(3)))
+
+    @pytest.mark.parametrize("phi", [0.0, pi])
+    def test_collinear_shapes_with_r2_stay_finite(self, phi):
+        q = ShapeCoordinates(1.0, 0.5, phi)
+        g, g_inv = horizontal_metric(q)
+        assert np.array_equal(np.diag(g), [1.0, 1.0, 0.2])
+        assert np.all(np.isfinite(g_inv))
+        m = shape_momenta(q, random_velocity())
+        assert np.all(np.isfinite(m.J)) and np.all(np.isfinite(m.p))
+
+
 def test_shape_partials_match_finite_differences():
     h = 1e-6
     for _ in range(20):

@@ -15,16 +15,11 @@ from .errors import (
 from .geometry import (
     BodyMomenta,
     CartesianState,
-    JacobiVectors,
     MassTriple,
-    ReducedMasses,
     ShapeCoordinates,
-    body_frame_fit,
     cartesian_from_jacobi,
-    jacobi_from_cartesian,
     reduced_masses,
     shape_to_distances,
-    spatial_angular_momentum,
 )
 from .reduction import (
     BodyVelocityState,

@@ -17,7 +17,8 @@ class DegenerateShape(TrireduceError):
 
 class SingularInertia(TrireduceError):
     """The inertia tensor is singular, at r2 = 0 (where the horizontal metric
-    is too) or |sin phi| at or below threshold; no inverse exists."""
+    is too), at |sin phi| at or below threshold, or where a divisor of the
+    inverse underflows to 0; no inverse exists."""
 
 
 class NumericalBlowup(TrireduceError):

@@ -9,21 +9,26 @@ vectors s satisfy s = R b.
 """
 
 from dataclasses import dataclass, fields
-from math import cos, nan, pi, sin, sqrt
+from math import cos, isfinite, nan, pi, sin, sqrt
 from numbers import Real
 from sys import float_info
 
 import numpy as np
 
-from .errors import DegenerateShape
-
 COLLINEAR_THRESHOLD = 1e-8
+
+
+def _finite_real(value):
+    """Whether value is a finite real number, not a bool.  An int is compared
+    with the float range exactly, not rounded (float() would raise)."""
+    if isinstance(value, int):
+        return not isinstance(value, bool) and abs(value) <= float_info.max
+    return isinstance(value, Real) and isfinite(value)
 
 
 def check_number(path, value):
     """Raise ValueError unless value is a finite real number, not a bool."""
-    # abs(nan) <= max is False, and an int is compared exactly, not rounded
-    if isinstance(value, bool) or not isinstance(value, Real) or not abs(value) <= float_info.max:
+    if not _finite_real(value):
         raise ValueError(f"{path}: expected a finite number, got {value!r}")
 
 
@@ -35,7 +40,7 @@ def _finite_vectors(obj):
         vec = getattr(obj, f.name)
         if not (type(vec) is np.ndarray and vec.dtype.char == "d"):
             if np.iterable(vec):
-                vec = [c if isinstance(c, Real) and not isinstance(c, bool) else nan for c in vec]
+                vec = [c if _finite_real(c) else nan for c in vec]
             vec = np.asarray(vec, dtype=float)
         if vec.shape != (3,) or np.count_nonzero(np.isfinite(vec)) < 3:
             raise ValueError(f"{f.name} must be a finite 3-vector")
@@ -64,12 +69,6 @@ class MassTriple:
 
 
 @dataclass(frozen=True)
-class ReducedMasses:
-    mu1: float
-    mu2: float
-
-
-@dataclass(frozen=True)
 class CartesianState:
     """Positions and velocities of the three bodies in the space frame."""
 
@@ -90,19 +89,6 @@ class CartesianState:
     @property
     def velocities(self):
         return np.array([self.v1, self.v2, self.v3])
-
-
-@dataclass(frozen=True)
-class JacobiVectors:
-    """Mass-weighted Jacobi vectors and their time derivatives."""
-
-    s1: np.ndarray
-    s2: np.ndarray
-    sdot1: np.ndarray
-    sdot2: np.ndarray
-
-    def __post_init__(self):
-        _finite_vectors(self)
 
 
 @dataclass(frozen=True)
@@ -147,11 +133,9 @@ class BodyMomenta:
         _finite_vectors(self)
 
 
-def reduced_masses(m: MassTriple) -> ReducedMasses:
-    """Reduced masses of the (1,3) pair and of body 2 against that pair."""
-    mu1 = m.m1 * m.m3 / (m.m1 + m.m3)
-    mu2 = m.m2 * (m.m1 + m.m3) / m.total
-    return ReducedMasses(mu1, mu2)
+def reduced_masses(m: MassTriple):
+    """Reduced masses (mu1, mu2) of the (1,3) pair and of body 2 against that pair."""
+    return m.m1 * m.m3 / (m.m1 + m.m3), m.m2 * (m.m1 + m.m3) / m.total
 
 
 def jacobi_map(m: MassTriple, a1, a2, a3):
@@ -161,24 +145,18 @@ def jacobi_map(m: MassTriple, a1, a2, a3):
     The arguments are the bodies' positions (or velocities, for the rates),
     each a 3-vector or an (N, 3) array of them.
     """
-    mu = reduced_masses(m)
-    s1 = sqrt(mu.mu1) * (a1 - a3)
-    s2 = sqrt(mu.mu2) * (a2 - (m.m1 * a1 + m.m3 * a3) / (m.m1 + m.m3))
+    mu1, mu2 = reduced_masses(m)
+    s1 = sqrt(mu1) * (a1 - a3)
+    s2 = sqrt(mu2) * (a2 - (m.m1 * a1 + m.m3 * a3) / (m.m1 + m.m3))
     return s1, s2
 
 
-def jacobi_from_cartesian(m: MassTriple, state: CartesianState) -> JacobiVectors:
-    """Mass-weighted Jacobi vectors of a Cartesian state (see jacobi_map)."""
-    s1, s2 = jacobi_map(m, state.x1, state.x2, state.x3)
-    sd1, sd2 = jacobi_map(m, state.v1, state.v2, state.v3)
-    return JacobiVectors(s1, s2, sd1, sd2)
-
-
-def cartesian_from_jacobi(m: MassTriple, j: JacobiVectors) -> CartesianState:
-    """Invert the Jacobi map with the center of mass (and its velocity) at
-    the origin."""
-    mu = reduced_masses(m)
-    w1, w2 = np.sqrt(mu.mu1), np.sqrt(mu.mu2)
+def cartesian_from_jacobi(m: MassTriple, s1, s2, sd1, sd2) -> CartesianState:
+    """Invert the Jacobi map of one state, its 3-vectors in body_frames'
+    order, with the center of mass (and its velocity) at the origin.
+    Raises ValueError where CartesianState does."""
+    mu1, mu2 = reduced_masses(m)
+    w1, w2 = np.sqrt(mu1), np.sqrt(mu2)
     pair = m.m1 + m.m3
     M = m.total
 
@@ -192,14 +170,7 @@ def cartesian_from_jacobi(m: MassTriple, j: JacobiVectors) -> CartesianState:
         x3 = c13 - m.m1 / pair * rel13
         return x1, x2, x3
 
-    x1, x2, x3 = _unmap(j.s1, j.s2)
-    v1, v2, v3 = _unmap(j.sdot1, j.sdot2)
-    return CartesianState(x1, x2, x3, v1, v2, v3)
-
-
-def spatial_angular_momentum(j: JacobiVectors) -> np.ndarray:
-    """Total angular momentum about the center of mass, L = s1 x s1dot + s2 x s2dot."""
-    return cross(j.s1, j.sdot1) + cross(j.s2, j.sdot2)
+    return CartesianState(*_unmap(s1, s2), *_unmap(sd1, sd2))
 
 
 _NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
@@ -277,18 +248,6 @@ def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
     return axes, r1, r2, phi, measured, sin_phi, planar, degenerate
 
 
-def body_frame_fit(j: JacobiVectors, collinear_threshold=COLLINEAR_THRESHOLD):
-    """Fit the body frame and shape coordinates of a state by the rule of
-    body_frames; returns (R, ShapeCoordinates) with R s_body = s_space.
-    Raises DegenerateShape at r1 = 0 or r2 = 0."""
-    axes, r1, r2, phi, measured, _, _, degenerate = body_frames(
-        j.s1[None], j.s2[None], j.sdot1[None], j.sdot2[None], collinear_threshold
-    )
-    if degenerate is not None:
-        raise DegenerateShape.from_r1(measured[0][0])
-    return axes[0].T, ShapeCoordinates(float(r1[0]), float(r2[0]), float(phi[0]))
-
-
 def body_jacobi_vectors(q: ShapeCoordinates):
     """Jacobi vectors in the body frame: (r1, 0, 0) and (r2 cos phi, r2 sin phi, 0)."""
     b1 = np.array([q.r1, 0.0, 0.0])
@@ -303,11 +262,11 @@ def shape_to_distances(m: MassTriple, r1, r2, phi):
     x1 - x3 = (r1, 0, 0) / sqrt(mu1) and body 2 sits at
     (r2 cos phi, r2 sin phi, 0) / sqrt(mu2) from the 1-3 center of mass.
     """
-    mu = reduced_masses(m)
+    mu1, mu2 = reduced_masses(m)
     pair = m.m1 + m.m3
-    d13 = r1 / sqrt(mu.mu1)
-    x2 = r2 * np.cos(phi) / sqrt(mu.mu2)
-    y2 = r2 * np.sin(phi) / sqrt(mu.mu2)
+    d13 = r1 / sqrt(mu1)
+    x2 = r2 * np.cos(phi) / sqrt(mu2)
+    y2 = r2 * np.sin(phi) / sqrt(mu2)
     d12 = np.sqrt((x2 - m.m3 / pair * d13) ** 2 + y2 ** 2)
     d23 = np.sqrt((x2 + m.m1 / pair * d13) ** 2 + y2 ** 2)
     return d12, d13, d23

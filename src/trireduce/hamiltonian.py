@@ -27,7 +27,6 @@ from .geometry import (
     BodyMomenta,
     BodyVelocityState,
     CartesianState,
-    JacobiVectors,
     MassTriple,
     ShapeCoordinates,
     body_frames,
@@ -163,7 +162,7 @@ def cartesian_from_momenta(masses, q: ShapeCoordinates, m: BodyMomenta) -> Carte
     if not all(map(isfinite, v)):
         raise NumericalBlowup("the body velocities of the shape overflow")
     v1, v2 = np.reshape(v, (2, 3))
-    return cartesian_from_jacobi(masses, JacobiVectors(*body_jacobi_vectors(q), v1, v2))
+    return cartesian_from_jacobi(masses, *body_jacobi_vectors(q), v1, v2)
 
 
 @dataclass

@@ -15,7 +15,6 @@ from .errors import SingularInertia
 from .geometry import (
     BodyMomenta,
     BodyVelocityState,
-    JacobiVectors,
     ShapeCoordinates,
     body_jacobi_vectors,
     cartesian_from_jacobi,
@@ -41,8 +40,8 @@ def inertia_tensor(q: ShapeCoordinates) -> np.ndarray:
 def inertia_inverse(q: ShapeCoordinates) -> np.ndarray:
     """Closed-form inverse of the inertia tensor.
 
-    Singular at collinear shapes: raises SingularInertia when r2 = 0 or
-    |sin phi| <= SINGULAR_THRESHOLD.
+    Singular at collinear shapes: raises SingularInertia when r2 = 0,
+    |sin phi| <= SINGULAR_THRESHOLD or r1^2 r2^2 sin^2 phi underflows to 0.
     """
     if q.r2 == 0.0:
         raise SingularInertia("r2 = 0: the inertia tensor is singular")
@@ -50,6 +49,8 @@ def inertia_inverse(q: ShapeCoordinates) -> np.ndarray:
     if abs(s) <= SINGULAR_THRESHOLD:
         raise SingularInertia(f"|sin phi| = {abs(s):.3e} at or below {SINGULAR_THRESHOLD:.3e}")
     r1sq, r2sq = q.r1 ** 2, q.r2 ** 2
+    if r1sq * r2sq * s * s == 0.0:
+        raise SingularInertia("r1^2 r2^2 sin^2 phi underflows to 0: the inertia tensor is singular")
     return np.array(
         [
             [(r1sq + r2sq * c * c) / (r1sq * r2sq * s * s), c / (r1sq * s), 0.0],
@@ -85,11 +86,13 @@ def mechanical_connection(q: ShapeCoordinates) -> np.ndarray:
 
 def horizontal_metric(q: ShapeCoordinates):
     """Horizontal (rotation-subtracted) shape metric g and its inverse;
-    raises SingularInertia at r2 = 0, where g33 = 0."""
+    raises SingularInertia at r2 = 0, where g33 = 0, and where g33 underflows."""
     if q.r2 == 0.0:
         raise SingularInertia("r2 = 0: the horizontal metric is singular")
     r1sq, r2sq = q.r1 ** 2, q.r2 ** 2
-    g33 = r1sq * r2sq / (r1sq + r2sq)
+    g33 = r1sq * r2sq / (r1sq + r2sq) if r1sq * r2sq else 0.0  # no 0/0 if both underflow
+    if g33 == 0.0:
+        raise SingularInertia("g33 underflows to 0: the horizontal metric is singular")
     g = np.diag([1.0, 1.0, g33])
     g_inv = np.diag([1.0, 1.0, 1.0 / g33])
     return g, g_inv
@@ -121,7 +124,7 @@ def cartesian_from_body_state(masses, q: ShapeCoordinates, w: BodyVelocityState)
     it keeps that function's loss of digits as r1/r2 falls."""
     b1, b2 = body_jacobi_vectors(q)
     v1, v2 = body_velocities(q, w)
-    return cartesian_from_jacobi(masses, JacobiVectors(b1, b2, v1, v2))
+    return cartesian_from_jacobi(masses, b1, b2, v1, v2)
 
 
 def kinetic_energy_body(q: ShapeCoordinates, w: BodyVelocityState) -> float:
@@ -141,7 +144,8 @@ def body_angular_momentum(q: ShapeCoordinates, w: BodyVelocityState) -> np.ndarr
 
 def shape_momenta(q: ShapeCoordinates, w: BodyVelocityState) -> BodyMomenta:
     """Conjugate momenta p_mu = g_{mu nu} qdot^nu + J . A_mu (equivalently
-    h_{mu nu} qdot^nu + w . a_mu).  Raises SingularInertia at r2 = 0."""
+    h_{mu nu} qdot^nu + w . a_mu).  Raises SingularInertia at r2 = 0 and
+    where horizontal_metric does."""
     if q.r2 == 0.0:
         raise SingularInertia("r2 = 0: the inertia tensor is singular")
     J = body_angular_momentum(q, w)

@@ -62,6 +62,9 @@ FIGURE_EIGHT_CONFIG = {
     },
 }
 
+# a valid shape start
+SHAPE_START = {"r1": 1.0, "r2": 1.0, "phi": 1.0, "J": [0.0, 0.0, 1.0], "p": [0.0] * 3}
+
 # figure-eight velocities whose kinetic energy overflows
 OVERFLOWING_VELOCITIES = [[1e200, 0.0, 0.0], [0.0, 0.0, 1e200], [-1e200, 0.0, -1e200]]
 
@@ -572,6 +575,8 @@ class TestEvaluate:
             # r2 = 0 and an overflowing velocity were tracebacks with exit 1
             ("r2", 0.0, "SingularInertia"),
             ("J", [1.7e308, 0.0, 0.0], "NumericalBlowup"),
+            # r2^2 underflows: a ZeroDivisionError traceback with exit 1
+            ("r2", 1e-170, "SingularInertia"),
         ],
     )
     def test_unrealisable_shape_exit_3(self, tmp_path, caplog, field, value, error):
@@ -634,6 +639,51 @@ class TestEvaluate:
         cfg = write_config(tmp_path, bad)
         assert run(["evaluate", "--config", cfg]) == 2
         assert "initial_state" in caplog.text
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"masses": [1.0, 1.0]}, "masses"),
+            ({"potential": {"builtin": "free", "expression": "r1"}}, "potential"),
+            ({"potential": {"params": {}}}, "potential"),
+            (
+                {"initial_state": {"cartesian": {
+                    "positions": [[0.0, 0.0, 0.0], [1.0, 0.0], [0.0, 1.0, 0.0]],
+                    "velocities": [[0.0] * 3] * 3,
+                }}},
+                "initial_state.cartesian.positions[1]",
+            ),
+            (
+                {"initial_state": {"cartesian": {
+                    "positions": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                    "velocities": [[0.0] * 3] * 3,
+                }}},
+                "initial_state.cartesian",
+            ),
+            (
+                {"initial_state": {"shape": dict(SHAPE_START, phi=4)}},
+                "initial_state.shape",
+            ),
+            (
+                {"initial_state": {"shape": dict(SHAPE_START, r1=-1)}},
+                "initial_state.shape",
+            ),
+        ],
+        ids=["two-masses", "both-potentials", "no-potential", "position-not-3", "two-positions",
+             "phi-4", "r1-negative"],
+    )
+    def test_config_error_names_the_field(self, tmp_path, caplog, change, field):
+        cfg = write_config(tmp_path, dict(HARMONIC_CONFIG, **change))
+        assert run(["evaluate", "--config", cfg]) == 2
+        assert f"config field '{field}': " in caplog.text
+
+    def test_unreadable_config_exit_2(self, tmp_path, caplog):
+        invalid = tmp_path / "invalid.json"
+        invalid.write_text("{\"masses\": [1.0, 1.0, 1.0],")
+        for path, message in ((tmp_path / "absent.json", "cannot read"), (invalid, "invalid JSON")):
+            caplog.clear()
+            assert run(["evaluate", "--config", str(path)]) == 2
+            assert f"config field '<config>': {message}" in caplog.text
 
 
 class TestCollinearReport:
@@ -758,6 +808,14 @@ class TestOutputFile:
     @pytest.mark.parametrize("command, raw", COMMANDS)
     def test_null_device_exit_0(self, tmp_path, command, raw):
         self.write(tmp_path, command, raw, os.devnull)
+
+    @pytest.mark.parametrize("command, raw", COMMANDS[1:])
+    def test_unwritable_path_exit_4(self, tmp_path, caplog, command, raw):
+        # in this process, as TestSimulate::test_unwritable_output_exit_4
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "no" / "such" / "dir" / "out.csv"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 4
+        assert "cannot write" in caplog.text
 
     @pytest.mark.parametrize("command, raw", COMMANDS)
     def test_directory_exit_4(self, tmp_path, command, raw):

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from math import sqrt
 from types import SimpleNamespace
 
@@ -247,6 +248,28 @@ class TestIntegrate:
                 patch.setattr(trireduce.dynamics, "forces_cartesian", forces)
                 with pytest.raises(NumericalBlowup, match=rf"at step {nan_step}$"):
                     integrate(MASSES, harmonic_setup(), HARMONIC, cfg)
+
+    def test_samples_are_the_rows_of_the_columns(self):
+        # body 2 starts at the 1-3 center of mass, so sample 0 is degenerate
+        z = np.zeros(3)
+        state = CartesianState([1.0, 0, 0], z, [-1.0, 0, 0], z, [0, 1.0, 0], z)
+        traj = integrate(MASSES, state, FREE, IntegratorConfig(dt=0.1, steps=4))
+        samples = traj.samples
+        assert len(samples) == len(traj) == 5
+        assert [s.branch for s in samples] == traj.branch.tolist()
+        assert traj.branch[0] == "degenerate" and np.isnan(samples[0].H_reduced)
+        for k, sample in enumerate(samples):
+            for f in fields(sample):
+                if f.name != "branch":
+                    row = getattr(traj, f.name)[k]
+                    assert np.array_equal(getattr(sample, f.name), row, equal_nan=True), f.name
+
+    def test_empty_trajectory_has_no_report(self):
+        traj = integrate(MASSES, harmonic_setup(), HARMONIC, IntegratorConfig(dt=0.01, steps=1))
+        columns = {f.name: getattr(traj, f.name)[:0] for f in fields(traj)}
+        empty = trireduce.dynamics.Trajectory(**columns)
+        with pytest.raises(ValueError, match="^empty trajectory$"):
+            conservation_report(empty)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

@@ -5,46 +5,45 @@ import numpy as np
 import pytest
 
 from trireduce.checks import random_rotation
-from trireduce.errors import DegenerateShape
 from trireduce.geometry import (
     BodyMomenta,
     BodyVelocityState,
     CartesianState,
-    JacobiVectors,
     MassTriple,
     ShapeCoordinates,
-    body_frame_fit,
     body_frames,
     body_jacobi_vectors,
     cartesian_from_jacobi,
     cross,
-    jacobi_from_cartesian,
+    jacobi_map,
     lengths,
     reduced_masses,
     shape_to_distances,
-    spatial_angular_momentum,
 )
+from trireduce.hamiltonian import evaluate_reduced_batch
+from trireduce.potential import builtin_potential
 
 RNG = np.random.default_rng(7)
+FREE = builtin_potential("free")
 
 
 class TestReducedMasses:
     def test_equal_unit_masses(self):
-        mu = reduced_masses(MassTriple(1, 1, 1))
-        assert mu.mu1 == pytest.approx(0.5, abs=1e-15)
-        assert mu.mu2 == pytest.approx(2.0 / 3.0, abs=1e-15)
+        mu1, mu2 = reduced_masses(MassTriple(1, 1, 1))
+        assert mu1 == pytest.approx(0.5, abs=1e-15)
+        assert mu2 == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_equal_masses_two(self):
-        mu = reduced_masses(MassTriple(2, 2, 2))
-        assert mu.mu1 == pytest.approx(1.0, abs=1e-15)
-        assert mu.mu2 == pytest.approx(4.0 / 3.0, abs=1e-15)
+        mu1, mu2 = reduced_masses(MassTriple(2, 2, 2))
+        assert mu1 == pytest.approx(1.0, abs=1e-15)
+        assert mu2 == pytest.approx(4.0 / 3.0, abs=1e-15)
 
     def test_homogeneous_in_masses(self):
         base = reduced_masses(MassTriple(1, 1, 1))
         for k in (0.5, 3.0, 7.25):
             scaled = reduced_masses(MassTriple(k, k, k))
-            assert scaled.mu1 == pytest.approx(k * base.mu1, rel=1e-14)
-            assert scaled.mu2 == pytest.approx(k * base.mu2, rel=1e-14)
+            assert scaled[0] == pytest.approx(k * base[0], rel=1e-14)
+            assert scaled[1] == pytest.approx(k * base[1], rel=1e-14)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="^m2 must be finite and > 0, got -1$"):
@@ -60,6 +59,12 @@ class TestReducedMasses:
         masses[field] = value
         with pytest.raises(ValueError, match=f"^m{field + 1}: expected a finite number, got "):
             MassTriple(*masses)
+
+    def test_accepts_numpy_scalars(self):
+        # a float32 is tested against the float range with no cast of that
+        # range to float32, which would overflow (a RuntimeWarning is an error here)
+        masses = MassTriple(np.float32(1.5), np.int64(2), np.float64(0.5))
+        assert masses.total == 4.0
 
 
 class TestShapeCoordinates:
@@ -84,7 +89,7 @@ class TestShapeCoordinates:
         assert str(info.value) == message
 
 
-VECTOR_CLASSES = [CartesianState, JacobiVectors, BodyVelocityState, BodyMomenta]
+VECTOR_CLASSES = [CartesianState, BodyVelocityState, BodyMomenta]
 
 
 class TestVectorFields:
@@ -102,8 +107,12 @@ class TestVectorFields:
             np.array([0.0, 1.0, float("inf")]),
             [1.0, 2.0],
             np.zeros(4),
+            [10**400, 0, 0],
         ],
-        ids=["str", "bool", "mixed", "bool-array", "str-array", "nan", "inf", "short", "long"],
+        ids=[
+            "str", "bool", "mixed", "bool-array", "str-array", "nan", "inf", "short", "long",
+            "int-beyond-float",
+        ],
     )
     @pytest.mark.parametrize("cls", VECTOR_CLASSES)
     def test_rejects_what_is_not_a_finite_3_vector(self, cls, value):
@@ -157,142 +166,156 @@ def _state(x1, x2, x3, v1=None, v2=None, v3=None):
     )
 
 
+def _jacobi(m, state):
+    """(s1, s2, sd1, sd2) of a CartesianState, by jacobi_map."""
+    return (*jacobi_map(m, *state.positions), *jacobi_map(m, *state.velocities))
+
+
+def _frame(s1, s2, sd1, sd2):
+    """body_frames of one state given as four 3-vectors: (R, r1, r2, phi),
+    R = axes[0].T, so R s_body = s_space, and degenerate."""
+    rows = (np.array([v], float) for v in (s1, s2, sd1, sd2))
+    axes, r1, r2, phi, _, _, _, degenerate = body_frames(*rows)
+    return axes[0].T, r1[0], r2[0], phi[0], degenerate
+
+
 class TestJacobiMap:
     def test_documented_example(self):
         m = MassTriple(1, 1, 1)
-        j = jacobi_from_cartesian(m, _state([1, 0, 0], [0, 1, 0], [-1, 0, 0]))
-        assert np.allclose(j.s1, [sqrt(2), 0, 0], atol=1e-15)
-        assert np.allclose(j.s2, [0, sqrt(2.0 / 3.0), 0], atol=1e-15)
+        s1, s2 = jacobi_map(m, *_state([1, 0, 0], [0, 1, 0], [-1, 0, 0]).positions)
+        assert np.allclose(s1, [sqrt(2), 0, 0], atol=1e-15)
+        assert np.allclose(s2, [0, sqrt(2.0 / 3.0), 0], atol=1e-15)
 
     def test_translation_invariance(self):
         m = MassTriple(1.0, 2.0, 0.5)
         shift = np.array([3.1, -2.2, 0.7])
         s = _state([1, 0, 0], [0, 1, 0], [-1, 0.5, 0.2])
         shifted = _state(s.x1 + shift, s.x2 + shift, s.x3 + shift)
-        j0 = jacobi_from_cartesian(m, s)
-        j1 = jacobi_from_cartesian(m, shifted)
-        assert np.allclose(j0.s1, j1.s1, atol=1e-14)
-        assert np.allclose(j0.s2, j1.s2, atol=1e-14)
+        j0 = jacobi_map(m, *s.positions)
+        j1 = jacobi_map(m, *shifted.positions)
+        assert np.allclose(j0[0], j1[0], atol=1e-14)
+        assert np.allclose(j0[1], j1[1], atol=1e-14)
 
     def test_coincident_particles_map_to_zero(self):
         m = MassTriple(1, 2, 3)
-        j = jacobi_from_cartesian(m, _state([1, 1, 1], [1, 1, 1], [1, 1, 1]))
-        assert np.allclose(j.s1, 0) and np.allclose(j.s2, 0)
+        s1, s2 = jacobi_map(m, *_state([1, 1, 1], [1, 1, 1], [1, 1, 1]).positions)
+        assert np.allclose(s1, 0) and np.allclose(s2, 0)
 
     def test_round_trip(self):
         m = MassTriple(1.3, 0.7, 2.1)
-        j = JacobiVectors(
-            RNG.normal(size=3), RNG.normal(size=3), RNG.normal(size=3), RNG.normal(size=3)
-        )
-        back = jacobi_from_cartesian(m, cartesian_from_jacobi(m, j))
-        for a, b in [
-            (j.s1, back.s1),
-            (j.s2, back.s2),
-            (j.sdot1, back.sdot1),
-            (j.sdot2, back.sdot2),
-        ]:
+        j = [RNG.normal(size=3), RNG.normal(size=3), RNG.normal(size=3), RNG.normal(size=3)]
+        back = _jacobi(m, cartesian_from_jacobi(m, *j))
+        for a, b in zip(j, back):
             assert np.allclose(a, b, atol=1e-14)
 
     def test_inverse_zero(self):
         m = MassTriple(1, 1, 1)
         z = np.zeros(3)
-        s = cartesian_from_jacobi(m, JacobiVectors(z, z, z, z))
+        s = cartesian_from_jacobi(m, z, z, z, z)
         assert np.allclose(s.positions, 0) and np.allclose(s.velocities, 0)
 
     def test_inverse_center_of_mass_at_origin(self):
         for _ in range(20):
             m = MassTriple(*RNG.uniform(0.5, 3.0, size=3))
-            j = JacobiVectors(
+            j = [
                 RNG.normal(size=3),
                 RNG.normal(size=3),
                 RNG.normal(size=3),
                 RNG.normal(size=3),
-            )
-            s = cartesian_from_jacobi(m, j)
+            ]
+            s = cartesian_from_jacobi(m, *j)
             com = m.as_array() @ s.positions / m.total
             mom = m.as_array() @ s.velocities
             assert np.allclose(com, 0, atol=1e-14)
             assert np.allclose(mom, 0, atol=1e-14)
 
+    def test_inverse_rejects_a_vector_not_finite(self):
+        # the Cartesian state it returns is validated
+        z = np.zeros(3)
+        with pytest.raises(ValueError, match="^x1 must be a finite 3-vector$"):
+            cartesian_from_jacobi(MassTriple(1, 1, 1), np.array([np.nan, 0, 0]), z, z, z)
+
+
+def _batch_L(m, s1, s2, sd1, sd2):
+    """The L column of evaluate_reduced_batch on the one state of these
+    Jacobi vectors."""
+    state = cartesian_from_jacobi(m, s1, s2, sd1, sd2)
+    return evaluate_reduced_batch(m, state.positions[None], state.velocities[None], FREE).L[0]
+
 
 class TestAngularMomentum:
+    """L of evaluate_reduced_batch, s1 x s1dot + s2 x s2dot."""
+
     def test_parallel_velocities_give_zero(self):
-        j = JacobiVectors([1, 2, 3], [4, 5, 6], [2, 4, 6], [-4, -5, -6])
-        assert np.allclose(spatial_angular_momentum(j), 0, atol=1e-14)
+        j = np.array([[1, 2, 3], [4, 5, 6], [2, 4, 6], [-4, -5, -6]], float)
+        L = _batch_L(MassTriple(1, 1, 1), *j)
+        assert np.allclose(L, 0, atol=1e-14)
 
     def test_unit_cross_product(self):
+        # r2 = 0: the row is degenerate, and L is still reported
         z = np.zeros(3)
-        j = JacobiVectors([1, 0, 0], z, [0, 1, 0], z)
-        assert np.allclose(spatial_angular_momentum(j), [0, 0, 1])
+        L = _batch_L(MassTriple(1, 1, 1), np.array([1.0, 0, 0]), z, np.array([0, 1.0, 0]), z)
+        assert np.allclose(L, [0, 0, 1])
 
     def test_matches_cartesian_assembly(self):
         for _ in range(50):
             m = MassTriple(*RNG.uniform(0.5, 3.0, size=3))
             pos = RNG.normal(size=(3, 3))
             vel = RNG.normal(size=(3, 3))
-            s = CartesianState(*pos, *vel)
-            j = jacobi_from_cartesian(m, s)
+            L = evaluate_reduced_batch(m, pos[None], vel[None], FREE).L[0]
             marr = m.as_array()
             com = marr @ pos / m.total
             vcom = marr @ vel / m.total
             L_direct = sum(
                 marr[i] * np.cross(pos[i] - com, vel[i] - vcom) for i in range(3)
             )
-            assert np.allclose(spatial_angular_momentum(j), L_direct, atol=1e-12)
+            assert np.allclose(L, L_direct, atol=1e-12)
 
 
 class TestBodyFrameFit:
+    """body_frames on one state."""
+
     def test_axis_aligned(self):
         z = np.zeros(3)
-        R, q = body_frame_fit(JacobiVectors([2, 0, 0], [0, 1, 0], z, z))
+        R, r1, r2, phi, _ = _frame([2, 0, 0], [0, 1, 0], z, z)
         assert np.allclose(R, np.eye(3), atol=1e-15)
-        assert (q.r1, q.r2) == (2.0, 1.0)
-        assert q.phi == pytest.approx(pi / 2, abs=1e-15)
+        assert (r1, r2) == (2.0, 1.0)
+        assert phi == pytest.approx(pi / 2, abs=1e-15)
 
     def test_antiparallel_limit(self):
         z = np.zeros(3)
         for eps in (1e-3, 1e-5):
-            _, q = body_frame_fit(
-                JacobiVectors([1, 0, 0], [-1, eps, 0], z, z)
-            )
-            assert q.phi == pytest.approx(pi, abs=2 * eps)
+            phi = _frame([1, 0, 0], [-1, eps, 0], z, z)[3]
+            assert phi == pytest.approx(pi, abs=2 * eps)
 
     def test_reconstruction(self):
         for _ in range(100):
-            j = JacobiVectors(
-                RNG.normal(size=3), RNG.normal(size=3), RNG.normal(size=3), RNG.normal(size=3)
-            )
-            R, q = body_frame_fit(j)
-            b1, b2 = body_jacobi_vectors(q)
-            assert np.allclose(R @ b1, j.s1, atol=1e-12)
-            assert np.allclose(R @ b2, j.s2, atol=1e-12)
+            j = [RNG.normal(size=3), RNG.normal(size=3), RNG.normal(size=3), RNG.normal(size=3)]
+            R, r1, r2, phi, _ = _frame(*j)
+            b1, b2 = body_jacobi_vectors(ShapeCoordinates(r1, r2, phi))
+            assert np.allclose(R @ b1, j[0], atol=1e-12)
+            assert np.allclose(R @ b2, j[1], atol=1e-12)
 
     def test_equivariance(self):
         for _ in range(100):
-            j = JacobiVectors(
-                RNG.normal(size=3), RNG.normal(size=3), RNG.normal(size=3), RNG.normal(size=3)
-            )
+            j = [RNG.normal(size=3), RNG.normal(size=3), RNG.normal(size=3), RNG.normal(size=3)]
             Q = random_rotation(RNG)
-            R, q = body_frame_fit(j)
-            Rq, qq = body_frame_fit(
-                JacobiVectors(Q @ j.s1, Q @ j.s2, Q @ j.sdot1, Q @ j.sdot2)
-            )
-            assert abs(q.r1 - qq.r1) < 1e-12
-            assert abs(q.r2 - qq.r2) < 1e-12
-            assert abs(q.phi - qq.phi) < 1e-12
+            R, *q = _frame(*j)[:4]
+            Rq, *qq = _frame(*(Q @ v for v in j))[:4]
+            assert abs(q[0] - qq[0]) < 1e-12
+            assert abs(q[1] - qq[1]) < 1e-12
+            assert abs(q[2] - qq[2]) < 1e-12
             assert np.max(np.abs(Rq - Q @ R)) < 1e-12
 
     def test_degenerate_and_collinear(self):
         z = np.zeros(3)
-        with pytest.raises(DegenerateShape):
-            body_frame_fit(JacobiVectors(z, [1, 0, 0], z, z))
-        with pytest.raises(DegenerateShape):
-            body_frame_fit(JacobiVectors([1, 0, 0], z, z, z))
+        assert _frame(z, [1, 0, 0], z, z)[-1].tolist() == [True]
+        assert _frame([1, 0, 0], z, z, z)[-1].tolist() == [True]
         # below the collinear threshold phi is exactly 0 or pi; with no
         # bending motion u2 is a fixed perpendicular of u1
         for s2, phi in (([2, 1e-12, 0], 0.0), ([-2, 1e-12, 0], pi)):
-            R, q = body_frame_fit(JacobiVectors([1, 0, 0], s2, z, z))
-            assert q.phi == phi
+            R, _, _, fitted_phi, _ = _frame([1, 0, 0], s2, z, z)
+            assert fitted_phi == phi
             assert np.array_equal(R[:, 0], [1.0, 0.0, 0.0])
             assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-15
             assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-15)
@@ -318,8 +341,8 @@ class TestBodyFrameFit:
             s1 = RNG.normal(size=3)
             k = RNG.uniform(-2.0, 2.0)
             sd1, sd2 = RNG.normal(size=3), RNG.normal(size=3)
-            R, q = body_frame_fit(JacobiVectors(s1, k * s1, sd1, sd2))
-            assert q.phi == (0.0 if k > 0 else pi)
+            R, _, _, phi, _ = _frame(s1, k * s1, sd1, sd2)
+            assert phi == (0.0 if k > 0 else pi)
             u1 = s1 / np.linalg.norm(s1)
             bend = sd2 - k * sd1  # sdot2 - sigma (r2/r1) sdot1
             bend -= np.dot(bend, u1) * u1
@@ -348,9 +371,8 @@ class TestShapeToDistances:
             m = MassTriple(*RNG.uniform(0.5, 3.0, size=3))
             pos = RNG.normal(size=(3, 3))
             s = CartesianState(*pos, *np.zeros((3, 3)))
-            j = jacobi_from_cartesian(m, s)
-            _, q = body_frame_fit(j)
-            d12, d13, d23 = shape_to_distances(m, q.r1, q.r2, q.phi)
+            _, r1, r2, phi, _ = _frame(*_jacobi(m, s))
+            d12, d13, d23 = shape_to_distances(m, r1, r2, phi)
             assert d12 == pytest.approx(np.linalg.norm(pos[0] - pos[1]), rel=1e-12)
             assert d13 == pytest.approx(np.linalg.norm(pos[0] - pos[2]), rel=1e-12)
             assert d23 == pytest.approx(np.linalg.norm(pos[1] - pos[2]), rel=1e-12)

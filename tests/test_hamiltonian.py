@@ -13,16 +13,13 @@ from trireduce.errors import DegenerateShape, DomainError, NumericalBlowup
 from trireduce.geometry import (
     COLLINEAR_THRESHOLD,
     CartesianState,
-    JacobiVectors,
     MassTriple,
     ShapeCoordinates,
-    body_frame_fit,
+    body_frames,
     body_jacobi_vectors,
     cartesian_from_jacobi,
-    jacobi_from_cartesian,
     jacobi_map,
     reduced_masses,
-    spatial_angular_momentum,
 )
 from trireduce.hamiltonian import (
     cartesian_from_momenta,
@@ -159,21 +156,30 @@ class TestSingularTerm:
 
 
 def collinear_jacobi(transverse=1.0, axial=0.3):
-    """Collinear Jacobi state with transverse velocity so that L != 0."""
-    s1 = np.array([0.0, 0.0, 2.0])
-    s2 = np.array([0.0, 0.0, 1.0])
-    sd1 = np.array([0.0, 0.0, axial])
-    sd2 = np.array([transverse, 0.0, 0.0])
-    return JacobiVectors(s1, s2, sd1, sd2)
+    """Collinear Jacobi state with transverse velocity so that L != 0:
+    rows s1, s2, sdot1 and sdot2."""
+    return np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 1.0], [0.0, 0.0, axial], [transverse, 0.0, 0.0]])
+
+
+def rotated(Q, j):
+    """The rows of j, each turned by Q."""
+    return np.array([Q @ v for v in j])
+
+
+def fitted_frame(j, collinear_threshold=COLLINEAR_THRESHOLD):
+    """R (R s_body = s_space) and the shape of body_frames' fit of the one
+    state whose Jacobi rows are j."""
+    axes, r1, r2, phi = body_frames(*j[:, None], collinear_threshold)[:4]
+    return axes[0].T, ShapeCoordinates(r1[0], r2[0], phi[0])
 
 
 class TestAlignCollinearFrame:
-    """The body frame body_frame_fit picks at collinear shapes."""
+    """The body frame body_frames picks at collinear shapes."""
 
     def test_documented_frame(self):
         j = collinear_jacobi()
         # bending sd2 - (r2/r1) sd1 = (1,0,0) sets u2; L = (0,1,0) is along u3
-        R, _ = body_frame_fit(j)
+        R, _ = fitted_frame(j)
         assert np.allclose(R[:, 0], [0, 0, 1], atol=1e-14)  # u1 = e3
         assert np.allclose(R[:, 1], [1, 0, 0], atol=1e-14)  # u2 = e1
         assert np.allclose(R[:, 2], [0, 1, 0], atol=1e-14)  # u3 = e2
@@ -182,32 +188,30 @@ class TestAlignCollinearFrame:
         for _ in range(20):
             Q = random_rotation(RNG)
             j0 = collinear_jacobi(transverse=RNG.uniform(0.5, 2.0))
-            j = JacobiVectors(Q @ j0.s1, Q @ j0.s2, Q @ j0.sdot1, Q @ j0.sdot2)
-            R, _ = body_frame_fit(j)
-            J = R.T @ spatial_angular_momentum(j)
+            j = rotated(Q, j0)
+            R, _ = fitted_frame(j)
+            J = R.T @ (np.cross(j[0], j[2]) + np.cross(j[1], j[3]))
             assert abs(J[0]) < 1e-12 and abs(J[1]) < 1e-12
             assert J[2] > 0
 
     def test_fitted_frames_converge_to_aligned_frame(self):
         # free motion through a collinear configuration at t = 0; sdot1
         # tilts the molecular line so frames move
-        j0 = JacobiVectors(
+        j0 = np.array([
             [0.0, 0.0, 2.0],
             [0.0, 0.0, 1.0],
             [0.15, 0.0, 0.3],
             [1.0, 0.0, 0.0],
-        )
-        R0, _ = body_frame_fit(j0)
+        ])
+        R0, _ = fitted_frame(j0)
         half_turn = np.diag([1.0, -1.0, -1.0])
         deviations = []
         deltas = [1e-2, 1e-3, 1e-4]
         for delta in deltas:
             worst = 0.0
             for t in (-delta, delta):
-                j = JacobiVectors(
-                    j0.s1 + t * j0.sdot1, j0.s2 + t * j0.sdot2, j0.sdot1, j0.sdot2
-                )
-                R, _ = body_frame_fit(j)
+                j = np.array([j0[0] + t * j0[2], j0[1] + t * j0[3], j0[2], j0[3]])
+                R, _ = fitted_frame(j)
                 dev = min(
                     np.max(np.abs(R - R0)), np.max(np.abs(R @ half_turn - R0))
                 )
@@ -244,8 +248,7 @@ class TestEvaluateReduced:
             j0 = collinear_jacobi(
                 transverse=RNG.uniform(0.5, 2.0), axial=RNG.normal()
             )
-            j = JacobiVectors(Q @ j0.s1, Q @ j0.s2, Q @ j0.sdot1, Q @ j0.sdot2)
-            state = cartesian_from_jacobi(masses, j)
+            state = cartesian_from_jacobi(masses, *rotated(Q, j0))
             ev = evaluate_reduced(masses, state, potential)
             assert ev.branch == "collinear"
             E = total_energy(masses, state, potential)
@@ -263,7 +266,7 @@ class TestEvaluateReduced:
             w = BodyVelocityState(omega, qdot)
             b1, b2 = body_jacobi_vectors(q)
             v1, v2 = body_velocities(q, w)
-            state = cartesian_from_jacobi(masses, JacobiVectors(b1, b2, v1, v2))
+            state = cartesian_from_jacobi(masses, b1, b2, v1, v2)
             ev = evaluate_reduced(masses, state, FREE)
             assert ev.branch == branch
             assert ev.H == pytest.approx(kinetic_energy_body(q, w), rel=1e-12)
@@ -274,8 +277,7 @@ class TestEvaluateReduced:
         H_ref = None
         for _ in range(10):
             Q = random_rotation(RNG)
-            j = JacobiVectors(Q @ j0.s1, Q @ j0.s2, Q @ j0.sdot1, Q @ j0.sdot2)
-            ev = evaluate_reduced(masses, cartesian_from_jacobi(masses, j), FREE)
+            ev = evaluate_reduced(masses, cartesian_from_jacobi(masses, *rotated(Q, j0)), FREE)
             if H_ref is None:
                 H_ref = ev.H
             assert ev.H == pytest.approx(H_ref, rel=1e-10, abs=1e-10)
@@ -288,7 +290,7 @@ class TestEvaluateReduced:
         w = BodyVelocityState(np.array([0.0, 0.0, 0.3]), np.array([0.1, 0.2, 0.4]))
         b1, b2 = body_jacobi_vectors(q)
         v1, v2 = body_velocities(q, w)
-        state = cartesian_from_jacobi(masses, JacobiVectors(b1, b2, v1, v2))
+        state = cartesian_from_jacobi(masses, b1, b2, v1, v2)
         ev = evaluate_reduced(masses, state, FREE)
         assert ev.branch == "noncollinear"
         assert COLLINEAR_THRESHOLD < ev.sin_phi < BAND_THRESHOLD
@@ -370,8 +372,8 @@ def rotated_states(draw, masses=MASS_TRIPLES):
     r1, r2 = draw(st.floats(0.3, 2.0)), draw(st.floats(0.3, 2.0))
     if kind == "near_meeting":
         # body 1 sits m3/(m1 + m3) |x1 - x3| from the 1-3 center of mass
-        mu = reduced_masses(masses)
-        r2 = sqrt(mu.mu2 / mu.mu1) * masses.m3 / (masses.m1 + masses.m3) * r1 / cos(phi)
+        mu1, mu2 = reduced_masses(masses)
+        r2 = sqrt(mu2 / mu1) * masses.m3 / (masses.m1 + masses.m3) * r1 / cos(phi)
     b2 = np.array([r2 * cos(phi), r2 * sin(phi), 0.0])
     if kind in CLOSE_KINDS:
         gap = draw(st.floats(1e-8, 1e-5))
@@ -380,9 +382,9 @@ def rotated_states(draw, masses=MASS_TRIPLES):
         else:
             # bodies 1 and 3 sit m3 and -m1 over (m1 + m3) of x1 - x3 from
             # their center of mass; body 2 goes beside one of them
-            mu = reduced_masses(masses)
+            mu1, mu2 = reduced_masses(masses)
             side = masses.m3 if kind == "close_12" else -masses.m1
-            beside = sqrt(mu.mu2 / mu.mu1) * side / (masses.m1 + masses.m3) * r1
+            beside = sqrt(mu2 / mu1) * side / (masses.m1 + masses.m3) * r1
             b2 = gap * b2 + np.array([beside, 0.0, 0.0])
     sd1, sd2 = draw(VECTORS), draw(VECTORS)
     k = r2 / r1 * cos(phi)
@@ -397,7 +399,7 @@ def rotated_states(draw, masses=MASS_TRIPLES):
         s2 = k * s1
     else:
         s2 = Q @ b2
-    state = cartesian_from_jacobi(masses, JacobiVectors(s1, s2, Q @ sd1, Q @ sd2))
+    state = cartesian_from_jacobi(masses, s1, s2, Q @ sd1, Q @ sd2)
     return kind, masses, state
 
 
@@ -471,9 +473,11 @@ class TestBatchKernel:
             return
         out = evaluate_reduced_batch(masses, x, v, potential, threshold)
         for i, state in enumerate(states):
-            j = jacobi_from_cartesian(masses, state)
+            j = np.array(
+                [*jacobi_map(masses, *state.positions), *jacobi_map(masses, *state.velocities)]
+            )
             E = total_energy(masses, state, potential)
-            L = spatial_angular_momentum(j)
+            L = np.cross(j[0], j[2]) + np.cross(j[1], j[3])
             assert _close(out.E_total[i], E)
             assert _close(out.L[i], L)
             # row independence: the one-state evaluation of the same state
@@ -498,7 +502,7 @@ class TestBatchKernel:
             # center of mass at rest, so H equals the Cartesian energy
             noncollinear = out.branch[i] == "noncollinear"
             assert _close(out.H_reduced[i], E)
-            R, q = body_frame_fit(j, threshold)
+            R, q = fitted_frame(j, threshold)
             if noncollinear or out.sin_phi[i] <= 1e-14:
                 assert _close(out.J[i], R.T @ L)
             # the inverse Legendre map divides by sin(phi)^2 and by r1^2 r2^2:
@@ -507,21 +511,11 @@ class TestBatchKernel:
             if out.sin_phi[i] > 1e-3 and noncollinear and shorter > 1e-3 * longer:
                 w = velocities_from_momenta(q, BodyMomenta(out.J[i], out.p[i]))
                 v1, v2 = body_velocities(q, w)
-                assert _close(v1, R.T @ j.sdot1)
-                assert _close(v2, R.T @ j.sdot2)
+                assert _close(v1, R.T @ j[2])
+                assert _close(v2, R.T @ j[3])
                 oracle = shape_momenta(q, w)
                 assert _close(out.J[i], oracle.J)
                 assert _close(out.p[i], oracle.p)
-
-
-def _same_evaluation(a, b):
-    """Every field of two ReducedEvaluations equal, bit for bit."""
-    return (
-        (a.H, a.branch, a.singular_term, a.sin_phi) == (b.H, b.branch, b.singular_term, b.sin_phi)
-        and (a.q.r1, a.q.r2, a.q.phi) == (b.q.r1, b.q.r2, b.q.phi)
-        and np.array_equal(a.momenta.J, b.momenta.J)
-        and np.array_equal(a.momenta.p, b.momenta.p)
-    )
 
 
 class TestOneRowPath:
@@ -547,17 +541,6 @@ class TestOneRowPath:
         ), kind
         assert np.array_equal(ev.momenta.J, out.J[0]), kind
         assert np.array_equal(ev.momenta.p, out.p[0]), kind
-
-    def test_builds_no_jacobi_vectors(self, monkeypatch):
-        masses = MassTriple(1.0, 2.0, 0.6)
-        state = CartesianState(*RNG.normal(size=(6, 3)))
-        ref = evaluate_reduced(masses, state, FREE)
-
-        def refuse(self):
-            raise AssertionError("JacobiVectors built")
-
-        monkeypatch.setattr(JacobiVectors, "__post_init__", refuse)
-        assert _same_evaluation(evaluate_reduced(masses, state, FREE), ref)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -301,6 +301,14 @@ class TestParser:
         with pytest.raises(UnknownIdentifier):
             parse_expression("tan(phi)")
 
+    @pytest.mark.parametrize(
+        "text, position, expected", [("1.2.3 + r1", 1, "number"), ("r1 $ 2", 4, "token")]
+    )
+    def test_bad_token_position(self, text, position, expected):
+        with pytest.raises(PotentialSyntaxError) as err:
+            parse_potential(text)
+        assert (err.value.position, err.value.expected) == (position, expected)
+
     def test_unbalanced_parens(self):
         with pytest.raises(PotentialSyntaxError):
             parse_expression("(r1 + r2")
@@ -328,6 +336,17 @@ class TestParser:
     def test_print_parse_round_trip(self, ast):
         printed = print_expression(ast)
         assert parse_expression(printed) == ast
+
+
+class TestSpec:
+    def test_needs_exactly_one_kind(self):
+        for kwargs in ({}, {"builtin": "free", "ast": Var("r1")}):
+            with pytest.raises(ValueError, match="^exactly one of builtin/ast must be set$"):
+                PotentialSpec(**kwargs)
+
+    def test_unknown_builtin(self):
+        with pytest.raises(ValueError, match="^unknown builtin potential 'morse'$"):
+            builtin_potential("morse")
 
 
 class TestEval:
@@ -453,13 +472,13 @@ class TestEval:
         masses = MassTriple(1.0, 2.0, 0.5)
         q = ShapeCoordinates(1.4, 0.9, 1.2)
         base = eval_row(spec, shape_row(masses, q), masses)
-        from trireduce.geometry import JacobiVectors, body_jacobi_vectors, cartesian_from_jacobi
+        from trireduce.geometry import body_jacobi_vectors, cartesian_from_jacobi
 
         b1, b2 = body_jacobi_vectors(q)
         for _ in range(10):
             Q = random_rotation(RNG)
             z = np.zeros(3)
-            state = cartesian_from_jacobi(masses, JacobiVectors(Q @ b1, Q @ b2, z, z))
+            state = cartesian_from_jacobi(masses, Q @ b1, Q @ b2, z, z)
             V = potential_at_positions(spec, masses, state.positions[None])[0]
             assert V == pytest.approx(base, rel=1e-12)
 

@@ -6,13 +6,11 @@ import pytest
 from trireduce.checks import random_rotation
 from trireduce.errors import SingularInertia
 from trireduce.geometry import (
-    JacobiVectors,
     MassTriple,
     ShapeCoordinates,
-    body_frame_fit,
+    body_frames,
     body_jacobi_vectors,
     cartesian_from_jacobi,
-    spatial_angular_momentum,
 )
 from trireduce.reduction import (
     BodyMomenta,
@@ -173,10 +171,10 @@ class TestBodyVelocities:
             Q = random_rotation(RNG)
             b1, b2 = body_jacobi_vectors(q)
             v1, v2 = body_velocities(q, w)
-            j = JacobiVectors(Q @ b1, Q @ b2, Q @ v1, Q @ v2)
-            R, q_fit = body_frame_fit(j)
-            assert np.allclose(R.T @ j.sdot1, v1, atol=1e-12)
-            assert np.allclose(R.T @ j.sdot2, v2, atol=1e-12)
+            s1, s2, sd1, sd2 = Q @ b1, Q @ b2, Q @ v1, Q @ v2
+            R = body_frames(s1[None], s2[None], sd1[None], sd2[None])[0][0].T
+            assert np.allclose(R.T @ sd1, v1, atol=1e-12)
+            assert np.allclose(R.T @ sd2, v2, atol=1e-12)
 
 
 class TestKineticEnergy:
@@ -217,12 +215,12 @@ class TestKineticEnergy:
             Q = random_rotation(RNG)
             b1, b2 = body_jacobi_vectors(q)
             v1, v2 = body_velocities(q, w)
-            j = JacobiVectors(Q @ b1, Q @ b2, Q @ v1, Q @ v2)
-            state = cartesian_from_jacobi(masses, j)
+            s1, s2, sd1, sd2 = Q @ b1, Q @ b2, Q @ v1, Q @ v2
+            state = cartesian_from_jacobi(masses, s1, s2, sd1, sd2)
             K_cart = 0.5 * float(
                 np.sum(masses.as_array()[:, None] * state.velocities ** 2)
             )
-            K_jac = 0.5 * (j.sdot1 @ j.sdot1 + j.sdot2 @ j.sdot2)
+            K_jac = 0.5 * (sd1 @ sd1 + sd2 @ sd2)
             K_body = kinetic_energy_body(q, w)
             assert K_cart == pytest.approx(K_body, abs=1e-10)
             assert K_jac == pytest.approx(K_body, abs=1e-10)
@@ -255,9 +253,9 @@ class TestBodyAngularMomentum:
             Q = random_rotation(RNG)
             b1, b2 = body_jacobi_vectors(q)
             v1, v2 = body_velocities(q, w)
-            j = JacobiVectors(Q @ b1, Q @ b2, Q @ v1, Q @ v2)
-            R, _ = body_frame_fit(j)
-            L = spatial_angular_momentum(j)
+            s1, s2, sd1, sd2 = Q @ b1, Q @ b2, Q @ v1, Q @ v2
+            R = body_frames(s1[None], s2[None], sd1[None], sd2[None])[0][0].T
+            L = np.cross(s1, sd1) + np.cross(s2, sd2)
             assert np.allclose(body_angular_momentum(q, w), R.T @ L, atol=1e-10)
 
 
@@ -348,6 +346,35 @@ class TestZeroR2:
         assert np.all(np.isfinite(g_inv))
         m = shape_momenta(q, random_velocity())
         assert np.all(np.isfinite(m.J)) and np.all(np.isfinite(m.p))
+
+
+UNDERFLOWING = [(1.0, 1e-170, 1.0), (1.0, 1e-200, 1.0), (1e-170, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("shape", UNDERFLOWING, ids=["r2-1e-170", "r2-1e-200", "r1-1e-170"])
+class TestUnderflowingSquares:
+    """r1 and r2 are > 0, but r1^2 or r2^2 underflows to 0: SingularInertia
+    names the quantity that divides, not a bare ZeroDivisionError."""
+
+    INERTIA = r"^r1\^2 r2\^2 sin\^2 phi underflows to 0: the inertia tensor is singular$"
+    METRIC = r"^g33 underflows to 0: the horizontal metric is singular$"
+
+    def test_inertia_inverse(self, shape):
+        with pytest.raises(SingularInertia, match=self.INERTIA):
+            inertia_inverse(ShapeCoordinates(*shape))
+
+    def test_horizontal_metric(self, shape):
+        with pytest.raises(SingularInertia, match=self.METRIC):
+            horizontal_metric(ShapeCoordinates(*shape))
+
+    def test_shape_momenta(self, shape):
+        w = BodyVelocityState(np.ones(3), np.ones(3))
+        with pytest.raises(SingularInertia, match=self.METRIC):
+            shape_momenta(ShapeCoordinates(*shape), w)
+
+    def test_velocities_from_momenta(self, shape):
+        with pytest.raises(SingularInertia, match=self.INERTIA):
+            velocities_from_momenta(ShapeCoordinates(*shape), BodyMomenta(np.ones(3), np.ones(3)))
 
 
 def test_shape_partials_match_finite_differences():

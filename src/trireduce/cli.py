@@ -189,15 +189,8 @@ def _parse_thresholds(cfg):
     return thresholds
 
 
-def _parse_output(cfg):
-    out = _object(cfg.get("output", {}), "output", ("trajectory", "passages"))
-    for key in out:
-        _require(out, key, "output", str)  # a file path
-    return out
-
-
 class RunConfig:
-    FIELDS = ("masses", "potential", "initial_state", "integrator", "thresholds", "output")
+    FIELDS = ("masses", "potential", "initial_state", "integrator", "thresholds")
 
     def __init__(self, raw):
         _object(raw, "", self.FIELDS)
@@ -206,7 +199,6 @@ class RunConfig:
         self.state = _parse_initial_state(raw, self.masses)
         self.integrator = _parse_integrator(raw)
         self.thresholds = _parse_thresholds(raw)
-        self.output = _parse_output(raw)
 
 
 def load_config(path) -> RunConfig:
@@ -273,8 +265,7 @@ def cmd_simulate(cfg: RunConfig, out_path):
     for body in range(3):
         for i, axis in enumerate("xyz"):
             columns[f"x{body + 1}{axis}"] = traj.x[:, body, i]
-    out = out_path or cfg.output.get("trajectory")
-    if not _write_lines(out, _csv(TRAJECTORY_HEADER, columns)):
+    if not _write_lines(out_path, _csv(TRAJECTORY_HEADER, columns)):
         return 4
     rep = conservation_report(traj, band_threshold=cfg.thresholds["band"])
     log.info(
@@ -305,8 +296,7 @@ def cmd_evaluate(cfg: RunConfig, out_path):
 def cmd_collinear_report(cfg: RunConfig, out_path):
     traj = _integrate(cfg)
     passages = detect_collinear_passages(traj, cfg.thresholds["passage"])
-    out = out_path or cfg.output.get("passages")
-    if not _write_lines(out, _csv(PASSAGES_HEADER, vars(passages))):
+    if not _write_lines(out_path, _csv(PASSAGES_HEADER, vars(passages))):
         return 4
     log.info("collinear passages detected: %d", len(passages))
     return 0
@@ -340,8 +330,12 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
+    def seed(text):  # numpy's generators take a whole number >= 0
+        if int(text) < 0:
+            raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+        return int(text)
     p = sub.add_parser("check")
-    p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED)
+    p.add_argument("--seed", type=seed, default=checks.DEFAULT_SEED)
     return parser
 
 

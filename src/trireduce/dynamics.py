@@ -40,6 +40,8 @@ class IntegratorConfig:
                 raise ValueError(f"{name}: expected a whole number, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name}: must be >= 1")
+        if (self.steps // self.record_stride + 1) * 72 > np.iinfo(np.intp).max:  # bytes of xs
+            raise ValueError(f"steps: {self.steps} steps record more bytes than one array holds")
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,7 @@ def _tokenize(text):
                         j += 1
             try:
                 value = float(text[i:j])
+                check_number("literal", value)  # 1e999 reads as inf
             except ValueError:
                 raise PotentialSyntaxError(i + 1, "number")
             tokens.append(("num", value, i + 1))
@@ -310,7 +311,8 @@ def _emit(ast, check=False):
         """Append the lines of node's value.  Return its name and, if it
         reads a variable, its pull: (op, name, operands as (name, pull)),
         or a variable's row of the gradient."""
-        if isinstance(node, Num) and isinstance(node.value, Real):
+        real = isinstance(node, Num) and isinstance(node.value, Real)
+        if real and abs(node.value) <= np.finfo(float).max.item():  # not inf, nan, a huge int
             name = f"k{len(constants)}"
             constants[name] = np.array(node.value, dtype=float)
             constants[name].flags.writeable = False

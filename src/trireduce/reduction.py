@@ -79,8 +79,10 @@ def mechanical_connection(q: ShapeCoordinates) -> np.ndarray:
     Finite for all phi: a_phi lies along the axis on which the inertia
     tensor never degenerates.
     """
-    A = np.zeros((3, 3))
-    A[2, 2] = q.r2 ** 2 / (q.r1 ** 2 + q.r2 ** 2)
+    A, r1, r2 = np.zeros((3, 3)), q.r1, q.r2
+    if r1 ** 2 + r2 ** 2 == 0.0:  # both squares underflow, the ratio does not
+        r1, r2 = r1 / max(r1, r2), r2 / max(r1, r2)
+    A[2, 2] = r2 ** 2 / (r1 ** 2 + r2 ** 2)
     return A
 
 

@@ -85,9 +85,11 @@ def one_row_reference(path):
     return evaluate_reduced(cfg.masses, cfg.state, cfg.potential, cfg.thresholds["collinear"])
 
 
-def run_process(args):
-    """The CLI in a fresh interpreter: (exit code, stdout, stderr)."""
+def run_process(args, **extra_env):
+    """The CLI in a fresh interpreter: (exit code, stdout, stderr).  The
+    caller's TRIREDUCE_LOG is dropped; extra_env sets variables."""
     env = {k: v for k, v in os.environ.items() if k != "TRIREDUCE_LOG"}
+    env.update(extra_env)
     src = str(Path(trireduce.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -151,6 +153,30 @@ class TestSimulate:
         assert code == 0
         assert "energy_drift_rel" in stderr
         assert stdout == ""
+
+    def test_quiet_log_keeps_errors_only(self, tmp_path):
+        # TRIREDUCE_LOG=quiet drops the conservation summary, not a config error
+        cfg = write_config(tmp_path, HARMONIC_CONFIG)
+        out = tmp_path / "traj.csv"
+        code, stdout, stderr = run_process(
+            ["simulate", "--config", cfg, "--out", str(out)], TRIREDUCE_LOG="quiet"
+        )
+        assert (code, stdout, stderr) == (0, "", "")
+        bad = write_config(tmp_path, dict(HARMONIC_CONFIG, masses=[1.0, 1.0]), name="bad.json")
+        code, stdout, stderr = run_process(["simulate", "--config", bad], TRIREDUCE_LOG="quiet")
+        assert (code, stdout) == (2, "")
+        assert stderr.splitlines() == ["config field 'masses': expected exactly 3 entries"]
+
+    def test_no_out_writes_stdout(self, tmp_path, capsys, monkeypatch):
+        # without --out the table goes to stdout, as with --out -, and no file
+        monkeypatch.chdir(tmp_path)
+        for command, raw in (("simulate", HARMONIC_CONFIG), ("collinear-report", CROSSING_CONFIG)):
+            cfg = write_config(tmp_path, raw)
+            assert run([command, "--config", cfg, "--out", "-"]) == 0
+            expected = capsys.readouterr().out
+            assert run([command, "--config", cfg]) == 0
+            assert capsys.readouterr().out == expected
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
     def test_stdout_holds_only_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path, HARMONIC_CONFIG)
@@ -324,6 +350,18 @@ class TestSimulate:
         cfg = write_config(tmp_path, bad)
         assert run(["simulate", "--config", cfg]) == 2
         assert "potential.expression" in caplog.text
+
+    def test_overflowing_literal_exit_2(self, tmp_path, caplog):
+        # 1e999 reads as inf: a config error at parse time, not a NaN potential
+        bad = dict(HARMONIC_CONFIG, potential={"expression": "0.5*(d12-1)^2 + 1e999*0"})
+        assert run(["evaluate", "--config", write_config(tmp_path, bad)]) == 2
+        assert "potential.expression" in caplog.text and "at offset 17: expected number" in caplog.text
+
+    def test_unindexable_step_count_exit_2(self, tmp_path, caplog):
+        # 1e30 // 1 + 1 records: numpy cannot index the buffer, so no allocation
+        bad = dict(HARMONIC_CONFIG, integrator={"steps": 1e30})
+        assert run(["simulate", "--config", write_config(tmp_path, bad)]) == 2
+        assert "config field 'integrator.steps'" in caplog.text
 
     @pytest.mark.parametrize(
         "potential, field",
@@ -614,8 +652,8 @@ class TestEvaluate:
             (expression, ("potential", "expression"), None, "potential.expression"),
             (shaped, ("initial_state", "shape"), 5, "initial_state.shape"),
             (HARMONIC_CONFIG, cartesian, 5, "initial_state.cartesian"),
-            (HARMONIC_CONFIG, ("output",), {"trajectory": True}, "output.trajectory"),
-            (HARMONIC_CONFIG, ("output",), {"passages": 2}, "output.passages"),
+            # output paths are flags, not config fields
+            (HARMONIC_CONFIG, ("output",), {"trajectory": "t.csv"}, "output"),
             (HARMONIC_CONFIG, ("integrator", "step"), 1000, "integrator.step"),
             (HARMONIC_CONFIG, ("thresholds",), {"colinear": 1e-8}, "thresholds.colinear"),
             (HARMONIC_CONFIG, ("potential", "param"), {"k": 2.0}, "potential.param"),
@@ -731,6 +769,7 @@ class TestCheck:
             ["collinear-report", "--config", cfg, "--seed", "3"],
             ["check", "--config", cfg],
             ["check", "--out", str(tmp_path / "o.txt")],
+            ["check", "--seed", "-1"],
         ):
             with pytest.raises(SystemExit) as exc:
                 run(argv)
@@ -743,14 +782,20 @@ class TestCheck:
         assert len(lines) >= 8
 
     def test_corrupted_tolerance_fails(self, capsys, monkeypatch):
-        # a suite held to a tolerance no residual meets fails the run
+        # a suite held to a tolerance no residual meets fails the run, and
+        # so does a suite that raises
         def impossible(seed):
             return False, "max residual 4.441e-16 (tol 0.0e+00)"
 
-        monkeypatch.setattr(checks, "SUITES", [checks.SUITES[0], ("impossible", impossible)])
+        def crashing(seed):
+            raise RuntimeError("no state")
+
+        suites = [checks.SUITES[0], ("impossible", impossible), ("crashing", crashing)]
+        monkeypatch.setattr(checks, "SUITES", suites)
         assert run(["check"]) == 1
         out = capsys.readouterr().out
         assert "PASS so3" in out and "FAIL impossible" in out
+        assert out.splitlines()[-1] == "FAIL crashing: raised RuntimeError: no state"
 
 
 class TestOutputFile:

@@ -291,6 +291,16 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=field):
             IntegratorConfig(**{field: value})
 
+    def test_unindexable_record_count(self):
+        # steps // record_stride + 1 rows of 72 bytes beyond np.intp: rejected
+        # before integrate allocates them
+        largest = np.iinfo(np.intp).max // 72 - 1  # rows = steps + 1 at stride 1
+        for steps, stride in ((largest + 1, 1), (2 * largest + 4, 2), (10**30, 1)):
+            with pytest.raises(ValueError, match="^steps: "):
+                IntegratorConfig(steps=steps, record_stride=stride)
+        for steps, stride in ((largest, 1), (10**30, 10**30)):
+            assert IntegratorConfig(steps=steps, record_stride=stride).steps == steps
+
 
 class TestPassages:
     def test_constructed_crossing_found(self):

@@ -118,6 +118,15 @@ class TestGaugeAndConnection:
         A = mechanical_connection(ShapeCoordinates(1.0, 2.0, 0.4))
         assert np.allclose(A[2], [0, 0, 4.0 / 5.0], atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "r1, r2, a33", [(1e-170, 1e-170, 0.5), (3e-170, 4e-170, 0.64), (1e-170, 0.0, 0.0)]
+    )
+    def test_connection_where_both_squares_underflow(self, r1, r2, a33):
+        # r1^2 + r2^2 is 0: A33 = r2^2 / (r1^2 + r2^2) comes from the ratio
+        A = mechanical_connection(ShapeCoordinates(r1, r2, 1.0))
+        assert abs(A[2, 2] - a33) <= 1e-15
+        assert np.count_nonzero(A) == (a33 != 0.0)
+
     def test_connection_matches_inverse_times_gauge(self):
         for _ in range(100):
             q = random_shape(phi_min=0.11)

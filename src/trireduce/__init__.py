@@ -43,6 +43,7 @@ from .hamiltonian import (
 from .potential import (
     PotentialSpec,
     builtin_potential,
+    force_field,
     forces_cartesian,
     parse_potential,
 )

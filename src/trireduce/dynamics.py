@@ -6,7 +6,9 @@ and time-reversible, so conserved-quantity drift diagnoses formula errors
 rather than integrator artifacts.  RK4 is provided for cross-checks.
 """
 
+import sys
 from dataclasses import dataclass, fields
+from math import isfinite
 from numbers import Integral
 
 import numpy as np
@@ -14,7 +16,7 @@ import numpy as np
 from .errors import NumericalBlowup
 from .geometry import COLLINEAR_THRESHOLD, CartesianState, MassTriple, check_number
 from .hamiltonian import ReducedBatch, evaluate_reduced_batch
-from .potential import PotentialSpec, forces_cartesian, potential_at_positions
+from .potential import PotentialSpec, force_field, potential_at_positions
 
 OVERFLOW_GUARD = 1e12
 BAND_THRESHOLD = 1e-3
@@ -40,6 +42,9 @@ class IntegratorConfig:
                 raise ValueError(f"{name}: expected a whole number, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name}: must be >= 1")
+        # the last sample time; float() of a steps beyond the float range would raise
+        if not (self.steps <= sys.float_info.max and isfinite(float(self.steps) * float(self.dt))):
+            raise ValueError("dt: steps * dt is not a finite time")
         if (self.steps // self.record_stride + 1) * 72 > np.iinfo(np.intp).max:  # bytes of xs
             raise ValueError(f"steps: {self.steps} steps record more bytes than one array holds")
 
@@ -90,24 +95,26 @@ def total_energy(masses: MassTriple, state: CartesianState, potential) -> float:
     return kinetic + float(potential_at_positions(potential, masses, state.positions[None])[0])
 
 
-def _leapfrog_steps(accelerations, y, dt, n, on_step):
-    """n leapfrog steps of the state y = (x, v), in place."""
+def _leapfrog_steps(field, m, y, dt, n, on_step):
+    """n leapfrog steps of the state y = (x, v), in place, under the forces
+    field(x) on the masses m, a (3, 1) column."""
     x, v = y
     h = 0.5 * dt
-    kick = h * accelerations(x)  # the half kick ends one step and starts the next
+    kick = h * (field(x) / m)  # the half kick ends one step and starts the next
     for k in range(n):
         v += kick
         x += dt * v
-        kick = h * accelerations(x)
+        kick = h * (field(x) / m)
         v += kick
         on_step(k, y)
 
 
-def _rk4_steps(accelerations, y, dt, n, on_step):
-    """n classical Runge-Kutta steps of y' = f(y) = (v, a(x)), in place."""
+def _rk4_steps(field, m, y, dt, n, on_step):
+    """n classical Runge-Kutta steps of y' = f(y) = (v, a(x)), in place,
+    with the accelerations a(x) = field(x) / m."""
 
     def f(y):
-        return np.array((y[1], accelerations(y[0])))
+        return np.array((y[1], field(y[0]) / m))
 
     for k in range(n):
         k1 = f(y)
@@ -126,8 +133,9 @@ def integrate(
     collinear_threshold=COLLINEAR_THRESHOLD,
 ) -> Trajectory:
     """Integrate the Cartesian equations of motion, stepping the state
-    (x, v) in place, record it every record_stride steps, and reduce the
-    recorded states in one pass (evaluate_reduced_batch).
+    (x, v) in place under the potential's force_field, bound once per run,
+    record it every record_stride steps, and reduce the recorded states in
+    one pass (evaluate_reduced_batch).
 
     Raises NumericalBlowup, naming the step (0 for the start), when at the
     start or after a step a position or velocity component leaves
@@ -143,9 +151,6 @@ def integrate(
     xs[0], vs[0] = y
     m = masses.as_array()[:, None]
 
-    def accelerations(x):
-        return forces_cartesian(potential, masses, x) / m
-
     def on_step(k, y):
         if not (np.maximum.reduce(np.abs(y), None) <= OVERFLOW_GUARD):
             raise NumericalBlowup(f"coordinate overflow at step {k + 1}")
@@ -153,7 +158,7 @@ def integrate(
             xs[(k + 1) // stride], vs[(k + 1) // stride] = y
 
     stepper = _leapfrog_steps if cfg.method == "leapfrog" else _rk4_steps
-    stepper(accelerations, y, cfg.dt, cfg.steps, on_step)
+    stepper(force_field(potential, masses), m, y, cfg.dt, cfg.steps, on_step)
     reduced = evaluate_reduced_batch(masses, xs, vs, potential, collinear_threshold)
     t = np.arange(rows) * stride * cfg.dt
     return Trajectory(**vars(reduced), t=t, x=xs, v=vs)

@@ -186,7 +186,8 @@ def parse_expression(text):
 
 
 def print_expression(node):
-    """Render an AST back to a string that parses to a structurally equal AST."""
+    """Render an AST back to a string that parses to a structurally equal AST.
+    Raises ValueError on a constant that _emit refuses (see _constant)."""
     return _print(node, 0)
 
 
@@ -194,8 +195,17 @@ def print_expression(node):
 _BIN_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 
+def _constant(node):
+    """Whether node is a constant that the printer and the emitter take: a
+    Num of a real within the float range, so not inf, nan or a huge int."""
+    return (isinstance(node, Num) and isinstance(node.value, Real)
+            and abs(node.value) <= np.finfo(float).max.item())
+
+
 def _print(node, parent_prec):
     if isinstance(node, Num):
+        if not _constant(node):
+            raise ValueError(f"not an expression node: {node!r}")
         text = repr(node.value)
         if node.value < 0:
             return f"({text})"
@@ -265,14 +275,14 @@ def _check_adjoint(name, shape, adjoint, *args):
 
 
 # The adjoint of each operand of an operation, as source over the adjoint g
-# of its value v and its operands a and b: one per operand, (left, right)
-# for a binary operator.
+# of its value v and its operands a and b, and b_less_1 for b - 1.0: one per
+# operand, (left, right) for a binary operator.
 _ADJOINTS = {
     "+": ("{g}", "{g}"),
     "-": ("{g}", "-{g}"),
     "*": ("{g} * {b}", "{g} * {a}"),
     "/": ("{g} / {b}", "-{g} * {v} / {b}"),
-    "^": ("{g} * {b} * {a} ** ({b} - 1.0)", "{g} * {v} * log({a})"),
+    "^": ("{g} * {b} * {a} ** {b_less_1}", "{g} * {v} * log({a})"),
     "neg": ("-{g}",),
     "sin": ("{g} * cos({a})",),
     "cos": ("-{g} * sin({a})",),
@@ -298,7 +308,9 @@ def _emit(ast, check=False):
     returns V on the rows, one numpy call per operation in post-order; an
     operation in _DOMAIN raises DomainError (see _check) at the first row
     outside its domain.  A constant subtree is evaluated on each walk, never
-    folded, so 1/0 still raises.  With `gradient` set, it also returns the
+    folded, so 1/0 still raises; only the b - 1.0 of the '^' adjoint at a
+    constant exponent b is bound once, as the np.float64 that the 0-d b
+    gives.  With `gradient` set, it also returns the
     derivatives by VARIABLES, a (6, N) array: the pullback takes each
     operand's adjoint by _ADJOINTS in pre-order and sums each variable's
     terms in the order it meets them.  With `check` set, it raises
@@ -311,8 +323,7 @@ def _emit(ast, check=False):
         """Append the lines of node's value.  Return its name and, if it
         reads a variable, its pull: (op, name, operands as (name, pull)),
         or a variable's row of the gradient."""
-        real = isinstance(node, Num) and isinstance(node.value, Real)
-        if real and abs(node.value) <= np.finfo(float).max.item():  # not inf, nan, a huge int
+        if _constant(node):
             name = f"k{len(constants)}"
             constants[name] = np.array(node.value, dtype=float)
             constants[name].flags.writeable = False
@@ -351,9 +362,14 @@ def _emit(ast, check=False):
             return
         op, v, operands = pull
         names = [name for name, _ in operands]
+        b = names[-1]
+        b_less_1 = f"({b} - 1.0)"
+        if op == "^" and b in constants:
+            b_less_1 = f"{b}m1"
+            constants[b_less_1] = constants[b] - 1.0
         for adjoint, (_, operand) in zip(_ADJOINTS[op], operands):
             if operand is not None:
-                g_operand = adjoint.format(g=g, v=v, a=names[0], b=names[-1])
+                g_operand = adjoint.format(g=g, v=v, a=names[0], b=b, b_less_1=b_less_1)
                 if g_operand != g:
                     back.append(f"g{len(back)} = {g_operand}")
                     g_operand = f"g{len(back) - 1}"
@@ -435,8 +451,8 @@ class PotentialSpec:
     walk: object = field(default=None, init=False, repr=False, compare=False)
     reads: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
     # a built-in family's parameters as its pair terms read them: defaults
-    # filled in, the harmonic's rest lengths of d12, d13, d23 as an array,
-    # and gravity's products for the last masses (see _gravity_products)
+    # filled in and the harmonic's rest lengths of d12, d13, d23 as an
+    # array; never written after __post_init__
     _bound: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -490,23 +506,16 @@ _INCIDENCE = np.array([np.eye(3)[i] - np.eye(3)[k] for i, k in PAIRS.values()])
 _TO_BODIES = np.ascontiguousarray(-_INCIDENCE.T)
 
 
-def _gravity_products(bound, masses: MassTriple):
-    """G m_i m_k of the pairs d12, d13, d23, read only.  The bound parameters
-    keep them for the last MassTriple object asked for, the one an
-    integration asks with at every step; a larger cache would churn."""
-    last = bound.get("Gmm")
-    if last is None or last[0] is not masses:
-        G, m1, m2, m3 = bound["G"], masses.m1, masses.m2, masses.m3
-        Gmm = np.array([G * m1 * m2, G * m1 * m3, G * m2 * m3])
-        Gmm.setflags(write=False)
-        last = bound["Gmm"] = (masses, Gmm)
-    return last[1]
+def _pair_products(G, masses: MassTriple):
+    """G m_i m_k of the pairs d12, d13, d23."""
+    m1, m2, m3 = masses.m1, masses.m2, masses.m3
+    return np.array([G * m1 * m2, G * m1 * m3, G * m2 * m3])
 
 
 def _off_zero(d):
     """The mask of d = 0 (None where no d is 0) and d with 1.0 as a stand-in
     there, where gravity and Lennard-Jones diverge: their terms are infinite."""
-    at_zero = d == 0.0 if np.count_nonzero(d) < np.size(d) else None
+    at_zero = d == 0.0 if np.count_nonzero(d) < d.size else None
     return at_zero, d if at_zero is None else np.where(at_zero, 1.0, d)
 
 
@@ -523,7 +532,7 @@ def _pair_potential(spec: PotentialSpec, masses: MassTriple, d):
     else:
         at_zero, off = _off_zero(d)
         if spec.builtin == "gravity":
-            energy = -_gravity_products(p, masses) / off
+            energy = -_pair_products(p["G"], masses) / off
         else:  # lennard_jones
             s6 = (p["sigma"] / off) ** 6
             energy = 4.0 * p["epsilon"] * (s6 * s6 - s6)
@@ -535,22 +544,34 @@ def _pair_potential(spec: PotentialSpec, masses: MassTriple, d):
     return (energy[..., 0] + energy[..., 1]) + energy[..., 2]
 
 
-def _pair_slopes(spec: PotentialSpec, masses: MassTriple, d):
-    """Derivatives dV/dd of the three pair terms of a built-in family, at
-    distances d given as a (..., 3) array (see _pair_potential); infinite
-    at d = 0 for gravity and Lennard-Jones."""
+def _slope_rule(spec: PotentialSpec, masses: MassTriple):
+    """The derivatives dV/dd of the three pair terms of a built-in family,
+    with its constants bound, as slopes(d, at_zero, off) of distances d
+    given as a (..., 3) array and their _off_zero; infinite at d = 0 for
+    gravity and Lennard-Jones."""
     p = spec._bound
     if spec.builtin == "free":
-        return np.zeros_like(d)
+        return lambda d, at_zero, off: np.zeros_like(d)
     if spec.builtin == "harmonic":
-        return p["k"] * (d - p["rest"])
-    at_zero, d = _off_zero(d)
+        k, rest = p["k"], p["rest"]
+        return lambda d, at_zero, off: k * (d - rest)
     if spec.builtin == "gravity":
-        slope = _gravity_products(p, masses) / d ** 2
-    else:  # lennard_jones
-        s6 = (p["sigma"] / d) ** 6
-        slope = 4.0 * p["epsilon"] * (-12.0 * s6 * s6 + 6.0 * s6) / d
-    return slope if at_zero is None else np.where(at_zero, np.inf, slope)
+        Gmm = _pair_products(p["G"], masses)
+        Gmm.flags.writeable = False
+
+        def slopes(d, at_zero, off):
+            slope = Gmm / off ** 2
+            return slope if at_zero is None else np.where(at_zero, np.inf, slope)
+
+        return slopes
+    sigma, scale = p["sigma"], 4.0 * p["epsilon"]  # lennard_jones
+
+    def slopes(d, at_zero, off):
+        s6 = (sigma / off) ** 6
+        slope = scale * (-12.0 * s6 * s6 + 6.0 * s6) / off
+        return slope if at_zero is None else np.where(at_zero, np.inf, slope)
+
+    return slopes
 
 
 def eval_potential_batch(
@@ -593,17 +614,17 @@ def potential_at_positions(spec: PotentialSpec, masses: MassTriple, x, shape=Non
     return eval_potential_batch(spec, masses, *(shape or (None,) * 3), *d.T)
 
 
-def _pair_forces(dVdd, delta, d):
+def _pair_forces(dVdd, delta, at_zero, off):
     """Forces F_i = -dV/dx_i on the bodies from dV/dd of the pairs d12, d13,
     d23, given as (..., 3) slopes with their (..., 3, 3) vectors delta and
-    (..., 3) lengths d.  A pair at d = 0 adds no force where dV/dd = 0, the
-    limit, and raises DomainError naming the pair otherwise."""
-    at_zero, d = _off_zero(d)  # delta is 0 where d is
-    if at_zero is not None:
+    the _off_zero (at_zero, off) of their lengths.  A pair at d = 0 adds no
+    force where dV/dd = 0, the limit, and raises DomainError naming the
+    pair otherwise."""
+    if at_zero is not None:  # delta is 0 where d is
         bad = at_zero & (dVdd != 0.0)
         if bad.any():
             raise DomainError(list(PAIRS)[bad.nonzero()[-1][0]], 0.0)
-    return _TO_BODIES @ (dVdd[..., None] * delta / d[..., None])
+    return _TO_BODIES @ (dVdd[..., None] * delta / off[..., None])
 
 
 @lru_cache(maxsize=64)
@@ -632,11 +653,11 @@ def _phi_slope_vanishes(spec, columns, slope):
     return np.sign(gradient[2, 0]) != np.sign(slope)
 
 
-def _shape_forces(masses, s, shape, slopes):
+def _shape_forces(A, s, shape, slopes):
     """Forces from slopes = dV/d(r1, r2, phi) at the Jacobi vectors s and
     their measure_shape, one row each.  dV/ds = C s for s1, s2 stacked
-    and a symmetric 2 x 2 matrix C, and dV/dx = A^T C s for the Jacobi
-    matrix A.  A slope of phi at |s1 x s2| = 0 must be 0 (see
+    and a symmetric 2 x 2 matrix C, and dV/dx = A^T C s for the (2, 3)
+    Jacobi matrix A.  A slope of phi at |s1 x s2| = 0 must be 0 (see
     forces_cartesian); r1 or r2 at 0 raises DomainError unless its slope
     is 0."""
     r1, r2, _, area, dot, _ = shape
@@ -655,11 +676,61 @@ def _shape_forces(masses, s, shape, slopes):
         c12 = -dphi / area
     s1, s2 = s
     g = np.concatenate([c11 * s1 + c12 * s2, c12 * s1 + c22 * s2])
-    return -np.einsum("si,sk->ik", _jacobi_matrix(masses), g)
+    return -np.einsum("si,sk->ik", A, g)
+
+
+def force_field(spec: PotentialSpec, masses: MassTriple):
+    """The forces of the potential for the masses as a function field(x)
+    of positions x, with the same values and errors as forces_cartesian,
+    which calls it once.  What does not change from one call to the next is
+    resolved here, once: a built-in family's slope rule and constants, and
+    the variables an expression reads.  A built-in's field takes a
+    (..., 3, 3) stack of states, row by row with the bits of one state; an
+    expression's takes one (3, 3) state."""
+    if spec.builtin is not None:
+        slopes = _slope_rule(spec, masses)
+
+        def field(x):
+            delta = _INCIDENCE @ x
+            d = lengths(delta)
+            at_zero, off = _off_zero(d)
+            return _pair_forces(slopes(d, at_zero, off), delta, at_zero, off)
+
+        return field
+    pairs = not spec.reads.isdisjoint(PAIRS)
+    jacobi = not spec.reads <= PAIRS.keys()
+    reads_phi = "phi" in spec.reads
+    A = _jacobi_matrix(masses) if jacobi else None
+
+    def field(x):
+        if pairs:
+            delta = _INCIDENCE @ x
+            d = lengths(delta)
+        columns = dict(zip(PAIRS, d[:, None])) if pairs else {}
+        if jacobi:
+            s = jacobi_map(masses, *x[:, None])  # one (1, 3) row each
+            shape = measure_shape(*s)
+            r1, r2, _, area, _, phi = shape
+            columns.update(r1=r1, r2=r2, phi=phi)
+        _, gradient = _run(spec, columns, (1,), gradient=True)
+        forces = _pair_forces(gradient[3:, 0], delta, *_off_zero(d)) if pairs else np.zeros((3, 3))
+        if jacobi:
+            slopes = gradient[:3, 0].tolist()
+            if reads_phi and area[0] == 0.0:
+                if not _phi_slope_vanishes(spec, columns, slopes[2]):  # r1, r2 > 0 (see _run)
+                    raise DomainError("phi", float(phi[0]))
+                # |dphi/ds1| = 1/r1 and |dphi/ds2| = 1/r2 in the plane of the
+                # motion, so the phi term tends to 0 with dV/dphi
+                slopes[2] = 0.0
+            forces = forces + _shape_forces(A, s, shape, slopes)
+        return forces
+
+    return field
 
 
 def forces_cartesian(spec: PotentialSpec, masses: MassTriple, positions):
-    """Forces F_i = -dV/dx_i on the three bodies, exact to rounding.
+    """Forces F_i = -dV/dx_i on the three bodies, exact to rounding: the
+    force_field of the potential and masses, called once.
 
     A built-in family takes dV/dd from its pair terms.  An expression takes
     its derivatives by the variables it reads from the pullback of its walk
@@ -676,29 +747,4 @@ def forces_cartesian(spec: PotentialSpec, masses: MassTriple, positions):
     returned); and where a derivative of an expression is not finite,
     naming the operation.
     """
-    x = np.asarray(positions, dtype=float).reshape(3, 3)
-    pairs = spec.builtin is not None or not spec.reads.isdisjoint(PAIRS)
-    if pairs:
-        delta = _INCIDENCE @ x
-        d = lengths(delta)
-        if spec.builtin is not None:
-            return _pair_forces(_pair_slopes(spec, masses, d), delta, d)
-    columns = dict(zip(PAIRS, d[:, None])) if pairs else {}
-    jacobi = not spec.reads <= PAIRS.keys()
-    if jacobi:
-        s = jacobi_map(masses, *x[:, None])  # one (1, 3) row each
-        shape = measure_shape(*s)
-        r1, r2, _, area, _, phi = shape
-        columns.update(r1=r1, r2=r2, phi=phi)
-    _, gradient = _run(spec, columns, (1,), gradient=True)
-    forces = _pair_forces(gradient[3:, 0], delta, d) if pairs else np.zeros((3, 3))
-    if jacobi:
-        slopes = gradient[:3, 0].tolist()
-        if "phi" in spec.reads and area[0] == 0.0:
-            if not _phi_slope_vanishes(spec, columns, slopes[2]):  # r1, r2 > 0 (see _run)
-                raise DomainError("phi", float(phi[0]))
-            # |dphi/ds1| = 1/r1 and |dphi/ds2| = 1/r2 in the plane of the
-            # motion, so the phi term tends to 0 with dV/dphi
-            slopes[2] = 0.0
-        forces = forces + _shape_forces(masses, s, shape, slopes)
-    return forces
+    return force_field(spec, masses)(np.asarray(positions, dtype=float).reshape(3, 3))

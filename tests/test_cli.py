@@ -363,6 +363,17 @@ class TestSimulate:
         assert run(["simulate", "--config", write_config(tmp_path, bad)]) == 2
         assert "config field 'integrator.steps'" in caplog.text
 
+    def test_time_overflow_exits_2(self, tmp_path, caplog, capsys):
+        # at rest under no force, this wrote inf in the t column of rows 2
+        # and 3 and exited 0
+        state = {"positions": CROSSING_CONFIG["initial_state"]["cartesian"]["positions"],
+                 "velocities": [[0.0] * 3] * 3}
+        bad = dict(CROSSING_CONFIG, initial_state={"cartesian": state},
+                   integrator={"dt": 1e308, "steps": 3})
+        assert run(["simulate", "--config", write_config(tmp_path, bad)]) == 2
+        assert "config field 'integrator.dt': steps * dt is not a finite time" in caplog.text
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize(
         "potential, field",
         [

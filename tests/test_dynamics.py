@@ -15,7 +15,7 @@ from trireduce.dynamics import (
 )
 from trireduce.errors import NumericalBlowup
 from trireduce.geometry import CartesianState, MassTriple
-from trireduce.potential import builtin_potential, forces_cartesian, parse_potential
+from trireduce.potential import builtin_potential, force_field, forces_cartesian, parse_potential
 
 MASSES = MassTriple(1.0, 1.0, 1.0)
 FREE = builtin_potential("free")
@@ -209,12 +209,22 @@ class TestIntegrate:
         x = (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, -1.0]))
         calls = []
 
-        def forces(*args):
-            calls.append(None)
-            f = forces_cartesian(*args)
-            if len(calls) == 9:
-                f[1, 2] = np.nan
-            return f
+        def wrapped(bound):
+            """dynamics.force_field with its field counting its calls."""
+
+            def bind(*args):
+                field = bound(*args)
+
+                def counted(x):
+                    calls.append(None)
+                    f = field(x)
+                    if len(calls) == 9:
+                        f[1, 2] = np.nan
+                    return f
+
+                return counted
+
+            return bind
 
         # NaN first appears in the ninth force evaluation: leapfrog takes it
         # at step 8 (one evaluation comes before the first step), RK4 at
@@ -230,7 +240,7 @@ class TestIntegrate:
             cfg = IntegratorConfig(method=method, dt=1e-3, steps=5)
             calls.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(trireduce.dynamics, "forces_cartesian", forces)
+                patch.setattr(trireduce.dynamics, "force_field", wrapped(force_field))
                 with pytest.raises(NumericalBlowup, match=r"at step 0$"):
                     integrate(MASSES, state, FREE, cfg)
             assert calls == []
@@ -239,15 +249,41 @@ class TestIntegrate:
             push = np.zeros((3, 3))
             push[1, 0] = 2e15
             with monkeypatch.context() as patch:
-                patch.setattr(trireduce.dynamics, "forces_cartesian", lambda *args: push)
+                patch.setattr(trireduce.dynamics, "force_field", lambda *args: lambda x: push)
                 with pytest.raises(NumericalBlowup, match=r"at step 1$"):
                     integrate(MASSES, CartesianState(*x, z, z, z), FREE, cfg)
             calls.clear()
             cfg = IntegratorConfig(method=method, dt=0.01, steps=20)
             with monkeypatch.context() as patch:
-                patch.setattr(trireduce.dynamics, "forces_cartesian", forces)
+                patch.setattr(trireduce.dynamics, "force_field", wrapped(force_field))
                 with pytest.raises(NumericalBlowup, match=rf"at step {nan_step}$"):
                     integrate(MASSES, harmonic_setup(), HARMONIC, cfg)
+
+    @pytest.mark.parametrize("method", ["leapfrog", "rk4"])
+    def test_field_is_bound_once_per_run(self, monkeypatch, method):
+        # the run binds its force field once, after the step-0 guard, and
+        # every step calls that field
+        binds, calls = [], []
+
+        def bind(*args):
+            binds.append(args)
+            field = force_field(*args)
+
+            def counted(x):
+                calls.append(None)
+                return field(x)
+
+            return counted
+
+        monkeypatch.setattr(trireduce.dynamics, "force_field", bind)
+        cfg = IntegratorConfig(method=method, dt=0.01, steps=7, record_stride=2)
+        integrate(MASSES, harmonic_setup(), HARMONIC, cfg)
+        assert binds == [(HARMONIC, MASSES)]
+        assert len(calls) == (8 if method == "leapfrog" else 28)
+        state = CartesianState(*np.zeros((3, 3)), np.array([2e12, 0.0, 0.0]), *np.zeros((2, 3)))
+        with pytest.raises(NumericalBlowup, match=r"at step 0$"):
+            integrate(MASSES, state, HARMONIC, cfg)
+        assert len(binds) == 1
 
     def test_samples_are_the_rows_of_the_columns(self):
         # body 2 starts at the 1-3 center of mass, so sample 0 is degenerate
@@ -290,6 +326,16 @@ class TestIntegrate:
     def test_invalid_config_numbers(self, field, value):
         with pytest.raises(ValueError, match=field):
             IntegratorConfig(**{field: value})
+
+    def test_time_beyond_the_float_range(self):
+        # the last sample time steps * dt would be inf: rejected, naming dt,
+        # before integrate writes inf into t
+        for steps, dt in ((3, 1e308), (2, 1e308), (10**400, 1e-300), (10**400, 1e-3)):
+            with pytest.raises(ValueError, match="^dt: "):
+                IntegratorConfig(dt=dt, steps=steps, record_stride=steps)
+        at_rest = CartesianState(*crossing_setup().positions, *np.zeros((3, 3)))
+        traj = integrate(MASSES, at_rest, FREE, IntegratorConfig(dt=1e308, steps=1))
+        assert traj.t.tolist() == [0.0, 1e308]
 
     def test_unindexable_record_count(self):
         # steps // record_stride + 1 rows of 72 bytes beyond np.intp: rejected

@@ -11,6 +11,7 @@ from trireduce.checks import random_rotation
 from trireduce.errors import DomainError, PotentialSyntaxError, UnknownIdentifier
 from trireduce.geometry import MassTriple, ShapeCoordinates, jacobi_map, measure_shape, shape_to_distances
 from trireduce.potential import (
+    BUILTIN_NAMES,
     Bin,
     Call,
     Neg,
@@ -20,6 +21,7 @@ from trireduce.potential import (
     Var,
     builtin_potential,
     eval_potential_batch,
+    force_field,
     forces_cartesian,
     parse_expression,
     parse_potential,
@@ -342,6 +344,15 @@ class TestParser:
         printed = print_expression(ast)
         assert parse_expression(printed) == ast
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 10 ** 400], ids=["inf", "nan", "10**400"])
+    def test_printer_refuses_the_constants_the_emitter_refuses(self, value):
+        # such text would not parse back ('inf * d12' names an unknown
+        # identifier, 401 digits overflow), so the printer raises as _emit does
+        ast = Bin("*", Num(value), Var("d12"))
+        for build in (print_expression, lambda ast: PotentialSpec(ast=ast)):
+            with pytest.raises(ValueError, match=r"^not an expression node: Num\(value="):
+                build(ast)
+
 
 class TestSpec:
     def test_needs_exactly_one_kind(self):
@@ -537,8 +548,7 @@ class TestForces:
                 assert F[i, k] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
     def test_gravity_follows_the_masses_it_is_given(self):
-        # one spec keeps G m_i m_k of the last masses; every call must
-        # still use the masses it is given
+        # one spec serves every masses; each call uses the masses it is given
         spec = builtin_potential("gravity", G=1.3)
         pos = self._spread_positions()
         triples = [MassTriple(1.0, 2.0, 3.0), MassTriple(0.5, 1.0, 4.0), MassTriple(1.0, 2.0, 3.0)]
@@ -745,6 +755,46 @@ class TestForces:
                 potential_at_positions(builtin_potential(name), MASSES, pos[None])
             assert (err.value.node, err.value.value) == ("d12", 0.0)
 
+    def test_bound_field_at_zero_distance(self):
+        # each d = 0 case through a field bound once, on one state and as a
+        # row of a stack: bodies 1 and 3 coincide in the second state
+        pos = np.array([[0.5, 0.0, 0.0], [0.5, 1.0, 0.0], [0.5, 0.0, 0.0]])
+        stack = np.array([self._spread_positions(), pos])
+        for name in ("gravity", "lennard_jones"):
+            field = force_field(builtin_potential(name), MASSES)
+            for x in (pos, stack):
+                with pytest.raises(DomainError) as err:
+                    field(x)
+                assert (err.value.node, err.value.value) == ("d13", 0.0)
+        for spec in (builtin_potential("free"), builtin_potential("harmonic", k=2.0, rest_length=0.0)):
+            field = force_field(spec, MASSES)
+            limit = forces_cartesian(spec, MASSES, pos)
+            assert np.all(np.isfinite(limit))
+            assert field(pos).tobytes() == limit.tobytes()
+            assert field(stack)[1].tobytes() == limit.tobytes()
+        assert np.array_equal(force_field(builtin_potential("free"), MASSES)(pos), np.zeros((3, 3)))
+        F = force_field(builtin_potential("harmonic", k=2.0, rest_length=0.0), MASSES)(pos)
+        assert np.allclose(F, forces_cartesian(parse_potential("d12^2 + d13^2 + d23^2"), MASSES, pos))
+
+    def test_bound_parameters_are_never_written(self):
+        # forces and V under three masses leave a spec's bound parameters
+        # as its construction left them
+        def snapshot(bound):
+            return {key: (type(v), np.asarray(v).tobytes()) for key, v in bound.items()}
+
+        triples = [MassTriple(1.0, 2.0, 3.0), MassTriple(0.5, 1.0, 4.0), MASSES]
+        pos = self._spread_positions()
+        specs = [builtin_potential(name) for name in BUILTIN_NAMES]
+        specs += [builtin_potential("gravity", G=1.3),
+                  builtin_potential("harmonic", k=0.7, rest={"d13": 0.9})]
+        for spec in specs:
+            before = snapshot(spec._bound)
+            for masses in triples:
+                forces_cartesian(spec, masses, pos)
+                force_field(spec, masses)(pos[None])
+                potential_at_positions(spec, masses, pos[None])
+            assert snapshot(spec._bound) == before, spec.builtin
+
     @pytest.mark.parametrize(
         "spec, masses",
         [
@@ -762,18 +812,17 @@ class TestForces:
     )
     def test_pair_forces_keep_the_reference_bits(self, spec, masses):
         # byte for byte, so the sign of every 0 is held too: the CSV prints -0
+        # and the bound field has the bits of the one-shot call
         positions = bit_pin_positions()
+        field = force_field(spec, masses)
         for pos in positions:
             F = forces_cartesian(spec, masses, pos)
             assert F.tobytes() == reference_pair_forces(spec, masses, pos).tobytes(), pos
+            assert field(pos).tobytes() == F.tobytes(), pos
         if spec.builtin is not None:
-            # the pair kernels take a stack of states with the same bits
-            delta = trireduce.potential._INCIDENCE @ np.array(positions)
-            d = np.sqrt(np.add.reduce(delta * delta, -1))
-            slopes = trireduce.potential._pair_slopes(spec, masses, d)
-            F = trireduce.potential._pair_forces(slopes, delta, d)
+            # a built-in's field takes a stack of states with the same bits
             rows = [forces_cartesian(spec, masses, pos) for pos in positions]
-            assert F.tobytes() == np.array(rows).tobytes()
+            assert field(np.array(positions)).tobytes() == np.array(rows).tobytes()
 
     def test_pair_potentials_skip_the_shape(self, monkeypatch):
         # V of a potential that reads only pair distances has the bits of
@@ -862,6 +911,20 @@ class TestGeneratedWalk:
         ]
         for ast in trees:
             assert_reference_bits(PotentialSpec(ast=ast))
+
+    @pytest.mark.parametrize("text", ["d12 ^ 2.5", "(d12 - 0.5) ^ 3", "2 ^ d13 + d23 ^ 1e308"])
+    def test_constant_exponent_is_folded_once(self, text):
+        # the '^' adjoint reads b - 1.0 of a constant exponent b from a name
+        # bound when the walk is built, the np.float64 that the walk used to
+        # compute on each pullback, so '**' keeps its numpy path
+        spec = parse_potential(text)
+        names = spec.walk.__globals__
+        folded = [name for name in spec.walk.__code__.co_names if name.endswith("m1")]
+        assert len(folded) == 1
+        b = names[folded[0].removesuffix("m1")]
+        assert type(names[folded[0]]) is np.float64 and type(b - 1.0) is np.float64
+        assert names[folded[0]].tobytes() == (b - 1.0).tobytes()
+        assert_reference_bits(spec)
 
     def test_compiled_once(self, monkeypatch):
         # a spec compiles its walk when it is built and never after; the

@@ -13,7 +13,6 @@ from .errors import (
     UnknownIdentifier,
 )
 from .geometry import (
-    BodyMomenta,
     CartesianState,
     MassTriple,
     ShapeCoordinates,
@@ -22,7 +21,6 @@ from .geometry import (
     shape_to_distances,
 )
 from .reduction import (
-    BodyVelocityState,
     body_angular_momentum,
     body_velocities,
     gauge_potential,

@@ -29,7 +29,6 @@ from .potential import (
     print_expression,
 )
 from .reduction import (
-    BodyVelocityState,
     body_angular_momentum,
     cartesian_from_body_state,
     gauge_potential,
@@ -68,7 +67,8 @@ def random_shape(rng, phi_min=0.05):
 
 
 def random_body_state(rng):
-    return BodyVelocityState(rng.normal(size=3), rng.normal(size=3))
+    """A body angular velocity and shape rates, (omega, qdot)."""
+    return rng.normal(size=3), rng.normal(size=3)
 
 
 def brute_inertia(q):
@@ -87,14 +87,14 @@ def brute_gauge(q):
     )
 
 
-def matrix_form_hamiltonian(q, m, V):
+def matrix_form_hamiltonian(q, J, p, V):
     """Reduced Hamiltonian assembled from the tensor definitions (the
     independent route checked against the finite closed form)."""
     I_inv = inertia_inverse(q)
     A = mechanical_connection(q)
     _, g_inv = horizontal_metric(q)
-    shifted = m.p - A @ m.J
-    return float(0.5 * m.J @ I_inv @ m.J + 0.5 * shifted @ g_inv @ shifted + V)
+    shifted = p - A @ J
+    return float(0.5 * J @ I_inv @ J + 0.5 * shifted @ g_inv @ shifted + V)
 
 
 # --------------------------------------------------------------------------
@@ -192,17 +192,18 @@ def suite_energy_identity(seed=DEFAULT_SEED, n=300):
     worst_rel, worst_matrix = 0.0, 0.0
     for _ in range(n):
         q = random_shape(rng)
-        w = random_body_state(rng)
-        m = shape_momenta(q, w)
+        omega, qdot = random_body_state(rng)
+        J, p = shape_momenta(q, omega, qdot)
         row = np.array([[q.r1, q.r2, q.phi, *shape_to_distances(masses, q.r1, q.r2, q.phi)]])
         V = float(eval_potential_batch(potential, masses, *row.T)[0])
-        H = reduced_hamiltonian(q, m, singular_term(q, w), V)
-        state = cartesian_from_body_state(masses, q, w)
+        T = singular_term(q.r1, q.r2, q.phi, omega)
+        H = reduced_hamiltonian(q.r1, q.r2, q.phi, J, p, T, V)
+        state = cartesian_from_body_state(masses, q, omega, qdot)
         E = total_energy(masses, state, potential)
         scale = max(abs(E), 1.0)
         worst_rel = max(worst_rel, abs(H - E) / scale)
         worst_matrix = max(
-            worst_matrix, abs(H - matrix_form_hamiltonian(q, m, V)) / scale
+            worst_matrix, abs(H - matrix_form_hamiltonian(q, J, p, V)) / scale
         )
     ok = worst_rel < tol_rel and worst_matrix < tol_matrix
     return ok, (
@@ -219,15 +220,14 @@ def suite_collinear_limit(seed=DEFAULT_SEED):
     qdot = np.array([rng.normal(), rng.normal(), q3dot])
     omega = np.array([rng.normal(), 0.0, w3])
     phis = [10.0 ** (-k) for k in range(1, 7)]
-    w = BodyVelocityState(omega, qdot)
 
     def H(phi):
-        q = ShapeCoordinates(r1, r2, phi)
-        return reduced_hamiltonian(q, shape_momenta(q, w), singular_term(q, w), 0.0)
+        J, p = shape_momenta(ShapeCoordinates(r1, r2, phi), omega, qdot)
+        return reduced_hamiltonian(r1, r2, phi, J, p, singular_term(r1, r2, phi, omega), 0.0)
 
     H0 = H(0.0)
     q0 = ShapeCoordinates(r1, r2, 0.0)
-    K0 = kinetic_energy_body(q0, BodyVelocityState(np.array([0.0, 0.0, w3]), qdot))
+    K0 = kinetic_energy_body(q0, np.array([0.0, 0.0, w3]), qdot)
     diffs = [abs(H(phi) - H0) for phi in phis]
     slope = np.polyfit(np.log(phis), np.log(diffs), 1)[0]
     monotone = all(diffs[i] > diffs[i + 1] for i in range(len(diffs) - 1))
@@ -242,13 +242,11 @@ def suite_singular_term(seed=DEFAULT_SEED, n=100):
     for _ in range(n):
         r2 = rng.uniform(0.2, 2.0)
         omega = rng.normal(size=3)
-        w = BodyVelocityState(omega, np.zeros(3))
-        q0 = ShapeCoordinates(1.0, r2, 0.0)
-        if singular_term(q0, w) != -(r2 ** 2) * omega[1]:
+        if singular_term(1.0, r2, 0.0, omega) != -(r2 ** 2) * omega[1]:
             return False, "phi = 0 value is not exactly -r2^2 w2"
         q = ShapeCoordinates(1.0, r2, rng.uniform(0.15, pi - 0.15))
-        J1 = body_angular_momentum(q, w)[0]
-        worst = max(worst, abs(singular_term(q, w) - J1 / sin(q.phi)))
+        J1 = body_angular_momentum(q, omega, np.zeros(3))[0]
+        worst = max(worst, abs(singular_term(q.r1, q.r2, q.phi, omega) - J1 / sin(q.phi)))
     return worst < tol, f"max |term - J1/sin(phi)| {worst:.3e} (tol {tol:.1e})"
 
 
@@ -258,13 +256,12 @@ def suite_legendre_roundtrip(seed=DEFAULT_SEED, n=200):
     worst = 0.0
     for _ in range(n):
         q = random_shape(rng)
-        w = random_body_state(rng)
-        m = shape_momenta(q, w)
-        back = velocities_from_momenta(q, m)
+        omega, qdot = random_body_state(rng)
+        back_omega, back_qdot = velocities_from_momenta(q, *shape_momenta(q, omega, qdot))
         worst = max(
             worst,
-            float(np.max(np.abs(back.omega - w.omega))),
-            float(np.max(np.abs(back.qdot - w.qdot))),
+            float(np.max(np.abs(back_omega - omega))),
+            float(np.max(np.abs(back_qdot - qdot))),
         )
     return worst < tol, f"max round-trip error {worst:.3e} (tol {tol:.1e})"
 

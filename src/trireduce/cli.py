@@ -28,8 +28,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, DegenerateShape, TrireduceError
 from .geometry import (
-    COLLINEAR_THRESHOLD, BodyMomenta, CartesianState, MassTriple, ShapeCoordinates, check_number,
-    lengths,
+    COLLINEAR_THRESHOLD, CartesianState, MassTriple, ShapeCoordinates, check_number, lengths,
 )
 from .hamiltonian import cartesian_from_momenta, evaluate_reduced_batch
 from .potential import PotentialSpec, builtin_potential, parse_potential
@@ -154,8 +153,8 @@ def _parse_initial_state(cfg, masses) -> CartesianState:
         )
     except ValueError as exc:
         raise ConfigError(path, str(exc))
-    momenta = BodyMomenta(*(_vec3(_require(s, key, path), f"{path}.{key}") for key in ("J", "p")))
-    return cartesian_from_momenta(masses, q, momenta)
+    momenta = (_vec3(_require(s, key, path), f"{path}.{key}") for key in ("J", "p"))
+    return cartesian_from_momenta(masses, q, *momenta)
 
 
 def _parse_integrator(cfg) -> IntegratorConfig:

@@ -7,7 +7,8 @@ class TrireduceError(Exception):
 
 class DegenerateShape(TrireduceError):
     """Shape is degenerate (|s1| = 0 or r2 = 0): the body frame or the
-    angle phi is undefined."""
+    angle phi is undefined, or a square that the reduced Hamiltonian
+    divides by is 0."""
 
     @classmethod
     def from_r1(cls, r1):

@@ -32,19 +32,17 @@ def check_number(path, value):
         raise ValueError(f"{path}: expected a finite number, got {value!r}")
 
 
-def _finite_vectors(obj):
-    """Store every field of the frozen dataclass obj as a float array;
-    raises ValueError naming the first that is not a finite 3-vector of
-    real numbers (float() would take a bool or a str as a component)."""
-    for f in fields(obj):
-        vec = getattr(obj, f.name)
-        if not (type(vec) is np.ndarray and vec.dtype.char == "d"):
-            if np.iterable(vec):
-                vec = [c if _finite_real(c) else nan for c in vec]
-            vec = np.asarray(vec, dtype=float)
-        if vec.shape != (3,) or np.count_nonzero(np.isfinite(vec)) < 3:
-            raise ValueError(f"{f.name} must be a finite 3-vector")
-        object.__setattr__(obj, f.name, vec)
+def check_vector(name, value):
+    """value as a float array; raises ValueError naming it unless it is a
+    3-vector of finite real numbers (float() would take a bool or a str as
+    a component).  A float64 array is returned as it is."""
+    if not (type(value) is np.ndarray and value.dtype.char == "d"):
+        if np.iterable(value):
+            value = [c if _finite_real(c) else nan for c in value]
+        value = np.asarray(value, dtype=float)
+    if value.shape != (3,) or np.count_nonzero(np.isfinite(value)) < 3:
+        raise ValueError(f"{name} must be a finite 3-vector")
+    return value
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,8 @@ class CartesianState:
     v3: np.ndarray
 
     def __post_init__(self):
-        _finite_vectors(self)
+        for f in fields(self):
+            object.__setattr__(self, f.name, check_vector(f.name, getattr(self, f.name)))
 
     @property
     def positions(self):
@@ -109,28 +108,6 @@ class ShapeCoordinates:
             raise ValueError(f"r2 must be >= 0, got {self.r2}")
         if not 0.0 <= self.phi <= pi:
             raise ValueError(f"phi out of [0, pi]: {self.phi}")
-
-
-@dataclass(frozen=True)
-class BodyVelocityState:
-    """Body angular velocity and shape-coordinate rates (r1dot, r2dot, phidot)."""
-
-    omega: np.ndarray
-    qdot: np.ndarray
-
-    def __post_init__(self):
-        _finite_vectors(self)
-
-
-@dataclass(frozen=True)
-class BodyMomenta:
-    """Body angular momentum J and shape momenta p = (p1, p2, p3)."""
-
-    J: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        _finite_vectors(self)
 
 
 def reduced_masses(m: MassTriple):

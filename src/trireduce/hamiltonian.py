@@ -24,14 +24,13 @@ import numpy as np
 from .errors import DegenerateShape, NumericalBlowup
 from .geometry import (
     COLLINEAR_THRESHOLD,
-    BodyMomenta,
-    BodyVelocityState,
     CartesianState,
     MassTriple,
     ShapeCoordinates,
     body_frames,
     body_jacobi_vectors,
     cartesian_from_jacobi,
+    check_vector,
     cross,
     jacobi_map,
 )
@@ -44,39 +43,52 @@ BRANCH_COLLINEAR = "collinear"
 
 @dataclass(frozen=True)
 class ReducedEvaluation:
-    """Result of evaluating the reduced Hamiltonian on one configuration.
+    """Result of evaluating the reduced Hamiltonian on one configuration:
+    one row of a ReducedBatch, its fields named as the batch's columns, with
+    H its H_reduced.
 
     branch names the body-frame rule used ("noncollinear" above the
     collinear threshold, "collinear" at or below it); sin_phi is the
-    measured |s1 x s2| / (|s1| |s2|).
+    measured |s1 x s2| / (|s1| |s2|); J and p are 3-vectors.
     """
 
     H: float
     branch: str
-    q: ShapeCoordinates
-    momenta: BodyMomenta
+    r1: float
+    r2: float
+    phi: float
+    J: np.ndarray
+    p: np.ndarray
     singular_term: float
     sin_phi: float
 
 
-def reduced_hamiltonian(q: ShapeCoordinates, m: BodyMomenta, T: float, V: float) -> float:
-    """The module docstring's H from the shape, the momenta, T = J1 / sin(phi)
-    and V, for r2 > 0: T²/b is 0/0 at r2 = 0, which raises DegenerateShape and
-    is the Cartesian routes' to cover.  ShapeCoordinates holds r1 > 0."""
-    if q.r2 == 0.0:
-        raise DegenerateShape("reduced Hamiltonian needs r2 > 0")
-    (_, J2, J3), (p1, p2, p3) = m.J, m.p
-    a, b = q.r1 ** 2, q.r2 ** 2
+def reduced_hamiltonian(r1, r2, phi, J, p, T, V):
+    """The module docstring's H from the shape (r1, r2, phi), the momenta J
+    and p, T = J1 / sin(phi) and V: (...) columns and (..., 3) momenta, or
+    floats and 3-vectors for one state, complex ones too.  Raises
+    DegenerateShape naming the divisor where r2^2, r1^2 or r1^2 r2^2 is 0 on
+    any row, exactly or by underflow: T^2/b is 0/0 at r2 = 0, which is the
+    Cartesian routes' to cover."""
+    a, b = r1 ** 2, r2 ** 2
+    ab = a * b
+    if np.count_nonzero(ab) < np.size(ab):
+        for name, divisor in (("r2^2", b), ("r1^2", a), ("r1^2 r2^2", ab)):
+            if np.count_nonzero(divisor) < np.size(divisor):
+                raise DegenerateShape(f"{name} is 0: the reduced Hamiltonian divides by it")
+    (_, J2, J3), (p1, p2, p3) = np.moveaxis(J, -1, 0), np.moveaxis(p, -1, 0)
     S = a + b
-    quad = T ** 2 / b + (J2 + cos(q.phi) * T) ** 2 / a + J3 ** 2 / S + p1 ** 2 + p2 ** 2
-    return 0.5 * (quad + S / (a * b) * (p3 - b / S * J3) ** 2) + V
+    quad = T ** 2 / b + (J2 + np.cos(phi) * T) ** 2 / a + J3 ** 2 / S + p1 ** 2 + p2 ** 2
+    return 0.5 * (quad + S / ab * (p3 - b / S * J3) ** 2) + V
 
 
-def singular_term(q: ShapeCoordinates, w: BodyVelocityState) -> float:
-    """The combination J1 / sin(phi), in the form that stays finite for all
-    phi: r2^2 w1 sin(phi) - r2^2 w2 cos(phi)."""
-    b = q.r2 ** 2
-    return b * w.omega[0] * sin(q.phi) - b * w.omega[1] * cos(q.phi)
+def singular_term(r1, r2, phi, omega):
+    """The combination J1 / sin(phi) of the body angular velocity omega, in
+    the form that stays finite for all phi: r2^2 w1 sin(phi) - r2^2 w2
+    cos(phi).  Takes arrays as reduced_hamiltonian does; r1 does not enter."""
+    b = r2 ** 2
+    w1, w2, _ = np.moveaxis(omega, -1, 0)
+    return b * w1 * np.sin(phi) - b * w2 * np.cos(phi)
 
 
 def evaluate_reduced(
@@ -109,8 +121,7 @@ def evaluate_reduced(
     return ReducedEvaluation(
         H=H,
         branch=BRANCH_NONCOLLINEAR if planar[0] else BRANCH_COLLINEAR,
-        q=ShapeCoordinates(float(r1[0]), float(r2[0]), float(phi[0])),
-        momenta=BodyMomenta(J[0], p[0]),
+        r1=float(r1[0]), r2=float(r2[0]), phi=float(phi[0]), J=J[0], p=p[0],
         singular_term=float(T[0]),
         sin_phi=float(sin_phi[0]),
     )
@@ -149,14 +160,16 @@ def _reduce_rows(collinear_threshold, s1, s2, sd1, sd2):
     return measured, degenerate, phi, sin_phi, planar, J, p, T, K
 
 
-def cartesian_from_momenta(masses, q: ShapeCoordinates, m: BodyMomenta) -> CartesianState:
-    """The state of shape q and momenta m, its body frame the space frame, by
-    the inverse of _reduce_rows' map, which forms no omega or qdot (see
-    reduction.velocities_from_momenta).  Raises SingularInertia where
+def cartesian_from_momenta(masses, q: ShapeCoordinates, J, p) -> CartesianState:
+    """The state of shape q and momenta J and p, its body frame the space
+    frame, by the inverse of _reduce_rows' map, which forms no omega or qdot
+    (see reduction.velocities_from_momenta).  Raises ValueError where J or p
+    is not a finite 3-vector (geometry.check_vector), SingularInertia where
     inertia_inverse does, NumericalBlowup if a velocity overflows."""
+    J, p = check_vector("J", J), check_vector("p", p)
     inertia_inverse(q)  # (J, p) fix the state only where I is invertible
     s, c = sin(q.phi), cos(q.phi)
-    (J1, J2, J3), (p1, p2, p3) = m.J.tolist(), m.p.tolist()
+    (J1, J2, J3), (p1, p2, p3) = J.tolist(), p.tolist()
     T, u = J1 / s, p3 / q.r2
     v = [p1, (J3 - p3) / q.r1, -(J2 + c * T) / q.r1, c * p2 - s * u, s * p2 + c * u, T / q.r2]
     if not all(map(isfinite, v)):

@@ -10,6 +10,7 @@ straight-line function that returns its value and its reverse-mode pullback.
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from math import copysign
 from numbers import Real
 
 import numpy as np
@@ -187,7 +188,9 @@ def parse_expression(text):
 
 def print_expression(node):
     """Render an AST back to a string that parses to a structurally equal AST.
-    Raises ValueError on a constant that _emit refuses (see _constant)."""
+    Raises ValueError on a constant that _emit refuses (see _constant) and on
+    one whose sign bit is set, -0.0 too: the parser reads '-1.5' as
+    Neg(Num(1.5)), so no text parses to Num(-1.5)."""
     return _print(node, 0)
 
 
@@ -206,10 +209,9 @@ def _print(node, parent_prec):
     if isinstance(node, Num):
         if not _constant(node):
             raise ValueError(f"not an expression node: {node!r}")
-        text = repr(node.value)
-        if node.value < 0:
-            return f"({text})"
-        return text
+        if copysign(1.0, node.value) < 0.0:
+            raise ValueError(f"no text parses to a negative constant: {node!r}")
+        return repr(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Call):
@@ -488,7 +490,7 @@ class PotentialSpec:
         return _emit(self.ast, check=True)[0]
 
 
-def builtin_potential(name, **params) -> PotentialSpec:
+def builtin_potential(name, /, **params) -> PotentialSpec:
     return PotentialSpec(builtin=name, params=params)
 
 

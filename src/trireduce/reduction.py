@@ -12,14 +12,7 @@ from math import cos, sin
 import numpy as np
 
 from .errors import SingularInertia
-from .geometry import (
-    BodyMomenta,
-    BodyVelocityState,
-    ShapeCoordinates,
-    body_jacobi_vectors,
-    cartesian_from_jacobi,
-    cross,
-)
+from .geometry import ShapeCoordinates, body_jacobi_vectors, cartesian_from_jacobi, cross
 
 SINGULAR_THRESHOLD = 1e-8
 
@@ -111,51 +104,52 @@ def shape_partials(q: ShapeCoordinates):
     return d
 
 
-def body_velocities(q: ShapeCoordinates, w: BodyVelocityState):
-    """Body-frame velocities of the two Jacobi vectors."""
+def body_velocities(q: ShapeCoordinates, omega, qdot):
+    """Body-frame velocities of the two Jacobi vectors, from the body
+    angular velocity omega and the shape rates qdot = (r1dot, r2dot, phidot)."""
     b1, b2 = body_jacobi_vectors(q)
     d = shape_partials(q)
-    v1 = cross(w.omega, b1) + d[0].T @ w.qdot
-    v2 = cross(w.omega, b2) + d[1].T @ w.qdot
+    v1 = cross(omega, b1) + d[0].T @ qdot
+    v2 = cross(omega, b2) + d[1].T @ qdot
     return v1, v2
 
 
-def cartesian_from_body_state(masses, q: ShapeCoordinates, w: BodyVelocityState):
+def cartesian_from_body_state(masses, q: ShapeCoordinates, omega, qdot):
     """Cartesian realization of a body state with the body frame taken as
     the space frame at the evaluation instant.  Fed by velocities_from_momenta
     it keeps that function's loss of digits as r1/r2 falls."""
     b1, b2 = body_jacobi_vectors(q)
-    v1, v2 = body_velocities(q, w)
+    v1, v2 = body_velocities(q, omega, qdot)
     return cartesian_from_jacobi(masses, b1, b2, v1, v2)
 
 
-def kinetic_energy_body(q: ShapeCoordinates, w: BodyVelocityState) -> float:
+def kinetic_energy_body(q: ShapeCoordinates, omega, qdot) -> float:
     """Kinetic energy from the body decomposition:
     K = w^T I w / 2 + sum_mu (w^T a_mu) qdot^mu + h_{mu nu} qdot qdot / 2."""
     I = inertia_tensor(q)
     a = gauge_potential(q)
     h = shape_metric(q)
-    wv, qd = w.omega, w.qdot
-    return float(0.5 * wv @ I @ wv + (a @ wv) @ qd + 0.5 * qd @ h @ qd)
+    return float(0.5 * omega @ I @ omega + (a @ omega) @ qdot + 0.5 * qdot @ h @ qdot)
 
 
-def body_angular_momentum(q: ShapeCoordinates, w: BodyVelocityState) -> np.ndarray:
+def body_angular_momentum(q: ShapeCoordinates, omega, qdot) -> np.ndarray:
     """Body angular momentum J = I w + sum_mu a_mu qdot^mu."""
-    return inertia_tensor(q) @ w.omega + gauge_potential(q).T @ w.qdot
+    return inertia_tensor(q) @ omega + gauge_potential(q).T @ qdot
 
 
-def shape_momenta(q: ShapeCoordinates, w: BodyVelocityState) -> BodyMomenta:
-    """Conjugate momenta p_mu = g_{mu nu} qdot^nu + J . A_mu (equivalently
-    h_{mu nu} qdot^nu + w . a_mu).  Raises SingularInertia at r2 = 0 and
-    where horizontal_metric does."""
+def shape_momenta(q: ShapeCoordinates, omega, qdot):
+    """The momenta (J, p) of the body state (omega, qdot): J of
+    body_angular_momentum and the conjugate p_mu = g_{mu nu} qdot^nu +
+    J . A_mu (equivalently h_{mu nu} qdot^nu + w . a_mu).  Raises
+    SingularInertia at r2 = 0 and where horizontal_metric does."""
     if q.r2 == 0.0:
         raise SingularInertia("r2 = 0: the inertia tensor is singular")
-    J = body_angular_momentum(q, w)
+    J = body_angular_momentum(q, omega, qdot)
     g, _ = horizontal_metric(q)
-    return BodyMomenta(J, g @ w.qdot + mechanical_connection(q) @ J)
+    return J, g @ qdot + mechanical_connection(q) @ J
 
 
-def velocities_from_momenta(q: ShapeCoordinates, m: BodyMomenta) -> BodyVelocityState:
+def velocities_from_momenta(q: ShapeCoordinates, J, p):
     """Invert the Legendre map: recover (omega, qdot) from (J, p).
 
     Needs the full inertia inverse, so it raises SingularInertia at r2 = 0
@@ -165,6 +159,6 @@ def velocities_from_momenta(q: ShapeCoordinates, m: BodyMomenta) -> BodyVelocity
     """
     I_inv = inertia_inverse(q)
     _, g_inv = horizontal_metric(q)
-    qdot = g_inv @ (m.p - mechanical_connection(q) @ m.J)
-    omega = I_inv @ (m.J - gauge_potential(q).T @ qdot)
-    return BodyVelocityState(omega, qdot)
+    qdot = g_inv @ (p - mechanical_connection(q) @ J)
+    omega = I_inv @ (J - gauge_potential(q).T @ qdot)
+    return omega, qdot

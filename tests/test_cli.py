@@ -385,11 +385,13 @@ class TestSimulate:
             ({"builtin": "harmonic", "params": {"k": float("inf")}}, "params.k"),
             ({"builtin": "harmonic", "params": {"rest": {"d12": "1"}}}, "params.rest.d12"),
             ({"builtin": "lennard_jones", "params": {"sigma": True}}, "params.sigma"),
+            ({"builtin": "gravity", "params": {"name": 1.0}}, "params.name"),
         ],
     )
     def test_bad_builtin_params_exit_2(self, tmp_path, caplog, potential, field):
         # a parameter the family does not read, or one that is not a finite
-        # number, was silently ignored or crashed with a TypeError
+        # number, was silently ignored or crashed with a TypeError (`name`
+        # too, which once met the family's name in builtin_potential)
         cfg = write_config(tmp_path, dict(HARMONIC_CONFIG, potential=potential))
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
         assert "config field 'potential'" in caplog.text and field in caplog.text

@@ -1,4 +1,3 @@
-from dataclasses import fields
 from math import pi, sqrt
 
 import numpy as np
@@ -6,21 +5,20 @@ import pytest
 
 from trireduce.checks import random_rotation
 from trireduce.geometry import (
-    BodyMomenta,
-    BodyVelocityState,
     CartesianState,
     MassTriple,
     ShapeCoordinates,
     body_frames,
     body_jacobi_vectors,
     cartesian_from_jacobi,
+    check_vector,
     cross,
     jacobi_map,
     lengths,
     reduced_masses,
     shape_to_distances,
 )
-from trireduce.hamiltonian import evaluate_reduced_batch
+from trireduce.hamiltonian import cartesian_from_momenta, evaluate_reduced_batch
 from trireduce.potential import builtin_potential
 
 RNG = np.random.default_rng(7)
@@ -89,12 +87,16 @@ class TestShapeCoordinates:
         assert str(info.value) == message
 
 
-VECTOR_CLASSES = [CartesianState, BodyVelocityState, BodyMomenta]
+CARTESIAN_FIELDS = ("x1", "x2", "x3", "v1", "v2", "v3")
+MASSES = MassTriple(1.0, 1.0, 1.0)
 
 
 class TestVectorFields:
-    # the second field of each class is the bad one; float() would take
-    # every component of the first three
+    """check_vector, the rule of CartesianState's fields and of the J and p
+    that cartesian_from_momenta takes from outside."""
+
+    # x2 is the bad field of a CartesianState; float() would take every
+    # component of the first three values
     @pytest.mark.parametrize(
         "value",
         [
@@ -114,27 +116,31 @@ class TestVectorFields:
             "int-beyond-float",
         ],
     )
-    @pytest.mark.parametrize("cls", VECTOR_CLASSES)
-    def test_rejects_what_is_not_a_finite_3_vector(self, cls, value):
-        names = [f.name for f in fields(cls)]
-        vectors = {name: np.zeros(3) for name in names}
-        vectors[names[1]] = value
-        with pytest.raises(ValueError, match=f"^{names[1]} must be a finite 3-vector$"):
-            cls(**vectors)
+    @pytest.mark.parametrize("target", ["CartesianState", "J", "p"])
+    def test_rejects_what_is_not_a_finite_3_vector(self, target, value):
+        name = "x2" if target == "CartesianState" else target
+        with pytest.raises(ValueError, match=f"^{name} must be a finite 3-vector$"):
+            if target == "CartesianState":
+                CartesianState(*(value if f == "x2" else np.zeros(3) for f in CARTESIAN_FIELDS))
+            else:
+                momenta = {"J": np.zeros(3), "p": np.zeros(3), target: value}
+                cartesian_from_momenta(MASSES, ShapeCoordinates(1.0, 1.0, 1.0), **momenta)
 
-    @pytest.mark.parametrize("cls", VECTOR_CLASSES)
-    def test_numbers_are_stored_as_float_arrays(self, cls):
+    @pytest.mark.parametrize("target", ["CartesianState", "check_vector"])
+    def test_numbers_are_stored_as_float_arrays(self, target):
         # lists of numbers and integer or float32 arrays are converted; a
         # float array is kept as it is
         kept = np.array([0.5, -1.0, 2.0])
         given = [kept, [1, 2.5, np.float64(3.0)], np.arange(3), np.ones(3, np.float32)]
-        names = [f.name for f in fields(cls)]
-        obj = cls(**{name: given[k % len(given)] for k, name in enumerate(names)})
-        assert getattr(obj, names[0]) is kept
-        for k, name in enumerate(names):
-            stored = getattr(obj, name)
-            assert stored.dtype == np.float64 and stored.shape == (3,)
-            assert np.array_equal(stored, np.asarray(given[k % len(given)], dtype=float))
+        given = [given[k % len(given)] for k in range(len(CARTESIAN_FIELDS))]
+        if target == "CartesianState":
+            stored = list(vars(CartesianState(*given)).values())
+        else:
+            stored = [check_vector(name, v) for name, v in zip(CARTESIAN_FIELDS, given)]
+        assert stored[0] is kept
+        for value, vector in zip(given, stored):
+            assert vector.dtype == np.float64 and vector.shape == (3,)
+            assert np.array_equal(vector, np.asarray(value, dtype=float))
 
 
 class TestVectorHelpers:

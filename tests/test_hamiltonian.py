@@ -1,3 +1,4 @@
+import re
 from math import cos, pi, sin, sqrt
 
 import numpy as np
@@ -30,8 +31,6 @@ from trireduce.hamiltonian import (
 )
 from trireduce.potential import builtin_potential, parse_potential, potential_at_positions
 from trireduce.reduction import (
-    BodyMomenta,
-    BodyVelocityState,
     body_angular_momentum,
     body_velocities,
     kinetic_energy_body,
@@ -50,55 +49,58 @@ def random_shape(phi_min=0.05):
 
 
 def random_velocity():
-    return BodyVelocityState(RNG.normal(size=3), RNG.normal(size=3))
+    """A random body state (omega, qdot)."""
+    return RNG.normal(size=3), RNG.normal(size=3)
+
+
+def body_hamiltonian(q, omega, qdot, V):
+    """reduced_hamiltonian of the body state (omega, qdot) at the shape q."""
+    J, p = shape_momenta(q, omega, qdot)
+    T = singular_term(q.r1, q.r2, q.phi, omega)
+    return reduced_hamiltonian(q.r1, q.r2, q.phi, J, p, T, V)
+
+
+ZERO = np.zeros(3)
 
 
 class TestReducedHamiltonian:
     def test_zero_state(self):
-        q = ShapeCoordinates(1.2, 0.8, 1.1)
-        m = BodyMomenta(np.zeros(3), np.zeros(3))
-        assert reduced_hamiltonian(q, m, 0.0, 0.0) == 0.0
+        assert reduced_hamiltonian(1.2, 0.8, 1.1, ZERO, ZERO, 0.0, 0.0) == 0.0
 
     def test_pure_j3_state(self):
         for r2 in (0.5, 1.0, 1.7):
-            q = ShapeCoordinates(1.0, r2, pi / 2)
-            m = BodyMomenta(np.array([0.0, 0.0, 3.0]), np.zeros(3))
-            assert reduced_hamiltonian(q, m, 0.0, 0.0) == pytest.approx(4.5, rel=1e-14)
+            H = reduced_hamiltonian(1.0, r2, pi / 2, np.array([0.0, 0.0, 3.0]), ZERO, 0.0, 0.0)
+            assert H == pytest.approx(4.5, rel=1e-14)
 
     def test_legendre_consistency(self):
         for _ in range(200):
             q = random_shape()
             w = random_velocity()
-            m = shape_momenta(q, w)
-            K = kinetic_energy_body(q, w)
+            K = kinetic_energy_body(q, *w)
             V = RNG.normal()
-            H = reduced_hamiltonian(q, m, singular_term(q, w), V)
+            H = body_hamiltonian(q, *w, V)
             assert H == pytest.approx(K + V, rel=1e-10, abs=1e-10)
 
     def test_adds_potential(self):
-        q = ShapeCoordinates(1.0, 1.0, 1.0)
-        m = BodyMomenta(np.zeros(3), np.zeros(3))
-        assert reduced_hamiltonian(q, m, 0.0, 2.5) == 2.5
+        assert reduced_hamiltonian(1.0, 1.0, 1.0, ZERO, ZERO, 0.0, 2.5) == 2.5
 
 
 class TestCollinearHamiltonian:
     """The finite form evaluated at collinear shapes (phi = 0 or pi)."""
 
     def test_zero_state(self):
-        m = BodyMomenta(np.zeros(3), np.zeros(3))
-        assert reduced_hamiltonian(ShapeCoordinates(1.0, 1.0, 0.0), m, 0.0, 0.0) == 0.0
+        assert reduced_hamiltonian(1.0, 1.0, 0.0, ZERO, ZERO, 0.0, 0.0) == 0.0
 
     def test_documented_value(self):
-        m = BodyMomenta(np.array([0.0, 0.0, 2.0]), np.zeros(3))
-        q = ShapeCoordinates(1.0, 1.0, 0.0)
-        assert reduced_hamiltonian(q, m, 0.0, 0.0) == pytest.approx(2.0, abs=1e-14)
+        H = reduced_hamiltonian(1.0, 1.0, 0.0, np.array([0.0, 0.0, 2.0]), ZERO, 0.0, 0.0)
+        assert H == pytest.approx(2.0, abs=1e-14)
 
     def test_two_closed_forms_agree(self):
         for _ in range(100):
             r1, r2 = RNG.uniform(0.3, 2.0, size=2)
             J3, p1, p2, p3 = RNG.normal(size=4)
-            m = BodyMomenta(np.array([0.0, 0.0, J3]), np.array([p1, p2, p3]))
-            H = reduced_hamiltonian(ShapeCoordinates(r1, r2, 0.0), m, 0.0, 0.0)
+            J, p = np.array([0.0, 0.0, J3]), np.array([p1, p2, p3])
+            H = reduced_hamiltonian(r1, r2, 0.0, J, p, 0.0, 0.0)
             alt = (
                 0.5 * (J3 - p3) ** 2 / r1 ** 2
                 + 0.5 * p3 ** 2 / r2 ** 2
@@ -113,46 +115,96 @@ class TestCollinearHamiltonian:
             for _ in range(50):
                 q0 = ShapeCoordinates(*RNG.uniform(0.3, 2.0, size=2), phi)
                 w = random_velocity()
-                K0 = kinetic_energy_body(q0, w)
+                K0 = kinetic_energy_body(q0, *w)
                 V = RNG.normal()
-                H = reduced_hamiltonian(
-                    q0, shape_momenta(q0, w), singular_term(q0, w), V
-                )
+                H = body_hamiltonian(q0, *w, V)
                 assert H == pytest.approx(K0 + V, rel=1e-12, abs=1e-12)
 
     def test_degenerate_lengths_rejected(self):
-        m = BodyMomenta(np.zeros(3), np.zeros(3))
-        with pytest.raises(DegenerateShape):
-            reduced_hamiltonian(ShapeCoordinates(1.0, 0.0, 0.0), m, 0.0, 0.0)
+        # r2 = 0, and squares that underflow to 0: DegenerateShape names the
+        # divisor, for one state and for a batch with one such row beside a
+        # regular one, before any NaN or numpy warning (an error here)
+        for r1, r2, divisor in (
+            (1.0, 0.0, "r2^2"),
+            (1.0, 1e-170, "r2^2"),
+            (1e-170, 1.0, "r1^2"),
+            (1e-100, 1e-100, "r1^2 r2^2"),
+        ):
+            message = f"^{re.escape(divisor)} is 0: the reduced Hamiltonian divides by it$"
+            with pytest.raises(DegenerateShape, match=message):
+                reduced_hamiltonian(r1, r2, 0.0, ZERO, ZERO, 0.0, 0.0)
+            r1s, r2s, ones = np.array([1.0, r1]), np.array([0.5, r2]), np.ones((2, 3))
+            with pytest.raises(DegenerateShape, match=message):
+                reduced_hamiltonian(r1s, r2s, np.ones(2), ones, ones, np.ones(2), np.zeros(2))
 
 
 class TestSingularTerm:
     def test_collinear_zero_transverse_spin(self):
-        q = ShapeCoordinates(1.0, 1.4, 0.0)
-        w = BodyVelocityState(np.array([0.7, 0.0, 0.2]), np.zeros(3))
-        assert singular_term(q, w) == 0.0
+        assert singular_term(1.0, 1.4, 0.0, np.array([0.7, 0.0, 0.2])) == 0.0
 
     def test_collinear_limit_value(self):
         for c in (0.5, -1.2, 3.0):
-            q = ShapeCoordinates(1.0, 1.5, 0.0)
-            w = BodyVelocityState(np.array([0.3, c, 0.0]), np.zeros(3))
-            assert singular_term(q, w) == pytest.approx(-1.5 ** 2 * c, abs=1e-15)
+            T = singular_term(1.0, 1.5, 0.0, np.array([0.3, c, 0.0]))
+            assert T == pytest.approx(-1.5 ** 2 * c, abs=1e-15)
 
     def test_matches_direct_quotient(self):
         for _ in range(100):
             q = random_shape(phi_min=0.11)
-            w = random_velocity()
-            J1 = body_angular_momentum(q, w)[0]
-            assert singular_term(q, w) == pytest.approx(
+            omega, qdot = random_velocity()
+            J1 = body_angular_momentum(q, omega, qdot)[0]
+            assert singular_term(q.r1, q.r2, q.phi, omega) == pytest.approx(
                 J1 / sin(q.phi), rel=1e-12, abs=1e-12
             )
 
     def test_product_with_sin_phi_is_j1(self):
         for _ in range(100):
             q = random_shape(phi_min=0.0)
-            w = random_velocity()
-            J1 = body_angular_momentum(q, w)[0]
-            assert singular_term(q, w) * sin(q.phi) == pytest.approx(J1, abs=1e-14)
+            omega, qdot = random_velocity()
+            J1 = body_angular_momentum(q, omega, qdot)[0]
+            T = singular_term(q.r1, q.r2, q.phi, omega)
+            assert T * sin(q.phi) == pytest.approx(J1, abs=1e-14)
+
+
+class TestFormulaOnArrays:
+    """reduced_hamiltonian and singular_term on (N,) columns and (N, 3)
+    vectors, one call for the batch, and on complex input."""
+
+    N = 2000
+
+    def columns(self):
+        """Shapes, momenta, body angular velocities, T and V >= 0 of N states."""
+        rng = np.random.default_rng(2401)
+        r1, r2 = rng.uniform(0.3, 2.0, size=(2, self.N))
+        phi = rng.uniform(0.0, pi, self.N)
+        J, p, omega = rng.normal(size=(3, self.N, 3))
+        return r1, r2, phi, J, p, omega, rng.normal(size=self.N), rng.uniform(0.0, 2.0, self.N)
+
+    def test_batch_equals_its_rows(self):
+        # an array's ** 2 rounds as numpy's square, which is not the float
+        # ** on every value, so the rows agree to 1e-15, not to the bit
+        r1, r2, phi, J, p, omega, T, V = self.columns()
+        H = reduced_hamiltonian(r1, r2, phi, J, p, T, V)
+        terms = singular_term(r1, r2, phi, omega)
+        for k in range(self.N):
+            shape = float(r1[k]), float(r2[k]), float(phi[k])
+            row = reduced_hamiltonian(*shape, J[k], p[k], float(T[k]), float(V[k]))
+            assert abs(H[k] - row) <= 1e-15 * abs(row)
+            row = singular_term(*shape, omega[k])
+            assert abs(terms[k] - row) <= 1e-15 * r2[k] ** 2 * np.sum(np.abs(omega[k, :2]))
+
+    def test_complex_step_gives_the_derivatives(self):
+        # a step of i h in p1, p2 or V puts h dH/dp1 = h p1, h p2 or h into
+        # the imaginary part of H
+        r1, r2, phi, J, p, _, T, V = self.columns()
+        h = 1e-20
+        for k, derivative in ((0, p[:, 0]), (1, p[:, 1]), (None, 1.0)):
+            p_step, V_step = p.astype(complex), V.astype(complex)
+            if k is None:
+                V_step += 1j * h
+            else:
+                p_step[:, k] += 1j * h
+            dH = reduced_hamiltonian(r1, r2, phi, J, p_step, T, V_step).imag / h
+            assert np.all(np.abs(dH - derivative) <= 1e-14 * np.maximum(1.0, np.abs(derivative)))
 
 
 def collinear_jacobi(transverse=1.0, axial=0.3):
@@ -263,13 +315,12 @@ class TestEvaluateReduced:
         ]
         for phi, omega, qdot, branch in cases:
             q = ShapeCoordinates(1.0, 1.0, phi)
-            w = BodyVelocityState(omega, qdot)
             b1, b2 = body_jacobi_vectors(q)
-            v1, v2 = body_velocities(q, w)
+            v1, v2 = body_velocities(q, omega, qdot)
             state = cartesian_from_jacobi(masses, b1, b2, v1, v2)
             ev = evaluate_reduced(masses, state, FREE)
             assert ev.branch == branch
-            assert ev.H == pytest.approx(kinetic_energy_body(q, w), rel=1e-12)
+            assert ev.H == pytest.approx(kinetic_energy_body(q, omega, qdot), rel=1e-12)
 
     def test_collinear_rotation_invariance(self):
         masses = MassTriple(1.0, 1.5, 0.8)
@@ -287,14 +338,14 @@ class TestEvaluateReduced:
         # threshold: the noncollinear rule applies and H stays exact
         masses = MassTriple(1.0, 1.0, 1.0)
         q = ShapeCoordinates(1.0, 1.0, 1e-4)
-        w = BodyVelocityState(np.array([0.0, 0.0, 0.3]), np.array([0.1, 0.2, 0.4]))
+        w = np.array([0.0, 0.0, 0.3]), np.array([0.1, 0.2, 0.4])
         b1, b2 = body_jacobi_vectors(q)
-        v1, v2 = body_velocities(q, w)
+        v1, v2 = body_velocities(q, *w)
         state = cartesian_from_jacobi(masses, b1, b2, v1, v2)
         ev = evaluate_reduced(masses, state, FREE)
         assert ev.branch == "noncollinear"
         assert COLLINEAR_THRESHOLD < ev.sin_phi < BAND_THRESHOLD
-        assert ev.H == pytest.approx(kinetic_energy_body(q, w), rel=1e-12)
+        assert ev.H == pytest.approx(kinetic_energy_body(q, *w), rel=1e-12)
 
 
 class TestShapeStart:
@@ -311,20 +362,20 @@ class TestShapeStart:
         worst = 0.0
         for _ in range(200):
             q = ShapeCoordinates(r1, 1.0, rng.uniform(0.3, 2.8))
-            m = BodyMomenta(rng.normal(size=3), rng.normal(size=3))
-            ev = evaluate_reduced(self.MASSES, cartesian_from_momenta(self.MASSES, q, m), potential)
-            errors = np.abs(np.concatenate([ev.momenta.J - m.J, ev.momenta.p - m.p]))
+            J, p = rng.normal(size=3), rng.normal(size=3)
+            state = cartesian_from_momenta(self.MASSES, q, J, p)
+            ev = evaluate_reduced(self.MASSES, state, potential)
+            errors = np.abs(np.concatenate([ev.J - J, ev.p - p]))
             worst = max(worst, float(np.max(errors)))
         assert worst <= 1e-8
 
 
 class TestCollinearLimit:
     def test_limit_is_quadratic_in_phi(self):
-        w = BodyVelocityState(np.array([0.9, 0.0, 0.4]), np.array([0.2, -0.3, 0.6]))
+        w = np.array([0.9, 0.0, 0.4]), np.array([0.2, -0.3, 0.6])
 
         def H(phi):
-            q = ShapeCoordinates(1.3, 0.8, phi)
-            return reduced_hamiltonian(q, shape_momenta(q, w), singular_term(q, w), 0.0)
+            return body_hamiltonian(ShapeCoordinates(1.3, 0.8, phi), *w, 0.0)
 
         H0 = H(0.0)
         phis = [10.0 ** (-k) for k in range(1, 7)]
@@ -491,12 +542,8 @@ class TestBatchKernel:
                 continue
             assert out.branch[i] == ev.branch
             assert _close(out.H_reduced[i], ev.H)
-            assert _close(out.J[i], ev.momenta.J)
-            assert _close(out.p[i], ev.momenta.p)
-            for name in ("r1", "r2", "phi"):
-                assert _close(getattr(out, name)[i], getattr(ev.q, name))
-            assert _close(out.sin_phi[i], ev.sin_phi)
-            assert _close(out.singular_term[i], ev.singular_term)
+            for name in ("r1", "r2", "phi", "sin_phi", "J", "p", "singular_term"):
+                assert _close(getattr(out, name)[i], getattr(ev, name))
 
             # independent oracles; the non-degenerate states have their
             # center of mass at rest, so H equals the Cartesian energy
@@ -509,13 +556,13 @@ class TestBatchKernel:
             # it is an oracle only where neither is small
             shorter, longer = sorted((out.r1[i], out.r2[i]))
             if out.sin_phi[i] > 1e-3 and noncollinear and shorter > 1e-3 * longer:
-                w = velocities_from_momenta(q, BodyMomenta(out.J[i], out.p[i]))
-                v1, v2 = body_velocities(q, w)
+                w = velocities_from_momenta(q, out.J[i], out.p[i])
+                v1, v2 = body_velocities(q, *w)
                 assert _close(v1, R.T @ j[2])
                 assert _close(v2, R.T @ j[3])
-                oracle = shape_momenta(q, w)
-                assert _close(out.J[i], oracle.J)
-                assert _close(out.p[i], oracle.p)
+                J, p = shape_momenta(q, *w)
+                assert _close(out.J[i], J)
+                assert _close(out.p[i], p)
 
 
 class TestOneRowPath:
@@ -533,14 +580,14 @@ class TestOneRowPath:
         out = evaluate_reduced_batch(
             masses, state.positions[None], state.velocities[None], potential
         )
-        assert (ev.H, ev.q.r1, ev.q.r2, ev.q.phi) == (
+        assert (ev.H, ev.r1, ev.r2, ev.phi) == (
             out.H_reduced[0], out.r1[0], out.r2[0], out.phi[0]
         ), kind
         assert (ev.singular_term, ev.sin_phi, ev.branch) == (
             out.singular_term[0], out.sin_phi[0], out.branch[0]
         ), kind
-        assert np.array_equal(ev.momenta.J, out.J[0]), kind
-        assert np.array_equal(ev.momenta.p, out.p[0]), kind
+        assert np.array_equal(ev.J, out.J[0]), kind
+        assert np.array_equal(ev.p, out.p[0]), kind
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -750,8 +797,9 @@ FORMULA_CONDITIONING = 4.0
 class TestPaperFormulaSweep:
     @pytest.mark.parametrize("family", SWEEP_FAMILIES)
     def test_formula_on_kernel_columns_equals_cm_energy(self, family):
-        # reduced_hamiltonian on each row's (r1, r2, phi), J, p, T and V;
-        # every family but close_13 to |H - E_cm| / max(1, |E_cm|) <= 1e-10
+        # reduced_hamiltonian on the columns (r1, r2, phi), J, p, T and V of
+        # each batch, in one call; every family but close_13 to
+        # |H - E_cm| / max(1, |E_cm|) <= 1e-10
         rng = np.random.default_rng(len(SWEEP_FAMILIES) + SWEEP_FAMILIES.index(family))
         eps = np.finfo(float).eps
         failures = {}  # potential -> (rows above 1e-10, rows above the bound)
@@ -763,11 +811,9 @@ class TestPaperFormulaSweep:
                 E = cartesian_energy(pair_energy, m, x, v)
                 out = evaluate_reduced_batch(masses, x, v, potential)
                 V = potential_at_positions(potential, masses, x)
-                rows = zip(out.r1, out.r2, out.phi, out.J, out.p, out.singular_term, V)
-                H = np.array([
-                    reduced_hamiltonian(ShapeCoordinates(r1, r2, phi), BodyMomenta(J, p), T, Vk)
-                    for r1, r2, phi, J, p, T, Vk in rows
-                ])
+                H = reduced_hamiltonian(
+                    out.r1, out.r2, out.phi, out.J, out.p, out.singular_term, V
+                )
                 scale = np.maximum(1.0, np.abs(E))
                 errors = np.abs(H - E) / scale
                 bound = 1e-10

@@ -353,6 +353,19 @@ class TestParser:
             with pytest.raises(ValueError, match=r"^not an expression node: Num\(value="):
                 build(ast)
 
+    @pytest.mark.parametrize(
+        "ast",
+        [Num(-1.5), Num(-0.0), Bin("*", Num(-2.0), Var("r1"))],
+        ids=["negative", "negative-zero", "negative-factor"],
+    )
+    def test_printer_refuses_a_constant_with_its_sign_bit_set(self, ast):
+        # the parser reads '-1.5' as Neg(Num(1.5)), so no text parses back to
+        # such a tree; the emitter still compiles it
+        with pytest.raises(ValueError, match=r"^no text parses to a negative constant: Num\("):
+            print_expression(ast)
+        value = eval_potential_batch(PotentialSpec(ast=ast), MASSES, *np.full((6, 1), 3.0))
+        assert value.tolist() == [-6.0 if isinstance(ast, Bin) else ast.value]
+
 
 class TestSpec:
     def test_needs_exactly_one_kind(self):
@@ -363,6 +376,12 @@ class TestSpec:
     def test_unknown_builtin(self):
         with pytest.raises(ValueError, match="^unknown builtin potential 'morse'$"):
             builtin_potential("morse")
+
+    def test_parameter_called_name_is_unknown(self):
+        # the family's name is positional-only, so a parameter `name` is one
+        # more parameter the family does not read, not a TypeError
+        with pytest.raises(ValueError, match=r"^params\.name: gravity reads \['G'\]$"):
+            builtin_potential("gravity", name=1.0)
 
 
 class TestEval:

@@ -2,6 +2,7 @@
 trajectory and evaluation command, its Python block, and every module
 attribute it names."""
 
+import builtins
 import importlib
 import json
 import pkgutil
@@ -41,13 +42,12 @@ def test_python_block_runs(config):
     exec(block, {"masses": cfg.masses, "state": cfg.state, "potential": cfg.potential})
 
 
+SPANS = re.findall(r"`([^`\n]+)`", README)
+
+
 def test_named_attributes_exist():
     pattern = rf"(?<![\w.])(?:trireduce\.)?({'|'.join(MODULES)})\.([A-Za-z_]\w*)"
-    named = {
-        found
-        for span in re.findall(r"`([^`\n]+)`", README)
-        for found in re.findall(pattern, span)
-    }
+    named = {found for span in SPANS for found in re.findall(pattern, span)}
     assert named  # the README names module attributes
     missing = [
         f"{module}.{name}"
@@ -55,3 +55,18 @@ def test_named_attributes_exist():
         if not hasattr(importlib.import_module(f"trireduce.{module}"), name)
     ]
     assert missing == []
+    # a CamelCase name in a code span, not module-qualified, is an attribute
+    # of a trireduce module or a builtin (`ValueError`); `NaN` is not CamelCase
+    classes = {
+        found
+        for span in SPANS
+        for found in re.findall(r"(?<![\w.])[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]+)+\b", span)
+    }
+    assert classes  # the README names classes
+    modules = [importlib.import_module(f"trireduce.{module}") for module in MODULES]
+    unknown = [
+        name
+        for name in sorted(classes)
+        if not any(hasattr(owner, name) for owner in (builtins, *modules))
+    ]
+    assert unknown == []

@@ -13,8 +13,6 @@ from trireduce.geometry import (
     cartesian_from_jacobi,
 )
 from trireduce.reduction import (
-    BodyMomenta,
-    BodyVelocityState,
     body_angular_momentum,
     body_velocities,
     gauge_potential,
@@ -38,7 +36,8 @@ def random_shape(phi_min=0.05):
 
 
 def random_velocity():
-    return BodyVelocityState(RNG.normal(size=3), RNG.normal(size=3))
+    """A random body state (omega, qdot)."""
+    return RNG.normal(size=3), RNG.normal(size=3)
 
 
 def brute_inertia(q):
@@ -160,14 +159,12 @@ class TestHorizontalMetric:
 class TestBodyVelocities:
     def test_pure_stretch(self):
         q = ShapeCoordinates(1.0, 1.0, 1.0)
-        v1, v2 = body_velocities(q, BodyVelocityState(np.zeros(3), np.array([1.0, 0, 0])))
+        v1, v2 = body_velocities(q, np.zeros(3), np.array([1.0, 0, 0]))
         assert np.allclose(v1, [1, 0, 0]) and np.allclose(v2, 0)
 
     def test_rigid_spin(self):
         q = ShapeCoordinates(1.0, 1.0, pi / 2)
-        v1, v2 = body_velocities(
-            q, BodyVelocityState(np.array([0.0, 0, 1.0]), np.zeros(3))
-        )
+        v1, v2 = body_velocities(q, np.array([0.0, 0, 1.0]), np.zeros(3))
         assert np.allclose(v1, [0, 1, 0], atol=1e-15)
         assert np.allclose(v2, [-1, 0, 0], atol=1e-15)
 
@@ -179,7 +176,7 @@ class TestBodyVelocities:
             w = random_velocity()
             Q = random_rotation(RNG)
             b1, b2 = body_jacobi_vectors(q)
-            v1, v2 = body_velocities(q, w)
+            v1, v2 = body_velocities(q, *w)
             s1, s2, sd1, sd2 = Q @ b1, Q @ b2, Q @ v1, Q @ v2
             R = body_frames(s1[None], s2[None], sd1[None], sd2[None])[0][0].T
             assert np.allclose(R.T @ sd1, v1, atol=1e-12)
@@ -189,21 +186,21 @@ class TestBodyVelocities:
 class TestKineticEnergy:
     def test_pure_shape_motion(self):
         q = ShapeCoordinates(1.0, 1.0, 0.9)
-        K = kinetic_energy_body(q, BodyVelocityState(np.zeros(3), np.array([1.0, 1.0, 0])))
+        K = kinetic_energy_body(q, np.zeros(3), np.array([1.0, 1.0, 0]))
         assert K == pytest.approx(1.0, abs=1e-15)
 
     def test_documented_value(self):
         q = ShapeCoordinates(1.0, 1.0, pi / 2)
-        w = BodyVelocityState(np.array([0.0, 0, 1.0]), np.array([0.0, 0, 1.0]))
-        assert kinetic_energy_body(q, w) == pytest.approx(2.5, abs=1e-14)
+        w = np.array([0.0, 0, 1.0]), np.array([0.0, 0, 1.0])
+        assert kinetic_energy_body(q, *w) == pytest.approx(2.5, abs=1e-14)
 
     def test_equals_half_sum_of_squared_body_velocities(self):
         for _ in range(100):
             q = random_shape(phi_min=0.0)
             w = random_velocity()
-            v1, v2 = body_velocities(q, w)
+            v1, v2 = body_velocities(q, *w)
             K_direct = 0.5 * (v1 @ v1 + v2 @ v2)
-            assert kinetic_energy_body(q, w) == pytest.approx(K_direct, abs=1e-12)
+            assert kinetic_energy_body(q, *w) == pytest.approx(K_direct, abs=1e-12)
 
     def test_compact_form(self):
         for _ in range(100):
@@ -212,9 +209,10 @@ class TestKineticEnergy:
             I = inertia_tensor(q)
             A = mechanical_connection(q)
             g, _ = horizontal_metric(q)
-            shifted = w.omega + A.T @ w.qdot
-            K_compact = 0.5 * shifted @ I @ shifted + 0.5 * w.qdot @ g @ w.qdot
-            assert kinetic_energy_body(q, w) == pytest.approx(K_compact, abs=1e-12)
+            omega, qdot = w
+            shifted = omega + A.T @ qdot
+            K_compact = 0.5 * shifted @ I @ shifted + 0.5 * qdot @ g @ qdot
+            assert kinetic_energy_body(q, *w) == pytest.approx(K_compact, abs=1e-12)
 
     def test_triple_equality_with_cartesian(self):
         masses = MassTriple(1.0, 2.0, 0.7)
@@ -223,14 +221,14 @@ class TestKineticEnergy:
             w = random_velocity()
             Q = random_rotation(RNG)
             b1, b2 = body_jacobi_vectors(q)
-            v1, v2 = body_velocities(q, w)
+            v1, v2 = body_velocities(q, *w)
             s1, s2, sd1, sd2 = Q @ b1, Q @ b2, Q @ v1, Q @ v2
             state = cartesian_from_jacobi(masses, s1, s2, sd1, sd2)
             K_cart = 0.5 * float(
                 np.sum(masses.as_array()[:, None] * state.velocities ** 2)
             )
             K_jac = 0.5 * (sd1 @ sd1 + sd2 @ sd2)
-            K_body = kinetic_energy_body(q, w)
+            K_body = kinetic_energy_body(q, *w)
             assert K_cart == pytest.approx(K_body, abs=1e-10)
             assert K_jac == pytest.approx(K_body, abs=1e-10)
 
@@ -238,22 +236,22 @@ class TestKineticEnergy:
 class TestBodyAngularMomentum:
     def test_gauge_contribution_only(self):
         q = ShapeCoordinates(2.0, 1.0, 0.8)
-        w = BodyVelocityState(np.zeros(3), np.array([0.0, 0, 1.0]))
-        assert np.allclose(body_angular_momentum(q, w), [0, 0, 1.0], atol=1e-15)
+        J = body_angular_momentum(q, np.zeros(3), np.array([0.0, 0, 1.0]))
+        assert np.allclose(J, [0, 0, 1.0], atol=1e-15)
 
     def test_rigid_spin(self):
         q = ShapeCoordinates(1.0, 1.0, pi / 2)
-        w = BodyVelocityState(np.array([0.0, 0, 1.0]), np.zeros(3))
-        assert np.allclose(body_angular_momentum(q, w), [0, 0, 2.0], atol=1e-15)
+        J = body_angular_momentum(q, np.array([0.0, 0, 1.0]), np.zeros(3))
+        assert np.allclose(J, [0, 0, 2.0], atol=1e-15)
 
     def test_cross_product_form(self):
         for _ in range(100):
             q = random_shape(phi_min=0.0)
             w = random_velocity()
             b1, b2 = body_jacobi_vectors(q)
-            v1, v2 = body_velocities(q, w)
+            v1, v2 = body_velocities(q, *w)
             J_direct = np.cross(b1, v1) + np.cross(b2, v2)
-            assert np.allclose(body_angular_momentum(q, w), J_direct, atol=1e-12)
+            assert np.allclose(body_angular_momentum(q, *w), J_direct, atol=1e-12)
 
     def test_equals_rotated_spatial_angular_momentum(self):
         for _ in range(50):
@@ -261,66 +259,60 @@ class TestBodyAngularMomentum:
             w = random_velocity()
             Q = random_rotation(RNG)
             b1, b2 = body_jacobi_vectors(q)
-            v1, v2 = body_velocities(q, w)
+            v1, v2 = body_velocities(q, *w)
             s1, s2, sd1, sd2 = Q @ b1, Q @ b2, Q @ v1, Q @ v2
             R = body_frames(s1[None], s2[None], sd1[None], sd2[None])[0][0].T
             L = np.cross(s1, sd1) + np.cross(s2, sd2)
-            assert np.allclose(body_angular_momentum(q, w), R.T @ L, atol=1e-10)
+            assert np.allclose(body_angular_momentum(q, *w), R.T @ L, atol=1e-10)
 
 
 class TestShapeMomenta:
     def test_pure_stretch(self):
         q = ShapeCoordinates(1.0, 1.0, 0.7)
-        m = shape_momenta(q, BodyVelocityState(np.zeros(3), np.array([1.0, 0, 0])))
-        assert np.allclose(m.p, [1, 0, 0], atol=1e-15)
-        assert np.allclose(m.J, 0, atol=1e-15)
+        J, p = shape_momenta(q, np.zeros(3), np.array([1.0, 0, 0]))
+        assert np.allclose(p, [1, 0, 0], atol=1e-15)
+        assert np.allclose(J, 0, atol=1e-15)
 
     def test_documented_p3(self):
         for w3, v in [(0.5, 1.5), (-1.0, 2.0)]:
             q = ShapeCoordinates(1.0, 1.0, pi / 2)
-            w = BodyVelocityState(np.array([0.0, 0, w3]), np.array([0.0, 0, v]))
-            m = shape_momenta(q, w)
-            assert m.p[2] == pytest.approx(w3 + v, abs=1e-14)
+            _, p = shape_momenta(q, np.array([0.0, 0, w3]), np.array([0.0, 0, v]))
+            assert p[2] == pytest.approx(w3 + v, abs=1e-14)
 
     def test_two_forms_agree(self):
         for _ in range(100):
             q = random_shape(phi_min=0.0)
-            w = random_velocity()
-            m = shape_momenta(q, w)
+            omega, qdot = random_velocity()
+            _, p = shape_momenta(q, omega, qdot)
             h = np.diag([1.0, 1.0, q.r2 ** 2])
-            p_h = h @ w.qdot + gauge_potential(q) @ w.omega
-            assert np.allclose(m.p, p_h, atol=1e-12)
+            p_h = h @ qdot + gauge_potential(q) @ omega
+            assert np.allclose(p, p_h, atol=1e-12)
 
 
 class TestVelocitiesFromMomenta:
     def test_round_trip(self):
         for _ in range(100):
             q = random_shape()
-            w = random_velocity()
-            back = velocities_from_momenta(q, shape_momenta(q, w))
-            assert np.allclose(back.omega, w.omega, atol=1e-10)
-            assert np.allclose(back.qdot, w.qdot, atol=1e-10)
+            omega, qdot = random_velocity()
+            back_omega, back_qdot = velocities_from_momenta(q, *shape_momenta(q, omega, qdot))
+            assert np.allclose(back_omega, omega, atol=1e-10)
+            assert np.allclose(back_qdot, qdot, atol=1e-10)
 
     def test_diagonal_case(self):
         q = ShapeCoordinates(1.0, 1.0, pi / 2)
-        w = velocities_from_momenta(
-            q, BodyMomenta(np.zeros(3), np.array([1.0, 0, 0]))
-        )
-        assert np.allclose(w.omega, 0, atol=1e-15)
-        assert np.allclose(w.qdot, [1, 0, 0], atol=1e-15)
+        omega, qdot = velocities_from_momenta(q, np.zeros(3), np.array([1.0, 0, 0]))
+        assert np.allclose(omega, 0, atol=1e-15)
+        assert np.allclose(qdot, [1, 0, 0], atol=1e-15)
 
     def test_documented_q3dot(self):
         q = ShapeCoordinates(1.0, 1.0, pi / 2)
-        w = velocities_from_momenta(
-            q, BodyMomenta(np.array([0.0, 0, 2.0]), np.array([0.0, 0, 1.0]))
-        )
-        assert w.qdot[2] == pytest.approx(0.0, abs=1e-14)
+        _, qdot = velocities_from_momenta(q, np.array([0.0, 0, 2.0]), np.array([0.0, 0, 1.0]))
+        assert qdot[2] == pytest.approx(0.0, abs=1e-14)
 
     def test_singular_near_collinear(self):
         with pytest.raises(SingularInertia):
             velocities_from_momenta(
-                ShapeCoordinates(1.0, 1.0, 1e-10),
-                BodyMomenta(np.array([0.0, 0, 1.0]), np.zeros(3)),
+                ShapeCoordinates(1.0, 1.0, 1e-10), np.array([0.0, 0, 1.0]), np.zeros(3)
             )
 
 
@@ -341,11 +333,11 @@ class TestZeroR2:
 
     def test_shape_momenta(self):
         with pytest.raises(SingularInertia, match=self.INERTIA):
-            shape_momenta(self.Q, random_velocity())
+            shape_momenta(self.Q, *random_velocity())
 
     def test_velocities_from_momenta(self):
         with pytest.raises(SingularInertia, match=self.INERTIA):
-            velocities_from_momenta(self.Q, BodyMomenta(np.ones(3), np.ones(3)))
+            velocities_from_momenta(self.Q, np.ones(3), np.ones(3))
 
     @pytest.mark.parametrize("phi", [0.0, pi])
     def test_collinear_shapes_with_r2_stay_finite(self, phi):
@@ -353,8 +345,8 @@ class TestZeroR2:
         g, g_inv = horizontal_metric(q)
         assert np.array_equal(np.diag(g), [1.0, 1.0, 0.2])
         assert np.all(np.isfinite(g_inv))
-        m = shape_momenta(q, random_velocity())
-        assert np.all(np.isfinite(m.J)) and np.all(np.isfinite(m.p))
+        J, p = shape_momenta(q, *random_velocity())
+        assert np.all(np.isfinite(J)) and np.all(np.isfinite(p))
 
 
 UNDERFLOWING = [(1.0, 1e-170, 1.0), (1.0, 1e-200, 1.0), (1e-170, 1.0, 1.0)]
@@ -377,13 +369,12 @@ class TestUnderflowingSquares:
             horizontal_metric(ShapeCoordinates(*shape))
 
     def test_shape_momenta(self, shape):
-        w = BodyVelocityState(np.ones(3), np.ones(3))
         with pytest.raises(SingularInertia, match=self.METRIC):
-            shape_momenta(ShapeCoordinates(*shape), w)
+            shape_momenta(ShapeCoordinates(*shape), np.ones(3), np.ones(3))
 
     def test_velocities_from_momenta(self, shape):
         with pytest.raises(SingularInertia, match=self.INERTIA):
-            velocities_from_momenta(ShapeCoordinates(*shape), BodyMomenta(np.ones(3), np.ones(3)))
+            velocities_from_momenta(ShapeCoordinates(*shape), np.ones(3), np.ones(3))
 
 
 def test_shape_partials_match_finite_differences():

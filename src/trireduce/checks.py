@@ -345,6 +345,9 @@ GOLDEN_EXPRESSIONS = [
     "cos(2 * phi)",
     "exp(r1) * exp(-r1)",
     "r1 + r2 + phi + d12 + d13 + d23",
+    # domain operations that V need not pass on where they are not finite:
+    # under a divisor and inside one
+    "d13 / sqrt(d23) + 1 / (1 + exp(-d12))",
 ]
 
 

@@ -57,6 +57,12 @@ class MassTriple:
             check_number(name, m)
             if m <= 0.0:
                 raise ValueError(f"{name} must be finite and > 0, got {m}")
+        # the numerators of reduced_masses, in floats: a subnormal one rounds
+        # mu away from m1 m3 / (m1 + m3), and one that is 0 or inf makes mu so
+        m1, m2, m3 = float(self.m1), float(self.m2), float(self.m3)
+        for name, product in (("m1*m3", m1 * m3), ("m2*(m1 + m3)", m2 * (m1 + m3))):
+            if not float_info.min <= product <= float_info.max:
+                raise ValueError(f"{name} = {product!r} is outside the normal float range")
 
     @property
     def total(self):

@@ -9,7 +9,7 @@ straight-line function that returns its value and its reverse-mode pullback.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import copysign
 from numbers import Real
 
@@ -101,13 +101,23 @@ def _tokenize(text):
     return tokens
 
 
+# The deepest input and the deepest tree that the parser takes.  Each level
+# of nesting (parentheses, a call, unary minus or an exponent) costs the
+# parser up to five frames and each operation on a path from the root costs
+# _emit one, against Python's default limit of 1000 frames.
+MAX_NESTING = 160
+MAX_DEPTH = 500
+
+
 class _Parser:
     """Recursive-descent parser; precedence ^ > unary - > * / > + -,
-    with ^ right-associative."""
+    with ^ right-associative.  Each rule returns its node with its depth,
+    the number of operations on its longest path to a leaf."""
 
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.idx = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.idx]
@@ -123,8 +133,16 @@ class _Parser:
             raise PotentialSyntaxError(tok[2], kind)
         return tok
 
+    def apply(self, pos, make, *operands):
+        """make(*nodes) of the (node, depth) operands, with its depth;
+        raises PotentialSyntaxError at pos past MAX_DEPTH."""
+        depth = 1 + max(depth for _, depth in operands)
+        if depth > MAX_DEPTH:
+            raise PotentialSyntaxError(pos, f"at most {MAX_DEPTH} operations deep")
+        return make(*(node for node, _ in operands)), depth
+
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise PotentialSyntaxError(tok[2], "end of input")
@@ -133,34 +151,42 @@ class _Parser:
     def expr(self):
         node = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = Bin(op, node, self.term())
+            op, _, pos = self.advance()
+            node = self.apply(pos, partial(Bin, op), node, self.term())
         return node
 
     def term(self):
         node = self.unary()
         while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = Bin(op, node, self.unary())
+            op, _, pos = self.advance()
+            node = self.apply(pos, partial(Bin, op), node, self.unary())
         return node
 
     def unary(self):
-        if self.peek()[0] == "-":
+        # every recursion of the parser passes here
+        kind, _, pos = self.peek()
+        if self.nesting == MAX_NESTING:
+            raise PotentialSyntaxError(pos, f"at most {MAX_NESTING} levels of nesting")
+        self.nesting += 1
+        if kind == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            node = self.apply(pos, Neg, self.unary())
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self):
         base = self.atom()
         if self.peek()[0] == "^":
-            self.advance()
-            return Bin("^", base, self.unary())
+            pos = self.advance()[2]
+            return self.apply(pos, partial(Bin, "^"), base, self.unary())
         return base
 
     def atom(self):
         kind, value, pos = self.advance()
         if kind == "num":
-            return Num(value)
+            return Num(value), 0
         if kind == "(":
             node = self.expr()
             self.expect(")")
@@ -172,11 +198,11 @@ class _Parser:
                 self.advance()
                 arg = self.expr()
                 self.expect(")")
-                return Call(value, arg)
+                return self.apply(pos, partial(Call, value), arg)
             if value in VARIABLES:
-                return Var(value)
+                return Var(value), 0
             if value in CONSTANTS:
-                return Num(CONSTANTS[value])
+                return Num(CONSTANTS[value]), 0
             raise UnknownIdentifier(value, pos)
         raise PotentialSyntaxError(pos, "number, identifier or '('")
 
@@ -294,8 +320,14 @@ _ADJOINTS = {
     "abs": ("{g} * sign({a})",),
 }
 
+# The operands of an operation whose value, where it is not finite, makes the
+# operation's value not finite, for the operations that do not do so with
+# every operand: x / inf = 0, exp(-inf) = 0, 1 ^ nan = 1 and nan ^ 0 = 1.
+# The base of '^' does so under a constant exponent above 0 (see _emit).
+_KEEPS_NON_FINITE = {"/": (True, False), "exp": (False,), "^": (False, False)}
+
 # the names the generated source calls: numpy's by their own, and the checks
-_NAMESPACE = {u.__name__: u for u in (*_UFUNCS.values(), np.sign, np.ones, np.zeros)}
+_NAMESPACE = {u.__name__: u for u in (*_UFUNCS.values(), np.sign, np.zeros)}
 _NAMESPACE.update(all_finite=_all_finite, check_value=_check_value, check_adjoint=_check_adjoint)
 
 
@@ -307,22 +339,31 @@ def _emit(ast, check=False):
     each constant, bound to it as a read-only 0-d array.
 
     walk(columns, shape, gradient) takes each variable's (N,) column and
-    returns V on the rows, one numpy call per operation in post-order; an
-    operation in _DOMAIN raises DomainError (see _check) at the first row
-    outside its domain.  A constant subtree is evaluated on each walk, never
-    folded, so 1/0 still raises; only the b - 1.0 of the '^' adjoint at a
-    constant exponent b is bound once, as the np.float64 that the 0-d b
-    gives.  With `gradient` set, it also returns the
-    derivatives by VARIABLES, a (6, N) array: the pullback takes each
-    operand's adjoint by _ADJOINTS in pre-order and sums each variable's
-    terms in the order it meets them.  With `check` set, it raises
-    DomainError at the first operation that passes down an adjoint that is
-    not finite.  Run it under np.errstate, since the checks are masks.
-    """
-    lines, back, constants, read, grads = [], [], {}, {}, {}
+    returns (V, derivatives, probe) on the rows, one numpy call per
+    operation in post-order.  A constant subtree is evaluated on each walk,
+    never folded, so 1/0 is still seen; only the b - 1.0 of the '^' adjoint
+    at a constant exponent b is bound once, as the np.float64 that the 0-d
+    b gives.  With `gradient` set, the derivatives are those by VARIABLES,
+    a (6, N) array, else None: the pullback takes each operand's adjoint by
+    _ADJOINTS in pre-order, from 1.0 at the root, and sums each variable's
+    terms in the order it meets them.  It writes no factor 1.0 * and no
+    power ** 1.0, which are exact.
 
-    def forward(node):
-        """Append the lines of node's value.  Return its name and, if it
+    The probe is V plus the value of each operation in _DOMAIN that V need
+    not pass on where it is not finite: one under a divisor, an exp, an
+    operand of '^' other than a base under a constant exponent above 0
+    (see _KEEPS_NON_FINITE).  Where the probe is finite, so is the value of
+    every operation in _DOMAIN, so none left its domain.  With `check` set,
+    the probe is V, an operation in _DOMAIN raises DomainError (see _check)
+    at the first row outside its domain, and the pullback raises it at the
+    first operation that passes down an adjoint that is not finite.  Run
+    it under np.errstate, since the checks are masks.
+    """
+    lines, back, constants, read, grads, probed = [], [], {}, {}, {}, []
+
+    def forward(node, strict):
+        """Append the lines of node's value, where `strict` is whether V is
+        not finite where that value is not.  Return its name and, if it
         reads a variable, its pull: (op, name, operands as (name, pull)),
         or a variable's row of the gradient."""
         if _constant(node):
@@ -344,18 +385,24 @@ def _emit(ast, check=False):
             op, operands = node.op, [node.left, node.right]
         else:
             raise ValueError(f"not an expression node: {node!r}")
-        operands = [forward(operand) for operand in operands]
+        keeps = _KEEPS_NON_FINITE.get(op, (True, True))
+        if op == "^" and _constant(node.right) and node.right.value > 0.0:
+            keeps = (True, False)
+        # map, not a comprehension, so that each level of the tree costs one frame
+        operands = list(map(forward, operands, [strict and keep for keep in keeps]))
         args = ", ".join(name for name, _ in operands)
         name = f"t{len(lines)}"
         lines.append(f"{name} = {_UFUNCS[op].__name__}({args})")
-        if op in _DOMAIN:
+        if op in _DOMAIN and check:
             lines.append(f"if not all_finite({name}): check_value({op!r}, shape, {name}, {args})")
+        elif op in _DOMAIN and not strict:
+            probed.append(name)
         return name, None if all(pull is None for _, pull in operands) else (op, name, operands)
 
     def pullback(pull, g):
         """Append the lines that pass the adjoint named g down the pull.  An
-        adjoint that is g itself, and a variable's first term, are passed on
-        by name."""
+        adjoint that is g itself or a name, and a variable's first term, are
+        passed on by name."""
         if isinstance(pull, int):
             if pull in grads:
                 back.append(f"g{len(back)} = {grads[pull]} + {g}")
@@ -372,22 +419,28 @@ def _emit(ast, check=False):
         for adjoint, (_, operand) in zip(_ADJOINTS[op], operands):
             if operand is not None:
                 g_operand = adjoint.format(g=g, v=v, a=names[0], b=b, b_less_1=b_less_1)
-                if g_operand != g:
+                if g == "1.0":
+                    g_operand = g_operand.removeprefix("1.0 * ")
+                if constants.get(b_less_1) == 1.0:
+                    g_operand = g_operand.removesuffix(f" ** {b_less_1}")
+                if g_operand != g and not g_operand.isidentifier():
                     back.append(f"g{len(back)} = {g_operand}")
                     g_operand = f"g{len(back) - 1}"
                 if check:
                     back.append(f"check_adjoint({op!r}, shape, {g_operand}, {', '.join(names)})")
                 pullback(operand, g_operand)
 
-    value, pull = forward(ast)
+    value, pull = forward(ast, True)
     if pull is not None:
-        back.append("g = ones(shape)")
-        pullback(pull, "g")
+        pullback(pull, "1.0")
     back.append("gradient = zeros((6, *shape))")
     back += [f"gradient[{row}] = {grad}" for row, grad in grads.items()]
+    if probed:
+        lines.append(f"probe = {' + '.join([value, *probed])}")
+    probe = "probe" if probed else value
     source = "\n    ".join(
         ["def walk(columns, shape, gradient):", *lines, "if not gradient:",
-         f"    return {value}, None", *back, f"return {value}, gradient"]
+         f"    return {value}, None, {probe}", *back, f"return {value}, gradient, {probe}"]
     )
     namespace = {**_NAMESPACE, **constants}
     exec(compile(source, "<expression>", "exec"), namespace)
@@ -404,15 +457,18 @@ def _run(spec, columns, shape, gradient):
     leaves its domain, under the name "expression" where V is not finite,
     and where a derivative is not finite, naming the operation that first
     passes one down, or else the variable whose derivative overflows in
-    the sum of its terms.
+    the sum of its terms.  The walk's probe (see _emit) is tested once;
+    only where it is not finite does the checking walk run, forward, to
+    name the operation that left its domain, if one did.
     """
     if "phi" in spec.reads:
         undefined = np.broadcast_to((columns["r1"] == 0.0) | (columns["r2"] == 0.0), shape)
         if undefined.any():
             raise DomainError("phi", float(np.broadcast_to(columns["phi"], shape)[undefined][0]))
     with np.errstate(all="ignore"):
-        value, gradient = spec.walk(columns, shape, gradient)
-        if not _all_finite(value):
+        value, gradient, probe = spec.walk(columns, shape, gradient)
+        if not _all_finite(probe):
+            spec._checking_walk(columns, shape, False)
             bad = ~np.isfinite(np.broadcast_to(value, shape))  # no rows, no error
             if bad.any():
                 raise DomainError("expression", float(np.broadcast_to(value, shape)[bad][0]))
@@ -485,8 +541,9 @@ class PotentialSpec:
 
     @cached_property
     def _checking_walk(self):
-        """The walk (see _emit) whose pullback checks each operation.  Only
-        a derivative that is not finite needs it, so it is compiled then."""
+        """The walk (see _emit) that checks each operation, forward and in
+        its pullback.  Only a probe or a derivative that is not finite needs
+        it, so it is compiled on the first and kept on the spec."""
         return _emit(self.ast, check=True)[0]
 
 

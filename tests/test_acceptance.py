@@ -127,6 +127,6 @@ def test_criterion_7_equivariance():
 
 
 def test_criterion_8_parser():
-    assert len(checks.GOLDEN_EXPRESSIONS) == 50
+    assert len(checks.GOLDEN_EXPRESSIONS) == 51
     ok, detail = checks.suite_parser(seed=SEED, n_configs=40)
     report("criterion 8 (potential parser and forces)", ok, detail)

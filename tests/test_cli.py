@@ -351,6 +351,50 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg]) == 2
         assert "potential.expression" in caplog.text
 
+    @pytest.mark.parametrize(
+        "expression, message",
+        [
+            ("(" * 250 + "d12" + ")" * 250, "at offset 161: expected at most 160 levels of nesting"),
+            (" + ".join(["d12"] * 900), "at offset 3005: expected at most 500 operations deep"),
+        ],
+        ids=["nested-parentheses", "flat-sum"],
+    )
+    def test_too_deep_expression_exit_2(self, tmp_path, caplog, expression, message):
+        # the parser and the emitter recurse per level: too deep an
+        # expression is a syntax error, not a RecursionError
+        bad = dict(HARMONIC_CONFIG, potential={"expression": expression})
+        for command in ("simulate", "evaluate"):
+            caplog.clear()
+            assert run([command, "--config", write_config(tmp_path, bad)]) == 2
+            assert f"config field 'potential.expression': syntax error {message}" in caplog.text
+
+    def test_deep_expressions_within_the_limits_run(self, tmp_path):
+        # 150 nested parentheses leave the tree, and so the rows, as they
+        # are; a 400-term sum runs
+        plain = "0.5*(d12-1)^2 + 0.5*(d13-1)^2 + 0.5*(d23-1)^2"
+        outputs = []
+        for expression in (plain, "(" * 150 + plain + ")" * 150, " + ".join(["d12"] * 400)):
+            cfg = write_config(tmp_path, dict(HARMONIC_CONFIG, potential={"expression": expression}))
+            out = tmp_path / f"out{len(outputs)}.csv"
+            assert run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0]
+
+    @pytest.mark.parametrize("mass", [1e-170, 1e-160, 1e155])
+    def test_masses_with_reduced_masses_out_of_range_exit_2(self, tmp_path, caplog, mass):
+        # at 1e-170 the reduced masses were 0 and every row degenerate, at
+        # 1e-160 inexact, and at 1e155 inf
+        cfg = write_config(tmp_path, dict(FIGURE_EIGHT_CONFIG, masses=[mass] * 3))
+        for command in ("simulate", "evaluate", "collinear-report"):
+            caplog.clear()
+            assert run([command, "--config", cfg]) == 2
+            assert "config field 'masses': m1*m3 = " in caplog.text
+
+    @pytest.mark.parametrize("mass", [1e-150, 1e150])
+    def test_masses_with_normal_reduced_masses_evaluate(self, tmp_path, mass):
+        cfg = write_config(tmp_path, dict(FIGURE_EIGHT_CONFIG, masses=[mass] * 3))
+        assert run(["evaluate", "--config", cfg, "--out", str(tmp_path / "row.csv")]) == 0
+
     def test_overflowing_literal_exit_2(self, tmp_path, caplog):
         # 1e999 reads as inf: a config error at parse time, not a NaN potential
         bad = dict(HARMONIC_CONFIG, potential={"expression": "0.5*(d12-1)^2 + 1e999*0"})

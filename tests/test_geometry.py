@@ -1,3 +1,4 @@
+import re
 from math import pi, sqrt
 
 import numpy as np
@@ -57,6 +58,26 @@ class TestReducedMasses:
         masses[field] = value
         with pytest.raises(ValueError, match=f"^m{field + 1}: expected a finite number, got "):
             MassTriple(*masses)
+
+    @pytest.mark.parametrize(
+        "masses, product",
+        [
+            ((1e-170,) * 3, "m1*m3 = 0.0"),
+            ((1e-160,) * 3, "m1*m3 = 1e-320"),
+            ((1e155,) * 3, "m1*m3 = inf"),
+            ((1.0, 1e300, 1e10), "m2*(m1 + m3) = inf"),
+        ],
+    )
+    def test_rejects_masses_whose_reduced_masses_leave_the_normal_range(self, masses, product):
+        # m1 m3 or m2 (m1 + m3) of 0, subnormal or inf makes mu1 or mu2 0,
+        # inexact or inf although each mass is a finite positive float
+        with pytest.raises(ValueError, match=f"^{re.escape(product)} is outside the normal float range$"):
+            MassTriple(*masses)
+
+    @pytest.mark.parametrize("mass", [1e-150, 1e150])
+    def test_accepts_masses_with_normal_reduced_masses(self, mass):
+        mu1, mu2 = reduced_masses(MassTriple(mass, mass, mass))
+        assert (mu1, mu2) == (mass * mass / (2 * mass), mass * (2 * mass) / (3 * mass))
 
     def test_accepts_numpy_scalars(self):
         # a float32 is tested against the float range with no cast of that

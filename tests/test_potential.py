@@ -366,6 +366,44 @@ class TestParser:
         value = eval_potential_batch(PotentialSpec(ast=ast), MASSES, *np.full((6, 1), 3.0))
         assert value.tolist() == [-6.0 if isinstance(ast, Bin) else ast.value]
 
+    @pytest.mark.parametrize(
+        "text, position, expected",
+        [
+            ("(" * 250 + "d12" + ")" * 250, 161, "at most 160 levels of nesting"),
+            ("-" * 200 + "d12", 161, "at most 160 levels of nesting"),
+            ("sin(" * 161 + "d12" + ")" * 161, 641, "at most 160 levels of nesting"),
+            ("^".join(["d12"] * 170), 641, "at most 160 levels of nesting"),
+            (" + ".join(["d12"] * 900), 3005, "at most 500 operations deep"),
+            # the product is 299 deep, so the 202nd '+' (at 1801 + 201 * 6) makes 501
+            ("(" + " * ".join(["d12"] * 300) + ") + " + " + ".join(["d13"] * 300), 3007, "at most 500 operations deep"),
+        ],
+        ids=["parentheses", "negations", "calls", "powers", "flat-sum", "nested-chains"],
+    )
+    def test_too_deep_is_a_syntax_error(self, text, position, expected):
+        # the parser and _emit recurse once or more per level, so input they
+        # could not take is refused where it gets too deep, before either recurses past it
+        with pytest.raises(PotentialSyntaxError) as err:
+            parse_potential(text)
+        assert (err.value.position, err.value.expected) == (position, expected)
+
+    def test_deep_expressions_within_the_limits_compile(self):
+        # 159 parentheses, a 501-term sum (500 operations deep) and 159
+        # nested calls evaluate with the bits of the same numpy calls
+        d = np.array([0.75, 1.5, -2.0])
+        columns = dict(zip(VARIABLES, [d] * 6))
+        nested = parse_potential("(" * 159 + "d12" + ")" * 159)
+        value, gradient = trireduce.potential._run(nested, columns, d.shape, True)
+        assert value.tobytes() == d.tobytes() and gradient[3].tolist() == [1.0] * 3
+        total = d
+        for _ in range(500):
+            total = total + d
+        flat = parse_potential(" + ".join(["d12"] * 501))
+        value, gradient = trireduce.potential._run(flat, columns, d.shape, True)
+        assert value.tobytes() == total.tobytes() and gradient[3].tolist() == [501.0] * 3
+        calls = parse_potential("abs(" * 159 + "d12" + ")" * 159)
+        value, _ = trireduce.potential._run(calls, columns, d.shape, False)
+        assert value.tobytes() == np.abs(d).tobytes()
+
 
 class TestSpec:
     def test_needs_exactly_one_kind(self):
@@ -945,9 +983,59 @@ class TestGeneratedWalk:
         assert names[folded[0]].tobytes() == (b - 1.0).tobytes()
         assert_reference_bits(spec)
 
+    @pytest.mark.parametrize(
+        "text, row, node, value",
+        [
+            ("1/(1/(d12-1))", {"d12": 1.0}, "/", 0.0),
+            ("exp(-exp(1000*d12))", {}, "exp", 1000.0),
+            ("2^(log(d12-1))", {"d12": 1.0}, "log", 0.0),
+            ("log(d12-1)^(d13-d13)", {"d12": 1.0}, "log", 0.0),
+            ("log(d12-1)^-2", {"d12": 1.0}, "log", 0.0),
+            ("(1/(d12-1))^0", {"d12": 1.0}, "/", 0.0),
+            ("exp(-1/(d12-d12))", {}, "/", 0.0),
+        ],
+        ids=["divisor", "exp-argument", "exponent", "base-variable-exponent",
+             "base-negative-exponent", "base-zero-exponent", "constant-divisor"],
+    )
+    def test_probe_names_an_error_that_V_hides(self, text, row, node, value):
+        # an operation outside V's reach that leaves its domain while V
+        # stays finite: the probe sends the row to the checking walk
+        spec = parse_potential(text)
+        columns = dict(zip(VARIABLES, ctx_with(**row)))
+        with np.errstate(all="ignore"):
+            hidden, _, _ = spec.walk(columns, (1,), False)
+        assert np.isfinite(hidden).all()
+        with pytest.raises(DomainError) as err:
+            trireduce.potential._run(spec, columns, (1,), False)
+        assert (err.value.node, err.value.value) == (node, value)
+        assert_reference_bits(spec)
+
+    def test_overflowing_probe_raises_nothing(self):
+        # 3 * exp(709) overflows in the probe's sum, no operation leaves its
+        # domain and V is finite: the checking walk finds nothing to name
+        spec = parse_potential("1/exp(709) + 1/exp(709) + 1/exp(709) + d12")
+        columns = dict(zip(VARIABLES, ctx_with()))
+        with np.errstate(all="ignore"):
+            _, _, probe = spec.walk(columns, (1,), False)
+        assert not np.isfinite(probe).all()
+        value, gradient = trireduce.potential._run(spec, columns, (1,), True)
+        assert np.isfinite(value).all() and gradient[3].tolist() == [1.0]
+        assert_reference_bits(spec)
+
+    def test_walk_does_only_the_arithmetic(self):
+        # the fast walk tests nothing per operation and seeds no array of
+        # ones; the checking walk keeps both kinds of check
+        spec = parse_potential("0.5*(d12-1)^2 + 0.5*(d13-1)^2 + 0.5*(d23-1)^2")
+        names = set(spec.walk.__code__.co_names)
+        assert names.isdisjoint({"check_value", "check_adjoint", "all_finite", "ones"})
+        checking = set(spec._checking_walk.__code__.co_names)
+        assert {"check_value", "check_adjoint", "all_finite"} <= checking
+        assert_reference_bits(spec)
+
     def test_compiled_once(self, monkeypatch):
         # a spec compiles its walk when it is built and never after; the
-        # checking walk, once, on the first derivative that is not finite
+        # checking walk, once, on the first derivative that is not finite or
+        # the first operation that leaves its domain
         built = []
 
         def counting(*args):
@@ -968,3 +1056,17 @@ class TestGeneratedWalk:
                 forces_cartesian(spec, MASSES, pos)
             assert (err.value.node, err.value.value) == ("sqrt", 0.0)
         assert len(built) == 2
+        spec = parse_potential("sqrt(d12 - 1) + 1/(1/(d13 - 2))")
+        row = [np.array([3.0])] * 3 + [np.array([1.5]), np.array([2.0]), np.array([3.0])]
+        assert len(built) == 3
+        for _ in range(3):
+            with pytest.raises(DomainError) as err:
+                eval_potential_batch(spec, MASSES, *row)
+            assert (err.value.node, err.value.value) == ("/", 0.0)
+        assert len(built) == 4
+        pos[1, 0] = 0.5  # d12 = 0.5: sqrt leaves its domain
+        for _ in range(3):
+            with pytest.raises(DomainError) as err:
+                forces_cartesian(spec, MASSES, pos)
+            assert (err.value.node, err.value.value) == ("sqrt", -0.5)
+        assert len(built) == 4

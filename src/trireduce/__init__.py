@@ -15,7 +15,6 @@ from .errors import (
 from .geometry import (
     CartesianState,
     MassTriple,
-    ShapeCoordinates,
     cartesian_from_jacobi,
     reduced_masses,
     shape_to_distances,

@@ -5,7 +5,6 @@ Each suite re-derives its expected values from an independent route
 against the closed forms.
 """
 
-from dataclasses import astuple
 from math import pi, sin
 
 import numpy as np
@@ -14,9 +13,9 @@ from .dynamics import IntegratorConfig, conservation_report, integrate, total_en
 from .geometry import (
     CartesianState,
     MassTriple,
-    ShapeCoordinates,
     body_frames,
     body_jacobi_vectors,
+    cartesian_from_jacobi,
     shape_to_distances,
 )
 from .hamiltonian import reduced_hamiltonian, singular_term
@@ -30,7 +29,7 @@ from .potential import (
 )
 from .reduction import (
     body_angular_momentum,
-    cartesian_from_body_state,
+    body_velocities,
     gauge_potential,
     horizontal_metric,
     inertia_inverse,
@@ -59,11 +58,8 @@ def random_rotation(rng):
 
 
 def random_shape(rng, phi_min=0.05):
-    return ShapeCoordinates(
-        r1=rng.uniform(0.5, 2.0),
-        r2=rng.uniform(0.5, 2.0),
-        phi=rng.uniform(phi_min, pi - phi_min),
-    )
+    """A seeded shape (r1, r2, phi) of floats."""
+    return rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(phi_min, pi - phi_min)
 
 
 def random_body_state(rng):
@@ -72,7 +68,8 @@ def random_body_state(rng):
 
 
 def brute_inertia(q):
-    b1, b2 = body_jacobi_vectors(q)
+    """The inertia tensor of the shape q = (r1, r2, phi), from cross products."""
+    b1, b2 = body_jacobi_vectors(*q)
     I = np.zeros((3, 3))
     for k, e in enumerate(np.eye(3)):
         I[:, k] = np.cross(b1, np.cross(e, b1)) + np.cross(b2, np.cross(e, b2))
@@ -80,8 +77,9 @@ def brute_inertia(q):
 
 
 def brute_gauge(q):
-    b = body_jacobi_vectors(q)
-    d = shape_partials(q)
+    """The gauge potential of the shape q, from cross products."""
+    b = body_jacobi_vectors(*q)
+    d = shape_partials(*q)
     return np.array(
         [np.cross(b[0], d[0, mu]) + np.cross(b[1], d[1, mu]) for mu in range(3)]
     )
@@ -90,9 +88,9 @@ def brute_gauge(q):
 def matrix_form_hamiltonian(q, J, p, V):
     """Reduced Hamiltonian assembled from the tensor definitions (the
     independent route checked against the finite closed form)."""
-    I_inv = inertia_inverse(q)
-    A = mechanical_connection(q)
-    _, g_inv = horizontal_metric(q)
+    I_inv = inertia_inverse(*q)
+    A = mechanical_connection(*q)
+    _, g_inv = horizontal_metric(*q)
     shifted = p - A @ J
     return float(0.5 * J @ I_inv @ J + 0.5 * shifted @ g_inv @ shifted + V)
 
@@ -156,12 +154,12 @@ def suite_tensor_oracle(seed=DEFAULT_SEED, n=300):
     worst = 0.0
     for _ in range(n):
         q = random_shape(rng, phi_min=1.1e-3)
-        I = inertia_tensor(q)
-        a = gauge_potential(q)
-        A = mechanical_connection(q)
-        g, g_inv = horizontal_metric(q)
-        I_inv = inertia_inverse(q)
-        h = np.diag([1.0, 1.0, q.r2 ** 2])
+        I = inertia_tensor(*q)
+        a = gauge_potential(*q)
+        A = mechanical_connection(*q)
+        g, g_inv = horizontal_metric(*q)
+        I_inv = inertia_inverse(*q)
+        h = np.diag([1.0, 1.0, q[1] ** 2])
         A_brute = np.linalg.inv(I) @ brute_gauge(q).T
         g_brute = h - A_brute.T @ I @ A_brute
 
@@ -193,12 +191,13 @@ def suite_energy_identity(seed=DEFAULT_SEED, n=300):
     for _ in range(n):
         q = random_shape(rng)
         omega, qdot = random_body_state(rng)
-        J, p = shape_momenta(q, omega, qdot)
-        row = np.array([[q.r1, q.r2, q.phi, *shape_to_distances(masses, q.r1, q.r2, q.phi)]])
+        J, p = shape_momenta(*q, omega, qdot)
+        row = np.array([[*q, *shape_to_distances(masses, *q)]])
         V = float(eval_potential_batch(potential, masses, *row.T)[0])
-        T = singular_term(q.r1, q.r2, q.phi, omega)
-        H = reduced_hamiltonian(q.r1, q.r2, q.phi, J, p, T, V)
-        state = cartesian_from_body_state(masses, q, omega, qdot)
+        T = singular_term(*q, omega)
+        H = reduced_hamiltonian(*q, J, p, T, V)
+        b1, b2 = body_jacobi_vectors(*q)
+        state = cartesian_from_jacobi(masses, b1, b2, *body_velocities(*q, omega, qdot))
         E = total_energy(masses, state, potential)
         scale = max(abs(E), 1.0)
         worst_rel = max(worst_rel, abs(H - E) / scale)
@@ -222,12 +221,11 @@ def suite_collinear_limit(seed=DEFAULT_SEED):
     phis = [10.0 ** (-k) for k in range(1, 7)]
 
     def H(phi):
-        J, p = shape_momenta(ShapeCoordinates(r1, r2, phi), omega, qdot)
+        J, p = shape_momenta(r1, r2, phi, omega, qdot)
         return reduced_hamiltonian(r1, r2, phi, J, p, singular_term(r1, r2, phi, omega), 0.0)
 
     H0 = H(0.0)
-    q0 = ShapeCoordinates(r1, r2, 0.0)
-    K0 = kinetic_energy_body(q0, np.array([0.0, 0.0, w3]), qdot)
+    K0 = kinetic_energy_body(r1, r2, 0.0, np.array([0.0, 0.0, w3]), qdot)
     diffs = [abs(H(phi) - H0) for phi in phis]
     slope = np.polyfit(np.log(phis), np.log(diffs), 1)[0]
     monotone = all(diffs[i] > diffs[i + 1] for i in range(len(diffs) - 1))
@@ -244,9 +242,9 @@ def suite_singular_term(seed=DEFAULT_SEED, n=100):
         omega = rng.normal(size=3)
         if singular_term(1.0, r2, 0.0, omega) != -(r2 ** 2) * omega[1]:
             return False, "phi = 0 value is not exactly -r2^2 w2"
-        q = ShapeCoordinates(1.0, r2, rng.uniform(0.15, pi - 0.15))
-        J1 = body_angular_momentum(q, omega, np.zeros(3))[0]
-        worst = max(worst, abs(singular_term(q.r1, q.r2, q.phi, omega) - J1 / sin(q.phi)))
+        phi = rng.uniform(0.15, pi - 0.15)
+        J1 = body_angular_momentum(1.0, r2, phi, omega, np.zeros(3))[0]
+        worst = max(worst, abs(singular_term(1.0, r2, phi, omega) - J1 / sin(phi)))
     return worst < tol, f"max |term - J1/sin(phi)| {worst:.3e} (tol {tol:.1e})"
 
 
@@ -257,7 +255,7 @@ def suite_legendre_roundtrip(seed=DEFAULT_SEED, n=200):
     for _ in range(n):
         q = random_shape(rng)
         omega, qdot = random_body_state(rng)
-        back_omega, back_qdot = velocities_from_momenta(q, *shape_momenta(q, omega, qdot))
+        back_omega, back_qdot = velocities_from_momenta(*q, *shape_momenta(*q, omega, qdot))
         worst = max(
             worst,
             float(np.max(np.abs(back_omega - omega))),
@@ -397,7 +395,7 @@ def suite_parser(seed=DEFAULT_SEED, n_configs=30):
                 float(np.max(np.abs(torque))),
             )
     # every expression on a batch of shapes equals it row by row, bit for bit
-    r1, r2, phi = np.array([astuple(random_shape(rng)) for _ in range(n_configs)]).T
+    r1, r2, phi = np.array([random_shape(rng) for _ in range(n_configs)]).T
     columns = np.array([r1, r2, phi, *shape_to_distances(masses, r1, r2, phi)])
     for text in GOLDEN_EXPRESSIONS:
         spec = parse_potential(text)

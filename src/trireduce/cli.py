@@ -15,6 +15,7 @@ import logging
 import os
 import stat
 import sys
+from math import pi
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, DegenerateShape, TrireduceError
 from .geometry import (
-    COLLINEAR_THRESHOLD, CartesianState, MassTriple, ShapeCoordinates, check_number, lengths,
+    COLLINEAR_THRESHOLD, CartesianState, MassTriple, check_number, lengths,
 )
 from .hamiltonian import cartesian_from_momenta, evaluate_reduced_batch
 from .potential import PotentialSpec, builtin_potential, parse_potential
@@ -147,14 +148,15 @@ def _parse_initial_state(cfg, masses) -> CartesianState:
         return CartesianState(x[0], x[1], x[2], v[0], v[1], v[2])
     path = "initial_state.shape"
     s = _object(raw["shape"], path, ("r1", "r2", "phi", "J", "p"))
-    try:
-        q = ShapeCoordinates(
-            *(_number(_require(s, key, path), f"{path}.{key}") for key in ("r1", "r2", "phi"))
-        )
-    except ValueError as exc:
-        raise ConfigError(path, str(exc))
+    r1, r2, phi = (_number(_require(s, key, path), f"{path}.{key}") for key in ("r1", "r2", "phi"))
+    if r1 <= 0.0:
+        raise ConfigError(path, f"r1 must be > 0, got {r1}")
+    if r2 < 0.0:
+        raise ConfigError(path, f"r2 must be >= 0, got {r2}")
+    if not 0.0 <= phi <= pi:
+        raise ConfigError(path, f"phi out of [0, pi]: {phi}")
     momenta = (_vec3(_require(s, key, path), f"{path}.{key}") for key in ("J", "p"))
-    return cartesian_from_momenta(masses, q, *momenta)
+    return cartesian_from_momenta(masses, r1, r2, phi, *momenta)
 
 
 def _parse_integrator(cfg) -> IntegratorConfig:

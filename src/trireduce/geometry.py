@@ -9,7 +9,7 @@ vectors s satisfy s = R b.
 """
 
 from dataclasses import dataclass, fields
-from math import cos, isfinite, nan, pi, sin, sqrt
+from math import isfinite, nan, pi, sqrt
 from numbers import Real
 from sys import float_info
 
@@ -94,26 +94,6 @@ class CartesianState:
     @property
     def velocities(self):
         return np.array([self.v1, self.v2, self.v3])
-
-
-@dataclass(frozen=True)
-class ShapeCoordinates:
-    """Internal coordinates: Jacobi lengths r1, r2 and the angle phi between
-    the Jacobi vectors."""
-
-    r1: float
-    r2: float
-    phi: float
-
-    def __post_init__(self):
-        for name in ("r1", "r2", "phi"):
-            check_number(name, getattr(self, name))
-        if self.r1 <= 0.0:
-            raise ValueError(f"r1 must be > 0, got {self.r1}")
-        if self.r2 < 0.0:
-            raise ValueError(f"r2 must be >= 0, got {self.r2}")
-        if not 0.0 <= self.phi <= pi:
-            raise ValueError(f"phi out of [0, pi]: {self.phi}")
 
 
 def reduced_masses(m: MassTriple):
@@ -231,10 +211,11 @@ def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
     return axes, r1, r2, phi, measured, sin_phi, planar, degenerate
 
 
-def body_jacobi_vectors(q: ShapeCoordinates):
-    """Jacobi vectors in the body frame: (r1, 0, 0) and (r2 cos phi, r2 sin phi, 0)."""
-    b1 = np.array([q.r1, 0.0, 0.0])
-    b2 = np.array([q.r2 * cos(q.phi), q.r2 * sin(q.phi), 0.0])
+def body_jacobi_vectors(r1, r2, phi):
+    """Jacobi vectors in the body frame, (r1, 0, 0) and (r2 cos phi, r2 sin
+    phi, 0): (..., 3) arrays for (...) columns, 3-vectors for floats."""
+    b1 = np.stack(np.broadcast_arrays(r1, 0.0, 0.0), -1)
+    b2 = np.stack(np.broadcast_arrays(r2 * np.cos(phi), r2 * np.sin(phi), 0.0), -1)
     return b1, b2
 
 

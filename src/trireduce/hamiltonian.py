@@ -26,7 +26,6 @@ from .geometry import (
     COLLINEAR_THRESHOLD,
     CartesianState,
     MassTriple,
-    ShapeCoordinates,
     body_frames,
     body_jacobi_vectors,
     cartesian_from_jacobi,
@@ -160,22 +159,23 @@ def _reduce_rows(collinear_threshold, s1, s2, sd1, sd2):
     return measured, degenerate, phi, sin_phi, planar, J, p, T, K
 
 
-def cartesian_from_momenta(masses, q: ShapeCoordinates, J, p) -> CartesianState:
-    """The state of shape q and momenta J and p, its body frame the space
-    frame, by the inverse of _reduce_rows' map, which forms no omega or qdot
-    (see reduction.velocities_from_momenta).  Raises ValueError where J or p
-    is not a finite 3-vector (geometry.check_vector), SingularInertia where
-    inertia_inverse does, NumericalBlowup if a velocity overflows."""
+def cartesian_from_momenta(masses, r1, r2, phi, J, p) -> CartesianState:
+    """The one state of shape (r1, r2, phi), floats, and momenta J and p, its
+    body frame the space frame, by the inverse of _reduce_rows' map, which
+    forms no omega or qdot (see reduction.velocities_from_momenta).  Raises
+    ValueError where J or p is not a finite 3-vector (geometry.check_vector),
+    SingularInertia where inertia_inverse does, NumericalBlowup if a velocity
+    overflows."""
     J, p = check_vector("J", J), check_vector("p", p)
-    inertia_inverse(q)  # (J, p) fix the state only where I is invertible
-    s, c = sin(q.phi), cos(q.phi)
+    inertia_inverse(r1, r2, phi)  # (J, p) fix the state only where I is invertible
+    s, c = sin(phi), cos(phi)
     (J1, J2, J3), (p1, p2, p3) = J.tolist(), p.tolist()
-    T, u = J1 / s, p3 / q.r2
-    v = [p1, (J3 - p3) / q.r1, -(J2 + c * T) / q.r1, c * p2 - s * u, s * p2 + c * u, T / q.r2]
+    T, u = J1 / s, p3 / r2
+    v = [p1, (J3 - p3) / r1, -(J2 + c * T) / r1, c * p2 - s * u, s * p2 + c * u, T / r2]
     if not all(map(isfinite, v)):
         raise NumericalBlowup("the body velocities of the shape overflow")
     v1, v2 = np.reshape(v, (2, 3))
-    return cartesian_from_jacobi(masses, *body_jacobi_vectors(q), v1, v2)
+    return cartesian_from_jacobi(masses, *body_jacobi_vectors(r1, r2, phi), v1, v2)
 
 
 @dataclass

@@ -5,160 +5,178 @@ Jacobi vector along axis 1, the second in the 1-2 plane.  Closed forms are
 used throughout; generic matrix inversion is avoided so that the quantities
 that stay finite at collinear shapes (the connection, the horizontal
 metric) are computed without spurious blowup.
-"""
 
-from math import cos, sin
+Every function takes the shape as columns r1, r2 and phi, floats for one
+state or arrays of one shape (...), and vectors omega, qdot, J and p as
+(..., 3); it returns (..., 3, 3) tensors and (..., 3) vectors.  A batch's
+row has the bits of that row's call: products are one matmul per row, and
+squares r * r (on a float r ** 2 is libm's pow, which at times rounds
+otherwise than np.square).  The columns are not checked: phi takes either
+sign, and a square that overflows is inf.  On a row where a tensor does
+not exist, SingularInertia names the quantity that is 0 there, or the
+inverse that is not finite.
+"""
 
 import numpy as np
 
 from .errors import SingularInertia
-from .geometry import ShapeCoordinates, body_jacobi_vectors, cartesian_from_jacobi, cross
+from .geometry import body_jacobi_vectors, cross
 
 SINGULAR_THRESHOLD = 1e-8
 
 
-def inertia_tensor(q: ShapeCoordinates) -> np.ndarray:
+def _tensor(shape, *entries):
+    """The (..., *shape) array of entries in C order, each a float or (...) column."""
+    t = np.stack(np.broadcast_arrays(*entries), -1)
+    return t.reshape(t.shape[:-1] + shape)
+
+
+def _corner(x, diagonal=0.0):
+    """diag(diagonal, diagonal, x) as a (..., 3, 3) tensor."""
+    return _tensor((3, 3), diagonal, 0.0, 0.0, 0.0, diagonal, 0.0, 0.0, 0.0, x)
+
+
+def _apply(M, v):
+    """M @ v for (..., 3, 3) M and (..., 3) v."""
+    return (M @ v[..., None])[..., 0]
+
+
+def _require(ok, message):
+    """Raise SingularInertia(message) unless ok, a value or a mask, is
+    nonzero on every row."""
+    if np.count_nonzero(ok) < np.size(ok):
+        raise SingularInertia(message)
+
+
+def inertia_tensor(r1, r2, phi):
     """Moment of inertia tensor of the shape in the body frame."""
-    s, c = sin(q.phi), cos(q.phi)
-    r1sq, r2sq = q.r1 ** 2, q.r2 ** 2
-    return np.array(
-        [
-            [r2sq * s * s, -r2sq * s * c, 0.0],
-            [-r2sq * s * c, r1sq + r2sq * c * c, 0.0],
-            [0.0, 0.0, r1sq + r2sq],
-        ]
+    s, c = np.sin(phi), np.cos(phi)
+    a, b = r1 * r1, r2 * r2
+    return _tensor(
+        (3, 3), b * s * s, -b * s * c, 0.0, -b * s * c, a + b * c * c, 0.0, 0.0, 0.0, a + b
     )
 
 
-def inertia_inverse(q: ShapeCoordinates) -> np.ndarray:
-    """Closed-form inverse of the inertia tensor.
-
-    Singular at collinear shapes: raises SingularInertia when r2 = 0,
-    |sin phi| <= SINGULAR_THRESHOLD or r1^2 r2^2 sin^2 phi underflows to 0.
-    """
-    if q.r2 == 0.0:
-        raise SingularInertia("r2 = 0: the inertia tensor is singular")
-    s, c = sin(q.phi), cos(q.phi)
-    if abs(s) <= SINGULAR_THRESHOLD:
-        raise SingularInertia(f"|sin phi| = {abs(s):.3e} at or below {SINGULAR_THRESHOLD:.3e}")
-    r1sq, r2sq = q.r1 ** 2, q.r2 ** 2
-    if r1sq * r2sq * s * s == 0.0:
-        raise SingularInertia("r1^2 r2^2 sin^2 phi underflows to 0: the inertia tensor is singular")
-    return np.array(
-        [
-            [(r1sq + r2sq * c * c) / (r1sq * r2sq * s * s), c / (r1sq * s), 0.0],
-            [c / (r1sq * s), 1.0 / r1sq, 0.0],
-            [0.0, 0.0, 1.0 / (r1sq + r2sq)],
-        ]
-    )
-
-
-def shape_metric(q: ShapeCoordinates) -> np.ndarray:
-    """Metric of the shape coordinates themselves, diag(1, 1, r2^2)."""
-    return np.diag([1.0, 1.0, q.r2 ** 2])
+def inertia_inverse(r1, r2, phi):
+    """Closed-form inverse of the inertia tensor.  Singular at collinear
+    shapes: raises SingularInertia when r2 = 0, r1 = 0, |sin phi| <=
+    SINGULAR_THRESHOLD, r1^2 r2^2 sin^2 phi underflows to 0 or an entry is
+    not finite (a subnormal divisor overflows it) on some row."""
+    _require(r2, "r2 = 0: the inertia tensor is singular")
+    _require(r1, "r1 = 0: the inertia tensor is singular")
+    s, c = np.sin(phi), np.cos(phi)
+    near = np.abs(s) <= SINGULAR_THRESHOLD
+    if np.count_nonzero(near):
+        at = np.extract(near, np.abs(s))[0]
+        raise SingularInertia(f"|sin phi| = {at:.3e} at or below {SINGULAR_THRESHOLD:.3e}")
+    a, b = r1 * r1, r2 * r2
+    det = a * b * s * s
+    _require(det, "r1^2 r2^2 sin^2 phi underflows to 0: the inertia tensor is singular")
+    with np.errstate(over="ignore", divide="ignore"):  # a subnormal divisor, named below
+        off = c / (a * s)
+        I_inv = _tensor(
+            (3, 3), (a + b * c * c) / det, off, 0.0, off, 1.0 / a, 0.0, 0.0, 0.0, 1.0 / (a + b)
+        )
+    _require(np.isfinite(I_inv), "I^-1 is not finite: the inertia tensor is singular")
+    return I_inv
 
 
-def gauge_potential(q: ShapeCoordinates) -> np.ndarray:
+def gauge_potential(r1, r2, phi):
     """Gauge one-form a_mu (rows a_r1, a_r2, a_phi); only a_phi = (0, 0, r2^2)
     is nonzero."""
-    a = np.zeros((3, 3))
-    a[2, 2] = q.r2 ** 2
-    return a
+    return _corner(r2 * r2)
 
 
-def mechanical_connection(q: ShapeCoordinates) -> np.ndarray:
-    """Connection A_mu = I^{-1} a_mu, in closed form.
+def mechanical_connection(r1, r2, phi):
+    """Connection A_mu = I^{-1} a_mu, in closed form: A33 = r2^2 / (r1^2 + r2^2).
 
     Finite for all phi: a_phi lies along the axis on which the inertia
-    tensor never degenerates.
+    tensor never degenerates.  Where both squares underflow, A33 is taken on
+    r1, r2 over the larger of the two; SingularInertia where r1 = r2 = 0.
     """
-    A, r1, r2 = np.zeros((3, 3)), q.r1, q.r2
-    if r1 ** 2 + r2 ** 2 == 0.0:  # both squares underflow, the ratio does not
-        r1, r2 = r1 / max(r1, r2), r2 / max(r1, r2)
-    A[2, 2] = r2 ** 2 / (r1 ** 2 + r2 ** 2)
-    return A
+    S = r1 * r1 + r2 * r2
+    if np.count_nonzero(S) < np.size(S):  # both squares underflow, the ratio need not
+        larger = np.maximum(np.abs(r1), np.abs(r2))
+        _require(larger, "r1 = r2 = 0: the mechanical connection is undefined")
+        r1, r2 = np.where(S == 0.0, (r1 / larger, r2 / larger), (r1, r2))
+    return _corner(r2 * r2 / (r1 * r1 + r2 * r2))
 
 
-def horizontal_metric(q: ShapeCoordinates):
+def horizontal_metric(r1, r2, phi):
     """Horizontal (rotation-subtracted) shape metric g and its inverse;
-    raises SingularInertia at r2 = 0, where g33 = 0, and where g33 underflows."""
-    if q.r2 == 0.0:
-        raise SingularInertia("r2 = 0: the horizontal metric is singular")
-    r1sq, r2sq = q.r1 ** 2, q.r2 ** 2
-    g33 = r1sq * r2sq / (r1sq + r2sq) if r1sq * r2sq else 0.0  # no 0/0 if both underflow
-    if g33 == 0.0:
-        raise SingularInertia("g33 underflows to 0: the horizontal metric is singular")
-    g = np.diag([1.0, 1.0, g33])
-    g_inv = np.diag([1.0, 1.0, 1.0 / g33])
-    return g, g_inv
+    raises SingularInertia where r2 = 0 or r1 = 0, at which g33 = 0, and
+    where g33 underflows or 1/g33 is not finite, on some row."""
+    _require(r2, "r2 = 0: the horizontal metric is singular")
+    _require(r1, "r1 = 0: the horizontal metric is singular")
+    a, b = r1 * r1, r2 * r2
+    g33 = a * b / (a + b) if np.count_nonzero(a * b) == np.size(a * b) else 0.0  # no 0/0
+    _require(g33, "g33 underflows to 0: the horizontal metric is singular")
+    with np.errstate(over="ignore"):  # a subnormal g33, named below
+        g_inv = _corner(1.0 / g33, 1.0)
+    _require(np.isfinite(g_inv), "1/g33 is not finite: the horizontal metric is singular")
+    return _corner(g33, 1.0), g_inv
 
 
-def shape_partials(q: ShapeCoordinates):
+def shape_partials(r1, r2, phi):
     """Partial derivatives of the body Jacobi vectors with respect to
-    (r1, r2, phi); shape (2, 3, 3): [vector, coordinate, component]."""
-    s, c = sin(q.phi), cos(q.phi)
-    d = np.zeros((2, 3, 3))
-    d[0, 0] = [1.0, 0.0, 0.0]
-    d[1, 1] = [c, s, 0.0]
-    d[1, 2] = [-q.r2 * s, q.r2 * c, 0.0]
-    return d
+    (r1, r2, phi); shape (..., 2, 3, 3): [..., vector, coordinate, component]."""
+    s, c = np.sin(phi), np.cos(phi)
+    return _tensor(
+        (2, 3, 3),
+        1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        0.0, 0.0, 0.0, c, s, 0.0, -r2 * s, r2 * c, 0.0,
+    )
 
 
-def body_velocities(q: ShapeCoordinates, omega, qdot):
+def body_velocities(r1, r2, phi, omega, qdot):
     """Body-frame velocities of the two Jacobi vectors, from the body
     angular velocity omega and the shape rates qdot = (r1dot, r2dot, phidot)."""
-    b1, b2 = body_jacobi_vectors(q)
-    d = shape_partials(q)
-    v1 = cross(omega, b1) + d[0].T @ qdot
-    v2 = cross(omega, b2) + d[1].T @ qdot
+    b1, b2 = body_jacobi_vectors(r1, r2, phi)
+    d = np.swapaxes(shape_partials(r1, r2, phi), -1, -2)  # [..., vector, component, coordinate]
+    v1 = cross(omega, b1) + _apply(d[..., 0, :, :], qdot)
+    v2 = cross(omega, b2) + _apply(d[..., 1, :, :], qdot)
     return v1, v2
 
 
-def cartesian_from_body_state(masses, q: ShapeCoordinates, omega, qdot):
-    """Cartesian realization of a body state with the body frame taken as
-    the space frame at the evaluation instant.  Fed by velocities_from_momenta
-    it keeps that function's loss of digits as r1/r2 falls."""
-    b1, b2 = body_jacobi_vectors(q)
-    v1, v2 = body_velocities(q, omega, qdot)
-    return cartesian_from_jacobi(masses, b1, b2, v1, v2)
-
-
-def kinetic_energy_body(q: ShapeCoordinates, omega, qdot) -> float:
+def kinetic_energy_body(r1, r2, phi, omega, qdot):
     """Kinetic energy from the body decomposition:
-    K = w^T I w / 2 + sum_mu (w^T a_mu) qdot^mu + h_{mu nu} qdot qdot / 2."""
-    I = inertia_tensor(q)
-    a = gauge_potential(q)
-    h = shape_metric(q)
-    return float(0.5 * omega @ I @ omega + (a @ omega) @ qdot + 0.5 * qdot @ h @ qdot)
+    K = w^T I w / 2 + sum_mu (w^T a_mu) qdot^mu + h_{mu nu} qdot qdot / 2,
+    with h = diag(1, 1, r2^2) the metric of the shape coordinates."""
+    I, a, h = inertia_tensor(r1, r2, phi), gauge_potential(r1, r2, phi), _corner(r2 * r2, 1.0)
+    w, q = omega[..., None], qdot[..., None]  # 3 x 1 columns
+    wt, qt = omega[..., None, :], qdot[..., None, :]  # and 1 x 3 rows
+    K = 0.5 * wt @ I @ w + _apply(a, omega)[..., None, :] @ q + 0.5 * qt @ h @ q
+    return K[..., 0, 0]
 
 
-def body_angular_momentum(q: ShapeCoordinates, omega, qdot) -> np.ndarray:
-    """Body angular momentum J = I w + sum_mu a_mu qdot^mu."""
-    return inertia_tensor(q) @ omega + gauge_potential(q).T @ qdot
+def body_angular_momentum(r1, r2, phi, omega, qdot):
+    """Body angular momentum J = I w + sum_mu a_mu qdot^mu, where the sum is
+    a @ qdot: gauge_potential is symmetric."""
+    return _apply(inertia_tensor(r1, r2, phi), omega) + _apply(gauge_potential(r1, r2, phi), qdot)
 
 
-def shape_momenta(q: ShapeCoordinates, omega, qdot):
+def shape_momenta(r1, r2, phi, omega, qdot):
     """The momenta (J, p) of the body state (omega, qdot): J of
     body_angular_momentum and the conjugate p_mu = g_{mu nu} qdot^nu +
     J . A_mu (equivalently h_{mu nu} qdot^nu + w . a_mu).  Raises
     SingularInertia at r2 = 0 and where horizontal_metric does."""
-    if q.r2 == 0.0:
-        raise SingularInertia("r2 = 0: the inertia tensor is singular")
-    J = body_angular_momentum(q, omega, qdot)
-    g, _ = horizontal_metric(q)
-    return J, g @ qdot + mechanical_connection(q) @ J
+    _require(r2, "r2 = 0: the inertia tensor is singular")
+    J = body_angular_momentum(r1, r2, phi, omega, qdot)
+    g, _ = horizontal_metric(r1, r2, phi)
+    return J, _apply(g, qdot) + _apply(mechanical_connection(r1, r2, phi), J)
 
 
-def velocities_from_momenta(q: ShapeCoordinates, J, p):
+def velocities_from_momenta(r1, r2, phi, J, p):
     """Invert the Legendre map: recover (omega, qdot) from (J, p).
 
-    Needs the full inertia inverse, so it raises SingularInertia at r2 = 0
-    and near collinear shapes.  It loses digits as r1/r2 falls, I^-1 or not:
-    omega3 = (J3 - p3)/r1^2 and qdot3 = p3/r2^2 - omega3 cancel in
-    p3 = r2^2 (qdot3 + omega3), up to 8e-2 at r1 = 1e-7, r2 = 1.
+    Needs the full inertia inverse, so it raises SingularInertia where
+    inertia_inverse does: at r2 = 0 and near collinear shapes.  It loses
+    digits as r1/r2 falls, I^-1 or not: omega3 = (J3 - p3)/r1^2 and
+    qdot3 = p3/r2^2 - omega3 cancel in p3 = r2^2 (qdot3 + omega3), up to
+    8e-2 at r1 = 1e-7, r2 = 1.
     """
-    I_inv = inertia_inverse(q)
-    _, g_inv = horizontal_metric(q)
-    qdot = g_inv @ (p - mechanical_connection(q) @ J)
-    omega = I_inv @ (J - gauge_potential(q).T @ qdot)
+    I_inv = inertia_inverse(r1, r2, phi)
+    _, g_inv = horizontal_metric(r1, r2, phi)
+    qdot = _apply(g_inv, p - _apply(mechanical_connection(r1, r2, phi), J))
+    omega = _apply(I_inv, J - _apply(gauge_potential(r1, r2, phi), qdot))
     return omega, qdot

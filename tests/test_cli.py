@@ -772,6 +772,32 @@ class TestEvaluate:
         assert run(["evaluate", "--config", cfg]) == 2
         assert f"config field '{field}': " in caplog.text
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("r1", 0.0, "r1 must be > 0, got 0.0"),
+            ("r2", -1e-300, "r2 must be >= 0, got -1e-300"),
+            ("phi", 3.2, "phi out of [0, pi]: 3.2"),
+            ("phi", -0.5, "phi out of [0, pi]: -0.5"),
+        ],
+    )
+    def test_shape_out_of_range_exit_2(self, tmp_path, caplog, key, value, message):
+        # the range rule of a shape start, the one place a shape comes from outside
+        shaped = dict(HARMONIC_CONFIG, initial_state={"shape": dict(SHAPE_START, **{key: value})})
+        assert run(["evaluate", "--config", write_config(tmp_path, shaped)]) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            f"config field 'initial_state.shape': {message}"
+        ]
+
+    @pytest.mark.parametrize("value", [True, "2", None, float("inf")])
+    @pytest.mark.parametrize("key", ["r1", "r2", "phi"])
+    def test_shape_coordinate_not_a_finite_number_exit_2(self, tmp_path, caplog, key, value):
+        shaped = dict(HARMONIC_CONFIG, initial_state={"shape": dict(SHAPE_START, **{key: value})})
+        assert run(["evaluate", "--config", write_config(tmp_path, shaped)]) == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            f"config field 'initial_state.shape.{key}': expected a finite number, got {value!r}"
+        ]
+
     def test_unreadable_config_exit_2(self, tmp_path, caplog):
         invalid = tmp_path / "invalid.json"
         invalid.write_text("{\"masses\": [1.0, 1.0, 1.0],")

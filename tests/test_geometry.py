@@ -8,7 +8,6 @@ from trireduce.checks import random_rotation
 from trireduce.geometry import (
     CartesianState,
     MassTriple,
-    ShapeCoordinates,
     body_frames,
     body_jacobi_vectors,
     cartesian_from_jacobi,
@@ -86,28 +85,6 @@ class TestReducedMasses:
         assert masses.total == 4.0
 
 
-class TestShapeCoordinates:
-    @pytest.mark.parametrize("value", [True, "2", None, float("inf")])
-    @pytest.mark.parametrize("field", ["r1", "r2", "phi"])
-    def test_rejects_what_is_not_a_finite_number(self, field, value):
-        coordinates = {"r1": 1.0, "r2": 0.5, "phi": 1.0, field: value}
-        with pytest.raises(ValueError, match=f"^{field}: expected a finite number, got "):
-            ShapeCoordinates(**coordinates)
-
-    @pytest.mark.parametrize(
-        "r1, r2, phi, message",
-        [
-            (0.0, 1.0, 1.0, "r1 must be > 0, got 0.0"),
-            (1.0, -1e-300, 1.0, "r2 must be >= 0, got -1e-300"),
-            (1.0, 1.0, 3.2, "phi out of [0, pi]: 3.2"),
-        ],
-    )
-    def test_range_messages_stay(self, r1, r2, phi, message):
-        with pytest.raises(ValueError) as info:
-            ShapeCoordinates(r1, r2, phi)
-        assert str(info.value) == message
-
-
 CARTESIAN_FIELDS = ("x1", "x2", "x3", "v1", "v2", "v3")
 MASSES = MassTriple(1.0, 1.0, 1.0)
 
@@ -145,7 +122,7 @@ class TestVectorFields:
                 CartesianState(*(value if f == "x2" else np.zeros(3) for f in CARTESIAN_FIELDS))
             else:
                 momenta = {"J": np.zeros(3), "p": np.zeros(3), target: value}
-                cartesian_from_momenta(MASSES, ShapeCoordinates(1.0, 1.0, 1.0), **momenta)
+                cartesian_from_momenta(MASSES, 1.0, 1.0, 1.0, **momenta)
 
     @pytest.mark.parametrize("target", ["CartesianState", "check_vector"])
     def test_numbers_are_stored_as_float_arrays(self, target):
@@ -319,7 +296,7 @@ class TestBodyFrameFit:
         for _ in range(100):
             j = [RNG.normal(size=3), RNG.normal(size=3), RNG.normal(size=3), RNG.normal(size=3)]
             R, r1, r2, phi, _ = _frame(*j)
-            b1, b2 = body_jacobi_vectors(ShapeCoordinates(r1, r2, phi))
+            b1, b2 = body_jacobi_vectors(r1, r2, phi)
             assert np.allclose(R @ b1, j[0], atol=1e-12)
             assert np.allclose(R @ b2, j[1], atol=1e-12)
 
@@ -380,16 +357,14 @@ class TestBodyFrameFit:
 class TestShapeToDistances:
     def test_equilateral_style_example(self):
         m = MassTriple(1, 1, 1)
-        q = ShapeCoordinates(sqrt(2), sqrt(2.0 / 3.0), pi / 2)
-        d12, d13, d23 = shape_to_distances(m, q.r1, q.r2, q.phi)
+        d12, d13, d23 = shape_to_distances(m, sqrt(2), sqrt(2.0 / 3.0), pi / 2)
         assert d12 == pytest.approx(sqrt(2), rel=1e-14)
         assert d13 == pytest.approx(2.0, rel=1e-14)
         assert d23 == pytest.approx(sqrt(2), rel=1e-14)
 
     def test_midpoint_symmetry(self):
         m = MassTriple(1, 1, 1)
-        q = ShapeCoordinates(sqrt(2), 0.0, 0.0)
-        d12, d13, d23 = shape_to_distances(m, q.r1, q.r2, q.phi)
+        d12, d13, d23 = shape_to_distances(m, sqrt(2), 0.0, 0.0)
         assert d12 == pytest.approx(d13 / 2, rel=1e-12)
         assert d23 == pytest.approx(d13 / 2, rel=1e-12)
 

@@ -15,7 +15,6 @@ from trireduce.geometry import (
     COLLINEAR_THRESHOLD,
     CartesianState,
     MassTriple,
-    ShapeCoordinates,
     body_frames,
     body_jacobi_vectors,
     cartesian_from_jacobi,
@@ -43,9 +42,8 @@ FREE = builtin_potential("free")
 
 
 def random_shape(phi_min=0.05):
-    return ShapeCoordinates(
-        RNG.uniform(0.3, 2.0), RNG.uniform(0.3, 2.0), RNG.uniform(phi_min, pi - phi_min)
-    )
+    """A seeded shape (r1, r2, phi) of floats."""
+    return RNG.uniform(0.3, 2.0), RNG.uniform(0.3, 2.0), RNG.uniform(phi_min, pi - phi_min)
 
 
 def random_velocity():
@@ -54,10 +52,10 @@ def random_velocity():
 
 
 def body_hamiltonian(q, omega, qdot, V):
-    """reduced_hamiltonian of the body state (omega, qdot) at the shape q."""
-    J, p = shape_momenta(q, omega, qdot)
-    T = singular_term(q.r1, q.r2, q.phi, omega)
-    return reduced_hamiltonian(q.r1, q.r2, q.phi, J, p, T, V)
+    """reduced_hamiltonian of the body state (omega, qdot) at the shape q =
+    (r1, r2, phi)."""
+    J, p = shape_momenta(*q, omega, qdot)
+    return reduced_hamiltonian(*q, J, p, singular_term(*q, omega), V)
 
 
 ZERO = np.zeros(3)
@@ -76,7 +74,7 @@ class TestReducedHamiltonian:
         for _ in range(200):
             q = random_shape()
             w = random_velocity()
-            K = kinetic_energy_body(q, *w)
+            K = kinetic_energy_body(*q, *w)
             V = RNG.normal()
             H = body_hamiltonian(q, *w, V)
             assert H == pytest.approx(K + V, rel=1e-10, abs=1e-10)
@@ -113,9 +111,9 @@ class TestCollinearHamiltonian:
         # line out of any fixed plane
         for phi in (0.0, pi):
             for _ in range(50):
-                q0 = ShapeCoordinates(*RNG.uniform(0.3, 2.0, size=2), phi)
+                q0 = (*RNG.uniform(0.3, 2.0, size=2), phi)
                 w = random_velocity()
-                K0 = kinetic_energy_body(q0, *w)
+                K0 = kinetic_energy_body(*q0, *w)
                 V = RNG.normal()
                 H = body_hamiltonian(q0, *w, V)
                 assert H == pytest.approx(K0 + V, rel=1e-12, abs=1e-12)
@@ -151,18 +149,18 @@ class TestSingularTerm:
         for _ in range(100):
             q = random_shape(phi_min=0.11)
             omega, qdot = random_velocity()
-            J1 = body_angular_momentum(q, omega, qdot)[0]
-            assert singular_term(q.r1, q.r2, q.phi, omega) == pytest.approx(
-                J1 / sin(q.phi), rel=1e-12, abs=1e-12
+            J1 = body_angular_momentum(*q, omega, qdot)[0]
+            assert singular_term(*q, omega) == pytest.approx(
+                J1 / sin(q[2]), rel=1e-12, abs=1e-12
             )
 
     def test_product_with_sin_phi_is_j1(self):
         for _ in range(100):
             q = random_shape(phi_min=0.0)
             omega, qdot = random_velocity()
-            J1 = body_angular_momentum(q, omega, qdot)[0]
-            T = singular_term(q.r1, q.r2, q.phi, omega)
-            assert T * sin(q.phi) == pytest.approx(J1, abs=1e-14)
+            J1 = body_angular_momentum(*q, omega, qdot)[0]
+            T = singular_term(*q, omega)
+            assert T * sin(q[2]) == pytest.approx(J1, abs=1e-14)
 
 
 class TestFormulaOnArrays:
@@ -222,7 +220,7 @@ def fitted_frame(j, collinear_threshold=COLLINEAR_THRESHOLD):
     """R (R s_body = s_space) and the shape of body_frames' fit of the one
     state whose Jacobi rows are j."""
     axes, r1, r2, phi = body_frames(*j[:, None], collinear_threshold)[:4]
-    return axes[0].T, ShapeCoordinates(r1[0], r2[0], phi[0])
+    return axes[0].T, (r1[0], r2[0], phi[0])
 
 
 class TestAlignCollinearFrame:
@@ -314,13 +312,13 @@ class TestEvaluateReduced:
             (0.0, RNG.normal(size=3), RNG.normal(size=3), "collinear"),
         ]
         for phi, omega, qdot, branch in cases:
-            q = ShapeCoordinates(1.0, 1.0, phi)
-            b1, b2 = body_jacobi_vectors(q)
-            v1, v2 = body_velocities(q, omega, qdot)
+            q = (1.0, 1.0, phi)
+            b1, b2 = body_jacobi_vectors(*q)
+            v1, v2 = body_velocities(*q, omega, qdot)
             state = cartesian_from_jacobi(masses, b1, b2, v1, v2)
             ev = evaluate_reduced(masses, state, FREE)
             assert ev.branch == branch
-            assert ev.H == pytest.approx(kinetic_energy_body(q, omega, qdot), rel=1e-12)
+            assert ev.H == pytest.approx(kinetic_energy_body(*q, omega, qdot), rel=1e-12)
 
     def test_collinear_rotation_invariance(self):
         masses = MassTriple(1.0, 1.5, 0.8)
@@ -337,15 +335,15 @@ class TestEvaluateReduced:
         # sin(phi) inside the conditioning band but above the collinear
         # threshold: the noncollinear rule applies and H stays exact
         masses = MassTriple(1.0, 1.0, 1.0)
-        q = ShapeCoordinates(1.0, 1.0, 1e-4)
+        q = (1.0, 1.0, 1e-4)
         w = np.array([0.0, 0.0, 0.3]), np.array([0.1, 0.2, 0.4])
-        b1, b2 = body_jacobi_vectors(q)
-        v1, v2 = body_velocities(q, *w)
+        b1, b2 = body_jacobi_vectors(*q)
+        v1, v2 = body_velocities(*q, *w)
         state = cartesian_from_jacobi(masses, b1, b2, v1, v2)
         ev = evaluate_reduced(masses, state, FREE)
         assert ev.branch == "noncollinear"
         assert COLLINEAR_THRESHOLD < ev.sin_phi < BAND_THRESHOLD
-        assert ev.H == pytest.approx(kinetic_energy_body(q, *w), rel=1e-12)
+        assert ev.H == pytest.approx(kinetic_energy_body(*q, *w), rel=1e-12)
 
 
 class TestShapeStart:
@@ -361,9 +359,9 @@ class TestShapeStart:
         potential = builtin_potential("harmonic", k=0.7)
         worst = 0.0
         for _ in range(200):
-            q = ShapeCoordinates(r1, 1.0, rng.uniform(0.3, 2.8))
+            phi = rng.uniform(0.3, 2.8)
             J, p = rng.normal(size=3), rng.normal(size=3)
-            state = cartesian_from_momenta(self.MASSES, q, J, p)
+            state = cartesian_from_momenta(self.MASSES, r1, 1.0, phi, J, p)
             ev = evaluate_reduced(self.MASSES, state, potential)
             errors = np.abs(np.concatenate([ev.J - J, ev.p - p]))
             worst = max(worst, float(np.max(errors)))
@@ -375,7 +373,7 @@ class TestCollinearLimit:
         w = np.array([0.9, 0.0, 0.4]), np.array([0.2, -0.3, 0.6])
 
         def H(phi):
-            return body_hamiltonian(ShapeCoordinates(1.3, 0.8, phi), *w, 0.0)
+            return body_hamiltonian((1.3, 0.8, phi), *w, 0.0)
 
         H0 = H(0.0)
         phis = [10.0 ** (-k) for k in range(1, 7)]
@@ -556,11 +554,11 @@ class TestBatchKernel:
             # it is an oracle only where neither is small
             shorter, longer = sorted((out.r1[i], out.r2[i]))
             if out.sin_phi[i] > 1e-3 and noncollinear and shorter > 1e-3 * longer:
-                w = velocities_from_momenta(q, out.J[i], out.p[i])
-                v1, v2 = body_velocities(q, *w)
+                w = velocities_from_momenta(*q, out.J[i], out.p[i])
+                v1, v2 = body_velocities(*q, *w)
                 assert _close(v1, R.T @ j[2])
                 assert _close(v2, R.T @ j[3])
-                J, p = shape_momenta(q, *w)
+                J, p = shape_momenta(*q, *w)
                 assert _close(out.J[i], J)
                 assert _close(out.p[i], p)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import trireduce.potential
 from trireduce.checks import random_rotation
 from trireduce.errors import DomainError, PotentialSyntaxError, UnknownIdentifier
-from trireduce.geometry import MassTriple, ShapeCoordinates, jacobi_map, measure_shape, shape_to_distances
+from trireduce.geometry import MassTriple, jacobi_map, measure_shape, shape_to_distances
 from trireduce.potential import (
     BUILTIN_NAMES,
     Bin,
@@ -265,9 +265,9 @@ def ctx_with(**kwargs):
 
 
 def shape_row(masses, q):
-    """Columns of the one-row batch at the shape q, with its pair distances."""
-    d12, d13, d23 = shape_to_distances(masses, q.r1, q.r2, q.phi)
-    return [np.array([v]) for v in (q.r1, q.r2, q.phi, d12, d13, d23)]
+    """Columns of the one-row batch at the shape q = (r1, r2, phi), with its
+    pair distances."""
+    return [np.array([v]) for v in (*q, *shape_to_distances(masses, *q))]
 
 
 def eval_row(spec, row, masses=MASSES):
@@ -457,7 +457,7 @@ class TestEval:
         spec = parse_potential("(d12 - 10)^0.5")
         with pytest.raises(DomainError):
             eval_row(spec, ctx_with(d12=1.0))
-        q = ShapeCoordinates(1.4, 0.9, 1.2)
+        q = (1.4, 0.9, 1.2)
         with pytest.raises(DomainError):
             eval_row(spec, shape_row(MASSES, q))
         ones = np.ones(2)
@@ -543,11 +543,11 @@ class TestEval:
         # realizations evaluate identically
         spec = parse_potential("sin(phi) * d12 + r1 / d23")
         masses = MassTriple(1.0, 2.0, 0.5)
-        q = ShapeCoordinates(1.4, 0.9, 1.2)
+        q = (1.4, 0.9, 1.2)
         base = eval_row(spec, shape_row(masses, q), masses)
         from trireduce.geometry import body_jacobi_vectors, cartesian_from_jacobi
 
-        b1, b2 = body_jacobi_vectors(q)
+        b1, b2 = body_jacobi_vectors(*q)
         for _ in range(10):
             Q = random_rotation(RNG)
             z = np.zeros(3)

@@ -22,7 +22,7 @@ from .hamiltonian import reduced_hamiltonian, singular_term
 from .potential import (
     builtin_potential,
     eval_potential_batch,
-    forces_cartesian,
+    force_field,
     parse_potential,
     potential_at_positions,
     print_expression,
@@ -379,11 +379,12 @@ def suite_parser(seed=DEFAULT_SEED, n_configs=30):
     weights = np.array([-1.0, 8.0, -8.0, 1.0]) / (12 * step)
     worst_grad, worst_inv = 0.0, 0.0
     for spec in specs:
+        field = force_field(spec, masses)
         for _ in range(n_configs):
             pos = rng.uniform(-1.5, 1.5, size=(3, 3))
             if min(np.linalg.norm(pos[i] - pos[k]) for i, k in [(0, 1), (0, 2), (1, 2)]) < 0.5:
                 continue
-            F = forces_cartesian(spec, masses, pos)
+            F = field(pos)
             fd = -(potential_at_positions(spec, masses, pos + offsets).reshape(9, 4) @ weights)
             scale = np.maximum(np.abs(fd), 1.0)
             worst_grad = max(worst_grad, float(np.max(np.abs(F.ravel() - fd) / scale)))

@@ -45,10 +45,10 @@ EVALUATE_HEADER = (
 )
 PASSAGES_HEADER = "t_minus,t_plus,t_star,sin_phi_min,H_before,H_at,H_after,delta_H"
 
-# The collinear rule reports phi as 0 or pi and J, p in the bending frame.
-# H equals the energy under either rule (its kinetic terms add up in any
-# such frame, and V is the potential of the positions), so this bound
-# limits how far phi, J and p are snapped, not H.
+# At or below the collinear threshold J and p are read in the bending frame;
+# phi is never moved.  H equals the energy under either frame rule (its
+# kinetic terms add up in any such frame, and V is that of the positions),
+# so this bound limits how far J and p are read in that frame, not H.
 MAX_COLLINEAR_THRESHOLD = 1e-6
 
 

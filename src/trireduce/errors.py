@@ -24,8 +24,9 @@ class SingularInertia(TrireduceError):
 
 class NumericalBlowup(TrireduceError):
     """A computed quantity overflowed: coordinates beyond the overflow guard
-    during integration, or a Jacobi vector, H or an energy that is not
-    finite.  The message names the quantity."""
+    during integration, a square in the paper's formula, or a Jacobi
+    vector, H or an energy that is not finite.  The message names the
+    quantity."""
 
 
 class PotentialSyntaxError(TrireduceError):

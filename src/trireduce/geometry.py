@@ -3,13 +3,13 @@
 Conventions: the body frame is u1 along the first mass-weighted relative
 vector, u2 the in-plane unit vector with nonnegative projection on the
 second, u3 = u1 x u2 (right-handed); at collinear shapes, where that plane
-is undefined, u2 follows the bending motion (see body_frames).  The
-rotation matrix R has the body axes as columns, so body vectors b and space
-vectors s satisfy s = R b.
+is undefined, u2 follows the bending motion (see body_frames); no frame
+rule moves the measured phi.  The rotation matrix R has the body axes as
+columns, so body vectors b and space vectors s satisfy s = R b.
 """
 
 from dataclasses import dataclass, fields
-from math import isfinite, nan, pi, sqrt
+from math import isfinite, nan, sqrt
 from numbers import Real
 from sys import float_info
 
@@ -167,35 +167,31 @@ def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
 
     u1 lies along s1.  Above collinear_threshold (on sin_phi =
     |s1 x s2|/(r1 r2)) u3 is the unit normal of the plane of s1 and s2.  At
-    or below it phi is 0 or pi and u2 points along the bending rate
-    sdot2 - sigma (r2/r1) sdot1 (perpendicular part, sigma = sign(s1 . s2)),
-    the limit of the normal-based frame along the motion; with no bending
-    u2 is a fixed perpendicular of u1.  Returns (axes, r1, r2, phi,
-    measured, sin_phi, planar, degenerate): axes[k] is R^T of state k (rows
-    u1, u2, u3), phi is the angle of that frame rule, measured is (r1, r2,
-    phi) of measure_shape, phi not snapped to 0 or pi, and planar marks the
-    rows above the threshold.  degenerate marks the rows with r1 = 0 or
-    r2 = 0 (None if none has), which have no frame: they are fitted to the
-    stand-in s1 = e1, s2 = e2, so nothing divides by 0, and only their
-    measured shape means anything.
+    or below it u2 points along the bending rate sdot2 - sigma (r2/r1) sdot1
+    (perpendicular part, sigma = sign(s1 . s2)), the limit of the
+    normal-based frame along the motion; with no bending u2 is a fixed
+    perpendicular of u1.  Returns (axes, r1, r2, phi, sin_phi, planar,
+    degenerate): axes[k] is R^T of state k (rows u1, u2, u3), (r1, r2, phi)
+    is measure_shape's on every row, whichever frame rule fits it, and
+    planar marks the rows above the threshold.  degenerate marks the rows
+    with r1 = 0 or r2 = 0 (None if none has), which have no frame: their
+    axes and sin_phi are fitted to the stand-in s1 = e1, s2 = e2, so
+    nothing divides by 0, and only their shape means anything.
     """
     # np.count_nonzero rather than ndarray.all/any, whose Python-level
     # wrappers cost more than the test on a few rows
     n = len(s1)
-    r1, r2, normal, area, dot, measured_phi = measure_shape(s1, s2)
-    measured, degenerate = (r1, r2, measured_phi), None
+    r1, r2, normal, area, dot, phi = measure_shape(s1, s2)
+    fit_r1, fit_r2, degenerate = r1, r2, None
     if np.count_nonzero(r1) + np.count_nonzero(r2) < 2 * n:
         degenerate = (r1 == 0.0) | (r2 == 0.0)
         s1, s2 = np.where(degenerate[:, None], np.eye(3)[:2, None], (s1, s2))
-        r1, r2, normal, area, dot, _ = measure_shape(s1, s2)
-    sin_phi = area / (r1 * r2)
+        fit_r1, fit_r2, normal, area, dot, _ = measure_shape(s1, s2)
+    sin_phi = area / (fit_r1 * fit_r2)
     planar = sin_phi > collinear_threshold
-    phi = measured_phi
-    u1 = s1 / r1[:, None]
+    u1 = s1 / fit_r1[:, None]
     if np.count_nonzero(planar) < n:
-        sigma = np.where(dot >= 0.0, 1.0, -1.0)
-        phi = np.where(planar, measured_phi, np.where(sigma > 0.0, 0.0, pi))
-        bending = cross(u1, sd2 - (sigma * r2 / r1)[:, None] * sd1)
+        bending = cross(u1, sd2 - (np.where(dot >= 0.0, fit_r2, -fit_r2) / fit_r1)[:, None] * sd1)
         normal = np.where(planar[:, None], normal, bending)
     # Crossing with u1 keeps u2 orthogonal to u1 to rounding, also when
     # normal is a nearly cancelling cross product of nearly parallel vectors.
@@ -208,7 +204,7 @@ def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
         n2[still] = lengths(u2[still])
     u2 = u2 / n2[:, None]
     axes = np.array([u1, u2, cross(u1, u2)]).transpose(1, 0, 2)
-    return axes, r1, r2, phi, measured, sin_phi, planar, degenerate
+    return axes, r1, r2, phi, sin_phi, planar, degenerate
 
 
 def body_jacobi_vectors(r1, r2, phi):

@@ -17,7 +17,8 @@ measures the kinetic identity alone.
 """
 
 from dataclasses import dataclass
-from math import cos, isfinite, sin
+from math import cos, isfinite, sin, sqrt
+from sys import float_info
 
 import numpy as np
 
@@ -39,6 +40,8 @@ from .reduction import inertia_inverse
 BRANCH_NONCOLLINEAR = "noncollinear"
 BRANCH_COLLINEAR = "collinear"
 
+_ROOT_MAX = sqrt(float_info.max)
+
 
 @dataclass(frozen=True)
 class ReducedEvaluation:
@@ -46,9 +49,9 @@ class ReducedEvaluation:
     one row of a ReducedBatch, its fields named as the batch's columns, with
     H its H_reduced.
 
-    branch names the body-frame rule used ("noncollinear" above the
-    collinear threshold, "collinear" at or below it); sin_phi is the
-    measured |s1 x s2| / (|s1| |s2|); J and p are 3-vectors.
+    branch names the body-frame rule that J and p are read in
+    ("noncollinear" above the collinear threshold, "collinear" at or below
+    it); the shape and sin_phi are measured; J and p are 3-vectors.
     """
 
     H: float
@@ -68,26 +71,43 @@ def reduced_hamiltonian(r1, r2, phi, J, p, T, V):
     floats and 3-vectors for one state, complex ones too.  Raises
     DegenerateShape naming the divisor where r2^2, r1^2 or r1^2 r2^2 is 0 on
     any row, exactly or by underflow: T^2/b is 0/0 at r2 = 0, which is the
-    Cartesian routes' to cover."""
-    a, b = r1 ** 2, r2 ** 2
-    ab = a * b
-    if np.count_nonzero(ab) < np.size(ab):
-        for name, divisor in (("r2^2", b), ("r1^2", a), ("r1^2 r2^2", ab)):
-            if np.count_nonzero(divisor) < np.size(divisor):
-                raise DegenerateShape(f"{name} is 0: the reduced Hamiltonian divides by it")
+    Cartesian routes' to cover.  Raises NumericalBlowup naming the quantity
+    where a square overflows, or where H is not finite."""
+    a, b = _square("r1", r1), _square("r2", r2)
     (_, J2, J3), (p1, p2, p3) = np.moveaxis(J, -1, 0), np.moveaxis(p, -1, 0)
-    S = a + b
-    quad = T ** 2 / b + (J2 + np.cos(phi) * T) ** 2 / a + J3 ** 2 / S + p1 ** 2 + p2 ** 2
-    return 0.5 * (quad + S / ab * (p3 - b / S * J3) ** 2) + V
+    # an overflow past the squares is an H that is not finite, named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        ab = a * b
+        if np.count_nonzero(ab) < np.size(ab):
+            for name, divisor in (("r2^2", b), ("r1^2", a), ("r1^2 r2^2", ab)):
+                if np.count_nonzero(divisor) < np.size(divisor):
+                    raise DegenerateShape(f"{name} is 0: the reduced Hamiltonian divides by it")
+        S = a + b
+        quad = _square("T", T) / b + _square("(J2 + cos(phi) T)", J2 + np.cos(phi) * T) / a
+        quad = quad + _square("J3", J3) / S + _square("p1", p1) + _square("p2", p2)
+        H = 0.5 * (quad + S / ab * _square("(p3 - b J3 / S)", p3 - b / S * J3)) + V
+    if np.count_nonzero(np.isfinite(H)) < np.size(H):
+        raise NumericalBlowup("H is not finite")
+    return H
 
 
 def singular_term(r1, r2, phi, omega):
     """The combination J1 / sin(phi) of the body angular velocity omega, in
     the form that stays finite for all phi: r2^2 w1 sin(phi) - r2^2 w2
-    cos(phi).  Takes arrays as reduced_hamiltonian does; r1 does not enter."""
-    b = r2 ** 2
+    cos(phi).  Takes arrays as reduced_hamiltonian does, and raises
+    NumericalBlowup where r2^2 overflows; r1 does not enter."""
+    b = _square("r2", r2)
     w1, w2, _ = np.moveaxis(omega, -1, 0)
     return b * w1 * np.sin(phi) - b * w2 * np.cos(phi)
+
+
+def _square(name, x):
+    """x ** 2, with its bits; raises NumericalBlowup naming x where |x|^2 is
+    past the float range, before a float's ** raises OverflowError or an
+    array's warns.  _ROOT_MAX is the largest float whose square is finite."""
+    if np.count_nonzero(np.abs(x) > _ROOT_MAX):
+        raise NumericalBlowup(f"{name}^2 overflows")
+    return x ** 2
 
 
 def evaluate_reduced(
@@ -107,13 +127,12 @@ def evaluate_reduced(
     # validated when it was built, so only an overflow of the map is new
     xv = np.array([[state.x1, state.x2, state.x3], [state.v1, state.v2, state.v3]])
     s1, s2 = jacobi_map(masses, xv[:, 0], xv[:, 1], xv[:, 2])
-    (r1, r2, measured_phi), degenerate, phi, sin_phi, planar, J, p, T, K = _reduce_rows(
+    r1, r2, phi, sin_phi, planar, degenerate, J, p, T, K = _reduce_rows(
         collinear_threshold, s1[:1], s2[:1], s1[1:], s2[1:]
     )
     if degenerate is not None:
         raise DegenerateShape.from_r1(r1[0])
-    # V at the measured phi, not the snapped one, as total_energy takes it
-    V = potential_at_positions(potential, masses, xv[:1], (r1, r2, measured_phi))
+    V = potential_at_positions(potential, masses, xv[:1], (r1, r2, phi))
     H = float(K[0] + V[0])
     if not isfinite(H):
         raise NumericalBlowup(f"H_reduced overflows ({H})")
@@ -134,14 +153,14 @@ def _reduce_rows(collinear_threshold, s1, s2, sd1, sd2):
     With body velocities v1 = R^T sdot1, v2 = R^T sdot2 and
     q = cos(phi) v2[1] - sin(phi) v2[0]: T = r2 v2[2], J2 + cos(phi) T =
     -r1 v1[2], J3 = r1 v1[1] + r2 q and p3 = r2 q.  K is the module
-    docstring's kinetic terms in these velocities, where only S divides;
-    they add up to (|v1|^2 + |v2|^2) / 2 for any phi of the frame rule.
-    Returns (measured, degenerate, phi, sin_phi, planar, J, p, T, K):
-    measured and degenerate of body_frames, J and p (N, 3), the others (N,).
+    docstring's kinetic terms in these velocities, where only S divides (1
+    on degenerate rows: S is 0 where all three bodies meet); they add up to
+    (|v1|^2 + |v2|^2) / 2 under either frame rule.  Returns body_frames'
+    (r1, r2, phi, sin_phi, planar, degenerate), J and p (N, 3), T and K (N,).
     """
     rows = np.array([s1, s2, sd1, sd2])
     _require_finite("Jacobi vector", rows.transpose(1, 0, 2))
-    axes, r1, r2, phi, measured, sin_phi, planar, degenerate = body_frames(
+    axes, r1, r2, phi, sin_phi, planar, degenerate = body_frames(
         s1, s2, sd1, sd2, collinear_threshold
     )
     v1, v2 = np.einsum("kij,lkj->lki", axes, rows[2:])
@@ -152,11 +171,14 @@ def _reduce_rows(collinear_threshold, s1, s2, sd1, sd2):
     J2 = -r1 * v1[:, 2] - c * T
     J3 = r1 * v1[:, 1] + p3
     p2 = c * v2[:, 0] + s * v2[:, 1]
-    quotients = (J3 ** 2 + (r1 * q - r2 * v1[:, 1]) ** 2) / (r1 ** 2 + r2 ** 2)
+    S = r1 ** 2 + r2 ** 2
+    if degenerate is not None:
+        S = np.where(degenerate, 1.0, S)
+    quotients = (J3 ** 2 + (r1 * q - r2 * v1[:, 1]) ** 2) / S
     K = 0.5 * (v2[:, 2] ** 2 + v1[:, 2] ** 2 + quotients + v1[:, 0] ** 2 + p2 ** 2)
     J = np.array([s * T, J2, J3]).T
     p = np.array([v1[:, 0], p2, p3]).T
-    return measured, degenerate, phi, sin_phi, planar, J, p, T, K
+    return r1, r2, phi, sin_phi, planar, degenerate, J, p, T, K
 
 
 def cartesian_from_momenta(masses, r1, r2, phi, J, p) -> CartesianState:
@@ -230,10 +252,10 @@ def evaluate_reduced_batch(
     """
     s1, s2 = jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2])
     sd1, sd2 = jacobi_map(masses, v[:, 0], v[:, 1], v[:, 2])
-    (r1, r2, measured_phi), degenerate, phi, sin_phi, planar, J, p, T, K = _reduce_rows(
+    r1, r2, phi, sin_phi, planar, degenerate, J, p, T, K = _reduce_rows(
         collinear_threshold, s1, s2, sd1, sd2
     )
-    V = potential_at_positions(potential, masses, x, (r1, r2, measured_phi))
+    V = potential_at_positions(potential, masses, x, (r1, r2, phi))
     E = 0.5 * np.sum(masses.as_array()[:, None] * v ** 2, axis=(1, 2)) + V
     _require_finite("E_total", E)
     L = cross(s1, sd1) + cross(s2, sd2)
@@ -242,7 +264,7 @@ def evaluate_reduced_batch(
     _require_finite("H_reduced", H if degenerate is None else np.where(degenerate, 0.0, H))
     branch = np.where(planar, BRANCH_NONCOLLINEAR, BRANCH_COLLINEAR).astype(object)
     if degenerate is not None:
-        # NaN in place of the values of body_frames' stand-in shape
+        # NaN where the frame, and so phi and the momenta, are undefined
         phi, sin_phi, T, H = np.where(degenerate, np.nan, (phi, sin_phi, T, H))
         J, p = np.where(degenerate[:, None], np.nan, (J, p))
         branch[degenerate] = "degenerate"

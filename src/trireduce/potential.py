@@ -331,12 +331,32 @@ _NAMESPACE = {u.__name__: u for u in (*_UFUNCS.values(), np.sign, np.zeros)}
 _NAMESPACE.update(all_finite=_all_finite, check_value=_check_value, check_adjoint=_check_adjoint)
 
 
+def _check_depth(ast):
+    """Raise ValueError where the tree is more than MAX_DEPTH operations
+    deep, counted as _Parser.apply counts them (a leaf counts 0), one level
+    at a time, so that no depth costs a frame and a shared subtree is
+    visited once per level."""
+    level, depth = [ast], 0
+    while level:
+        operands = {}
+        for node in level:
+            if isinstance(node, (Neg, Call)):
+                operands[id(node.arg)] = node.arg
+            elif isinstance(node, Bin):
+                operands.update({id(node.left): node.left, id(node.right): node.right})
+        depth += bool(operands)
+        if depth > MAX_DEPTH:
+            raise ValueError(f"tree deeper than {MAX_DEPTH} operations")
+        level = list(operands.values())
+
+
 def _emit(ast, check=False):
     """Compile a tree to its walk, one generated straight-line function,
     and return it with the variables the tree reads.  Raises ValueError on
-    a node that the parser does not make, before any source is built: the
-    source holds only its own names, the tables' strings and a name for
-    each constant, bound to it as a read-only 0-d array.
+    a tree deeper than MAX_DEPTH (see _check_depth) or a node that the
+    parser does not make, before any source is built: the source holds only
+    its own names, the tables' strings and a name for each constant, bound
+    to it as a read-only 0-d array.
 
     walk(columns, shape, gradient) takes each variable's (N,) column and
     returns (V, derivatives, probe) on the rows, one numpy call per
@@ -359,6 +379,7 @@ def _emit(ast, check=False):
     first operation that passes down an adjoint that is not finite.  Run
     it under np.errstate, since the checks are masks.
     """
+    _check_depth(ast)
     lines, back, constants, read, grads, probed = [], [], {}, {}, {}, []
 
     def forward(node, strict):

@@ -222,9 +222,10 @@ class TestSimulate:
             assert float(rows[0]["H_reduced"]) == pytest.approx(H0, rel=1e-12)
 
     def test_out_of_range_thresholds_exit_2(self, tmp_path, caplog):
-        # a collinear threshold above 1e-6 snaps phi to 0 or pi on shapes
-        # far enough from collinear for H to leave E (0.999999 recorded
-        # H - E = 0.32 on this config)
+        # a collinear threshold above 1e-6 reads J and p in the bending
+        # frame on shapes far from collinear; H still equals E (at 0.999999
+        # every row of this config is collinear and max |H - E| is 4.4e-16),
+        # so the bound limits J and p, not H
         for thresholds in (
             {"collinear": 0.999999},
             {"collinear": -1e-9},
@@ -594,10 +595,10 @@ class TestEvaluate:
             assert abs(H - E) <= 1e-10
 
     def test_near_meeting_states(self, tmp_path):
-        # body 2 a distance eps over body 1, which lies on the 1-3 line: the
-        # collinear rule snaps phi to 0, but H takes the V of the positions'
-        # pair distances, as E does, so H = E also for a potential that is
-        # singular where bodies 1 and 2 meet
+        # body 2 a distance eps over body 1, which lies on the 1-3 line: H
+        # takes the V of the positions' pair distances, as E does, so H = E
+        # under either frame rule, also for a potential that is singular
+        # where bodies 1 and 2 meet
         harmonic = {"builtin": "harmonic", "params": {"k": 1.0, "rest_length": 1.0}}
         for eps in (1e-9, 9e-9, 5e-7):
             for potential in (harmonic, {"expression": "1/d12"}):

@@ -15,6 +15,7 @@ from trireduce.geometry import (
     cross,
     jacobi_map,
     lengths,
+    measure_shape,
     reduced_masses,
     shape_to_distances,
 )
@@ -179,8 +180,13 @@ def _frame(s1, s2, sd1, sd2):
     """body_frames of one state given as four 3-vectors: (R, r1, r2, phi),
     R = axes[0].T, so R s_body = s_space, and degenerate."""
     rows = (np.array([v], float) for v in (s1, s2, sd1, sd2))
-    axes, r1, r2, phi, _, _, _, degenerate = body_frames(*rows)
+    axes, r1, r2, phi, _, _, degenerate = body_frames(*rows)
     return axes[0].T, r1[0], r2[0], phi[0], degenerate
+
+
+def _measured_phi(s1, s2):
+    """measure_shape's phi of one pair of 3-vectors."""
+    return measure_shape(np.array([s1], float), np.array([s2], float))[-1][0]
 
 
 class TestJacobiMap:
@@ -315,11 +321,11 @@ class TestBodyFrameFit:
         z = np.zeros(3)
         assert _frame(z, [1, 0, 0], z, z)[-1].tolist() == [True]
         assert _frame([1, 0, 0], z, z, z)[-1].tolist() == [True]
-        # below the collinear threshold phi is exactly 0 or pi; with no
+        # below the collinear threshold phi is the measured angle; with no
         # bending motion u2 is a fixed perpendicular of u1
-        for s2, phi in (([2, 1e-12, 0], 0.0), ([-2, 1e-12, 0], pi)):
+        for s2 in ([2, 1e-12, 0], [-2, 1e-12, 0]):
             R, _, _, fitted_phi, _ = _frame([1, 0, 0], s2, z, z)
-            assert fitted_phi == phi
+            assert fitted_phi == _measured_phi([1, 0, 0], s2)
             assert np.array_equal(R[:, 0], [1.0, 0.0, 0.0])
             assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-15
             assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-15)
@@ -332,10 +338,11 @@ class TestBodyFrameFit:
         s1 = np.array([[1.0, 0.0, 0.0], z, [1.0, 2.0, 0.0], z])
         s2 = np.array([[0.0, 2.0, 0.0], [0.0, 1.0, 0.0], z, z])
         sd1, sd2 = RNG.normal(size=(2, 4, 3))
-        axes, r1, r2, phi, measured, sin_phi, planar, degenerate = body_frames(s1, s2, sd1, sd2)
+        axes, r1, r2, phi, sin_phi, planar, degenerate = body_frames(s1, s2, sd1, sd2)
         assert degenerate.tolist() == [False, True, True, True]
-        assert measured[0].tolist() == [1.0, 0.0, sqrt(5.0), 0.0]
-        assert measured[1].tolist() == [2.0, 1.0, 0.0, 0.0]
+        assert r1.tolist() == [1.0, 0.0, sqrt(5.0), 0.0]
+        assert r2.tolist() == [2.0, 1.0, 0.0, 0.0]
+        assert phi.tolist() == [pi / 2, 0.0, 0.0, 0.0]
         assert np.all(np.isfinite(axes)) and np.all(np.isfinite(sin_phi))
         assert np.all(np.abs(axes @ axes.transpose(0, 2, 1) - np.eye(3)) < 1e-15)
         assert body_frames(s1[:1], s2[:1], sd1[:1], sd2[:1])[-1] is None
@@ -346,7 +353,7 @@ class TestBodyFrameFit:
             k = RNG.uniform(-2.0, 2.0)
             sd1, sd2 = RNG.normal(size=3), RNG.normal(size=3)
             R, _, _, phi, _ = _frame(s1, k * s1, sd1, sd2)
-            assert phi == (0.0 if k > 0 else pi)
+            assert phi == _measured_phi(s1, k * s1)
             u1 = s1 / np.linalg.norm(s1)
             bend = sd2 - k * sd1  # sdot2 - sigma (r2/r1) sdot1
             bend -= np.dot(bend, u1) * u1

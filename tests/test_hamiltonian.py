@@ -1,4 +1,6 @@
+import json
 import re
+import sys
 from math import cos, pi, sin, sqrt
 
 import numpy as np
@@ -134,6 +136,57 @@ class TestCollinearHamiltonian:
             r1s, r2s, ones = np.array([1.0, r1]), np.array([0.5, r2]), np.ones((2, 3))
             with pytest.raises(DegenerateShape, match=message):
                 reduced_hamiltonian(r1s, r2s, np.ones(2), ones, ones, np.ones(2), np.zeros(2))
+
+
+def _as_form(form, *args):
+    """args, scalars and 3-vectors, as one float row, a one-row batch, or
+    complex input."""
+    if form == "array":
+        return [np.array([x], float) for x in args]
+    if form == "complex":
+        return [np.asarray(x) + 0j if np.ndim(x) else complex(x) for x in args]
+    return list(args)
+
+
+FORMS = ["float", "array", "complex"]
+ONES = np.ones(3)
+
+
+class TestNamedOverflow:
+    """An overflowing square, or an H that is not finite, is NumericalBlowup
+    naming the quantity, before a float's OverflowError or an array's
+    RuntimeWarning (an error here)."""
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_r1_squared(self, form):
+        args = _as_form(form, 1e200, 0.5, 0.3, ONES, ONES, 0.1, 0.0)
+        with pytest.raises(NumericalBlowup, match=r"^r1\^2 overflows$"):
+            reduced_hamiltonian(*args)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_singular_term_squared(self, form):
+        args = _as_form(form, 1.0, 1.0, 0.3, ONES, ONES, 1e200, 0.0)
+        with pytest.raises(NumericalBlowup, match=r"^T\^2 overflows$"):
+            reduced_hamiltonian(*args)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_r2_squared_in_singular_term(self, form):
+        args = _as_form(form, 1.0, 1e200, 0.3, ONES)
+        with pytest.raises(NumericalBlowup, match=r"^r2\^2 overflows$"):
+            singular_term(*args)
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_h_not_finite(self, form):
+        # every square is finite, but r1^2 + r2^2 is not
+        args = _as_form(form, 1e154, 1e154, 0.3, ONES, ONES, 0.1, 0.0)
+        with pytest.raises(NumericalBlowup, match="^H is not finite$"):
+            reduced_hamiltonian(*args)
+
+    def test_largest_finite_square_keeps_its_bits(self):
+        # the guard refuses no square that is finite
+        r1 = sqrt(sys.float_info.max)
+        assert reduced_hamiltonian(r1, 1.0, 0.3, ZERO, ZERO, 0.0, 0.0) == 0.0
+        assert singular_term(1.0, r1, 0.0, np.array([0.0, -1e-300, 0.0])) == r1 ** 2 * 1e-300
 
 
 class TestSingularTerm:
@@ -613,6 +666,63 @@ class TestOneRowPath:
             v2 = np.array([ok.velocities, state.velocities])
             with pytest.raises(NumericalBlowup, match=f"^{quantity} overflow at row 1$"):
                 evaluate_reduced_batch(masses, x2, v2, gravity)
+
+
+class TestMeasuredPhi:
+    """phi is measure_shape's angle on every row, under either frame rule."""
+
+    MASSES = MassTriple(1.0, 1.5, 2.0)
+    # below the collinear threshold, at phi = 0 exactly, and generic
+    PHIS = [1e-9, 3e-12, pi - 1e-10, 0.0, 1.1]
+
+    def states(self):
+        rng = np.random.default_rng(2707)
+        for phi in self.PHIS:
+            v1, v2 = rng.normal(size=(2, 3))
+            yield cartesian_from_jacobi(self.MASSES, *body_jacobi_vectors(1.0, 0.8, phi), v1, v2)
+
+    def measured_phi(self, x):
+        """measure_shape's phi of (N, 3, 3) positions."""
+        return geometry.measure_shape(*jacobi_map(self.MASSES, x[:, 0], x[:, 1], x[:, 2]))[-1]
+
+    def test_phi_is_measured_in_every_entry_point(self, tmp_path):
+        from trireduce.cli import main
+
+        potential = builtin_potential("harmonic", k=0.7)
+        states = list(self.states())
+        x = np.array([state.positions for state in states])
+        v = np.array([state.velocities for state in states])
+        phi = self.measured_phi(x)
+        assert np.count_nonzero(np.sin(phi) <= COLLINEAR_THRESHOLD) == 4
+        out = evaluate_reduced_batch(self.MASSES, x, v, potential)
+        assert out.phi.tolist() == phi.tolist()
+        E = out.E_total
+        assert np.all(np.abs(out.H_reduced - E) <= 1e-10 * np.maximum(1.0, np.abs(E)))
+        for state, measured in zip(states, phi.tolist()):
+            ev = evaluate_reduced(self.MASSES, state, potential)
+            assert ev.phi == measured
+            config = {
+                "masses": [1.0, 1.5, 2.0],
+                "potential": {"builtin": "harmonic", "params": {"k": 0.7}},
+                "initial_state": {
+                    "cartesian": {
+                        "positions": state.positions.tolist(),
+                        "velocities": state.velocities.tolist(),
+                    }
+                },
+                "integrator": {"dt": 1e-3, "steps": 3},
+            }
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "t.csv")]) == 0
+            lines = (tmp_path / "t.csv").read_text().splitlines()
+            rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+            assert float(rows[0]["phi"]) == measured
+            for row in rows:
+                xs = np.array([[[float(row[f"x{i}{c}"]) for c in "xyz"] for i in "123"]])
+                assert float(row["phi"]) == self.measured_phi(xs)[0]
+                H, E = float(row["H_reduced"]), float(row["E_total"])
+                assert abs(H - E) <= 1e-10 * max(1.0, abs(E))
 
 
 class TestOnePass:

@@ -404,6 +404,25 @@ class TestParser:
         value, _ = trireduce.potential._run(calls, columns, d.shape, False)
         assert value.tobytes() == np.abs(d).tobytes()
 
+    @pytest.mark.parametrize("depth", [500, 501, 1200])
+    def test_hand_built_trees_obey_the_depth_limit(self, depth):
+        # a tree built without the parser is held to its limit, counted as
+        # the parser counts it; past it PotentialSpec raises ValueError
+        # before _emit recurses (1200 was a RecursionError)
+        node = Var("d12")
+        for _ in range(depth - 1):
+            node = Neg(node)
+        node = Bin("*", Num(2.0), node)
+        if depth > 500:
+            with pytest.raises(ValueError, match="^tree deeper than 500 operations$"):
+                PotentialSpec(ast=node)
+            return
+        d = np.array([0.75, 1.5, -2.0])
+        value, gradient = trireduce.potential._run(
+            PotentialSpec(ast=node), dict(zip(VARIABLES, [d] * 6)), d.shape, True
+        )
+        assert value.tolist() == (-2.0 * d).tolist() and gradient[3].tolist() == [-2.0] * 3
+
 
 class TestSpec:
     def test_needs_exactly_one_kind(self):

@@ -43,9 +43,9 @@ MUTATIONS = [
     Mutation(
         name="collinear-snap",
         file="src/trireduce/geometry.py",
-        old="    if np.count_nonzero(planar) < n:\n",
+        old="    if np.count_nonzero(planar) < planar.size:\n",
         new=(
-            "    if np.count_nonzero(planar) < n:\n"
+            "    if np.count_nonzero(planar) < planar.size:\n"
             "        phi = np.where(planar, phi, np.where(dot >= 0.0, 0.0, np.pi))\n"
         ),
         reason="phi set to 0 or pi at or below the collinear threshold, not measured",

@@ -16,6 +16,7 @@ from .geometry import (
     body_frames,
     body_jacobi_vectors,
     cartesian_from_jacobi,
+    frame_matrices,
     shape_to_distances,
 )
 from .hamiltonian import reduced_hamiltonian, singular_term
@@ -122,7 +123,7 @@ def suite_so3(seed=DEFAULT_SEED, n=2000):
     s[1, :, 1] = np.where(family < 2, r2 * np.sin(phi), 0.0)
     Q = np.array([random_rotation(rng) for _ in range(n)])
     s1, s2, sd1, sd2 = np.einsum("kij,akj->aki", Q, np.concatenate([s, rates]))
-    axes = body_frames(s1, s2, sd1, sd2)[0]
+    axes = frame_matrices(body_frames(s1, s2, sd1, sd2)[0])
     worst = max(
         float(np.max(np.abs(axes @ axes.transpose(0, 2, 1) - np.eye(3)))),
         float(np.max(np.abs(np.linalg.det(axes) - 1.0))),
@@ -136,14 +137,14 @@ def suite_equivariance(seed=DEFAULT_SEED, n=200):
     tol = 1e-12
     worst = 0.0
     for _ in range(n):
-        rows = rng.normal(size=(4, 1, 3))
+        rows = rng.normal(size=(4, 3))
         Q = random_rotation(rng)
         axes, *q = body_frames(*rows)[:4]
         axes_q, *qq = body_frames(*(rows @ Q.T))[:4]
         worst = max(
             worst,
             float(np.max(np.abs(np.subtract(q, qq)))),
-            float(np.max(np.abs(axes_q[0].T - Q @ axes[0].T))),
+            float(np.max(np.abs(frame_matrices(axes_q).T - Q @ frame_matrices(axes).T))),
         )
     return worst < tol, f"max deviation {worst:.3e} (tol {tol:.1e})"
 

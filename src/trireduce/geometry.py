@@ -6,6 +6,13 @@ second, u3 = u1 x u2 (right-handed); at collinear shapes, where that plane
 is undefined, u2 follows the bending motion (see body_frames); no frame
 rule moves the measured phi.  The rotation matrix R has the body axes as
 columns, so body vectors b and space vectors s satisfy s = R b.
+
+measure_shape and body_frames read each vector by component and write
+every dot product, cross product and length as column arithmetic, with no
+einsum and no (N, 3, 3) array.  The same code takes (N, 3) rows for N
+states and 3-vectors for one, whose components are numpy scalars, so one
+state costs numpy's scalar operations rather than an array call each, and
+has the bits of its row in a batch.
 """
 
 from dataclasses import dataclass, fields
@@ -150,20 +157,44 @@ def lengths(a):
     return np.sqrt(np.add.reduce(a * a, -1))
 
 
+def _components(a):
+    """The components of (N, 3) rows as three (N,) columns, or of one
+    3-vector as three numpy scalars (a[..., k] would be a 0-d array, on
+    which each operation costs a ufunc call)."""
+    x, y, z = a.T
+    return x, y, z
+
+
+def _cross(a, b):
+    """a x b of vectors given as component triples, rounded as cross."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
+def _length(a):
+    """|a| of a vector given as a component triple, rounded as lengths."""
+    a0, a1, a2 = a
+    return np.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+
+
 def measure_shape(s1, s2):
-    """The shape of N pairs of Jacobi vectors given as (N, 3) rows:
-    (r1, r2, normal, area, dot, phi) with normal = s1 x s2 (N, 3), area =
-    |s1 x s2|, dot = s1 . s2 and phi = atan2(area, dot), the others (N,).
-    Every measurement of phi from the vectors is this one."""
-    normal = cross(s1, s2)
-    area = lengths(normal)
-    dot = np.einsum("ij,ij->i", s1, s2)
-    return lengths(s1), lengths(s2), normal, area, dot, np.arctan2(area, dot)
+    """The shape of pairs of Jacobi vectors given as (N, 3) rows, or of one
+    pair of 3-vectors: (r1, r2, normal, area, dot, phi) with normal =
+    s1 x s2 as its three (N,) component columns, area = |s1 x s2|, dot =
+    s1 . s2 = (x1 x2 + y1 y2) + z1 z2 and phi = atan2(area, dot), the others
+    (N,), or numpy scalars for one pair.  Every measurement of phi from the
+    vectors is this one; lengths and cross products round as lengths and
+    cross do."""
+    a, b = _components(s1), _components(s2)
+    normal = _cross(a, b)
+    area = _length(normal)
+    dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    return _length(a), _length(b), normal, area, dot, np.arctan2(area, dot)
 
 
 def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
     """Body frames and shape coordinates of N states, from (N, 3) arrays
-    of Jacobi vectors and their rates.
+    of Jacobi vectors and their rates, or of one state from four 3-vectors.
 
     u1 lies along s1.  Above collinear_threshold (on sin_phi =
     |s1 x s2|/(r1 r2)) u3 is the unit normal of the plane of s1 and s2.  At
@@ -171,40 +202,54 @@ def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
     (perpendicular part, sigma = sign(s1 . s2)), the limit of the
     normal-based frame along the motion; with no bending u2 is a fixed
     perpendicular of u1.  Returns (axes, r1, r2, phi, sin_phi, planar,
-    degenerate): axes[k] is R^T of state k (rows u1, u2, u3), (r1, r2, phi)
-    is measure_shape's on every row, whichever frame rule fits it, and
-    planar marks the rows above the threshold.  degenerate marks the rows
-    with r1 = 0 or r2 = 0 (None if none has), which have no frame: their
-    axes and sin_phi are fitted to the stand-in s1 = e1, s2 = e2, so
-    nothing divides by 0, and only their shape means anything.
+    degenerate): axes = (u1, u2, u3), each axis as its three component
+    columns (frame_matrices stacks them), and the rest columns, numpy
+    scalars for one state.  (r1, r2, phi) is measure_shape's on every row,
+    whichever frame rule fits it, and planar marks the rows above the
+    threshold.  degenerate marks the rows with r1 = 0 or r2 = 0 (None if
+    none has), which have no frame: their axes and sin_phi are fitted to
+    the stand-in s1 = e1, s2 = e2, so nothing divides by 0, and only their
+    shape means anything.
     """
     # np.count_nonzero rather than ndarray.all/any, whose Python-level
     # wrappers cost more than the test on a few rows
-    n = len(s1)
     r1, r2, normal, area, dot, phi = measure_shape(s1, s2)
     fit_r1, fit_r2, degenerate = r1, r2, None
-    if np.count_nonzero(r1) + np.count_nonzero(r2) < 2 * n:
-        degenerate = (r1 == 0.0) | (r2 == 0.0)
-        s1, s2 = np.where(degenerate[:, None], np.eye(3)[:2, None], (s1, s2))
+    zero = (r1 == 0.0) | (r2 == 0.0)
+    if np.count_nonzero(zero):
+        degenerate = zero
+        s1 = np.where(degenerate[..., None], (1.0, 0.0, 0.0), s1)
+        s2 = np.where(degenerate[..., None], (0.0, 1.0, 0.0), s2)
         fit_r1, fit_r2, normal, area, dot, _ = measure_shape(s1, s2)
     sin_phi = area / (fit_r1 * fit_r2)
     planar = sin_phi > collinear_threshold
-    u1 = s1 / fit_r1[:, None]
-    if np.count_nonzero(planar) < n:
-        bending = cross(u1, sd2 - (np.where(dot >= 0.0, fit_r2, -fit_r2) / fit_r1)[:, None] * sd1)
-        normal = np.where(planar[:, None], normal, bending)
+    u1 = tuple(x / fit_r1 for x in _components(s1))
+    if np.count_nonzero(planar) < planar.size:
+        # sigma r2 / r1, with sigma = +-1 from the mask: np.where costs
+        # more than the arithmetic on one state
+        k = ((dot >= 0.0) * 2.0 - 1.0) * fit_r2 / fit_r1
+        rate = [x2 - k * x1 for x1, x2 in zip(_components(sd1), _components(sd2))]
+        normal = tuple(np.where(planar, normal, _cross(u1, rate)))
     # Crossing with u1 keeps u2 orthogonal to u1 to rounding, also when
     # normal is a nearly cancelling cross product of nearly parallel vectors.
-    u2 = cross(normal, u1)
-    n2 = lengths(u2)
+    u2 = _cross(normal, u1)
+    n2 = _length(u2)
     still = n2 == 0.0
     if np.count_nonzero(still):
-        axis = np.eye(3)[np.argmin(np.abs(u1[still]), axis=1)]
-        u2[still] = cross(axis, u1[still])
-        n2[still] = lengths(u2[still])
-    u2 = u2 / n2[:, None]
-    axes = np.array([u1, u2, cross(u1, u2)]).transpose(1, 0, 2)
-    return axes, r1, r2, phi, sin_phi, planar, degenerate
+        # e_k x u1 for the first axis k along which |u1| is least
+        x, y, z = (np.abs(c) for c in u1)
+        first = (x <= y) & (x <= z)
+        axis = (1.0 * first, 1.0 * (~first & (y <= z)), 1.0 * (~first & (y > z)))
+        u2 = tuple(np.where(still, _cross(axis, u1), u2))
+        n2 = _length(u2)
+    u2 = tuple(c / n2 for c in u2)
+    return (u1, u2, _cross(u1, u2)), r1, r2, phi, sin_phi, planar, degenerate
+
+
+def frame_matrices(axes):
+    """body_frames' axes as R^T, rows u1, u2, u3: (N, 3, 3) for N states,
+    (3, 3) for one."""
+    return np.moveaxis(np.array(axes), (0, 1), (-2, -1))
 
 
 def body_jacobi_vectors(r1, r2, phi):

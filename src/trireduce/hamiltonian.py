@@ -14,11 +14,15 @@ they add up to |v1|^2 + |v2|^2 in any orthonormal frame with u1 along s1.
 V is the potential of the positions, as E_total takes it, so H equals the
 center-of-mass energy whenever r1 and r2 are nonzero, and H - E_total
 measures the kinetic identity alone.
+
+One kernel, _reduce_rows, serves both entry points.  Like body_frames it
+reads vectors by component, so evaluate_reduced_batch passes (N, 3) Jacobi
+rows and evaluate_reduced its state's four 3-vectors, which run the same
+operations on numpy scalars and give the batch row's bits.
 """
 
 from dataclasses import dataclass
-from math import cos, isfinite, sin, sqrt
-from sys import float_info
+from math import cos, isfinite, sin
 
 import numpy as np
 
@@ -35,12 +39,10 @@ from .geometry import (
     jacobi_map,
 )
 from .potential import PotentialSpec, potential_at_positions
-from .reduction import inertia_inverse
+from .reduction import check_square, inertia_inverse
 
 BRANCH_NONCOLLINEAR = "noncollinear"
 BRANCH_COLLINEAR = "collinear"
-
-_ROOT_MAX = sqrt(float_info.max)
 
 
 @dataclass(frozen=True)
@@ -94,20 +96,29 @@ def reduced_hamiltonian(r1, r2, phi, J, p, T, V):
 def singular_term(r1, r2, phi, omega):
     """The combination J1 / sin(phi) of the body angular velocity omega, in
     the form that stays finite for all phi: r2^2 w1 sin(phi) - r2^2 w2
-    cos(phi).  Takes arrays as reduced_hamiltonian does, and raises
-    NumericalBlowup where r2^2 overflows; r1 does not enter."""
+    cos(phi).  Takes arrays as reduced_hamiltonian does; r1 does not enter.
+    Raises NumericalBlowup where r2^2 overflows, and naming the product or
+    the difference that is not finite on some row, before a numpy
+    warning."""
     b = _square("r2", r2)
     w1, w2, _ = np.moveaxis(omega, -1, 0)
-    return b * w1 * np.sin(phi) - b * w2 * np.cos(phi)
+    # an overflow past the square, named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        first, second = b * w1 * np.sin(phi), b * w2 * np.cos(phi)
+        T = first - second
+    for name, value in (
+        ("r2^2 w1 sin(phi)", first),
+        ("r2^2 w2 cos(phi)", second),
+        ("r2^2 w1 sin(phi) - r2^2 w2 cos(phi)", T),
+    ):
+        if np.count_nonzero(np.isfinite(value)) < np.size(value):
+            raise NumericalBlowup(f"{name} overflows")
+    return T
 
 
 def _square(name, x):
-    """x ** 2, with its bits; raises NumericalBlowup naming x where |x|^2 is
-    past the float range, before a float's ** raises OverflowError or an
-    array's warns.  _ROOT_MAX is the largest float whose square is finite."""
-    if np.count_nonzero(np.abs(x) > _ROOT_MAX):
-        raise NumericalBlowup(f"{name}^2 overflows")
-    return x ** 2
+    """x ** 2, with its bits, checked by reduction.check_square."""
+    return check_square(name, x) ** 2
 
 
 def evaluate_reduced(
@@ -128,56 +139,63 @@ def evaluate_reduced(
     xv = np.array([[state.x1, state.x2, state.x3], [state.v1, state.v2, state.v3]])
     s1, s2 = jacobi_map(masses, xv[:, 0], xv[:, 1], xv[:, 2])
     r1, r2, phi, sin_phi, planar, degenerate, J, p, T, K = _reduce_rows(
-        collinear_threshold, s1[:1], s2[:1], s1[1:], s2[1:]
+        collinear_threshold, s1[0], s2[0], s1[1], s2[1]
     )
     if degenerate is not None:
-        raise DegenerateShape.from_r1(r1[0])
+        raise DegenerateShape.from_r1(r1)
     V = potential_at_positions(potential, masses, xv[:1], (r1, r2, phi))
-    H = float(K[0] + V[0])
+    H = float(K + V[0])
     if not isfinite(H):
         raise NumericalBlowup(f"H_reduced overflows ({H})")
     return ReducedEvaluation(
         H=H,
-        branch=BRANCH_NONCOLLINEAR if planar[0] else BRANCH_COLLINEAR,
-        r1=float(r1[0]), r2=float(r2[0]), phi=float(phi[0]), J=J[0], p=p[0],
-        singular_term=float(T[0]),
-        sin_phi=float(sin_phi[0]),
+        branch=BRANCH_NONCOLLINEAR if planar else BRANCH_COLLINEAR,
+        r1=float(r1), r2=float(r2), phi=float(phi), J=J, p=p,
+        singular_term=float(T),
+        sin_phi=float(sin_phi),
     )
 
 
 def _reduce_rows(collinear_threshold, s1, s2, sd1, sd2):
     """The kernel of evaluate_reduced and evaluate_reduced_batch: shape,
     momenta and kinetic energy K of N states given as (N, 3) Jacobi rows,
-    in body_frames' frames.  Raises NumericalBlowup naming a row not finite.
+    or of one state given as four 3-vectors, in body_frames' frames.
+    Raises NumericalBlowup naming a row not finite (row 0 for one state).
 
-    With body velocities v1 = R^T sdot1, v2 = R^T sdot2 and
+    With body velocities v1 = R^T sdot1, v2 = R^T sdot2 (each component
+    the dot product of an axis with the rate, (x + y) + z) and
     q = cos(phi) v2[1] - sin(phi) v2[0]: T = r2 v2[2], J2 + cos(phi) T =
     -r1 v1[2], J3 = r1 v1[1] + r2 q and p3 = r2 q.  K is the module
     docstring's kinetic terms in these velocities, where only S divides (1
     on degenerate rows: S is 0 where all three bodies meet); they add up to
     (|v1|^2 + |v2|^2) / 2 under either frame rule.  Returns body_frames'
-    (r1, r2, phi, sin_phi, planar, degenerate), J and p (N, 3), T and K (N,).
+    (r1, r2, phi, sin_phi, planar, degenerate), J and p (N, 3), T and K
+    (N,); for one state, numpy scalars and 3-vectors.
     """
-    rows = np.array([s1, s2, sd1, sd2])
-    _require_finite("Jacobi vector", rows.transpose(1, 0, 2))
+    finite = np.isfinite((s1, s2, sd1, sd2))
+    if np.count_nonzero(finite) < finite.size:
+        row = np.flatnonzero(~finite.all(axis=(0, -1)))[0]
+        raise NumericalBlowup(f"Jacobi vector overflow at row {row}")
     axes, r1, r2, phi, sin_phi, planar, degenerate = body_frames(
         s1, s2, sd1, sd2, collinear_threshold
     )
-    v1, v2 = np.einsum("kij,lkj->lki", axes, rows[2:])
+    (v1x, v1y, v1z), (v2x, v2y, v2z) = (
+        [u[0] * x + u[1] * y + u[2] * z for u in axes] for x, y, z in (sd1.T, sd2.T)
+    )
     s, c = np.sin(phi), np.cos(phi)
-    T = r2 * v2[:, 2]
-    q = c * v2[:, 1] - s * v2[:, 0]
+    T = r2 * v2z
+    q = c * v2y - s * v2x
     p3 = r2 * q
-    J2 = -r1 * v1[:, 2] - c * T
-    J3 = r1 * v1[:, 1] + p3
-    p2 = c * v2[:, 0] + s * v2[:, 1]
-    S = r1 ** 2 + r2 ** 2
+    J2 = -r1 * v1z - c * T
+    J3 = r1 * v1y + p3
+    p2 = c * v2x + s * v2y
+    S = r1 * r1 + r2 * r2
     if degenerate is not None:
         S = np.where(degenerate, 1.0, S)
-    quotients = (J3 ** 2 + (r1 * q - r2 * v1[:, 1]) ** 2) / S
-    K = 0.5 * (v2[:, 2] ** 2 + v1[:, 2] ** 2 + quotients + v1[:, 0] ** 2 + p2 ** 2)
-    J = np.array([s * T, J2, J3]).T
-    p = np.array([v1[:, 0], p2, p3]).T
+    w = r1 * q - r2 * v1y
+    K = 0.5 * (v2z * v2z + v1z * v1z + (J3 * J3 + w * w) / S + v1x * v1x + p2 * p2)
+    J = np.array((s * T, J2, J3)).T
+    p = np.array((v1x, p2, p3)).T
     return r1, r2, phi, sin_phi, planar, degenerate, J, p, T, K
 
 
@@ -186,8 +204,8 @@ def cartesian_from_momenta(masses, r1, r2, phi, J, p) -> CartesianState:
     body frame the space frame, by the inverse of _reduce_rows' map, which
     forms no omega or qdot (see reduction.velocities_from_momenta).  Raises
     ValueError where J or p is not a finite 3-vector (geometry.check_vector),
-    SingularInertia where inertia_inverse does, NumericalBlowup if a velocity
-    overflows."""
+    SingularInertia where inertia_inverse does, NumericalBlowup where r1^2
+    or r2^2 (reduction.check_square) or a velocity overflows."""
     J, p = check_vector("J", J), check_vector("p", p)
     inertia_inverse(r1, r2, phi)  # (J, p) fix the state only where I is invertible
     s, c = sin(phi), cos(phi)

@@ -331,32 +331,36 @@ _NAMESPACE = {u.__name__: u for u in (*_UFUNCS.values(), np.sign, np.zeros)}
 _NAMESPACE.update(all_finite=_all_finite, check_value=_check_value, check_adjoint=_check_adjoint)
 
 
-def _check_depth(ast):
-    """Raise ValueError where the tree is more than MAX_DEPTH operations
-    deep, counted as _Parser.apply counts them (a leaf counts 0), one level
-    at a time, so that no depth costs a frame and a shared subtree is
-    visited once per level."""
-    level, depth = [ast], 0
+def _check_tree(ast):
+    """Raise ValueError where an operation node occurs twice in the tree,
+    which the parser never makes and _emit would walk once per path to it
+    (2^n paths through n nested shared sums), or where the tree is more
+    than MAX_DEPTH operations deep, counted as _Parser.apply counts them (a
+    leaf counts 0).  One level at a time, so that no depth costs a frame,
+    and each operation node is visited once before the first repeat."""
+    level, depth, seen = [ast], 0, set()
     while level:
-        operands = {}
+        operands = []
         for node in level:
-            if isinstance(node, (Neg, Call)):
-                operands[id(node.arg)] = node.arg
-            elif isinstance(node, Bin):
-                operands.update({id(node.left): node.left, id(node.right): node.right})
+            if isinstance(node, (Neg, Call, Bin)):
+                if id(node) in seen:
+                    raise ValueError("tree shares a subtree")
+                seen.add(id(node))
+                operands += [node.left, node.right] if isinstance(node, Bin) else [node.arg]
         depth += bool(operands)
         if depth > MAX_DEPTH:
             raise ValueError(f"tree deeper than {MAX_DEPTH} operations")
-        level = list(operands.values())
+        level = operands
 
 
 def _emit(ast, check=False):
     """Compile a tree to its walk, one generated straight-line function,
     and return it with the variables the tree reads.  Raises ValueError on
-    a tree deeper than MAX_DEPTH (see _check_depth) or a node that the
-    parser does not make, before any source is built: the source holds only
-    its own names, the tables' strings and a name for each constant, bound
-    to it as a read-only 0-d array.
+    a tree that shares an operation node or is deeper than MAX_DEPTH (see
+    _check_tree), or on a node that the parser does not make, before any
+    source is built: the source holds only its own names, the tables'
+    strings and a name for each constant, bound to it as a read-only 0-d
+    array.
 
     walk(columns, shape, gradient) takes each variable's (N,) column and
     returns (V, derivatives, probe) on the rows, one numpy call per
@@ -379,7 +383,7 @@ def _emit(ast, check=False):
     first operation that passes down an adjoint that is not finite.  Run
     it under np.errstate, since the checks are masks.
     """
-    _check_depth(ast)
+    _check_tree(ast)
     lines, back, constants, read, grads, probed = [], [], {}, {}, {}, []
 
     def forward(node, strict):

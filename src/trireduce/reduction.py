@@ -11,18 +11,43 @@ state or arrays of one shape (...), and vectors omega, qdot, J and p as
 (..., 3); it returns (..., 3, 3) tensors and (..., 3) vectors.  A batch's
 row has the bits of that row's call: products are one matmul per row, and
 squares r * r (on a float r ** 2 is libm's pow, which at times rounds
-otherwise than np.square).  The columns are not checked: phi takes either
-sign, and a square that overflows is inf.  On a row where a tensor does
-not exist, SingularInertia names the quantity that is 0 there, or the
+otherwise than np.square).  The columns are not checked but for their
+squares: phi takes either sign, and where r1^2 or r2^2 overflows,
+NumericalBlowup names the square (see check_square, the rule that
+hamiltonian.reduced_hamiltonian applies too).  On a row where a tensor
+does not exist, SingularInertia names the quantity that is 0 there, or the
 inverse that is not finite.
 """
 
+from math import sqrt
+from sys import float_info
+
 import numpy as np
 
-from .errors import SingularInertia
+from .errors import NumericalBlowup, SingularInertia
 from .geometry import body_jacobi_vectors, cross
 
 SINGULAR_THRESHOLD = 1e-8
+
+_ROOT_MAX = sqrt(float_info.max)
+
+
+def check_square(name, x):
+    """x, a float, a complex number or an array, unchanged; raises
+    NumericalBlowup naming x where |x|^2 is past the float range on some
+    row, before a float's inf or OverflowError or an array's
+    RuntimeWarning.  The one overflow rule for a square, which this
+    module's r * r and hamiltonian.reduced_hamiltonian's x ** 2 apply.
+    _ROOT_MAX is the largest float whose square is finite."""
+    if np.count_nonzero(np.abs(x) > _ROOT_MAX):
+        raise NumericalBlowup(f"{name}^2 overflows")
+    return x
+
+
+def _square(name, r):
+    """r * r, checked by check_square."""
+    r = check_square(name, r)
+    return r * r
 
 
 def _tensor(shape, *entries):
@@ -51,7 +76,7 @@ def _require(ok, message):
 def inertia_tensor(r1, r2, phi):
     """Moment of inertia tensor of the shape in the body frame."""
     s, c = np.sin(phi), np.cos(phi)
-    a, b = r1 * r1, r2 * r2
+    a, b = _square("r1", r1), _square("r2", r2)
     return _tensor(
         (3, 3), b * s * s, -b * s * c, 0.0, -b * s * c, a + b * c * c, 0.0, 0.0, 0.0, a + b
     )
@@ -69,7 +94,7 @@ def inertia_inverse(r1, r2, phi):
     if np.count_nonzero(near):
         at = np.extract(near, np.abs(s))[0]
         raise SingularInertia(f"|sin phi| = {at:.3e} at or below {SINGULAR_THRESHOLD:.3e}")
-    a, b = r1 * r1, r2 * r2
+    a, b = _square("r1", r1), _square("r2", r2)
     det = a * b * s * s
     _require(det, "r1^2 r2^2 sin^2 phi underflows to 0: the inertia tensor is singular")
     with np.errstate(over="ignore", divide="ignore"):  # a subnormal divisor, named below
@@ -84,7 +109,7 @@ def inertia_inverse(r1, r2, phi):
 def gauge_potential(r1, r2, phi):
     """Gauge one-form a_mu (rows a_r1, a_r2, a_phi); only a_phi = (0, 0, r2^2)
     is nonzero."""
-    return _corner(r2 * r2)
+    return _corner(_square("r2", r2))
 
 
 def mechanical_connection(r1, r2, phi):
@@ -94,7 +119,7 @@ def mechanical_connection(r1, r2, phi):
     tensor never degenerates.  Where both squares underflow, A33 is taken on
     r1, r2 over the larger of the two; SingularInertia where r1 = r2 = 0.
     """
-    S = r1 * r1 + r2 * r2
+    S = _square("r1", r1) + _square("r2", r2)
     if np.count_nonzero(S) < np.size(S):  # both squares underflow, the ratio need not
         larger = np.maximum(np.abs(r1), np.abs(r2))
         _require(larger, "r1 = r2 = 0: the mechanical connection is undefined")
@@ -108,7 +133,7 @@ def horizontal_metric(r1, r2, phi):
     where g33 underflows or 1/g33 is not finite, on some row."""
     _require(r2, "r2 = 0: the horizontal metric is singular")
     _require(r1, "r1 = 0: the horizontal metric is singular")
-    a, b = r1 * r1, r2 * r2
+    a, b = _square("r1", r1), _square("r2", r2)
     g33 = a * b / (a + b) if np.count_nonzero(a * b) == np.size(a * b) else 0.0  # no 0/0
     _require(g33, "g33 underflows to 0: the horizontal metric is singular")
     with np.errstate(over="ignore"):  # a subnormal g33, named below

@@ -13,6 +13,7 @@ from trireduce.geometry import (
     cartesian_from_jacobi,
     check_vector,
     cross,
+    frame_matrices,
     jacobi_map,
     lengths,
     measure_shape,
@@ -181,7 +182,7 @@ def _frame(s1, s2, sd1, sd2):
     R = axes[0].T, so R s_body = s_space, and degenerate."""
     rows = (np.array([v], float) for v in (s1, s2, sd1, sd2))
     axes, r1, r2, phi, _, _, degenerate = body_frames(*rows)
-    return axes[0].T, r1[0], r2[0], phi[0], degenerate
+    return frame_matrices(axes)[0].T, r1[0], r2[0], phi[0], degenerate
 
 
 def _measured_phi(s1, s2):
@@ -344,6 +345,7 @@ class TestBodyFrameFit:
         assert r2.tolist() == [2.0, 1.0, 0.0, 0.0]
         assert phi.tolist() == [pi / 2, 0.0, 0.0, 0.0]
         assert np.all(np.isfinite(axes)) and np.all(np.isfinite(sin_phi))
+        axes = frame_matrices(axes)
         assert np.all(np.abs(axes @ axes.transpose(0, 2, 1) - np.eye(3)) < 1e-15)
         assert body_frames(s1[:1], s2[:1], sd1[:1], sd2[:1])[-1] is None
 

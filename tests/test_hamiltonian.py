@@ -20,6 +20,7 @@ from trireduce.geometry import (
     body_frames,
     body_jacobi_vectors,
     cartesian_from_jacobi,
+    frame_matrices,
     jacobi_map,
     reduced_masses,
 )
@@ -175,6 +176,23 @@ class TestNamedOverflow:
         with pytest.raises(NumericalBlowup, match=r"^r2\^2 overflows$"):
             singular_term(*args)
 
+    @pytest.mark.parametrize(
+        "omega, name",
+        [
+            ([1e300, 0.0, 0.0], r"r2\^2 w1 sin\(phi\)"),
+            ([0.0, 1e300, 0.0], r"r2\^2 w2 cos\(phi\)"),
+            # each product is 1.2e308, their difference is not finite
+            ([1.7e108, -1.7e108, 0.0], r"r2\^2 w1 sin\(phi\) - r2\^2 w2 cos\(phi\)"),
+        ],
+        ids=["w1", "w2", "difference"],
+    )
+    @pytest.mark.parametrize("form", FORMS)
+    def test_singular_term_products(self, form, omega, name):
+        # r2^2 = 1e200 is finite, a product with omega is not
+        args = _as_form(form, 1.0, 1e100, pi / 4, np.array(omega))
+        with pytest.raises(NumericalBlowup, match=f"^{name} overflows$"):
+            singular_term(*args)
+
     @pytest.mark.parametrize("form", FORMS)
     def test_h_not_finite(self, form):
         # every square is finite, but r1^2 + r2^2 is not
@@ -273,7 +291,7 @@ def fitted_frame(j, collinear_threshold=COLLINEAR_THRESHOLD):
     """R (R s_body = s_space) and the shape of body_frames' fit of the one
     state whose Jacobi rows are j."""
     axes, r1, r2, phi = body_frames(*j[:, None], collinear_threshold)[:4]
-    return axes[0].T, (r1[0], r2[0], phi[0])
+    return frame_matrices(axes)[0].T, (r1[0], r2[0], phi[0])
 
 
 class TestAlignCollinearFrame:
@@ -459,7 +477,7 @@ ROTATIONS = st.integers(0, 2 ** 32 - 1).map(
 
 
 @st.composite
-def rotated_states(draw, masses=MASS_TRIPLES):
+def rotated_states(draw, masses=MASS_TRIPLES, kinds=st.sampled_from(sorted(PHI_BY_KIND))):
     """Zero-momentum Cartesian state of a given shape kind, randomly
     rotated.  Collinear kinds have s2 exactly parallel to s1 after the
     rotation; zero_L ones also have L = 0 (as the figure-eight start);
@@ -467,7 +485,7 @@ def rotated_states(draw, masses=MASS_TRIPLES):
     r2 sin(phi) from it; close_ij ones have bodies i and j 1e-8 to 1e-5 of
     the size of the shape apart."""
     masses = draw(masses)
-    kind = draw(st.sampled_from(sorted(PHI_BY_KIND)))
+    kind = draw(kinds)
     phi = draw(PHI_BY_KIND[kind])
     if kind in ("sub_threshold", "near_collinear") and draw(st.booleans()):
         phi = pi - phi
@@ -666,6 +684,85 @@ class TestOneRowPath:
             v2 = np.array([ok.velocities, state.velocities])
             with pytest.raises(NumericalBlowup, match=f"^{quantity} overflow at row 1$"):
                 evaluate_reduced_batch(masses, x2, v2, gravity)
+
+
+def jacobi_vectors(masses, state):
+    """The four 3-vectors (s1, s2, sd1, sd2) of a state."""
+    return (*jacobi_map(masses, *state.positions), *jacobi_map(masses, *state.velocities))
+
+
+@st.composite
+def unbent_jacobi(draw):
+    """The Jacobi vectors of an exactly collinear state with no bending
+    rate, which gets the fixed perpendicular frame: at rest, or on an axis
+    with its rates along it."""
+    r1, k = draw(st.floats(0.3, 2.0)), draw(st.floats(-2.0, 2.0).filter(bool))
+    axis = np.eye(3)[draw(st.integers(0, 2))]
+    s1 = r1 * (draw(ROTATIONS) @ axis if draw(st.booleans()) else axis)
+    if np.array_equal(s1, r1 * axis):
+        rates = [draw(st.floats(-2.0, 2.0)) * axis for _ in range(2)]
+    else:
+        rates = [np.zeros(3)] * 2
+    return s1, k * s1, *rates
+
+
+ONE_STATE_KINDS = (*sorted(PHI_BY_KIND), "degenerate", "unbent")
+
+
+def kind_jacobi(kind):
+    """The Jacobi vectors of states of one kind of rotated_states, or of a
+    degenerate (r1 = 0 or r2 = 0) or unbent state."""
+    if kind == "unbent":
+        return unbent_jacobi()
+    if kind == "degenerate":
+        return MASS_TRIPLES.flatmap(
+            lambda m: degenerate_states(m).map(lambda state: jacobi_vectors(m, state))
+        )
+    return rotated_states(kinds=st.just(kind)).map(lambda case: jacobi_vectors(*case[1:]))
+
+
+ANY_JACOBI = st.sampled_from(ONE_STATE_KINDS).flatmap(kind_jacobi)
+
+
+def _bits(value):
+    return np.asarray(value).tobytes()
+
+
+class TestOneStateKernel:
+    """measure_shape, body_frames and the kernel on one state given as four
+    3-vectors run the batch's operations on numpy scalars: each output is
+    its row of the (N, 3) call, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ONE_STATE_KINDS)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_one_state_is_its_row(self, kind, data):
+        states = data.draw(st.lists(ANY_JACOBI, max_size=5))
+        states.insert(data.draw(st.integers(0, len(states))), data.draw(kind_jacobi(kind)))
+        threshold = data.draw(st.sampled_from([COLLINEAR_THRESHOLD, 0.5]))
+        s1, s2, sd1, sd2 = (np.array(rows) for rows in zip(*states))
+        shape = geometry.measure_shape(s1, s2)
+        frames = body_frames(s1, s2, sd1, sd2, threshold)
+        kernel = hamiltonian._reduce_rows(threshold, s1, s2, sd1, sd2)
+        for i, vectors in enumerate(states):
+            one = geometry.measure_shape(*vectors[:2])
+            normal, one_normal = shape[2], one[2]
+            assert [_bits(c[i]) for c in normal] == [_bits(c) for c in one_normal]
+            for column, value in zip(shape[:2] + shape[3:], one[:2] + one[3:]):
+                assert isinstance(value, np.float64) and _bits(column[i]) == _bits(value)
+            one = body_frames(*vectors, threshold)
+            assert [_bits(c[i]) for u in frames[0] for c in u] == [
+                _bits(c) for u in one[0] for c in u
+            ]
+            for column, value in zip(frames[1:-1], one[1:-1]):
+                assert isinstance(value, np.generic) and _bits(column[i]) == _bits(value)
+            marked = frames[-1] is not None and frames[-1][i]
+            assert (one[-1] is not None) == marked, kind
+            one = hamiltonian._reduce_rows(threshold, *vectors)
+            for name, column, value in zip(("J", "p", "T", "K"), kernel[-4:], one[-4:]):
+                assert _bits(column[i]) == _bits(value), (kind, name)
+            assert one[-4].shape == one[-3].shape == (3,)
+            assert isinstance(one[-2], np.float64) and isinstance(one[-1], np.float64)
 
 
 class TestMeasuredPhi:

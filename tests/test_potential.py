@@ -423,6 +423,25 @@ class TestParser:
         )
         assert value.tolist() == (-2.0 * d).tolist() and gradient[3].tolist() == [-2.0] * 3
 
+    def test_shared_subtree_is_refused_at_once(self, monkeypatch):
+        # n = n + n, 400 times, is 401 nodes and 400 deep, within the depth
+        # limit, but 2^400 paths from the root: refused before any source
+        # is built, where _emit would walk every path (depth 20 took 29 s)
+        leaf = Var("d12")
+        # a shared leaf is not a shared operation: it compiles
+        spec = PotentialSpec(ast=Bin("*", leaf, Bin("+", leaf, Num(1.0))))
+        assert eval_potential_batch(spec, MASSES, *np.full((6, 1), 3.0)).tolist() == [12.0]
+        built = []
+        monkeypatch.setattr(trireduce.potential, "compile", lambda *args: built.append(args), raising=False)
+        node = leaf
+        for _ in range(400):
+            node = Bin("+", node, node)
+        once = Bin("+", leaf, Num(1.0))
+        for ast in (node, Call("sin", Bin("*", once, Neg(once)))):
+            with pytest.raises(ValueError, match="^tree shares a subtree$"):
+                PotentialSpec(ast=ast)
+        assert built == []
+
 
 class TestSpec:
     def test_needs_exactly_one_kind(self):

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from trireduce.checks import brute_gauge, brute_inertia, random_rotation
-from trireduce.errors import SingularInertia
-from trireduce.geometry import MassTriple, body_frames, body_jacobi_vectors, cartesian_from_jacobi
+from trireduce.errors import NumericalBlowup, SingularInertia
+from trireduce.geometry import (
+    MassTriple,
+    body_frames,
+    body_jacobi_vectors,
+    cartesian_from_jacobi,
+    frame_matrices,
+)
 from trireduce import reduction
 from trireduce.reduction import (
     body_angular_momentum,
@@ -171,7 +177,7 @@ class TestBodyVelocities:
             b1, b2 = body_jacobi_vectors(*q)
             v1, v2 = body_velocities(*q, *w)
             s1, s2, sd1, sd2 = Q @ b1, Q @ b2, Q @ v1, Q @ v2
-            R = body_frames(s1[None], s2[None], sd1[None], sd2[None])[0][0].T
+            R = frame_matrices(body_frames(s1, s2, sd1, sd2)[0]).T
             assert np.allclose(R.T @ sd1, v1, atol=1e-12)
             assert np.allclose(R.T @ sd2, v2, atol=1e-12)
 
@@ -254,7 +260,7 @@ class TestBodyAngularMomentum:
             b1, b2 = body_jacobi_vectors(*q)
             v1, v2 = body_velocities(*q, *w)
             s1, s2, sd1, sd2 = Q @ b1, Q @ b2, Q @ v1, Q @ v2
-            R = body_frames(s1[None], s2[None], sd1[None], sd2[None])[0][0].T
+            R = frame_matrices(body_frames(s1, s2, sd1, sd2)[0]).T
             L = np.cross(s1, sd1) + np.cross(s2, sd2)
             assert np.allclose(body_angular_momentum(*q, *w), R.T @ L, atol=1e-10)
 
@@ -415,6 +421,29 @@ class TestUnderflowingSquares:
         metric = name in ("horizontal_metric", "shape_momenta")
         with pytest.raises(SingularInertia, match=self.METRIC if metric else self.INERTIA):
             call(name, *with_row(shape))
+
+
+# the functions that square r1 or r2, each with the lengths it squares
+SQUARING = {
+    name: ("r2",) if name == "gauge_potential" else ("r1", "r2")
+    for name in FUNCTIONS
+    if name not in ("shape_partials", "body_velocities")
+}
+
+
+@pytest.mark.parametrize("length", ["r1", "r2"])
+@pytest.mark.parametrize("name", sorted(SQUARING))
+def test_overflowing_square_is_named(name, length):
+    # a square past the float range is NumericalBlowup naming it, from a
+    # float call and on one row of a column, never an inf entry or a
+    # RuntimeWarning (an error here)
+    shape = (1e200, 0.8, 1.1) if length == "r1" else (1.3, 1e200, 1.1)
+    for args in (shape, with_row(shape)):
+        if length not in SQUARING[name]:
+            assert np.all(np.isfinite(call(name, *args)))
+            continue
+        with pytest.raises(NumericalBlowup, match=rf"^{length}\^2 overflows$"):
+            call(name, *args)
 
 
 def test_shape_partials_match_finite_differences():

@@ -172,10 +172,8 @@ def _reduce_rows(collinear_threshold, s1, s2, sd1, sd2):
     (r1, r2, phi, sin_phi, planar, degenerate), J and p (N, 3), T and K
     (N,); for one state, numpy scalars and 3-vectors.
     """
-    finite = np.isfinite((s1, s2, sd1, sd2))
-    if np.count_nonzero(finite) < finite.size:
-        row = np.flatnonzero(~finite.all(axis=(0, -1)))[0]
-        raise NumericalBlowup(f"Jacobi vector overflow at row {row}")
+    # one state's 12 components as row 0
+    _require_finite("Jacobi vector", np.concatenate((s1, s2, sd1, sd2), -1).reshape(-1, 12))
     axes, r1, r2, phi, sin_phi, planar, degenerate = body_frames(
         s1, s2, sd1, sd2, collinear_threshold
     )
@@ -241,7 +239,8 @@ class ReducedBatch:
 
 
 def _require_finite(name, values):
-    """Raise NumericalBlowup naming the first row of values not all finite."""
+    """Raise NumericalBlowup naming the first row of values, an (N, ...)
+    array, that is not all finite."""
     finite = np.isfinite(values)
     if np.count_nonzero(finite) < finite.size:
         row = np.flatnonzero(~finite.reshape(len(finite), -1).all(axis=1))[0]

@@ -685,10 +685,12 @@ def eval_potential_batch(
 
 def potential_at_positions(spec: PotentialSpec, masses: MassTriple, x, shape=None) -> np.ndarray:
     """Potential energy of N configurations given as an (N, 3, 3) array of
-    positions, one row per body: the one route from positions to V.  It
-    forms the pair distances; a potential that reads r1, r2 or phi takes
-    them from `shape`, the (N,) arrays (r1, r2, phi) of measure_shape that
-    the caller measured, or measures them itself when shape is None."""
+    positions, one row per body: the one route from positions to V, an
+    (N,) array, as the pair distances it forms are (N,) columns.  A
+    potential that reads r1, r2 or phi takes them from `shape`, the
+    (r1, r2, phi) of measure_shape that the caller measured: (N,) arrays,
+    or numpy scalars for one configuration (N = 1), which broadcast with
+    the distances.  It measures them itself when shape is None."""
     d = lengths(_INCIDENCE @ x)
     if spec.builtin is not None:
         return _pair_potential(spec, masses, d)
@@ -738,14 +740,14 @@ def _phi_slope_vanishes(spec, columns, slope):
 
 
 def _shape_forces(A, s, shape, slopes):
-    """Forces from slopes = dV/d(r1, r2, phi) at the Jacobi vectors s and
-    their measure_shape, one row each.  dV/ds = C s for s1, s2 stacked
-    and a symmetric 2 x 2 matrix C, and dV/dx = A^T C s for the (2, 3)
-    Jacobi matrix A.  A slope of phi at |s1 x s2| = 0 must be 0 (see
-    forces_cartesian); r1 or r2 at 0 raises DomainError unless its slope
-    is 0."""
+    """Forces from slopes = dV/d(r1, r2, phi) at one state's Jacobi
+    3-vectors s and their measure_shape, numpy scalars.  dV/ds = C s for
+    s1, s2 stacked and a symmetric 2 x 2 matrix C, and dV/dx = A^T C s for
+    the (2, 3) Jacobi matrix A.  A slope of phi at |s1 x s2| = 0 must be
+    0 (see forces_cartesian); r1 or r2 at 0 raises DomainError unless its
+    slope is 0."""
     r1, r2, _, area, dot, _ = shape
-    r1, r2, area, dot = (float(v[0]) for v in (r1, r2, area, dot))
+    r1, r2, area, dot = (float(v) for v in (r1, r2, area, dot))
     dr1, dr2, dphi = slopes
     for name, r, slope in (("r1", r1, dr1), ("r2", r2, dr2)):
         if r == 0.0 and slope != 0.0:
@@ -759,7 +761,7 @@ def _shape_forces(A, s, shape, slopes):
         c22 += dphi * dot / (r2 * r2 * area)
         c12 = -dphi / area
     s1, s2 = s
-    g = np.concatenate([c11 * s1 + c12 * s2, c12 * s1 + c22 * s2])
+    g = np.array([c11 * s1 + c12 * s2, c12 * s1 + c22 * s2])
     return -np.einsum("si,sk->ik", A, g)
 
 
@@ -792,17 +794,20 @@ def force_field(spec: PotentialSpec, masses: MassTriple):
             d = lengths(delta)
         columns = dict(zip(PAIRS, d[:, None])) if pairs else {}
         if jacobi:
-            s = jacobi_map(masses, *x[:, None])  # one (1, 3) row each
+            # one state's 3-vectors, so measure_shape runs on numpy scalars;
+            # the walk runs on (1,) columns, as for the pairs, since a numpy
+            # scalar's ** takes libm's pow, which rounds unlike the array loop
+            s = jacobi_map(masses, *x)
             shape = measure_shape(*s)
             r1, r2, _, area, _, phi = shape
-            columns.update(r1=r1, r2=r2, phi=phi)
+            columns.update(r1=r1[None], r2=r2[None], phi=phi[None])
         _, gradient = _run(spec, columns, (1,), gradient=True)
         forces = _pair_forces(gradient[3:, 0], delta, *_off_zero(d)) if pairs else np.zeros((3, 3))
         if jacobi:
             slopes = gradient[:3, 0].tolist()
-            if reads_phi and area[0] == 0.0:
+            if reads_phi and area == 0.0:
                 if not _phi_slope_vanishes(spec, columns, slopes[2]):  # r1, r2 > 0 (see _run)
-                    raise DomainError("phi", float(phi[0]))
+                    raise DomainError("phi", float(phi))
                 # |dphi/ds1| = 1/r1 and |dphi/ds2| = 1/r2 in the plane of the
                 # motion, so the phi term tends to 0 with dV/dphi
                 slopes[2] = 0.0

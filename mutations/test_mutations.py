@@ -106,6 +106,26 @@ MUTATIONS = [
             "tests/test_cli.py::TestEvaluate::test_shape_initial_state",
         ),
     ),
+    Mutation(
+        name="signed-zero-force",
+        file="src/trireduce/potential.py",
+        old="        0.0 - a1 - b1, 0.0 - a2 - b2, 0.0 - a3 - b3,\n",
+        new="        -a1 - b1, -a2 - b2, -a3 - b3,\n",
+        reason="body 1's force summed without the +0.0 start, so it is -0.0 where both pair terms are 0",
+        caught_by=tuple(
+            f"tests/test_potential.py::TestForces::test_pair_forces_keep_the_reference_bits[{spec}]"
+            for spec in ("gravity", "gravity_unit", "harmonic", "harmonic_rest", "lennard_jones",
+                         "free", "expr_sparse")
+        ),
+    ),
+    Mutation(
+        name="loose-step-guard",
+        file="src/trireduce/dynamics.py",
+        old="if not hypot(*y) < 0.99e12:",
+        new="if not hypot(*y) < 1e15:",
+        reason="the step guard's fast bound raised past OVERFLOW_GUARD, so a step beyond it passes",
+        caught_by=("tests/test_dynamics.py::TestIntegrate::test_blowup_guard",),
+    ),
 ]
 
 

@@ -385,7 +385,7 @@ def suite_parser(seed=DEFAULT_SEED, n_configs=30):
             pos = rng.uniform(-1.5, 1.5, size=(3, 3))
             if min(np.linalg.norm(pos[i] - pos[k]) for i, k in [(0, 1), (0, 2), (1, 2)]) < 0.5:
                 continue
-            F = field(pos)
+            F = np.reshape(field(pos.ravel().tolist()), (3, 3))
             fd = -(potential_at_positions(spec, masses, pos + offsets).reshape(9, 4) @ weights)
             scale = np.maximum(np.abs(fd), 1.0)
             worst_grad = max(worst_grad, float(np.max(np.abs(F.ravel() - fd) / scale)))

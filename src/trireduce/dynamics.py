@@ -8,8 +8,9 @@ rather than integrator artifacts.  RK4 is provided for cross-checks.
 
 import sys
 from dataclasses import dataclass, fields
-from math import isfinite
+from math import hypot, isfinite
 from numbers import Integral
+from operator import add
 
 import numpy as np
 
@@ -95,34 +96,44 @@ def total_energy(masses: MassTriple, state: CartesianState, potential) -> float:
     return kinetic + float(potential_at_positions(potential, masses, state.positions[None])[0])
 
 
-def _leapfrog_steps(field, m, y, dt, n, on_step):
-    """n leapfrog steps of the state y = (x, v), in place, under the forces
-    field(x) on the masses m, a (3, 1) column."""
-    x, v = y
+def _leapfrog_steps(field, m, y, dt, n):
+    """Yield the state y, 18 floats (the nine position components, then
+    the nine velocity components), after each of n leapfrog steps under
+    the forces field(x) on the masses m, one per component."""
+    x, v = y[:9], y[9:]
     h = 0.5 * dt
-    kick = h * (field(x) / m)  # the half kick ends one step and starts the next
-    for k in range(n):
-        v += kick
-        x += dt * v
-        kick = h * (field(x) / m)
-        v += kick
-        on_step(k, y)
+    kick = [h * (f / w) for f, w in zip(field(x), m)]  # ends one step and starts the next
+    for _ in range(n):
+        v = list(map(add, v, kick))
+        x = [a + dt * b for a, b in zip(x, v)]
+        kick = [h * (f / w) for f, w in zip(field(x), m)]
+        v = list(map(add, v, kick))
+        yield x + v
 
 
-def _rk4_steps(field, m, y, dt, n, on_step):
-    """n classical Runge-Kutta steps of y' = f(y) = (v, a(x)), in place,
-    with the accelerations a(x) = field(x) / m."""
+def _rk4_steps(field, m, y, dt, n):
+    """Yield y after each of n classical Runge-Kutta steps of y' = f(y) =
+    (v, a(x)), with the accelerations a(x) = field(x) / m, as
+    _leapfrog_steps does."""
+    h, sixth = 0.5 * dt, dt / 6.0
 
     def f(y):
-        return np.array((y[1], field(y[0]) / m))
+        return y[9:] + [F / w for F, w in zip(field(y[:9]), m)]
 
-    for k in range(n):
+    for _ in range(n):
         k1 = f(y)
-        k2 = f(y + 0.5 * dt * k1)
-        k3 = f(y + 0.5 * dt * k2)
-        k4 = f(y + dt * k3)
-        y += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        on_step(k, y)
+        k2 = f([a + h * b for a, b in zip(y, k1)])
+        k3 = f([a + h * b for a, b in zip(y, k2)])
+        k4 = f([a + dt * b for a, b in zip(y, k3)])
+        y = [a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
+        yield y
+
+
+def _check_guard(y, step):
+    """Raise NumericalBlowup naming the step unless every component of y
+    lies in [-OVERFLOW_GUARD, OVERFLOW_GUARD]; a NaN does not."""
+    if not all(abs(c) <= OVERFLOW_GUARD for c in y):
+        raise NumericalBlowup(f"coordinate overflow at step {step}")
 
 
 def integrate(
@@ -132,33 +143,34 @@ def integrate(
     cfg: IntegratorConfig,
     collinear_threshold=COLLINEAR_THRESHOLD,
 ) -> Trajectory:
-    """Integrate the Cartesian equations of motion, stepping the state
-    (x, v) in place under the potential's force_field, bound once per run,
+    """Integrate the Cartesian equations of motion, stepping the state as
+    18 floats under the potential's force_field, bound once per run,
     record it every record_stride steps, and reduce the recorded states in
     one pass (evaluate_reduced_batch).
 
     Raises NumericalBlowup, naming the step (0 for the start), when at the
     start or after a step a position or velocity component leaves
-    [-OVERFLOW_GUARD, OVERFLOW_GUARD] or is NaN.
+    [-OVERFLOW_GUARD, OVERFLOW_GUARD] or is NaN.  A step is first held to
+    the root of the sum of the squares of its 18 components, which is at
+    least the largest: below 0.99e12, under OVERFLOW_GUARD, every
+    component is inside; only where that fails is each one tested.
     """
     stride = cfg.record_stride
     rows = cfg.steps // stride + 1
-    y = np.array((state0.positions, state0.velocities))
-    if not (np.abs(y).max() <= OVERFLOW_GUARD):
-        raise NumericalBlowup("coordinate overflow at step 0")
+    y = np.concatenate((state0.positions, state0.velocities), axis=None).tolist()
+    _check_guard(y, 0)
     # two arrays, not one (2, rows, 3, 3) block, which raises a long run's peak RSS
     xs, vs = np.empty((rows, 3, 3)), np.empty((rows, 3, 3))
-    xs[0], vs[0] = y
-    m = masses.as_array()[:, None]
-
-    def on_step(k, y):
-        if not (np.maximum.reduce(np.abs(y), None) <= OVERFLOW_GUARD):
-            raise NumericalBlowup(f"coordinate overflow at step {k + 1}")
-        if (k + 1) % stride == 0:
-            xs[(k + 1) // stride], vs[(k + 1) // stride] = y
-
+    x_rows, v_rows = xs.reshape(rows, 9), vs.reshape(rows, 9)
+    x_rows[0], v_rows[0] = y[:9], y[9:]
+    m = masses.as_array().repeat(3).tolist()
     stepper = _leapfrog_steps if cfg.method == "leapfrog" else _rk4_steps
-    stepper(force_field(potential, masses), m, y, cfg.dt, cfg.steps, on_step)
+    steps = stepper(force_field(potential, masses), m, y, cfg.dt, cfg.steps)
+    for k, y in enumerate(steps, 1):
+        if not hypot(*y) < 0.99e12:
+            _check_guard(y, k)
+        if k % stride == 0:
+            x_rows[k // stride], v_rows[k // stride] = y[:9], y[9:]
     reduced = evaluate_reduced_batch(masses, xs, vs, potential, collinear_threshold)
     t = np.arange(rows) * stride * cfg.dt
     return Trajectory(**vars(reduced), t=t, x=xs, v=vs)

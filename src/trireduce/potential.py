@@ -10,7 +10,7 @@ straight-line function that returns its value and its reverse-mode pullback.
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from math import copysign
+from math import copysign, inf, sqrt
 from numbers import Real
 
 import numpy as np
@@ -583,11 +583,10 @@ def parse_potential(text) -> PotentialSpec:
 
 
 # pair-by-body incidence of d12, d13, d23, +1 at the first body and -1 at the
-# second: _INCIDENCE @ x is x_i - x_k, and _TO_BODIES takes pair terms to the
-# bodies.  Each sums two exact +-terms and a 0-weighted one, so it has the bits
-# of a subtraction or a sum.  OpenBLAS's buffers add ~0.28 MB of peak RSS, once.
+# second: _INCIDENCE @ x is x_i - x_k.  Each sums two exact +-terms and a
+# 0-weighted one, so it has the bits of a subtraction.  OpenBLAS's buffers
+# add ~0.28 MB of peak RSS, once.
 _INCIDENCE = np.array([np.eye(3)[i] - np.eye(3)[k] for i, k in PAIRS.values()])
-_TO_BODIES = np.ascontiguousarray(-_INCIDENCE.T)
 
 
 def _pair_products(G, masses: MassTriple):
@@ -628,32 +627,35 @@ def _pair_potential(spec: PotentialSpec, masses: MassTriple, d):
     return (energy[..., 0] + energy[..., 1]) + energy[..., 2]
 
 
-def _slope_rule(spec: PotentialSpec, masses: MassTriple):
+def _pair_slopes(spec: PotentialSpec, masses: MassTriple):
     """The derivatives dV/dd of the three pair terms of a built-in family,
-    with its constants bound, as slopes(d, at_zero, off) of distances d
-    given as a (..., 3) array and their _off_zero; infinite at d = 0 for
-    gravity and Lennard-Jones."""
+    with its constants bound, as slopes(d) of the distances d12, d13, d23
+    given as three floats; infinite at d = 0 for gravity and Lennard-Jones.
+    Each slope rounds as the same formula on a (3,) array does;
+    Lennard-Jones takes the array's ** 6, since Python's ** rounds
+    otherwise on some bases.  No divisor is 0: a d > 0 of _pair_vectors is
+    at least the root of the least subnormal, 2.2e-162, whose square
+    rounds back to it, so d * d > 0 too."""
     p = spec._bound
     if spec.builtin == "free":
-        return lambda d, at_zero, off: np.zeros_like(d)
+        return lambda d: [0.0, 0.0, 0.0]
     if spec.builtin == "harmonic":
-        k, rest = p["k"], p["rest"]
-        return lambda d, at_zero, off: k * (d - rest)
+        k, rest = float(p["k"]), p["rest"].tolist()
+        return lambda d: [k * (r - l) for r, l in zip(d, rest)]
     if spec.builtin == "gravity":
-        Gmm = _pair_products(p["G"], masses)
-        Gmm.flags.writeable = False
+        Gmm = _pair_products(p["G"], masses).tolist()
 
-        def slopes(d, at_zero, off):
-            slope = Gmm / off ** 2
-            return slope if at_zero is None else np.where(at_zero, np.inf, slope)
+        def slopes(d):
+            return [inf if r == 0.0 else g / (r * r) for g, r in zip(Gmm, d)]
 
         return slopes
-    sigma, scale = p["sigma"], 4.0 * p["epsilon"]  # lennard_jones
+    sigma, scale = float(p["sigma"]), float(4.0 * p["epsilon"])  # lennard_jones
 
-    def slopes(d, at_zero, off):
-        s6 = (sigma / off) ** 6
-        slope = scale * (-12.0 * s6 * s6 + 6.0 * s6) / off
-        return slope if at_zero is None else np.where(at_zero, np.inf, slope)
+    def slopes(d):
+        if 0.0 in d:  # _pair_forces raises at the first pair at 0
+            return [inf if r == 0.0 else 0.0 for r in d]
+        s6 = (np.array([sigma / r for r in d]) ** 6).tolist()
+        return [scale * (-12.0 * s * s + 6.0 * s) / r for s, r in zip(s6, d)]
 
     return slopes
 
@@ -700,17 +702,43 @@ def potential_at_positions(spec: PotentialSpec, masses: MassTriple, x, shape=Non
     return eval_potential_batch(spec, masses, *(shape or (None,) * 3), *d.T)
 
 
-def _pair_forces(dVdd, delta, at_zero, off):
-    """Forces F_i = -dV/dx_i on the bodies from dV/dd of the pairs d12, d13,
-    d23, given as (..., 3) slopes with their (..., 3, 3) vectors delta and
-    the _off_zero (at_zero, off) of their lengths.  A pair at d = 0 adds no
-    force where dV/dd = 0, the limit, and raises DomainError naming the
-    pair otherwise."""
-    if at_zero is not None:  # delta is 0 where d is
-        bad = at_zero & (dVdd != 0.0)
-        if bad.any():
-            raise DomainError(list(PAIRS)[bad.nonzero()[-1][0]], 0.0)
-    return _TO_BODIES @ (dVdd[..., None] * delta / off[..., None])
+def _pair_vectors(x):
+    """The vectors x_i - x_k of the pairs d12, d13, d23 of one state's nine
+    position components x (body-major floats), as nine floats pair-major,
+    and their lengths sqrt((a a + b b) + c c), rounded as lengths rounds
+    them."""
+    x1, y1, z1, x2, y2, z2, x3, y3, z3 = x
+    delta = a1, a2, a3, b1, b2, b3, c1, c2, c3 = (
+        x1 - x2, y1 - y2, z1 - z2, x1 - x3, y1 - y3, z1 - z3, x2 - x3, y2 - y3, z2 - z3
+    )
+    d = [sqrt((a1 * a1 + a2 * a2) + a3 * a3), sqrt((b1 * b1 + b2 * b2) + b3 * b3),
+         sqrt((c1 * c1 + c2 * c2) + c3 * c3)]
+    return delta, d
+
+
+def _pair_forces(slopes, delta, d):
+    """Forces F_i = -dV/dx_i on the bodies, nine floats body-major, from the
+    slopes dV/dd of the pairs d12, d13, d23 with their _pair_vectors delta
+    and d.  Each pair's w = slope * delta / d goes to its two bodies in the
+    order of the incidence product, each body's sum from +0.0, which gives
+    the product's bits: no force component is -0.0.  A pair at d = 0 adds
+    no force where its slope is 0, the limit, and raises DomainError
+    naming the pair otherwise, so no divisor is 0."""
+    if 0.0 in d:
+        for name, slope, r in zip(PAIRS, slopes, d):
+            if r == 0.0 and slope != 0.0:
+                raise DomainError(name, 0.0)
+        d = [r or 1.0 for r in d]  # delta is 0 where d is, so its w is 0
+    a1, a2, a3, b1, b2, b3, c1, c2, c3 = delta
+    (s, t, u), (p, q, r) = slopes, d
+    a1, a2, a3 = s * a1 / p, s * a2 / p, s * a3 / p
+    b1, b2, b3 = t * b1 / q, t * b2 / q, t * b3 / q
+    c1, c2, c3 = u * c1 / r, u * c2 / r, u * c3 / r
+    return [
+        0.0 - a1 - b1, 0.0 - a2 - b2, 0.0 - a3 - b3,
+        0.0 + a1 - c1, 0.0 + a2 - c2, 0.0 + a3 - c3,
+        0.0 + b1 + c1, 0.0 + b2 + c2, 0.0 + b3 + c3,
+    ]
 
 
 @lru_cache(maxsize=64)
@@ -755,10 +783,11 @@ def _shape_forces(A, s, shape, slopes):
     c11 = dr1 / r1 if dr1 else 0.0
     c22 = dr2 / r2 if dr2 else 0.0
     c12 = 0.0
-    if dphi:
-        # dphi/ds1 = ((s1 . s2)/r1^2 s1 - s2)/|s1 x s2|, dphi/ds2 likewise
-        c11 += dphi * dot / (r1 * r1 * area)
-        c22 += dphi * dot / (r2 * r2 * area)
+    if dphi:  # then area > 0 (see force_field)
+        # dphi/ds1 = ((s1 . s2)/r1^2 s1 - s2)/|s1 x s2|, dphi/ds2 likewise,
+        # dividing one factor at a time where the product underflows to 0
+        c11 += dphi * dot / (r1 * r1 * area) if r1 * r1 * area else dphi * dot / r1 / r1 / area
+        c22 += dphi * dot / (r2 * r2 * area) if r2 * r2 * area else dphi * dot / r2 / r2 / area
         c12 = -dphi / area
     s1, s2 = s
     g = np.array([c11 * s1 + c12 * s2, c12 * s1 + c22 * s2])
@@ -767,20 +796,18 @@ def _shape_forces(A, s, shape, slopes):
 
 def force_field(spec: PotentialSpec, masses: MassTriple):
     """The forces of the potential for the masses as a function field(x)
-    of positions x, with the same values and errors as forces_cartesian,
-    which calls it once.  What does not change from one call to the next is
-    resolved here, once: a built-in family's slope rule and constants, and
-    the variables an expression reads.  A built-in's field takes a
-    (..., 3, 3) stack of states, row by row with the bits of one state; an
-    expression's takes one (3, 3) state."""
+    of one state's nine position components x, body-major floats (x, y, z
+    of body 1, then of bodies 2 and 3), which returns the nine force
+    components in the same order, with the values and errors of
+    forces_cartesian, which calls it once.  What does not change from one
+    call to the next is resolved here, once: a built-in family's slopes
+    and constants, and the variables an expression reads."""
     if spec.builtin is not None:
-        slopes = _slope_rule(spec, masses)
+        slopes = _pair_slopes(spec, masses)
 
         def field(x):
-            delta = _INCIDENCE @ x
-            d = lengths(delta)
-            at_zero, off = _off_zero(d)
-            return _pair_forces(slopes(d, at_zero, off), delta, at_zero, off)
+            delta, d = _pair_vectors(x)
+            return _pair_forces(slopes(d), delta, d)
 
         return field
     pairs = not spec.reads.isdisjoint(PAIRS)
@@ -789,20 +816,20 @@ def force_field(spec: PotentialSpec, masses: MassTriple):
     A = _jacobi_matrix(masses) if jacobi else None
 
     def field(x):
+        columns = {}
         if pairs:
-            delta = _INCIDENCE @ x
-            d = lengths(delta)
-        columns = dict(zip(PAIRS, d[:, None])) if pairs else {}
+            delta, d = _pair_vectors(x)
+            columns.update(zip(PAIRS, np.array(d)[:, None]))
         if jacobi:
             # one state's 3-vectors, so measure_shape runs on numpy scalars;
             # the walk runs on (1,) columns, as for the pairs, since a numpy
             # scalar's ** takes libm's pow, which rounds unlike the array loop
-            s = jacobi_map(masses, *x)
+            s = jacobi_map(masses, *np.reshape(x, (3, 3)))
             shape = measure_shape(*s)
             r1, r2, _, area, _, phi = shape
             columns.update(r1=r1[None], r2=r2[None], phi=phi[None])
         _, gradient = _run(spec, columns, (1,), gradient=True)
-        forces = _pair_forces(gradient[3:, 0], delta, *_off_zero(d)) if pairs else np.zeros((3, 3))
+        forces = _pair_forces(gradient[3:, 0].tolist(), delta, d) if pairs else [0.0] * 9
         if jacobi:
             slopes = gradient[:3, 0].tolist()
             if reads_phi and area == 0.0:
@@ -811,7 +838,8 @@ def force_field(spec: PotentialSpec, masses: MassTriple):
                 # |dphi/ds1| = 1/r1 and |dphi/ds2| = 1/r2 in the plane of the
                 # motion, so the phi term tends to 0 with dV/dphi
                 slopes[2] = 0.0
-            forces = forces + _shape_forces(A, s, shape, slopes)
+            shaped = _shape_forces(A, s, shape, slopes).ravel().tolist()
+            forces = [f + g for f, g in zip(forces, shaped)]
         return forces
 
     return field
@@ -836,4 +864,5 @@ def forces_cartesian(spec: PotentialSpec, masses: MassTriple, positions):
     returned); and where a derivative of an expression is not finite,
     naming the operation.
     """
-    return force_field(spec, masses)(np.asarray(positions, dtype=float).reshape(3, 3))
+    x = np.asarray(positions, dtype=float).reshape(9).tolist()
+    return np.reshape(force_field(spec, masses)(x), (3, 3))

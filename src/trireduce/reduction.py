@@ -73,13 +73,26 @@ def _require(ok, message):
         raise SingularInertia(message)
 
 
+def _larger(r1, r2, rows):
+    """The larger of |r1| and |r2| on the rows where the mask `rows` is set
+    and 1.0 elsewhere: the divisor that takes a sum or product of squares
+    that leaves the float range on those rows inside it, and leaves the
+    other rows' bits."""
+    return np.where(rows, np.maximum(np.abs(r1), np.abs(r2)), 1.0)
+
+
 def inertia_tensor(r1, r2, phi):
-    """Moment of inertia tensor of the shape in the body frame."""
+    """Moment of inertia tensor of the shape in the body frame.  Raises
+    NumericalBlowup naming the entry, I22 or I33, whose sum of squares
+    overflows on some row."""
     s, c = np.sin(phi), np.cos(phi)
     a, b = _square("r1", r1), _square("r2", r2)
-    return _tensor(
-        (3, 3), b * s * s, -b * s * c, 0.0, -b * s * c, a + b * c * c, 0.0, 0.0, 0.0, a + b
-    )
+    with np.errstate(over="ignore"):  # named below
+        I22, I33 = a + b * c * c, a + b
+    for name, sum_ in (("I22 = r1^2 + r2^2 cos^2 phi", I22), ("I33 = r1^2 + r2^2", I33)):
+        if np.count_nonzero(sum_ == np.inf):
+            raise NumericalBlowup(f"inertia tensor entry {name} overflows")
+    return _tensor((3, 3), b * s * s, -b * s * c, 0.0, -b * s * c, I22, 0.0, 0.0, 0.0, I33)
 
 
 def inertia_inverse(r1, r2, phi):
@@ -116,25 +129,40 @@ def mechanical_connection(r1, r2, phi):
     """Connection A_mu = I^{-1} a_mu, in closed form: A33 = r2^2 / (r1^2 + r2^2).
 
     Finite for all phi: a_phi lies along the axis on which the inertia
-    tensor never degenerates.  Where both squares underflow, A33 is taken on
-    r1, r2 over the larger of the two; SingularInertia where r1 = r2 = 0.
+    tensor never degenerates.  Where both squares underflow or their sum
+    overflows, A33 is taken on r1, r2 over the larger of the two (see
+    _larger); SingularInertia where r1 = r2 = 0.
     """
-    S = _square("r1", r1) + _square("r2", r2)
-    if np.count_nonzero(S) < np.size(S):  # both squares underflow, the ratio need not
-        larger = np.maximum(np.abs(r1), np.abs(r2))
+    with np.errstate(over="ignore"):  # rescaled below
+        S = _square("r1", r1) + _square("r2", r2)
+    out = (S == 0.0) | (S == np.inf)  # the ratio need not leave the range
+    if np.count_nonzero(out):
+        larger = _larger(r1, r2, out)
         _require(larger, "r1 = r2 = 0: the mechanical connection is undefined")
-        r1, r2 = np.where(S == 0.0, (r1 / larger, r2 / larger), (r1, r2))
+        r1, r2 = r1 / larger, r2 / larger
     return _corner(r2 * r2 / (r1 * r1 + r2 * r2))
 
 
 def horizontal_metric(r1, r2, phi):
     """Horizontal (rotation-subtracted) shape metric g and its inverse;
     raises SingularInertia where r2 = 0 or r1 = 0, at which g33 = 0, and
-    where g33 underflows or 1/g33 is not finite, on some row."""
+    where g33 underflows or 1/g33 is not finite, on some row.  g33 =
+    r1^2 r2^2 / (r1^2 + r2^2) is taken on r1, r2 over the larger of the two
+    (see _larger), times that larger twice, where r1^2 r2^2 underflows
+    to 0 or overflows."""
     _require(r2, "r2 = 0: the horizontal metric is singular")
     _require(r1, "r1 = 0: the horizontal metric is singular")
     a, b = _square("r1", r1), _square("r2", r2)
-    g33 = a * b / (a + b) if np.count_nonzero(a * b) == np.size(a * b) else 0.0  # no 0/0
+    with np.errstate(over="ignore"):  # rescaled below
+        product = a * b
+    out = (product == 0.0) | (product == np.inf)
+    larger = 1.0
+    if np.count_nonzero(out):  # then r1^2 + r2^2 >= 1 on those rows: no 0/0
+        larger = _larger(r1, r2, out)
+        r1, r2 = r1 / larger, r2 / larger
+        a, b = r1 * r1, r2 * r2
+        product = a * b
+    g33 = product / (a + b) * larger * larger
     _require(g33, "g33 underflows to 0: the horizontal metric is singular")
     with np.errstate(over="ignore"):  # a subnormal g33, named below
         g_inv = _corner(1.0 / g33, 1.0)

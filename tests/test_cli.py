@@ -240,12 +240,10 @@ class TestSimulate:
                 assert run([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
                 assert f"thresholds.{next(iter(thresholds))}" in caplog.text
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_nan_state_exit_3(self, tmp_path, caplog):
         # k (d - rest) overflows to an infinite force, which is inf * 0 = NaN
         # in its zero components, so the positions turn NaN after the first
-        # step
+        # step; the float step warns of nothing on the way
         nan = dict(
             HARMONIC_CONFIG,
             potential={"builtin": "harmonic", "params": {"k": 1e308}},
@@ -498,6 +496,19 @@ class TestSimulate:
         assert len(stderr.splitlines()) == 1 and "NumericalBlowup" in stderr
         assert "at step 0" in stderr
         assert "Traceback" not in stderr and "RuntimeWarning" not in stderr
+
+    def test_near_collision_exit_3_without_warnings(self, tmp_path):
+        # bodies 1 and 2 3e-162 apart: G m m / d^2 overflows, so the first
+        # kick is infinite and the guard names step 1; the float step warns
+        # of nothing on the way (numpy's matmul warned of invalid values)
+        near = json.loads(json.dumps(FIGURE_EIGHT_CONFIG))
+        near["initial_state"]["cartesian"]["positions"] = [
+            [0.0, 0.0, 0.0], [3e-162, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        near["integrator"] = {"steps": 5}
+        code, stdout, stderr = run_process(["simulate", "--config", write_config(tmp_path, near)])
+        assert code == 3
+        assert stdout == ""
+        assert stderr.splitlines() == ["numerical failure: NumericalBlowup: coordinate overflow at step 1"]
 
     def test_unwritable_output_exit_4(self, tmp_path):
         cfg = write_config(tmp_path, HARMONIC_CONFIG)

@@ -219,7 +219,7 @@ class TestIntegrate:
                     calls.append(None)
                     f = field(x)
                     if len(calls) == 9:
-                        f[1, 2] = np.nan
+                        f[5] = np.nan  # z of body 2
                     return f
 
                 return counted
@@ -246,8 +246,8 @@ class TestIntegrate:
             assert calls == []
             # only a velocity leaves it: a constant force 2e15 on body 2
             # takes v2 to 2e12 and x2 to 1e9 at step 1
-            push = np.zeros((3, 3))
-            push[1, 0] = 2e15
+            push = [0.0] * 9
+            push[3] = 2e15
             with monkeypatch.context() as patch:
                 patch.setattr(trireduce.dynamics, "force_field", lambda *args: lambda x: push)
                 with pytest.raises(NumericalBlowup, match=r"at step 1$"):
@@ -270,6 +270,8 @@ class TestIntegrate:
             field = force_field(*args)
 
             def counted(x):
+                # one state's nine position components, as floats
+                assert type(x) is list and len(x) == 9 and all(type(c) is float for c in x)
                 calls.append(None)
                 return field(x)
 

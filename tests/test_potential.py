@@ -851,25 +851,67 @@ class TestForces:
             assert (err.value.node, err.value.value) == ("d12", 0.0)
 
     def test_bound_field_at_zero_distance(self):
-        # each d = 0 case through a field bound once, on one state and as a
-        # row of a stack: bodies 1 and 3 coincide in the second state
+        # each d = 0 case through a field bound once: bodies 1 and 3 coincide
         pos = np.array([[0.5, 0.0, 0.0], [0.5, 1.0, 0.0], [0.5, 0.0, 0.0]])
-        stack = np.array([self._spread_positions(), pos])
+        x = pos.ravel().tolist()
         for name in ("gravity", "lennard_jones"):
-            field = force_field(builtin_potential(name), MASSES)
-            for x in (pos, stack):
-                with pytest.raises(DomainError) as err:
-                    field(x)
-                assert (err.value.node, err.value.value) == ("d13", 0.0)
+            with pytest.raises(DomainError) as err:
+                force_field(builtin_potential(name), MASSES)(x)
+            assert (err.value.node, err.value.value) == ("d13", 0.0)
         for spec in (builtin_potential("free"), builtin_potential("harmonic", k=2.0, rest_length=0.0)):
-            field = force_field(spec, MASSES)
             limit = forces_cartesian(spec, MASSES, pos)
             assert np.all(np.isfinite(limit))
-            assert field(pos).tobytes() == limit.tobytes()
-            assert field(stack)[1].tobytes() == limit.tobytes()
-        assert np.array_equal(force_field(builtin_potential("free"), MASSES)(pos), np.zeros((3, 3)))
-        F = force_field(builtin_potential("harmonic", k=2.0, rest_length=0.0), MASSES)(pos)
-        assert np.allclose(F, forces_cartesian(parse_potential("d12^2 + d13^2 + d23^2"), MASSES, pos))
+            assert force_field(spec, MASSES)(x) == limit.ravel().tolist()
+        assert force_field(builtin_potential("free"), MASSES)(x) == [0.0] * 9
+        F = force_field(builtin_potential("harmonic", k=2.0, rest_length=0.0), MASSES)(x)
+        assert np.allclose(F, forces_cartesian(parse_potential("d12^2 + d13^2 + d23^2"), MASSES, pos).ravel())
+
+    @pytest.mark.parametrize("pair, bodies", [("d12", (0, 1)), ("d13", (0, 2)), ("d23", (1, 2))])
+    def test_field_names_the_pair_at_zero_distance(self, pair, bodies):
+        # two bodies at one point: a slope that is not 0 there raises
+        # DomainError naming the pair, from the bound field and the one-shot
+        # call alike; a slope of 0 gives the limit force, the other pairs'
+        pos = np.array([[0.3, -0.2, 0.9], [1.1, 0.1, -0.4], [-0.6, 0.8, 0.2]])
+        pos[bodies[1]] = pos[bodies[0]]
+        x = pos.ravel().tolist()
+        sparse = "0.5*(d12-1)^2 + 0.5*(d13-1)^2 + 0.5*(d23-1)^2"
+        for spec in [builtin_potential(name) for name in ("gravity", "lennard_jones", "harmonic")] + [
+            parse_potential(sparse), parse_potential("d12 + d13 + d23 + 0*r1")
+        ]:
+            for call in (lambda: force_field(spec, MASSES)(x), lambda: forces_cartesian(spec, MASSES, pos)):
+                with pytest.raises(DomainError) as err:
+                    call()
+                assert (err.value.node, err.value.value) == (pair, 0.0)
+        k = 2.0
+        for spec in (builtin_potential("harmonic", k=k, rest_length=0.0), parse_potential("d12^2 + d13^2 + d23^2")):
+            F = force_field(spec, MASSES)(x)
+            assert np.all(np.isfinite(F))
+            # V = (k/2) sum d^2 pulls each body toward the others: F_i = -k sum_j (x_i - x_j)
+            limit = -k * (3.0 * pos - pos.sum(axis=0))
+            assert np.allclose(np.reshape(F, (3, 3)), limit, rtol=1e-14, atol=1e-14)
+        assert force_field(builtin_potential("free"), MASSES)(x) == [0.0] * 9
+
+    def test_no_divisor_is_zero(self):
+        # the least d > 0 that two bodies can have is the root of the least
+        # subnormal, and its square does not round to 0: gravity's slope at
+        # bodies 1 and 2 3e-162 apart is finite for a small G, and inf, not a
+        # ZeroDivisionError, for G = 1
+        assert sqrt(5e-324) * sqrt(5e-324) == 5e-324
+        x = [0.0, 0.0, 0.0, 3e-162, 0.0, 0.0, 0.0, 1.0, 0.0]
+        F = force_field(builtin_potential("gravity", G=1e-20), MASSES)(x)
+        assert np.all(np.isfinite(F)) and F[0] > 1e300 and F[3] == pytest.approx(-F[0], rel=1e-15)
+        F = force_field(builtin_potential("gravity"), MASSES)(x)
+        assert F[0] == np.inf and F[3] == -np.inf
+        # r1^2 |s1 x s2| underflows to 0 where phi's slope divides by it; the
+        # force of V = phi grows as 1/r1, so r1 = 1e-110 reads as 1e-100 does
+        spec = parse_potential("phi")
+        scaled = []
+        for r in (1e-100, 1e-110):
+            pos = np.array([[r, 0.0, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 0.0]])
+            F = forces_cartesian(spec, MASSES, pos)
+            assert np.all(np.isfinite(F))
+            scaled.append(F[0] * r)
+        assert np.allclose(scaled[0], scaled[1], rtol=1e-12, atol=1e-12)
 
     def test_bound_parameters_are_never_written(self):
         # forces and V under three masses leave a spec's bound parameters
@@ -886,7 +928,7 @@ class TestForces:
             before = snapshot(spec._bound)
             for masses in triples:
                 forces_cartesian(spec, masses, pos)
-                force_field(spec, masses)(pos[None])
+                force_field(spec, masses)(pos.ravel().tolist())
                 potential_at_positions(spec, masses, pos[None])
             assert snapshot(spec._bound) == before, spec.builtin
 
@@ -908,16 +950,11 @@ class TestForces:
     def test_pair_forces_keep_the_reference_bits(self, spec, masses):
         # byte for byte, so the sign of every 0 is held too: the CSV prints -0
         # and the bound field has the bits of the one-shot call
-        positions = bit_pin_positions()
         field = force_field(spec, masses)
-        for pos in positions:
+        for pos in bit_pin_positions():
             F = forces_cartesian(spec, masses, pos)
             assert F.tobytes() == reference_pair_forces(spec, masses, pos).tobytes(), pos
-            assert field(pos).tobytes() == F.tobytes(), pos
-        if spec.builtin is not None:
-            # a built-in's field takes a stack of states with the same bits
-            rows = [forces_cartesian(spec, masses, pos) for pos in positions]
-            assert field(np.array(positions)).tobytes() == np.array(rows).tobytes()
+            assert np.array(field(pos.ravel().tolist())).tobytes() == F.tobytes(), pos
 
     def test_pair_potentials_skip_the_shape(self, monkeypatch):
         # V of a potential that reads only pair distances has the bits of

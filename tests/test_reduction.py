@@ -511,6 +511,40 @@ def test_connection_rescales_only_the_underflowing_rows():
     assert abs(A[5, 2, 2] - 0.64) <= 1e-15
 
 
+@pytest.mark.parametrize("column", [False, True], ids=["float", "column"])
+def test_sums_of_squares_past_the_float_range(column):
+    # r1^2 and r2^2 are finite, their sum and product are not: the connection
+    # and the metric rescale that row and keep the others' bits, and the
+    # inertia tensor names the entry that overflows, never an inf entry or a
+    # RuntimeWarning (an error here)
+    shape = (1.3e154, 1.3e154, 0.3)
+    args = with_row(shape) if column else shape
+    A = mechanical_connection(*args)
+    g, g_inv = horizontal_metric(*args)
+    row = (5,) if column else ()
+    assert A[row][2, 2] == 0.5
+    assert g[row][2, 2] == pytest.approx(0.5 * 1.3e154 * 1.3e154, rel=1e-15)
+    assert np.all(np.isfinite(g)) and np.all(np.isfinite(g_inv))
+    if column:
+        generic = with_row((1.3, 0.8, 1.1))
+        for rescaled, plain in ((A, mechanical_connection(*generic)),
+                                (g, horizontal_metric(*generic)[0])):
+            assert np.delete(rescaled, 5, 0).tobytes() == np.delete(plain, 5, 0).tobytes()
+    with pytest.raises(NumericalBlowup, match=r"^inertia tensor entry I22 = r1\^2 \+ r2\^2 cos"):
+        inertia_tensor(*args)
+    # cos phi = 0 keeps I22 finite: I33 overflows alone
+    flat = (1.3e154, 1.3e154, pi / 2)
+    with pytest.raises(NumericalBlowup, match=r"^inertia tensor entry I33 = r1\^2 \+ r2\^2 overflows$"):
+        inertia_tensor(*(with_row(flat) if column else flat))
+
+
+def test_metric_of_squares_whose_product_underflows():
+    # r1^2 r2^2 underflows to 0 at r1 = r2 = 1e-100, but g33 = 5e-201 does not
+    g, g_inv = horizontal_metric(1e-100, 1e-100, 1.0)
+    assert g[2, 2] == pytest.approx(5e-201, rel=1e-15)
+    assert g_inv[2, 2] == pytest.approx(2e200, rel=1e-15)
+
+
 # the shapes that the shape-start range rule refuses (r1 <= 0, r2 < 0, phi
 # outside [0, pi]), squares that underflow and subnormal squares, whose
 # inverses overflow

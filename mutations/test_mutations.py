@@ -119,6 +119,18 @@ MUTATIONS = [
         ),
     ),
     Mutation(
+        name="swapped-jacobi-pullback",
+        file="src/trireduce/potential.py",
+        old="-(a * u + b * w)",
+        new="-(a * w + b * u)",
+        reason="the float pullback through the Jacobi map pairs s1's coefficient with dV/ds2",
+        caught_by=(
+            "tests/test_potential.py::TestForces::test_expression_forces_match_fourth_order_stencil",
+            "tests/test_potential.py::TestForces::test_every_operation_has_its_derivative",
+            "tests/test_acceptance.py::test_criterion_8_parser",
+        ),
+    ),
+    Mutation(
         name="loose-step-guard",
         file="src/trireduce/dynamics.py",
         old="if not hypot(*y) < 0.99e12:",

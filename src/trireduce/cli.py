@@ -28,9 +28,7 @@ from .dynamics import (
     integrate,
 )
 from .errors import ConfigError, DegenerateShape, TrireduceError
-from .geometry import (
-    COLLINEAR_THRESHOLD, CartesianState, MassTriple, check_number, lengths,
-)
+from .geometry import COLLINEAR_THRESHOLD, CartesianState, MassTriple, check_number
 from .hamiltonian import cartesian_from_momenta, evaluate_reduced_batch
 from .potential import PotentialSpec, builtin_potential, parse_potential
 
@@ -247,9 +245,9 @@ def _csv(header, columns):
 
 def _columns(batch):
     """The named columns of a ReducedBatch or a Trajectory: its fields, J1
-    to p3, and L_norm = |L| as lengths rounds it.  A column of one name
-    therefore holds the same bits in every command."""
-    columns = dict(vars(batch), L_norm=lengths(batch.L))
+    to p3, and L_norm = |L| as np.linalg.norm rounds it.  A column of one
+    name therefore holds the same bits in every command."""
+    columns = dict(vars(batch), L_norm=np.linalg.norm(batch.L, axis=-1))
     for i in range(3):
         columns[f"J{i + 1}"], columns[f"p{i + 1}"] = batch.J[:, i], batch.p[:, i]
     return columns

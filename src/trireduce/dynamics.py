@@ -93,7 +93,7 @@ def total_energy(masses: MassTriple, state: CartesianState, potential) -> float:
     """Total Cartesian energy, kinetic plus potential."""
     m = masses.as_array()
     kinetic = 0.5 * float(np.sum(m[:, None] * state.velocities ** 2))
-    return kinetic + float(potential_at_positions(potential, masses, state.positions[None])[0])
+    return kinetic + float(potential_at_positions(potential, masses, state.positions))
 
 
 def _leapfrog_steps(field, m, y, dt, n):

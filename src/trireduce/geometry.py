@@ -12,7 +12,9 @@ every dot product, cross product and length as column arithmetic, with no
 einsum and no (N, 3, 3) array.  The same code takes (N, 3) rows for N
 states and 3-vectors for one, whose components are numpy scalars, so one
 state costs numpy's scalar operations rather than an array call each, and
-has the bits of its row in a batch.
+has the bits of its row in a batch.  There is one formula per quantity:
+cross takes and returns component triples, and _length is every length,
+rounded as np.cross and np.linalg.norm round.
 """
 
 from dataclasses import dataclass, fields
@@ -143,36 +145,16 @@ def cartesian_from_jacobi(m: MassTriple, s1, s2, sd1, sd2) -> CartesianState:
     return CartesianState(*_unmap(s1, s2), *_unmap(sd1, sd2))
 
 
-_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
-
-
 def cross(a, b):
-    """a x b for (..., 3) arrays, rounded as np.cross, without its axis
-    handling (which costs more than the product on a few rows)."""
-    return a.take(_NEXT, -1) * b.take(_LAST, -1) - a.take(_LAST, -1) * b.take(_NEXT, -1)
-
-
-def lengths(a):
-    """np.linalg.norm(a, axis=-1), to the bit, without its wrapper."""
-    return np.sqrt(np.add.reduce(a * a, -1))
-
-
-def _components(a):
-    """The components of (N, 3) rows as three (N,) columns, or of one
-    3-vector as three numpy scalars (a[..., k] would be a 0-d array, on
-    which each operation costs a ufunc call)."""
-    x, y, z = a.T
-    return x, y, z
-
-
-def _cross(a, b):
-    """a x b of vectors given as component triples, rounded as cross."""
+    """a x b of vectors given as component triples (three columns, numpy
+    scalars or floats each), as a component triple, rounded as np.cross."""
     (a0, a1, a2), (b0, b1, b2) = a, b
     return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
 def _length(a):
-    """|a| of a vector given as a component triple, rounded as lengths."""
+    """|a| of a vector given as a component triple, rounded as
+    np.linalg.norm: sqrt((a0 a0 + a1 a1) + a2 a2)."""
     a0, a1, a2 = a
     return np.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
 
@@ -183,10 +165,12 @@ def measure_shape(s1, s2):
     s1 x s2 as its three (N,) component columns, area = |s1 x s2|, dot =
     s1 . s2 = (x1 x2 + y1 y2) + z1 z2 and phi = atan2(area, dot), the others
     (N,), or numpy scalars for one pair.  Every measurement of phi from the
-    vectors is this one; lengths and cross products round as lengths and
-    cross do."""
-    a, b = _components(s1), _components(s2)
-    normal = _cross(a, b)
+    vectors is this one; r1, r2, area and normal round as np.linalg.norm
+    and np.cross do."""
+    # a.T's rows are the components: three (N,) columns, or numpy scalars for
+    # one 3-vector (a[..., k] would be a 0-d array, each operation a ufunc call)
+    a, b = s1.T, s2.T
+    normal = cross(a, b)
     area = _length(normal)
     dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
     return _length(a), _length(b), normal, area, dot, np.arctan2(area, dot)
@@ -223,16 +207,16 @@ def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
         fit_r1, fit_r2, normal, area, dot, _ = measure_shape(s1, s2)
     sin_phi = area / (fit_r1 * fit_r2)
     planar = sin_phi > collinear_threshold
-    u1 = tuple(x / fit_r1 for x in _components(s1))
+    u1 = tuple(x / fit_r1 for x in s1.T)
     if np.count_nonzero(planar) < planar.size:
         # sigma r2 / r1, with sigma = +-1 from the mask: np.where costs
         # more than the arithmetic on one state
         k = ((dot >= 0.0) * 2.0 - 1.0) * fit_r2 / fit_r1
-        rate = [x2 - k * x1 for x1, x2 in zip(_components(sd1), _components(sd2))]
-        normal = tuple(np.where(planar, normal, _cross(u1, rate)))
+        rate = [x2 - k * x1 for x1, x2 in zip(sd1.T, sd2.T)]
+        normal = tuple(np.where(planar, normal, cross(u1, rate)))
     # Crossing with u1 keeps u2 orthogonal to u1 to rounding, also when
     # normal is a nearly cancelling cross product of nearly parallel vectors.
-    u2 = _cross(normal, u1)
+    u2 = cross(normal, u1)
     n2 = _length(u2)
     still = n2 == 0.0
     if np.count_nonzero(still):
@@ -240,10 +224,10 @@ def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
         x, y, z = (np.abs(c) for c in u1)
         first = (x <= y) & (x <= z)
         axis = (1.0 * first, 1.0 * (~first & (y <= z)), 1.0 * (~first & (y > z)))
-        u2 = tuple(np.where(still, _cross(axis, u1), u2))
+        u2 = tuple(np.where(still, cross(axis, u1), u2))
         n2 = _length(u2)
     u2 = tuple(c / n2 for c in u2)
-    return (u1, u2, _cross(u1, u2)), r1, r2, phi, sin_phi, planar, degenerate
+    return (u1, u2, cross(u1, u2)), r1, r2, phi, sin_phi, planar, degenerate
 
 
 def frame_matrices(axes):

@@ -143,8 +143,8 @@ def evaluate_reduced(
     )
     if degenerate is not None:
         raise DegenerateShape.from_r1(r1)
-    V = potential_at_positions(potential, masses, xv[:1], (r1, r2, phi))
-    H = float(K + V[0])
+    V = potential_at_positions(potential, masses, xv[0], (r1, r2, phi))
+    H = float(K + V)
     if not isfinite(H):
         raise NumericalBlowup(f"H_reduced overflows ({H})")
     return ReducedEvaluation(
@@ -275,7 +275,7 @@ def evaluate_reduced_batch(
     V = potential_at_positions(potential, masses, x, (r1, r2, phi))
     E = 0.5 * np.sum(masses.as_array()[:, None] * v ** 2, axis=(1, 2)) + V
     _require_finite("E_total", E)
-    L = cross(s1, sd1) + cross(s2, sd2)
+    L = np.add(cross(s1.T, sd1.T), cross(s2.T, sd2.T)).T
     _require_finite("L", L)
     H = K + V
     _require_finite("H_reduced", H if degenerate is None else np.where(degenerate, 0.0, H))

@@ -6,17 +6,20 @@ interparticle distances d12, d13, d23.  Expression potentials are invariant
 by construction because they only see the shape.  Forces are exact
 gradients for both: an expression is compiled, once, to one generated
 straight-line function that returns its value and its reverse-mode pullback.
+One pair map gives V and the forces their distances, and an expression's
+slopes by r1, r2 and phi reach the bodies as float sums over the Jacobi
+map's coefficients.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from math import copysign, inf, sqrt
 from numbers import Real
 
 import numpy as np
 
 from .errors import DomainError, PotentialSyntaxError, UnknownIdentifier
-from .geometry import MassTriple, check_number, jacobi_map, lengths, measure_shape
+from .geometry import MassTriple, check_number, jacobi_map, measure_shape
 
 VARIABLES = ("r1", "r2", "phi", "d12", "d13", "d23")
 CONSTANTS = {"pi": np.pi, "e": np.e}
@@ -288,7 +291,7 @@ def _check(name, shape, bad, args):
     (base, exponent) of '^' at that row as the value."""
     bad = np.broadcast_to(bad, shape)
     if bad.any():
-        row = [float(np.broadcast_to(a, shape)[bad.argmax()]) for a in args]
+        row = [float(np.broadcast_to(a, shape).flat[bad.argmax()]) for a in args]
         raise DomainError(name, tuple(row) if name == "^" else row[-1])
 
 
@@ -582,13 +585,6 @@ def parse_potential(text) -> PotentialSpec:
     return PotentialSpec(ast=parse_expression(text), source=text)
 
 
-# pair-by-body incidence of d12, d13, d23, +1 at the first body and -1 at the
-# second: _INCIDENCE @ x is x_i - x_k.  Each sums two exact +-terms and a
-# 0-weighted one, so it has the bits of a subtraction.  OpenBLAS's buffers
-# add ~0.28 MB of peak RSS, once.
-_INCIDENCE = np.array([np.eye(3)[i] - np.eye(3)[k] for i, k in PAIRS.values()])
-
-
 def _pair_products(G, masses: MassTriple):
     """G m_i m_k of the pairs d12, d13, d23."""
     m1, m2, m3 = masses.m1, masses.m2, masses.m3
@@ -663,7 +659,8 @@ def _pair_slopes(spec: PotentialSpec, masses: MassTriple):
 def eval_potential_batch(
     spec: PotentialSpec, masses: MassTriple, r1, r2, phi, d12, d13, d23
 ) -> np.ndarray:
-    """Potential energy at N shapes, each variable given as an (N,) array.
+    """Potential energy at N shapes, each variable given as an (N,) array,
+    or at one shape given as numbers, which the walk takes as 0-d arrays.
 
     Built-in families and expressions are both evaluated on the arrays.  An
     expression raises DomainError where an operation leaves its domain
@@ -682,48 +679,53 @@ def eval_potential_batch(
         shape = np.broadcast(*columns.values()).shape
         value, _ = _run(spec, columns, shape, gradient=False)
         return np.array(np.broadcast_to(value, shape))
-    return _pair_potential(spec, masses, np.stack([d12, d13, d23], axis=-1))
+    return _pair_potential(spec, masses, np.array([d12, d13, d23]).T)
 
 
-def potential_at_positions(spec: PotentialSpec, masses: MassTriple, x, shape=None) -> np.ndarray:
-    """Potential energy of N configurations given as an (N, 3, 3) array of
-    positions, one row per body: the one route from positions to V, an
-    (N,) array, as the pair distances it forms are (N,) columns.  A
+def potential_at_positions(spec: PotentialSpec, masses: MassTriple, x, shape=None):
+    """Potential energy of one configuration, given as a (3, 3) array of
+    positions with one row per body, as a numpy scalar or 0-d array; or of
+    N, given as an (N, 3, 3) array, as an (N,) array.  The one route from
+    positions to V: its pair distances are the force field's
+    (_pair_vectors), of one state's nine floats with math.sqrt or of a
+    batch's nine (N,) columns with np.sqrt, both correctly rounded.  A
     potential that reads r1, r2 or phi takes them from `shape`, the
-    (r1, r2, phi) of measure_shape that the caller measured: (N,) arrays,
-    or numpy scalars for one configuration (N = 1), which broadcast with
-    the distances.  It measures them itself when shape is None."""
-    d = lengths(_INCIDENCE @ x)
-    if spec.builtin is not None:
-        return _pair_potential(spec, masses, d)
+    (r1, r2, phi) of measure_shape that the caller measured: numpy
+    scalars for one configuration, (N,) arrays for N.  It measures them
+    itself when shape is None."""
+    if x.ndim == 2:
+        _, d = _pair_vectors(x.ravel().tolist(), sqrt)
+    else:
+        _, d = _pair_vectors(x.reshape(-1, 9).T, np.sqrt)
     if shape is None and not spec.reads <= PAIRS.keys():
-        r1, r2, _, _, _, phi = measure_shape(*jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2]))
+        r1, r2, _, _, _, phi = measure_shape(*jacobi_map(masses, *np.moveaxis(x, -2, 0)))
         shape = r1, r2, phi
-    return eval_potential_batch(spec, masses, *(shape or (None,) * 3), *d.T)
+    return eval_potential_batch(spec, masses, *(shape or (None,) * 3), *d)
 
 
-def _pair_vectors(x):
-    """The vectors x_i - x_k of the pairs d12, d13, d23 of one state's nine
-    position components x (body-major floats), as nine floats pair-major,
-    and their lengths sqrt((a a + b b) + c c), rounded as lengths rounds
-    them."""
+def _pair_vectors(x, root):
+    """The vectors x_i - x_k of the pairs d12, d13, d23 of the nine position
+    components x, body-major (x, y, z of body 1, then of bodies 2 and 3),
+    as nine components pair-major, and their lengths root((a a + b b) +
+    c c), rounded as np.linalg.norm rounds them: floats and math.sqrt for
+    one state, (N,) columns and np.sqrt for N."""
     x1, y1, z1, x2, y2, z2, x3, y3, z3 = x
     delta = a1, a2, a3, b1, b2, b3, c1, c2, c3 = (
         x1 - x2, y1 - y2, z1 - z2, x1 - x3, y1 - y3, z1 - z3, x2 - x3, y2 - y3, z2 - z3
     )
-    d = [sqrt((a1 * a1 + a2 * a2) + a3 * a3), sqrt((b1 * b1 + b2 * b2) + b3 * b3),
-         sqrt((c1 * c1 + c2 * c2) + c3 * c3)]
+    d = [root((a1 * a1 + a2 * a2) + a3 * a3), root((b1 * b1 + b2 * b2) + b3 * b3),
+         root((c1 * c1 + c2 * c2) + c3 * c3)]
     return delta, d
 
 
 def _pair_forces(slopes, delta, d):
     """Forces F_i = -dV/dx_i on the bodies, nine floats body-major, from the
     slopes dV/dd of the pairs d12, d13, d23 with their _pair_vectors delta
-    and d.  Each pair's w = slope * delta / d goes to its two bodies in the
-    order of the incidence product, each body's sum from +0.0, which gives
-    the product's bits: no force component is -0.0.  A pair at d = 0 adds
-    no force where its slope is 0, the limit, and raises DomainError
-    naming the pair otherwise, so no divisor is 0."""
+    and d.  Each pair's w = slope * delta / d goes to its two bodies, each
+    body's sum from +0.0, body 1's being (0.0 - w12) - w13, so no force
+    component is -0.0.  A pair at d = 0 adds no force where its slope is 0,
+    the limit, and raises DomainError naming the pair otherwise, so no
+    divisor is 0."""
     if 0.0 in d:
         for name, slope, r in zip(PAIRS, slopes, d):
             if r == 0.0 and slope != 0.0:
@@ -739,15 +741,6 @@ def _pair_forces(slopes, delta, d):
         0.0 + a1 - c1, 0.0 + a2 - c2, 0.0 + a3 - c3,
         0.0 + b1 + c1, 0.0 + b2 + c2, 0.0 + b3 + c3,
     ]
-
-
-@lru_cache(maxsize=64)
-def _jacobi_matrix(masses: MassTriple):
-    """The (2, 3) matrix A of jacobi_map, (s1, s2) = A (x1, x2, x3), read
-    only: its rows are the Jacobi vectors of the unit vectors."""
-    A = np.stack(jacobi_map(masses, *np.eye(3)))
-    A.flags.writeable = False
-    return A
 
 
 def _phi_slope_vanishes(spec, columns, slope):
@@ -769,11 +762,13 @@ def _phi_slope_vanishes(spec, columns, slope):
 
 def _shape_forces(A, s, shape, slopes):
     """Forces from slopes = dV/d(r1, r2, phi) at one state's Jacobi
-    3-vectors s and their measure_shape, numpy scalars.  dV/ds = C s for
-    s1, s2 stacked and a symmetric 2 x 2 matrix C, and dV/dx = A^T C s for
-    the (2, 3) Jacobi matrix A.  A slope of phi at |s1 x s2| = 0 must be
-    0 (see forces_cartesian); r1 or r2 at 0 raises DomainError unless its
-    slope is 0."""
+    3-vectors s and their measure_shape, numpy scalars, as nine floats
+    body-major.  dV/ds = g = C s for s1, s2 stacked and a symmetric 2 x 2
+    matrix C, and dV/dx = A^T g for the Jacobi map's coefficients A, its
+    two rows as floats: body i's force is -(A1i g1 + A2i g2), summed in
+    the order of s.  A slope of phi at |s1 x s2| = 0 must be 0 (see
+    forces_cartesian); r1 or r2 at 0 raises DomainError unless its slope
+    is 0."""
     r1, r2, _, area, dot, _ = shape
     r1, r2, area, dot = (float(v) for v in (r1, r2, area, dot))
     dr1, dr2, dphi = slopes
@@ -789,9 +784,10 @@ def _shape_forces(A, s, shape, slopes):
         c11 += dphi * dot / (r1 * r1 * area) if r1 * r1 * area else dphi * dot / r1 / r1 / area
         c22 += dphi * dot / (r2 * r2 * area) if r2 * r2 * area else dphi * dot / r2 / r2 / area
         c12 = -dphi / area
-    s1, s2 = s
-    g = np.array([c11 * s1 + c12 * s2, c12 * s1 + c22 * s2])
-    return -np.einsum("si,sk->ik", A, g)
+    s1, s2 = s[0].tolist(), s[1].tolist()
+    g1 = [c11 * a + c12 * b for a, b in zip(s1, s2)]
+    g2 = [c12 * a + c22 * b for a, b in zip(s1, s2)]
+    return [-(a * u + b * w) for a, b in zip(*A) for u, w in zip(g1, g2)]
 
 
 def force_field(spec: PotentialSpec, masses: MassTriple):
@@ -801,24 +797,27 @@ def force_field(spec: PotentialSpec, masses: MassTriple):
     components in the same order, with the values and errors of
     forces_cartesian, which calls it once.  What does not change from one
     call to the next is resolved here, once: a built-in family's slopes
-    and constants, and the variables an expression reads."""
+    and constants, and the variables an expression reads, with the Jacobi
+    map's coefficients where it reads r1, r2 or phi: the rows of A,
+    (s1, s2) = A (x1, x2, x3), are the Jacobi vectors of the unit
+    vectors."""
     if spec.builtin is not None:
         slopes = _pair_slopes(spec, masses)
 
         def field(x):
-            delta, d = _pair_vectors(x)
+            delta, d = _pair_vectors(x, sqrt)
             return _pair_forces(slopes(d), delta, d)
 
         return field
     pairs = not spec.reads.isdisjoint(PAIRS)
     jacobi = not spec.reads <= PAIRS.keys()
     reads_phi = "phi" in spec.reads
-    A = _jacobi_matrix(masses) if jacobi else None
+    A = [row.tolist() for row in jacobi_map(masses, *np.eye(3))] if jacobi else None
 
     def field(x):
         columns = {}
         if pairs:
-            delta, d = _pair_vectors(x)
+            delta, d = _pair_vectors(x, sqrt)
             columns.update(zip(PAIRS, np.array(d)[:, None]))
         if jacobi:
             # one state's 3-vectors, so measure_shape runs on numpy scalars;
@@ -838,8 +837,7 @@ def force_field(spec: PotentialSpec, masses: MassTriple):
                 # |dphi/ds1| = 1/r1 and |dphi/ds2| = 1/r2 in the plane of the
                 # motion, so the phi term tends to 0 with dV/dphi
                 slopes[2] = 0.0
-            shaped = _shape_forces(A, s, shape, slopes).ravel().tolist()
-            forces = [f + g for f, g in zip(forces, shaped)]
+            forces = [f + g for f, g in zip(forces, _shape_forces(A, s, shape, slopes))]
         return forces
 
     return field

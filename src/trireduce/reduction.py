@@ -25,7 +25,7 @@ from sys import float_info
 import numpy as np
 
 from .errors import NumericalBlowup, SingularInertia
-from .geometry import body_jacobi_vectors, cross
+from .geometry import body_jacobi_vectors
 
 SINGULAR_THRESHOLD = 1e-8
 
@@ -99,7 +99,9 @@ def inertia_inverse(r1, r2, phi):
     """Closed-form inverse of the inertia tensor.  Singular at collinear
     shapes: raises SingularInertia when r2 = 0, r1 = 0, |sin phi| <=
     SINGULAR_THRESHOLD, r1^2 r2^2 sin^2 phi underflows to 0 or an entry is
-    not finite (a subnormal divisor overflows it) on some row."""
+    not finite (a subnormal divisor overflows it) on some row.  Where
+    r1^2 r2^2 sin^2 phi overflows, the inverse is taken on r1, r2 over the
+    larger of the two (see _larger), over that larger squared."""
     _require(r2, "r2 = 0: the inertia tensor is singular")
     _require(r1, "r1 = 0: the inertia tensor is singular")
     s, c = np.sin(phi), np.cos(phi)
@@ -108,13 +110,17 @@ def inertia_inverse(r1, r2, phi):
         at = np.extract(near, np.abs(s))[0]
         raise SingularInertia(f"|sin phi| = {at:.3e} at or below {SINGULAR_THRESHOLD:.3e}")
     a, b = _square("r1", r1), _square("r2", r2)
+    with np.errstate(over="ignore"):  # det overflows: rescale (by 1.0, exact, elsewhere)
+        larger = _larger(r1, r2, a * b * s * s == np.inf)
+    r1, r2 = r1 / larger, r2 / larger
+    a, b = r1 * r1, r2 * r2
     det = a * b * s * s
     _require(det, "r1^2 r2^2 sin^2 phi underflows to 0: the inertia tensor is singular")
     with np.errstate(over="ignore", divide="ignore"):  # a subnormal divisor, named below
         off = c / (a * s)
         I_inv = _tensor(
             (3, 3), (a + b * c * c) / det, off, 0.0, off, 1.0 / a, 0.0, 0.0, 0.0, 1.0 / (a + b)
-        )
+        ) / (larger * larger)[..., None, None]
     _require(np.isfinite(I_inv), "I^-1 is not finite: the inertia tensor is singular")
     return I_inv
 
@@ -186,8 +192,8 @@ def body_velocities(r1, r2, phi, omega, qdot):
     angular velocity omega and the shape rates qdot = (r1dot, r2dot, phidot)."""
     b1, b2 = body_jacobi_vectors(r1, r2, phi)
     d = np.swapaxes(shape_partials(r1, r2, phi), -1, -2)  # [..., vector, component, coordinate]
-    v1 = cross(omega, b1) + _apply(d[..., 0, :, :], qdot)
-    v2 = cross(omega, b2) + _apply(d[..., 1, :, :], qdot)
+    v1 = np.cross(omega, b1) + _apply(d[..., 0, :, :], qdot)
+    v2 = np.cross(omega, b2) + _apply(d[..., 1, :, :], qdot)
     return v1, v2
 
 

@@ -532,7 +532,7 @@ class TestEvaluate:
     def test_row_is_simulate_first_row(self, tmp_path):
         # one table model: on 40 seeded states, evaluate's row holds the
         # bits of simulate's t = 0 row in every column both write, L_norm
-        # included (np.linalg.norm and geometry.lengths round |L| apart)
+        # included, as both take |L| from np.linalg.norm
         rng = np.random.default_rng(1501)
         shared = [c for c in EVALUATE_HEADER.split(",") if c in TRAJECTORY_HEADER.split(",")]
         evaluated, simulated = tmp_path / "eval.csv", tmp_path / "traj.csv"

@@ -12,10 +12,8 @@ from trireduce.geometry import (
     body_jacobi_vectors,
     cartesian_from_jacobi,
     check_vector,
-    cross,
     frame_matrices,
     jacobi_map,
-    lengths,
     measure_shape,
     reduced_masses,
     shape_to_distances,
@@ -144,8 +142,9 @@ class TestVectorFields:
 
 
 class TestVectorHelpers:
-    """lengths and cross round as np.linalg.norm and np.cross do, so the
-    measurements routed through them keep numpy's bits."""
+    """measure_shape's lengths and cross product round as np.linalg.norm
+    and np.cross do, on rows and on single 3-vectors, so the measurements
+    keep numpy's bits."""
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-8, 1.0, 1e8, 1e150])
     def test_bits_equal_numpy(self, scale):
@@ -153,11 +152,16 @@ class TestVectorHelpers:
         a, b = scale * rng.normal(size=(2, 4000, 3))
         a[:3] = 0.0
         b[3:6] = 0.0
-        assert np.array_equal(lengths(a), np.linalg.norm(a, axis=-1))
-        assert np.array_equal(cross(a, b), np.cross(a, b))
-        for k in range(8):  # single 3-vectors, zero ones included
-            assert np.array_equal(lengths(a[k]), np.linalg.norm(a[k], axis=-1))
-            assert np.array_equal(cross(a[k], b[k]), np.cross(a[k], b[k]))
+        pairs = [(a, b)] + [(a[k], b[k]) for k in range(8)]  # zero vectors included
+        # at 1e150 the squares of the normal overflow, so its area is inf
+        with np.errstate(over="ignore" if scale == 1e150 else "warn"):
+            shapes = [measure_shape(s1, s2) for s1, s2 in pairs]
+        for (s1, s2), (r1, r2, normal, area, _, _) in zip(pairs, shapes):
+            assert np.array_equal(r1, np.linalg.norm(s1, axis=-1))
+            assert np.array_equal(r2, np.linalg.norm(s2, axis=-1))
+            assert np.array_equal(np.stack(normal, -1), np.cross(s1, s2))
+            if scale < 1e150:
+                assert np.array_equal(area, np.linalg.norm(np.cross(s1, s2), axis=-1))
 
 
 def _state(x1, x2, x3, v1=None, v2=None, v3=None):

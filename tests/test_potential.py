@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import trireduce.potential
 from trireduce.checks import random_rotation
 from trireduce.errors import DomainError, PotentialSyntaxError, UnknownIdentifier
-from trireduce.geometry import MassTriple, jacobi_map, measure_shape, shape_to_distances
+from trireduce.geometry import CartesianState, MassTriple, jacobi_map, measure_shape, shape_to_distances
+from trireduce.hamiltonian import evaluate_reduced, evaluate_reduced_batch
 from trireduce.potential import (
     BUILTIN_NAMES,
     Bin,
@@ -590,8 +591,70 @@ class TestEval:
             Q = random_rotation(RNG)
             z = np.zeros(3)
             state = cartesian_from_jacobi(masses, Q @ b1, Q @ b2, z, z)
-            V = potential_at_positions(spec, masses, state.positions[None])[0]
+            V = potential_at_positions(spec, masses, state.positions)
             assert V == pytest.approx(base, rel=1e-12)
+
+
+# every built-in, a pair-only expression and one that reads the shape
+ONE_STATE_SPECS = {
+    **{name: builtin_potential(name) for name in BUILTIN_NAMES},
+    "harmonic_rest": builtin_potential("harmonic", k=0.7, rest_length=1.2, rest={"d13": 0.9}),
+    "pairs": parse_potential("0.5*(d12-1)^2 + 1/d23 + d13^2.5"),
+    "shape": parse_potential("sin(phi)*d12 + r1/d23 + 0.3*cos(phi)^2*r2^1.5"),
+}
+
+
+class TestOneState:
+    """potential_at_positions forms one (3, 3) state's pair distances on
+    floats with math.sqrt and an (N, 3, 3) batch's on (N,) columns with
+    np.sqrt, by the one pair map: the state has the bits of its row."""
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            return np.asarray(call()).tobytes()
+        except DomainError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("masses", [MASSES, MassTriple(1.0, 1.5, 2.0)], ids=["equal", "unequal"])
+    @pytest.mark.parametrize("spec", ONE_STATE_SPECS.values(), ids=ONE_STATE_SPECS.keys())
+    def test_state_has_the_bits_of_its_row(self, spec, masses):
+        rng = np.random.default_rng(3001)
+        x = rng.uniform(-1.5, 1.5, size=(10, 3, 3)) * 10.0 ** rng.uniform(-3, 3, size=(10, 1, 1))
+        x[1] = [[1.0, 0.0, 0.0], [2.5, 0.0, 0.0], [-1.0, 0.0, 0.0]]  # collinear
+        x[2, :, 2] = -0.0
+        V = potential_at_positions(spec, masses, x)
+        for k, row in enumerate(x):
+            assert np.asarray(potential_at_positions(spec, masses, row)).tobytes() == V[k].tobytes()
+            # with the shape given, as the reduction entry points give it
+            r1, r2, _, _, _, phi = measure_shape(*jacobi_map(masses, *row))
+            given = potential_at_positions(spec, masses, row, (r1, r2, phi))
+            assert np.asarray(given).tobytes() == V[k].tobytes()
+
+    @pytest.mark.parametrize("pair, bodies", [("d12", (0, 1)), ("d13", (0, 2)), ("d23", (1, 2))])
+    @pytest.mark.parametrize("spec", ONE_STATE_SPECS.values(), ids=ONE_STATE_SPECS.keys())
+    def test_pair_at_zero_raises_as_its_row(self, spec, pair, bodies):
+        # a row with two coincident bodies: the state alone raises the batch's
+        # DomainError, naming the same pair for a built-in, or gives its bits
+        x = np.random.default_rng(3002).uniform(-1.5, 1.5, size=(4, 3, 3))
+        x[2, bodies[1]] = x[2, bodies[0]]
+        batch = self._outcome(lambda: potential_at_positions(spec, MASSES, x))
+        alone = self._outcome(lambda: potential_at_positions(spec, MASSES, x[2]))
+        if isinstance(batch, str):
+            assert alone == batch
+        else:
+            assert alone == np.frombuffer(batch)[2].tobytes()
+        if spec.builtin in ("gravity", "lennard_jones"):
+            assert alone == str(DomainError(pair, 0.0))
+
+    @pytest.mark.parametrize("spec", ONE_STATE_SPECS.values(), ids=ONE_STATE_SPECS.keys())
+    def test_evaluate_reduced_is_its_one_row_batch(self, spec):
+        rng = np.random.default_rng(3003)
+        masses = MassTriple(1.0, 1.5, 2.0)
+        for x, v in rng.uniform(-1.5, 1.5, size=(8, 2, 3, 3)):
+            H = evaluate_reduced(masses, CartesianState(*x, *v), spec).H
+            batch = evaluate_reduced_batch(masses, x[None], v[None], spec)
+            assert np.float64(H).tobytes() == batch.H_reduced[0].tobytes()
 
 
 class TestForces:

@@ -538,6 +538,24 @@ def test_sums_of_squares_past_the_float_range(column):
         inertia_tensor(*(with_row(flat) if column else flat))
 
 
+@pytest.mark.parametrize("column", [False, True], ids=["float", "column"])
+def test_inverse_whose_determinant_overflows(column):
+    # r1^2 r2^2 sin^2 phi overflows but the inverse exists: it is taken on
+    # the rescaled lengths, with no RuntimeWarning (an error here), and the
+    # other rows keep their bits; velocities_from_momenta reaches it too
+    shape = (1.3e154, 1.3e154, 0.3)
+    args = with_row(shape) if column else shape
+    I_inv = inertia_inverse(*args)
+    row = (5,) if column else ()
+    np.testing.assert_allclose(I_inv[row], inertia_inverse(1.0, 1.0, 0.3) / 1.3e154 ** 2,
+                               rtol=4e-15, atol=0.0)
+    if column:
+        plain = inertia_inverse(*with_row((1.3, 0.8, 1.1)))
+        assert np.delete(I_inv, 5, 0).tobytes() == np.delete(plain, 5, 0).tobytes()
+    omega, qdot = call("velocities_from_momenta", *args)
+    assert np.all(np.isfinite(omega)) and np.all(np.isfinite(qdot))
+
+
 def test_metric_of_squares_whose_product_underflows():
     # r1^2 r2^2 underflows to 0 at r1 = r2 = 1e-100, but g33 = 5e-201 does not
     g, g_inv = horizontal_metric(1e-100, 1e-100, 1.0)

@@ -131,6 +131,35 @@ MUTATIONS = [
         ),
     ),
     Mutation(
+        name="one-state-V-unchecked",
+        file="src/trireduce/potential.py",
+        old="if isfinite(V := (e12 + e13) + e23):\n                return V\n",
+        new="return (e12 + e13) + e23\n",
+        reason="one state's float V returned where a pair term is not finite, not raised as its row",
+        caught_by=(
+            "tests/test_potential.py::TestPairTerms::test_hard_rows",
+            *(
+                f"tests/test_potential.py::TestPairTerms::test_potential_keeps_the_reference_bits[{spec}]"
+                for spec in ("harmonic", "harmonic_rest", "lennard_jones")
+            ),
+        ),
+    ),
+    Mutation(
+        name="one-state-V-at-zero",
+        file="src/trireduce/potential.py",
+        old="if spec.builtin is not None and 0.0 not in d:",
+        new="if spec.builtin is not None:",
+        reason="one state's float V taken at a pair distance of 0, where gravity divides by 0",
+        caught_by=(
+            "tests/test_potential.py::TestPairTerms::test_hard_rows",
+            *(
+                f"tests/test_potential.py::TestOneState::test_pair_at_zero_raises_as_its_row[{spec}-{pair}]"
+                for spec in ("gravity", "lennard_jones")
+                for pair in ("d12-bodies0", "d13-bodies1", "d23-bodies2")
+            ),
+        ),
+    ),
+    Mutation(
         name="loose-step-guard",
         file="src/trireduce/dynamics.py",
         old="if not hypot(*y) < 0.99e12:",

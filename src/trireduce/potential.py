@@ -2,18 +2,18 @@
 
 Built-in pairwise families (gravity, harmonic, Lennard-Jones, free) plus a
 small expression language over the shape variables r1, r2, phi and the
-interparticle distances d12, d13, d23.  Expression potentials are invariant
-by construction because they only see the shape.  Forces are exact
-gradients for both: an expression is compiled, once, to one generated
+interparticle distances d12, d13, d23, invariant by construction.  Each
+family's pair energies and slopes are written once, for one state's floats
+and a batch's columns; an expression is compiled, once, to one generated
 straight-line function that returns its value and its reverse-mode pullback.
-One pair map gives V and the forces their distances, and an expression's
-slopes by r1, r2 and phi reach the bodies as float sums over the Jacobi
-map's coefficients.
+Forces are exact gradients for both.  One pair map gives V and the forces
+their distances; an expression's slopes by r1, r2 and phi reach the bodies
+as float sums over the Jacobi map's coefficients.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from math import copysign, inf, sqrt
+from math import copysign, isfinite, sqrt
 from numbers import Real
 
 import numpy as np
@@ -33,30 +33,58 @@ PAIRS = {"d12": (0, 1), "d13": (0, 2), "d23": (1, 2)}
 # AST
 
 
-@dataclass(frozen=True)
-class Num:
+class _Node:
+    """A tree node whose ==, hash and dataclass repr take no frame per level."""
+
+    def _preorder(self):
+        """The nodes in pre-order, each as its type and fields, _Node for a child."""
+        nodes, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            values = [getattr(node, f.name) for f in fields(node)]
+            nodes.append((type(node), *(_Node if isinstance(v, _Node) else v for v in values)))
+            stack += [v for v in reversed(values) if isinstance(v, _Node)]
+        return nodes
+
+    def __eq__(self, other):
+        return isinstance(other, _Node) and self._preorder() == other._preorder()
+
+    def __hash__(self):
+        return hash(tuple(self._preorder()))
+
+    def __repr__(self):
+        done = []  # in reverse pre-order, a node's children are done, its first on top
+        for kind, *values in reversed(self._preorder()):
+            items = [f"{f.name}={done.pop() if v is _Node else repr(v)}"
+                     for f, v in zip(fields(kind), values)]
+            done.append(f"{kind.__qualname__}({', '.join(items)})")
+        return done[0]
+
+
+@dataclass(frozen=True, repr=False, eq=False)
+class Num(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, repr=False, eq=False)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, repr=False, eq=False)
+class Neg(_Node):
     arg: object
 
 
-@dataclass(frozen=True)
-class Bin:
+@dataclass(frozen=True, repr=False, eq=False)
+class Bin(_Node):
     op: str
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, repr=False, eq=False)
+class Call(_Node):
     fn: str
     arg: object
 
@@ -536,10 +564,6 @@ class PotentialSpec:
     # an expression's compiled walk (see _emit) and the variables it reads
     walk: object = field(default=None, init=False, repr=False, compare=False)
     reads: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
-    # a built-in family's parameters as its pair terms read them: defaults
-    # filled in and the harmonic's rest lengths of d12, d13, d23 as an
-    # array; never written after __post_init__
-    _bound: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.builtin is None) == (self.ast is None):
@@ -561,11 +585,6 @@ class PotentialSpec:
             else:
                 for pair, length in value.items():
                     check_number(f"params.rest.{pair}", length)
-        bound = {**reads, **self.params}
-        if self.builtin == "harmonic":
-            rest = [bound["rest"].get(n, bound["rest_length"]) for n in PAIRS]
-            bound["rest"] = np.array(rest, dtype=float)
-        object.__setattr__(self, "_bound", bound)
 
     @cached_property
     def _checking_walk(self):
@@ -585,82 +604,42 @@ def parse_potential(text) -> PotentialSpec:
     return PotentialSpec(ast=parse_expression(text), source=text)
 
 
-def _pair_products(G, masses: MassTriple):
-    """G m_i m_k of the pairs d12, d13, d23."""
-    m1, m2, m3 = masses.m1, masses.m2, masses.m3
-    return np.array([G * m1 * m2, G * m1 * m3, G * m2 * m3])
-
-
-def _off_zero(d):
-    """The mask of d = 0 (None where no d is 0) and d with 1.0 as a stand-in
-    there, where gravity and Lennard-Jones diverge: their terms are infinite."""
-    at_zero = d == 0.0 if np.count_nonzero(d) < d.size else None
-    return at_zero, d if at_zero is None else np.where(at_zero, 1.0, d)
-
-
-def _pair_potential(spec: PotentialSpec, masses: MassTriple, d):
-    """V of a built-in family, the sum of its three pair terms, at distances
-    d = (d12, d13, d23) given as a (..., 3) array.  Raises DomainError where
-    a pair term is not finite, naming the pair, as gravity and Lennard-Jones
-    do at a distance of 0."""
-    p = spec._bound
+def _pair_terms(spec: PotentialSpec, masses: MassTriple):
+    """A built-in family's (energies, slopes) with its parameters and the
+    masses bound: the three pair energies and their dV/dd at distances d =
+    (d12, d13, d23), three floats or three (N,) columns, as three of the
+    same kind (free's 0.0 broadcasts).  Only + - * / and np.power, so a
+    float has the bits of its row in a column (Python's ** rounds otherwise
+    on some bases).  Gravity and Lennard-Jones divide by d, so a float
+    raises ZeroDivisionError at d = 0; a d > 0 of _pair_vectors is at least
+    2.2e-162, the root of the least subnormal, and its square is > 0."""
+    p = {**BUILTIN_PARAMS[spec.builtin], **spec.params}
     if spec.builtin == "free":
-        energy = np.zeros_like(d)
-    elif spec.builtin == "harmonic":
-        energy = 0.5 * p["k"] * (d - p["rest"]) ** 2
-    else:
-        at_zero, off = _off_zero(d)
-        if spec.builtin == "gravity":
-            energy = -_pair_products(p["G"], masses) / off
-        else:  # lennard_jones
-            s6 = (p["sigma"] / off) ** 6
-            energy = 4.0 * p["epsilon"] * (s6 * s6 - s6)
-        if at_zero is not None:
-            energy = np.where(at_zero, np.inf, energy)
-    if not _all_finite(energy):
-        bad = ~np.isfinite(energy)
-        raise DomainError(list(PAIRS)[bad.nonzero()[-1][0]], float(d[bad][0]))
-    return (energy[..., 0] + energy[..., 1]) + energy[..., 2]
-
-
-def _pair_slopes(spec: PotentialSpec, masses: MassTriple):
-    """The derivatives dV/dd of the three pair terms of a built-in family,
-    with its constants bound, as slopes(d) of the distances d12, d13, d23
-    given as three floats; infinite at d = 0 for gravity and Lennard-Jones.
-    Each slope rounds as the same formula on a (3,) array does;
-    Lennard-Jones takes the array's ** 6, since Python's ** rounds
-    otherwise on some bases.  No divisor is 0: a d > 0 of _pair_vectors is
-    at least the root of the least subnormal, 2.2e-162, whose square
-    rounds back to it, so d * d > 0 too."""
-    p = spec._bound
-    if spec.builtin == "free":
-        return lambda d: [0.0, 0.0, 0.0]
+        return (lambda d: [0.0, 0.0, 0.0],) * 2
     if spec.builtin == "harmonic":
-        k, rest = float(p["k"]), p["rest"].tolist()
-        return lambda d: [k * (r - l) for r, l in zip(d, rest)]
+        k, rest = float(p["k"]), [float(p["rest"].get(n, p["rest_length"])) for n in PAIRS]
+        return (lambda d: [0.5 * k * ((r - l) * (r - l)) for r, l in zip(d, rest)],
+                lambda d: [k * (r - l) for r, l in zip(d, rest)])
     if spec.builtin == "gravity":
-        Gmm = _pair_products(p["G"], masses).tolist()
+        G, m1, m2, m3 = p["G"], masses.m1, masses.m2, masses.m3
+        products = [G * m1 * m2, G * m1 * m3, G * m2 * m3]
+        return (lambda d: [-g / r for g, r in zip(products, d)],
+                lambda d: [g / (r * r) for g, r in zip(products, d)])
+    sigma, scale = float(p["sigma"]), 4.0 * p["epsilon"]  # lennard_jones
 
-        def slopes(d):
-            return [inf if r == 0.0 else g / (r * r) for g, r in zip(Gmm, d)]
+    def sixth_powers(d):
+        s6 = np.power([sigma / r for r in d], 6)
+        return s6.tolist() if s6.ndim == 1 else s6
 
-        return slopes
-    sigma, scale = float(p["sigma"]), float(4.0 * p["epsilon"])  # lennard_jones
-
-    def slopes(d):
-        if 0.0 in d:  # _pair_forces raises at the first pair at 0
-            return [inf if r == 0.0 else 0.0 for r in d]
-        s6 = (np.array([sigma / r for r in d]) ** 6).tolist()
-        return [scale * (-12.0 * s * s + 6.0 * s) / r for s, r in zip(s6, d)]
-
-    return slopes
+    return (lambda d: [scale * (s * s - s) for s in sixth_powers(d)],
+            lambda d: [scale * (-12.0 * s * s + 6.0 * s) / r for s, r in zip(sixth_powers(d), d)])
 
 
 def eval_potential_batch(
     spec: PotentialSpec, masses: MassTriple, r1, r2, phi, d12, d13, d23
 ) -> np.ndarray:
     """Potential energy at N shapes, each variable given as an (N,) array,
-    or at one shape given as numbers, which the walk takes as 0-d arrays.
+    or at one shape given as numbers, which are taken as 0-d arrays.
 
     Built-in families and expressions are both evaluated on the arrays.  An
     expression raises DomainError where an operation leaves its domain
@@ -669,34 +648,50 @@ def eval_potential_batch(
     negative power, power overflow) and, under the name "expression",
     where its value is not finite.  An expression that reads phi raises it
     under the name "phi" at r1 = 0 or r2 = 0, where phi is undefined.  A
-    built-in family raises it where a pair term is not finite, naming the
-    pair, as gravity and Lennard-Jones do at a distance of 0.  A variable
-    the potential does not read may be None.
+    built-in family raises it at the first row with a pair term that is not
+    finite, naming its first such pair, as gravity and Lennard-Jones do at a
+    distance of 0.  A variable the potential does not read may be None.
     """
+    values = (r1, r2, phi, d12, d13, d23)
+    columns = {n: np.asarray(a, dtype=float) for n, a in zip(VARIABLES, values) if a is not None}
+    shape = np.broadcast(*columns.values()).shape
     if spec.ast is not None:
-        values = (r1, r2, phi, d12, d13, d23)
-        columns = {n: np.asarray(a, dtype=float) for n, a in zip(VARIABLES, values) if a is not None}
-        shape = np.broadcast(*columns.values()).shape
         value, _ = _run(spec, columns, shape, gradient=False)
-        return np.array(np.broadcast_to(value, shape))
-    return _pair_potential(spec, masses, np.array([d12, d13, d23]).T)
+    else:
+        d = [columns[n] for n in PAIRS]
+        with np.errstate(all="ignore"):
+            e12, e13, e23 = terms = _pair_terms(spec, masses)[0](d)
+            value = (e12 + e13) + e23
+        if not _all_finite(value):
+            rows = np.reshape(np.broadcast_arrays(*terms, *d), (6, -1))
+            bad = ~np.isfinite(rows[:3].T)
+            if bad.any():
+                row, pair = divmod(bad.argmax(), 3)
+                raise DomainError(tuple(PAIRS)[pair], float(rows[3 + pair, row]))
+    return np.array(np.broadcast_to(value, shape))
 
 
 def potential_at_positions(spec: PotentialSpec, masses: MassTriple, x, shape=None):
     """Potential energy of one configuration, given as a (3, 3) array of
-    positions with one row per body, as a numpy scalar or 0-d array; or of
-    N, given as an (N, 3, 3) array, as an (N,) array.  The one route from
-    positions to V: its pair distances are the force field's
-    (_pair_vectors), of one state's nine floats with math.sqrt or of a
-    batch's nine (N,) columns with np.sqrt, both correctly rounded.  A
-    potential that reads r1, r2 or phi takes them from `shape`, the
-    (r1, r2, phi) of measure_shape that the caller measured: numpy
-    scalars for one configuration, (N,) arrays for N.  It measures them
-    itself when shape is None."""
+    positions with one row per body, as a number; or of N, given as an
+    (N, 3, 3) array, as an (N,) array.  The one route from positions to V:
+    its pair distances are the force field's (_pair_vectors), of one
+    state's nine floats with math.sqrt or of a batch's nine (N,) columns
+    with np.sqrt.  A built-in family sums one state's pair energies as
+    floats, or takes its row where a d is 0 or V is not finite.  A
+    potential that reads r1, r2 or phi takes them from `shape`, the (r1,
+    r2, phi) of measure_shape that the caller measured: numpy scalars for
+    one configuration, (N,) arrays for N, or measures them if it is None."""
     if x.ndim == 2:
         _, d = _pair_vectors(x.ravel().tolist(), sqrt)
+        if spec.builtin is not None and 0.0 not in d:
+            with np.errstate(all="ignore"):  # Lennard-Jones's power; its row names an overflow
+                e12, e13, e23 = _pair_terms(spec, masses)[0](d)
+            if isfinite(V := (e12 + e13) + e23):
+                return V
     else:
-        _, d = _pair_vectors(x.reshape(-1, 9).T, np.sqrt)
+        with np.errstate(all="ignore"):  # a distance that overflows is inf, as a float's
+            _, d = _pair_vectors(x.reshape(-1, 9).T, np.sqrt)
     if shape is None and not spec.reads <= PAIRS.keys():
         r1, r2, _, _, _, phi = measure_shape(*jacobi_map(masses, *np.moveaxis(x, -2, 0)))
         shape = r1, r2, phi
@@ -802,11 +797,15 @@ def force_field(spec: PotentialSpec, masses: MassTriple):
     (s1, s2) = A (x1, x2, x3), are the Jacobi vectors of the unit
     vectors."""
     if spec.builtin is not None:
-        slopes = _pair_slopes(spec, masses)
+        _, slopes = _pair_terms(spec, masses)
 
         def field(x):
             delta, d = _pair_vectors(x, sqrt)
-            return _pair_forces(slopes(d), delta, d)
+            try:
+                dVdd = slopes(d)
+            except ZeroDivisionError:  # gravity's or Lennard-Jones's slope at d = 0
+                raise DomainError(tuple(PAIRS)[d.index(0.0)], 0.0) from None
+            return _pair_forces(dVdd, delta, d)
 
         return field
     pairs = not spec.reads.isdisjoint(PAIRS)

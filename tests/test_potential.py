@@ -1,3 +1,5 @@
+import re
+from dataclasses import fields
 from math import pi, sqrt
 from unittest import mock
 
@@ -13,6 +15,8 @@ from trireduce.geometry import CartesianState, MassTriple, jacobi_map, measure_s
 from trireduce.hamiltonian import evaluate_reduced, evaluate_reduced_batch
 from trireduce.potential import (
     BUILTIN_NAMES,
+    BUILTIN_PARAMS,
+    PAIRS,
     Bin,
     Call,
     Neg,
@@ -101,6 +105,38 @@ def reference_pair_forces(spec, masses, x):
         # the pullback of 0.5*(d-1)^2 multiplies exactly: 0.5 * 2.0 * (d-1)^1.0
         dVdd = d - 1.0
     return np.einsum("pb,pk->bk", incidence, -dVdd[:, None] * delta / d[:, None])
+
+
+def reference_pair_energies(spec, masses, x):
+    """V of a built-in family at the positions x, one (3, 3) state or an
+    (N, 3, 3) batch, by the array formula that the pair terms replace: the
+    three pairs at once on (..., 3) distances, with 1.0 standing in for a d
+    of 0 and the term set to inf there for gravity and Lennard-Jones, and
+    DomainError at the first row with a term that is not finite, naming its
+    first such pair with that pair's distance."""
+    first, second = np.array([(0, 1), (0, 2), (1, 2)]).T
+    with np.errstate(all="ignore"):
+        delta = x.take(first, -2) - x.take(second, -2)
+        d = np.sqrt(np.add.reduce(delta * delta, -1))
+        params = spec.params
+        if spec.builtin == "free":
+            energy = np.zeros_like(d)
+        elif spec.builtin == "harmonic":
+            rest = [params.get("rest", {}).get(n, params.get("rest_length", 1.0)) for n in PAIRS]
+            energy = 0.5 * params.get("k", 1.0) * (d - np.array(rest, dtype=float)) ** 2
+        else:
+            off = np.where(d == 0.0, 1.0, d)
+            if spec.builtin == "gravity":
+                G, m1, m2, m3 = params.get("G", 1.0), masses.m1, masses.m2, masses.m3
+                energy = -np.array([G * m1 * m2, G * m1 * m3, G * m2 * m3]) / off
+            else:
+                s6 = (params.get("sigma", 1.0) / off) ** 6
+                energy = 4.0 * params.get("epsilon", 1.0) * (s6 * s6 - s6)
+            energy = np.where(d == 0.0, np.inf, energy)
+    bad = ~np.isfinite(energy)
+    if bad.any():
+        raise DomainError(list(PAIRS)[bad.nonzero()[-1][0]], float(d[bad][0]))
+    return (energy[..., 0] + energy[..., 1]) + energy[..., 2]
 
 
 # The closure compiler that the generated walk replaced, kept as the
@@ -258,6 +294,25 @@ def bit_pin_positions():
     return positions + [np.array(pos) for pos in lines]
 
 
+def hard_positions():
+    """States where a pair term leaves the float range or diverges: bodies
+    2 and 3 coincident, all three coincident, bodies 1 and 2 1e-160 apart,
+    and states at scale 1e150 and at 1e155, where the squared distances
+    overflow to inf."""
+    rng = np.random.default_rng(3101)
+    coincident = rng.uniform(-1.5, 1.5, size=(3, 3))
+    coincident[2] = coincident[1]
+    close = rng.uniform(-1.5, 1.5, size=(3, 3))
+    close[:2] = [[0.0, 0.0, 0.0], [1e-160, 0.0, 0.0]]
+    return [
+        coincident,
+        np.full((3, 3), 0.25),
+        close,
+        rng.uniform(-1.5, 1.5, size=(3, 3)) * 1e150,
+        np.array([[0.0, 0.0, 0.0], [2.0, 0.5, 0.0], [-0.5, 1.5, 1.0]]) * 1e155,
+    ]
+
+
 def ctx_with(**kwargs):
     """Columns r1, r2, phi, d12, d13, d23 of a one-row batch, 1.0 by default."""
     defaults = dict(r1=1.0, r2=1.0, phi=1.0, d12=1.0, d13=1.0, d23=1.0)
@@ -404,6 +459,54 @@ class TestParser:
         calls = parse_potential("abs(" * 159 + "d12" + ")" * 159)
         value, _ = trireduce.potential._run(calls, columns, d.shape, False)
         assert value.tobytes() == np.abs(d).tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            " + ".join(["r1"] * 501),
+            "-" * 159 + "d12",
+            "sin(" * 159 + "d12" + ")" * 159,
+            "^".join(["d12"] * 160),
+            "cos(" * 100 + " * ".join(["d12"] * 400) + ")" * 100,
+        ],
+        ids=["flat-sum", "negations", "calls", "powers", "nested-chains"],
+    )
+    def test_deepest_trees_have_repr_eq_and_hash(self, text):
+        # the deepest trees the parser takes: a 501-term sum raised
+        # RecursionError in all three, which took frames per level
+        spec, again = parse_potential(text), parse_potential(text)
+        assert spec == again and spec.ast == again.ast and hash(spec.ast) == hash(again.ast)
+        assert repr(spec) == repr(again) and repr(spec.ast) in repr(spec)
+        leaves = re.findall(r"Var\(name='(\w+)'\)", repr(spec.ast))
+        assert leaves == re.findall(r"[a-z]\w*\d", text)
+        # another variable at the first leaf or at the last, one of them the deepest
+        found = list(re.finditer(r"r1|d12", text))
+        for match in (found[0], found[-1]):
+            swapped = {"r1": "r2", "d12": "d13"}[match[0]]
+            other = parse_potential(text[: match.start()] + swapped + text[match.end() :])
+            assert other.ast != spec.ast and other != spec and repr(other.ast) != repr(spec.ast)
+
+    @settings(max_examples=200, deadline=None)
+    @given(EXPRESSIONS)
+    def test_repr_eq_and_hash_are_the_dataclasses(self, ast):
+        # the text of the dataclass repr, structural ==, equal hashes
+        nodes = (Num, Var, Neg, Bin, Call)
+
+        def rebuilt(node):
+            if not isinstance(node, nodes):
+                return node
+            return type(node)(*[rebuilt(getattr(node, f.name)) for f in fields(node)])
+
+        def dataclass_repr(node):
+            if not isinstance(node, nodes):
+                return repr(node)
+            items = ", ".join(f"{f.name}={dataclass_repr(getattr(node, f.name))}" for f in fields(node))
+            return f"{type(node).__qualname__}({items})"
+
+        copy = rebuilt(ast)
+        assert copy is not ast and copy == ast and hash(copy) == hash(ast)
+        assert repr(ast) == dataclass_repr(ast)
+        assert Neg(ast) != ast and Neg(ast) == Neg(copy) and ast != "r1"
 
     @pytest.mark.parametrize("depth", [500, 501, 1200])
     def test_hand_built_trees_obey_the_depth_limit(self, depth):
@@ -595,13 +698,32 @@ class TestEval:
             assert V == pytest.approx(base, rel=1e-12)
 
 
-# every built-in, a pair-only expression and one that reads the shape
+# every built-in, some with int or other parameters, a pair-only expression
+# and one that reads the shape
 ONE_STATE_SPECS = {
     **{name: builtin_potential(name) for name in BUILTIN_NAMES},
     "harmonic_rest": builtin_potential("harmonic", k=0.7, rest_length=1.2, rest={"d13": 0.9}),
+    "harmonic_int": builtin_potential("harmonic", k=2, rest={"d23": 1}),
+    "gravity_int": builtin_potential("gravity", G=3),
+    "lennard_jones_wide": builtin_potential("lennard_jones", epsilon=0.8, sigma=1.1),
     "pairs": parse_potential("0.5*(d12-1)^2 + 1/d23 + d13^2.5"),
     "shape": parse_potential("sin(phi)*d12 + r1/d23 + 0.3*cos(phi)^2*r2^1.5"),
 }
+
+
+# built-in families and a pairwise expression with the masses they are
+# pinned under, for the bits of their forces and (built-ins) of V
+BIT_PIN_SPECS = {
+    "gravity": (builtin_potential("gravity", G=1.3), MassTriple(1.0, 1.5, 2.0)),
+    "gravity_unit": (builtin_potential("gravity"), MASSES),
+    "harmonic": (builtin_potential("harmonic", k=0.7, rest_length=1.2, rest={"d13": 0.9}),
+                 MassTriple(1.0, 1.5, 2.0)),
+    "harmonic_rest": (builtin_potential("harmonic", k=1.0, rest_length=1.0), MASSES),
+    "lennard_jones": (builtin_potential("lennard_jones", epsilon=0.8, sigma=1.1), MASSES),
+    "free": (builtin_potential("free"), MASSES),
+    "expr_sparse": (parse_potential("0.5*(d12-1)^2 + 0.5*(d13-1)^2 + 0.5*(d23-1)^2"), MASSES),
+}
+BUILTIN_BIT_PIN_SPECS = {key: value for key, value in BIT_PIN_SPECS.items() if value[0].builtin}
 
 
 class TestOneState:
@@ -655,6 +777,68 @@ class TestOneState:
             H = evaluate_reduced(masses, CartesianState(*x, *v), spec).H
             batch = evaluate_reduced_batch(masses, x[None], v[None], spec)
             assert np.float64(H).tobytes() == batch.H_reduced[0].tobytes()
+
+
+class TestPairTerms:
+    """Each built-in family's pair energies and slopes are written once, for
+    one state's floats and a batch's columns alike."""
+
+    @pytest.mark.parametrize(
+        "spec, masses", BUILTIN_BIT_PIN_SPECS.values(), ids=BUILTIN_BIT_PIN_SPECS.keys()
+    )
+    def test_potential_keeps_the_reference_bits(self, spec, masses):
+        # byte for byte, or the same DomainError: each state alone, each
+        # hard row as a row of a batch, and the batch of the bit-pin states
+        rows = bit_pin_positions()
+        for pos in rows + hard_positions():
+            expected = outcome(reference_pair_energies, spec, masses, pos)
+            assert outcome(potential_at_positions, spec, masses, pos) == expected, pos
+            x = np.array([rows[0], pos, rows[1]])
+            expected = outcome(reference_pair_energies, spec, masses, x)
+            assert outcome(potential_at_positions, spec, masses, x) == expected, pos
+        x = np.array(rows)
+        expected = outcome(reference_pair_energies, spec, masses, x)
+        assert outcome(potential_at_positions, spec, masses, x) == expected
+
+    def test_hard_rows(self):
+        # a singular family names its first pair at 0 and one whose term
+        # overflows; where the distances overflow to inf, gravity's and
+        # Lennard-Jones's terms tend to 0 and the harmonic's is not finite
+        tiny = sqrt(1e-160 * 1e-160)  # the distance of 1e-160, its square being subnormal
+        expected = {
+            "gravity": [("d23", 0.0), ("d12", 0.0), None, None, -0.0],
+            "lennard_jones": [("d23", 0.0), ("d12", 0.0), ("d12", tiny), None, 0.0],
+            "harmonic": [None, None, None, None, ("d12", np.inf)],
+            "free": [0.0, 0.0, 0.0, 0.0, 0.0],
+        }
+        for name, outcomes in expected.items():
+            spec = builtin_potential(name)
+            for pos, want in zip(hard_positions(), outcomes):
+                for x in (pos, pos[None]):
+                    try:
+                        V = potential_at_positions(spec, MASSES, x)
+                    except DomainError as exc:
+                        assert (exc.node, exc.value) == want, (name, pos)
+                    else:
+                        assert not isinstance(want, tuple), (name, pos)
+                        assert np.all(np.isfinite(V))
+                        if want is not None:
+                            assert np.asarray(V).ravel().tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_a_float_has_the_bits_of_its_row(self, name):
+        # energies and slopes of three floats are those of their row in
+        # three columns, for distances from 1e-3 to 1e3 and 1e-160
+        rng = np.random.default_rng(3102)
+        d = 10.0 ** rng.uniform(-3, 3, size=(3, 200))
+        d[:, :2] = [[1.0, 1e-160], [0.5, 2.0], [2.0, 1.5]]
+        spec = builtin_potential(name, **{"harmonic": {"k": 2, "rest": {"d13": 0.5}}}.get(name, {}))
+        with np.errstate(all="ignore"):
+            for terms in trireduce.potential._pair_terms(spec, MassTriple(1.0, 1.5, 2.0)):
+                columns = np.broadcast_to(np.reshape(terms(list(d)), (3, -1)), d.shape)
+                rows = [terms(row.tolist()) for row in d.T]
+                assert all(type(v) is float for row in rows for v in row)
+                assert np.array(rows).T.tobytes() == columns.tobytes()
 
 
 class TestForces:
@@ -977,10 +1161,12 @@ class TestForces:
         assert np.allclose(scaled[0], scaled[1], rtol=1e-12, atol=1e-12)
 
     def test_bound_parameters_are_never_written(self):
-        # forces and V under three masses leave a spec's bound parameters
-        # as its construction left them
-        def snapshot(bound):
-            return {key: (type(v), np.asarray(v).tobytes()) for key, v in bound.items()}
+        # forces and V under three masses leave a spec's parameters, the
+        # rest lengths' own dict too, and the families' defaults as they were
+        def snapshot(params):
+            return {key: (type(v), repr(v)) for key, v in params.items()}
+
+        defaults = {name: snapshot(params) for name, params in BUILTIN_PARAMS.items()}
 
         triples = [MassTriple(1.0, 2.0, 3.0), MassTriple(0.5, 1.0, 4.0), MASSES]
         pos = self._spread_positions()
@@ -988,28 +1174,16 @@ class TestForces:
         specs += [builtin_potential("gravity", G=1.3),
                   builtin_potential("harmonic", k=0.7, rest={"d13": 0.9})]
         for spec in specs:
-            before = snapshot(spec._bound)
+            before = snapshot(spec.params)
             for masses in triples:
                 forces_cartesian(spec, masses, pos)
                 force_field(spec, masses)(pos.ravel().tolist())
                 potential_at_positions(spec, masses, pos[None])
-            assert snapshot(spec._bound) == before, spec.builtin
+                potential_at_positions(spec, masses, pos)
+            assert snapshot(spec.params) == before, spec.builtin
+        assert {name: snapshot(params) for name, params in BUILTIN_PARAMS.items()} == defaults
 
-    @pytest.mark.parametrize(
-        "spec, masses",
-        [
-            (builtin_potential("gravity", G=1.3), MassTriple(1.0, 1.5, 2.0)),
-            (builtin_potential("gravity"), MASSES),
-            (builtin_potential("harmonic", k=0.7, rest_length=1.2, rest={"d13": 0.9}),
-             MassTriple(1.0, 1.5, 2.0)),
-            (builtin_potential("harmonic", k=1.0, rest_length=1.0), MASSES),
-            (builtin_potential("lennard_jones", epsilon=0.8, sigma=1.1), MASSES),
-            (builtin_potential("free"), MASSES),
-            (parse_potential("0.5*(d12-1)^2 + 0.5*(d13-1)^2 + 0.5*(d23-1)^2"), MASSES),
-        ],
-        ids=["gravity", "gravity_unit", "harmonic", "harmonic_rest", "lennard_jones", "free",
-             "expr_sparse"],
-    )
+    @pytest.mark.parametrize("spec, masses", BIT_PIN_SPECS.values(), ids=BIT_PIN_SPECS.keys())
     def test_pair_forces_keep_the_reference_bits(self, spec, masses):
         # byte for byte, so the sign of every 0 is held too: the CSV prints -0
         # and the bound field has the bits of the one-shot call

@@ -160,6 +160,51 @@ MUTATIONS = [
         ),
     ),
     Mutation(
+        name="square-by-pow",
+        file="src/trireduce/reduction.py",
+        old="    return x * x\n",
+        new="    return x ** 2\n",
+        reason="the checked square taken as x ** 2, libm's pow on a float, unlike its row's x * x",
+        caught_by=("tests/test_hamiltonian.py::TestFormulaOnArrays::test_batch_equals_its_rows",),
+    ),
+    Mutation(
+        name="unchecked-slope",
+        file="src/trireduce/potential.py",
+        old="if not isfinite(s + t + u):",
+        new="if False:",
+        reason="a built-in's slope dV/dd that overflows left to make NaN force components",
+        caught_by=tuple(
+            f"tests/test_potential.py::TestForces::test_slope_that_overflows_is_named[{pair}-{name}-{r}]"
+            for pair in ("d12-bodies0", "d13-bodies1", "d23-bodies2")
+            for name, r in (("gravity", "3e-162"), ("lennard_jones", "1e-30"), ("lennard_jones", "1e-60"))
+        ),
+    ),
+    Mutation(
+        name="shared-vector",
+        file="src/trireduce/geometry.py",
+        old="    if np.iterable(value):\n",
+        new='    if np.iterable(value) and not (type(value) is np.ndarray and value.dtype.char == "d"):\n',
+        reason="a float64 array kept as a CartesianState's vector, so the caller's writes reach the state",
+        caught_by=(
+            "tests/test_geometry.py::TestVectorFields::test_state_owns_its_vectors",
+            *(
+                f"tests/test_geometry.py::TestVectorFields::test_numbers_are_stored_as_float_arrays[{target}]"
+                for target in ("CartesianState", "check_vector")
+            ),
+        ),
+    ),
+    Mutation(
+        name="unnamed-sin-phi",
+        file="src/trireduce/hamiltonian.py",
+        old="    if not (isfinite(sin_phi) if sin_phi.ndim == 0 else np.isfinite(sin_phi).all()):\n",
+        new="    if False:\n",
+        reason="an overflowing |s1 x s2| left as sin_phi = inf, so phi reads pi/2 and H is wrong",
+        caught_by=(
+            "tests/test_hamiltonian.py::TestOneRowPath::test_sin_phi_overflow_is_named",
+            "tests/test_cli.py::TestEvaluate::test_sin_phi_overflow_exit_3",
+        ),
+    ),
+    Mutation(
         name="loose-step-guard",
         file="src/trireduce/dynamics.py",
         old="if not hypot(*y) < 0.99e12:",

@@ -160,7 +160,7 @@ def suite_tensor_oracle(seed=DEFAULT_SEED, n=300):
         A = mechanical_connection(*q)
         g, g_inv = horizontal_metric(*q)
         I_inv = inertia_inverse(*q)
-        h = np.diag([1.0, 1.0, q[1] ** 2])
+        h = np.diag([1.0, 1.0, q[1] * q[1]])
         A_brute = np.linalg.inv(I) @ brute_gauge(q).T
         g_brute = h - A_brute.T @ I @ A_brute
 
@@ -241,7 +241,7 @@ def suite_singular_term(seed=DEFAULT_SEED, n=100):
     for _ in range(n):
         r2 = rng.uniform(0.2, 2.0)
         omega = rng.normal(size=3)
-        if singular_term(1.0, r2, 0.0, omega) != -(r2 ** 2) * omega[1]:
+        if singular_term(1.0, r2, 0.0, omega) != -(r2 * r2) * omega[1]:
             return False, "phi = 0 value is not exactly -r2^2 w2"
         phi = rng.uniform(0.15, pi - 0.15)
         J1 = body_angular_momentum(1.0, r2, phi, omega, np.zeros(3))[0]

@@ -42,13 +42,12 @@ def check_number(path, value):
 
 
 def check_vector(name, value):
-    """value as a float array; raises ValueError naming it unless it is a
-    3-vector of finite real numbers (float() would take a bool or a str as
-    a component).  A float64 array is returned as it is."""
-    if not (type(value) is np.ndarray and value.dtype.char == "d"):
-        if np.iterable(value):
-            value = [c if _finite_real(c) else nan for c in value]
-        value = np.asarray(value, dtype=float)
+    """value as a new float array, which the caller's value does not share;
+    raises ValueError naming it unless it is a 3-vector of finite real
+    numbers (float() would take a bool or a str as a component)."""
+    if np.iterable(value):
+        value = [c if _finite_real(c) else nan for c in value]
+    value = np.asarray(value, dtype=float)
     if value.shape != (3,) or np.count_nonzero(np.isfinite(value)) < 3:
         raise ValueError(f"{name} must be a finite 3-vector")
     return value
@@ -256,6 +255,5 @@ def shape_to_distances(m: MassTriple, r1, r2, phi):
     d13 = r1 / sqrt(mu1)
     x2 = r2 * np.cos(phi) / sqrt(mu2)
     y2 = r2 * np.sin(phi) / sqrt(mu2)
-    d12 = np.sqrt((x2 - m.m3 / pair * d13) ** 2 + y2 ** 2)
-    d23 = np.sqrt((x2 + m.m1 / pair * d13) ** 2 + y2 ** 2)
-    return d12, d13, d23
+    a, b = x2 - m.m3 / pair * d13, x2 + m.m1 / pair * d13
+    return np.sqrt(a * a + y2 * y2), d13, np.sqrt(b * b + y2 * y2)

@@ -75,7 +75,7 @@ def reduced_hamiltonian(r1, r2, phi, J, p, T, V):
     any row, exactly or by underflow: T^2/b is 0/0 at r2 = 0, which is the
     Cartesian routes' to cover.  Raises NumericalBlowup naming the quantity
     where a square overflows, or where H is not finite."""
-    a, b = _square("r1", r1), _square("r2", r2)
+    a, b = check_square("r1", r1), check_square("r2", r2)
     (_, J2, J3), (p1, p2, p3) = np.moveaxis(J, -1, 0), np.moveaxis(p, -1, 0)
     # an overflow past the squares is an H that is not finite, named below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -85,9 +85,10 @@ def reduced_hamiltonian(r1, r2, phi, J, p, T, V):
                 if np.count_nonzero(divisor) < np.size(divisor):
                     raise DegenerateShape(f"{name} is 0: the reduced Hamiltonian divides by it")
         S = a + b
-        quad = _square("T", T) / b + _square("(J2 + cos(phi) T)", J2 + np.cos(phi) * T) / a
-        quad = quad + _square("J3", J3) / S + _square("p1", p1) + _square("p2", p2)
-        H = 0.5 * (quad + S / ab * _square("(p3 - b J3 / S)", p3 - b / S * J3)) + V
+        quad = check_square("T", T) / b
+        quad = quad + check_square("(J2 + cos(phi) T)", J2 + np.cos(phi) * T) / a
+        quad = quad + check_square("J3", J3) / S + check_square("p1", p1) + check_square("p2", p2)
+        H = 0.5 * (quad + S / ab * check_square("(p3 - b J3 / S)", p3 - b / S * J3)) + V
     if np.count_nonzero(np.isfinite(H)) < np.size(H):
         raise NumericalBlowup("H is not finite")
     return H
@@ -100,7 +101,7 @@ def singular_term(r1, r2, phi, omega):
     Raises NumericalBlowup where r2^2 overflows, and naming the product or
     the difference that is not finite on some row, before a numpy
     warning."""
-    b = _square("r2", r2)
+    b = check_square("r2", r2)
     w1, w2, _ = np.moveaxis(omega, -1, 0)
     # an overflow past the square, named below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -116,11 +117,6 @@ def singular_term(r1, r2, phi, omega):
     return T
 
 
-def _square(name, x):
-    """x ** 2, with its bits, checked by reduction.check_square."""
-    return check_square(name, x) ** 2
-
-
 def evaluate_reduced(
     masses: MassTriple,
     state: CartesianState,
@@ -132,7 +128,7 @@ def evaluate_reduced(
     The result is the energy in the center-of-mass frame; for states with
     zero total momentum it equals the total energy.  Raises
     DegenerateShape when r1 or r2 is 0, before V is evaluated, and
-    NumericalBlowup when the Jacobi vectors or H overflow.
+    NumericalBlowup when the Jacobi vectors, sin_phi or H overflow.
     """
     # one map for positions (row 0) and velocities (row 1); the state was
     # validated when it was built, so only an overflow of the map is new
@@ -160,7 +156,8 @@ def _reduce_rows(collinear_threshold, s1, s2, sd1, sd2):
     """The kernel of evaluate_reduced and evaluate_reduced_batch: shape,
     momenta and kinetic energy K of N states given as (N, 3) Jacobi rows,
     or of one state given as four 3-vectors, in body_frames' frames.
-    Raises NumericalBlowup naming a row not finite (row 0 for one state).
+    Raises NumericalBlowup naming the first row whose Jacobi vectors, or
+    then sin_phi, are not finite (row 0 for one state).
 
     With body velocities v1 = R^T sdot1, v2 = R^T sdot2 (each component
     the dot product of an axis with the rate, (x + y) + z) and
@@ -177,6 +174,11 @@ def _reduce_rows(collinear_threshold, s1, s2, sd1, sd2):
     axes, r1, r2, phi, sin_phi, planar, degenerate = body_frames(
         s1, s2, sd1, sd2, collinear_threshold
     )
+    # sin_phi is inf or NaN where |s1 x s2| overflows though the Jacobi
+    # vectors do not, and phi reads pi/2 there; one state's is a numpy
+    # scalar, which math.isfinite tests at a fraction of a ufunc's cost
+    if not (isfinite(sin_phi) if sin_phi.ndim == 0 else np.isfinite(sin_phi).all()):
+        _require_finite("sin_phi", np.reshape(sin_phi, -1))
     (v1x, v1y, v1z), (v2x, v2y, v2z) = (
         [u[0] * x + u[1] * y + u[2] * z for u in axes] for x, y, z in (sd1.T, sd2.T)
     )
@@ -264,8 +266,8 @@ def evaluate_reduced_batch(
     H_reduced - E_total measures the kinetic identity alone.  Rows that
     body_frames marks degenerate get branch "degenerate" and NaN from phi
     to H_reduced.  Raises NumericalBlowup, naming the quantity and the row,
-    where the Jacobi vectors, E_total, L or (on a non-degenerate row)
-    H_reduced are not finite.
+    where the Jacobi vectors, sin_phi, E_total, L or (on a non-degenerate
+    row) H_reduced are not finite.
     """
     s1, s2 = jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2])
     sd1, sd2 = jacobi_map(masses, v[:, 0], v[:, 1], v[:, 2])

@@ -13,7 +13,7 @@ as float sums over the Jacobi map's coefficients.
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from math import copysign, isfinite, sqrt
+from math import copysign, isfinite, isnan, sqrt
 from numbers import Real
 
 import numpy as np
@@ -628,7 +628,8 @@ def _pair_terms(spec: PotentialSpec, masses: MassTriple):
     sigma, scale = float(p["sigma"]), 4.0 * p["epsilon"]  # lennard_jones
 
     def sixth_powers(d):
-        s6 = np.power([sigma / r for r in d], 6)
+        with np.errstate(over="ignore"):  # an inf is named where V or its slope is taken
+            s6 = np.power([sigma / r for r in d], 6)
         return s6.tolist() if s6.ndim == 1 else s6
 
     return (lambda d: [scale * (s * s - s) for s in sixth_powers(d)],
@@ -718,19 +719,27 @@ def _pair_forces(slopes, delta, d):
     slopes dV/dd of the pairs d12, d13, d23 with their _pair_vectors delta
     and d.  Each pair's w = slope * delta / d goes to its two bodies, each
     body's sum from +0.0, body 1's being (0.0 - w12) - w13, so no force
-    component is -0.0.  A pair at d = 0 adds no force where its slope is 0,
-    the limit, and raises DomainError naming the pair otherwise, so no
-    divisor is 0."""
-    if 0.0 in d:
-        for name, slope, r in zip(PAIRS, slopes, d):
-            if r == 0.0 and slope != 0.0:
-                raise DomainError(name, 0.0)
-        d = [r or 1.0 for r in d]  # delta is 0 where d is, so its w is 0
-    a1, a2, a3, b1, b2, b3, c1, c2, c3 = delta
+    component is -0.0.  The first pair whose slope is not finite raises
+    DomainError naming it and its d, where w would be inf or NaN; a NaN d is
+    of a NaN state, which the integrator's guard names.  A pair at d = 0,
+    whose division raises, adds no force where its slope is 0, the limit,
+    and raises DomainError naming the pair otherwise."""
     (s, t, u), (p, q, r) = slopes, d
-    a1, a2, a3 = s * a1 / p, s * a2 / p, s * a3 / p
-    b1, b2, b3 = t * b1 / q, t * b2 / q, t * b3 / q
-    c1, c2, c3 = u * c1 / r, u * c2 / r, u * c3 / r
+    if not isfinite(s + t + u):  # one test: inf or NaN in a slope, or in their sum
+        for name, slope, length in zip(PAIRS, slopes, d):
+            if not (isfinite(slope) or isnan(length)):
+                raise DomainError(name, length)
+    a1, a2, a3, b1, b2, b3, c1, c2, c3 = delta
+    try:
+        a1, a2, a3 = s * a1 / p, s * a2 / p, s * a3 / p
+        b1, b2, b3 = t * b1 / q, t * b2 / q, t * b3 / q
+        c1, c2, c3 = u * c1 / r, u * c2 / r, u * c3 / r
+    except ZeroDivisionError:
+        for name, slope, length in zip(PAIRS, slopes, d):
+            if length == 0.0 and slope != 0.0:
+                raise DomainError(name, 0.0) from None
+        # delta is 0 where d is, so its w is 0
+        return _pair_forces(slopes, delta, [length or 1.0 for length in d])
     return [
         0.0 - a1 - b1, 0.0 - a2 - b2, 0.0 - a3 - b3,
         0.0 + a1 - c1, 0.0 + a2 - c2, 0.0 + a3 - c3,

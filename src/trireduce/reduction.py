@@ -10,12 +10,11 @@ Every function takes the shape as columns r1, r2 and phi, floats for one
 state or arrays of one shape (...), and vectors omega, qdot, J and p as
 (..., 3); it returns (..., 3, 3) tensors and (..., 3) vectors.  A batch's
 row has the bits of that row's call: products are one matmul per row, and
-squares r * r (on a float r ** 2 is libm's pow, which at times rounds
-otherwise than np.square).  The columns are not checked but for their
-squares: phi takes either sign, and where r1^2 or r2^2 overflows,
-NumericalBlowup names the square (see check_square, the rule that
-hamiltonian.reduced_hamiltonian applies too).  On a row where a tensor
-does not exist, SingularInertia names the quantity that is 0 there, or the
+squares r * r.  The columns are not checked but for their squares: phi
+takes either sign, and where r1^2 or r2^2 overflows, NumericalBlowup names
+the square (see check_square, the one checked square, which
+hamiltonian.reduced_hamiltonian takes too).  On a row where a tensor does
+not exist, SingularInertia names the quantity that is 0 there, or the
 inverse that is not finite.
 """
 
@@ -33,21 +32,15 @@ _ROOT_MAX = sqrt(float_info.max)
 
 
 def check_square(name, x):
-    """x, a float, a complex number or an array, unchanged; raises
+    """x * x for x a float, a complex number or an array; raises
     NumericalBlowup naming x where |x|^2 is past the float range on some
     row, before a float's inf or OverflowError or an array's
-    RuntimeWarning.  The one overflow rule for a square, which this
-    module's r * r and hamiltonian.reduced_hamiltonian's x ** 2 apply.
-    _ROOT_MAX is the largest float whose square is finite."""
+    RuntimeWarning.  The one checked square, of this module and of
+    hamiltonian.reduced_hamiltonian.  _ROOT_MAX is the largest float whose
+    square is finite."""
     if np.count_nonzero(np.abs(x) > _ROOT_MAX):
         raise NumericalBlowup(f"{name}^2 overflows")
-    return x
-
-
-def _square(name, r):
-    """r * r, checked by check_square."""
-    r = check_square(name, r)
-    return r * r
+    return x * x
 
 
 def _tensor(shape, *entries):
@@ -86,7 +79,7 @@ def inertia_tensor(r1, r2, phi):
     NumericalBlowup naming the entry, I22 or I33, whose sum of squares
     overflows on some row."""
     s, c = np.sin(phi), np.cos(phi)
-    a, b = _square("r1", r1), _square("r2", r2)
+    a, b = check_square("r1", r1), check_square("r2", r2)
     with np.errstate(over="ignore"):  # named below
         I22, I33 = a + b * c * c, a + b
     for name, sum_ in (("I22 = r1^2 + r2^2 cos^2 phi", I22), ("I33 = r1^2 + r2^2", I33)):
@@ -109,7 +102,7 @@ def inertia_inverse(r1, r2, phi):
     if np.count_nonzero(near):
         at = np.extract(near, np.abs(s))[0]
         raise SingularInertia(f"|sin phi| = {at:.3e} at or below {SINGULAR_THRESHOLD:.3e}")
-    a, b = _square("r1", r1), _square("r2", r2)
+    a, b = check_square("r1", r1), check_square("r2", r2)
     with np.errstate(over="ignore"):  # det overflows: rescale (by 1.0, exact, elsewhere)
         larger = _larger(r1, r2, a * b * s * s == np.inf)
     r1, r2 = r1 / larger, r2 / larger
@@ -128,7 +121,7 @@ def inertia_inverse(r1, r2, phi):
 def gauge_potential(r1, r2, phi):
     """Gauge one-form a_mu (rows a_r1, a_r2, a_phi); only a_phi = (0, 0, r2^2)
     is nonzero."""
-    return _corner(_square("r2", r2))
+    return _corner(check_square("r2", r2))
 
 
 def mechanical_connection(r1, r2, phi):
@@ -140,7 +133,7 @@ def mechanical_connection(r1, r2, phi):
     _larger); SingularInertia where r1 = r2 = 0.
     """
     with np.errstate(over="ignore"):  # rescaled below
-        S = _square("r1", r1) + _square("r2", r2)
+        S = check_square("r1", r1) + check_square("r2", r2)
     out = (S == 0.0) | (S == np.inf)  # the ratio need not leave the range
     if np.count_nonzero(out):
         larger = _larger(r1, r2, out)
@@ -158,7 +151,7 @@ def horizontal_metric(r1, r2, phi):
     to 0 or overflows."""
     _require(r2, "r2 = 0: the horizontal metric is singular")
     _require(r1, "r1 = 0: the horizontal metric is singular")
-    a, b = _square("r1", r1), _square("r2", r2)
+    a, b = check_square("r1", r1), check_square("r2", r2)
     with np.errstate(over="ignore"):  # rescaled below
         product = a * b
     out = (product == 0.0) | (product == np.inf)

@@ -241,9 +241,9 @@ class TestSimulate:
                 assert f"thresholds.{next(iter(thresholds))}" in caplog.text
 
     def test_nan_state_exit_3(self, tmp_path, caplog):
-        # k (d - rest) overflows to an infinite force, which is inf * 0 = NaN
-        # in its zero components, so the positions turn NaN after the first
-        # step; the float step warns of nothing on the way
+        # k (d - rest) overflows to an infinite slope, whose force was inf * 0
+        # = NaN in its zero components, so the positions turned NaN after the
+        # first step; the force field names the first such pair instead
         nan = dict(
             HARMONIC_CONFIG,
             potential={"builtin": "harmonic", "params": {"k": 1e308}},
@@ -256,7 +256,7 @@ class TestSimulate:
         )
         cfg = write_config(tmp_path, nan)
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 3
-        assert "NumericalBlowup" in caplog.text
+        assert "DomainError: domain error in 'd12' at value 3.0" in caplog.text
 
     def test_nan_expression_exit_3(self, tmp_path, caplog):
         # inf - inf: the potential is NaN at every shape
@@ -498,9 +498,10 @@ class TestSimulate:
         assert "Traceback" not in stderr and "RuntimeWarning" not in stderr
 
     def test_near_collision_exit_3_without_warnings(self, tmp_path):
-        # bodies 1 and 2 3e-162 apart: G m m / d^2 overflows, so the first
-        # kick is infinite and the guard names step 1; the float step warns
-        # of nothing on the way (numpy's matmul warned of invalid values)
+        # bodies 1 and 2 3e-162 apart: G m m / d^2 overflows, which the force
+        # field names before the first kick (the guard named step 1 of an
+        # infinite kick); nothing warns on the way (numpy's matmul warned of
+        # invalid values)
         near = json.loads(json.dumps(FIGURE_EIGHT_CONFIG))
         near["initial_state"]["cartesian"]["positions"] = [
             [0.0, 0.0, 0.0], [3e-162, 0.0, 0.0], [0.0, 1.0, 0.0]]
@@ -508,7 +509,9 @@ class TestSimulate:
         code, stdout, stderr = run_process(["simulate", "--config", write_config(tmp_path, near)])
         assert code == 3
         assert stdout == ""
-        assert stderr.splitlines() == ["numerical failure: NumericalBlowup: coordinate overflow at step 1"]
+        assert stderr.splitlines() == [
+            "numerical failure: DomainError: domain error in 'd12' at value 3.1434555694052576e-162"
+        ]
 
     def test_unwritable_output_exit_4(self, tmp_path):
         cfg = write_config(tmp_path, HARMONIC_CONFIG)
@@ -651,6 +654,21 @@ class TestEvaluate:
         assert stdout == ""
         assert len(stderr.splitlines()) == 1 and "NumericalBlowup" in stderr
         assert "Traceback" not in stderr and "RuntimeWarning" not in stderr
+
+    def test_sin_phi_overflow_exit_3(self, tmp_path):
+        # a seeded state at positions times 1e80: |s1 x s2| overflows, and
+        # evaluate printed phi = pi/2 and H_reduced 0.1107 against E_total
+        # 1.7525 with exit 0
+        masses = np.array([1.0, 1.5, 2.0])
+        rng = np.random.default_rng(0)
+        x, v = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        x, v = (a - masses @ a / masses.sum() for a in (x, v))
+        state = {"cartesian": {"positions": (x * 1e80).tolist(), "velocities": v.tolist()}}
+        config = {"masses": masses.tolist(), "potential": {"builtin": "free"}, "initial_state": state}
+        code, stdout, stderr = run_process(["evaluate", "--config", write_config(tmp_path, config)])
+        assert code == 3
+        assert stdout == ""
+        assert stderr.splitlines() == ["numerical failure: NumericalBlowup: sin_phi overflow at row 0"]
 
     def test_shape_initial_state(self, tmp_path):
         shaped = dict(

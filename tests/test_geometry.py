@@ -127,7 +127,7 @@ class TestVectorFields:
     @pytest.mark.parametrize("target", ["CartesianState", "check_vector"])
     def test_numbers_are_stored_as_float_arrays(self, target):
         # lists of numbers and integer or float32 arrays are converted; a
-        # float array is kept as it is
+        # float array is copied (see test_state_owns_its_vectors)
         kept = np.array([0.5, -1.0, 2.0])
         given = [kept, [1, 2.5, np.float64(3.0)], np.arange(3), np.ones(3, np.float32)]
         given = [given[k % len(given)] for k in range(len(CARTESIAN_FIELDS))]
@@ -135,10 +135,25 @@ class TestVectorFields:
             stored = list(vars(CartesianState(*given)).values())
         else:
             stored = [check_vector(name, v) for name, v in zip(CARTESIAN_FIELDS, given)]
-        assert stored[0] is kept
+        assert stored[0] is not kept
         for value, vector in zip(given, stored):
             assert vector.dtype == np.float64 and vector.shape == (3,)
             assert np.array_equal(vector, np.asarray(value, dtype=float))
+
+    def test_state_owns_its_vectors(self):
+        # a validated, frozen state shares no memory with what built it: a
+        # caller's later write to its array (or to a row of its (3, 3)
+        # positions) leaves the state finite, and one array given for two
+        # fields makes two vectors
+        arr, z = np.array([1.0, 2.0, 3.0]), np.zeros(3)
+        positions = np.eye(3)
+        state = CartesianState(arr, *positions[1:], z, z, z)
+        arr[0], positions[1, 1], z[2] = np.nan, np.inf, np.nan
+        assert state.x1.tolist() == [1.0, 2.0, 3.0] and state.x2.tolist() == [0.0, 1.0, 0.0]
+        assert all(np.all(np.isfinite(v)) for v in vars(state).values())
+        for name, v in zip(CARTESIAN_FIELDS, vars(state).values()):
+            assert v.flags.owndata, name
+        assert not np.shares_memory(state.v1, state.v2)
 
 
 class TestVectorHelpers:

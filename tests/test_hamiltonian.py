@@ -238,7 +238,7 @@ class TestFormulaOnArrays:
     """reduced_hamiltonian and singular_term on (N,) columns and (N, 3)
     vectors, one call for the batch, and on complex input."""
 
-    N = 2000
+    N = 20000
 
     def columns(self):
         """Shapes, momenta, body angular velocities, T and V >= 0 of N states."""
@@ -249,17 +249,21 @@ class TestFormulaOnArrays:
         return r1, r2, phi, J, p, omega, rng.normal(size=self.N), rng.uniform(0.0, 2.0, self.N)
 
     def test_batch_equals_its_rows(self):
-        # an array's ** 2 rounds as numpy's square, which is not the float
-        # ** on every value, so the rows agree to 1e-15, not to the bit
+        # every square is x * x, so a float call has its row's bits (a
+        # float's x ** 2 is libm's pow, which rounds otherwise on some rows)
         r1, r2, phi, J, p, omega, T, V = self.columns()
+        masses = MassTriple(1.0, 1.5, 2.0)
         H = reduced_hamiltonian(r1, r2, phi, J, p, T, V)
         terms = singular_term(r1, r2, phi, omega)
+        d = np.transpose(geometry.shape_to_distances(masses, r1, r2, phi))
+        differ = {"H": 0, "T": 0, "d": 0}
         for k in range(self.N):
             shape = float(r1[k]), float(r2[k]), float(phi[k])
             row = reduced_hamiltonian(*shape, J[k], p[k], float(T[k]), float(V[k]))
-            assert abs(H[k] - row) <= 1e-15 * abs(row)
-            row = singular_term(*shape, omega[k])
-            assert abs(terms[k] - row) <= 1e-15 * r2[k] ** 2 * np.sum(np.abs(omega[k, :2]))
+            differ["H"] += row != H[k]
+            differ["T"] += singular_term(*shape, omega[k]) != terms[k]
+            differ["d"] += geometry.shape_to_distances(masses, *shape) != tuple(d[k])
+        assert differ == {"H": 0, "T": 0, "d": 0}
 
     def test_complex_step_gives_the_derivatives(self):
         # a step of i h in p1, p2 or V puts h dH/dp1 = h p1, h p2 or h into
@@ -675,15 +679,42 @@ class TestOneRowPath:
             evaluate_reduced(masses, fast, gravity)
         # the batch names the quantity and the row, behind a finite row
         ok = CartesianState(*x, *v)
-        # finite Jacobi vectors and energy, but r1 |s1dot| overflows
-        spin = CartesianState(
-            *[[1e300, 0, 0], [0, 1, 0], [-1e300, 0, 0]], *[[0, 1e10, 0], [0, 0, 0], [0, -1e10, 0]]
-        )
-        for state, quantity in ((far, "Jacobi vector"), (fast, "E_total"), (spin, "L")):
+        # finite Jacobi vectors and energy, but r1 |s1dot| overflows, and
+        # so does |s1 x s2| where body 2 is off the line of 1 and 3
+        spin = [[0, 1e10, 0], [0, 0, 0], [0, -1e10, 0]]
+        line = CartesianState(*[[1e300, 0, 0], [1, 0, 0], [-1e300, 0, 0]], *spin)
+        bent = CartesianState(*[[1e300, 0, 0], [0, 1, 0], [-1e300, 0, 0]], *spin)
+        for state, quantity in (
+            (far, "Jacobi vector"), (bent, "sin_phi"), (fast, "E_total"), (line, "L")
+        ):
             x2 = np.array([ok.positions, state.positions])
             v2 = np.array([ok.velocities, state.velocities])
             with pytest.raises(NumericalBlowup, match=f"^{quantity} overflow at row 1$"):
                 evaluate_reduced_batch(masses, x2, v2, gravity)
+
+    def test_sin_phi_overflow_is_named(self):
+        # a seeded state: at positions times 1e80 |s1 x s2| overflows
+        # though the Jacobi vectors do not, and sin_phi = inf read phi as
+        # pi/2 (true 0.329) and H_reduced 0.1107 against E_total 1.7525;
+        # at 1e0 and 1e77 phi is right and one state has its row's bits
+        masses, free = MassTriple(1.0, 1.5, 2.0), builtin_potential("free")
+        rng = np.random.default_rng(0)
+        x, v = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+        m = masses.as_array()[:, None]
+        x, v = x - np.sum(m * x, 0) / masses.total, v - np.sum(m * v, 0) / masses.total
+        for k in (0, 77):
+            ev = evaluate_reduced(masses, CartesianState(*x * 10.0**k, *v), free)
+            out = evaluate_reduced_batch(masses, x[None] * 10.0**k, v[None], free)
+            assert ev.phi == 0.32904844593902194
+            assert (ev.H, ev.phi, ev.sin_phi) == (out.H_reduced[0], out.phi[0], out.sin_phi[0])
+        state = CartesianState(*x * 1e80, *v)
+        rows = np.array([x, x * 1e80])
+        # the one-state path warns in geometry._length first
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericalBlowup, match="^sin_phi overflow at row 0$"):
+                evaluate_reduced(masses, state, free)
+            with pytest.raises(NumericalBlowup, match="^sin_phi overflow at row 1$"):
+                evaluate_reduced_batch(masses, rows, np.array([v, v]), free)
 
 
 def jacobi_vectors(masses, state):

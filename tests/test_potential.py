@@ -1141,14 +1141,15 @@ class TestForces:
     def test_no_divisor_is_zero(self):
         # the least d > 0 that two bodies can have is the root of the least
         # subnormal, and its square does not round to 0: gravity's slope at
-        # bodies 1 and 2 3e-162 apart is finite for a small G, and inf, not a
-        # ZeroDivisionError, for G = 1
+        # bodies 1 and 2 3e-162 apart is finite for a small G, and inf, named
+        # (see test_slope_that_overflows_is_named), not a ZeroDivisionError,
+        # for G = 1
         assert sqrt(5e-324) * sqrt(5e-324) == 5e-324
         x = [0.0, 0.0, 0.0, 3e-162, 0.0, 0.0, 0.0, 1.0, 0.0]
         F = force_field(builtin_potential("gravity", G=1e-20), MASSES)(x)
         assert np.all(np.isfinite(F)) and F[0] > 1e300 and F[3] == pytest.approx(-F[0], rel=1e-15)
-        F = force_field(builtin_potential("gravity"), MASSES)(x)
-        assert F[0] == np.inf and F[3] == -np.inf
+        with pytest.raises(DomainError, match="'d12'"):
+            force_field(builtin_potential("gravity"), MASSES)(x)
         # r1^2 |s1 x s2| underflows to 0 where phi's slope divides by it; the
         # force of V = phi grows as 1/r1, so r1 = 1e-110 reads as 1e-100 does
         spec = parse_potential("phi")
@@ -1159,6 +1160,28 @@ class TestForces:
             assert np.all(np.isfinite(F))
             scaled.append(F[0] * r)
         assert np.allclose(scaled[0], scaled[1], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "name, r",
+        # the slope is inf (gravity's G / d^2), -inf (Lennard-Jones's s^2
+        # overflows, s = (sigma/d)^6) and NaN (its s overflows too: inf - inf)
+        [("gravity", 3e-162), ("lennard_jones", 1e-30), ("lennard_jones", 1e-60)],
+    )
+    @pytest.mark.parametrize("pair, bodies", [("d12", (0, 1)), ("d13", (0, 2)), ("d23", (1, 2))])
+    def test_slope_that_overflows_is_named(self, name, r, pair, bodies):
+        # two bodies r apart, the third 1 away: a slope dV/dd that is not
+        # finite raises DomainError naming the pair and its distance, where
+        # inf * 0 made NaN force components, and with no numpy warning (an
+        # error here); a pair that is not first in PAIRS order is named too
+        pos = np.zeros((3, 3))
+        pos[bodies[1], 0] = r
+        pos[3 - sum(bodies), 1] = 1.0
+        spec = builtin_potential(name)
+        for call in (lambda: force_field(spec, MASSES)(pos.ravel().tolist()),
+                     lambda: forces_cartesian(spec, MASSES, pos)):
+            with pytest.raises(DomainError) as err:
+                call()
+            assert (err.value.node, err.value.value) == (pair, sqrt(r * r))
 
     def test_bound_parameters_are_never_written(self):
         # forces and V under three masses leave a spec's parameters, the

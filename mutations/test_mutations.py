@@ -147,8 +147,8 @@ MUTATIONS = [
     Mutation(
         name="one-state-V-at-zero",
         file="src/trireduce/potential.py",
-        old="if spec.builtin is not None and 0.0 not in d:",
-        new="if spec.builtin is not None:",
+        old="        if 0.0 not in d:\n",
+        new="        if True:\n",
         reason="one state's float V taken at a pair distance of 0, where gravity divides by 0",
         caught_by=(
             "tests/test_potential.py::TestPairTerms::test_hard_rows",
@@ -202,6 +202,31 @@ MUTATIONS = [
         caught_by=(
             "tests/test_hamiltonian.py::TestOneRowPath::test_sin_phi_overflow_is_named",
             "tests/test_cli.py::TestEvaluate::test_sin_phi_overflow_exit_3",
+        ),
+    ),
+    Mutation(
+        name="float-walk-libm-pow",
+        file="src/trireduce/potential.py",
+        old="    return np.power(a, (b,)).item()\n",
+        new="    return a ** b\n",
+        reason="the float walk's power taken by Python's **, libm's pow, unlike numpy's on its row",
+        caught_by=tuple(
+            f"tests/test_potential.py::TestFloatWalk::test_state_has_the_bits_of_the_column_walk[{key}]"
+            for key in ("functions", "exponents", "variable_exponents", "shape")
+        ),
+    ),
+    Mutation(
+        name="float-walk-unguarded",
+        file="src/trireduce/potential.py",
+        old="    except (ArithmeticError, ValueError):\n        pass\n",
+        new="    except ():\n        pass\n",
+        reason="the float walk's ZeroDivisionError or ValueError raised to the caller, not sent to the column walk",
+        caught_by=(
+            *(
+                f"tests/test_potential.py::TestFloatWalk::test_state_has_the_bits_of_the_column_walk[{key}]"
+                for key in ("functions", "exponents", "variable_exponents", "shape", "domains")
+            ),
+            "tests/test_cli.py::TestSimulate::test_expression_overflow_exit_3",
         ),
     ),
     Mutation(

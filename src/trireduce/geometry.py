@@ -42,14 +42,16 @@ def check_number(path, value):
 
 
 def check_vector(name, value):
-    """value as a new float array, which the caller's value does not share;
-    raises ValueError naming it unless it is a 3-vector of finite real
-    numbers (float() would take a bool or a str as a component)."""
+    """value as a new read-only float array, which the caller's value does
+    not share and no write can make non-finite after the check; raises
+    ValueError naming it unless it is a 3-vector of finite real numbers
+    (float() would take a bool or a str as a component)."""
     if np.iterable(value):
         value = [c if _finite_real(c) else nan for c in value]
     value = np.asarray(value, dtype=float)
     if value.shape != (3,) or np.count_nonzero(np.isfinite(value)) < 3:
         raise ValueError(f"{name} must be a finite 3-vector")
+    value.flags.writeable = False
     return value
 
 

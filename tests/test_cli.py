@@ -894,6 +894,20 @@ class TestCheck:
         lines = [ln for ln in out.splitlines() if ln.startswith("PASS")]
         assert len(lines) >= 8
 
+    @pytest.mark.parametrize("seed", range(41))
+    def test_collinear_limit_at_every_seed(self, seed):
+        # at seed 21, H(1e-6) - H(0) rounds to 0: the suite fits only the
+        # differences above the rounding of H, and warns nowhere
+        ok, detail = checks.suite_collinear_limit(seed)
+        assert ok, detail
+
+    def test_collinear_limit_needs_three_differences(self, monkeypatch):
+        # an H that does not move off the collinear shape leaves nothing to fit
+        monkeypatch.setattr(checks, "reduced_hamiltonian", lambda r1, r2, phi, *rest: 1.0 + phi * 1e-30)
+        assert checks.suite_collinear_limit() == (
+            False, "0 of 6 differences above the rounding of H (need 3)"
+        )
+
     def test_corrupted_tolerance_fails(self, capsys, monkeypatch):
         # a suite held to a tolerance no residual meets fails the run, and
         # so does a suite that raises

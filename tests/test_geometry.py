@@ -18,7 +18,7 @@ from trireduce.geometry import (
     reduced_masses,
     shape_to_distances,
 )
-from trireduce.hamiltonian import cartesian_from_momenta, evaluate_reduced_batch
+from trireduce.hamiltonian import cartesian_from_momenta, evaluate_reduced, evaluate_reduced_batch
 from trireduce.potential import builtin_potential
 
 RNG = np.random.default_rng(7)
@@ -154,6 +154,17 @@ class TestVectorFields:
         for name, v in zip(CARTESIAN_FIELDS, vars(state).values()):
             assert v.flags.owndata, name
         assert not np.shares_memory(state.v1, state.v2)
+
+    def test_state_vectors_are_read_only(self):
+        # a write into a validated state's vector raises, so a NaN cannot
+        # reach evaluate_reduced as a misnamed overflow; the state is unchanged
+        state = CartesianState(*np.eye(3), *np.zeros((3, 3)))
+        for name, v in zip(CARTESIAN_FIELDS, vars(state).values()):
+            with pytest.raises(ValueError, match="read-only"):
+                v[0] = np.nan
+            assert not v.flags.writeable, name
+        assert np.isfinite(evaluate_reduced(MASSES, state, builtin_potential("harmonic")).H)
+        assert not check_vector("J", [1.0, 2.0, 3.0]).flags.writeable
 
 
 class TestVectorHelpers:

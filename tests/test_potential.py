@@ -244,6 +244,17 @@ def reference_run(spec, columns, shape, gradient):
     return value, gradient
 
 
+def state_on_columns(run):
+    """potential._run_state by `run` on (1,) columns alone: the column walk's
+    row, for a reference of one state's floats."""
+
+    def run_state(spec, values, gradient):
+        value, derivatives = run(spec, {n: np.array([v]) for n, v in values.items()}, (1,), gradient)
+        return float(np.ravel(value)[0]), derivatives[:, 0].tolist() if gradient else None
+
+    return run_state
+
+
 def outcome(call, *args):
     """What call(*args) gives: the dtype, shape and bytes of each array in
     its result, or the node of its DomainError and the repr of its value."""
@@ -257,8 +268,9 @@ def outcome(call, *args):
 
 def assert_reference_bits(spec):
     """V and its (6, N) gradient, or the DomainError, on each batch of
-    BATCHES and on each of its rows alone, and the forces, or the
-    DomainError, at FORCE_CONFIGS, are the reference compiler's."""
+    BATCHES and on each of its rows alone, and the forces and one state's V
+    (on the float walk), or the DomainError, at FORCE_CONFIGS, are the
+    reference compiler's."""
     for batch in BATCHES:
         for rows in [batch, *batch[:, None]]:
             columns = dict(zip(VARIABLES, rows.T))
@@ -266,9 +278,10 @@ def assert_reference_bits(spec):
                 args = (spec, columns, (len(rows),), gradient)
                 assert outcome(trireduce.potential._run, *args) == outcome(reference_run, *args)
     for pos in FORCE_CONFIGS:
-        with mock.patch.object(trireduce.potential, "_run", reference_run):
-            expected = outcome(forces_cartesian, spec, MASSES, pos)
-        assert outcome(forces_cartesian, spec, MASSES, pos) == expected
+        for call in (forces_cartesian, potential_at_positions):
+            with mock.patch.object(trireduce.potential, "_run_state", state_on_columns(reference_run)):
+                expected = outcome(call, spec, MASSES, pos)
+            assert outcome(call, spec, MASSES, pos) == expected
 
 
 def bit_pin_positions():
@@ -1283,6 +1296,124 @@ class TestForces:
         with pytest.raises(DomainError) as err:
             forces_cartesian(spec, MASSES, pos)
         assert (err.value.node, err.value.value) == (node, value)
+
+
+# expressions for the pin of one state's float walk: every operator and
+# function, the constant exponents -1, 0, 0.5, 1, 1.5, 2 and 3, variable
+# exponents (2, -1 and 0.5 at d13 = 2, where a column exponent takes numpy's
+# pow and a scalar one its fast paths), pair-only and shape-reading; the last
+# takes sqrt and log at and below 0 and exp past overflow
+FLOAT_WALK_EXPRESSIONS = {
+    "expr_sparse": "0.5*(d12-1)^2 + 0.5*(d13-1)^2 + 0.5*(d23-1)^2",
+    "functions": "exp(-d12) + log(d13)*sqrt(d23) + 1/d12^3 + d13^1.5 + sin(d23)*cos(d12)",
+    "exponents": "d12^-1 + d13^0 + d23^0.5 + (d12 - d13)^1 + d13^1.5 + (d23 - 1)^2 + (d12 - 1)^3",
+    "variable_exponents": "d12^d13 + d23^(d13 - 3) + (d12 + 1)^(d13 - 1.5) - -abs(d23 - d12)",
+    "shape": "sin(phi)*d12 + r1/d23 + 0.3*cos(phi)^2*r2^1.5 + exp(r1 - r2)*log(r2)",
+    "shape_only": "0.5*(r1-1)^2 + 0.5*(r2-1)^2 + 0.2*cos(phi)",
+    "domains": "sqrt(d12 - 1) + log(d13 - 1) + exp(1000*(d23 - 1)) + sqrt(r2)",
+}
+
+
+def float_walk_positions():
+    """Seeded states at scales 0.1 to 10; collinear states with d13 = 2
+    exactly; the bit-pin states, exactly collinear ones among them (with
+    pair distances of exactly 1, where sqrt(d - 1) and log(d - 1) meet 0);
+    and the hard states: coincident bodies, a pair 1e-160 apart and the
+    scales 1e150 and 1e155."""
+    rng = np.random.default_rng(3301)
+    scales = 10.0 ** rng.uniform(-1, 1, size=(150, 1, 1))
+    positions = list(rng.uniform(-1.5, 1.5, size=(150, 3, 3)) * scales)
+    positions += [np.array([[0.0, 0.0, 0.0], [t, 0.0, 0.0], [2.0, 0.0, 0.0]])
+                  for t in rng.uniform(0.05, 1.95, size=30)]
+    return positions + bit_pin_positions() + hard_positions()
+
+
+class TestFloatWalk:
+    """An expression's walk is compiled once and bound twice: to numpy on
+    (N,) columns and to Python floats for one state (see
+    potential._FLOAT_NAMESPACE).  One state's forces and V walk on floats,
+    with the bits of the (1,) column walk's row or its error."""
+
+    @staticmethod
+    def _result(call, *args):
+        try:
+            result = call(*args)
+        except Exception as exc:  # the type and message of any error
+            return type(exc).__name__, str(exc)
+        return np.asarray(result).tobytes()
+
+    @pytest.mark.parametrize("text", FLOAT_WALK_EXPRESSIONS.values(), ids=FLOAT_WALK_EXPRESSIONS.keys())
+    def test_state_has_the_bits_of_the_column_walk(self, text):
+        spec = parse_potential(text)
+        masses = MassTriple(1.0, 1.5, 2.0)
+        field = force_field(spec, masses)
+        states = float_walk_positions()
+
+        def results():
+            return [(self._result(field, x.ravel().tolist()),
+                     self._result(potential_at_positions, spec, masses, x)) for x in states]
+
+        got = results()
+        with mock.patch.object(trireduce.potential, "_run_state", state_on_columns(trireduce.potential._run)):
+            expected = results()
+        for x, (forces, V), want in zip(states, got, expected):
+            assert (forces, V) == want, x
+            if isinstance(V, bytes):
+                # a float, with the bits of its row in a batch: at a column
+                # exponent of exactly 2, 0.5 or -1 too (d13 = 2), where a 0-d
+                # exponent would take numpy's fast path
+                assert type(potential_at_positions(spec, masses, x)) is float
+                assert V == potential_at_positions(spec, masses, x[None]).tobytes(), x
+
+    @pytest.mark.parametrize(
+        "text", [text for key, text in FLOAT_WALK_EXPRESSIONS.items() if key != "domains"],
+        ids=[key for key in FLOAT_WALK_EXPRESSIONS if key != "domains"],
+    )
+    def test_plain_states_take_no_array_walk(self, text, monkeypatch):
+        # inside every domain, forces and V of one state never reach numpy's walk
+        spec = parse_potential(text)
+        masses = MassTriple(1.0, 1.5, 2.0)
+        field = force_field(spec, masses)
+
+        def refuse(*args):
+            raise AssertionError("the state took the column walk")
+
+        monkeypatch.setattr(trireduce.potential, "_run", refuse)
+        for x in np.random.default_rng(3302).uniform(-1.5, 1.5, size=(50, 3, 3)):
+            field(x.ravel().tolist())
+            potential_at_positions(spec, masses, x)
+
+    def test_numpy_set_to_raise_takes_the_column_walk(self, monkeypatch):
+        # under np.errstate(all="raise") exp's underflow raises
+        # FloatingPointError in the float walk; the state takes the column
+        # walk, as at a division by 0, and keeps its bits
+        spec = parse_potential("exp(-1000*d12) + d13")
+        x = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        field = force_field(spec, MASSES)
+        expected = field(x.ravel().tolist()), potential_at_positions(spec, MASSES, x)
+        run, calls = trireduce.potential._run, []
+
+        def counted(*args):
+            calls.append(args)
+            return run(*args)
+
+        monkeypatch.setattr(trireduce.potential, "_run", counted)
+        with np.errstate(all="raise"):
+            assert (field(x.ravel().tolist()), potential_at_positions(spec, MASSES, x)) == expected
+        assert len(calls) == 2
+
+    def test_one_source_two_bindings(self):
+        # the float binding has each name the fast walk calls
+        module = trireduce.potential
+        assert set(module._FLOAT_NAMESPACE) == set(module._NAMESPACE) - {
+            "all_finite", "check_value", "check_adjoint"
+        }
+        spec = parse_potential("d12^d13 + 0.5*(d23 - 1)^2 + sin(r1)")
+        assert spec.float_walk.__code__ is spec.walk.__code__
+        assert {"power", "power_rows"} <= set(spec.walk.__code__.co_names)
+        assert type(spec.float_walk.__globals__["k0"]) is float
+        value, derivatives, _ = spec.float_walk({"r1": 0.5, "d12": 1.5, "d13": 2.0, "d23": 3.0}, (), True)
+        assert type(value) is float and all(type(g) is float for g in derivatives)
 
 
 class TestGeneratedWalk:

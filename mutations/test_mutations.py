@@ -43,10 +43,10 @@ MUTATIONS = [
     Mutation(
         name="collinear-snap",
         file="src/trireduce/geometry.py",
-        old="    if np.count_nonzero(planar) < planar.size:\n",
+        old="    if not ops.all(planar):\n",
         new=(
-            "    if np.count_nonzero(planar) < planar.size:\n"
-            "        phi = np.where(planar, phi, np.where(dot >= 0.0, 0.0, np.pi))\n"
+            "    if not ops.all(planar):\n"
+            "        phi = ops.where(planar, phi, ops.where(dot >= 0.0, 0.0, np.pi))\n"
         ),
         reason="phi set to 0 or pi at or below the collinear threshold, not measured",
         caught_by=(
@@ -196,12 +196,22 @@ MUTATIONS = [
     Mutation(
         name="unnamed-sin-phi",
         file="src/trireduce/hamiltonian.py",
-        old="    if not (isfinite(sin_phi) if sin_phi.ndim == 0 else np.isfinite(sin_phi).all()):\n",
+        old="    if not ops.finite(sin_phi):\n",
         new="    if False:\n",
         reason="an overflowing |s1 x s2| left as sin_phi = inf, so phi reads pi/2 and H is wrong",
         caught_by=(
             "tests/test_hamiltonian.py::TestOneRowPath::test_sin_phi_overflow_is_named",
             "tests/test_cli.py::TestEvaluate::test_sin_phi_overflow_exit_3",
+        ),
+    ),
+    Mutation(
+        name="one-state-libm-atan2",
+        file="src/trireduce/geometry.py",
+        old="arctan2=_on_float(np.arctan2),",
+        new="arctan2=__import__('math').atan2,",
+        reason="one state's float phi taken by libm's atan2, unlike numpy's on its row",
+        caught_by=(
+            "tests/test_hamiltonian.py::TestFloatStateSweep::test_every_state_is_its_batch_row",
         ),
     ),
     Mutation(

@@ -7,24 +7,62 @@ is undefined, u2 follows the bending motion (see body_frames); no frame
 rule moves the measured phi.  The rotation matrix R has the body axes as
 columns, so body vectors b and space vectors s satisfy s = R b.
 
-measure_shape and body_frames read each vector by component and write
-every dot product, cross product and length as column arithmetic, with no
-einsum and no (N, 3, 3) array.  The same code takes (N, 3) rows for N
-states and 3-vectors for one, whose components are numpy scalars, so one
-state costs numpy's scalar operations rather than an array call each, and
-has the bits of its row in a batch.  There is one formula per quantity:
-cross takes and returns component triples, and _length is every length,
-rounded as np.cross and np.linalg.norm round.
+jacobi_map, measure_shape, body_frames and hamiltonian's kernel are
+written once, over component triples, and take their arithmetic from
+what they are given (see arithmetic): an array, (N, 3) rows for N states
+or one 3-vector, runs numpy on its (N,) columns (numpy scalars for one
+3-vector), and a list of three floats runs Python's + - * /, math.sqrt
+and numpy's ufunc on the float for arctan2, sin and cos, which rounds as
+on its row.  Either way a state has the bits of its row in a batch.  A
+mask is a select or a test of the binding, a branch on floats.  There is
+one formula per quantity: cross takes and returns component triples, and
+_length is every length, rounded as np.cross and np.linalg.norm round.
 """
 
 from dataclasses import dataclass, fields
 from math import isfinite, nan, sqrt
 from numbers import Real
 from sys import float_info
+from types import SimpleNamespace
 
 import numpy as np
 
 COLLINEAR_THRESHOLD = 1e-8
+
+
+def _on_float(ufunc):
+    """numpy's ufunc on floats, taken back as a float: the bits of its row."""
+    return lambda *a: float(ufunc(*a))
+
+
+# The kernel's operations other than + - * /, on (N,) columns (or one
+# 3-vector's numpy scalars) and on floats: a vector's components, the
+# ufuncs, where and where_rows (of (N, 3) rows by a row mask), the tests of
+# a mask, join (of vectors into rows) and finite.  On floats, finite of a
+# list tests its sum once; where the sum overflows, the caller's exact test
+# of the rows finds no value that is not finite.
+COLUMNS = SimpleNamespace(
+    components=lambda v: v.T, sqrt=np.sqrt, arctan2=np.arctan2, sin=np.sin, cos=np.cos,
+    where=np.where, where_rows=lambda mask, a, b: np.where(mask[..., None], a, b),
+    any=np.count_nonzero, all=lambda mask: np.count_nonzero(mask) == np.size(mask),
+    finite=lambda v: np.count_nonzero(np.isfinite(v)) == np.size(v),
+    join=lambda vectors: np.concatenate(vectors, -1),
+)
+FLOATS = SimpleNamespace(
+    components=lambda v: v, sqrt=sqrt, arctan2=_on_float(np.arctan2),
+    sin=_on_float(np.sin), cos=_on_float(np.cos),
+    where=lambda mask, a, b: a if mask else b, where_rows=lambda mask, a, b: a if mask else b,
+    any=bool, all=bool, finite=lambda v: isfinite(sum(v) if isinstance(v, list) else v),
+    join=lambda vectors: sum(vectors, []),
+)
+
+
+def arithmetic(v):
+    """The binding of the kernel's operations for vectors like v: COLUMNS
+    for an array, (N, 3) rows or one 3-vector, FLOATS for a list of three
+    floats.  A float division by 0 raises ZeroDivisionError where numpy's
+    is inf or NaN; the caller then takes the state's numpy 3-vectors."""
+    return COLUMNS if isinstance(v, np.ndarray) else FLOATS
 
 
 def _finite_real(value):
@@ -116,12 +154,21 @@ def jacobi_map(m: MassTriple, a1, a2, a3):
 
     s1 spans bodies 1 and 3; s2 runs from their center of mass to body 2.
     The arguments are the bodies' positions (or velocities, for the rates),
-    each a 3-vector or an (N, 3) array of them.
+    each a 3-vector or an (N, 3) array of them, mapped elementwise, or a
+    list of floats (three, or six for a vector and its rate), mapped
+    component by component into lists.
     """
     mu1, mu2 = reduced_masses(m)
-    s1 = sqrt(mu1) * (a1 - a3)
-    s2 = sqrt(mu2) * (a2 - (m.m1 * a1 + m.m3 * a3) / (m.m1 + m.m3))
-    return s1, s2
+    # Python floats, so that a float's map stays on floats
+    w1, w2, pair = sqrt(mu1), sqrt(mu2), float(m.m1 + m.m3)
+    m1, m3 = float(m.m1), float(m.m3)
+
+    def jacobi(x1, x2, x3):
+        return w1 * (x1 - x3), w2 * (x2 - (m1 * x1 + m3 * x3) / pair)
+
+    if isinstance(a1, np.ndarray):
+        return jacobi(a1, a2, a3)
+    return [list(s) for s in zip(*map(jacobi, a1, a2, a3))]
 
 
 def cartesian_from_jacobi(m: MassTriple, s1, s2, sd1, sd2) -> CartesianState:
@@ -153,33 +200,34 @@ def cross(a, b):
     return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
-def _length(a):
+def _length(a, root):
     """|a| of a vector given as a component triple, rounded as
-    np.linalg.norm: sqrt((a0 a0 + a1 a1) + a2 a2)."""
+    np.linalg.norm: root((a0 a0 + a1 a1) + a2 a2), the binding's sqrt."""
     a0, a1, a2 = a
-    return np.sqrt(a0 * a0 + a1 * a1 + a2 * a2)
+    return root(a0 * a0 + a1 * a1 + a2 * a2)
 
 
 def measure_shape(s1, s2):
     """The shape of pairs of Jacobi vectors given as (N, 3) rows, or of one
-    pair of 3-vectors: (r1, r2, normal, area, dot, phi) with normal =
-    s1 x s2 as its three (N,) component columns, area = |s1 x s2|, dot =
-    s1 . s2 = (x1 x2 + y1 y2) + z1 z2 and phi = atan2(area, dot), the others
-    (N,), or numpy scalars for one pair.  Every measurement of phi from the
-    vectors is this one; r1, r2, area and normal round as np.linalg.norm
-    and np.cross do."""
-    # a.T's rows are the components: three (N,) columns, or numpy scalars for
-    # one 3-vector (a[..., k] would be a 0-d array, each operation a ufunc call)
-    a, b = s1.T, s2.T
+    pair given as 3-vectors or as lists of three floats: (r1, r2, normal,
+    area, dot, phi) with normal = s1 x s2 as its three component columns,
+    area = |s1 x s2|, dot = s1 . s2 = (x1 x2 + y1 y2) + z1 z2 and phi =
+    atan2(area, dot), the others (N,), or numpy scalars for one pair of
+    3-vectors and floats for one of lists (see arithmetic).  Every
+    measurement of phi from the vectors is this one; r1, r2, area and
+    normal round as np.linalg.norm and np.cross do."""
+    ops = arithmetic(s1)
+    a, b = ops.components(s1), ops.components(s2)
     normal = cross(a, b)
-    area = _length(normal)
+    area = _length(normal, ops.sqrt)
     dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-    return _length(a), _length(b), normal, area, dot, np.arctan2(area, dot)
+    return _length(a, ops.sqrt), _length(b, ops.sqrt), normal, area, dot, ops.arctan2(area, dot)
 
 
 def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
     """Body frames and shape coordinates of N states, from (N, 3) arrays
-    of Jacobi vectors and their rates, or of one state from four 3-vectors.
+    of Jacobi vectors and their rates, or of one state from four 3-vectors
+    or four lists of three floats (see arithmetic).
 
     u1 lies along s1.  Above collinear_threshold (on sin_phi =
     |s1 x s2|/(r1 r2)) u3 is the unit normal of the plane of s1 and s2.  At
@@ -189,45 +237,43 @@ def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
     perpendicular of u1.  Returns (axes, r1, r2, phi, sin_phi, planar,
     degenerate): axes = (u1, u2, u3), each axis as its three component
     columns (frame_matrices stacks them), and the rest columns, numpy
-    scalars for one state.  (r1, r2, phi) is measure_shape's on every row,
-    whichever frame rule fits it, and planar marks the rows above the
-    threshold.  degenerate marks the rows with r1 = 0 or r2 = 0 (None if
-    none has), which have no frame: their axes and sin_phi are fitted to
-    the stand-in s1 = e1, s2 = e2, so nothing divides by 0, and only their
-    shape means anything.
+    scalars or floats for one state.  (r1, r2, phi) is measure_shape's on
+    every row, whichever frame rule fits it, and planar marks the rows
+    above the threshold.  degenerate marks the rows with r1 = 0 or r2 = 0
+    (None if none has), which have no frame: their axes and sin_phi are
+    fitted to the stand-in s1 = e1, s2 = e2, so nothing divides by 0, and
+    only their shape means anything.
     """
-    # np.count_nonzero rather than ndarray.all/any, whose Python-level
-    # wrappers cost more than the test on a few rows
+    ops = arithmetic(s1)
     r1, r2, normal, area, dot, phi = measure_shape(s1, s2)
     fit_r1, fit_r2, degenerate = r1, r2, None
     zero = (r1 == 0.0) | (r2 == 0.0)
-    if np.count_nonzero(zero):
+    if ops.any(zero):
         degenerate = zero
-        s1 = np.where(degenerate[..., None], (1.0, 0.0, 0.0), s1)
-        s2 = np.where(degenerate[..., None], (0.0, 1.0, 0.0), s2)
+        s1 = ops.where_rows(degenerate, (1.0, 0.0, 0.0), s1)
+        s2 = ops.where_rows(degenerate, (0.0, 1.0, 0.0), s2)
         fit_r1, fit_r2, normal, area, dot, _ = measure_shape(s1, s2)
     sin_phi = area / (fit_r1 * fit_r2)
     planar = sin_phi > collinear_threshold
-    u1 = tuple(x / fit_r1 for x in s1.T)
-    if np.count_nonzero(planar) < planar.size:
-        # sigma r2 / r1, with sigma = +-1 from the mask: np.where costs
-        # more than the arithmetic on one state
-        k = ((dot >= 0.0) * 2.0 - 1.0) * fit_r2 / fit_r1
-        rate = [x2 - k * x1 for x1, x2 in zip(sd1.T, sd2.T)]
-        normal = tuple(np.where(planar, normal, cross(u1, rate)))
+    u1 = [x / fit_r1 for x in ops.components(s1)]
+    if not ops.all(planar):
+        # sigma r2 / r1, with sigma = sign(s1 . s2)
+        k = ops.where(dot >= 0.0, fit_r2, -fit_r2) / fit_r1
+        rate = [x2 - k * x1 for x1, x2 in zip(ops.components(sd1), ops.components(sd2))]
+        normal = ops.where(planar, normal, cross(u1, rate))
     # Crossing with u1 keeps u2 orthogonal to u1 to rounding, also when
     # normal is a nearly cancelling cross product of nearly parallel vectors.
     u2 = cross(normal, u1)
-    n2 = _length(u2)
+    n2 = _length(u2, ops.sqrt)
     still = n2 == 0.0
-    if np.count_nonzero(still):
+    if ops.any(still):
         # e_k x u1 for the first axis k along which |u1| is least
-        x, y, z = (np.abs(c) for c in u1)
+        x, y, z = (abs(c) for c in u1)
         first = (x <= y) & (x <= z)
-        axis = (1.0 * first, 1.0 * (~first & (y <= z)), 1.0 * (~first & (y > z)))
-        u2 = tuple(np.where(still, cross(axis, u1), u2))
-        n2 = _length(u2)
-    u2 = tuple(c / n2 for c in u2)
+        axis = [1.0 * first, *(ops.where(first, 0.0, 1.0 * k) for k in (y <= z, y > z))]
+        u2 = ops.where(still, cross(axis, u1), u2)
+        n2 = _length(u2, ops.sqrt)
+    u2 = [c / n2 for c in u2]
     return (u1, u2, cross(u1, u2)), r1, r2, phi, sin_phi, planar, degenerate
 
 

@@ -16,9 +16,11 @@ center-of-mass energy whenever r1 and r2 are nonzero, and H - E_total
 measures the kinetic identity alone.
 
 One kernel, _reduce_rows, serves both entry points.  Like body_frames it
-reads vectors by component, so evaluate_reduced_batch passes (N, 3) Jacobi
-rows and evaluate_reduced its state's four 3-vectors, which run the same
-operations on numpy scalars and give the batch row's bits.
+reads vectors by component and takes its arithmetic from them (see
+geometry.arithmetic): evaluate_reduced_batch passes (N, 3) Jacobi rows,
+which run numpy on columns, and evaluate_reduced its state's four Jacobi
+vectors as lists of floats, which run Python's arithmetic with the bits of
+the batch row.
 """
 
 from dataclasses import dataclass
@@ -31,6 +33,7 @@ from .geometry import (
     COLLINEAR_THRESHOLD,
     CartesianState,
     MassTriple,
+    arithmetic,
     body_frames,
     body_jacobi_vectors,
     cartesian_from_jacobi,
@@ -130,16 +133,21 @@ def evaluate_reduced(
     DegenerateShape when r1 or r2 is 0, before V is evaluated, and
     NumericalBlowup when the Jacobi vectors, sin_phi or H overflow.
     """
-    # one map for positions (row 0) and velocities (row 1); the state was
-    # validated when it was built, so only an overflow of the map is new
-    xv = np.array([[state.x1, state.x2, state.x3], [state.v1, state.v2, state.v3]])
-    s1, s2 = jacobi_map(masses, xv[:, 0], xv[:, 1], xv[:, 2])
-    r1, r2, phi, sin_phi, planar, degenerate, J, p, T, K = _reduce_rows(
-        collinear_threshold, s1[0], s2[0], s1[1], s2[1]
-    )
+    # the state's 18 floats in one map, positions then velocities; the state
+    # was validated when it was built, so only an overflow of the map is new
+    x1, x2, x3 = state.x1.tolist(), state.x2.tolist(), state.x3.tolist()
+    v1, v2, v3 = state.v1.tolist(), state.v2.tolist(), state.v3.tolist()
+    s1, s2 = jacobi_map(masses, x1 + v1, x2 + v2, x3 + v3)
+    jacobi = s1[:3], s2[:3], s1[3:], s2[3:]
+    try:
+        reduced = _reduce_rows(collinear_threshold, *jacobi)
+    except ZeroDivisionError:  # numpy's inf or NaN there: the state's numpy row names it
+        with np.errstate(all="ignore"):
+            reduced = _reduce_rows(collinear_threshold, *map(np.array, jacobi))
+    r1, r2, phi, sin_phi, planar, degenerate, J, p, T, K = reduced
     if degenerate is not None:
         raise DegenerateShape.from_r1(r1)
-    V = potential_at_positions(potential, masses, xv[0], (r1, r2, phi))
+    V = potential_at_positions(potential, masses, x1 + x2 + x3, (r1, r2, phi))
     H = float(K + V)
     if not isfinite(H):
         raise NumericalBlowup(f"H_reduced overflows ({H})")
@@ -155,7 +163,8 @@ def evaluate_reduced(
 def _reduce_rows(collinear_threshold, s1, s2, sd1, sd2):
     """The kernel of evaluate_reduced and evaluate_reduced_batch: shape,
     momenta and kinetic energy K of N states given as (N, 3) Jacobi rows,
-    or of one state given as four 3-vectors, in body_frames' frames.
+    or of one state given as four 3-vectors or four lists of three floats,
+    in body_frames' frames, with their arithmetic (geometry.arithmetic).
     Raises NumericalBlowup naming the first row whose Jacobi vectors, or
     then sin_phi, are not finite (row 0 for one state).
 
@@ -167,22 +176,25 @@ def _reduce_rows(collinear_threshold, s1, s2, sd1, sd2):
     on degenerate rows: S is 0 where all three bodies meet); they add up to
     (|v1|^2 + |v2|^2) / 2 under either frame rule.  Returns body_frames'
     (r1, r2, phi, sin_phi, planar, degenerate), J and p (N, 3), T and K
-    (N,); for one state, numpy scalars and 3-vectors.
+    (N,); for one state, numpy scalars or floats and 3-vectors.
     """
+    ops = arithmetic(s1)
     # one state's 12 components as row 0
-    _require_finite("Jacobi vector", np.concatenate((s1, s2, sd1, sd2), -1).reshape(-1, 12))
+    jacobi = ops.join((s1, s2, sd1, sd2))
+    if not ops.finite(jacobi):
+        _require_finite("Jacobi vector", np.reshape(jacobi, (-1, 12)))
     axes, r1, r2, phi, sin_phi, planar, degenerate = body_frames(
         s1, s2, sd1, sd2, collinear_threshold
     )
     # sin_phi is inf or NaN where |s1 x s2| overflows though the Jacobi
-    # vectors do not, and phi reads pi/2 there; one state's is a numpy
-    # scalar, which math.isfinite tests at a fraction of a ufunc's cost
-    if not (isfinite(sin_phi) if sin_phi.ndim == 0 else np.isfinite(sin_phi).all()):
+    # vectors do not, and phi reads pi/2 there
+    if not ops.finite(sin_phi):
         _require_finite("sin_phi", np.reshape(sin_phi, -1))
     (v1x, v1y, v1z), (v2x, v2y, v2z) = (
-        [u[0] * x + u[1] * y + u[2] * z for u in axes] for x, y, z in (sd1.T, sd2.T)
+        [u[0] * x + u[1] * y + u[2] * z for u in axes]
+        for x, y, z in (ops.components(sd1), ops.components(sd2))
     )
-    s, c = np.sin(phi), np.cos(phi)
+    s, c = ops.sin(phi), ops.cos(phi)
     T = r2 * v2z
     q = c * v2y - s * v2x
     p3 = r2 * q
@@ -191,7 +203,7 @@ def _reduce_rows(collinear_threshold, s1, s2, sd1, sd2):
     p2 = c * v2x + s * v2y
     S = r1 * r1 + r2 * r2
     if degenerate is not None:
-        S = np.where(degenerate, 1.0, S)
+        S = ops.where(degenerate, 1.0, S)
     w = r1 * q - r2 * v1y
     K = 0.5 * (v2z * v2z + v1z * v1z + (J3 * J3 + w * w) / S + v1x * v1x + p2 * p2)
     J = np.array((s * T, J2, J3)).T

@@ -755,8 +755,9 @@ def eval_potential_batch(
 
 
 def potential_at_positions(spec: PotentialSpec, masses: MassTriple, x, shape=None):
-    """Potential energy of one configuration, given as a (3, 3) array of
-    positions with one row per body, as a number; or of N, given as an
+    """Potential energy of one configuration, given as its nine position
+    floats body-major (as force_field's field takes them) or as a (3, 3)
+    array with one row per body, as a number; or of N, given as an
     (N, 3, 3) array, as an (N,) array.  The one route from positions to V:
     its pair distances are the force field's (_pair_vectors), of one
     state's nine floats with math.sqrt or of a batch's nine (N,) columns
@@ -764,24 +765,30 @@ def potential_at_positions(spec: PotentialSpec, masses: MassTriple, x, shape=Non
     floats, or takes its row where a d is 0 or V is not finite; an
     expression walks one state's floats (_run_state), as a float.  A
     potential that reads r1, r2 or phi takes them from `shape`, the (r1,
-    r2, phi) of measure_shape that the caller measured: numpy scalars for
-    one configuration, (N,) arrays for N, or measures them if it is None."""
-    if shape is None and not spec.reads <= PAIRS.keys():
-        r1, r2, _, _, _, phi = measure_shape(*jacobi_map(masses, *np.moveaxis(x, -2, 0)))
-        shape = r1, r2, phi
-    if x.ndim == 2:
-        _, d = _pair_vectors(x.ravel().tolist(), sqrt)
+    r2, phi) of measure_shape that the caller measured: numbers for one
+    configuration, (N,) arrays for N, or measures them if it is None, on
+    one configuration's floats."""
+    if isinstance(x, np.ndarray) and x.ndim == 2:
+        x = x.ravel().tolist()
+    measure = shape is None and not spec.reads <= PAIRS.keys()
+    if isinstance(x, list):
+        if measure:
+            r1, r2, _, _, _, phi = measure_shape(*jacobi_map(masses, x[:3], x[3:6], x[6:]))
+            shape = r1, r2, phi
+        _, d = _pair_vectors(x, sqrt)
         if spec.ast is not None:
             values = dict(zip(PAIRS, d))
             values.update(zip(("r1", "r2", "phi"), map(float, shape or ())))
             return _run_state(spec, values, False)[0]
         if 0.0 not in d:
-            with np.errstate(all="ignore"):  # Lennard-Jones's power; its row names an overflow
-                e12, e13, e23 = _pair_terms(spec, masses)[0](d)
+            e12, e13, e23 = _pair_terms(spec, masses)[0](d)
             if isfinite(V := (e12 + e13) + e23):
                 return V
     else:
-        with np.errstate(all="ignore"):  # a distance that overflows is inf, as a float's
+        with np.errstate(all="ignore"):  # a length that overflows is inf, as a float's
+            if measure:
+                r1, r2, _, _, _, phi = measure_shape(*jacobi_map(masses, *np.moveaxis(x, -2, 0)))
+                shape = r1, r2, phi
             _, d = _pair_vectors(x.reshape(-1, 9).T, np.sqrt)
     return eval_potential_batch(spec, masses, *(shape or (None,) * 3), *d)
 
@@ -854,15 +861,14 @@ def _phi_slope_vanishes(spec, values, slope):
 
 def _shape_forces(A, s, shape, slopes):
     """Forces from slopes = dV/d(r1, r2, phi) at one state's Jacobi
-    3-vectors s and their measure_shape, numpy scalars, as nine floats
-    body-major.  dV/ds = g = C s for s1, s2 stacked and a symmetric 2 x 2
-    matrix C, and dV/dx = A^T g for the Jacobi map's coefficients A, its
-    two rows as floats: body i's force is -(A1i g1 + A2i g2), summed in
-    the order of s.  A slope of phi at |s1 x s2| = 0 must be 0 (see
+    vectors s, lists of three floats, and their measure_shape, floats, as
+    nine floats body-major.  dV/ds = g = C s for s1, s2 stacked and a
+    symmetric 2 x 2 matrix C, and dV/dx = A^T g for the Jacobi map's
+    coefficients A, its two rows as floats: body i's force is -(A1i g1 +
+    A2i g2), summed in the order of s.  A slope of phi at |s1 x s2| = 0 must be 0 (see
     forces_cartesian); r1 or r2 at 0 raises DomainError unless its slope
     is 0."""
     r1, r2, _, area, dot, _ = shape
-    r1, r2, area, dot = (float(v) for v in (r1, r2, area, dot))
     dr1, dr2, dphi = slopes
     for name, r, slope in (("r1", r1, dr1), ("r2", r2, dr2)):
         if r == 0.0 and slope != 0.0:
@@ -876,7 +882,7 @@ def _shape_forces(A, s, shape, slopes):
         c11 += dphi * dot / (r1 * r1 * area) if r1 * r1 * area else dphi * dot / r1 / r1 / area
         c22 += dphi * dot / (r2 * r2 * area) if r2 * r2 * area else dphi * dot / r2 / r2 / area
         c12 = -dphi / area
-    s1, s2 = s[0].tolist(), s[1].tolist()
+    s1, s2 = s
     g1 = [c11 * a + c12 * b for a, b in zip(s1, s2)]
     g2 = [c12 * a + c22 * b for a, b in zip(s1, s2)]
     return [-(a * u + b * w) for a, b in zip(*A) for u, w in zip(g1, g2)]
@@ -916,11 +922,11 @@ def force_field(spec: PotentialSpec, masses: MassTriple):
             delta, d = _pair_vectors(x, sqrt)
             values.update(zip(PAIRS, d))
         if jacobi:
-            # one state's 3-vectors, so measure_shape runs on numpy scalars
-            s = jacobi_map(masses, *np.reshape(x, (3, 3)))
+            # one state's Jacobi vectors and shape, measured on floats
+            s = jacobi_map(masses, x[:3], x[3:6], x[6:])
             shape = measure_shape(*s)
             r1, r2, _, area, _, phi = shape
-            values.update(r1=float(r1), r2=float(r2), phi=float(phi))
+            values.update(r1=r1, r2=r2, phi=phi)
         _, gradient = _run_state(spec, values, True)
         forces = _pair_forces(gradient[3:], delta, d) if pairs else [0.0] * 9
         if jacobi:

@@ -12,7 +12,7 @@ from trireduce import geometry, hamiltonian
 from trireduce import potential as potential_module
 from trireduce.checks import random_rotation
 from trireduce.dynamics import BAND_THRESHOLD, total_energy
-from trireduce.errors import DegenerateShape, DomainError, NumericalBlowup
+from trireduce.errors import DegenerateShape, DomainError, NumericalBlowup, TrireduceError
 from trireduce.geometry import (
     COLLINEAR_THRESHOLD,
     CartesianState,
@@ -709,10 +709,11 @@ class TestOneRowPath:
             assert (ev.H, ev.phi, ev.sin_phi) == (out.H_reduced[0], out.phi[0], out.sin_phi[0])
         state = CartesianState(*x * 1e80, *v)
         rows = np.array([x, x * 1e80])
-        # the one-state path warns in geometry._length first
+        # one state's float |s1 x s2| is inf with no warning; the batch's
+        # columns warn in geometry._length first
+        with pytest.raises(NumericalBlowup, match="^sin_phi overflow at row 0$"):
+            evaluate_reduced(masses, state, free)
         with np.errstate(over="ignore"):
-            with pytest.raises(NumericalBlowup, match="^sin_phi overflow at row 0$"):
-                evaluate_reduced(masses, state, free)
             with pytest.raises(NumericalBlowup, match="^sin_phi overflow at row 1$"):
                 evaluate_reduced_batch(masses, rows, np.array([v, v]), free)
 
@@ -794,6 +795,45 @@ class TestOneStateKernel:
                 assert _bits(column[i]) == _bits(value), (kind, name)
             assert one[-4].shape == one[-3].shape == (3,)
             assert isinstance(one[-2], np.float64) and isinstance(one[-1], np.float64)
+
+
+class TestFloatKernel:
+    """measure_shape, body_frames and the kernel on one state given as four
+    lists of three floats run the float binding (geometry.arithmetic):
+    each output is its row of the (N, 3) call, bit for bit, as a float (a
+    bool for planar, 3-vectors for J and p)."""
+
+    @pytest.mark.parametrize("kind", ONE_STATE_KINDS)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_float_state_is_its_row(self, kind, data):
+        states = data.draw(st.lists(ANY_JACOBI, max_size=5))
+        states.insert(data.draw(st.integers(0, len(states))), data.draw(kind_jacobi(kind)))
+        threshold = data.draw(st.sampled_from([COLLINEAR_THRESHOLD, 0.5]))
+        s1, s2, sd1, sd2 = (np.array(rows) for rows in zip(*states))
+        shape = geometry.measure_shape(s1, s2)
+        frames = body_frames(s1, s2, sd1, sd2, threshold)
+        kernel = hamiltonian._reduce_rows(threshold, s1, s2, sd1, sd2)
+        for i, vectors in enumerate(states):
+            floats = [np.asarray(vector).tolist() for vector in vectors]
+            one = geometry.measure_shape(*floats[:2])
+            assert [_bits(c[i]) for c in shape[2]] == [_bits(c) for c in one[2]]
+            for column, value in zip(shape[:2] + shape[3:], one[:2] + one[3:]):
+                assert type(value) is float and _bits(column[i]) == _bits(value)
+            one = body_frames(*floats, threshold)
+            assert [_bits(c[i]) for u in frames[0] for c in u] == [
+                _bits(c) for u in one[0] for c in u
+            ]
+            assert all(type(c) is float for u in one[0] for c in u)
+            for column, value in zip(frames[1:-1], one[1:-1]):
+                assert type(value) in (float, bool) and _bits(column[i]) == _bits(value)
+            marked = frames[-1] is not None and frames[-1][i]
+            assert (one[-1] is not None) == marked, kind
+            one = hamiltonian._reduce_rows(threshold, *floats)
+            for name, column, value in zip(("J", "p", "T", "K"), kernel[-4:], one[-4:]):
+                assert _bits(column[i]) == _bits(value), (kind, name)
+            assert one[-4].shape == one[-3].shape == (3,)
+            assert type(one[-2]) is float and type(one[-1]) is float
 
 
 class TestMeasuredPhi:
@@ -966,16 +1006,18 @@ def sweep_states(rng, family, m, n):
     if family.startswith("collinear"):
         # s2 exactly parallel to s1, beyond body 1 or beyond body 3
         s[:, 1] = (rng.choice([-1.0, 1.0], n) * r2 / r1)[:, None] * s[:, 0]
+    return jacobi_bodies(m, s), jacobi_bodies(m, sd)
+
+
+def jacobi_bodies(m, a):
+    """The (n, 3, 3) body vectors of (n, 2, 3) Jacobi vectors (or rates) for
+    the masses m, with the center of mass at the origin."""
     m1, m2, m3 = m
     pair, total = m1 + m3, m1 + m2 + m3
-
-    def bodies(a):
-        rel13 = a[:, 0] / np.sqrt(m1 * m3 / pair)
-        rel2 = a[:, 1] / np.sqrt(m2 * pair / total)
-        c13 = -m2 / total * rel2
-        return np.stack([c13 + m3 / pair * rel13, c13 + rel2, c13 - m1 / pair * rel13], axis=1)
-
-    return bodies(s), bodies(sd)
+    rel13 = a[:, 0] / np.sqrt(m1 * m3 / pair)
+    rel2 = a[:, 1] / np.sqrt(m2 * pair / total)
+    c13 = -m2 / total * rel2
+    return np.stack([c13 + m3 / pair * rel13, c13 + rel2, c13 - m1 / pair * rel13], axis=1)
 
 
 def cartesian_energy(pair_energy, m, x, v):
@@ -1064,3 +1106,178 @@ class TestPaperFormulaSweep:
                     broken + np.count_nonzero(errors > bound),
                 )
         assert all(broken == 0 for _, broken in failures.values()), failures
+
+
+# The float sweep: evaluate_mix's six bands, drawn as its workload draws
+# them, under gravity; and under the harmonic potential a few of each band,
+# unbent and degenerate states, positions scaled by 2^k from about 1e-164 to
+# 1e77, and the states that overflow: positions times 1e80 (sin_phi),
+# near 1e308 (the Jacobi vectors), and a 1-3 pair 1e160 apart with body 2
+# near its center of mass (r1 = inf)
+MIX_BANDS = (
+    "generic", "near_collinear", "sub_threshold", "collinear_3d", "collinear_planar", "zero_L",
+)
+FLOAT_SWEEP_TRIPLES = 5
+FLOAT_SWEEP_SCALES = np.arange(-545, 257)
+
+
+def mix_states(rng, band, m, n):
+    """n states of an evaluate_mix band for the masses m, as (n, 3, 3)
+    positions and velocities: r1 and r2 in [0.5, 2], phi generic, 1e-8 to
+    1e-3 or 1e-12 to 10^-8.5 from 0 or pi, or 0 or pi exactly; rates in the
+    plane of the motion for collinear_planar and with L = 0 for zero_L;
+    every state rotated."""
+    r1, r2 = rng.uniform(0.5, 2.0, size=(2, n))
+    phi = rng.uniform(0.05, pi - 0.05, n)
+    if band in ("near_collinear", "sub_threshold"):
+        low, high = (-8.0, -3.0) if band == "near_collinear" else (-12.0, -8.5)
+        phi = 10.0 ** rng.uniform(low, high, n)
+        phi = np.where(rng.random(n) < 0.5, phi, pi - phi)
+    s = np.zeros((n, 2, 3))
+    s[:, 0, 0] = r1
+    s[:, 1, 0], s[:, 1, 1] = r2 * np.cos(phi), r2 * np.sin(phi)
+    if band.startswith("collinear"):
+        s[:, 1] = 0.0
+        s[:, 1, 0] = rng.choice([-1.0, 1.0], n) * r2
+    sd = rng.normal(size=(n, 2, 3))
+    if band == "collinear_planar":
+        sd[:, :, 2] = 0.0
+    if band == "zero_L":
+        # subtract the rigid rotation w x s of the state's angular momentum
+        L = np.cross(s[:, 0], sd[:, 0]) + np.cross(s[:, 1], sd[:, 1])
+        inertia = sum(
+            np.sum(a * a, -1)[:, None, None] * np.eye(3) - a[:, :, None] * a[:, None, :]
+            for a in (s[:, 0], s[:, 1])
+        )
+        w = np.linalg.solve(inertia, L[..., None])[..., 0]
+        sd = sd - np.cross(w[:, None], s)
+    rotations = _random_rotations(rng, n)
+    return jacobi_bodies(m, _rotate(rotations, s)), jacobi_bodies(m, _rotate(rotations, sd))
+
+
+def unbent_states(rng, m, n):
+    """n exactly collinear states with no bending rate: on a coordinate axis
+    with their rates along it, or rotated and at rest."""
+    axes = np.eye(3)[rng.integers(0, 3, n)][:, None]
+    s = rng.uniform(0.5, 2.0, size=(n, 2, 1)) * rng.choice([-1.0, 1.0], size=(n, 2, 1)) * axes
+    sd = rng.normal(size=(n, 2, 1)) * axes
+    rotated = rng.random(n) < 0.5
+    s[rotated] = _rotate(_random_rotations(rng, np.count_nonzero(rotated)), s[rotated])
+    sd[rotated] = 0.0
+    return jacobi_bodies(m, s), jacobi_bodies(m, sd)
+
+
+def degenerate_positions(rng, m, n):
+    """n random positions with r1 = 0 (bodies 1 and 3 coincide) or r2 = 0
+    (body 2 at their center of mass), exactly."""
+    x = rng.normal(size=(n, 3, 3))
+    r1_zero = rng.random(n) < 0.5
+    x[r1_zero, 2] = x[r1_zero, 0]
+    m1, _, m3 = m
+    x[~r1_zero, 1] = (m1 * x[~r1_zero, 0] + m3 * x[~r1_zero, 2]) / (m1 + m3)
+    return x
+
+
+def float_sweep(rng, m):
+    """One mass triple's share of the float sweep: [(potential, x, v)]."""
+    bands = [mix_states(rng, band, m, 350) for band in MIX_BANDS]
+    x, v = (np.concatenate(a) for a in zip(*bands))
+    cases = [(builtin_potential("gravity"), x, v)]
+    few = [mix_states(rng, band, m, 50) for band in MIX_BANDS]
+    few.append(unbent_states(rng, m, 100))
+    few.append((degenerate_positions(rng, m, 100), rng.normal(size=(100, 3, 3))))
+    x, v = mix_states(rng, "generic", m, 2 * len(FLOAT_SWEEP_SCALES))
+    few.append((x * np.ldexp(1.0, np.repeat(FLOAT_SWEEP_SCALES, 2))[:, None, None], v))
+    x, v = mix_states(rng, "generic", m, 20)
+    few.append((x * 1e80, v))
+    few.append((rng.uniform(-1.7, 1.7, size=(10, 3, 3)) * 1e308, rng.normal(size=(10, 3, 3))))
+    far = _rotate(_random_rotations(rng, 5), np.tile([[1e160, 0.0, 0.0], [0.0, 1e-150, 0.0]], (5, 1, 1)))
+    x = np.stack([far[:, 0], far[:, 1], -m[0] / m[2] * far[:, 0]], axis=1)
+    few.append((x, rng.normal(size=(5, 3, 3))))
+    x, v = (np.concatenate(a) for a in zip(*few))
+    cases.append((builtin_potential("harmonic"), x, v))
+    return cases
+
+
+def _row_outcome(H, r1, r2, phi, sin_phi, T, J, p, branch):
+    """An evaluation's bits, with its branch."""
+    return np.array([H, r1, r2, phi, sin_phi, T, *J, *p]).tobytes(), branch
+
+
+def batch_outcomes(masses, x, v, potential):
+    """Each row's outcome in evaluate_reduced_batch, with numpy's warnings
+    ignored: its row of one call, its DegenerateShape where the batch marks
+    it degenerate, and where the call raises, the outcomes of its halves,
+    down to the one-row batch, whose error names row 0."""
+    try:
+        with np.errstate(all="ignore"):
+            out = evaluate_reduced_batch(masses, x, v, potential)
+    except TrireduceError as exc:
+        if len(x) == 1:
+            return [(type(exc).__name__, str(exc))]
+        half = len(x) // 2
+        return batch_outcomes(masses, x[:half], v[:half], potential) + batch_outcomes(
+            masses, x[half:], v[half:], potential
+        )
+    return [
+        ("DegenerateShape", str(DegenerateShape.from_r1(out.r1[i])))
+        if out.branch[i] == "degenerate"
+        else _row_outcome(
+            out.H_reduced[i], out.r1[i], out.r2[i], out.phi[i], out.sin_phi[i],
+            out.singular_term[i], out.J[i], out.p[i], out.branch[i],
+        )
+        for i in range(len(x))
+    ]
+
+
+def one_state_outcome(masses, x, v, potential):
+    """evaluate_reduced's outcome on one state, as batch_outcomes gives a
+    row's: its one H error names the row as the batch does."""
+    try:
+        ev = evaluate_reduced(masses, CartesianState(*x, *v), potential)
+    except TrireduceError as exc:
+        message = re.sub(r"^H_reduced overflows \(.*\)$", "H_reduced overflow at row 0", str(exc))
+        return type(exc).__name__, message
+    return _row_outcome(
+        ev.H, ev.r1, ev.r2, ev.phi, ev.sin_phi, ev.singular_term, ev.J, ev.p, ev.branch
+    )
+
+
+class TestFloatStateSweep:
+    """evaluate_reduced reduces its state on floats (geometry.arithmetic)
+    and takes V from the nine position floats; a seeded sweep of over
+    20 000 states has each one's bits of its row in evaluate_reduced_batch,
+    or its error, with no warning."""
+
+    def test_every_state_is_its_batch_row(self):
+        rng = np.random.default_rng(3401)
+        outcomes, states = [], 0
+        for _ in range(FLOAT_SWEEP_TRIPLES):
+            m = rng.uniform(0.5, 2.0, 3)
+            masses = MassTriple(*m)
+            for potential, x, v in float_sweep(rng, m):
+                expected = batch_outcomes(masses, x, v, potential)
+                for k in range(len(x)):
+                    got = one_state_outcome(masses, x[k], v[k], potential)
+                    assert got == expected[k], (potential.builtin, x[k], v[k])
+                    outcomes.append(got[1] if isinstance(got[0], bytes) else got[0])
+                states += len(x)
+        assert states >= 20_000
+        # every branch and every error the sweep is built to reach
+        assert {"noncollinear", "collinear", "DegenerateShape", "NumericalBlowup"} <= set(outcomes)
+
+    def test_a_float_division_by_zero_takes_the_numpy_row(self):
+        # r1 = inf with finite Jacobi vectors: u1 = s1 / r1 = 0, so the fixed
+        # perpendicular has length 0 too and the float kernel divides by 0;
+        # the state's numpy 3-vectors give NaN there and name H, as its row
+        masses, free = MassTriple(1.0, 1.0, 1.0), builtin_potential("free")
+        x = np.array([[1e160, 0.0, 0.0], [0.0, 1e-150, 0.0], [-1e160, 0.0, 0.0]])
+        v = np.array([[0.1, 0.2, 0.3], [0.0, -0.4, 0.5], [0.3, 0.1, -0.2]])
+        floats = [*jacobi_map(masses, *x.tolist()), *jacobi_map(masses, *v.tolist())]
+        with pytest.raises(ZeroDivisionError):
+            hamiltonian._reduce_rows(COLLINEAR_THRESHOLD, *floats)
+        with pytest.raises(NumericalBlowup, match=r"^H_reduced overflows \(nan\)$"):
+            evaluate_reduced(masses, CartesianState(*x, *v), free)
+        assert batch_outcomes(masses, x[None], v[None], free) == [
+            ("NumericalBlowup", "H_reduced overflow at row 0")
+        ]

@@ -242,10 +242,29 @@ MUTATIONS = [
     Mutation(
         name="loose-step-guard",
         file="src/trireduce/dynamics.py",
-        old="if not hypot(*y) < 0.99e12:",
-        new="if not hypot(*y) < 1e15:",
+        old="FAST_GUARD = 0.99e12",
+        new="FAST_GUARD = 1e15",
         reason="the step guard's fast bound raised past OVERFLOW_GUARD, so a step beyond it passes",
         caught_by=("tests/test_dynamics.py::TestIntegrate::test_blowup_guard",),
+    ),
+    Mutation(
+        name="guard-on-recorded-steps-only",
+        file="src/trireduce/dynamics.py",
+        old="        if not hypot(x1, y1, z1, x2, y2, z2, x3, y3, z3,\n",
+        new="        if k % stride == 0 and not hypot(x1, y1, z1, x2, y2, z2, x3, y3, z3,\n",
+        reason="the leapfrog guards only the steps it records, so a blowup is named at a later step",
+        caught_by=("tests/test_dynamics.py::TestIntegrate::test_blowup_guard",),
+    ),
+    Mutation(
+        name="reassociated-kick",
+        file="src/trireduce/dynamics.py",
+        old="        a1, b1, c1 = h * (a1 / m1), h * (b1 / m1), h * (c1 / m1)\n",
+        new="        a1, b1, c1 = (h * a1) / m1, h * (b1 / m1), h * (c1 / m1)\n",
+        reason="the leapfrog's kick of body 1 taken as (h f) / m, which rounds unlike h (f / m)",
+        caught_by=tuple(
+            f"tests/test_dynamics.py::TestIntegrate::test_steps_match_reference_bitwise[unequal_masses-{run}]"
+            for run in ("leapfrog", "leapfrog-stride7")
+        ),
     ),
 ]
 

@@ -10,7 +10,6 @@ import sys
 from dataclasses import dataclass, fields
 from math import hypot, isfinite
 from numbers import Integral
-from operator import add
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .hamiltonian import ReducedBatch, evaluate_reduced_batch
 from .potential import PotentialSpec, force_field, potential_at_positions
 
 OVERFLOW_GUARD = 1e12
+FAST_GUARD = 0.99e12  # the steppers' one test of a step; see _check_guard
 BAND_THRESHOLD = 1e-3
 
 
@@ -96,42 +96,76 @@ def total_energy(masses: MassTriple, state: CartesianState, potential) -> float:
     return kinetic + float(potential_at_positions(potential, masses, state.positions))
 
 
-def _leapfrog_steps(field, m, y, dt, n):
-    """Yield the state y, 18 floats (the nine position components, then
-    the nine velocity components), after each of n leapfrog steps under
-    the forces field(x) on the masses m, one per component."""
-    x, v = y[:9], y[9:]
+def _leapfrog_steps(field, masses, y, dt, n, stride):
+    """Take n leapfrog (velocity-Verlet) steps from the state y, 18 floats
+    (the nine position components, then the nine velocity components),
+    under the forces field(x) of the nine position components on the
+    masses, three floats, and yield (k, positions, velocities), lists of
+    nine floats, after every stride-th step k.
+
+    The state is held as 18 local floats, the masses as three.  A step
+    adds the kick h (f / m), h = dt / 2, to each velocity, adds dt v to
+    each position and adds the kick of the forces at the new positions,
+    which starts the next step too.  Every step is guarded, recorded or
+    not: see _check_guard."""
+    x1, y1, z1, x2, y2, z2, x3, y3, z3, u1, v1, w1, u2, v2, w2, u3, v3, w3 = y
+    m1, m2, m3 = masses
     h = 0.5 * dt
-    kick = [h * (f / w) for f, w in zip(field(x), m)]  # ends one step and starts the next
-    for _ in range(n):
-        v = list(map(add, v, kick))
-        x = [a + dt * b for a, b in zip(x, v)]
-        kick = [h * (f / w) for f, w in zip(field(x), m)]
-        v = list(map(add, v, kick))
-        yield x + v
+    a1, b1, c1, a2, b2, c2, a3, b3, c3 = field([x1, y1, z1, x2, y2, z2, x3, y3, z3])
+    a1, b1, c1 = h * (a1 / m1), h * (b1 / m1), h * (c1 / m1)
+    a2, b2, c2 = h * (a2 / m2), h * (b2 / m2), h * (c2 / m2)
+    a3, b3, c3 = h * (a3 / m3), h * (b3 / m3), h * (c3 / m3)
+    for k in range(1, n + 1):
+        u1, v1, w1 = u1 + a1, v1 + b1, w1 + c1
+        u2, v2, w2 = u2 + a2, v2 + b2, w2 + c2
+        u3, v3, w3 = u3 + a3, v3 + b3, w3 + c3
+        x1, y1, z1 = x1 + dt * u1, y1 + dt * v1, z1 + dt * w1
+        x2, y2, z2 = x2 + dt * u2, y2 + dt * v2, z2 + dt * w2
+        x3, y3, z3 = x3 + dt * u3, y3 + dt * v3, z3 + dt * w3
+        a1, b1, c1, a2, b2, c2, a3, b3, c3 = field([x1, y1, z1, x2, y2, z2, x3, y3, z3])
+        a1, b1, c1 = h * (a1 / m1), h * (b1 / m1), h * (c1 / m1)
+        a2, b2, c2 = h * (a2 / m2), h * (b2 / m2), h * (c2 / m2)
+        a3, b3, c3 = h * (a3 / m3), h * (b3 / m3), h * (c3 / m3)
+        u1, v1, w1 = u1 + a1, v1 + b1, w1 + c1
+        u2, v2, w2 = u2 + a2, v2 + b2, w2 + c2
+        u3, v3, w3 = u3 + a3, v3 + b3, w3 + c3
+        if not hypot(x1, y1, z1, x2, y2, z2, x3, y3, z3,
+                     u1, v1, w1, u2, v2, w2, u3, v3, w3) < FAST_GUARD:
+            _check_guard([x1, y1, z1, x2, y2, z2, x3, y3, z3,
+                          u1, v1, w1, u2, v2, w2, u3, v3, w3], k)
+        if k % stride == 0:
+            yield k, [x1, y1, z1, x2, y2, z2, x3, y3, z3], [u1, v1, w1, u2, v2, w2, u3, v3, w3]
 
 
-def _rk4_steps(field, m, y, dt, n):
-    """Yield y after each of n classical Runge-Kutta steps of y' = f(y) =
-    (v, a(x)), with the accelerations a(x) = field(x) / m, as
-    _leapfrog_steps does."""
+def _rk4_steps(field, masses, y, dt, n, stride):
+    """Take n classical Runge-Kutta steps of y' = f(y) = (v, a(x)), with
+    the accelerations a(x) = field(x) / m, and guard and yield as
+    _leapfrog_steps does.  The stages run on lists of 18 floats."""
     h, sixth = 0.5 * dt, dt / 6.0
+    m = [w for w in masses for _ in range(3)]
 
     def f(y):
         return y[9:] + [F / w for F, w in zip(field(y[:9]), m)]
 
-    for _ in range(n):
+    for k in range(1, n + 1):
         k1 = f(y)
         k2 = f([a + h * b for a, b in zip(y, k1)])
         k3 = f([a + h * b for a, b in zip(y, k2)])
         k4 = f([a + dt * b for a, b in zip(y, k3)])
         y = [a + sixth * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)]
-        yield y
+        if not hypot(*y) < FAST_GUARD:
+            _check_guard(y, k)
+        if k % stride == 0:
+            yield k, y[:9], y[9:]
 
 
 def _check_guard(y, step):
-    """Raise NumericalBlowup naming the step unless every component of y
-    lies in [-OVERFLOW_GUARD, OVERFLOW_GUARD]; a NaN does not."""
+    """Raise NumericalBlowup naming the step unless every component of the
+    state y, 18 floats, lies in [-OVERFLOW_GUARD, OVERFLOW_GUARD]; a NaN
+    does not.  The steppers call it only where math.hypot of the 18, the
+    root of their sum of squares and so at least the largest, is not below
+    FAST_GUARD: there every component is inside, so one call of hypot
+    guards a step that passes."""
     if not all(abs(c) <= OVERFLOW_GUARD for c in y):
         raise NumericalBlowup(f"coordinate overflow at step {step}")
 
@@ -143,17 +177,16 @@ def integrate(
     cfg: IntegratorConfig,
     collinear_threshold=COLLINEAR_THRESHOLD,
 ) -> Trajectory:
-    """Integrate the Cartesian equations of motion, stepping the state as
-    18 floats under the potential's force_field, bound once per run,
-    record it every record_stride steps, and reduce the recorded states in
-    one pass (evaluate_reduced_batch).
+    """Integrate the Cartesian equations of motion under the potential's
+    force_field, bound once per run, and reduce the recorded states in one
+    pass (evaluate_reduced_batch).  The stepper (_leapfrog_steps or
+    _rk4_steps) holds the state as floats, guards every step and yields
+    every record_stride-th; integrate stores the rows it is given.
 
     Raises NumericalBlowup, naming the step (0 for the start), when at the
     start or after a step a position or velocity component leaves
-    [-OVERFLOW_GUARD, OVERFLOW_GUARD] or is NaN.  A step is first held to
-    the root of the sum of the squares of its 18 components, which is at
-    least the largest: below 0.99e12, under OVERFLOW_GUARD, every
-    component is inside; only where that fails is each one tested.
+    [-OVERFLOW_GUARD, OVERFLOW_GUARD] or is NaN; the start is checked
+    before the field is bound.
     """
     stride = cfg.record_stride
     rows = cfg.steps // stride + 1
@@ -163,14 +196,10 @@ def integrate(
     xs, vs = np.empty((rows, 3, 3)), np.empty((rows, 3, 3))
     x_rows, v_rows = xs.reshape(rows, 9), vs.reshape(rows, 9)
     x_rows[0], v_rows[0] = y[:9], y[9:]
-    m = masses.as_array().repeat(3).tolist()
     stepper = _leapfrog_steps if cfg.method == "leapfrog" else _rk4_steps
-    steps = stepper(force_field(potential, masses), m, y, cfg.dt, cfg.steps)
-    for k, y in enumerate(steps, 1):
-        if not hypot(*y) < 0.99e12:
-            _check_guard(y, k)
-        if k % stride == 0:
-            x_rows[k // stride], v_rows[k // stride] = y[:9], y[9:]
+    field = force_field(potential, masses)
+    for k, x, v in stepper(field, masses.as_array().tolist(), y, cfg.dt, cfg.steps, stride):
+        x_rows[k // stride], v_rows[k // stride] = x, v
     reduced = evaluate_reduced_batch(masses, xs, vs, potential, collinear_threshold)
     t = np.arange(rows) * stride * cfg.dt
     return Trajectory(**vars(reduced), t=t, x=xs, v=vs)

@@ -19,8 +19,8 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import DomainError, PotentialSyntaxError, UnknownIdentifier
-from .geometry import MassTriple, check_number, jacobi_map, measure_shape
+from .errors import DomainError, NumericalBlowup, PotentialSyntaxError, UnknownIdentifier
+from .geometry import MassTriple, arithmetic, check_number, jacobi_map, measure_shape
 
 VARIABLES = ("r1", "r2", "phi", "d12", "d13", "d23")
 CONSTANTS = {"pi": np.pi, "e": np.e}
@@ -699,14 +699,34 @@ def _pair_terms(spec: PotentialSpec, masses: MassTriple):
     if spec.builtin == "free":
         return (lambda d: [0.0, 0.0, 0.0],) * 2
     if spec.builtin == "harmonic":
-        k, rest = float(p["k"]), [float(p["rest"].get(n, p["rest_length"])) for n in PAIRS]
-        return (lambda d: [0.5 * k * ((r - l) * (r - l)) for r, l in zip(d, rest)],
-                lambda d: [k * (r - l) for r, l in zip(d, rest)])
+        k = float(p["k"])
+        l12, l13, l23 = (float(p["rest"].get(n, p["rest_length"])) for n in PAIRS)
+
+        def energies(d):
+            d12, d13, d23 = d
+            return [0.5 * k * ((d12 - l12) * (d12 - l12)), 0.5 * k * ((d13 - l13) * (d13 - l13)),
+                    0.5 * k * ((d23 - l23) * (d23 - l23))]
+
+        def slopes(d):
+            d12, d13, d23 = d
+            return [k * (d12 - l12), k * (d13 - l13), k * (d23 - l23)]
+
+        return energies, slopes
     if spec.builtin == "gravity":
+        # floats, with the bits of the products: a MassTriple of np.float64
+        # would turn one state's floats into numpy scalars
         G, m1, m2, m3 = p["G"], masses.m1, masses.m2, masses.m3
-        products = [G * m1 * m2, G * m1 * m3, G * m2 * m3]
-        return (lambda d: [-g / r for g, r in zip(products, d)],
-                lambda d: [g / (r * r) for g, r in zip(products, d)])
+        g12, g13, g23 = float(G * m1 * m2), float(G * m1 * m3), float(G * m2 * m3)
+
+        def energies(d):
+            d12, d13, d23 = d
+            return [-g12 / d12, -g13 / d13, -g23 / d23]
+
+        def slopes(d):
+            d12, d13, d23 = d
+            return [g12 / (d12 * d12), g13 / (d13 * d13), g23 / (d23 * d23)]
+
+        return energies, slopes
     sigma, scale = float(p["sigma"]), 4.0 * p["epsilon"]  # lennard_jones
 
     def sixth_powers(d):
@@ -766,14 +786,15 @@ def potential_at_positions(spec: PotentialSpec, masses: MassTriple, x, shape=Non
     expression walks one state's floats (_run_state), as a float.  A
     potential that reads r1, r2 or phi takes them from `shape`, the (r1,
     r2, phi) of measure_shape that the caller measured: numbers for one
-    configuration, (N,) arrays for N, or measures them if it is None, on
-    one configuration's floats."""
+    configuration, (N,) arrays for N, or measures them if it is None (see
+    _measure, which names an overflowing sin_phi), on one configuration's
+    floats."""
     if isinstance(x, np.ndarray) and x.ndim == 2:
         x = x.ravel().tolist()
     measure = shape is None and not spec.reads <= PAIRS.keys()
     if isinstance(x, list):
         if measure:
-            r1, r2, _, _, _, phi = measure_shape(*jacobi_map(masses, x[:3], x[3:6], x[6:]))
+            r1, r2, _, _, _, phi = _measure(masses, x[:3], x[3:6], x[6:])[1]
             shape = r1, r2, phi
         _, d = _pair_vectors(x, sqrt)
         if spec.ast is not None:
@@ -787,10 +808,27 @@ def potential_at_positions(spec: PotentialSpec, masses: MassTriple, x, shape=Non
     else:
         with np.errstate(all="ignore"):  # a length that overflows is inf, as a float's
             if measure:
-                r1, r2, _, _, _, phi = measure_shape(*jacobi_map(masses, *np.moveaxis(x, -2, 0)))
+                r1, r2, _, _, _, phi = _measure(masses, *np.moveaxis(x, -2, 0))[1]
                 shape = r1, r2, phi
             _, d = _pair_vectors(x.reshape(-1, 9).T, np.sqrt)
     return eval_potential_batch(spec, masses, *(shape or (None,) * 3), *d)
+
+
+def _measure(masses, a1, a2, a3):
+    """The Jacobi vectors s = (s1, s2) of the bodies' positions a1, a2, a3,
+    as jacobi_map takes them, and their measure_shape.  Raises
+    NumericalBlowup naming the first row where |s1 x s2| is not finite
+    though the Jacobi vectors are, where phi would read pi/2 and sin_phi is
+    not finite: the error of evaluate_reduced there."""
+    s = jacobi_map(masses, a1, a2, a3)
+    shape = measure_shape(*s)
+    area = shape[3]
+    if not arithmetic(s[0]).finite(area):
+        jacobi = np.isfinite(np.concatenate(s, -1)).reshape(-1, 6).all(axis=1)
+        bad = np.flatnonzero(jacobi & ~np.isfinite(area))
+        if bad.size:
+            raise NumericalBlowup(f"sin_phi overflow at row {bad[0]}")
+    return s, shape
 
 
 def _pair_vectors(x, root):
@@ -923,8 +961,7 @@ def force_field(spec: PotentialSpec, masses: MassTriple):
             values.update(zip(PAIRS, d))
         if jacobi:
             # one state's Jacobi vectors and shape, measured on floats
-            s = jacobi_map(masses, x[:3], x[3:6], x[6:])
-            shape = measure_shape(*s)
+            s, shape = _measure(masses, x[:3], x[3:6], x[6:])
             r1, r2, _, area, _, phi = shape
             values.update(r1=r1, r2=r2, phi=phi)
         _, gradient = _run_state(spec, values, True)
@@ -960,7 +997,8 @@ def forces_cartesian(spec: PotentialSpec, masses: MassTriple, positions):
     an exactly collinear shape where dV/dphi is not 0 to the resolution of
     phi (see _phi_slope_vanishes; where it is 0, the limit force is
     returned); and where a derivative of an expression is not finite,
-    naming the operation.
+    naming the operation.  Raises NumericalBlowup where an expression
+    reads r1, r2 or phi and |s1 x s2| overflows (see _measure).
     """
     x = np.asarray(positions, dtype=float).reshape(9).tolist()
     return np.reshape(force_field(spec, masses)(x), (3, 3))

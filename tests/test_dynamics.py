@@ -181,28 +181,36 @@ class TestIntegrate:
             finals.append(integrate(MASSES, state, HARMONIC, cfg).x[-1])
         assert np.allclose(finals[0], finals[1], atol=1e-5)
 
-    @pytest.mark.parametrize("method", ["leapfrog", "rk4"])
     @pytest.mark.parametrize(
-        "potential, setup, dt",
-        [
-            (HARMONIC, harmonic_setup, 0.01),
-            (builtin_potential("gravity", G=1.0), figure_eight_setup, 1e-3),
-            (parse_potential("0.5*(d12-1)^2 + 0.5*(d13-1)^2 + 0.5*(d23-1)^2"), sparse_setup, 0.01),
-            (builtin_potential("lennard_jones"), planar_setup, 0.01),
-            (FREE, planar_setup, 0.01),
-        ],
-        ids=["harmonic", "gravity", "expression", "lennard_jones", "free"],
+        "method, stride",
+        [("leapfrog", 1), ("rk4", 1), ("leapfrog", 7), ("rk4", 7)],
+        ids=["leapfrog", "rk4", "leapfrog-stride7", "rk4-stride7"],
     )
-    def test_steps_match_reference_bitwise(self, method, potential, setup, dt):
-        # byte for byte, so the sign of every 0 is held too: the CSV prints -0
+    @pytest.mark.parametrize(
+        "potential, setup, dt, masses",
+        [
+            (HARMONIC, harmonic_setup, 0.01, MASSES),
+            (builtin_potential("gravity", G=1.0), figure_eight_setup, 1e-3, MASSES),
+            (parse_potential("0.5*(d12-1)^2 + 0.5*(d13-1)^2 + 0.5*(d23-1)^2"), sparse_setup, 0.01,
+             MASSES),
+            (builtin_potential("lennard_jones"), planar_setup, 0.01, MASSES),
+            (FREE, planar_setup, 0.01, MASSES),
+            # a kick h (f / m) rounds unlike (h f) / m only where m is not 1
+            (HARMONIC, harmonic_setup, 0.01, MassTriple(1.5, 1.3, 0.7)),
+        ],
+        ids=["harmonic", "gravity", "expression", "lennard_jones", "free", "unequal_masses"],
+    )
+    def test_steps_match_reference_bitwise(self, method, stride, potential, setup, dt, masses):
+        # byte for byte, so the sign of every 0 is held too: the CSV prints
+        # -0; row k is the reference's state after step k * stride
         steps = 60
-        cfg = IntegratorConfig(method=method, dt=dt, steps=steps)
-        traj = integrate(MASSES, setup(), potential, cfg)
-        xs, vs = reference_steps(MASSES, potential, setup(), method, dt, steps)
-        assert len(traj) == len(xs) == steps + 1
-        for row in range(steps + 1):
-            assert traj.x[row].tobytes() == xs[row].tobytes(), row
-            assert traj.v[row].tobytes() == vs[row].tobytes(), row
+        cfg = IntegratorConfig(method=method, dt=dt, steps=steps, record_stride=stride)
+        traj = integrate(masses, setup(), potential, cfg)
+        xs, vs = reference_steps(masses, potential, setup(), method, dt, steps)
+        assert len(traj) == steps // stride + 1 and len(xs) == steps + 1
+        for row in range(len(traj)):
+            assert traj.x[row].tobytes() == xs[row * stride].tobytes(), row
+            assert traj.v[row].tobytes() == vs[row * stride].tobytes(), row
 
     def test_blowup_guard(self, monkeypatch):
         z = np.zeros(3)
@@ -228,16 +236,19 @@ class TestIntegrate:
 
         # NaN first appears in the ninth force evaluation: leapfrog takes it
         # at step 8 (one evaluation comes before the first step), RK4 at
-        # step 3 (four per step)
-        for method, nan_step in (("leapfrog", 8), ("rk4", 3)):
+        # step 3 (four per step).  Every step is guarded, recorded or not:
+        # at record_stride 5 none of the steps named is recorded
+        runs = [(method, stride) for method in ("leapfrog", "rk4") for stride in (1, 5)]
+        for method, stride in runs:
+            nan_step = 8 if method == "leapfrog" else 3
             # a position leaves the guard: x2 reaches 5e12 at step 1
             state = CartesianState(*x, z, np.array([5e11, 0.0, 0.0]), z)
-            cfg = IntegratorConfig(method=method, dt=10.0, steps=5)
+            cfg = IntegratorConfig(method=method, dt=10.0, steps=5, record_stride=stride)
             with pytest.raises(NumericalBlowup, match=r"at step 1$"):
                 integrate(MASSES, state, FREE, cfg)
             # the start is held to the guard before any force is evaluated
             state = CartesianState(*x, z, np.array([2e12, 0.0, 0.0]), z)
-            cfg = IntegratorConfig(method=method, dt=1e-3, steps=5)
+            cfg = IntegratorConfig(method=method, dt=1e-3, steps=5, record_stride=stride)
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(trireduce.dynamics, "force_field", wrapped(force_field))
@@ -253,7 +264,7 @@ class TestIntegrate:
                 with pytest.raises(NumericalBlowup, match=r"at step 1$"):
                     integrate(MASSES, CartesianState(*x, z, z, z), FREE, cfg)
             calls.clear()
-            cfg = IntegratorConfig(method=method, dt=0.01, steps=20)
+            cfg = IntegratorConfig(method=method, dt=0.01, steps=20, record_stride=stride)
             with monkeypatch.context() as patch:
                 patch.setattr(trireduce.dynamics, "force_field", wrapped(force_field))
                 with pytest.raises(NumericalBlowup, match=rf"at step {nan_step}$"):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import trireduce.potential
 from trireduce.checks import random_rotation
-from trireduce.errors import DomainError, PotentialSyntaxError, UnknownIdentifier
+from trireduce.errors import DomainError, NumericalBlowup, PotentialSyntaxError, UnknownIdentifier
 from trireduce.geometry import CartesianState, MassTriple, jacobi_map, measure_shape, shape_to_distances
 from trireduce.hamiltonian import evaluate_reduced, evaluate_reduced_batch
 from trireduce.potential import (
@@ -853,6 +853,17 @@ class TestPairTerms:
                 assert all(type(v) is float for row in rows for v in row)
                 assert np.array(rows).T.tobytes() == columns.tobytes()
 
+    def test_gravity_with_numpy_masses_stays_on_floats(self):
+        # G m_i m_k is bound as a float, with its bits: masses drawn by numpy
+        # do not turn one state's pair energies into numpy scalars
+        rng = np.random.default_rng(3501)
+        masses = rng.uniform(0.5, 2.0, size=3)
+        x = rng.uniform(-1.5, 1.5, size=9).tolist()
+        spec = builtin_potential("gravity", G=0.7)
+        V = potential_at_positions(spec, MassTriple(*masses), x)
+        assert type(masses[0]) is np.float64 and type(V) is float
+        assert V.hex() == potential_at_positions(spec, MassTriple(*masses.tolist()), x).hex()
+
 
 class TestForces:
     def _spread_positions(self):
@@ -1401,6 +1412,29 @@ class TestFloatWalk:
         with np.errstate(all="raise"):
             assert (field(x.ravel().tolist()), potential_at_positions(spec, MASSES, x)) == expected
         assert len(calls) == 2
+
+    def test_sin_phi_overflow_is_named(self):
+        # at positions near 1e150 |s1 x s2| overflows though the Jacobi
+        # vectors do not: the field and V raise evaluate_reduced's error
+        # there, where they took phi = pi/2, and the row names the state in
+        # a batch; a potential that reads no shape variable measures nothing
+        masses = MassTriple(1.0, 1.5, 2.0)
+        spec = parse_potential("0.5*(r1-1)^2 + 0.2*cos(phi)")
+        x = np.random.default_rng(1).uniform(-1.5, 1.5, size=(3, 3)) * 1e150
+        calls = [
+            (lambda: force_field(spec, masses)(x.ravel().tolist()), 0),
+            (lambda: forces_cartesian(spec, masses, x), 0),
+            (lambda: potential_at_positions(spec, masses, x), 0),
+            (lambda: potential_at_positions(spec, masses, x.ravel().tolist()), 0),
+            (lambda: potential_at_positions(spec, masses, x[None]), 0),
+            (lambda: potential_at_positions(spec, masses, np.array([x / 1e150, x])), 1),
+            (lambda: evaluate_reduced(masses, CartesianState(*x, *np.zeros((3, 3))), spec), 0),
+        ]
+        for call, row in calls:
+            with pytest.raises(NumericalBlowup, match=f"^sin_phi overflow at row {row}$"):
+                call()
+        assert np.isfinite(potential_at_positions(parse_potential("d12 - d13"), masses, x))
+        assert np.isfinite(potential_at_positions(builtin_potential("gravity"), masses, x))
 
     def test_one_source_two_bindings(self):
         # the float binding has each name the fast walk calls

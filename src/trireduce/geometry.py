@@ -11,16 +11,17 @@ jacobi_map, measure_shape, body_frames and hamiltonian's kernel are
 written once, over component triples, and take their arithmetic from
 what they are given (see arithmetic): an array, (N, 3) rows for N states
 or one 3-vector, runs numpy on its (N,) columns (numpy scalars for one
-3-vector), and a list of three floats runs Python's + - * /, math.sqrt
-and numpy's ufunc on the float for arctan2, sin and cos, which rounds as
-on its row.  Either way a state has the bits of its row in a batch.  A
-mask is a select or a test of the binding, a branch on floats.  There is
-one formula per quantity: cross takes and returns component triples, and
-_length is every length, rounded as np.cross and np.linalg.norm round.
+3-vector), and a list of three floats runs Python floats, which round as
+on its row.  Either way a state has the bits of its row in a batch.  The
+two bindings, COLUMNS and FLOATS, hold the one rule for that, and an
+expression's walk (potential._emit) binds them too.  A mask is a select
+or a test of the binding, a branch on floats.  There is one formula per
+quantity: cross takes and returns component triples, and _length is
+every length, rounded as np.cross and np.linalg.norm round.
 """
 
 from dataclasses import dataclass, fields
-from math import isfinite, nan, sqrt
+from math import isfinite, log, nan, sqrt
 from numbers import Real
 from sys import float_info
 from types import SimpleNamespace
@@ -30,27 +31,66 @@ import numpy as np
 COLLINEAR_THRESHOLD = 1e-8
 
 
-def _on_float(ufunc):
-    """numpy's ufunc on floats, taken back as a float: the bits of its row."""
-    return lambda *a: float(ufunc(*a))
+def _on_float(ufunc, inside=None):
+    """numpy's ufunc on floats, taken back as a float: the bits of its row.
+    With `inside`, a test that is false where the ufunc would warn, it
+    raises ValueError there instead."""
+    if inside is None:
+        return lambda *a: float(ufunc(*a))
+
+    def call(a):
+        if not inside(a):
+            raise ValueError(f"{ufunc.__name__} of {a!r}")
+        return float(ufunc(a))
+
+    return call
 
 
-# The kernel's operations other than + - * /, on (N,) columns (or one
-# 3-vector's numpy scalars) and on floats: a vector's components, the
-# ufuncs, where and where_rows (of (N, 3) rows by a row mask), the tests of
-# a mask, join (of vectors into rows) and finite.  On floats, finite of a
-# list tests its sum once; where the sum overflows, the caller's exact test
-# of the rows finds no value that is not finite.
+def _power_rows(a, b):
+    """np.power(a, b) of floats as on (1,) columns, where an exponent column
+    takes numpy's pow, not its fast paths.  Raises ValueError unless a > 0,
+    or a < 0 and b is an integer, and |b log|a|| < 700, where np.power
+    neither warns nor overflows."""
+    if not ((a > 0.0 or a < 0.0 and b.is_integer()) and abs(b * log(abs(a))) < 700.0):
+        raise ValueError(f"power of {(a, b)!r}")
+    return np.power(a, (b,)).item()
+
+
+# np.power's fast paths at a scalar exponent (a 0-d array or a number)
+_FAST_POWERS = {2.0: lambda a: a * a, 0.5: sqrt, 1.0: lambda a: a, -1.0: lambda a: 1.0 / a,
+                0.0: lambda a: 1.0}
+
+
+def _power(a, b):
+    """np.power(a, b) of floats as at a scalar exponent b."""
+    fast = _FAST_POWERS.get(b)
+    return fast(a) if fast else _power_rows(a, b)
+
+
+# The operations of the reduction kernel and of an expression's walk
+# (potential._emit) other than + - * / and negation, on (N,) columns (or one
+# 3-vector's numpy scalars) and on floats.  A float operation stands in for
+# numpy's only where IEEE 754 fixes the bits (abs, math.sqrt); the others
+# are numpy's ufunc on the float (libm's atan2, exp, log and pow round
+# otherwise), raising ValueError where it would warn, so the caller takes
+# the state's columns.  power is np.power at a scalar exponent, power_rows
+# at an exponent column; where_rows selects (N, 3) rows by a row mask; a
+# float list is finite where its sum is (where the sum overflows, the
+# caller's exact test of the rows finds no value that is not finite).
 COLUMNS = SimpleNamespace(
     components=lambda v: v.T, sqrt=np.sqrt, arctan2=np.arctan2, sin=np.sin, cos=np.cos,
-    where=np.where, where_rows=lambda mask, a, b: np.where(mask[..., None], a, b),
+    exp=np.exp, log=np.log, abs=np.abs, sign=np.sign, power=np.power, power_rows=np.power,
+    zeros=np.zeros, where=np.where, where_rows=lambda mask, a, b: np.where(mask[..., None], a, b),
     any=np.count_nonzero, all=lambda mask: np.count_nonzero(mask) == np.size(mask),
     finite=lambda v: np.count_nonzero(np.isfinite(v)) == np.size(v),
     join=lambda vectors: np.concatenate(vectors, -1),
 )
 FLOATS = SimpleNamespace(
     components=lambda v: v, sqrt=sqrt, arctan2=_on_float(np.arctan2),
-    sin=_on_float(np.sin), cos=_on_float(np.cos),
+    sin=_on_float(np.sin, isfinite), cos=_on_float(np.cos, isfinite),
+    exp=_on_float(np.exp, lambda a: a < 709.0), log=_on_float(np.log, lambda a: a > 0.0),
+    abs=abs, sign=_on_float(np.sign), power=_power, power_rows=_power_rows,
+    zeros=lambda dims: [0.0] * dims[0],
     where=lambda mask, a, b: a if mask else b, where_rows=lambda mask, a, b: a if mask else b,
     any=bool, all=bool, finite=lambda v: isfinite(sum(v) if isinstance(v, list) else v),
     join=lambda vectors: sum(vectors, []),
@@ -61,7 +101,8 @@ def arithmetic(v):
     """The binding of the kernel's operations for vectors like v: COLUMNS
     for an array, (N, 3) rows or one 3-vector, FLOATS for a list of three
     floats.  A float division by 0 raises ZeroDivisionError where numpy's
-    is inf or NaN; the caller then takes the state's numpy 3-vectors."""
+    is inf or NaN, and sin or cos ValueError where numpy's would warn; the
+    caller then takes the state's numpy 3-vectors."""
     return COLUMNS if isinstance(v, np.ndarray) else FLOATS
 
 

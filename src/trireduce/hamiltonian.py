@@ -141,7 +141,7 @@ def evaluate_reduced(
     jacobi = s1[:3], s2[:3], s1[3:], s2[3:]
     try:
         reduced = _reduce_rows(collinear_threshold, *jacobi)
-    except ZeroDivisionError:  # numpy's inf or NaN there: the state's numpy row names it
+    except (ZeroDivisionError, ValueError):  # numpy's inf or NaN: the state's numpy row names it
         with np.errstate(all="ignore"):
             reduced = _reduce_rows(collinear_threshold, *map(np.array, jacobi))
     r1, r2, phi, sin_phi, planar, degenerate, J, p, T, K = reduced

@@ -5,22 +5,31 @@ small expression language over the shape variables r1, r2, phi and the
 interparticle distances d12, d13, d23, invariant by construction.  Each
 family's pair energies and slopes are written once, for one state's floats
 and a batch's columns; an expression is compiled, once, to one generated
-straight-line function that returns its value and its reverse-mode pullback.
-Forces are exact gradients for both.  One pair map gives V and the forces
-their distances; an expression's slopes by r1, r2 and phi reach the bodies
-as float sums over the Jacobi map's coefficients.
+straight-line function that returns its value and its reverse-mode pullback,
+bound to geometry's COLUMNS for a batch and FLOATS for one state, which
+keeps the bits of its row (see geometry.arithmetic).  Forces are exact
+gradients for both.  One pair map gives V and the forces their distances;
+an expression's slopes by r1, r2 and phi reach the bodies as float sums
+over the Jacobi map's coefficients.
 """
 
-import operator
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from math import copysign, isfinite, isnan, log, nextafter, sqrt
+from math import copysign, isfinite, isnan, nextafter, sqrt
 from numbers import Real
 
 import numpy as np
 
 from .errors import DomainError, NumericalBlowup, PotentialSyntaxError, UnknownIdentifier
-from .geometry import MassTriple, arithmetic, check_number, jacobi_map, measure_shape
+from .geometry import (
+    COLUMNS,
+    FLOATS,
+    MassTriple,
+    arithmetic,
+    check_number,
+    jacobi_map,
+    measure_shape,
+)
 
 VARIABLES = ("r1", "r2", "phi", "d12", "d13", "d23")
 CONSTANTS = {"pi": np.pi, "e": np.e}
@@ -290,11 +299,6 @@ def _print(node, parent_prec):
     return f"({text})" if parent_prec > prec else text
 
 
-# numpy kernels of the operators and functions
-_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
-_UFUNCS.update((fn, getattr(np, fn)) for fn in FUNCTIONS)
-_UFUNCS["neg"] = np.negative
-
 # Where an operation leaves its domain, given its operands; such a row also
 # has a non-finite value.  Finite operands of '^' with a non-finite value are
 # a negative base to a non-integer power, 0 to a negative power or overflow.
@@ -307,11 +311,6 @@ _DOMAIN = {
     "exp": np.isfinite,
     "log": lambda x: x <= 0.0,
 }
-
-
-def _all_finite(v):
-    """np.isfinite(v).all(), at half its cost on a few rows."""
-    return np.count_nonzero(np.isfinite(v)) == np.size(v)
 
 
 def _check(name, shape, bad, args):
@@ -358,63 +357,6 @@ _ADJOINTS = {
 # The base of '^' does so under a constant exponent above 0 (see _emit).
 _KEEPS_NON_FINITE = {"/": (True, False), "exp": (False,), "^": (False, False)}
 
-# the names the generated source calls: numpy's by their own, power_rows
-# for '^' where the exponent is a column, and the checks
-_NAMESPACE = {u.__name__: u for u in (*_UFUNCS.values(), np.sign, np.zeros)}
-_NAMESPACE.update(power_rows=np.power, all_finite=_all_finite, check_value=_check_value,
-                  check_adjoint=_check_adjoint)
-
-
-# One state's walk binds the same names to operations on Python floats
-# with the bits of the state's row on (1,) columns.  IEEE 754 fixes + - * /,
-# negation, abs and math.sqrt, so Python's round as numpy's; libm's pow (so
-# Python's **), exp and log round otherwise on some arguments, so every
-# other operation is numpy's ufunc on the float, taken back as a float.
-# Where a ufunc would warn, it raises ValueError instead, as a division by
-# 0 raises ZeroDivisionError and math.sqrt below 0 ValueError, and the
-# state takes the (1,) column walk (see _run_state).
-def _float_ufunc(ufunc, inside):
-    def call(a):
-        if not inside(a):
-            raise ValueError(f"{ufunc.__name__} of {a!r}")
-        return float(ufunc(a))
-
-    return call
-
-
-def _float_power_rows(a, b):
-    """np.power(a, b) of floats as on (1,) columns: with the exponent a
-    (1,) array, as a column exponent, it takes no fast path (see
-    _FAST_POWERS).  Raises ValueError unless a > 0, or a < 0 and b is an
-    integer, and |b log|a|| < 700, where np.power neither warns nor
-    overflows."""
-    if not ((a > 0.0 or a < 0.0 and b.is_integer()) and abs(b * log(abs(a))) < 700.0):
-        raise ValueError(f"power of {(a, b)!r}")
-    return np.power(a, (b,)).item()
-
-
-# np.power's fast paths at a scalar exponent (a 0-d array or a number); an
-# (N,) exponent column takes its pow, which rounds otherwise
-_FAST_POWERS = {2.0: lambda a: a * a, 0.5: sqrt, 1.0: lambda a: a, -1.0: lambda a: 1.0 / a,
-                0.0: lambda a: 1.0}
-
-
-def _float_power(a, b):
-    """np.power(a, b) of floats as at a scalar exponent b."""
-    fast = _FAST_POWERS.get(b)
-    return fast(a) if fast else _float_power_rows(a, b)
-
-
-_FLOAT_NAMESPACE = {
-    "add": operator.add, "subtract": operator.sub, "multiply": operator.mul,
-    "divide": operator.truediv, "negative": operator.neg, "absolute": abs, "sqrt": sqrt,
-    "power": _float_power, "power_rows": _float_power_rows,
-    "sin": _float_ufunc(np.sin, isfinite), "cos": _float_ufunc(np.cos, isfinite),
-    "exp": _float_ufunc(np.exp, lambda a: a < 709.0), "log": _float_ufunc(np.log, lambda a: a > 0.0),
-    "sign": lambda a: float(np.sign(a)), "zeros": lambda dims: [0.0] * dims[0],
-}
-
-
 def _check_tree(ast):
     """Raise ValueError where an operation node occurs twice in the tree,
     which the parser never makes and _emit would walk once per path to it
@@ -439,8 +381,9 @@ def _check_tree(ast):
 
 def _emit(ast, check=False):
     """Compile a tree to its walk, one generated straight-line function,
-    and return it bound twice, to numpy's names and (unless `check` is
-    set) to _FLOAT_NAMESPACE's, with the variables the tree reads.  Raises
+    and return it bound twice, to geometry.COLUMNS (with the checks, if
+    `check` is set) and, unless `check` is set, to geometry.FLOATS, each
+    with its constants, and the variables the tree reads.  Raises
     ValueError on a tree that shares an operation node or is deeper than
     MAX_DEPTH (see _check_tree), or on a node that the parser does not
     make, before any source is built: the source holds only its own names,
@@ -449,17 +392,17 @@ def _emit(ast, check=False):
 
     walk(columns, shape, gradient) takes each variable's (N,) column and
     returns (V, derivatives, probe) on the rows, one numpy call per
-    operation in post-order; the float walk takes one state's floats, with
-    shape (), and returns floats.  A constant subtree is evaluated on each
-    walk, never folded, so 1/0 is still seen; only the b - 1.0 of the '^'
-    adjoint at a constant exponent b is bound once, as the np.float64 that
-    the 0-d b gives.  '^' calls power_rows where its exponent reads a
-    variable, a column on arrays.  With `gradient` set, the derivatives are
-    those by VARIABLES, a (6, N) array or a list of six floats, else None:
-    the pullback takes each operand's adjoint by _ADJOINTS in pre-order,
-    from 1.0 at the root, and sums each variable's terms in the order it
-    meets them.  It writes no factor 1.0 * and no power a ^ 1.0, which are
-    exact.
+    operation in post-order (+ - * / and negation written as operators);
+    the float walk takes one state's floats, with shape (), and returns
+    floats.  A constant subtree is evaluated on each walk, never folded,
+    so 1/0 is still seen; only the b - 1.0 of the '^' adjoint at a
+    constant exponent b is bound once, as the np.float64 that the 0-d b
+    gives.  '^' calls power_rows where its exponent reads a variable, a
+    column on arrays.  With `gradient` set, the derivatives are those by
+    VARIABLES, a (6, N) array or a list of six floats, else None: the
+    pullback takes each operand's adjoint by _ADJOINTS in pre-order, from
+    1.0 at the root, and sums each variable's terms in the order it meets
+    them.  It writes no factor 1.0 * and no power a ^ 1.0, which are exact.
 
     The probe is V plus the value of each operation in _DOMAIN that V need
     not pass on where it is not finite: one under a divisor, an exp, an
@@ -503,10 +446,18 @@ def _emit(ast, check=False):
             keeps = (True, False)
         # map, not a comprehension, so that each level of the tree costs one frame
         operands = list(map(forward, operands, [strict and keep for keep in keeps]))
-        args = ", ".join(name for name, _ in operands)
+        names = [name for name, _ in operands]
+        args = ", ".join(names)
+        if op == "neg":
+            text = f"-{args}"
+        elif op in ("+", "-", "*", "/"):
+            text = f" {op} ".join(names)
+        elif op == "^":
+            text = f"{'power' if operands[1][1] is None else 'power_rows'}({args})"
+        else:
+            text = f"{op}({args})"
         name = f"t{len(lines)}"
-        call = "power_rows" if op == "^" and operands[1][1] is not None else _UFUNCS[op].__name__
-        lines.append(f"{name} = {call}({args})")
+        lines.append(f"{name} = {text}")
         if op in _DOMAIN and check:
             lines.append(f"if not all_finite({name}): check_value({op!r}, shape, {name}, {args})")
         elif op in _DOMAIN and not strict:
@@ -556,9 +507,12 @@ def _emit(ast, check=False):
          f"    return {value}, None, {probe}", *back, f"return {value}, gradient, {probe}"]
     )
     code = compile(source, "<expression>", "exec")
-    bindings = [{**_NAMESPACE, **constants}]
-    if not check:  # the checking walk runs on arrays only
-        bindings.append({**_FLOAT_NAMESPACE, **{name: float(c) for name, c in constants.items()}})
+    if check:  # the checking walk runs on arrays only
+        bindings = [{**vars(COLUMNS), **constants, "all_finite": COLUMNS.finite,
+                     "check_value": _check_value, "check_adjoint": _check_adjoint}]
+    else:
+        bindings = [{**vars(COLUMNS), **constants},
+                    {**vars(FLOATS), **{name: float(c) for name, c in constants.items()}}]
     for namespace in bindings:
         exec(code, namespace)
     return *(namespace["walk"] for namespace in bindings), frozenset(VARIABLES[row] for row in read)
@@ -584,12 +538,12 @@ def _run(spec, columns, shape, gradient):
             raise DomainError("phi", float(np.broadcast_to(columns["phi"], shape)[undefined][0]))
     with np.errstate(all="ignore"):
         value, gradient, probe = spec.walk(columns, shape, gradient)
-        if not _all_finite(probe):
+        if not COLUMNS.finite(probe):
             spec._checking_walk(columns, shape, False)
             bad = ~np.isfinite(np.broadcast_to(value, shape))  # no rows, no error
             if bad.any():
                 raise DomainError("expression", float(np.broadcast_to(value, shape)[bad][0]))
-        if gradient is not None and not _all_finite(gradient):
+        if gradient is not None and not COLUMNS.finite(gradient):
             # a derivative that is not finite stays so down to the variables;
             # walk again, checking each operation, to name it
             spec._checking_walk(columns, shape, True)
@@ -605,7 +559,7 @@ def _run_state(spec, values, gradient):
     derivatives by VARIABLES as a list of six floats, with the bits of the
     state's row on (1,) columns.  The float walk runs first.  Where phi is
     undefined, where the float walk raises ArithmeticError (a division by
-    0) or ValueError (see _FLOAT_NAMESPACE), or where its probe or a
+    0) or ValueError (see geometry.FLOATS), or where its probe or a
     derivative is not finite, _run takes the state on (1,) columns, which
     gives the same values or raises their DomainError."""
     try:
@@ -765,7 +719,7 @@ def eval_potential_batch(
         with np.errstate(all="ignore"):
             e12, e13, e23 = terms = _pair_terms(spec, masses)[0](d)
             value = (e12 + e13) + e23
-        if not _all_finite(value):
+        if not COLUMNS.finite(value):
             rows = np.reshape(np.broadcast_arrays(*terms, *d), (6, -1))
             bad = ~np.isfinite(rows[:3].T)
             if bad.any():

@@ -9,9 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trireduce.potential
-from trireduce.checks import random_rotation
+from trireduce.checks import GOLDEN_EXPRESSIONS, random_rotation
 from trireduce.errors import DomainError, NumericalBlowup, PotentialSyntaxError, UnknownIdentifier
-from trireduce.geometry import CartesianState, MassTriple, jacobi_map, measure_shape, shape_to_distances
+from trireduce.geometry import (
+    COLUMNS,
+    FLOATS,
+    CartesianState,
+    MassTriple,
+    jacobi_map,
+    measure_shape,
+    shape_to_distances,
+)
 from trireduce.hamiltonian import evaluate_reduced, evaluate_reduced_batch
 from trireduce.potential import (
     BUILTIN_NAMES,
@@ -163,11 +171,27 @@ def reference_raise_at(name, shape, bad, args):
     raise DomainError(name, tuple(row) if name == "^" else row[-1])
 
 
+# the reference's own numpy kernel of each operation, and where each leaves
+# its domain, given its operands
+REFERENCE_UFUNCS = {
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power, "neg": np.negative,
+    "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt, "exp": np.exp, "log": np.log, "abs": np.absolute,
+}
+REFERENCE_DOMAIN = {
+    "/": lambda a, b: b == 0.0,
+    "^": lambda a, b: np.isfinite(a) & np.isfinite(b),
+    "sin": np.isinf,
+    "cos": np.isinf,
+    "sqrt": lambda x: x < 0.0,
+    "exp": np.isfinite,
+    "log": lambda x: x <= 0.0,
+}
+
+
 def reference_apply(name, shape, *args):
-    value = trireduce.potential._UFUNCS[name](*args)
-    domain = trireduce.potential._DOMAIN
-    if name in domain and not np.isfinite(value).all():
-        bad = np.broadcast_to(domain[name](*args) & ~np.isfinite(value), shape)
+    value = REFERENCE_UFUNCS[name](*args)
+    if name in REFERENCE_DOMAIN and not np.isfinite(value).all():
+        bad = np.broadcast_to(REFERENCE_DOMAIN[name](*args) & ~np.isfinite(value), shape)
         if bad.any():
             reference_raise_at(name, shape, bad, args)
     return value
@@ -1341,8 +1365,8 @@ def float_walk_positions():
 
 class TestFloatWalk:
     """An expression's walk is compiled once and bound twice: to numpy on
-    (N,) columns and to Python floats for one state (see
-    potential._FLOAT_NAMESPACE).  One state's forces and V walk on floats,
+    (N,) columns and to Python floats for one state (geometry.COLUMNS and
+    geometry.FLOATS).  One state's forces and V walk on floats,
     with the bits of the (1,) column walk's row or its error."""
 
     @staticmethod
@@ -1436,12 +1460,40 @@ class TestFloatWalk:
         assert np.isfinite(potential_at_positions(parse_potential("d12 - d13"), masses, x))
         assert np.isfinite(potential_at_positions(builtin_potential("gravity"), masses, x))
 
+    @pytest.mark.parametrize(
+        "text, values",
+        [
+            ("sin(1e308*d12)", {"d12": 2.0}),
+            ("cos(1e308*d12)", {"d12": 2.0}),
+            ("exp(d12)", {"d12": 709.9}),
+            ("d12^d13", {"d12": 2.0, "d13": 1030.0}),
+        ],
+        ids=["sin-of-inf", "cos-of-inf", "exp-overflow", "power-overflow"],
+    )
+    def test_float_domain_edge_takes_the_column_walk(self, text, values):
+        # each float guard at its edge: sin and cos of an argument that
+        # overflows to inf, exp(709.9) past the float range and 2^1030, with
+        # |b ln a| = 713.9; numpy would warn on the float, which tier-1 turns
+        # into an error, so the state takes the (1,) column walk's outcome
+        spec = parse_potential(text)
+        on_columns = state_on_columns(trireduce.potential._run)
+        for gradient in (False, True):
+            expected = outcome(on_columns, spec, values, gradient)
+            assert outcome(trireduce.potential._run_state, spec, values, gradient) == expected
+
     def test_one_source_two_bindings(self):
-        # the float binding has each name the fast walk calls
-        module = trireduce.potential
-        assert set(module._FLOAT_NAMESPACE) == set(module._NAMESPACE) - {
-            "all_finite", "check_value", "check_adjoint"
-        }
+        # the bindings have the same names, and the fast and checking walks
+        # call only those, the checks and their constants, so a name that
+        # one binding lacks fails here, not at the first state that reaches it
+        assert vars(FLOATS).keys() == vars(COLUMNS).keys()
+        names = vars(COLUMNS).keys() | {"all_finite", "check_value", "check_adjoint"}
+        for text in [*GOLDEN_EXPRESSIONS, *FLOAT_WALK_EXPRESSIONS.values()]:
+            spec = parse_potential(text)
+            for walk in (spec.walk, spec._checking_walk):
+                called = set(walk.__code__.co_names)
+                constants = {name for name in called if re.fullmatch(r"k\d+(m1)?", name)}
+                assert called - constants <= names, text
+                assert all(np.ndim(walk.__globals__[name]) == 0 for name in constants), text
         spec = parse_potential("d12^d13 + 0.5*(d23 - 1)^2 + sin(r1)")
         assert spec.float_walk.__code__ is spec.walk.__code__
         assert {"power", "power_rows"} <= set(spec.walk.__code__.co_names)

@@ -76,19 +76,15 @@ MUTATIONS = [
         ),
     ),
     Mutation(
-        name="power-base-covered",
+        name="probe-is-V-only",
         file="src/trireduce/potential.py",
-        old='"^": (False, False)}',
-        new='"^": (True, False)}',
-        reason="the base of '^' taken as passing on a value that is not finite under any exponent",
-        caught_by=(
-            *(
-                "tests/test_potential.py::TestGeneratedWalk::"
-                f"test_probe_names_an_error_that_V_hides[base-{exponent}-exponent]"
-                for exponent in ("variable", "negative", "zero")
-            ),
-            # a hypothesis property: it catches it on some draws
-            "tests/test_potential.py::TestGeneratedWalk::test_walk_keeps_the_reference_bits",
+        old="""lines.append(f"probe = {' + '.join([value, *probed])}")""",
+        new="""lines.append(f"probe = {' + '.join([value])}")""",
+        reason="the walk's probe taken as V alone, so an operation that leaves its domain under V is not named",
+        caught_by=tuple(
+            f"tests/test_potential.py::TestGeneratedWalk::test_probe_names_an_error_that_V_hides[{key}]"
+            for key in ("divisor", "exp-argument", "exponent", "base-variable-exponent",
+                        "base-negative-exponent", "base-zero-exponent", "constant-divisor")
         ),
     ),
     Mutation(
@@ -240,6 +236,18 @@ MUTATIONS = [
         ),
     ),
     Mutation(
+        name="float-walk-ignores-probe",
+        file="src/trireduce/potential.py",
+        old="if isfinite(probe) and (not gradient",
+        new="if isfinite(value) and (not gradient",
+        reason="one state's float walk tests V, not its probe, so an overflow under a divisor or an exp goes unnamed",
+        caught_by=tuple(
+            "tests/test_potential.py::TestFloatWalk::"
+            f"test_float_probe_names_an_overflow_that_V_hides[{key}]"
+            for key in ("divisor", "exp-argument")
+        ),
+    ),
+    Mutation(
         name="float-sin-unguarded",
         file="src/trireduce/geometry.py",
         old="sin=_on_float(np.sin, isfinite),",
@@ -284,6 +292,32 @@ MUTATIONS = [
         new="        if k % stride == 0 and not hypot(x1, y1, z1, x2, y2, z2, x3, y3, z3,\n",
         reason="the leapfrog guards only the steps it records, so a blowup is named at a later step",
         caught_by=("tests/test_dynamics.py::TestIntegrate::test_blowup_guard",),
+    ),
+    Mutation(
+        name="leapfrog-field-error-unguarded",
+        file="src/trireduce/dynamics.py",
+        old=(
+            "            _check_guard([x1, y1, z1, x2, y2, z2, x3, y3, z3,\n"
+            "                          u1, v1, w1, u2, v2, w2, u3, v3, w3], k)\n"
+            "            raise\n"
+        ),
+        new="            raise\n",
+        reason="the leapfrog re-raises the field's error at a drifted state past the guard, naming no step",
+        caught_by=tuple(
+            f"tests/test_dynamics.py::TestIntegrate::test_blowup_guard_before_a_field_error[{key}-leapfrog]"
+            for key in ("sin-phi-overflow", "exp-domain", "expression-inf")
+        ),
+    ),
+    Mutation(
+        name="rk4-field-error-unguarded",
+        file="src/trireduce/dynamics.py",
+        old="            _check_guard(y, k)\n            raise\n",
+        new="            raise\n",
+        reason="an rk4 stage re-raises the field's error at a state past the guard, naming no step",
+        caught_by=tuple(
+            f"tests/test_dynamics.py::TestIntegrate::test_blowup_guard_before_a_field_error[{key}-rk4]"
+            for key in ("sin-phi-overflow", "exp-domain", "expression-inf")
+        ),
     ),
     Mutation(
         name="reassociated-kick",

@@ -13,7 +13,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import NumericalBlowup
+from .errors import NumericalBlowup, TrireduceError
 from .geometry import COLLINEAR_THRESHOLD, CartesianState, MassTriple, check_number
 from .hamiltonian import ReducedBatch, evaluate_reduced_batch
 from .potential import PotentialSpec, force_field, potential_at_positions
@@ -107,7 +107,8 @@ def _leapfrog_steps(field, masses, y, dt, n, stride):
     adds the kick h (f / m), h = dt / 2, to each velocity, adds dt v to
     each position and adds the kick of the forces at the new positions,
     which starts the next step too.  Every step is guarded, recorded or
-    not: see _check_guard."""
+    not, and so is the state of a field call that raises, before its
+    error: see _check_guard."""
     x1, y1, z1, x2, y2, z2, x3, y3, z3, u1, v1, w1, u2, v2, w2, u3, v3, w3 = y
     m1, m2, m3 = masses
     h = 0.5 * dt
@@ -122,7 +123,12 @@ def _leapfrog_steps(field, masses, y, dt, n, stride):
         x1, y1, z1 = x1 + dt * u1, y1 + dt * v1, z1 + dt * w1
         x2, y2, z2 = x2 + dt * u2, y2 + dt * v2, z2 + dt * w2
         x3, y3, z3 = x3 + dt * u3, y3 + dt * v3, z3 + dt * w3
-        a1, b1, c1, a2, b2, c2, a3, b3, c3 = field([x1, y1, z1, x2, y2, z2, x3, y3, z3])
+        try:
+            a1, b1, c1, a2, b2, c2, a3, b3, c3 = field([x1, y1, z1, x2, y2, z2, x3, y3, z3])
+        except TrireduceError:
+            _check_guard([x1, y1, z1, x2, y2, z2, x3, y3, z3,
+                          u1, v1, w1, u2, v2, w2, u3, v3, w3], k)
+            raise
         a1, b1, c1 = h * (a1 / m1), h * (b1 / m1), h * (c1 / m1)
         a2, b2, c2 = h * (a2 / m2), h * (b2 / m2), h * (c2 / m2)
         a3, b3, c3 = h * (a3 / m3), h * (b3 / m3), h * (c3 / m3)
@@ -145,7 +151,11 @@ def _rk4_steps(field, masses, y, dt, n, stride):
     m = [w for w in masses for _ in range(3)]
 
     def f(y):
-        return y[9:] + [F / w for F, w in zip(field(y[:9]), m)]
+        try:
+            return y[9:] + [F / w for F, w in zip(field(y[:9]), m)]
+        except TrireduceError:
+            _check_guard(y, k)
+            raise
 
     for k in range(1, n + 1):
         k1 = f(y)
@@ -162,10 +172,10 @@ def _rk4_steps(field, masses, y, dt, n, stride):
 def _check_guard(y, step):
     """Raise NumericalBlowup naming the step unless every component of the
     state y, 18 floats, lies in [-OVERFLOW_GUARD, OVERFLOW_GUARD]; a NaN
-    does not.  The steppers call it only where math.hypot of the 18, the
-    root of their sum of squares and so at least the largest, is not below
-    FAST_GUARD: there every component is inside, so one call of hypot
-    guards a step that passes."""
+    does not.  The steppers call it where a field call raises, and after a
+    step only where math.hypot of the 18, the root of their sum of squares
+    and so at least the largest, is not below FAST_GUARD: below it every
+    component is inside, so one call of hypot guards a step that passes."""
     if not all(abs(c) <= OVERFLOW_GUARD for c in y):
         raise NumericalBlowup(f"coordinate overflow at step {step}")
 
@@ -184,9 +194,9 @@ def integrate(
     every record_stride-th; integrate stores the rows it is given.
 
     Raises NumericalBlowup, naming the step (0 for the start), when at the
-    start or after a step a position or velocity component leaves
-    [-OVERFLOW_GUARD, OVERFLOW_GUARD] or is NaN; the start is checked
-    before the field is bound.
+    start, after a step or where a step's field call raises, a position or
+    velocity component leaves [-OVERFLOW_GUARD, OVERFLOW_GUARD] or is NaN;
+    the start is checked before the field is bound.
     """
     stride = cfg.record_stride
     rows = cfg.steps // stride + 1

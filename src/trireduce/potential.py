@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 from math import copysign, isfinite, isnan, nextafter, sqrt
 from numbers import Real
+from sys import float_info
 
 import numpy as np
 
@@ -269,7 +270,7 @@ def _constant(node):
     """Whether node is a constant that the printer and the emitter take: a
     Num of a real within the float range, so not inf, nan or a huge int."""
     return (isinstance(node, Num) and isinstance(node.value, Real)
-            and abs(node.value) <= np.finfo(float).max.item())
+            and abs(node.value) <= float_info.max)
 
 
 def _print(node, parent_prec):
@@ -351,11 +352,6 @@ _ADJOINTS = {
     "abs": ("{g} * sign({a})",),
 }
 
-# The operands of an operation whose value, where it is not finite, makes the
-# operation's value not finite, for the operations that do not do so with
-# every operand: x / inf = 0, exp(-inf) = 0, 1 ^ nan = 1 and nan ^ 0 = 1.
-# The base of '^' does so under a constant exponent above 0 (see _emit).
-_KEEPS_NON_FINITE = {"/": (True, False), "exp": (False,), "^": (False, False)}
 
 def _check_tree(ast):
     """Raise ValueError where an operation node occurs twice in the tree,
@@ -404,22 +400,18 @@ def _emit(ast, check=False):
     1.0 at the root, and sums each variable's terms in the order it meets
     them.  It writes no factor 1.0 * and no power a ^ 1.0, which are exact.
 
-    The probe is V plus the value of each operation in _DOMAIN that V need
-    not pass on where it is not finite: one under a divisor, an exp, an
-    operand of '^' other than a base under a constant exponent above 0
-    (see _KEEPS_NON_FINITE).  Where the probe is finite, so is the value of
-    every operation in _DOMAIN, so none left its domain.  With `check` set,
-    the probe is V, an operation in _DOMAIN raises DomainError (see _check)
-    at the first row outside its domain, and the pullback raises it at the
-    first operation that passes down an adjoint that is not finite.  Run
-    it under np.errstate, since the checks are masks.
+    The probe is V plus the value of every operation in _DOMAIN.  Where it
+    is finite, so is each of those values, so none left its domain.  With
+    `check` set, the probe is V, an operation in _DOMAIN raises DomainError
+    (see _check) at the first row outside its domain, and the pullback
+    raises it at the first operation that passes down an adjoint that is
+    not finite.  Run it under np.errstate, since the checks are masks.
     """
     _check_tree(ast)
     lines, back, constants, read, grads, probed = [], [], {}, {}, {}, []
 
-    def forward(node, strict):
-        """Append the lines of node's value, where `strict` is whether V is
-        not finite where that value is not.  Return its name and, if it
+    def forward(node):
+        """Append the lines of node's value.  Return its name and, if it
         reads a variable, its pull: (op, name, operands as (name, pull)),
         or a variable's row of the gradient."""
         if _constant(node):
@@ -441,11 +433,8 @@ def _emit(ast, check=False):
             op, operands = node.op, [node.left, node.right]
         else:
             raise ValueError(f"not an expression node: {node!r}")
-        keeps = _KEEPS_NON_FINITE.get(op, (True, True))
-        if op == "^" and _constant(node.right) and node.right.value > 0.0:
-            keeps = (True, False)
         # map, not a comprehension, so that each level of the tree costs one frame
-        operands = list(map(forward, operands, [strict and keep for keep in keeps]))
+        operands = list(map(forward, operands))
         names = [name for name, _ in operands]
         args = ", ".join(names)
         if op == "neg":
@@ -460,7 +449,7 @@ def _emit(ast, check=False):
         lines.append(f"{name} = {text}")
         if op in _DOMAIN and check:
             lines.append(f"if not all_finite({name}): check_value({op!r}, shape, {name}, {args})")
-        elif op in _DOMAIN and not strict:
+        elif op in _DOMAIN:
             probed.append(name)
         return name, None if all(pull is None for _, pull in operands) else (op, name, operands)
 
@@ -494,7 +483,7 @@ def _emit(ast, check=False):
                     back.append(f"check_adjoint({op!r}, shape, {g_operand}, {', '.join(names)})")
                 pullback(operand, g_operand)
 
-    value, pull = forward(ast, True)
+    value, pull = forward(ast)
     if pull is not None:
         pullback(pull, "1.0")
     back.append("gradient = zeros((6, *shape))")

@@ -271,6 +271,25 @@ class TestIntegrate:
                     integrate(MASSES, harmonic_setup(), HARMONIC, cfg)
 
     @pytest.mark.parametrize("method", ["leapfrog", "rk4"])
+    @pytest.mark.parametrize(
+        "text",
+        ["exp(1000*(d23 - 1)) + sqrt(r2)", "exp(100*d23)*r1", "exp(1000*(d23 - 1))"],
+        ids=["sin-phi-overflow", "exp-domain", "expression-inf"],
+    )
+    def test_blowup_guard_before_a_field_error(self, text, method):
+        # forces of 1e68 and more at the start drift the bodies far past the
+        # guard in step 1 (a stage of it, under rk4), where the field raises:
+        # sin_phi overflows, exp leaves its domain or V is inf; the guard
+        # names the step in place of the field's error
+        state = CartesianState(
+            np.array([1.1, 0.0, 0.0]), np.array([-0.4, 0.9, 0.1]), np.array([-0.7, -0.6, 0.0]),
+            np.array([0.0, 0.3, 0.0]), np.array([0.1, -0.2, 0.05]), np.array([-0.1, -0.1, -0.05]),
+        )
+        cfg = IntegratorConfig(method=method, dt=0.01, steps=200)
+        with pytest.raises(NumericalBlowup, match=r"^coordinate overflow at step 1$"):
+            integrate(MASSES, state, parse_potential(text), cfg)
+
+    @pytest.mark.parametrize("method", ["leapfrog", "rk4"])
     def test_field_is_bound_once_per_run(self, monkeypatch, method):
         # the run binds its force field once, after the step-0 guard, and
         # every step calls that field

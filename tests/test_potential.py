@@ -1481,6 +1481,24 @@ class TestFloatWalk:
             expected = outcome(on_columns, spec, values, gradient)
             assert outcome(trireduce.potential._run_state, spec, values, gradient) == expected
 
+    @pytest.mark.parametrize("text", ["1/(d12*d12)^2 + d13", "exp(-(d12*d12)^2) + d13"],
+                             ids=["divisor", "exp-argument"])
+    def test_float_probe_names_an_overflow_that_V_hides(self, text):
+        # at d12 = 1e100 the square of d12*d12 = 1e200 overflows by the fast
+        # path a*a, under a divisor or an exp, so V is finite; one state's
+        # float probe is not, and the state names the '^' as its row does
+        spec = parse_potential(text)
+        pos = np.array([[0.0, 0.0, 0.0], [1e100, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        calls = [
+            lambda: potential_at_positions(spec, MASSES, pos),
+            lambda: forces_cartesian(spec, MASSES, pos),
+            lambda: potential_at_positions(spec, MASSES, pos[None]),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError) as err:
+                call()
+            assert (err.value.node, err.value.value) == ("^", (1e200, 2.0))
+
     def test_one_source_two_bindings(self):
         # the bindings have the same names, and the fast and checking walks
         # call only those, the checks and their constants, so a name that

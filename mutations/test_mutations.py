@@ -78,8 +78,8 @@ MUTATIONS = [
     Mutation(
         name="probe-is-V-only",
         file="src/trireduce/potential.py",
-        old="""lines.append(f"probe = {' + '.join([value, *probed])}")""",
-        new="""lines.append(f"probe = {' + '.join([value])}")""",
+        old="    probe = [value, *(name for _, _, name, _ in checks)]\n",
+        new="    probe = [value]\n",
         reason="the walk's probe taken as V alone, so an operation that leaves its domain under V is not named",
         caught_by=tuple(
             f"tests/test_potential.py::TestGeneratedWalk::test_probe_names_an_error_that_V_hides[{key}]"
@@ -236,16 +236,41 @@ MUTATIONS = [
         ),
     ),
     Mutation(
-        name="float-walk-ignores-probe",
+        name="float-probe-untested",
         file="src/trireduce/potential.py",
-        old="if isfinite(probe) and (not gradient",
-        new="if isfinite(value) and (not gradient",
-        reason="one state's float walk tests V, not its probe, so an overflow under a divisor or an exp goes unnamed",
-        caught_by=tuple(
-            "tests/test_potential.py::TestFloatWalk::"
-            f"test_float_probe_names_an_overflow_that_V_hides[{key}]"
-            for key in ("divisor", "exp-argument")
+        old="{**vars(FLOATS), **{name: float(c)",
+        new='{**vars(FLOATS), "finite": lambda v: True, **{name: float(c)',
+        reason="one state's float walk never finds its probe or its derivatives not finite, so an overflow goes unnamed",
+        caught_by=(
+            *(
+                "tests/test_potential.py::TestFloatWalk::"
+                f"test_float_probe_names_an_overflow_that_V_hides[{key}]"
+                for key in ("divisor", "exp-argument")
+            ),
+            *(
+                f"tests/test_potential.py::TestFloatWalk::test_state_error_is_named_on_its_floats[{key}]"
+                for key in ("log-derivative", "derivative-sum", "divisor", "exp-argument")
+            ),
         ),
+    ),
+    Mutation(
+        name="hook-skips-adjoints",
+        file="src/trireduce/potential.py",
+        old='if g_operand != "1.0":',
+        new="if False:",
+        reason="the walk's hook names the variable whose derivative is not finite without checking the adjoints",
+        caught_by=tuple(
+            f"tests/test_potential.py::TestForces::test_derivative_not_finite_names_node[{key}]"
+            for key in ("sqrt(d12 - 1)-sqrt-0.0", "(d12 - 1) ^ 0.5-^-value1", "exp(d13) * sqrt(abs(d12 - 1))-sqrt-0.0")
+        ),
+    ),
+    Mutation(
+        name="walk-left-in-namespace",
+        file="src/trireduce/potential.py",
+        old='walks.append(namespace.pop("walk"))',
+        new='walks.append(namespace["walk"])',
+        reason="each walk left in its namespace, a cycle that keeps a dead spec's walks until a full collection",
+        caught_by=("tests/test_potential.py::TestGeneratedWalk::test_dead_spec_is_freed_by_reference_counting",),
     ),
     Mutation(
         name="float-sin-unguarded",
@@ -355,7 +380,8 @@ def run_tier1(directory, mutation=None):
         cwd=directory, env=env, capture_output=True, text=True, timeout=900,
     )
     output = done.stdout + done.stderr
-    return done.returncode, output, re.findall(r"^FAILED (\S+)", output, re.MULTILINE)
+    # an id runs to the first space outside its brackets, which may hold spaces
+    return done.returncode, output, re.findall(r"^FAILED ([^\s\[]+(?:\[[^\]]*\])?)", output, re.MULTILINE)
 
 
 def test_unmutated_copy_passes(tmp_path):

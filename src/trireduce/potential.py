@@ -14,7 +14,7 @@ over the Jacobi map's coefficients.
 """
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property, partial
+from functools import partial
 from math import copysign, isfinite, isnan, nextafter, sqrt
 from numbers import Real
 from sys import float_info
@@ -324,14 +324,19 @@ def _check(name, shape, bad, args):
         raise DomainError(name, tuple(row) if name == "^" else row[-1])
 
 
-def _check_value(name, shape, value, *args):
-    """_check the rows where the operation `name` on `args` left its domain."""
-    _check(name, shape, _DOMAIN[name](*args) & ~np.isfinite(value), args)
-
-
-def _check_adjoint(name, shape, adjoint, *args):
-    """_check the rows where the adjoint that `name` passes down is not finite."""
-    _check(name, shape, ~np.isfinite(adjoint), args)
+def _name_error(checks, back_checks, constants, shape, local):
+    """The walk's hook (see _emit), called with its own values `local`
+    where its probe, or after its pullback the sum of its derivatives, is
+    not finite: _check each (name, domain, value, args) of `checks`, then,
+    once the walk holds its derivatives, of `back_checks`, each name looked
+    up in `local` or `constants`.  A row is bad where `value` is not finite
+    and, unless `domain` is None, the operation left its domain there.
+    Where only a sum overflowed, it raises nothing."""
+    values = {**constants, **local}
+    for name, domain, value, args in checks + back_checks if "derivatives" in local else checks:
+        args = [values[arg] for arg in args]
+        bad = ~np.isfinite(values[value])
+        _check(name, shape, bad if domain is None else domain(*args) & bad, args)
 
 
 # The adjoint of each operand of an operation, as source over the adjoint g
@@ -375,11 +380,10 @@ def _check_tree(ast):
         level = operands
 
 
-def _emit(ast, check=False):
+def _emit(ast):
     """Compile a tree to its walk, one generated straight-line function,
-    and return it bound twice, to geometry.COLUMNS (with the checks, if
-    `check` is set) and, unless `check` is set, to geometry.FLOATS, each
-    with its constants, and the variables the tree reads.  Raises
+    and return it bound twice, to geometry.COLUMNS and to geometry.FLOATS,
+    each with its constants, and the variables the tree reads.  Raises
     ValueError on a tree that shares an operation node or is deeper than
     MAX_DEPTH (see _check_tree), or on a node that the parser does not
     make, before any source is built: the source holds only its own names,
@@ -387,28 +391,32 @@ def _emit(ast, check=False):
     read-only 0-d array, or a float.
 
     walk(columns, shape, gradient) takes each variable's (N,) column and
-    returns (V, derivatives, probe) on the rows, one numpy call per
-    operation in post-order (+ - * / and negation written as operators);
-    the float walk takes one state's floats, with shape (), and returns
-    floats.  A constant subtree is evaluated on each walk, never folded,
-    so 1/0 is still seen; only the b - 1.0 of the '^' adjoint at a
-    constant exponent b is bound once, as the np.float64 that the 0-d b
-    gives.  '^' calls power_rows where its exponent reads a variable, a
-    column on arrays.  With `gradient` set, the derivatives are those by
-    VARIABLES, a (6, N) array or a list of six floats, else None: the
-    pullback takes each operand's adjoint by _ADJOINTS in pre-order, from
-    1.0 at the root, and sums each variable's terms in the order it meets
-    them.  It writes no factor 1.0 * and no power a ^ 1.0, which are exact.
+    returns (V, derivatives) on the rows, one numpy call per operation in
+    post-order (+ - * / and negation written as operators); the float walk
+    takes one state's floats, with shape (), and returns floats.  A
+    constant subtree is evaluated on each walk, never folded, so 1/0 is
+    still seen; only the b - 1.0 of the '^' adjoint at a constant exponent
+    b is bound once, as the np.float64 that the 0-d b gives.  '^' calls
+    power_rows where its exponent reads a variable, a column on arrays.
+    With `gradient` set, the derivatives are those by VARIABLES, a (6, N)
+    array or a list of six floats, else None: the pullback takes each
+    operand's adjoint by _ADJOINTS in pre-order, from 1.0 at the root, and
+    sums each variable's terms in the order it meets them.  It writes no
+    factor 1.0 * and no power a ^ 1.0, which are exact.
 
-    The probe is V plus the value of every operation in _DOMAIN.  Where it
-    is finite, so is each of those values, so none left its domain.  With
-    `check` set, the probe is V, an operation in _DOMAIN raises DomainError
-    (see _check) at the first row outside its domain, and the pullback
-    raises it at the first operation that passes down an adjoint that is
-    not finite.  Run it under np.errstate, since the checks are masks.
+    The walk tests two sums once each, with its binding's finite: after the
+    forward pass the probe, V plus the value of every operation in _DOMAIN,
+    and after the pullback the variables' derivatives.  Where one is not
+    finite it calls its hook, _name_error bound once to its checks, on its
+    own values: each operation in _DOMAIN in post-order (see _check), V
+    under the name "expression" and, after the pullback, each adjoint that
+    reads a variable in pre-order, then each variable in the order of
+    VARIABLES, where its derivative is not finite.  Where a probe is
+    finite, so is each of those values, so none left its domain.  Run the
+    array walk under np.errstate, since the checks are masks.
     """
     _check_tree(ast)
-    lines, back, constants, read, grads, probed = [], [], {}, {}, {}, []
+    lines, back, constants, read, grads, checks, back_checks = [], [], {}, {}, {}, [], []
 
     def forward(node):
         """Append the lines of node's value.  Return its name and, if it
@@ -447,10 +455,8 @@ def _emit(ast, check=False):
             text = f"{op}({args})"
         name = f"t{len(lines)}"
         lines.append(f"{name} = {text}")
-        if op in _DOMAIN and check:
-            lines.append(f"if not all_finite({name}): check_value({op!r}, shape, {name}, {args})")
-        elif op in _DOMAIN:
-            probed.append(name)
+        if op in _DOMAIN:
+            checks.append((op, _DOMAIN[op], name, names))
         return name, None if all(pull is None for _, pull in operands) else (op, name, operands)
 
     def pullback(pull, g):
@@ -479,32 +485,36 @@ def _emit(ast, check=False):
                 if g_operand != g and not g_operand.isidentifier():
                     back.append(f"g{len(back)} = {g_operand}")
                     g_operand = f"g{len(back) - 1}"
-                if check:
-                    back.append(f"check_adjoint({op!r}, shape, {g_operand}, {', '.join(names)})")
+                if g_operand != "1.0":
+                    back_checks.append((op, None, g_operand, names))
                 pullback(operand, g_operand)
 
     value, pull = forward(ast)
+    probe = [value, *(name for _, _, name, _ in checks)]
+    lines.append(f"if not finite({' + '.join(probe)}): name_error(shape, locals())")
+    checks.append(("expression", None, value, [value]))
     if pull is not None:
         pullback(pull, "1.0")
-    back.append("gradient = zeros((6, *shape))")
-    back += [f"gradient[{row}] = {grad}" for row, grad in grads.items()]
-    if probed:
-        lines.append(f"probe = {' + '.join([value, *probed])}")
-    probe = "probe" if probed else value
+    back.append("derivatives = zeros((6, *shape))")
+    back += [f"derivatives[{row}] = {grad}" for row, grad in grads.items()]
+    back_checks += [(VARIABLES[row], None, grads[row], [read[row]]) for row in sorted(grads)
+                    if grads[row] != "1.0"]
+    if back_checks:
+        back.append(f"if not finite({' + '.join(grads.values())}): name_error(shape, locals())")
     source = "\n    ".join(
         ["def walk(columns, shape, gradient):", *lines, "if not gradient:",
-         f"    return {value}, None, {probe}", *back, f"return {value}, gradient, {probe}"]
+         f"    return {value}, None", *back, f"return {value}, derivatives"]
     )
     code = compile(source, "<expression>", "exec")
-    if check:  # the checking walk runs on arrays only
-        bindings = [{**vars(COLUMNS), **constants, "all_finite": COLUMNS.finite,
-                     "check_value": _check_value, "check_adjoint": _check_adjoint}]
-    else:
-        bindings = [{**vars(COLUMNS), **constants},
-                    {**vars(FLOATS), **{name: float(c) for name, c in constants.items()}}]
-    for namespace in bindings:
+    name_error = partial(_name_error, checks, back_checks, constants)
+    walks = []
+    for binding in ({**vars(COLUMNS), **constants},
+                    {**vars(FLOATS), **{name: float(c) for name, c in constants.items()}}):
+        namespace = {**binding, "name_error": name_error}
         exec(code, namespace)
-    return *(namespace["walk"] for namespace in bindings), frozenset(VARIABLES[row] for row in read)
+        # bound out of its namespace, so that no cycle keeps a dead spec's walk
+        walks.append(namespace.pop("walk"))
+    return *walks, frozenset(VARIABLES[row] for row in read)
 
 
 def _run(spec, columns, shape, gradient):
@@ -517,45 +527,29 @@ def _run(spec, columns, shape, gradient):
     leaves its domain, under the name "expression" where V is not finite,
     and where a derivative is not finite, naming the operation that first
     passes one down, or else the variable whose derivative overflows in
-    the sum of its terms.  The walk's probe (see _emit) is tested once;
-    only where it is not finite does the checking walk run, forward, to
-    name the operation that left its domain, if one did.
+    the sum of its terms: the walk (see _emit) names them itself, from its
+    own values, under np.errstate.
     """
     if "phi" in spec.reads:
         undefined = np.broadcast_to((columns["r1"] == 0.0) | (columns["r2"] == 0.0), shape)
         if undefined.any():
             raise DomainError("phi", float(np.broadcast_to(columns["phi"], shape)[undefined][0]))
     with np.errstate(all="ignore"):
-        value, gradient, probe = spec.walk(columns, shape, gradient)
-        if not COLUMNS.finite(probe):
-            spec._checking_walk(columns, shape, False)
-            bad = ~np.isfinite(np.broadcast_to(value, shape))  # no rows, no error
-            if bad.any():
-                raise DomainError("expression", float(np.broadcast_to(value, shape)[bad][0]))
-        if gradient is not None and not COLUMNS.finite(gradient):
-            # a derivative that is not finite stays so down to the variables;
-            # walk again, checking each operation, to name it
-            spec._checking_walk(columns, shape, True)
-            row, column = np.argwhere(~np.isfinite(gradient))[0]
-            name = VARIABLES[row]
-            raise DomainError(name, float(np.broadcast_to(columns[name], shape)[column]))
-    return value, gradient
+        return spec.walk(columns, shape, gradient)
 
 
 def _run_state(spec, values, gradient):
     """_run of one state, each variable the expression reads given in
     `values` as a float: V as a float and, if `gradient` is set, its
     derivatives by VARIABLES as a list of six floats, with the bits of the
-    state's row on (1,) columns.  The float walk runs first.  Where phi is
-    undefined, where the float walk raises ArithmeticError (a division by
-    0) or ValueError (see geometry.FLOATS), or where its probe or a
-    derivative is not finite, _run takes the state on (1,) columns, which
-    gives the same values or raises their DomainError."""
+    state's row on (1,) columns, or its DomainError, which the float walk
+    names from its own values as the row would.  Only where phi is
+    undefined, or where the float walk raises ArithmeticError (a division
+    by 0) or ValueError (see geometry.FLOATS), does _run take the state on
+    (1,) columns."""
     try:
         if "phi" not in spec.reads or (values["r1"] != 0.0 and values["r2"] != 0.0):
-            value, derivatives, probe = spec.float_walk(values, (), gradient)
-            if isfinite(probe) and (not gradient or isfinite(sum(derivatives))):
-                return value, derivatives
+            return spec.float_walk(values, (), gradient)
     except (ArithmeticError, ValueError):
         pass
     value, derivatives = _run(spec, {n: np.array([v]) for n, v in values.items()}, (1,), gradient)
@@ -579,7 +573,8 @@ BUILTIN_NAMES = tuple(BUILTIN_PARAMS)
 @dataclass(frozen=True)
 class PotentialSpec:
     """Either a built-in pairwise family (name + parameters) or a parsed
-    expression over shape variables."""
+    expression over shape variables.  An expression is compiled once, when
+    the spec is built; nothing else is compiled or cached on the spec."""
 
     builtin: str = None
     params: dict = field(default_factory=dict)
@@ -610,13 +605,6 @@ class PotentialSpec:
             else:
                 for pair, length in value.items():
                     check_number(f"params.rest.{pair}", length)
-
-    @cached_property
-    def _checking_walk(self):
-        """The walk (see _emit) that checks each operation, forward and in
-        its pullback.  Only a probe or a derivative that is not finite needs
-        it, so it is compiled on the first and kept on the spec."""
-        return _emit(self.ast, check=True)[0]
 
 
 def builtin_potential(name, /, **params) -> PotentialSpec:

@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 from dataclasses import fields
 from math import pi, sqrt
 from unittest import mock
@@ -1499,24 +1501,51 @@ class TestFloatWalk:
                 call()
             assert (err.value.node, err.value.value) == ("^", (1e200, 2.0))
 
+    @pytest.mark.parametrize(
+        "text, values, errors",
+        [
+            ("log(d12) + d13", {"d12": 1e-320, "d13": 1.0}, [None, ("log", "1e-320")]),
+            ("1e308*sin(d12) + 1e308*sin(d12)", {"d12": 0.1}, [None, ("d12", "0.1")]),
+            ("1/(d12*d12)^2 + d13", {"d12": 1e100, "d13": 1.0}, [("^", "(1e+200, 2.0)")] * 2),
+            ("exp(-(d12*d12)^2) + d13", {"d12": 1e100, "d13": 1.0}, [("^", "(1e+200, 2.0)")] * 2),
+        ],
+        ids=["log-derivative", "derivative-sum", "divisor", "exp-argument"],
+    )
+    def test_state_error_is_named_on_its_floats(self, text, values, errors, monkeypatch):
+        # log's adjoint 1/1e-320 overflows, two finite terms of d12's
+        # derivative overflow in their sum, and a square overflows under a
+        # divisor or an exp: the float walk names each from its own values,
+        # as the (1,) column walk does, and never takes the columns
+        spec = parse_potential(text)
+        on_columns = state_on_columns(trireduce.potential._run)
+        expected = [outcome(on_columns, spec, values, gradient) for gradient in (False, True)]
+
+        def refuse(*args):
+            raise AssertionError("the state took the column walk")
+
+        monkeypatch.setattr(trireduce.potential, "_run", refuse)
+        got = [outcome(trireduce.potential._run_state, spec, values, gradient) for gradient in (False, True)]
+        assert got == expected
+        for result, error in zip(got, errors):
+            assert result == error if error else isinstance(result, list)
+
     def test_one_source_two_bindings(self):
-        # the bindings have the same names, and the fast and checking walks
-        # call only those, the checks and their constants, so a name that
-        # one binding lacks fails here, not at the first state that reaches it
+        # the bindings have the same names, and the walk calls only those,
+        # its hook, locals and its constants, so a name that one binding
+        # lacks fails here, not at the first state that reaches it
         assert vars(FLOATS).keys() == vars(COLUMNS).keys()
-        names = vars(COLUMNS).keys() | {"all_finite", "check_value", "check_adjoint"}
+        names = vars(COLUMNS).keys() | {"finite", "name_error", "locals"}
         for text in [*GOLDEN_EXPRESSIONS, *FLOAT_WALK_EXPRESSIONS.values()]:
             spec = parse_potential(text)
-            for walk in (spec.walk, spec._checking_walk):
-                called = set(walk.__code__.co_names)
-                constants = {name for name in called if re.fullmatch(r"k\d+(m1)?", name)}
-                assert called - constants <= names, text
-                assert all(np.ndim(walk.__globals__[name]) == 0 for name in constants), text
+            called = set(spec.walk.__code__.co_names)
+            constants = {name for name in called if re.fullmatch(r"k\d+(m1)?", name)}
+            assert called - constants <= names, text
+            assert all(np.ndim(spec.walk.__globals__[name]) == 0 for name in constants), text
         spec = parse_potential("d12^d13 + 0.5*(d23 - 1)^2 + sin(r1)")
         assert spec.float_walk.__code__ is spec.walk.__code__
         assert {"power", "power_rows"} <= set(spec.walk.__code__.co_names)
         assert type(spec.float_walk.__globals__["k0"]) is float
-        value, derivatives, _ = spec.float_walk({"r1": 0.5, "d12": 1.5, "d13": 2.0, "d23": 3.0}, (), True)
+        value, derivatives = spec.float_walk({"r1": 0.5, "d12": 1.5, "d13": 2.0, "d23": 3.0}, (), True)
         assert type(value) is float and all(type(g) is float for g in derivatives)
 
 
@@ -1569,43 +1598,48 @@ class TestGeneratedWalk:
     )
     def test_probe_names_an_error_that_V_hides(self, text, row, node, value):
         # an operation outside V's reach that leaves its domain while V
-        # stays finite: the probe sends the row to the checking walk
+        # stays finite (by the reference compiler with its checks taken
+        # out): the walk's probe names it
         spec = parse_potential(text)
         columns = dict(zip(VARIABLES, ctx_with(**row)))
-        with np.errstate(all="ignore"):
-            hidden, _, _ = spec.walk(columns, (1,), False)
+        with np.errstate(all="ignore"), mock.patch.dict(REFERENCE_DOMAIN, clear=True):
+            hidden, _ = reference_compile(spec.ast, set())(columns, (1,))
         assert np.isfinite(hidden).all()
         with pytest.raises(DomainError) as err:
             trireduce.potential._run(spec, columns, (1,), False)
         assert (err.value.node, err.value.value) == (node, value)
         assert_reference_bits(spec)
 
-    def test_overflowing_probe_raises_nothing(self):
+    def test_overflowing_probe_raises_nothing(self, monkeypatch):
         # 3 * exp(709) overflows in the probe's sum, no operation leaves its
-        # domain and V is finite: the checking walk finds nothing to name
+        # domain and V is finite: the walk's hook finds nothing to name
+        hook, calls = trireduce.potential._name_error, []
+
+        def counted(*args):
+            calls.append(args)
+            return hook(*args)
+
+        monkeypatch.setattr(trireduce.potential, "_name_error", counted)
         spec = parse_potential("1/exp(709) + 1/exp(709) + 1/exp(709) + d12")
         columns = dict(zip(VARIABLES, ctx_with()))
-        with np.errstate(all="ignore"):
-            _, _, probe = spec.walk(columns, (1,), False)
-        assert not np.isfinite(probe).all()
         value, gradient = trireduce.potential._run(spec, columns, (1,), True)
+        assert len(calls) == 1
         assert np.isfinite(value).all() and gradient[3].tolist() == [1.0]
         assert_reference_bits(spec)
 
     def test_walk_does_only_the_arithmetic(self):
-        # the fast walk tests nothing per operation and seeds no array of
-        # ones; the checking walk keeps both kinds of check
+        # the walk tests nothing per operation and seeds no array of ones:
+        # it tests its probe and its derivatives with finite, and names an
+        # error by its hook
         spec = parse_potential("0.5*(d12-1)^2 + 0.5*(d13-1)^2 + 0.5*(d23-1)^2")
         names = set(spec.walk.__code__.co_names)
         assert names.isdisjoint({"check_value", "check_adjoint", "all_finite", "ones"})
-        checking = set(spec._checking_walk.__code__.co_names)
-        assert {"check_value", "check_adjoint", "all_finite"} <= checking
+        assert {"finite", "name_error"} <= names
         assert_reference_bits(spec)
 
     def test_compiled_once(self, monkeypatch):
-        # a spec compiles its walk when it is built and never after; the
-        # checking walk, once, on the first derivative that is not finite or
-        # the first operation that leaves its domain
+        # a spec compiles its walk when it is built and never after, also
+        # where a derivative is not finite or an operation leaves its domain
         built = []
 
         def counting(*args):
@@ -1625,18 +1659,30 @@ class TestGeneratedWalk:
             with pytest.raises(DomainError) as err:
                 forces_cartesian(spec, MASSES, pos)
             assert (err.value.node, err.value.value) == ("sqrt", 0.0)
-        assert len(built) == 2
+        assert len(built) == 1
         spec = parse_potential("sqrt(d12 - 1) + 1/(1/(d13 - 2))")
         row = [np.array([3.0])] * 3 + [np.array([1.5]), np.array([2.0]), np.array([3.0])]
-        assert len(built) == 3
+        assert len(built) == 2
         for _ in range(3):
             with pytest.raises(DomainError) as err:
                 eval_potential_batch(spec, MASSES, *row)
             assert (err.value.node, err.value.value) == ("/", 0.0)
-        assert len(built) == 4
+        assert len(built) == 2
         pos[1, 0] = 0.5  # d12 = 0.5: sqrt leaves its domain
         for _ in range(3):
             with pytest.raises(DomainError) as err:
                 forces_cartesian(spec, MASSES, pos)
             assert (err.value.node, err.value.value) == ("sqrt", -0.5)
-        assert len(built) == 4
+        assert len(built) == 2
+
+    def test_dead_spec_is_freed_by_reference_counting(self):
+        # each walk is bound out of its namespace, so no cycle holds it: a
+        # spec that is no longer referenced frees both walks at once
+        gc.disable()
+        try:
+            spec = parse_potential("sqrt(d12 - 1) + 0.5*(d13 - 1)^2 + r1*cos(phi)")
+            walks = [weakref.ref(spec.walk), weakref.ref(spec.float_walk)]
+            del spec
+            assert [walk() for walk in walks] == [None, None]
+        finally:
+            gc.enable()

@@ -191,13 +191,14 @@ MUTATIONS = [
     ),
     Mutation(
         name="unnamed-sin-phi",
-        file="src/trireduce/hamiltonian.py",
-        old="    if not ops.finite(sin_phi):\n",
+        file="src/trireduce/geometry.py",
+        old="    if not ops.finite(area):\n",
         new="    if False:\n",
         reason="an overflowing |s1 x s2| left as sin_phi = inf, so phi reads pi/2 and H is wrong",
         caught_by=(
             "tests/test_hamiltonian.py::TestOneRowPath::test_sin_phi_overflow_is_named",
             "tests/test_cli.py::TestEvaluate::test_sin_phi_overflow_exit_3",
+            "tests/test_geometry.py::TestVectorHelpers::test_overflowing_area_is_named[rows-2]",
         ),
     ),
     Mutation(
@@ -343,6 +344,25 @@ MUTATIONS = [
             f"tests/test_dynamics.py::TestIntegrate::test_blowup_guard_before_a_field_error[{key}-rk4]"
             for key in ("sin-phi-overflow", "exp-domain", "expression-inf")
         ),
+    ),
+    Mutation(
+        name="leapfrog-field-error-swallowed",
+        file="src/trireduce/dynamics.py",
+        old=(
+            "                          u1, v1, w1, u2, v2, w2, u3, v3, w3], k)\n"
+            "            raise\n"
+        ),
+        new="                          u1, v1, w1, u2, v2, w2, u3, v3, w3], k)\n",
+        reason="the leapfrog steps on past the field's error with the last step's kick",
+        caught_by=("tests/test_dynamics.py::TestIntegrate::test_field_error_leaves_from_its_step[leapfrog]",),
+    ),
+    Mutation(
+        name="rk4-field-error-swallowed",
+        file="src/trireduce/dynamics.py",
+        old="            _check_guard(y, k)\n            raise\n",
+        new="            _check_guard(y, k)\n",
+        reason="an rk4 stage returns no derivative past the field's error, which the stage then misreads",
+        caught_by=("tests/test_dynamics.py::TestIntegrate::test_field_error_leaves_from_its_step[rk4]",),
     ),
     Mutation(
         name="reassociated-kick",

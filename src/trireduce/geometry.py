@@ -28,6 +28,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .errors import NumericalBlowup
+
 COLLINEAR_THRESHOLD = 1e-8
 
 
@@ -248,6 +250,15 @@ def _length(a, root):
     return root(a0 * a0 + a1 * a1 + a2 * a2)
 
 
+def require_finite(name, values):
+    """Raise NumericalBlowup naming the first row of values, an (N, ...)
+    array, that is not all finite."""
+    finite = np.isfinite(values)
+    if np.count_nonzero(finite) < finite.size:
+        row = np.flatnonzero(~finite.reshape(len(finite), -1).all(axis=1))[0]
+        raise NumericalBlowup(f"{name} overflow at row {row}")
+
+
 def measure_shape(s1, s2):
     """The shape of pairs of Jacobi vectors given as (N, 3) rows, or of one
     pair given as 3-vectors or as lists of three floats: (r1, r2, normal,
@@ -256,11 +267,17 @@ def measure_shape(s1, s2):
     atan2(area, dot), the others (N,), or numpy scalars for one pair of
     3-vectors and floats for one of lists (see arithmetic).  Every
     measurement of phi from the vectors is this one; r1, r2, area and
-    normal round as np.linalg.norm and np.cross do."""
+    normal round as np.linalg.norm and np.cross do.  Raises NumericalBlowup
+    naming the first row (row 0 for one pair) where area is not finite
+    though s1 and s2 are, where phi would read pi/2 and sin_phi would not
+    be finite; a row whose vectors are not finite is the caller's."""
     ops = arithmetic(s1)
     a, b = ops.components(s1), ops.components(s2)
     normal = cross(a, b)
     area = _length(normal, ops.sqrt)
+    if not ops.finite(area):
+        measured = np.isfinite(np.concatenate((s1, s2), -1)).reshape(-1, 6).all(axis=1)
+        require_finite("sin_phi", np.where(measured, area, 0.0))
     dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
     return _length(a, ops.sqrt), _length(b, ops.sqrt), normal, area, dot, ops.arctan2(area, dot)
 
@@ -283,9 +300,15 @@ def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):
     above the threshold.  degenerate marks the rows with r1 = 0 or r2 = 0
     (None if none has), which have no frame: their axes and sin_phi are
     fitted to the stand-in s1 = e1, s2 = e2, so nothing divides by 0, and
-    only their shape means anything.
+    only their shape means anything.  Raises NumericalBlowup naming the
+    first row whose Jacobi vectors or rates are not finite (row 0 for one
+    state), then where measure_shape does.
     """
     ops = arithmetic(s1)
+    # one state's 12 components as row 0
+    jacobi = ops.join((s1, s2, sd1, sd2))
+    if not ops.finite(jacobi):
+        require_finite("Jacobi vector", np.reshape(jacobi, (-1, 12)))
     r1, r2, normal, area, dot, phi = measure_shape(s1, s2)
     fit_r1, fit_r2, degenerate = r1, r2, None
     zero = (r1 == 0.0) | (r2 == 0.0)

@@ -40,6 +40,7 @@ from .geometry import (
     check_vector,
     cross,
     jacobi_map,
+    require_finite,
 )
 from .potential import PotentialSpec, potential_at_positions
 from .reduction import check_square, inertia_inverse
@@ -131,7 +132,8 @@ def evaluate_reduced(
     The result is the energy in the center-of-mass frame; for states with
     zero total momentum it equals the total energy.  Raises
     DegenerateShape when r1 or r2 is 0, before V is evaluated, and
-    NumericalBlowup when the Jacobi vectors, sin_phi or H overflow.
+    NumericalBlowup when the Jacobi vectors or H overflow, or where
+    geometry.measure_shape names an overflowing |s1 x s2|.
     """
     # the state's 18 floats in one map, positions then velocities; the state
     # was validated when it was built, so only an overflow of the map is new
@@ -141,7 +143,7 @@ def evaluate_reduced(
     jacobi = s1[:3], s2[:3], s1[3:], s2[3:]
     try:
         reduced = _reduce_rows(collinear_threshold, *jacobi)
-    except (ZeroDivisionError, ValueError):  # numpy's inf or NaN: the state's numpy row names it
+    except ZeroDivisionError:  # numpy's inf or NaN: the state's numpy row names it
         with np.errstate(all="ignore"):
             reduced = _reduce_rows(collinear_threshold, *map(np.array, jacobi))
     r1, r2, phi, sin_phi, planar, degenerate, J, p, T, K = reduced
@@ -165,8 +167,9 @@ def _reduce_rows(collinear_threshold, s1, s2, sd1, sd2):
     momenta and kinetic energy K of N states given as (N, 3) Jacobi rows,
     or of one state given as four 3-vectors or four lists of three floats,
     in body_frames' frames, with their arithmetic (geometry.arithmetic).
-    Raises NumericalBlowup naming the first row whose Jacobi vectors, or
-    then sin_phi, are not finite (row 0 for one state).
+    It is arithmetic only: body_frames names the rows it cannot measure,
+    and sin_phi = |s1 x s2| / (r1 r2) is then finite, since r1 r2 > 0 on a
+    row that is not degenerate (1 on one that is).
 
     With body velocities v1 = R^T sdot1, v2 = R^T sdot2 (each component
     the dot product of an axis with the rate, (x + y) + z) and
@@ -179,17 +182,9 @@ def _reduce_rows(collinear_threshold, s1, s2, sd1, sd2):
     (N,); for one state, numpy scalars or floats and 3-vectors.
     """
     ops = arithmetic(s1)
-    # one state's 12 components as row 0
-    jacobi = ops.join((s1, s2, sd1, sd2))
-    if not ops.finite(jacobi):
-        _require_finite("Jacobi vector", np.reshape(jacobi, (-1, 12)))
     axes, r1, r2, phi, sin_phi, planar, degenerate = body_frames(
         s1, s2, sd1, sd2, collinear_threshold
     )
-    # sin_phi is inf or NaN where |s1 x s2| overflows though the Jacobi
-    # vectors do not, and phi reads pi/2 there
-    if not ops.finite(sin_phi):
-        _require_finite("sin_phi", np.reshape(sin_phi, -1))
     (v1x, v1y, v1z), (v2x, v2y, v2z) = (
         [u[0] * x + u[1] * y + u[2] * z for u in axes]
         for x, y, z in (ops.components(sd1), ops.components(sd2))
@@ -252,15 +247,6 @@ class ReducedBatch:
     branch: np.ndarray
 
 
-def _require_finite(name, values):
-    """Raise NumericalBlowup naming the first row of values, an (N, ...)
-    array, that is not all finite."""
-    finite = np.isfinite(values)
-    if np.count_nonzero(finite) < finite.size:
-        row = np.flatnonzero(~finite.reshape(len(finite), -1).all(axis=1))[0]
-        raise NumericalBlowup(f"{name} overflow at row {row}")
-
-
 def evaluate_reduced_batch(
     masses: MassTriple,
     x: np.ndarray,
@@ -278,8 +264,8 @@ def evaluate_reduced_batch(
     H_reduced - E_total measures the kinetic identity alone.  Rows that
     body_frames marks degenerate get branch "degenerate" and NaN from phi
     to H_reduced.  Raises NumericalBlowup, naming the quantity and the row,
-    where the Jacobi vectors, sin_phi, E_total, L or (on a non-degenerate
-    row) H_reduced are not finite.
+    where the Jacobi vectors or sin_phi (both named by body_frames),
+    E_total, L or (on a non-degenerate row) H_reduced are not finite.
     """
     s1, s2 = jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2])
     sd1, sd2 = jacobi_map(masses, v[:, 0], v[:, 1], v[:, 2])
@@ -288,11 +274,11 @@ def evaluate_reduced_batch(
     )
     V = potential_at_positions(potential, masses, x, (r1, r2, phi))
     E = 0.5 * np.sum(masses.as_array()[:, None] * v ** 2, axis=(1, 2)) + V
-    _require_finite("E_total", E)
+    require_finite("E_total", E)
     L = np.add(cross(s1.T, sd1.T), cross(s2.T, sd2.T)).T
-    _require_finite("L", L)
+    require_finite("L", L)
     H = K + V
-    _require_finite("H_reduced", H if degenerate is None else np.where(degenerate, 0.0, H))
+    require_finite("H_reduced", H if degenerate is None else np.where(degenerate, 0.0, H))
     branch = np.where(planar, BRANCH_NONCOLLINEAR, BRANCH_COLLINEAR).astype(object)
     if degenerate is not None:
         # NaN where the frame, and so phi and the momenta, are undefined

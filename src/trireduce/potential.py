@@ -21,12 +21,11 @@ from sys import float_info
 
 import numpy as np
 
-from .errors import DomainError, NumericalBlowup, PotentialSyntaxError, UnknownIdentifier
+from .errors import DomainError, PotentialSyntaxError, UnknownIdentifier
 from .geometry import (
     COLUMNS,
     FLOATS,
     MassTriple,
-    arithmetic,
     check_number,
     jacobi_map,
     measure_shape,
@@ -505,6 +504,7 @@ def _emit(ast):
         ["def walk(columns, shape, gradient):", *lines, "if not gradient:",
          f"    return {value}, None", *back, f"return {value}, derivatives"]
     )
+    del forward, pullback  # each holds itself through its cell, a cycle per spec
     code = compile(source, "<expression>", "exec")
     name_error = partial(_name_error, checks, back_checks, constants)
     walks = []
@@ -717,15 +717,15 @@ def potential_at_positions(spec: PotentialSpec, masses: MassTriple, x, shape=Non
     expression walks one state's floats (_run_state), as a float.  A
     potential that reads r1, r2 or phi takes them from `shape`, the (r1,
     r2, phi) of measure_shape that the caller measured: numbers for one
-    configuration, (N,) arrays for N, or measures them if it is None (see
-    _measure, which names an overflowing sin_phi), on one configuration's
-    floats."""
+    configuration, (N,) arrays for N, or measures them if it is None, on
+    one configuration's floats.  Raises NumericalBlowup where it measures
+    them and measure_shape names an overflowing |s1 x s2|."""
     if isinstance(x, np.ndarray) and x.ndim == 2:
         x = x.ravel().tolist()
     measure = shape is None and not spec.reads <= PAIRS.keys()
     if isinstance(x, list):
         if measure:
-            r1, r2, _, _, _, phi = _measure(masses, x[:3], x[3:6], x[6:])[1]
+            r1, r2, _, _, _, phi = measure_shape(*jacobi_map(masses, x[:3], x[3:6], x[6:]))
             shape = r1, r2, phi
         _, d = _pair_vectors(x, sqrt)
         if spec.ast is not None:
@@ -739,27 +739,10 @@ def potential_at_positions(spec: PotentialSpec, masses: MassTriple, x, shape=Non
     else:
         with np.errstate(all="ignore"):  # a length that overflows is inf, as a float's
             if measure:
-                r1, r2, _, _, _, phi = _measure(masses, *np.moveaxis(x, -2, 0))[1]
+                r1, r2, _, _, _, phi = measure_shape(*jacobi_map(masses, *np.moveaxis(x, -2, 0)))
                 shape = r1, r2, phi
             _, d = _pair_vectors(x.reshape(-1, 9).T, np.sqrt)
     return eval_potential_batch(spec, masses, *(shape or (None,) * 3), *d)
-
-
-def _measure(masses, a1, a2, a3):
-    """The Jacobi vectors s = (s1, s2) of the bodies' positions a1, a2, a3,
-    as jacobi_map takes them, and their measure_shape.  Raises
-    NumericalBlowup naming the first row where |s1 x s2| is not finite
-    though the Jacobi vectors are, where phi would read pi/2 and sin_phi is
-    not finite: the error of evaluate_reduced there."""
-    s = jacobi_map(masses, a1, a2, a3)
-    shape = measure_shape(*s)
-    area = shape[3]
-    if not arithmetic(s[0]).finite(area):
-        jacobi = np.isfinite(np.concatenate(s, -1)).reshape(-1, 6).all(axis=1)
-        bad = np.flatnonzero(jacobi & ~np.isfinite(area))
-        if bad.size:
-            raise NumericalBlowup(f"sin_phi overflow at row {bad[0]}")
-    return s, shape
 
 
 def _pair_vectors(x, root):
@@ -867,7 +850,8 @@ def force_field(spec: PotentialSpec, masses: MassTriple):
     and constants, and the variables an expression reads, with the Jacobi
     map's coefficients where it reads r1, r2 or phi: the rows of A,
     (s1, s2) = A (x1, x2, x3), are the Jacobi vectors of the unit
-    vectors."""
+    vectors.  Such an expression measures each state with measure_shape,
+    whose NumericalBlowup it raises."""
     if spec.builtin is not None:
         _, slopes = _pair_terms(spec, masses)
 
@@ -892,7 +876,8 @@ def force_field(spec: PotentialSpec, masses: MassTriple):
             values.update(zip(PAIRS, d))
         if jacobi:
             # one state's Jacobi vectors and shape, measured on floats
-            s, shape = _measure(masses, x[:3], x[3:6], x[6:])
+            s = jacobi_map(masses, x[:3], x[3:6], x[6:])
+            shape = measure_shape(*s)
             r1, r2, _, area, _, phi = shape
             values.update(r1=r1, r2=r2, phi=phi)
         _, gradient = _run_state(spec, values, True)
@@ -929,7 +914,7 @@ def forces_cartesian(spec: PotentialSpec, masses: MassTriple, positions):
     phi (see _phi_slope_vanishes; where it is 0, the limit force is
     returned); and where a derivative of an expression is not finite,
     naming the operation.  Raises NumericalBlowup where an expression
-    reads r1, r2 or phi and |s1 x s2| overflows (see _measure).
+    reads r1, r2 or phi and measure_shape names an overflowing |s1 x s2|.
     """
     x = np.asarray(positions, dtype=float).reshape(9).tolist()
     return np.reshape(force_field(spec, masses)(x), (3, 3))

@@ -13,7 +13,7 @@ from trireduce.dynamics import (
     integrate,
     total_energy,
 )
-from trireduce.errors import NumericalBlowup
+from trireduce.errors import DomainError, NumericalBlowup
 from trireduce.geometry import CartesianState, MassTriple
 from trireduce.potential import builtin_potential, force_field, forces_cartesian, parse_potential
 
@@ -288,6 +288,28 @@ class TestIntegrate:
         cfg = IntegratorConfig(method=method, dt=0.01, steps=200)
         with pytest.raises(NumericalBlowup, match=r"^coordinate overflow at step 1$"):
             integrate(MASSES, state, parse_potential(text), cfg)
+
+    @pytest.mark.parametrize(
+        "method, value",
+        [("leapfrog", -0.004503002848293081), ("rk4", -0.0014723614805896013)],
+        ids=["leapfrog", "rk4"],
+    )
+    def test_field_error_leaves_from_its_step(self, monkeypatch, method, value):
+        # the harmonic triangle's bodies 1 and 2 close in from d12 = 1.75,
+        # and its sqrt term leaves its domain where d12 < 1.7, far inside
+        # the guard: the stepper re-raises the field's error from its step,
+        # and the run never reduces the rows it recorded
+        def unreachable(*args):
+            pytest.fail("the run went on past a field error to reduce its rows")
+
+        monkeypatch.setattr(trireduce.dynamics, "evaluate_reduced_batch", unreachable)
+        spec = parse_potential(
+            "0.5*(d12-1)^2 + 0.5*(d13-1)^2 + 0.5*(d23-1)^2 + 0.01*sqrt(d12 - 1.7)"
+        )
+        cfg = IntegratorConfig(method=method, dt=0.01, steps=1000)
+        with pytest.raises(DomainError) as error:
+            integrate(MASSES, sparse_setup(), spec, cfg)
+        assert (error.value.node, error.value.value) == ("sqrt", value)
 
     @pytest.mark.parametrize("method", ["leapfrog", "rk4"])
     def test_field_is_bound_once_per_run(self, monkeypatch, method):

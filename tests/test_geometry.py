@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from trireduce.checks import random_rotation
+from trireduce.errors import NumericalBlowup
 from trireduce.geometry import (
     CartesianState,
     MassTriple,
+    _length,
     body_frames,
     body_jacobi_vectors,
     cartesian_from_jacobi,
     check_vector,
+    cross,
     frame_matrices,
     jacobi_map,
     measure_shape,
@@ -179,15 +182,48 @@ class TestVectorHelpers:
         a[:3] = 0.0
         b[3:6] = 0.0
         pairs = [(a, b)] + [(a[k], b[k]) for k in range(8)]  # zero vectors included
-        # at 1e150 the squares of the normal overflow, so its area is inf
-        with np.errstate(over="ignore" if scale == 1e150 else "warn"):
-            shapes = [measure_shape(s1, s2) for s1, s2 in pairs]
-        for (s1, s2), (r1, r2, normal, area, _, _) in zip(pairs, shapes):
+        for s1, s2 in pairs:
+            # at 1e150 the squares of the normal overflow from row 6 on, so
+            # its area is inf there: measure_shape names the first such row,
+            # and its lengths and cross product, which raise nothing, keep
+            # numpy's bits on every row
+            with np.errstate(over="ignore" if scale == 1e150 else "warn"):
+                area = np.linalg.norm(np.cross(s1, s2), axis=-1)
+                r1, r2, normal = _length(s1.T, np.sqrt), _length(s2.T, np.sqrt), cross(s1.T, s2.T)
+                assert np.array_equal(_length(normal, np.sqrt), area)
+                overflow = np.flatnonzero(~np.isfinite(np.reshape(area, -1)))
+                if overflow.size:
+                    with pytest.raises(NumericalBlowup, match=f"^sin_phi overflow at row {overflow[0]}$"):
+                        measure_shape(s1, s2)
+                else:
+                    r1, r2, normal, measured, _, _ = measure_shape(s1, s2)
+                    assert np.array_equal(measured, area)
+            if s1.ndim == 2:  # the rows overflow at 1e150 only
+                assert bool(overflow.size) == (scale == 1e150)
             assert np.array_equal(r1, np.linalg.norm(s1, axis=-1))
             assert np.array_equal(r2, np.linalg.norm(s2, axis=-1))
             assert np.array_equal(np.stack(normal, -1), np.cross(s1, s2))
-            if scale < 1e150:
-                assert np.array_equal(area, np.linalg.norm(np.cross(s1, s2), axis=-1))
+
+    @pytest.mark.parametrize(
+        "form, row", [("floats", 0), ("3-vectors", 0), ("rows", 0), ("rows", 2), ("rows", 4)]
+    )
+    def test_overflowing_area_is_named(self, form, row):
+        # |s1 x s2| = 1e400 overflows though s1 and s2 are finite, where phi
+        # would read pi/2: measure_shape names the row (row 0 for one pair),
+        # and so does body_frames, which measures through it
+        rng = np.random.default_rng(39)
+        s1, s2 = rng.normal(size=(2, 5, 3))
+        s1[row], s2[row] = [1e200, 1.0, 0.0], [0.5, 1e200, 0.0]
+        rates = np.zeros((5, 3))
+        if form == "floats":
+            s1, s2, rates = s1[row].tolist(), s2[row].tolist(), [0.0] * 3
+        elif form == "3-vectors":
+            s1, s2, rates = s1[row], s2[row], rates[row]
+        with np.errstate(over="ignore"):  # the columns warn in _length first
+            with pytest.raises(NumericalBlowup, match=f"^sin_phi overflow at row {row}$"):
+                measure_shape(s1, s2)
+            with pytest.raises(NumericalBlowup, match=f"^sin_phi overflow at row {row}$"):
+                body_frames(s1, s2, rates, rates)
 
 
 def _state(x1, x2, x3, v1=None, v2=None, v3=None):

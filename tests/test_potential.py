@@ -1686,3 +1686,20 @@ class TestGeneratedWalk:
             assert [walk() for walk in walks] == [None, None]
         finally:
             gc.enable()
+
+    def test_building_a_spec_leaves_no_cycle(self):
+        # the compiler's recursive helpers are deleted once the source is
+        # built, so a spec built and dropped leaves nothing to the collector
+        gc.collect()
+        gc.disable()
+        try:
+            for text in (
+                "0.5*(d12-1)^2 + 0.5*(d13-1)^2 + 0.5*(d23-1)^2",
+                "sqrt(d12 - 1) + 0.5*(d13 - 1)^2 + r1*cos(phi)",
+                "exp(-r1)*sin(phi)^2/r2 + log(d23) - 2^phi",
+            ):
+                for _ in range(10):
+                    parse_potential(text)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -192,13 +192,49 @@ MUTATIONS = [
     Mutation(
         name="unnamed-sin-phi",
         file="src/trireduce/geometry.py",
-        old="    if not ops.finite(area):\n",
-        new="    if False:\n",
+        old='(("sin_phi", area), ("r1", r1)',
+        new='(("r1", r1)',
         reason="an overflowing |s1 x s2| left as sin_phi = inf, so phi reads pi/2 and H is wrong",
         caught_by=(
             "tests/test_hamiltonian.py::TestOneRowPath::test_sin_phi_overflow_is_named",
             "tests/test_cli.py::TestEvaluate::test_sin_phi_overflow_exit_3",
             "tests/test_geometry.py::TestVectorHelpers::test_overflowing_area_is_named[rows-2]",
+        ),
+    ),
+    Mutation(
+        name="unnamed-length",
+        file="src/trireduce/geometry.py",
+        old='        for name, value in (("sin_phi", area), ("r1", r1), ("r2", r2)):\n',
+        new='        for name, value in (("sin_phi", area),):\n',
+        reason="an overflowing r1 or r2 let through as inf, so the kernel divides by 0 or reads NaN",
+        caught_by=(
+            *(
+                f"tests/test_geometry.py::TestVectorHelpers::test_overflowing_length_is_named[{case}]"
+                for case in ("floats-0-r1", "rows-2-r1", "rows-2-r2")
+            ),
+            "tests/test_hamiltonian.py::TestFloatStateSweep::test_an_infinite_r1_is_named_in_both_entry_points",
+        ),
+    ),
+    Mutation(
+        name="batch-warns",
+        file="src/trireduce/hamiltonian.py",
+        old='    with np.errstate(all="ignore"):  # each value numpy would flag is named\n',
+        new="    if True:\n",
+        reason="the batch emits numpy's RuntimeWarning before it names what overflows",
+        caught_by=tuple(
+            f"tests/test_hamiltonian.py::TestOneRowPath::test_batch_names_its_overflow_with_no_warning[{case}]"
+            for case in ("1e80-sin_phi", "1e160-sin_phi", "r1-inf-r1")
+        ),
+    ),
+    Mutation(
+        name="nan-shape-force",
+        file="src/trireduce/potential.py",
+        old="    if not isfinite(sum(forces)):  # the nine tested once\n",
+        new="    if False:\n",
+        reason="a shape force that is not finite (NaN from inf and -inf entries of C) returned unnamed",
+        caught_by=tuple(
+            f"tests/test_potential.py::TestForces::test_an_overflowing_shape_force_is_named[{text}]"
+            for text in ("phi * 1e300", "phi / 2.2250738585072014e-308")
         ),
     ),
     Mutation(

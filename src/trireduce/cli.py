@@ -280,11 +280,8 @@ def cmd_simulate(cfg: RunConfig, out_path):
 
 
 def cmd_evaluate(cfg: RunConfig, out_path):
-    # numpy's overflow warnings would only repeat the NumericalBlowup that
-    # names the quantity
-    with np.errstate(all="ignore"):
-        x, v = cfg.state.positions[None], cfg.state.velocities[None]
-        ev = evaluate_reduced_batch(cfg.masses, x, v, cfg.potential, cfg.thresholds["collinear"])
+    x, v = cfg.state.positions[None], cfg.state.velocities[None]
+    ev = evaluate_reduced_batch(cfg.masses, x, v, cfg.potential, cfg.thresholds["collinear"])
     if ev.branch[0] == "degenerate":
         raise DegenerateShape.from_r1(ev.r1[0])
     if not _write_lines(out_path, _csv(EVALUATE_HEADER, _columns(ev))):

@@ -14,7 +14,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import NumericalBlowup, TrireduceError
-from .geometry import COLLINEAR_THRESHOLD, CartesianState, MassTriple, check_number
+from .geometry import COLLINEAR_THRESHOLD, CartesianState, MassTriple, check_number, require_finite
 from .hamiltonian import ReducedBatch, evaluate_reduced_batch
 from .potential import PotentialSpec, force_field, potential_at_positions
 
@@ -90,10 +90,13 @@ class Trajectory(ReducedBatch):
 
 
 def total_energy(masses: MassTriple, state: CartesianState, potential) -> float:
-    """Total Cartesian energy, kinetic plus potential."""
+    """Total Cartesian energy, kinetic plus potential (NumericalBlowup: E_total overflow)."""
     m = masses.as_array()
-    kinetic = 0.5 * float(np.sum(m[:, None] * state.velocities ** 2))
-    return kinetic + float(potential_at_positions(potential, masses, state.positions))
+    with np.errstate(over="ignore"):  # named below
+        kinetic = 0.5 * float(np.sum(m[:, None] * state.velocities ** 2))
+    E = kinetic + float(potential_at_positions(potential, masses, state.positions))
+    require_finite("E_total", [E])
+    return E
 
 
 def _leapfrog_steps(field, masses, y, dt, n, stride):

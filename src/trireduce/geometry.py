@@ -102,9 +102,7 @@ FLOATS = SimpleNamespace(
 def arithmetic(v):
     """The binding of the kernel's operations for vectors like v: COLUMNS
     for an array, (N, 3) rows or one 3-vector, FLOATS for a list of three
-    floats.  A float division by 0 raises ZeroDivisionError where numpy's
-    is inf or NaN, and sin or cos ValueError where numpy's would warn; the
-    caller then takes the state's numpy 3-vectors."""
+    floats."""
     return COLUMNS if isinstance(v, np.ndarray) else FLOATS
 
 
@@ -268,18 +266,19 @@ def measure_shape(s1, s2):
     3-vectors and floats for one of lists (see arithmetic).  Every
     measurement of phi from the vectors is this one; r1, r2, area and
     normal round as np.linalg.norm and np.cross do.  Raises NumericalBlowup
-    naming the first row (row 0 for one pair) where area is not finite
-    though s1 and s2 are, where phi would read pi/2 and sin_phi would not
-    be finite; a row whose vectors are not finite is the caller's."""
+    naming sin_phi (phi would read pi/2), then r1, then r2 at the first row
+    (row 0 for one pair) where area, r1 or r2 is not finite though s1 and s2
+    are; a row whose vectors are not finite is the caller's."""
     ops = arithmetic(s1)
     a, b = ops.components(s1), ops.components(s2)
     normal = cross(a, b)
-    area = _length(normal, ops.sqrt)
-    if not ops.finite(area):
+    area, r1, r2 = (_length(v, ops.sqrt) for v in (normal, a, b))
+    if not ops.finite(area + r1 + r2):
         measured = np.isfinite(np.concatenate((s1, s2), -1)).reshape(-1, 6).all(axis=1)
-        require_finite("sin_phi", np.where(measured, area, 0.0))
+        for name, value in (("sin_phi", area), ("r1", r1), ("r2", r2)):
+            require_finite(name, np.where(measured, value, 0.0))
     dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-    return _length(a, ops.sqrt), _length(b, ops.sqrt), normal, area, dot, ops.arctan2(area, dot)
+    return r1, r2, normal, area, dot, ops.arctan2(area, dot)
 
 
 def body_frames(s1, s2, sd1, sd2, collinear_threshold=COLLINEAR_THRESHOLD):

@@ -132,34 +132,24 @@ def evaluate_reduced(
     The result is the energy in the center-of-mass frame; for states with
     zero total momentum it equals the total energy.  Raises
     DegenerateShape when r1 or r2 is 0, before V is evaluated, and
-    NumericalBlowup when the Jacobi vectors or H overflow, or where
-    geometry.measure_shape names an overflowing |s1 x s2|.
+    NumericalBlowup where its one-row batch does, in the same words: for
+    the Jacobi vectors, sin_phi, r1 or r2 (geometry's) or H_reduced.
     """
     # the state's 18 floats in one map, positions then velocities; the state
     # was validated when it was built, so only an overflow of the map is new
     x1, x2, x3 = state.x1.tolist(), state.x2.tolist(), state.x3.tolist()
     v1, v2, v3 = state.v1.tolist(), state.v2.tolist(), state.v3.tolist()
     s1, s2 = jacobi_map(masses, x1 + v1, x2 + v2, x3 + v3)
-    jacobi = s1[:3], s2[:3], s1[3:], s2[3:]
-    try:
-        reduced = _reduce_rows(collinear_threshold, *jacobi)
-    except ZeroDivisionError:  # numpy's inf or NaN: the state's numpy row names it
-        with np.errstate(all="ignore"):
-            reduced = _reduce_rows(collinear_threshold, *map(np.array, jacobi))
+    reduced = _reduce_rows(collinear_threshold, s1[:3], s2[:3], s1[3:], s2[3:])
     r1, r2, phi, sin_phi, planar, degenerate, J, p, T, K = reduced
     if degenerate is not None:
         raise DegenerateShape.from_r1(r1)
     V = potential_at_positions(potential, masses, x1 + x2 + x3, (r1, r2, phi))
     H = float(K + V)
     if not isfinite(H):
-        raise NumericalBlowup(f"H_reduced overflows ({H})")
-    return ReducedEvaluation(
-        H=H,
-        branch=BRANCH_NONCOLLINEAR if planar else BRANCH_COLLINEAR,
-        r1=float(r1), r2=float(r2), phi=float(phi), J=J, p=p,
-        singular_term=float(T),
-        sin_phi=float(sin_phi),
-    )
+        raise NumericalBlowup("H_reduced overflow at row 0")
+    branch = BRANCH_NONCOLLINEAR if planar else BRANCH_COLLINEAR
+    return ReducedEvaluation(H, branch, r1, r2, phi, J, p, T, sin_phi)
 
 
 def _reduce_rows(collinear_threshold, s1, s2, sd1, sd2):
@@ -167,9 +157,9 @@ def _reduce_rows(collinear_threshold, s1, s2, sd1, sd2):
     momenta and kinetic energy K of N states given as (N, 3) Jacobi rows,
     or of one state given as four 3-vectors or four lists of three floats,
     in body_frames' frames, with their arithmetic (geometry.arithmetic).
-    It is arithmetic only: body_frames names the rows it cannot measure,
-    and sin_phi = |s1 x s2| / (r1 r2) is then finite, since r1 r2 > 0 on a
-    row that is not degenerate (1 on one that is).
+    It is arithmetic only: past body_frames' refusals r1 and r2 are finite,
+    so on floats nothing divides by 0: r1 r2 >= 4.9e-324 on a row that is
+    not degenerate (1 on one that is), and n2 > 0 and S > 0.
 
     With body velocities v1 = R^T sdot1, v2 = R^T sdot2 (each component
     the dot product of an axis with the rate, (x + y) + z) and
@@ -264,21 +254,22 @@ def evaluate_reduced_batch(
     H_reduced - E_total measures the kinetic identity alone.  Rows that
     body_frames marks degenerate get branch "degenerate" and NaN from phi
     to H_reduced.  Raises NumericalBlowup, naming the quantity and the row,
-    where the Jacobi vectors or sin_phi (both named by body_frames),
-    E_total, L or (on a non-degenerate row) H_reduced are not finite.
+    where the Jacobi vectors, sin_phi, r1 or r2 (geometry's), E_total, L or
+    (on a non-degenerate row) H_reduced are not finite, with no numpy warning.
     """
-    s1, s2 = jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2])
-    sd1, sd2 = jacobi_map(masses, v[:, 0], v[:, 1], v[:, 2])
-    r1, r2, phi, sin_phi, planar, degenerate, J, p, T, K = _reduce_rows(
-        collinear_threshold, s1, s2, sd1, sd2
-    )
-    V = potential_at_positions(potential, masses, x, (r1, r2, phi))
-    E = 0.5 * np.sum(masses.as_array()[:, None] * v ** 2, axis=(1, 2)) + V
-    require_finite("E_total", E)
-    L = np.add(cross(s1.T, sd1.T), cross(s2.T, sd2.T)).T
-    require_finite("L", L)
-    H = K + V
-    require_finite("H_reduced", H if degenerate is None else np.where(degenerate, 0.0, H))
+    with np.errstate(all="ignore"):  # each value numpy would flag is named
+        s1, s2 = jacobi_map(masses, x[:, 0], x[:, 1], x[:, 2])
+        sd1, sd2 = jacobi_map(masses, v[:, 0], v[:, 1], v[:, 2])
+        r1, r2, phi, sin_phi, planar, degenerate, J, p, T, K = _reduce_rows(
+            collinear_threshold, s1, s2, sd1, sd2
+        )
+        V = potential_at_positions(potential, masses, x, (r1, r2, phi))
+        E = 0.5 * np.sum(masses.as_array()[:, None] * v ** 2, axis=(1, 2)) + V
+        require_finite("E_total", E)
+        L = np.add(cross(s1.T, sd1.T), cross(s2.T, sd2.T)).T
+        require_finite("L", L)
+        H = K + V
+        require_finite("H_reduced", H if degenerate is None else np.where(degenerate, 0.0, H))
     branch = np.where(planar, BRANCH_NONCOLLINEAR, BRANCH_COLLINEAR).astype(object)
     if degenerate is not None:
         # NaN where the frame, and so phi and the momenta, are undefined

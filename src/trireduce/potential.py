@@ -719,7 +719,7 @@ def potential_at_positions(spec: PotentialSpec, masses: MassTriple, x, shape=Non
     r2, phi) of measure_shape that the caller measured: numbers for one
     configuration, (N,) arrays for N, or measures them if it is None, on
     one configuration's floats.  Raises NumericalBlowup where it measures
-    them and measure_shape names an overflowing |s1 x s2|."""
+    them and measure_shape raises it."""
     if isinstance(x, np.ndarray) and x.ndim == 2:
         x = x.ravel().tolist()
     measure = shape is None and not spec.reads <= PAIRS.keys()
@@ -819,14 +819,16 @@ def _shape_forces(A, s, shape, slopes):
     coefficients A, its two rows as floats: body i's force is -(A1i g1 +
     A2i g2), summed in the order of s.  A slope of phi at |s1 x s2| = 0 must be 0 (see
     forces_cartesian); r1 or r2 at 0 raises DomainError unless its slope
-    is 0."""
-    r1, r2, _, area, dot, _ = shape
+    is 0, and it raises naming r1, r2 or phi where that variable's term,
+    added in that order, leaves a force that is not finite."""
+    r1, r2, _, area, dot, phi = shape
     dr1, dr2, dphi = slopes
     for name, r, slope in (("r1", r1, dr1), ("r2", r2, dr2)):
         if r == 0.0 and slope != 0.0:
             raise DomainError(name, 0.0)
     c11 = dr1 / r1 if dr1 else 0.0
     c22 = dr2 / r2 if dr2 else 0.0
+    terms = [("r1", r1, (c11, 0.0, 0.0)), ("r2", r2, (c11, 0.0, c22))]
     c12 = 0.0
     if dphi:  # then area > 0 (see force_field)
         # dphi/ds1 = ((s1 . s2)/r1^2 s1 - s2)/|s1 x s2|, dphi/ds2 likewise,
@@ -835,9 +837,16 @@ def _shape_forces(A, s, shape, slopes):
         c22 += dphi * dot / (r2 * r2 * area) if r2 * r2 * area else dphi * dot / r2 / r2 / area
         c12 = -dphi / area
     s1, s2 = s
-    g1 = [c11 * a + c12 * b for a, b in zip(s1, s2)]
-    g2 = [c12 * a + c22 * b for a, b in zip(s1, s2)]
-    return [-(a * u + b * w) for a, b in zip(*A) for u, w in zip(g1, g2)]
+    def pullback(c11, c12, c22):  # -A^T C s
+        g1 = [c11 * a + c12 * b for a, b in zip(s1, s2)]
+        g2 = [c12 * a + c22 * b for a, b in zip(s1, s2)]
+        return [-(a * u + b * w) for a, b in zip(*A) for u, w in zip(g1, g2)]
+    forces = pullback(c11, c12, c22)
+    if not isfinite(sum(forces)):  # the nine tested once
+        for name, value, c in (*terms, ("phi", phi, (c11, c12, c22))):
+            if not all(map(isfinite, pullback(*c))):
+                raise DomainError(name, value)
+    return forces
 
 
 def force_field(spec: PotentialSpec, masses: MassTriple):
@@ -912,9 +921,9 @@ def forces_cartesian(spec: PotentialSpec, masses: MassTriple, positions):
     is not 0; for an expression that reads phi, at r1 = 0 or r2 = 0, and at
     an exactly collinear shape where dV/dphi is not 0 to the resolution of
     phi (see _phi_slope_vanishes; where it is 0, the limit force is
-    returned); and where a derivative of an expression is not finite,
-    naming the operation.  Raises NumericalBlowup where an expression
-    reads r1, r2 or phi and measure_shape names an overflowing |s1 x s2|.
+    returned); where a derivative of an expression is not finite, naming the
+    operation, and a shape force, naming r1, r2 or phi.  Raises NumericalBlowup
+    where an expression reads r1, r2 or phi and measure_shape raises it.
     """
     x = np.asarray(positions, dtype=float).reshape(9).tolist()
     return np.reshape(force_field(spec, masses)(x), (3, 3))

@@ -122,6 +122,16 @@ class TestTotalEnergy:
         )
         assert total_energy(MASSES, state, HARMONIC) == pytest.approx(0.0, abs=1e-15)
 
+    def test_overflow_is_named(self):
+        # a velocity of 1e200 squares past the float range: E_total is named
+        # in evaluate_reduced_batch's words, with no numpy warning
+        z = np.zeros(3)
+        state = CartesianState(z, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+                               np.array([1e200, 0.0, 0.0]), z, np.array([0.0, -1e200, 0.0]))
+        for potential in (FREE, HARMONIC):
+            with pytest.raises(NumericalBlowup, match="^E_total overflow at row 0$"):
+                total_energy(MASSES, state, potential)
+
 
 class TestIntegrate:
     def test_record_count(self):

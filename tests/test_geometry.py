@@ -225,6 +225,55 @@ class TestVectorHelpers:
             with pytest.raises(NumericalBlowup, match=f"^sin_phi overflow at row {row}$"):
                 body_frames(s1, s2, rates, rates)
 
+    @pytest.mark.parametrize("name", ["r1", "r2"])
+    @pytest.mark.parametrize(
+        "form, row", [("floats", 0), ("3-vectors", 0), ("rows", 0), ("rows", 2), ("rows", 4)]
+    )
+    def test_overflowing_length_is_named(self, form, row, name):
+        # a length of 1e160 is inf (its square overflows) where |s1 x s2| =
+        # 1e10 is not: measure_shape names the length and its row (row 0
+        # for one pair), and so does body_frames; the other rows are finite
+        rng = np.random.default_rng(40)
+        s1, s2 = rng.normal(size=(2, 5, 3))
+        long, short = [1e160, 0.0, 0.0], [0.0, 1e-150, 0.0]
+        s1[row], s2[row] = (long, short) if name == "r1" else (short, long)
+        s1, s2, rates = _pair_form(form, row, s1, s2)
+        with np.errstate(over="ignore"):  # the columns warn in _length first
+            with pytest.raises(NumericalBlowup, match=f"^{name} overflow at row {row}$"):
+                measure_shape(s1, s2)
+            with pytest.raises(NumericalBlowup, match=f"^{name} overflow at row {row}$"):
+                body_frames(s1, s2, rates, rates)
+
+    @pytest.mark.parametrize("form", ["floats", "3-vectors", "rows"])
+    def test_sin_phi_is_named_before_the_lengths(self, form):
+        # at 1e160 the area and both lengths are not finite, and sin_phi is
+        # named; on rows, at its row though r1 overflows on an earlier one
+        rng = np.random.default_rng(40)
+        s1, s2 = rng.normal(size=(2, 5, 3))
+        s1[1], s2[1] = [1e160, 0.0, 0.0], [0.0, 1e-150, 0.0]
+        s1[3], s2[3] = s1[3] * 1e160, s2[3] * 1e160
+        a, b = s1[3].tolist(), s2[3].tolist()
+        assert not np.isfinite([_length(v, sqrt) for v in (cross(a, b), a, b)]).any()
+        s1, s2, rates = _pair_form(form, 3, s1, s2)
+        row = 3 if form == "rows" else 0
+        with np.errstate(over="ignore", invalid="ignore"):  # the columns warn first
+            with pytest.raises(NumericalBlowup, match=f"^sin_phi overflow at row {row}$"):
+                measure_shape(s1, s2)
+            with pytest.raises(NumericalBlowup, match=f"^sin_phi overflow at row {row}$"):
+                body_frames(s1, s2, rates, rates)
+
+
+def _pair_form(form, row, s1, s2):
+    """(N, 3) Jacobi rows s1 and s2 with zero rates in the form that
+    measure_shape and body_frames are given: the rows, row's 3-vectors or
+    row's lists of three floats."""
+    rates = np.zeros_like(s1)
+    if form == "floats":
+        return s1[row].tolist(), s2[row].tolist(), [0.0] * 3
+    if form == "3-vectors":
+        return s1[row], s2[row], rates[row]
+    return s1, s2, rates
+
 
 def _state(x1, x2, x3, v1=None, v2=None, v3=None):
     zero = np.zeros(3)

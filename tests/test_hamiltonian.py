@@ -662,35 +662,38 @@ class TestOneRowPath:
         assert np.array_equal(ev.J, out.J[0]), kind
         assert np.array_equal(ev.p, out.p[0]), kind
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_overflow_raises_named(self):
-        # an overflow of the Jacobi map, or of the kinetic terms with
-        # finite Jacobi vectors, is named instead of validated or returned
+        # an overflow of the Jacobi map, of r1, or of the kinetic terms with
+        # finite Jacobi vectors and lengths, is named instead of validated
+        # or returned, with no numpy warning
         masses = MassTriple(1.0, 1.0, 1.0)
-        gravity = builtin_potential("gravity", G=1.0)
+        gravity, free = builtin_potential("gravity", G=1.0), builtin_potential("free")
         x = [[0.97000436, -0.24308753, 0.0], [-0.97000436, 0.24308753, 0.0], [0.0, 0.0, 0.0]]
         v = [[0.466203685, 0.43236573, 0.0], [0.466203685, 0.43236573, 0.0], [-0.93240737, -0.86473146, 0.0]]
         far = CartesianState(*[[1e308, 0, 0], [0, 1, 0], [-1e308, 0, 0]], *v)
         fast = CartesianState(*x, *[[1e200, 0, 0], [0, 0, 1e200], [-1e200, 0, -1e200]])
         with pytest.raises(NumericalBlowup, match="^Jacobi vector overflow at row 0$"):
             evaluate_reduced(masses, far, gravity)
-        with pytest.raises(NumericalBlowup, match="H_reduced"):
+        with pytest.raises(NumericalBlowup, match="^H_reduced overflow at row 0$"):
             evaluate_reduced(masses, fast, gravity)
         # the batch names the quantity and the row, behind a finite row
         ok = CartesianState(*x, *v)
-        # finite Jacobi vectors and energy, but r1 |s1dot| overflows, and
-        # so does |s1 x s2| where body 2 is off the line of 1 and 3
+        # finite Jacobi vectors and energy, but r1 = |s1| overflows, and so
+        # does |s1 x s2| where body 2 is off the line of 1 and 3
         spin = [[0, 1e10, 0], [0, 0, 0], [0, -1e10, 0]]
         line = CartesianState(*[[1e300, 0, 0], [1, 0, 0], [-1e300, 0, 0]], *spin)
         bent = CartesianState(*[[1e300, 0, 0], [0, 1, 0], [-1e300, 0, 0]], *spin)
-        for state, quantity in (
-            (far, "Jacobi vector"), (bent, "sin_phi"), (fast, "E_total"), (line, "L")
+        # finite r1, r2 and energy, but s1 x sdot1 + s2 x sdot2 overflows
+        s, rate = np.array([1.3e154, 0.0, 0.0]), np.array([0.0, 9.2e153, 0.0])
+        spinning = cartesian_from_jacobi(masses, s, s, rate, rate)
+        for state, potential, quantity in (
+            (far, gravity, "Jacobi vector"), (bent, gravity, "sin_phi"),
+            (fast, gravity, "E_total"), (line, gravity, "r1"), (spinning, free, "L"),
         ):
             x2 = np.array([ok.positions, state.positions])
             v2 = np.array([ok.velocities, state.velocities])
             with pytest.raises(NumericalBlowup, match=f"^{quantity} overflow at row 1$"):
-                evaluate_reduced_batch(masses, x2, v2, gravity)
+                evaluate_reduced_batch(masses, x2, v2, potential)
 
     def test_sin_phi_overflow_is_named(self):
         # a seeded state: at positions times 1e80 |s1 x s2| overflows
@@ -709,13 +712,31 @@ class TestOneRowPath:
             assert (ev.H, ev.phi, ev.sin_phi) == (out.H_reduced[0], out.phi[0], out.sin_phi[0])
         state = CartesianState(*x * 1e80, *v)
         rows = np.array([x, x * 1e80])
-        # one state's float |s1 x s2| is inf with no warning; the batch's
-        # columns warn in geometry._length first
+        # named on one state's floats and on the batch's columns alike, with
+        # no numpy warning
         with pytest.raises(NumericalBlowup, match="^sin_phi overflow at row 0$"):
             evaluate_reduced(masses, state, free)
-        with np.errstate(over="ignore"):
-            with pytest.raises(NumericalBlowup, match="^sin_phi overflow at row 1$"):
-                evaluate_reduced_batch(masses, rows, np.array([v, v]), free)
+        with pytest.raises(NumericalBlowup, match="^sin_phi overflow at row 1$"):
+            evaluate_reduced_batch(masses, rows, np.array([v, v]), free)
+
+    @pytest.mark.parametrize("case, quantity", [("1e80", "sin_phi"), ("1e160", "sin_phi"), ("r1-inf", "r1")])
+    def test_batch_names_its_overflow_with_no_warning(self, case, quantity):
+        # under pyproject's warnings-as-errors the batch raises the named error,
+        # not numpy's RuntimeWarning, and one state names it in the same
+        # words: at 1e80 |s1 x s2| overflows, at 1e160 the lengths too, and
+        # the last state's r1 overflows where |s1 x s2| does not
+        masses, free = MassTriple(1.0, 1.5, 2.0), builtin_potential("free")
+        rng = np.random.default_rng(0)
+        x, v = rng.normal(size=(2, 3, 3))
+        if case == "r1-inf":
+            x = np.array([[1e160, 0.0, 0.0], [0.0, 1e-150, 0.0], [-1e160, 0.0, 0.0]])
+        else:
+            x = x * float(case)
+        message = f"^{quantity} overflow at row 0$"
+        with pytest.raises(NumericalBlowup, match=message):
+            evaluate_reduced_batch(masses, x[None], v[None], free)
+        with pytest.raises(NumericalBlowup, match=message):
+            evaluate_reduced(masses, CartesianState(*x, *v), free)
 
 
 def jacobi_vectors(masses, state):
@@ -1205,13 +1226,12 @@ def _row_outcome(H, r1, r2, phi, sin_phi, T, J, p, branch):
 
 
 def batch_outcomes(masses, x, v, potential):
-    """Each row's outcome in evaluate_reduced_batch, with numpy's warnings
-    ignored: its row of one call, its DegenerateShape where the batch marks
-    it degenerate, and where the call raises, the outcomes of its halves,
-    down to the one-row batch, whose error names row 0."""
+    """Each row's outcome in evaluate_reduced_batch: its row of one call,
+    its DegenerateShape where the batch marks it degenerate, and where the
+    call raises, the outcomes of its halves, down to the one-row batch,
+    whose error names row 0."""
     try:
-        with np.errstate(all="ignore"):
-            out = evaluate_reduced_batch(masses, x, v, potential)
+        out = evaluate_reduced_batch(masses, x, v, potential)
     except TrireduceError as exc:
         if len(x) == 1:
             return [(type(exc).__name__, str(exc))]
@@ -1232,12 +1252,11 @@ def batch_outcomes(masses, x, v, potential):
 
 def one_state_outcome(masses, x, v, potential):
     """evaluate_reduced's outcome on one state, as batch_outcomes gives a
-    row's: its one H error names the row as the batch does."""
+    row's."""
     try:
         ev = evaluate_reduced(masses, CartesianState(*x, *v), potential)
     except TrireduceError as exc:
-        message = re.sub(r"^H_reduced overflows \(.*\)$", "H_reduced overflow at row 0", str(exc))
-        return type(exc).__name__, message
+        return type(exc).__name__, str(exc)
     return _row_outcome(
         ev.H, ev.r1, ev.r2, ev.phi, ev.sin_phi, ev.singular_term, ev.J, ev.p, ev.branch
     )
@@ -1266,18 +1285,19 @@ class TestFloatStateSweep:
         # every branch and every error the sweep is built to reach
         assert {"noncollinear", "collinear", "DegenerateShape", "NumericalBlowup"} <= set(outcomes)
 
-    def test_a_float_division_by_zero_takes_the_numpy_row(self):
-        # r1 = inf with finite Jacobi vectors: u1 = s1 / r1 = 0, so the fixed
-        # perpendicular has length 0 too and the float kernel divides by 0;
-        # the state's numpy 3-vectors give NaN there and name H, as its row
+    def test_an_infinite_r1_is_named_in_both_entry_points(self):
+        # r1 = inf with finite Jacobi vectors would make u1 = s1 / r1 = 0,
+        # so the fixed perpendicular would have length 0 too and the float
+        # kernel would divide by 0; measure_shape names r1 first, on the
+        # kernel's floats and in both entry points, with no numpy warning
         masses, free = MassTriple(1.0, 1.0, 1.0), builtin_potential("free")
         x = np.array([[1e160, 0.0, 0.0], [0.0, 1e-150, 0.0], [-1e160, 0.0, 0.0]])
         v = np.array([[0.1, 0.2, 0.3], [0.0, -0.4, 0.5], [0.3, 0.1, -0.2]])
         floats = [*jacobi_map(masses, *x.tolist()), *jacobi_map(masses, *v.tolist())]
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(NumericalBlowup, match="^r1 overflow at row 0$"):
             hamiltonian._reduce_rows(COLLINEAR_THRESHOLD, *floats)
-        with pytest.raises(NumericalBlowup, match=r"^H_reduced overflows \(nan\)$"):
+        with pytest.raises(NumericalBlowup, match="^r1 overflow at row 0$"):
             evaluate_reduced(masses, CartesianState(*x, *v), free)
         assert batch_outcomes(masses, x[None], v[None], free) == [
-            ("NumericalBlowup", "H_reduced overflow at row 0")
+            ("NumericalBlowup", "r1 overflow at row 0")
         ]

@@ -1008,6 +1008,14 @@ class TestForces:
                 continue
             assert F.shape == (3, 3) and np.isfinite(F).all()
 
+    @pytest.mark.parametrize("text", ["phi * 1e300", "phi / 2.2250738585072014e-308"])
+    def test_an_overflowing_shape_force_is_named(self, text):
+        # bodies 1 and 2 coincide, so |s1 x s2| = 2.8e-17: dV/dphi = 1e300
+        # or 4.5e307 makes _shape_forces' c11 inf and c12 -inf, and g = c11
+        # s1 + c12 s2 NaN; phi is named in place of nine NaN forces
+        with pytest.raises(DomainError, match="^domain error in 'phi' at value "):
+            forces_cartesian(parse_potential(text), MASSES, FORCE_CONFIGS[4])
+
     def test_expression_forces_match_equivalent_builtin(self):
         # each built-in family written as a tree, its parameters and masses
         # folded in; harmonic with zero rest length has the shape-level form

@@ -411,6 +411,40 @@ MUTATIONS = [
             for run in ("leapfrog", "leapfrog-stride7")
         ),
     ),
+    Mutation(
+        name="parser-precedence-swapped",
+        file="src/trireduce/potential.py",
+        old=(
+            '        while self.peek()[0] in ("+", "-"):\n'
+            "            op, _, pos = self.advance()\n"
+            "            node = self.apply(pos, partial(Bin, op), node, self.term())\n"
+            "        return node\n"
+            "\n"
+            "    def term(self):\n"
+            "        node = self.unary()\n"
+            '        while self.peek()[0] in ("*", "/"):\n'
+        ),
+        new=(
+            '        while self.peek()[0] in ("*", "/"):\n'
+            "            op, _, pos = self.advance()\n"
+            "            node = self.apply(pos, partial(Bin, op), node, self.term())\n"
+            "        return node\n"
+            "\n"
+            "    def term(self):\n"
+            "        node = self.unary()\n"
+            '        while self.peek()[0] in ("+", "-"):\n'
+        ),
+        reason="the + - and * / levels of the parser exchanged, so * / bind looser than + -",
+        caught_by=("tests/test_potential.py::TestParser::test_parser_agrees_with_python_grammar",),
+    ),
+    Mutation(
+        name="jacobi-vector-unrefused",
+        file="src/trireduce/geometry.py",
+        old='        require_finite("Jacobi vector", np.reshape(np.concatenate((s1, s2), -1), (-1, 6)))\n',
+        new="",
+        reason="measure_shape measures Jacobi vectors that are not finite and names sin_phi there, not the vectors",
+        caught_by=("tests/test_potential.py::TestFloatWalk::test_jacobi_vector_overflow_is_named",),
+    ),
 ]
 
 

@@ -266,17 +266,17 @@ def measure_shape(s1, s2):
     3-vectors and floats for one of lists (see arithmetic).  Every
     measurement of phi from the vectors is this one; r1, r2, area and
     normal round as np.linalg.norm and np.cross do.  Raises NumericalBlowup
-    naming sin_phi (phi would read pi/2), then r1, then r2 at the first row
-    (row 0 for one pair) where area, r1 or r2 is not finite though s1 and s2
-    are; a row whose vectors are not finite is the caller's."""
+    at the first row (row 0 for one pair) naming the Jacobi vector where s1
+    or s2 is not finite, then sin_phi (phi would read pi/2), then r1, then
+    r2 where area, r1 or r2 is not finite."""
     ops = arithmetic(s1)
     a, b = ops.components(s1), ops.components(s2)
     normal = cross(a, b)
     area, r1, r2 = (_length(v, ops.sqrt) for v in (normal, a, b))
     if not ops.finite(area + r1 + r2):
-        measured = np.isfinite(np.concatenate((s1, s2), -1)).reshape(-1, 6).all(axis=1)
+        require_finite("Jacobi vector", np.reshape(np.concatenate((s1, s2), -1), (-1, 6)))
         for name, value in (("sin_phi", area), ("r1", r1), ("r2", r2)):
-            require_finite(name, np.where(measured, value, 0.0))
+            require_finite(name, np.reshape(value, -1))
     dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
     return r1, r2, normal, area, dot, ops.arctan2(area, dot)
 

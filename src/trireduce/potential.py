@@ -15,7 +15,7 @@ over the Jacobi map's coefficients.
 
 from dataclasses import dataclass, field, fields
 from functools import partial
-from math import copysign, isfinite, isnan, nextafter, sqrt
+from math import isfinite, isnan, nextafter, sqrt
 from numbers import Real
 from sys import float_info
 
@@ -44,7 +44,7 @@ PAIRS = {"d12": (0, 1), "d13": (0, 2), "d23": (1, 2)}
 
 
 class _Node:
-    """A tree node whose ==, hash and dataclass repr take no frame per level."""
+    """A tree node whose == and dataclass repr take no frame per level."""
 
     def _preorder(self):
         """The nodes in pre-order, each as its type and fields, _Node for a child."""
@@ -58,9 +58,6 @@ class _Node:
 
     def __eq__(self, other):
         return isinstance(other, _Node) and self._preorder() == other._preorder()
-
-    def __hash__(self):
-        return hash(tuple(self._preorder()))
 
     def __repr__(self):
         done = []  # in reverse pre-order, a node's children are done, its first on top
@@ -253,50 +250,11 @@ def parse_expression(text):
     return _Parser(text).parse()
 
 
-def print_expression(node):
-    """Render an AST back to a string that parses to a structurally equal AST.
-    Raises ValueError on a constant that _emit refuses (see _constant) and on
-    one whose sign bit is set, -0.0 too: the parser reads '-1.5' as
-    Neg(Num(1.5)), so no text parses to Num(-1.5)."""
-    return _print(node, 0)
-
-
-# precedence levels for printing: + - = 1, * / = 2, unary - = 3, ^ = 4
-_BIN_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-
-
 def _constant(node):
-    """Whether node is a constant that the printer and the emitter take: a
-    Num of a real within the float range, so not inf, nan or a huge int."""
+    """Whether node is a constant that the emitter takes: a Num of a real
+    within the float range, so not inf, nan or a huge int."""
     return (isinstance(node, Num) and isinstance(node.value, Real)
             and abs(node.value) <= float_info.max)
-
-
-def _print(node, parent_prec):
-    if isinstance(node, Num):
-        if not _constant(node):
-            raise ValueError(f"not an expression node: {node!r}")
-        if copysign(1.0, node.value) < 0.0:
-            raise ValueError(f"no text parses to a negative constant: {node!r}")
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.fn}({_print(node.arg, 0)})"
-    if isinstance(node, Neg):
-        inner = _print(node.arg, 3)
-        text = f"-{inner}"
-        return f"({text})" if parent_prec > 3 else text
-    prec = _BIN_PREC[node.op]
-    if node.op == "^":
-        # right-associative; exponent parses as unary
-        left = _print(node.left, prec + 1)
-        right = _print(node.right, 3)
-    else:
-        left = _print(node.left, prec)
-        right = _print(node.right, prec + 1)
-    text = f"{left} {node.op} {right}"
-    return f"({text})" if parent_prec > prec else text
 
 
 # Where an operation leaves its domain, given its operands; such a row also
@@ -436,7 +394,7 @@ def _emit(ast):
             op, operands = "neg", [node.arg]
         elif isinstance(node, Call) and type(node.fn) is str and node.fn in FUNCTIONS:
             op, operands = node.fn, [node.arg]
-        elif isinstance(node, Bin) and type(node.op) is str and node.op in _BIN_PREC:
+        elif isinstance(node, Bin) and type(node.op) is str and node.op in ("+", "-", "*", "/", "^"):
             op, operands = node.op, [node.left, node.right]
         else:
             raise ValueError(f"not an expression node: {node!r}")

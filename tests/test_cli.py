@@ -894,6 +894,12 @@ class TestCheck:
         lines = [ln for ln in out.splitlines() if ln.startswith("PASS")]
         assert len(lines) >= 8
 
+    def test_seed_flag_runs_the_suites_at_that_seed(self, capsys):
+        assert run(["check", "--seed", "7"]) == 0
+        expected = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
+                    for name, ok, detail in checks.run_all(seed=7)]
+        assert capsys.readouterr().out.splitlines() == expected
+
     @pytest.mark.parametrize("seed", range(41))
     def test_collinear_limit_at_every_seed(self, seed):
         # at seed 21, H(1e-6) - H(0) rounds to 0: the suite fits only the
@@ -907,6 +913,23 @@ class TestCheck:
         assert checks.suite_collinear_limit() == (
             False, "0 of 6 differences above the rounding of H (need 3)"
         )
+
+    def test_singular_term_needs_the_exact_collinear_value(self, monkeypatch):
+        # a term one ulp off -r2^2 w2 at phi = 0 fails the suite
+        exact = checks.singular_term
+        monkeypatch.setattr(checks, "singular_term", lambda *args: np.nextafter(exact(*args), np.inf))
+        assert checks.suite_singular_term() == (False, "phi = 0 value is not exactly -r2^2 w2")
+
+    def test_parser_needs_the_batch_to_equal_its_rows(self, monkeypatch):
+        # a batch one ulp off its rows fails the suite at the first expression
+        rows = checks.eval_potential_batch
+
+        def batch(spec, masses, *columns):
+            value = rows(spec, masses, *columns)
+            return np.nextafter(value, np.inf) if value.size > 1 else value
+
+        monkeypatch.setattr(checks, "eval_potential_batch", batch)
+        assert checks.suite_parser() == (False, "batch value differs from row-by-row value for 'r1'")
 
     def test_corrupted_tolerance_fails(self, capsys, monkeypatch):
         # a suite held to a tolerance no residual meets fails the run, and

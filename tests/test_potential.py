@@ -1,3 +1,4 @@
+import ast as python_ast
 import gc
 import re
 import weakref
@@ -7,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trireduce.potential
@@ -41,7 +42,6 @@ from trireduce.potential import (
     parse_expression,
     parse_potential,
     potential_at_positions,
-    print_expression,
 )
 
 RNG = np.random.default_rng(31)
@@ -86,6 +86,44 @@ EXPRESSIONS = st.recursive(
     ),
     max_leaves=12,
 )
+
+# random expression text with every token kind: numerals in repr and integer
+# form, the variables, pi, e, stacked unary minus, the binary operators and
+# the calls, with random parentheses
+TEXTS = st.recursive(
+    st.one_of(
+        st.floats(0, 1e300).map(repr),
+        st.integers(0, 10 ** 20).map(str),
+        st.sampled_from([*VARIABLES, "pi", "e"]),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(st.integers(1, 3), inner).map(lambda t: "-" * t[0] + t[1]),
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map(" ".join),
+        st.tuples(st.sampled_from(["sin", "cos", "sqrt", "exp", "log", "abs"]), inner).map(
+            lambda t: f"{t[0]}({t[1]})"
+        ),
+        inner.map(lambda text: f"({text})"),
+    ),
+    max_leaves=12,
+)
+
+
+def python_tree(node):
+    """The tree of a node of Python's own parse of an expression, with ^
+    written as **: Python's ** has ^'s grammar (right-associative, tighter
+    than a unary minus on its left, a unary exponent)."""
+    if isinstance(node, python_ast.Constant):
+        return Num(float(node.value))
+    if isinstance(node, python_ast.Name):
+        return Var(node.id) if node.id in VARIABLES else Num({"pi": pi, "e": np.e}[node.id])
+    if isinstance(node, python_ast.UnaryOp) and isinstance(node.op, python_ast.USub):
+        return Neg(python_tree(node.operand))
+    if isinstance(node, python_ast.Call):
+        (arg,) = node.args
+        return Call(node.func.id, python_tree(arg))
+    ops = {python_ast.Add: "+", python_ast.Sub: "-", python_ast.Mult: "*",
+           python_ast.Div: "/", python_ast.Pow: "^"}
+    return Bin(ops[type(node.op)], python_tree(node.left), python_tree(node.right))
 
 
 def reference_pair_forces(spec, masses, x):
@@ -433,20 +471,26 @@ class TestParser:
         # 1e999 overflows to inf and is rejected; 1e308 is a float
         assert parse_expression("1e308 * r1") == Bin("*", Num(1e308), Var("r1"))
 
-    @settings(max_examples=100, deadline=None)
-    @given(EXPRESSIONS)
-    def test_print_parse_round_trip(self, ast):
-        printed = print_expression(ast)
-        assert parse_expression(printed) == ast
+    @settings(max_examples=300, deadline=None)
+    @given(TEXTS)
+    @example("-r1^2")
+    @example("2^-3^2")
+    @example("r1^2^3")
+    @example("r1 - r2 - phi")
+    @example("r1 / r2 / 2")
+    @example("--d12")
+    @example("r1 + r2 * phi - d12 / 2")
+    def test_parser_agrees_with_python_grammar(self, text):
+        # an oracle independent of the parser: Python's parse of the same text
+        expected = python_tree(python_ast.parse(text.replace("^", "**"), mode="eval").body)
+        assert parse_expression(text) == expected
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan"), 10 ** 400], ids=["inf", "nan", "10**400"])
     def test_printer_refuses_the_constants_the_emitter_refuses(self, value):
-        # such text would not parse back ('inf * d12' names an unknown
-        # identifier, 401 digits overflow), so the printer raises as _emit does
-        ast = Bin("*", Num(value), Var("d12"))
-        for build in (print_expression, lambda ast: PotentialSpec(ast=ast)):
-            with pytest.raises(ValueError, match=r"^not an expression node: Num\(value="):
-                build(ast)
+        # no text spells such a constant ('inf * d12' names an unknown
+        # identifier, 401 digits overflow), and the emitter refuses it
+        with pytest.raises(ValueError, match=r"^not an expression node: Num\(value="):
+            PotentialSpec(ast=Bin("*", Num(value), Var("d12")))
 
     @pytest.mark.parametrize(
         "ast",
@@ -454,10 +498,8 @@ class TestParser:
         ids=["negative", "negative-zero", "negative-factor"],
     )
     def test_printer_refuses_a_constant_with_its_sign_bit_set(self, ast):
-        # the parser reads '-1.5' as Neg(Num(1.5)), so no text parses back to
+        # the parser reads '-1.5' as Neg(Num(1.5)), so no text parses to
         # such a tree; the emitter still compiles it
-        with pytest.raises(ValueError, match=r"^no text parses to a negative constant: Num\("):
-            print_expression(ast)
         value = eval_potential_batch(PotentialSpec(ast=ast), MASSES, *np.full((6, 1), 3.0))
         assert value.tolist() == [-6.0 if isinstance(ast, Bin) else ast.value]
 
@@ -512,9 +554,9 @@ class TestParser:
     )
     def test_deepest_trees_have_repr_eq_and_hash(self, text):
         # the deepest trees the parser takes: a 501-term sum raised
-        # RecursionError in all three, which took frames per level
+        # RecursionError in repr and ==, which took frames per level
         spec, again = parse_potential(text), parse_potential(text)
-        assert spec == again and spec.ast == again.ast and hash(spec.ast) == hash(again.ast)
+        assert spec == again and spec.ast == again.ast
         assert repr(spec) == repr(again) and repr(spec.ast) in repr(spec)
         leaves = re.findall(r"Var\(name='(\w+)'\)", repr(spec.ast))
         assert leaves == re.findall(r"[a-z]\w*\d", text)
@@ -528,7 +570,7 @@ class TestParser:
     @settings(max_examples=200, deadline=None)
     @given(EXPRESSIONS)
     def test_repr_eq_and_hash_are_the_dataclasses(self, ast):
-        # the text of the dataclass repr, structural ==, equal hashes
+        # the text of the dataclass repr and structural ==
         nodes = (Num, Var, Neg, Bin, Call)
 
         def rebuilt(node):
@@ -543,7 +585,7 @@ class TestParser:
             return f"{type(node).__qualname__}({items})"
 
         copy = rebuilt(ast)
-        assert copy is not ast and copy == ast and hash(copy) == hash(ast)
+        assert copy is not ast and copy == ast
         assert repr(ast) == dataclass_repr(ast)
         assert Neg(ast) != ast and Neg(ast) == Neg(copy) and ast != "r1"
 
@@ -1469,6 +1511,29 @@ class TestFloatWalk:
                 call()
         assert np.isfinite(potential_at_positions(parse_potential("d12 - d13"), masses, x))
         assert np.isfinite(potential_at_positions(builtin_potential("gravity"), masses, x))
+
+    def test_jacobi_vector_overflow_is_named(self):
+        # at positions +-1e308 s1 overflows: the field and V of an expression
+        # that reads only r2 raise measure_shape's one error, for one state
+        # and at its row in a batch
+        spec = parse_potential("r2")
+        x = np.array([[1e308, 0.0, 0.0], [0.0, 1.0, 0.0], [-1e308, 0.0, 0.0]])
+        batch = np.array([np.eye(3), x])
+        calls = [
+            (lambda: forces_cartesian(spec, MASSES, x), 0),
+            (lambda: potential_at_positions(spec, MASSES, x), 0),
+            (lambda: potential_at_positions(spec, MASSES, batch), 1),
+        ]
+        with np.errstate(over="ignore"):  # the columns overflow in jacobi_map first
+            rows = jacobi_map(MASSES, *np.moveaxis(batch, -2, 0))
+        calls += [
+            (lambda: measure_shape(*jacobi_map(MASSES, *x.tolist())), 0),
+            (lambda: measure_shape(*rows), 1),
+        ]
+        for call, row in calls:
+            with np.errstate(all="ignore"):  # the columns warn in measure_shape first
+                with pytest.raises(NumericalBlowup, match=f"^Jacobi vector overflow at row {row}$"):
+                    call()
 
     @pytest.mark.parametrize(
         "text, values",
